@@ -6,7 +6,7 @@ GO ?= go
 COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place
 COVER_FLOOR = 75
 
-.PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant clean
+.PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
 
 all: build test
 
@@ -58,10 +58,13 @@ cover-check:
 		END { if (bad) { print "coverage below " floor "% floor"; exit 1 } }'
 
 # The one-stop verification entry point: formatting, vet, the tier-1 gate,
-# the coverage floor on the observability-critical packages, a full-repo
-# race sweep, and the metrics hot-path budget.
+# the nested bench module (its own go.mod, so ./... above never reaches it,
+# yet it imports salus/internal/...), the coverage floor on the
+# observability-critical packages, a full-repo race sweep, and the metrics
+# hot-path budget.
 ci: fmt-check vet lint
 	$(GO) build ./... && $(GO) test ./...
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(MAKE) cover-check
 	$(GO) test -race ./...
 	$(MAKE) bench-metrics
@@ -72,6 +75,11 @@ ci: fmt-check vet lint
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The BENCHMARK.json suite (seven workloads, end-to-end and per-layer
+# metrics) as one machine-readable document; see bench/README.md.
+bench-json:
+	$(GO) run -C bench . -seed 1 -out $(CURDIR)/BENCH.json
 
 # One iteration of every benchmark: fast enough for CI, and keeps the
 # bench suite from silently rotting.

@@ -1,13 +1,12 @@
 // Command salus-client is the data owner's side of a networked deployment:
-// it loads the expectations published for a cloud instance, attests the
-// whole heterogeneous platform with one cascaded-attestation round trip
-// over TCP, provisions a data key, and offloads an encrypted job.
-//
-// When the expectations file holds a JSON array (written by salus-server
-// -devices N), the client switches to cluster mode: it attests every device
-// in the pool, provisions one shared data key, and fans -jobs sealed jobs
-// out concurrently over a single multiplexed connection — polling the
-// pool's per-device stats on that same connection while the jobs run.
+// it loads the expectations published for a gateway (salus-server -exp),
+// attests every device listed there with one cascaded-attestation exchange
+// over TCP, provisions one shared data key, and fans -jobs sealed jobs out
+// concurrently over a single multiplexed connection — polling the per-device
+// stats on that same connection while the jobs run. The flow is the same
+// against one board, an elastic fleet, or a federation front tier (where
+// the expectations cover the root shard only and -key names the session the
+// ring routes by).
 package main
 
 import (
@@ -38,65 +37,56 @@ func main() {
 		runTop(os.Args[2:])
 		return
 	}
-	instAddr := flag.String("inst", "127.0.0.1:7002", "instance / cluster gateway address")
+	instAddr := flag.String("inst", "127.0.0.1:7002", "gateway address")
 	expPath := flag.String("exp", "salus-expectations.json", "expectations file from salus-server")
-	kernel := flag.String("kernel", "Conv", "kernel the instance deployed")
-	jobs := flag.Int("jobs", 8, "cluster mode: number of sealed jobs")
-	batch := flag.Bool("batch", false, "cluster mode: submit all -jobs in one batched RPC frame instead of one call per job")
-	tenant := flag.String("tenant", "", "cluster mode: tenant name for gateway rate limiting")
-	class := flag.String("class", "", "cluster mode: priority class (batch, standard, critical)")
-	deadline := flag.Duration("deadline", 0, "cluster mode: per-job deadline; expired jobs are shed, never run late (0 disables)")
+	kernel := flag.String("kernel", "Conv", "kernel the gateway deployed")
+	jobs := flag.Int("jobs", 8, "number of sealed jobs")
+	batch := flag.Bool("batch", false, "submit all -jobs in one batched RPC frame instead of one call per job")
+	key := flag.String("key", "", "session key a federation front tier routes by (with -tenant); other gateways ignore it")
+	tenant := flag.String("tenant", "", "tenant name for gateway rate limiting")
+	class := flag.String("class", "", "priority class (batch, standard, critical)")
+	deadline := flag.Duration("deadline", 0, "per-job deadline; expired jobs are shed, never run late (0 disables)")
 	flag.Parse()
 
-	raw, err := os.ReadFile(*expPath)
+	exps, err := loadExpectations(*expPath)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var qos *remote.QoS
 	if *tenant != "" || *class != "" || *deadline > 0 {
-		c, ok := salusClass(*class)
+		c, ok := sched.ClassByName(*class)
 		if !ok {
 			log.Fatalf("unknown class %q (want batch, standard, or critical)", *class)
 		}
 		qos = &remote.QoS{Tenant: *tenant, Class: c, Deadline: *deadline}
 	}
+	runJobs(exps, *instAddr, *key, *kernel, *jobs, *batch, qos)
+}
 
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte("[")) {
-		runCluster(raw, *instAddr, *kernel, *jobs, *batch, qos)
-		return
-	}
-	if qos != nil {
-		log.Fatal("-tenant/-class/-deadline need a cluster gateway (salus-server -devices N)")
-	}
-
-	var exp client.Expectations
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("expecting: user enclave %s, SM enclave %s, CL digest %x..., device %s\n",
-		exp.UserEnclave, exp.SMEnclave, exp.Digest[:8], exp.DNA)
-
-	sess, err := remote.DialInstance(*instAddr, exp)
+// loadExpectations reads the owner's expectations: a JSON array with one
+// entry per device to attest, or the legacy single object (a pool of one).
+func loadExpectations(path string) ([]client.Expectations, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	defer sess.Close()
-
-	if err := sess.Attest(); err != nil {
-		log.Fatalf("platform NOT trusted: %v", err)
+	var exps []client.Expectations
+	switch trimmed := bytes.TrimSpace(raw); {
+	case bytes.HasPrefix(trimmed, []byte("[")):
+		err = json.Unmarshal(raw, &exps)
+	case bytes.HasPrefix(trimmed, []byte("{")):
+		exps = make([]client.Expectations, 1)
+		err = json.Unmarshal(raw, &exps[0])
+	default:
+		err = fmt.Errorf("want a JSON array of device expectations or a single object")
 	}
-	fmt.Println("platform attested in one round trip; data key provisioned")
-
-	w, ok := salus.TestWorkload(*kernel, 7)
-	if !ok {
-		log.Fatalf("unknown kernel %q", *kernel)
+	if err == nil && len(exps) == 0 {
+		err = fmt.Errorf("no device expectations")
 	}
-	out, err := sess.RunJob(*kernel, w.Params, w.Input)
 	if err != nil {
-		log.Fatal(err)
+		return nil, fmt.Errorf("expectations file %s: %w", path, err)
 	}
-	fmt.Printf("offloaded %s: %d input bytes -> %d output bytes (sealed both ways)\n",
-		*kernel, len(w.Input), len(out))
+	return exps, nil
 }
 
 // runFleet is the elastic-operations subcommand: scale the pool up or
@@ -114,13 +104,9 @@ func runFleet(args []string) {
 	timeout := fs.Duration("timeout", 30*time.Second, "with -drain: bound on waiting for in-flight jobs")
 	fs.Parse(args)
 
-	raw, err := os.ReadFile(*expPath)
+	exps, err := loadExpectations(*expPath)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var exps []client.Expectations
-	if err := json.Unmarshal(raw, &exps); err != nil {
-		log.Fatalf("fleet operations need a cluster expectations file (JSON array): %v", err)
 	}
 	sess, err := remote.DialCluster(*instAddr, exps)
 	if err != nil {
@@ -171,38 +157,31 @@ func runFleet(args []string) {
 	}
 }
 
-// salusClass maps the -class flag to a scheduling band.
-func salusClass(name string) (sched.Class, bool) {
-	return sched.ClassByName(name)
-}
-
-// runCluster attests a device pool and drives sealed jobs plus live stats
+// runJobs attests the listed devices and drives sealed jobs plus live stats
 // over one shared connection — concurrently one call per job, or (with
-// -batch) as a single batched RPC frame riding the cluster's batched
-// secure data path.
-func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remote.QoS) {
-	var exps []client.Expectations
-	if err := json.Unmarshal(raw, &exps); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("expecting a pool of %d devices, CL digest %x...\n", len(exps), exps[0].Digest[:8])
+// -batch) as a single batched RPC frame riding the batched secure data
+// path. The keyed session type is the general one: with an empty key its
+// requests are exactly a ClusterSession's.
+func runJobs(exps []client.Expectations, addr, key, kernel string, jobs int, batch bool, qos *remote.QoS) {
+	fmt.Printf("expecting %d devices (first: user enclave %s, SM enclave %s, CL digest %x..., device %s)\n",
+		len(exps), exps[0].UserEnclave, exps[0].SMEnclave, exps[0].Digest[:8], exps[0].DNA)
 
-	sess, err := remote.DialCluster(addr, exps)
+	sess, err := remote.DialFederation(addr, exps)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sess.Close()
 	if err := sess.Attest(); err != nil {
-		log.Fatalf("pool NOT trusted: %v", err)
+		log.Fatalf("platform NOT trusted: %v", err)
 	}
-	fmt.Printf("all %d devices attested; shared data key provisioned\n", len(exps))
+	fmt.Printf("all %d devices attested in one exchange; shared data key provisioned\n", len(exps))
 	if qos != nil {
 		sess.SetQoS(*qos)
 		fmt.Printf("qos: tenant=%q class=%s deadline=%v\n", qos.Tenant, qos.Class, qos.Deadline)
 	}
 
 	if batch {
-		runClusterBatch(sess, kernel, jobs)
+		runBatch(sess, key, kernel, jobs)
 		return
 	}
 
@@ -217,7 +196,7 @@ func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remo
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := sess.RunJob(kernel, w.Params, w.Input); err != nil {
+			if _, _, err := sess.RunJob(key, kernel, w.Params, w.Input); err != nil {
 				errs <- fmt.Errorf("job %d: %w", i, err)
 			}
 		}(i)
@@ -231,7 +210,7 @@ func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remo
 				return
 			default:
 			}
-			if stats, err := sess.Stats(); err == nil {
+			if stats, err := sess.DeviceStats(); err == nil {
 				var queued int64
 				for _, ds := range stats {
 					queued += ds.Queued
@@ -250,7 +229,7 @@ func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remo
 		log.Println(err)
 	}
 
-	stats, err := sess.Stats()
+	stats, err := sess.DeviceStats()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -268,10 +247,10 @@ func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remo
 	}
 }
 
-// runClusterBatch submits every job in one RunBatch call: one RPC frame up,
-// one down, and on the device one sealed register program per chunk instead
-// of one secure round trip per job.
-func runClusterBatch(sess *remote.ClusterSession, kernel string, jobs int) {
+// runBatch submits every job in one RunBatch call: one RPC frame up, one
+// down, and on the device one sealed register program per chunk instead of
+// one secure round trip per job.
+func runBatch(sess *remote.FederationSession, key, kernel string, jobs int) {
 	inputs := make([]remote.BatchInput, jobs)
 	var inBytes int
 	for i := range inputs {
@@ -283,7 +262,7 @@ func runClusterBatch(sess *remote.ClusterSession, kernel string, jobs int) {
 		inBytes += len(w.Input)
 	}
 	start := time.Now()
-	results, err := sess.RunBatch(kernel, inputs)
+	results, placement, err := sess.RunBatch(key, kernel, inputs)
 	if err != nil {
 		log.Fatalf("batch: %v", err)
 	}
@@ -301,6 +280,9 @@ func runClusterBatch(sess *remote.ClusterSession, kernel string, jobs int) {
 	mbps := float64(inBytes) / (1 << 20) / elapsed.Seconds()
 	fmt.Printf("batched %d sealed %s jobs in one frame: %d bytes in, %d bytes out, %v (%.1f MB/s), %d failed\n",
 		jobs, kernel, inBytes, outBytes, elapsed.Round(time.Millisecond), mbps, failed)
+	if placement.Shard != "" {
+		fmt.Printf("  placed on shard %s (spilled=%v)\n", placement.Shard, placement.Spilled)
+	}
 	if failed > 0 {
 		os.Exit(1)
 	}

@@ -4,13 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
-	"encoding/json"
-
-	"salus/internal/client"
 	"salus/internal/metrics"
 	"salus/internal/remote"
 	"salus/internal/sched"
@@ -33,13 +29,9 @@ func runTop(args []string) {
 	iterations := fs.Int("iterations", 0, "number of refreshes before exiting (0 = forever)")
 	fs.Parse(args)
 
-	raw, err := os.ReadFile(*expPath)
+	exps, err := loadExpectations(*expPath)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var exps []client.Expectations
-	if err := json.Unmarshal(raw, &exps); err != nil {
-		log.Fatalf("top needs a cluster expectations file (JSON array): %v", err)
 	}
 	var addrs []string
 	for _, a := range strings.Split(*instAddr, ",") {

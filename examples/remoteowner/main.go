@@ -1,5 +1,5 @@
 // Remote owner: the full networked topology of §6.1 as a library user sees
-// it — manufacturer key service and instance gateway on TCP sockets, a data
+// it — manufacturer key service and a one-board gateway on TCP sockets, a data
 // owner session that attests the platform across the wire in one cascaded
 // round trip, and sealed job traffic end to end. Everything runs in one
 // process on loopback; the byte flows are identical to a real split
@@ -12,9 +12,11 @@ import (
 	"log"
 
 	"salus"
+	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/manufacturer"
 	"salus/internal/remote"
+	"salus/internal/sched"
 )
 
 func main() {
@@ -34,7 +36,7 @@ func main() {
 	fmt.Println("manufacturer service on", mfrAddr)
 
 	// Cloud domain: the instance's SM enclave reaches the manufacturer
-	// over TCP; the instance gateway takes the data owner's calls.
+	// over TCP; the gateway takes the data owner's calls for a pool of one.
 	keyClient, err := remote.DialManufacturer(mfrAddr)
 	if err != nil {
 		log.Fatal(err)
@@ -49,7 +51,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	instSrv, instAddr, err := remote.ServeInstance(sys, "127.0.0.1:0")
+	sch := sched.New(sched.Config{})
+	defer sch.Close()
+	instSrv, instAddr, err := remote.ServeCluster([]*core.System{sys}, sch, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +61,7 @@ func main() {
 	fmt.Println("instance gateway on   ", instAddr)
 
 	// Owner domain: attest across the network, then offload.
-	sess, err := remote.DialInstance(instAddr, sys.Expectations())
+	sess, err := remote.DialCluster(instAddr, []client.Expectations{sys.Expectations()})
 	if err != nil {
 		log.Fatal(err)
 	}

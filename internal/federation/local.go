@@ -16,8 +16,8 @@ import (
 // sharing one manufacturer, one TEE host platform (the hand-off rides SGX
 // local attestation, which only verifies within a platform), and one set
 // of boot caches, each shard owning DevicesPerShard boards behind its own
-// fleet manager and scheduler. This is the deployment salus-lb and
-// salus-bench federation run.
+// fleet manager and scheduler. This is the deployment salus-server -shards
+// and salus-bench federation run.
 type LocalSpec struct {
 	// Shards and DevicesPerShard size the tier; both must be >= 1.
 	Shards          int
@@ -35,8 +35,8 @@ type LocalSpec struct {
 	Federation Config
 	// RemoteHandshake leaves the root shard's systems unbooted for the
 	// data owner's attest+provision over the federation gateway (the
-	// salus-lb path). False boots them owner-side in process and returns
-	// the shared data key (the bench/test path).
+	// salus-server -shards path). False boots them owner-side in process
+	// and returns the shared data key (the bench/test path).
 	RemoteHandshake bool
 	// ShardAddrs optionally records each shard's gateway address in
 	// routing answers; missing entries stay empty.

@@ -3,30 +3,35 @@ package remote
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/cryptoutil"
+	"salus/internal/federation"
 	"salus/internal/metrics"
 	"salus/internal/rpc"
 	"salus/internal/sched"
 	"salus/internal/sgx"
 )
 
-// mRedials counts gateway re-dials after broken transports, fleet-wide.
-var mRedials = metrics.Default().Counter("salus_remote_redials_total")
-
-// --- Cluster gateway ---------------------------------------------------------
+// --- Gateway protocol --------------------------------------------------------
 //
-// The multi-device analogue of the instance gateway: one RPC endpoint
-// fronts a pool of FPGA systems behind a sched.Scheduler. The data owner
-// attests every device individually — there is no transitive trust between
-// boards — then provisions one shared data key to all of them, after which
-// a sealed job runs on whichever device the scheduler picks.
+// Every gateway speaks one dialect, the Cluster.* verbs, whatever it
+// fronts: one board is a pool of one, a pool is a region of one shard. The
+// data owner attests every device of the pool it is shown individually —
+// there is no transitive trust between boards — then provisions one shared
+// data key to all of them (Cluster.Boot, Cluster.Provision), after which a
+// sealed job (Cluster.RunJob, Cluster.RunBatch) runs wherever the gateway
+// places it. An elastic gateway adds Cluster.Scale / Cluster.Drain
+// (fleetgw.go); a gateway fronting a routing ring adds Cluster.Route /
+// Cluster.Handoff (fedgw.go).
+//
+// The gateway is untrusted plumbing (it runs outside the enclaves, like the
+// RPC modules in Figure 7): the quotes are signed, the key copies are
+// sealed to attested enclaves, and the job payloads are AES-GCM under the
+// provisioned key. It can deny service; it cannot read or forge anything.
 
 // ClusterBootRequest carries the data owner's RA challenge for the pool.
 type ClusterBootRequest struct {
@@ -34,15 +39,45 @@ type ClusterBootRequest struct {
 }
 
 // ClusterBootResponse carries one deferred quote per device, in the
-// cluster's fixed device order.
+// gateway's fixed device order.
 type ClusterBootResponse struct {
 	Quotes []sgx.Quote `json:"quotes"`
+}
+
+// ProvisionRequest carries the data key sealed to one device.
+type ProvisionRequest struct {
+	SenderPub []byte `json:"sender_pub"`
+	Sealed    []byte `json:"sealed"`
 }
 
 // ClusterProvisionRequest carries one sealed copy of the shared data key
 // per device, in the same order as the boot quotes.
 type ClusterProvisionRequest struct {
 	Provisions []ProvisionRequest `json:"provisions"`
+}
+
+// JobRequest carries one sealed job.
+type JobRequest struct {
+	Kernel      string    `json:"kernel"`
+	Params      [4]uint64 `json:"params"`
+	SealedInput []byte    `json:"sealed_input"`
+	// QoS fields (see QoS); all optional — empty means anonymous tenant,
+	// ClassStandard, no deadline.
+	Tenant         string `json:"tenant,omitempty"`
+	Class          string `json:"class,omitempty"`
+	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
+	// Key names the session for a ring-fronting gateway, which hashes
+	// tenant + key to a home shard; other gateways ignore it.
+	Key string `json:"key,omitempty"`
+}
+
+// JobResponse carries the sealed result. A ring-fronting gateway also
+// reports the placement it chose, so clients (and the bench) can observe
+// routing hit rate and spill-over without trusting extra state.
+type JobResponse struct {
+	SealedOutput []byte `json:"sealed_output"`
+	Shard        string `json:"shard,omitempty"`
+	Spilled      bool   `json:"spilled,omitempty"`
 }
 
 // BatchJob is one sealed job inside a batch request.
@@ -53,14 +88,16 @@ type BatchJob struct {
 
 // BatchRequest carries a whole batch of sealed jobs for one kernel in a
 // single RPC frame — one length prefix, one JSON envelope, one scheduler
-// hand-off — instead of one round trip per job.
+// hand-off, one routing decision — instead of one round trip per job.
 type BatchRequest struct {
 	Kernel string     `json:"kernel"`
 	Jobs   []BatchJob `json:"jobs"`
-	// QoS fields; see JobRequest. One contract covers the whole batch.
+	// QoS and routing fields; see JobRequest. One contract and one
+	// placement cover the whole batch.
 	Tenant         string `json:"tenant,omitempty"`
 	Class          string `json:"class,omitempty"`
 	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
+	Key            string `json:"key,omitempty"`
 }
 
 // BatchJobResult is one job's outcome, index-aligned with the request.
@@ -71,14 +108,19 @@ type BatchJobResult struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// BatchResponse carries every job's result in request order.
+// BatchResponse carries every job's result in request order, plus the
+// batch's placement from a ring-fronting gateway.
 type BatchResponse struct {
 	Results []BatchJobResult `json:"results"`
+	Shard   string           `json:"shard,omitempty"`
+	Spilled bool             `json:"spilled,omitempty"`
 }
 
-// ClusterStatsResponse snapshots the scheduler.
+// ClusterStatsResponse snapshots every device behind the gateway; a
+// ring-fronting gateway adds its routing and shard snapshot.
 type ClusterStatsResponse struct {
 	Devices []sched.DeviceStats `json:"devices"`
+	Ring    *federation.Stats   `json:"ring,omitempty"`
 }
 
 // ClusterMetricsResponse carries the gateway process's whole metrics
@@ -89,12 +131,65 @@ type ClusterMetricsResponse struct {
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 
-// ServeCluster exposes a pool's boot/provision/job gateway on addr. The
-// systems must be freshly constructed (not yet booted); after a successful
-// Cluster.Provision they are registered into sch and jobs flow. Like the
-// instance gateway, this is untrusted plumbing: the quotes are signed, the
-// key copies are sealed to attested enclaves, and the job payloads are
-// AES-GCM under the provisioned key.
+// backend is where a gateway sends sealed jobs: straight into one
+// scheduler (sch), or through a federation's ring and spill-over (fed,
+// which takes precedence when set).
+type backend struct {
+	sch *sched.Scheduler
+	fed *federation.Federation
+}
+
+func (b backend) submit(in JobRequest, opt sched.SubmitOptions) (fut *sched.Future, shard string, spilled bool, err error) {
+	if b.fed == nil {
+		return b.sch.SubmitSealedOpts(in.Kernel, in.Params, in.SealedInput, opt), "", false, nil
+	}
+	res, err := b.fed.Submit(in.Tenant, in.Key, in.Kernel, in.Params, in.SealedInput, opt)
+	return res.Future, res.Shard, res.Spilled, err
+}
+
+func (b backend) submitBatch(in BatchRequest, jobs []core.SealedJob, opt sched.SubmitOptions) (futs []*sched.Future, shard string, spilled bool, err error) {
+	if b.fed == nil {
+		return b.sch.SubmitSealedBatchOpts(in.Kernel, jobs, opt), "", false, nil
+	}
+	return b.fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, jobs, opt)
+}
+
+func (b backend) stats() ClusterStatsResponse {
+	if b.fed == nil {
+		return ClusterStatsResponse{Devices: b.sch.Stats()}
+	}
+	ring := b.fed.Stats()
+	return ClusterStatsResponse{Devices: b.fed.AllDeviceStats(), Ring: &ring}
+}
+
+// ServeCluster exposes a pool's gateway on addr. The systems must be
+// freshly constructed (not yet booted); after a successful
+// Cluster.Provision they are registered into sch and jobs flow.
+func ServeCluster(systems []*core.System, sch *sched.Scheduler, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
+	if len(systems) == 0 {
+		return nil, "", fmt.Errorf("remote: empty cluster")
+	}
+	return listen(newGateway(systems, sch.Register, backend{sch: sch}, opts), addr)
+}
+
+// listen binds srv to addr (use "127.0.0.1:0" to pick a free port) and
+// returns it with the bound address.
+func listen(srv *rpc.Server, addr string) (*rpc.Server, string, error) {
+	bound, err := srv.Listen(addr)
+	if err != nil {
+		return nil, "", err
+	}
+	return srv, bound, nil
+}
+
+// newGateway builds the one server body every gateway shares: the
+// idempotent owner handshake over a fixed initial device order, then the
+// job, stats and metrics verbs over b.
+//
+// register is called once per device, serialised under the handshake lock,
+// after the whole pool finished provisioning: the scheduler for a plain
+// cluster, fleet adoption for an elastic one, root-shard adoption for a
+// federation.
 //
 // Boot and Provision are retry-safe: a client whose connection broke
 // mid-handshake can re-dial and resend the same request. A replayed Boot
@@ -103,37 +198,14 @@ type ClusterMetricsResponse struct {
 // Provision resumes from the first unfinished device; a replayed Provision
 // returns success without double-registering anything. Only *conflicting*
 // replays — a different nonce, a different key material — are refused.
-func ServeCluster(systems []*core.System, sch *sched.Scheduler, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
-	if len(systems) == 0 {
-		return nil, "", fmt.Errorf("remote: empty cluster")
-	}
+func newGateway(systems []*core.System, register func(*core.System) error, b backend, opts []GatewayOption) *rpc.Server {
 	var o gatewayOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
+	adm := o.admission
 	srv := rpc.NewServer()
-	handleClusterHandshake(srv, systems, sch.Register)
-	handleClusterServing(srv, sch, o.admission)
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
-}
 
-// handleClusterHandshake installs the idempotent Cluster.Boot and
-// Cluster.Provision handlers over a fixed initial device order. register is
-// called once per device after the whole pool finished provisioning (the
-// scheduler for a plain cluster, fleet adoption for an elastic one).
-func handleClusterHandshake(srv *rpc.Server, systems []*core.System, register func(*core.System) error) {
-	handlePoolHandshake(srv, "Cluster", systems, register)
-}
-
-// handlePoolHandshake is the prefix-parameterised body of
-// handleClusterHandshake, shared with the federation gateway (which serves
-// the identical owner handshake as Federation.Boot / Federation.Provision
-// against the root shard only).
-func handlePoolHandshake(srv *rpc.Server, prefix string, systems []*core.System, register func(*core.System) error) {
 	// Handshake state. RPC handlers run concurrently (one goroutine per
 	// request), so every mutation of the pool is serialised here.
 	var (
@@ -143,10 +215,9 @@ func handlePoolHandshake(srv *rpc.Server, prefix string, systems []*core.System,
 		booted     int // devices through BootAndQuote
 		provFP     []byte
 		provided   int // devices through FinishProvision
-		registered int // devices registered into the scheduler
+		registered int // devices handed to register
 	)
-
-	srv.Handle(prefix+".Boot", rpc.Typed(func(in ClusterBootRequest) (ClusterBootResponse, error) {
+	srv.Handle("Cluster.Boot", rpc.Typed(func(in ClusterBootRequest) (ClusterBootResponse, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		// The nonce arrives over RPC from an unauthenticated caller: a
@@ -168,7 +239,7 @@ func handlePoolHandshake(srv *rpc.Server, prefix string, systems []*core.System,
 		}
 		return ClusterBootResponse{Quotes: bootQuotes}, nil
 	}))
-	srv.Handle(prefix+".Provision", rpc.Typed(func(in ClusterProvisionRequest) (struct{}, error) {
+	srv.Handle("Cluster.Provision", rpc.Typed(func(in ClusterProvisionRequest) (struct{}, error) {
 		if len(in.Provisions) != len(systems) {
 			return struct{}{}, fmt.Errorf("got %d provisions for %d devices", len(in.Provisions), len(systems))
 		}
@@ -192,7 +263,7 @@ func handlePoolHandshake(srv *rpc.Server, prefix string, systems []*core.System,
 				return struct{}{}, fmt.Errorf("device %d: %w", provided, err)
 			}
 		}
-		// Only a fully provisioned pool joins the scheduler: a device that
+		// Only a fully provisioned pool starts serving: a device that
 		// failed provisioning never sees a job, and a replayed Provision
 		// never registers a device twice.
 		for ; registered < len(systems); registered++ {
@@ -202,61 +273,39 @@ func handlePoolHandshake(srv *rpc.Server, prefix string, systems []*core.System,
 		}
 		return struct{}{}, nil
 	}))
-}
 
-// submitOptions maps a request's wire QoS fields onto scheduler options.
-// An unknown class is a deliberate rejection, not a default.
-func submitOptions(class string, deadlineMillis int64) (sched.SubmitOptions, error) {
-	c, ok := sched.ClassByName(class)
-	if !ok {
-		return sched.SubmitOptions{}, fmt.Errorf("remote: unknown class %q", class)
-	}
-	opt := sched.SubmitOptions{Class: c}
-	if deadlineMillis > 0 {
-		opt.Deadline = time.Now().Add(time.Duration(deadlineMillis) * time.Millisecond)
-	}
-	return opt, nil
-}
-
-// handleClusterServing installs the steady-state job and stats handlers.
-// A non-nil adm screens every job request before it reaches the
-// scheduler: per-tenant token buckets plus the live-p99 overload shed.
-func handleClusterServing(srv *rpc.Server, sch *sched.Scheduler, adm *Admission) {
 	srv.Handle("Cluster.RunJob", rpc.Typed(func(in JobRequest) (JobResponse, error) {
-		opt, err := submitOptions(in.Class, in.DeadlineMillis)
+		opt, err := admit(adm, in.Tenant, in.Class, in.DeadlineMillis, 1)
 		if err != nil {
 			return JobResponse{}, err
 		}
-		if adm != nil {
-			if err := adm.Admit(in.Tenant, opt.Class, 1); err != nil {
-				return JobResponse{}, err
-			}
-		}
-		out, err := sch.SubmitSealedOpts(in.Kernel, in.Params, in.SealedInput, opt).Wait()
+		fut, shard, spilled, err := b.submit(in, opt)
 		if err != nil {
 			return JobResponse{}, err
 		}
-		return JobResponse{SealedOutput: out}, nil
+		out, err := fut.Wait()
+		if err != nil {
+			return JobResponse{}, err
+		}
+		return JobResponse{SealedOutput: out, Shard: shard, Spilled: spilled}, nil
 	}))
 	srv.Handle("Cluster.RunBatch", rpc.Typed(func(in BatchRequest) (BatchResponse, error) {
 		if len(in.Jobs) == 0 {
 			return BatchResponse{}, fmt.Errorf("remote: empty batch")
 		}
-		opt, err := submitOptions(in.Class, in.DeadlineMillis)
+		opt, err := admit(adm, in.Tenant, in.Class, in.DeadlineMillis, len(in.Jobs))
 		if err != nil {
 			return BatchResponse{}, err
-		}
-		if adm != nil {
-			if err := adm.Admit(in.Tenant, opt.Class, len(in.Jobs)); err != nil {
-				return BatchResponse{}, err
-			}
 		}
 		jobs := make([]core.SealedJob, len(in.Jobs))
 		for i, j := range in.Jobs {
 			jobs[i] = core.SealedJob{Params: j.Params, Input: j.SealedInput}
 		}
-		futs := sch.SubmitSealedBatchOpts(in.Kernel, jobs, opt)
-		resp := BatchResponse{Results: make([]BatchJobResult, len(futs))}
+		futs, shard, spilled, err := b.submitBatch(in, jobs, opt)
+		if err != nil {
+			return BatchResponse{}, err
+		}
+		resp := BatchResponse{Results: make([]BatchJobResult, len(futs)), Shard: shard, Spilled: spilled}
 		for i, f := range futs {
 			out, err := f.Wait()
 			if err != nil {
@@ -268,374 +317,31 @@ func handleClusterServing(srv *rpc.Server, sch *sched.Scheduler, adm *Admission)
 		return resp, nil
 	}))
 	srv.Handle("Cluster.Stats", rpc.Typed(func(struct{}) (ClusterStatsResponse, error) {
-		return ClusterStatsResponse{Devices: sch.Stats()}, nil
+		return b.stats(), nil
 	}))
 	srv.Handle("Cluster.Metrics", rpc.Typed(func(struct{}) (ClusterMetricsResponse, error) {
 		return ClusterMetricsResponse{Metrics: metrics.Default().Snapshot()}, nil
 	}))
+	return srv
 }
 
-// Reconnect policy for ClusterSession: how many dial-and-retry rounds one
-// call may burn before surfacing the transport error, and the backoff —
-// doubled per round but capped at clusterRedialMax, so a long outage
-// never grows the wait unboundedly. Variables, not constants, so tests
-// can compress the schedule.
-var (
-	clusterRedialAttempts = 4
-	clusterRedialBase     = 50 * time.Millisecond
-	clusterRedialMax      = 1 * time.Second
-)
-
-// ClusterSession is the data owner's session with a device pool. Each
-// device is verified against its own expectations (its own DNA, its own
-// RoT-injected bitstream hash); one shared data key is provisioned to all.
-//
-// The session survives transport failures: when the underlying rpc client
-// is poisoned with rpc.ErrBroken, the next call re-dials with exponential
-// backoff and retries. That is sound because nothing secret lives in the
-// connection — the data key survives reconnects, the gateway's Boot and
-// Provision handlers are idempotent, and job payloads are sealed
-// end-to-end — so a dropped TCP stream costs latency, never safety.
-// Application-level rejections from the server are returned immediately,
-// never retried.
-type ClusterSession struct {
-	addr string
-	exps []client.Expectations
-	done chan struct{} // closed by Close; interrupts redial backoff
-
-	mu      sync.Mutex
-	c       *rpc.Client
-	closed  bool
-	redials int
-	nonce   []byte
-	dataKey []byte
-	qos     QoS
-	qosSet  bool
-}
-
-// QoS is a session's per-job quality-of-service contract, attached to
-// every RunJob/RunBatch request so the gateway can rate-limit by tenant,
-// schedule by class, and shed expired work.
-type QoS struct {
-	// Tenant identifies the caller for the gateway's per-tenant token
-	// bucket; empty means the anonymous bucket.
-	Tenant string
-	// Class is the scheduling band (sched.ClassBatch/Standard/Critical).
-	Class sched.Class
-	// Deadline, when positive, is the per-job relative deadline: the
-	// gateway converts it to an absolute deadline at admission.
-	Deadline time.Duration
-}
-
-// SetQoS attaches a QoS contract to every subsequent RunJob/RunBatch.
-// Sessions that never call it send no QoS fields and the gateway applies
-// its defaults (ClassStandard, no deadline, anonymous tenant).
-func (s *ClusterSession) SetQoS(q QoS) {
-	s.mu.Lock()
-	s.qos, s.qosSet = q, true
-	s.mu.Unlock()
-}
-
-// qosFields renders the session's QoS for a wire request.
-func (s *ClusterSession) qosFields() (tenant, class string, deadlineMillis int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.qosSet {
-		return "", "", 0
+// admit screens one request costing cost jobs and maps its wire QoS fields
+// onto scheduler options. An unknown class is a deliberate rejection, not a
+// default; a non-nil adm applies the per-tenant token buckets and the
+// live-p99 overload shed before the work reaches a scheduler.
+func admit(adm *Admission, tenant, class string, deadlineMillis int64, cost int) (sched.SubmitOptions, error) {
+	c, ok := sched.ClassByName(class)
+	if !ok {
+		return sched.SubmitOptions{}, fmt.Errorf("remote: unknown class %q", class)
 	}
-	return s.qos.Tenant, s.qos.Class.String(), s.qos.Deadline.Milliseconds()
-}
-
-// DialCluster opens a session toward a cluster gateway. exps holds one
-// expectation set per device, in the cluster's device order (the CSP
-// publishes the order with the DNAs; a mismatch fails attestation, since
-// expectations pin each device's DNA).
-func DialCluster(addr string, exps []client.Expectations) (*ClusterSession, error) {
-	if len(exps) == 0 {
-		return nil, fmt.Errorf("remote: no device expectations")
+	opt := sched.SubmitOptions{Class: c}
+	if deadlineMillis > 0 {
+		opt.Deadline = time.Now().Add(time.Duration(deadlineMillis) * time.Millisecond)
 	}
-	c, err := rpc.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: cluster: %w", err)
-	}
-	return &ClusterSession{addr: addr, exps: exps, c: c, done: make(chan struct{})}, nil
-}
-
-// client returns the live rpc client, re-dialing if the previous one was
-// torn down.
-func (s *ClusterSession) client() (*rpc.Client, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("remote: cluster session closed")
-	}
-	if s.c == nil {
-		c, err := rpc.Dial(s.addr)
-		if err != nil {
-			return nil, err
+	if adm != nil {
+		if err := adm.Admit(tenant, c, cost); err != nil {
+			return sched.SubmitOptions{}, err
 		}
-		s.c = c
-		s.redials++
-		mRedials.Inc()
 	}
-	return s.c, nil
-}
-
-// invalidate drops a broken client so the next call re-dials.
-func (s *ClusterSession) invalidate(old *rpc.Client) {
-	s.mu.Lock()
-	if s.c == old {
-		old.Close()
-		s.c = nil
-	}
-	s.mu.Unlock()
-}
-
-// sleep waits out one backoff window, returning false immediately if the
-// session is closed first — a Close during redial must never wait out the
-// full backoff.
-func (s *ClusterSession) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.done:
-		return false
-	}
-}
-
-// call performs one RPC with redial-and-retry on broken transports. The
-// backoff doubles per attempt up to clusterRedialMax and the wait aborts
-// the moment the session closes.
-func (s *ClusterSession) call(method string, params, result any) error {
-	backoff := clusterRedialBase
-	var err error
-	for attempt := 0; attempt < clusterRedialAttempts; attempt++ {
-		if attempt > 0 {
-			if !s.sleep(backoff) {
-				return fmt.Errorf("remote: cluster session closed during redial backoff")
-			}
-			backoff *= 2
-			if backoff > clusterRedialMax {
-				backoff = clusterRedialMax
-			}
-		}
-		var c *rpc.Client
-		c, err = s.client()
-		if err != nil {
-			if s.isClosed() {
-				return err
-			}
-			continue // the gateway may be coming back
-		}
-		err = c.Call(method, params, result)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, rpc.ErrBroken) {
-			// Deliberate server rejection, timeout, oversized frame: the
-			// transport is fine, retrying cannot help.
-			return err
-		}
-		s.invalidate(c)
-	}
-	return fmt.Errorf("remote: cluster gateway unreachable after %d attempts: %w", clusterRedialAttempts, err)
-}
-
-func (s *ClusterSession) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Redials reports how many times the session re-dialed the gateway after a
-// broken transport.
-func (s *ClusterSession) Redials() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.redials
-}
-
-// Attest attests every device in the pool with one fresh nonce, and — only
-// if all of them verify — provisions one shared data key, sealed
-// separately to each device's attested provisioning key. All-or-nothing:
-// one bad quote and no device receives the key.
-//
-// Attest is retry-safe end to end: the nonce is generated once per session
-// and reused on retries, matching the gateway's idempotent Boot handler,
-// so an Attest that died to a mid-flight connection loss can simply be
-// called again.
-func (s *ClusterSession) Attest() error {
-	s.mu.Lock()
-	if s.nonce == nil {
-		s.nonce = client.New(s.exps[0]).NewNonce()
-	}
-	nonce := s.nonce
-	s.mu.Unlock()
-
-	var boot ClusterBootResponse
-	if err := s.call("Cluster.Boot", ClusterBootRequest{Nonce: nonce}, &boot); err != nil {
-		return fmt.Errorf("remote: cluster boot: %w", err)
-	}
-	if len(boot.Quotes) != len(s.exps) {
-		return fmt.Errorf("remote: cluster returned %d quotes for %d expected devices", len(boot.Quotes), len(s.exps))
-	}
-	dataPubs := make([][]byte, len(boot.Quotes))
-	for i, q := range boot.Quotes {
-		pub, err := client.New(s.exps[i]).VerifyRAResponse(nonce, q)
-		if err != nil {
-			return fmt.Errorf("remote: device %d attestation: %w", i, err)
-		}
-		dataPubs[i] = pub
-	}
-	key := cryptoutil.RandomKey(16)
-	req := ClusterProvisionRequest{Provisions: make([]ProvisionRequest, len(dataPubs))}
-	for i, pub := range dataPubs {
-		senderPub, sealed, err := client.ProvisionDataKey(pub, key)
-		if err != nil {
-			return fmt.Errorf("remote: seal key for device %d: %w", i, err)
-		}
-		req.Provisions[i] = ProvisionRequest{SenderPub: senderPub, Sealed: sealed}
-	}
-	if err := s.call("Cluster.Provision", req, nil); err != nil {
-		return fmt.Errorf("remote: cluster provision: %w", err)
-	}
-	s.mu.Lock()
-	s.dataKey = key
-	s.mu.Unlock()
-	return nil
-}
-
-// RunJob seals the input under the pool's shared data key, submits it to
-// the cluster scheduler, and opens the sealed result. Which device ran the
-// job is invisible — and irrelevant, since every device was individually
-// attested before the key left the owner. Sealed jobs are pure and
-// idempotent, so a job lost to a broken connection is safely re-submitted
-// over a fresh one.
-func (s *ClusterSession) RunJob(kernel string, params [4]uint64, input []byte) ([]byte, error) {
-	s.mu.Lock()
-	key := s.dataKey
-	s.mu.Unlock()
-	if key == nil {
-		return nil, fmt.Errorf("remote: cluster session not attested")
-	}
-	sealedIn, err := cryptoutil.Seal(key, input, []byte("job-input"))
-	if err != nil {
-		return nil, err
-	}
-	tenant, class, deadlineMillis := s.qosFields()
-	req := JobRequest{
-		Kernel: kernel, Params: params, SealedInput: sealedIn,
-		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis,
-	}
-	var resp JobResponse
-	if err := s.call("Cluster.RunJob", req, &resp); err != nil {
-		return nil, err
-	}
-	out, err := cryptoutil.Open(key, resp.SealedOutput, []byte("job-output"))
-	if err != nil {
-		return nil, fmt.Errorf("remote: sealed output rejected: %w", err)
-	}
-	return out, nil
-}
-
-// BatchInput is one plaintext job handed to RunBatch.
-type BatchInput struct {
-	Params [4]uint64
-	Input  []byte
-}
-
-// BatchResult is one job's opened outcome, index-aligned with the inputs.
-type BatchResult struct {
-	Output []byte
-	Err    error
-}
-
-// RunBatch seals every input under the pool's shared data key and submits
-// the whole batch in one RPC frame; the cluster runs it through the
-// scheduler's batched path (one sealed register program per chunk on the
-// device). Jobs succeed or fail individually — the returned slice is
-// index-aligned with jobs — while the error covers whole-batch failures
-// (unattested session, unreachable gateway, malformed response). Like
-// RunJob, a batch lost to a broken connection is safely re-submitted:
-// sealed jobs are pure and idempotent.
-func (s *ClusterSession) RunBatch(kernel string, jobs []BatchInput) ([]BatchResult, error) {
-	s.mu.Lock()
-	key := s.dataKey
-	s.mu.Unlock()
-	if key == nil {
-		return nil, fmt.Errorf("remote: cluster session not attested")
-	}
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	tenant, class, deadlineMillis := s.qosFields()
-	req := BatchRequest{
-		Kernel: kernel, Jobs: make([]BatchJob, len(jobs)),
-		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis,
-	}
-	for i, j := range jobs {
-		sealedIn, err := cryptoutil.Seal(key, j.Input, []byte("job-input"))
-		if err != nil {
-			return nil, err
-		}
-		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: sealedIn}
-	}
-	var resp BatchResponse
-	if err := s.call("Cluster.RunBatch", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(jobs) {
-		return nil, fmt.Errorf("remote: cluster returned %d results for %d jobs", len(resp.Results), len(jobs))
-	}
-	results := make([]BatchResult, len(jobs))
-	for i, r := range resp.Results {
-		if r.Error != "" {
-			results[i].Err = errors.New(r.Error)
-			continue
-		}
-		out, err := cryptoutil.Open(key, r.SealedOutput, []byte("job-output"))
-		if err != nil {
-			results[i].Err = fmt.Errorf("remote: sealed output rejected: %w", err)
-			continue
-		}
-		results[i].Output = out
-	}
-	return results, nil
-}
-
-// Stats fetches the cluster's per-device counters.
-func (s *ClusterSession) Stats() ([]sched.DeviceStats, error) {
-	var resp ClusterStatsResponse
-	if err := s.call("Cluster.Stats", struct{}{}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Devices, nil
-}
-
-// Metrics fetches the gateway's aggregate metrics snapshot.
-func (s *ClusterSession) Metrics() (metrics.Snapshot, error) {
-	var resp ClusterMetricsResponse
-	if err := s.call("Cluster.Metrics", struct{}{}, &resp); err != nil {
-		return metrics.Snapshot{}, err
-	}
-	return resp.Metrics, nil
-}
-
-// Close releases the session. A call parked in redial backoff returns
-// promptly instead of waiting the window out.
-func (s *ClusterSession) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.done)
-	}
-	if s.c == nil {
-		return nil
-	}
-	err := s.c.Close()
-	s.c = nil
-	return err
+	return opt, nil
 }

@@ -1,88 +1,40 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"salus/internal/client"
 	"salus/internal/core"
-	"salus/internal/cryptoutil"
 	"salus/internal/federation"
-	"salus/internal/metrics"
 	"salus/internal/rpc"
-	"salus/internal/sched"
 	"salus/internal/sgx"
 	"salus/internal/userapp"
 )
 
-// --- Federation gateway ------------------------------------------------------
+// --- Ring-fronting gateway ---------------------------------------------------
 //
 // The front tier over N shard gateways: one RPC endpoint routes sealed
 // sessions to their home shard on the consistent-hash ring, spills them to
 // the least-loaded sibling when the home shard saturates, and brokers the
 // enclave-to-enclave data-key hand-off that lets the whole region serve a
-// key the owner provisioned exactly once — to the root shard.
-//
-// Like every gateway in this repo, the front tier is untrusted plumbing:
-// the owner handshake is signed quotes and sealed key copies, jobs are
-// AES-GCM end to end, and the hand-off messages are local-attestation
-// reports plus grants sealed to attested enclave keys. The gateway can
-// deny service; it cannot read or forge anything.
+// key the owner provisioned exactly once — to the root shard. It speaks the
+// same Cluster.* dialect as every gateway, plus Cluster.Route and
+// Cluster.Handoff; the hand-off messages are local-attestation reports plus
+// grants sealed to attested enclave keys, so relaying them needs no trust.
 
-// FederationRouteRequest asks where a session lives.
-type FederationRouteRequest struct {
+// RouteRequest asks where a session lives.
+type RouteRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	Key    string `json:"key"`
 }
 
-// FederationRouteResponse names the session's home shard, its gateway
-// address when published, and the routing-table epoch the answer is valid
-// for — a client holding a stale epoch should re-route.
-type FederationRouteResponse struct {
+// RouteResponse names the session's home shard, its gateway address when
+// published, and the routing-table epoch the answer is valid for — a
+// client holding a stale epoch should re-route.
+type RouteResponse struct {
 	Shard string `json:"shard"`
 	Addr  string `json:"addr,omitempty"`
 	Epoch uint64 `json:"epoch"`
-}
-
-// FederationJobRequest is one sealed job addressed by session identity
-// (tenant + data key name) instead of by shard: the ring decides placement.
-type FederationJobRequest struct {
-	Tenant         string    `json:"tenant,omitempty"`
-	Key            string    `json:"key"`
-	Kernel         string    `json:"kernel"`
-	Params         [4]uint64 `json:"params"`
-	SealedInput    []byte    `json:"sealed_input"`
-	Class          string    `json:"class,omitempty"`
-	DeadlineMillis int64     `json:"deadline_ms,omitempty"`
-}
-
-// FederationJobResponse carries the sealed result plus the placement the
-// router chose, so clients (and the bench) can observe routing hit rate
-// and spill-over without trusting extra state.
-type FederationJobResponse struct {
-	SealedOutput []byte `json:"sealed_output"`
-	Shard        string `json:"shard"`
-	Spilled      bool   `json:"spilled,omitempty"`
-}
-
-// FederationBatchRequest routes a whole sealed batch as one unit: one
-// routing and spill decision for the batch, one RPC frame.
-type FederationBatchRequest struct {
-	Tenant         string     `json:"tenant,omitempty"`
-	Key            string     `json:"key"`
-	Kernel         string     `json:"kernel"`
-	Jobs           []BatchJob `json:"jobs"`
-	Class          string     `json:"class,omitempty"`
-	DeadlineMillis int64      `json:"deadline_ms,omitempty"`
-}
-
-// FederationBatchResponse carries per-job results in request order plus the
-// batch's placement.
-type FederationBatchResponse struct {
-	Results []BatchJobResult `json:"results"`
-	Shard   string           `json:"shard"`
-	Spilled bool             `json:"spilled,omitempty"`
 }
 
 // HandoffRequest is a recipient enclave's local-attestation key request
@@ -103,23 +55,14 @@ type HandoffGrant struct {
 	Sealed    []byte `json:"sealed"`
 }
 
-// FederationStatsResponse snapshots the front tier.
-type FederationStatsResponse struct {
-	Stats federation.Stats `json:"stats"`
-}
-
 // ServeFederation exposes a federation's front tier on addr.
 //
-// The owner handshake (Federation.Boot / Federation.Provision) runs the
-// same idempotent protocol as a cluster gateway, but against the ROOT
-// shard's systems only — the region-scoped attestation property: the owner
-// attests and provisions O(root shard) devices, and every other shard in
-// the region is keyed enclave-to-enclave via Federation.Handoff or the
-// in-process hand-off, with zero further owner round trips.
-//
-// Steady state serves Federation.Route / RunJob / RunBatch / Stats, plus
-// Cluster.Stats and Cluster.Metrics aliases over the whole region so
-// `salus-client top` can point at a front tier unchanged.
+// The owner handshake runs against the ROOT shard's systems only — the
+// region-scoped attestation property: the owner attests and provisions
+// O(root shard) devices, and every other shard in the region is keyed
+// enclave-to-enclave via Cluster.Handoff or the in-process hand-off, with
+// zero further owner round trips. Jobs go through the ring; Cluster.Stats
+// covers every device of every shard and carries the ring snapshot.
 func ServeFederation(fed *federation.Federation, root []*core.System, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
 	if fed == nil {
 		return nil, "", fmt.Errorf("remote: nil federation")
@@ -131,379 +74,94 @@ func ServeFederation(fed *federation.Federation, root []*core.System, addr strin
 	if rootMgr == nil {
 		return nil, "", fmt.Errorf("remote: federation has no root shard")
 	}
-	var o gatewayOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	adm := o.admission
-
-	srv := rpc.NewServer()
-
-	// Owner handshake against the root shard. Each provisioned system is
-	// adopted into the root manager; once the whole shard is through, the
-	// root is marked keyed and becomes the region's hand-off donor anchor.
-	var (
-		regMu      sync.Mutex
-		registered int
-	)
-	handlePoolHandshake(srv, "Federation", root, func(sys *core.System) error {
+	// Each provisioned system is adopted into the root manager; once the
+	// whole shard is through, the root is marked keyed and becomes the
+	// region's hand-off donor anchor.
+	adopted := 0
+	srv := newGateway(root, func(sys *core.System) error {
 		if err := rootMgr.Adopt(sys); err != nil {
 			return err
 		}
-		regMu.Lock()
-		registered++
-		done := registered == len(root)
-		regMu.Unlock()
-		if done {
+		if adopted++; adopted == len(root) {
 			fed.MarkRootKeyed()
 		}
 		return nil
-	})
+	}, backend{fed: fed}, opts)
 
-	srv.Handle("Federation.Route", rpc.Typed(func(in FederationRouteRequest) (FederationRouteResponse, error) {
+	srv.Handle("Cluster.Route", rpc.Typed(func(in RouteRequest) (RouteResponse, error) {
 		id, shardAddr, epoch, err := fed.Route(in.Tenant, in.Key)
 		if err != nil {
-			return FederationRouteResponse{}, err
+			return RouteResponse{}, err
 		}
-		return FederationRouteResponse{Shard: id, Addr: shardAddr, Epoch: epoch}, nil
+		return RouteResponse{Shard: id, Addr: shardAddr, Epoch: epoch}, nil
 	}))
-	srv.Handle("Federation.RunJob", rpc.Typed(func(in FederationJobRequest) (FederationJobResponse, error) {
-		opt, err := submitOptions(in.Class, in.DeadlineMillis)
-		if err != nil {
-			return FederationJobResponse{}, err
-		}
-		if adm != nil {
-			if err := adm.Admit(in.Tenant, opt.Class, 1); err != nil {
-				return FederationJobResponse{}, err
-			}
-		}
-		res, err := fed.Submit(in.Tenant, in.Key, in.Kernel, in.Params, in.SealedInput, opt)
-		if err != nil {
-			return FederationJobResponse{}, err
-		}
-		out, err := res.Future.Wait()
-		if err != nil {
-			return FederationJobResponse{}, err
-		}
-		return FederationJobResponse{SealedOutput: out, Shard: res.Shard, Spilled: res.Spilled}, nil
-	}))
-	srv.Handle("Federation.RunBatch", rpc.Typed(func(in FederationBatchRequest) (FederationBatchResponse, error) {
-		if len(in.Jobs) == 0 {
-			return FederationBatchResponse{}, fmt.Errorf("remote: empty batch")
-		}
-		opt, err := submitOptions(in.Class, in.DeadlineMillis)
-		if err != nil {
-			return FederationBatchResponse{}, err
-		}
-		if adm != nil {
-			if err := adm.Admit(in.Tenant, opt.Class, len(in.Jobs)); err != nil {
-				return FederationBatchResponse{}, err
-			}
-		}
-		jobs := make([]core.SealedJob, len(in.Jobs))
-		for i, j := range in.Jobs {
-			jobs[i] = core.SealedJob{Params: j.Params, Input: j.SealedInput}
-		}
-		futs, shardID, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, jobs, opt)
-		if err != nil {
-			return FederationBatchResponse{}, err
-		}
-		resp := FederationBatchResponse{Results: make([]BatchJobResult, len(futs)), Shard: shardID, Spilled: spilled}
-		for i, f := range futs {
-			out, err := f.Wait()
-			if err != nil {
-				resp.Results[i].Error = err.Error()
-			} else {
-				resp.Results[i].SealedOutput = out
-			}
-		}
-		return resp, nil
-	}))
-	srv.Handle("Federation.Handoff", rpc.Typed(func(in HandoffRequest) (HandoffGrant, error) {
+	srv.Handle("Cluster.Handoff", rpc.Typed(func(in HandoffRequest) (HandoffGrant, error) {
 		grant, err := fed.Grant(userapp.KeyRequest{Report: in.Report, RecipientPub: in.RecipientPub})
 		if err != nil {
 			return HandoffGrant{}, err
 		}
 		return HandoffGrant{SenderPub: grant.SenderPub, Sealed: grant.Sealed}, nil
 	}))
-	srv.Handle("Federation.Stats", rpc.Typed(func(struct{}) (FederationStatsResponse, error) {
-		return FederationStatsResponse{Stats: fed.Stats()}, nil
-	}))
-	srv.Handle("Cluster.Stats", rpc.Typed(func(struct{}) (ClusterStatsResponse, error) {
-		return ClusterStatsResponse{Devices: fed.AllDeviceStats()}, nil
-	}))
-	srv.Handle("Cluster.Metrics", rpc.Typed(func(struct{}) (ClusterMetricsResponse, error) {
-		return ClusterMetricsResponse{Metrics: metrics.Default().Snapshot()}, nil
-	}))
-
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
+	return listen(srv, addr)
 }
 
-// FederationPlacement reports where one request landed.
+// FederationPlacement reports where one request landed; it is zero from a
+// gateway that fronts no ring.
 type FederationPlacement struct {
 	Shard   string
 	Spilled bool
 }
 
-// FederationSession is a data owner's (or client's) session with a
-// federation front tier. One session carries one tenant identity and one
-// data key: the owner attests the root shard's devices once, provisions
-// the key once, and then addresses work purely by session key — the ring
-// places it, spill-over moves it, and the hand-off keys new shards, all
-// without the session's involvement.
-//
-// The session counts its RPC calls per method (Calls) so tests and
-// benchmarks can assert the region-scoped attestation property from the
+// FederationSession is a data owner's session addressed by session key.
+// One session carries one tenant identity and one data key: the owner
+// attests the root shard's devices once, provisions the key once, and then
+// addresses work purely by key — the ring places it, spill-over moves it,
+// and the hand-off keys new shards, all without the session's involvement.
+// Calls and HandshakeCalls let tests and benchmarks assert that from the
 // owner's chair: exactly one Boot and one Provision, ever, no matter how
 // many shards end up serving the key.
-type FederationSession struct {
-	addr string
-	exps []client.Expectations
+type FederationSession struct{ *session }
 
-	mu      sync.Mutex
-	c       *rpc.Client
-	closed  bool
-	nonce   []byte
-	dataKey []byte
-	qos     QoS
-	qosSet  bool
-	calls   map[string]int
-}
-
-// DialFederation opens a session toward a federation front tier. exps
-// holds one expectation set per ROOT-shard device, in the root's device
-// order — the only devices the owner ever verifies.
+// DialFederation opens a session toward a front tier. exps holds one
+// expectation set per ROOT-shard device, in the root's device order — the
+// only devices the owner ever verifies.
 func DialFederation(addr string, exps []client.Expectations) (*FederationSession, error) {
-	if len(exps) == 0 {
-		return nil, fmt.Errorf("remote: no device expectations")
-	}
-	c, err := rpc.Dial(addr)
+	s, err := dialSession(addr, exps)
 	if err != nil {
-		return nil, fmt.Errorf("remote: federation: %w", err)
+		return nil, err
 	}
-	return &FederationSession{addr: addr, exps: exps, c: c, calls: make(map[string]int)}, nil
-}
-
-// call performs one counted RPC.
-func (s *FederationSession) call(method string, params, result any) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("remote: federation session closed")
-	}
-	s.calls[method]++
-	c := s.c
-	s.mu.Unlock()
-	return c.Call(method, params, result)
-}
-
-// Calls reports how many times the session invoked method.
-func (s *FederationSession) Calls(method string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls[method]
-}
-
-// HandshakeCalls reports the owner's total attestation-path round trips —
-// Boot plus Provision. The region-scoped attestation acceptance check:
-// this stays at 2 while shards join, spill, and get keyed.
-func (s *FederationSession) HandshakeCalls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls["Federation.Boot"] + s.calls["Federation.Provision"]
-}
-
-// SetQoS attaches a QoS contract (tenant, class, deadline) to every
-// subsequent RunJob/RunBatch. The tenant doubles as the routing identity:
-// the ring hashes tenant + session key.
-func (s *FederationSession) SetQoS(q QoS) {
-	s.mu.Lock()
-	s.qos, s.qosSet = q, true
-	s.mu.Unlock()
-}
-
-func (s *FederationSession) qosFields() (tenant, class string, deadlineMillis int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.qosSet {
-		return "", "", 0
-	}
-	return s.qos.Tenant, s.qos.Class.String(), s.qos.Deadline.Milliseconds()
-}
-
-// Attest attests every root-shard device with one fresh nonce and — only
-// if all of them verify — provisions one shared data key sealed to each.
-// Identical protocol to ClusterSession.Attest, and just as retry-safe; the
-// difference is the blast radius of what it unlocks: the key becomes
-// serveable by every shard in the region via the enclave hand-off, not
-// just the attested pool.
-func (s *FederationSession) Attest() error {
-	s.mu.Lock()
-	if s.nonce == nil {
-		s.nonce = client.New(s.exps[0]).NewNonce()
-	}
-	nonce := s.nonce
-	s.mu.Unlock()
-
-	var boot ClusterBootResponse
-	if err := s.call("Federation.Boot", ClusterBootRequest{Nonce: nonce}, &boot); err != nil {
-		return fmt.Errorf("remote: federation boot: %w", err)
-	}
-	if len(boot.Quotes) != len(s.exps) {
-		return fmt.Errorf("remote: federation returned %d quotes for %d expected devices", len(boot.Quotes), len(s.exps))
-	}
-	dataPubs := make([][]byte, len(boot.Quotes))
-	for i, q := range boot.Quotes {
-		pub, err := client.New(s.exps[i]).VerifyRAResponse(nonce, q)
-		if err != nil {
-			return fmt.Errorf("remote: root device %d attestation: %w", i, err)
-		}
-		dataPubs[i] = pub
-	}
-	key := cryptoutil.RandomKey(16)
-	req := ClusterProvisionRequest{Provisions: make([]ProvisionRequest, len(dataPubs))}
-	for i, pub := range dataPubs {
-		senderPub, sealed, err := client.ProvisionDataKey(pub, key)
-		if err != nil {
-			return fmt.Errorf("remote: seal key for root device %d: %w", i, err)
-		}
-		req.Provisions[i] = ProvisionRequest{SenderPub: senderPub, Sealed: sealed}
-	}
-	if err := s.call("Federation.Provision", req, nil); err != nil {
-		return fmt.Errorf("remote: federation provision: %w", err)
-	}
-	s.mu.Lock()
-	s.dataKey = key
-	s.mu.Unlock()
-	return nil
+	return &FederationSession{s}, nil
 }
 
 // Route asks the front tier where a session key lives right now.
-func (s *FederationSession) Route(key string) (FederationRouteResponse, error) {
+func (s *FederationSession) Route(key string) (RouteResponse, error) {
 	tenant, _, _ := s.qosFields()
-	var resp FederationRouteResponse
-	err := s.call("Federation.Route", FederationRouteRequest{Tenant: tenant, Key: key}, &resp)
+	var resp RouteResponse
+	err := s.conn.call("Cluster.Route", RouteRequest{Tenant: tenant, Key: key}, &resp)
 	return resp, err
 }
 
-// RunJob seals the input under the region's data key and submits it under
-// the session key; the front tier places it. Returns the opened output and
-// the placement the router reported.
+// RunJob submits one sealed job under the session key; the front tier
+// places it. Returns the opened output and the placement the router
+// reported.
 func (s *FederationSession) RunJob(key, kernel string, params [4]uint64, input []byte) ([]byte, FederationPlacement, error) {
-	s.mu.Lock()
-	dk := s.dataKey
-	s.mu.Unlock()
-	if dk == nil {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: federation session not attested")
-	}
-	sealedIn, err := cryptoutil.Seal(dk, input, []byte("job-input"))
-	if err != nil {
-		return nil, FederationPlacement{}, err
-	}
-	tenant, class, deadlineMillis := s.qosFields()
-	req := FederationJobRequest{
-		Tenant: tenant, Key: key, Kernel: kernel, Params: params, SealedInput: sealedIn,
-		Class: class, DeadlineMillis: deadlineMillis,
-	}
-	var resp FederationJobResponse
-	if err := s.call("Federation.RunJob", req, &resp); err != nil {
-		return nil, FederationPlacement{}, err
-	}
-	out, err := cryptoutil.Open(dk, resp.SealedOutput, []byte("job-output"))
-	if err != nil {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
-	}
-	return out, FederationPlacement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
+	return s.runJob(key, kernel, params, input)
 }
 
-// RunBatch seals every input and submits the batch under one session key —
-// one routing decision, one frame. Results are index-aligned with jobs.
+// RunBatch submits the batch under one session key — one routing decision,
+// one frame. Results are index-aligned with jobs.
 func (s *FederationSession) RunBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, FederationPlacement, error) {
-	s.mu.Lock()
-	dk := s.dataKey
-	s.mu.Unlock()
-	if dk == nil {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: federation session not attested")
-	}
-	if len(jobs) == 0 {
-		return nil, FederationPlacement{}, nil
-	}
-	tenant, class, deadlineMillis := s.qosFields()
-	req := FederationBatchRequest{
-		Tenant: tenant, Key: key, Kernel: kernel, Jobs: make([]BatchJob, len(jobs)),
-		Class: class, DeadlineMillis: deadlineMillis,
-	}
-	for i, j := range jobs {
-		sealedIn, err := cryptoutil.Seal(dk, j.Input, []byte("job-input"))
-		if err != nil {
-			return nil, FederationPlacement{}, err
-		}
-		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: sealedIn}
-	}
-	var resp FederationBatchResponse
-	if err := s.call("Federation.RunBatch", req, &resp); err != nil {
-		return nil, FederationPlacement{}, err
-	}
-	if len(resp.Results) != len(jobs) {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: federation returned %d results for %d jobs", len(resp.Results), len(jobs))
-	}
-	placement := FederationPlacement{Shard: resp.Shard, Spilled: resp.Spilled}
-	results := make([]BatchResult, len(jobs))
-	for i, r := range resp.Results {
-		if r.Error != "" {
-			results[i].Err = errors.New(r.Error)
-			continue
-		}
-		out, err := cryptoutil.Open(dk, r.SealedOutput, []byte("job-output"))
-		if err != nil {
-			results[i].Err = fmt.Errorf("remote: sealed output rejected: %w", err)
-			continue
-		}
-		results[i].Output = out
-	}
-	return results, placement, nil
+	return s.runBatch(key, kernel, jobs)
 }
 
 // Stats fetches the federation-wide routing and shard snapshot.
 func (s *FederationSession) Stats() (federation.Stats, error) {
-	var resp FederationStatsResponse
-	if err := s.call("Federation.Stats", struct{}{}, &resp); err != nil {
+	resp, err := s.stats()
+	if err != nil {
 		return federation.Stats{}, err
 	}
-	return resp.Stats, nil
-}
-
-// DeviceStats fetches per-device counters across every shard in the region.
-func (s *FederationSession) DeviceStats() ([]sched.DeviceStats, error) {
-	var resp ClusterStatsResponse
-	if err := s.call("Cluster.Stats", struct{}{}, &resp); err != nil {
-		return nil, err
+	if resp.Ring == nil {
+		return federation.Stats{}, fmt.Errorf("remote: gateway fronts no ring")
 	}
-	return resp.Devices, nil
-}
-
-// Metrics fetches the front-tier process's metrics snapshot.
-func (s *FederationSession) Metrics() (metrics.Snapshot, error) {
-	var resp ClusterMetricsResponse
-	if err := s.call("Cluster.Metrics", struct{}{}, &resp); err != nil {
-		return metrics.Snapshot{}, err
-	}
-	return resp.Metrics, nil
-}
-
-// Close releases the session.
-func (s *FederationSession) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.c.Close()
-	s.c = nil
-	return err
+	return *resp.Ring, nil
 }

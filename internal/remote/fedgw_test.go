@@ -109,7 +109,7 @@ func TestFederationGatewayEndToEnd(t *testing.T) {
 	if got := sess.HandshakeCalls(); got != 2 {
 		t.Errorf("owner handshake calls = %d, want 2", got)
 	}
-	// The whole region is visible through the Cluster.Stats alias.
+	// The whole region is visible through Cluster.Stats.
 	devs, err := sess.DeviceStats()
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +191,13 @@ func TestFederationSpillOverZeroOwnerRPCs(t *testing.T) {
 	if got := sess.HandshakeCalls(); got != base {
 		t.Errorf("owner handshake calls grew %d -> %d during spill-over", base, got)
 	}
-	if got := sess.Calls("Federation.Handoff"); got != 0 {
+	if got := sess.Calls("Cluster.Handoff"); got != 0 {
 		t.Errorf("owner participated in %d hand-offs", got)
 	}
 }
 
 // TestFederationWireHandoff keys a brand-new recipient enclave entirely
-// over the Federation.Handoff RPC — the path a peer shard gateway uses —
+// over the Cluster.Handoff RPC — the path a peer shard gateway uses —
 // and proves the adopted board serves sealed jobs under the owner's key.
 func TestFederationWireHandoff(t *testing.T) {
 	d, sess, addr := dialFederationDeployment(t, federation.LocalSpec{
@@ -234,7 +234,7 @@ func TestFederationWireHandoff(t *testing.T) {
 	defer c.Close()
 	var grant HandoffGrant
 	wireReq := HandoffRequest{Report: req.Report, RecipientPub: req.RecipientPub}
-	if err := c.Call("Federation.Handoff", wireReq, &grant); err != nil {
+	if err := c.Call("Cluster.Handoff", wireReq, &grant); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.FinishAdoptDataKey(userappGrant(grant)); err != nil {
@@ -276,5 +276,63 @@ func TestFederationWireHandoff(t *testing.T) {
 	// A second replayed grant must be refused: the recipient is booted.
 	if err := sys.FinishAdoptDataKey(userappGrant(grant)); err == nil {
 		t.Fatal("replayed grant accepted by a booted recipient")
+	}
+}
+
+// TestFederationSessionSurvivesFrontTierRestart: the front tier restarts on
+// the same address (rolling deploy); the owner session's stream is broken,
+// but the next RunJob re-dials and succeeds under the same data key with no
+// second handshake — federated sessions ride the same redialing connection
+// as cluster sessions.
+func TestFederationSessionSurvivesFrontTierRestart(t *testing.T) {
+	d, err := federation.BuildLocal(federation.LocalSpec{
+		Shards: 2, DevicesPerShard: 1, Kernel: accel.Conv{}, RemoteHandshake: true,
+		Federation: federation.Config{SpillHighWater: 1e9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv, addr, err := ServeFederation(d.Fed, d.RootSystems, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sess, err := DialFederation(addr, []client.Expectations{d.RootSystems[0].Expectations()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Attest(); err != nil {
+		t.Fatal(err)
+	}
+	w := accel.GenConv(4, 4, 1, 17)
+	ref, err := w.Kernel.Compute(w.Params, w.Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err := sess.RunJob("dataset", "Conv", w.Params, w.Input); err != nil || string(out) != string(ref) {
+		t.Fatalf("job before restart: %v", err)
+	}
+
+	srv.Close()
+	srv2, _, err := ServeFederation(d.Fed, d.RootSystems, addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	defer srv2.Close()
+
+	out, _, err := sess.RunJob("dataset", "Conv", w.Params, w.Input)
+	if err != nil {
+		t.Fatalf("job after restart: %v", err)
+	}
+	if string(out) != string(ref) {
+		t.Error("post-restart job output diverges from reference")
+	}
+	if sess.Redials() < 1 {
+		t.Errorf("Redials() = %d, want >= 1 after a front-tier restart", sess.Redials())
+	}
+	if got := sess.HandshakeCalls(); got != 2 {
+		t.Errorf("owner handshake calls = %d after restart, want 2", got)
 	}
 }

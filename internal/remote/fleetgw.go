@@ -15,9 +15,9 @@ import (
 
 // --- Elastic fleet gateway ---------------------------------------------------
 //
-// The elastic analogue of the cluster gateway: the same Boot/Provision
-// handshake and job plane, plus Scale and Drain RPCs that change pool
-// membership while the gateway keeps serving.
+// The elastic gateway: the shared Boot/Provision handshake and job plane,
+// plus Scale and Drain verbs that change pool membership while the gateway
+// keeps serving.
 //
 // Security of growth without a client round trip: the data owner attested
 // and provisioned the initial boards. A board added by Cluster.Scale boots
@@ -60,17 +60,11 @@ func ServeFleet(m *fleet.Manager, k int, addr string, opts ...GatewayOption) (*r
 	if k <= 0 {
 		return nil, nil, "", fmt.Errorf("remote: fleet of %d devices", k)
 	}
-	var o gatewayOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
 	systems, err := m.SpawnN(k)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	srv := rpc.NewServer()
-	handleClusterHandshake(srv, systems, m.Adopt)
-	handleClusterServing(srv, m.Scheduler(), o.admission)
+	srv := newGateway(systems, m.Adopt, backend{sch: m.Scheduler()}, opts)
 
 	srv.Handle("Cluster.Scale", rpc.Typed(func(in ScaleRequest) (ScaleResponse, error) {
 		var resp ScaleResponse
@@ -177,7 +171,7 @@ func shrinkOrder(stats []sched.DeviceStats, n int) []fpga.DNA {
 // returned stats let the owner audit the resulting membership.
 func (s *ClusterSession) Scale(delta int) (ScaleResponse, error) {
 	var resp ScaleResponse
-	if err := s.call("Cluster.Scale", ScaleRequest{Delta: delta}, &resp); err != nil {
+	if err := s.conn.call("Cluster.Scale", ScaleRequest{Delta: delta}, &resp); err != nil {
 		return resp, err
 	}
 	return resp, nil
@@ -189,7 +183,7 @@ func (s *ClusterSession) Scale(delta int) (ScaleResponse, error) {
 func (s *ClusterSession) DrainDevice(dna fpga.DNA, timeout time.Duration, remove bool) ([]sched.DeviceStats, error) {
 	var resp ClusterStatsResponse
 	req := DrainDeviceRequest{DNA: dna, TimeoutMillis: timeout.Milliseconds(), Remove: remove}
-	if err := s.call("Cluster.Drain", req, &resp); err != nil {
+	if err := s.conn.call("Cluster.Drain", req, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Devices, nil

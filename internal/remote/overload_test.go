@@ -16,10 +16,10 @@ import (
 // for one test and restores it afterwards.
 func setRedialSchedule(t *testing.T, attempts int, base, max time.Duration) {
 	t.Helper()
-	oldA, oldB, oldM := clusterRedialAttempts, clusterRedialBase, clusterRedialMax
-	clusterRedialAttempts, clusterRedialBase, clusterRedialMax = attempts, base, max
+	oldA, oldB, oldM := redialAttempts, redialBase, redialMax
+	redialAttempts, redialBase, redialMax = attempts, base, max
 	t.Cleanup(func() {
-		clusterRedialAttempts, clusterRedialBase, clusterRedialMax = oldA, oldB, oldM
+		redialAttempts, redialBase, redialMax = oldA, oldB, oldM
 	})
 }
 

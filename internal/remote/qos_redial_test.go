@@ -88,12 +88,22 @@ func TestClusterSessionQoSSurvivesRedial(t *testing.T) {
 		t.Fatalf("Redials() = %d, want >= 1: the stub never saw a redialed request", sess.Redials())
 	}
 
+	// One more input on the same capture: a positive deadline under 1 ms
+	// must reach the wire as 1 ms, not truncate to 0 = "no deadline".
+	sess.SetQoS(QoS{Tenant: want.Tenant, Class: want.Class, Deadline: 300 * time.Microsecond})
+	if _, err := sess.RunJob("Conv", w.Params, w.Input); err != nil {
+		t.Fatalf("sub-millisecond-deadline job: %v", err)
+	}
+
 	mu.Lock()
 	defer mu.Unlock()
-	if len(captured) == 0 {
-		t.Fatal("stub gateway captured no requests")
+	if len(captured) < 2 {
+		t.Fatalf("stub gateway captured %d requests, want >= 2", len(captured))
 	}
-	got := captured[len(captured)-1]
+	if got := captured[len(captured)-1].DeadlineMillis; got != 1 {
+		t.Errorf("300µs deadline went on the wire as deadline_ms = %d, want 1", got)
+	}
+	got := captured[len(captured)-2]
 	if got.Tenant != want.Tenant {
 		t.Errorf("redialed request tenant = %q, want %q", got.Tenant, want.Tenant)
 	}

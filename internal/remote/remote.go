@@ -11,13 +11,6 @@
 package remote
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
-	"salus/internal/client"
-	"salus/internal/core"
-	"salus/internal/cryptoutil"
 	"salus/internal/fpga"
 	"salus/internal/manufacturer"
 	"salus/internal/rpc"
@@ -43,66 +36,29 @@ func ServeManufacturer(svc *manufacturer.Service, addr string) (*rpc.Server, str
 	srv.Handle("Manufacturer.Root", rpc.Typed(func(struct{}) ([]byte, error) {
 		return svc.Root(), nil
 	}))
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
+	return listen(srv, addr)
 }
 
 // KeyClient is the SM enclave's view of a remote manufacturer. It
 // implements smapp.KeyService, and it survives transient transport
-// failures: on a network error it re-dials and retries (application-level
-// rejections — wrong device, untrusted quote — are never retried).
-type KeyClient struct {
-	addr    string
-	retries int
-
-	mu sync.Mutex
-	c  *rpc.Client
-}
+// failures on the shared redialing connection: a broken stream is re-dialed
+// and the call retried (application-level rejections — wrong device,
+// untrusted quote — are never retried).
+type KeyClient struct{ conn *conn }
 
 // DialManufacturer connects to a manufacturer server.
 func DialManufacturer(addr string) (*KeyClient, error) {
-	c, err := rpc.Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("remote: manufacturer: %w", err)
+		return nil, err
 	}
-	return &KeyClient{addr: addr, retries: 3, c: c}, nil
-}
-
-// call performs one RPC with redial-and-retry on transport failures.
-func (k *KeyClient) call(method string, params, result any) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	var err error
-	for attempt := 0; attempt <= k.retries; attempt++ {
-		if k.c == nil {
-			k.c, err = rpc.Dial(k.addr)
-			if err != nil {
-				continue // server may be coming back
-			}
-		}
-		//lint:allow lock-across-block the owner key client serialises RPCs by design: k.mu is the single-outstanding-call queue, and redial replaces k.c under the same lock
-		err = k.c.Call(method, params, result)
-		if err == nil {
-			return nil
-		}
-		var srvErr *rpc.ServerError
-		if errors.As(err, &srvErr) {
-			return err // deliberate rejection: retrying cannot help
-		}
-		// Transport failure: drop the connection and redial.
-		k.c.Close()
-		k.c = nil
-	}
-	return fmt.Errorf("remote: manufacturer unreachable after %d attempts: %w", k.retries+1, err)
+	return &KeyClient{conn: c}, nil
 }
 
 // RequestDeviceKey implements smapp.KeyService over the wire.
 func (k *KeyClient) RequestDeviceKey(quote sgx.Quote, dna fpga.DNA) (manufacturer.KeyResponse, error) {
 	var resp manufacturer.KeyResponse
-	err := k.call("Manufacturer.RequestDeviceKey", KeyRequest{Quote: quote, DNA: string(dna)}, &resp)
+	err := k.conn.call("Manufacturer.RequestDeviceKey", KeyRequest{Quote: quote, DNA: string(dna)}, &resp)
 	return resp, err
 }
 
@@ -111,159 +67,9 @@ func (k *KeyClient) RequestDeviceKey(quote sgx.Quote, dna fpga.DNA) (manufacture
 // endpoint exists for tooling convenience only.
 func (k *KeyClient) Root() ([]byte, error) {
 	var root []byte
-	err := k.call("Manufacturer.Root", struct{}{}, &root)
+	err := k.conn.call("Manufacturer.Root", struct{}{}, &root)
 	return root, err
 }
 
 // Close releases the connection.
-func (k *KeyClient) Close() error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.c == nil {
-		return nil
-	}
-	err := k.c.Close()
-	k.c = nil
-	return err
-}
-
-// --- Cloud instance gateway -----------------------------------------------------
-
-// BootRequest carries the data owner's RA challenge.
-type BootRequest struct {
-	Nonce []byte `json:"nonce"`
-}
-
-// BootResponse carries the deferred cascaded-attestation quote.
-type BootResponse struct {
-	Quote sgx.Quote `json:"quote"`
-}
-
-// ProvisionRequest carries the sealed data key.
-type ProvisionRequest struct {
-	SenderPub []byte `json:"sender_pub"`
-	Sealed    []byte `json:"sealed"`
-}
-
-// JobRequest carries one sealed job.
-type JobRequest struct {
-	Kernel      string    `json:"kernel"`
-	Params      [4]uint64 `json:"params"`
-	SealedInput []byte    `json:"sealed_input"`
-	// QoS fields, used by the cluster gateway (see ClusterSession.SetQoS);
-	// all optional — empty means anonymous tenant, ClassStandard, no
-	// deadline. The instance gateway ignores them.
-	Tenant         string `json:"tenant,omitempty"`
-	Class          string `json:"class,omitempty"`
-	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
-}
-
-// JobResponse carries the sealed result.
-type JobResponse struct {
-	SealedOutput []byte `json:"sealed_output"`
-}
-
-// ServeInstance exposes a deployment's boot/provision/job gateway on addr.
-// The gateway itself is untrusted plumbing (it runs outside the enclaves,
-// like the RPC modules in Figure 7); everything it relays is protected end
-// to end.
-func ServeInstance(sys *core.System, addr string) (*rpc.Server, string, error) {
-	srv := rpc.NewServer()
-	// RPC handlers run concurrently; boot-path mutations of the system are
-	// serialised here (the job path has its own per-system lock).
-	var bootMu sync.Mutex
-	srv.Handle("Instance.Boot", rpc.Typed(func(in BootRequest) (BootResponse, error) {
-		bootMu.Lock()
-		defer bootMu.Unlock()
-		q, err := sys.BootAndQuote(in.Nonce)
-		if err != nil {
-			return BootResponse{}, err
-		}
-		return BootResponse{Quote: q}, nil
-	}))
-	srv.Handle("Instance.Provision", rpc.Typed(func(in ProvisionRequest) (struct{}, error) {
-		bootMu.Lock()
-		defer bootMu.Unlock()
-		return struct{}{}, sys.FinishProvision(in.SenderPub, in.Sealed)
-	}))
-	srv.Handle("Instance.RunJob", rpc.Typed(func(in JobRequest) (JobResponse, error) {
-		out, err := sys.RunJobSealed(in.Kernel, in.Params, in.SealedInput)
-		if err != nil {
-			return JobResponse{}, err
-		}
-		return JobResponse{SealedOutput: out}, nil
-	}))
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
-}
-
-// Session is the data owner's remote session with a cloud instance: it
-// attests the platform across the network and then submits sealed jobs.
-type Session struct {
-	c       *rpc.Client
-	exp     client.Expectations
-	dataKey []byte
-}
-
-// DialInstance opens a session toward an instance gateway, pinning the
-// expectations the owner verified out of band (developer-published H and
-// measurements, CSP-assigned DNA, manufacturer root).
-func DialInstance(addr string, exp client.Expectations) (*Session, error) {
-	c, err := rpc.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: instance: %w", err)
-	}
-	return &Session{c: c, exp: exp}, nil
-}
-
-// Attest runs the cascaded attestation over the wire: fresh nonce, remote
-// boot, local verification of the deferred quote, and data-key
-// provisioning. Only after this returns nil does the owner's data flow.
-func (s *Session) Attest() error {
-	ver := client.New(s.exp)
-	nonce := ver.NewNonce()
-	var boot BootResponse
-	if err := s.c.Call("Instance.Boot", BootRequest{Nonce: nonce}, &boot); err != nil {
-		return fmt.Errorf("remote: boot: %w", err)
-	}
-	dataPub, err := ver.VerifyRAResponse(nonce, boot.Quote)
-	if err != nil {
-		return err
-	}
-	s.dataKey = cryptoutil.RandomKey(16)
-	senderPub, sealed, err := client.ProvisionDataKey(dataPub, s.dataKey)
-	if err != nil {
-		return err
-	}
-	if err := s.c.Call("Instance.Provision", ProvisionRequest{SenderPub: senderPub, Sealed: sealed}, nil); err != nil {
-		return fmt.Errorf("remote: provision: %w", err)
-	}
-	return nil
-}
-
-// RunJob seals the plaintext input under the session's data key, submits
-// it, and opens the sealed result.
-func (s *Session) RunJob(kernel string, params [4]uint64, input []byte) ([]byte, error) {
-	if s.dataKey == nil {
-		return nil, fmt.Errorf("remote: session not attested")
-	}
-	sealedIn, err := cryptoutil.Seal(s.dataKey, input, []byte("job-input"))
-	if err != nil {
-		return nil, err
-	}
-	var resp JobResponse
-	if err := s.c.Call("Instance.RunJob", JobRequest{Kernel: kernel, Params: params, SealedInput: sealedIn}, &resp); err != nil {
-		return nil, err
-	}
-	out, err := cryptoutil.Open(s.dataKey, resp.SealedOutput, []byte("job-output"))
-	if err != nil {
-		return nil, fmt.Errorf("remote: sealed output rejected: %w", err)
-	}
-	return out, nil
-}
-
-// Close releases the session.
-func (s *Session) Close() error { return s.c.Close() }
+func (k *KeyClient) Close() error { return k.conn.close() }

@@ -16,52 +16,19 @@ import (
 	"salus/internal/sgx"
 )
 
-// deployment spins up a full networked deployment: manufacturer RPC server,
-// a system whose SM enclave fetches keys over TCP, and the instance gateway.
-type deployment struct {
-	sys          *core.System
-	instanceAddr string
-}
-
-func newDeployment(t testing.TB, kernel accel.Kernel) *deployment {
+// newDeployment spins up the smallest networked deployment — one board
+// behind a gateway, i.e. a pool of one — and returns it with the owner's
+// expectations for that board.
+func newDeployment(t testing.TB, kernel accel.Kernel) (*clusterDeployment, []client.Expectations) {
 	t.Helper()
-	mfr, err := manufacturer.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mfrSrv, mfrAddr, err := ServeManufacturer(mfr, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mfrSrv.Close() })
-
-	kc, err := DialManufacturer(mfrAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { kc.Close() })
-
-	sys, err := core.NewSystem(core.SystemConfig{
-		Kernel:       kernel,
-		Seed:         3,
-		Manufacturer: mfr,
-		KeyService:   kc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instSrv, instAddr, err := ServeInstance(sys, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { instSrv.Close() })
-	return &deployment{sys: sys, instanceAddr: instAddr}
+	d := newClusterDeployment(t, 1, kernel)
+	return d, d.expectations()
 }
 
 func TestNetworkedAttestAndRunJob(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
+	d, exps := newDeployment(t, accel.Conv{})
 
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	sess, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +36,7 @@ func TestNetworkedAttestAndRunJob(t *testing.T) {
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.sys.Booted() {
+	if !d.systems[0].Booted() {
 		t.Error("instance not booted after remote attestation")
 	}
 
@@ -88,8 +55,8 @@ func TestNetworkedAttestAndRunJob(t *testing.T) {
 }
 
 func TestRunJobRequiresAttestation(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	d, exps := newDeployment(t, accel.Conv{})
+	sess, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +68,9 @@ func TestRunJobRequiresAttestation(t *testing.T) {
 }
 
 func TestAttestRejectsWrongExpectations(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
-	exp := d.sys.Expectations()
-	exp.Digest[0] ^= 1 // owner expects a different bitstream
-	sess, err := DialInstance(d.instanceAddr, exp)
+	d, exps := newDeployment(t, accel.Conv{})
+	exps[0].Digest[0] ^= 1 // owner expects a different bitstream
+	sess, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +84,8 @@ func TestSealedJobDataOpaqueToGateway(t *testing.T) {
 	// The gateway (and anything on the TCP path) must never see plaintext
 	// job data: seal happens in the owner's session, open inside the user
 	// enclave. We check the wire forms directly.
-	d := newDeployment(t, accel.Affine{})
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	d, exps := newDeployment(t, accel.Affine{})
+	sess, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +103,13 @@ func TestSealedJobDataOpaqueToGateway(t *testing.T) {
 		t.Error("remote Affine differs")
 	}
 	// Tampered sealed input is rejected by the enclave.
-	bad, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	bad, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bad.Close()
 	// Reuse the attested session's key by sending garbage via raw call.
-	if _, err := d.sys.RunJobSealed("Affine", w.Params, []byte("garbage")); err == nil {
+	if _, err := d.systems[0].RunJobSealed("Affine", w.Params, []byte("garbage")); err == nil {
 		t.Error("enclave accepted tampered sealed input")
 	}
 }
@@ -187,8 +153,11 @@ func TestDialErrors(t *testing.T) {
 	if _, err := DialManufacturer("127.0.0.1:1"); err == nil {
 		t.Error("dialed a dead port")
 	}
-	if _, err := DialInstance("127.0.0.1:1", client.Expectations{}); err == nil {
-		t.Error("dialed a dead instance port")
+	if _, err := DialCluster("127.0.0.1:1", []client.Expectations{{}}); err == nil {
+		t.Error("dialed a dead gateway port")
+	}
+	if _, err := DialCluster("127.0.0.1:1", nil); err == nil {
+		t.Error("opened a session with no device expectations")
 	}
 }
 

@@ -22,7 +22,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		copy(out[4:], payload)
 		return out
 	}
-	f.Add(frame([]byte(`{"id":1,"method":"Instance.Boot","params":{}}`)))
+	f.Add(frame([]byte(`{"id":1,"method":"Cluster.Boot","params":{"nonce":"AAEC"}}`)))
 	f.Add(frame(nil))                                    // empty body
 	f.Add([]byte{})                                      // empty stream
 	f.Add([]byte{0x00, 0x00})                            // truncated header
@@ -31,16 +31,18 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0x04, 0x00, 0x00, 0x00})                // claims 64 MiB, delivers 0
 	f.Add(append(frame([]byte(`{"id":2}`)), 0xde, 0xad)) // valid frame + trailing junk
 
-	// Federation wire messages (routing, spill placement, the enclave key
-	// hand-off), seeded so the corpus explores the tier's frame shapes:
-	// session addressing, nested placement fields, byte-array report blobs
-	// and base64 key material inside JSON, batch envelopes.
-	f.Add(frame([]byte(`{"id":3,"method":"Federation.Route","params":{"tenant":"tenant-7","key":"dataset-41"}}`)))
+	// The ring-fronting gateway's wire messages (routing, spill placement,
+	// the enclave key hand-off), seeded so the corpus explores its frame
+	// shapes: session addressing, optional key/shard/spilled fields,
+	// byte-array report blobs and base64 key material inside JSON, batch
+	// envelopes.
+	f.Add(frame([]byte(`{"id":3,"method":"Cluster.Route","params":{"tenant":"tenant-7","key":"dataset-41"}}`)))
 	f.Add(frame([]byte(`{"id":3,"result":{"shard":"gw2","addr":"127.0.0.1:7012","epoch":5}}`)))
-	f.Add(frame([]byte(`{"id":4,"method":"Federation.RunJob","params":{"tenant":"t","key":"k","kernel":"Conv","params":[4,4,1,0],"sealed_input":"3q2+7w==","class":"critical","deadline_ms":1500}}`)))
+	f.Add(frame([]byte(`{"id":4,"method":"Cluster.RunJob","params":{"kernel":"Conv","params":[4,4,1,0],"sealed_input":"3q2+7w==","tenant":"t","class":"critical","deadline_ms":1500,"key":"k"}}`)))
 	f.Add(frame([]byte(`{"id":4,"result":{"sealed_output":"3q2+7w==","shard":"gw1","spilled":true}}`)))
-	f.Add(frame([]byte(`{"id":5,"method":"Federation.RunBatch","params":{"key":"k","kernel":"Conv","jobs":[{"params":[1,2,3,4],"sealed_input":"AA=="},{"params":[0,0,0,0],"sealed_input":""}]}}`)))
-	f.Add(frame([]byte(`{"id":6,"method":"Federation.Handoff","params":{"report":{"MRENCLAVE":[1,2,3],"Version":1,"Debug":false,"ReportData":[9,9],"MAC":"q83v"},"recipient_pub":"BAUG"}}`)))
+	f.Add(frame([]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"kernel":"Conv","jobs":[{"params":[1,2,3,4],"sealed_input":"AA=="},{"params":[0,0,0,0],"sealed_input":""}],"key":"k"}}`)))
+	f.Add(frame([]byte(`{"id":5,"result":{"results":[{"sealed_output":"AA=="},{"error":"oversize"}],"shard":"gw0","spilled":true}}`)))
+	f.Add(frame([]byte(`{"id":6,"method":"Cluster.Handoff","params":{"report":{"MRENCLAVE":[1,2,3],"Version":1,"Debug":false,"ReportData":[9,9],"MAC":"q83v"},"recipient_pub":"BAUG"}}`)))
 	f.Add(frame([]byte(`{"id":6,"result":{"sender_pub":"AAEC","sealed":"AAECAwQFBgc="}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -122,16 +124,16 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 
 // TestFederationFrameBoundedAlloc pins the bounded-alloc property for the
 // federation tier's frames specifically: a peer opening what looks like a
-// legitimate Federation.Handoff or RunJob request — a real JSON prefix with
+// legitimate Cluster.Handoff or RunJob request — a real JSON prefix with
 // a max-size length claim — but delivering only the prefix must cost memory
 // proportional to the delivered bytes. Hand-off grants and sealed job
 // payloads are the frames an attacker would inflate, since gateways relay
 // them between regions.
 func TestFederationFrameBoundedAlloc(t *testing.T) {
 	prefixes := [][]byte{
-		[]byte(`{"id":6,"method":"Federation.Handoff","params":{"report":{"MRENCLAVE":[`),
-		[]byte(`{"id":4,"method":"Federation.RunJob","params":{"key":"k","sealed_input":"`),
-		[]byte(`{"id":5,"method":"Federation.RunBatch","params":{"jobs":[{"sealed_input":"`),
+		[]byte(`{"id":6,"method":"Cluster.Handoff","params":{"report":{"MRENCLAVE":[`),
+		[]byte(`{"id":4,"method":"Cluster.RunJob","params":{"key":"k","sealed_input":"`),
+		[]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"key":"k","jobs":[{"sealed_input":"`),
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
