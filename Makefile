@@ -3,10 +3,10 @@ GO ?= go
 # Packages whose statement coverage is gated in CI (the observability layer
 # and the two subsystems its health signals come from), and the floor they
 # must clear.
-COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place
+COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote
 COVER_FLOOR = 75
 
-.PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
+.PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
 
 all: build test
 
@@ -39,6 +39,13 @@ tier1:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines per package directory and in total, excluding the nested
+# bench/ module: the figures size claims in CHANGES.md are quoted from.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | awk ' \
+		$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # Per-package statement-coverage table for the whole module.
 cover:

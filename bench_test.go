@@ -439,6 +439,20 @@ func BenchmarkTable4SizeInvariance(b *testing.B) {
 // --- Scheduler: multi-device aggregate throughput -----------------------------
 
 // benchPool boots n Conv systems sharing one data key.
+// submitW submits one plaintext workload under opt: a batch of one.
+func submitW(s *sched.Scheduler, w accel.Workload, opt sched.SubmitOptions) *sched.Future {
+	return s.Submit([]sched.Job{sched.PlainJob(w)}, opt)[0]
+}
+
+// submitWs submits plaintext workloads as one ClassStandard submission.
+func submitWs(s *sched.Scheduler, ws []accel.Workload) []*sched.Future {
+	jobs := make([]sched.Job, len(ws))
+	for i, w := range ws {
+		jobs[i] = sched.PlainJob(w)
+	}
+	return s.Submit(jobs, sched.SubmitOptions{Class: sched.ClassStandard})
+}
+
 func benchPool(b *testing.B, n int) []*core.System {
 	b.Helper()
 	// A physical U200 keeps the host idle-blocked ~2 ms per Conv job
@@ -497,7 +511,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		b.ResetTimer()
 		futs := make([]*sched.Future, b.N)
 		for i := range futs {
-			futs[i] = s.Submit(w)
+			futs[i] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
 		}
 		for i, f := range futs {
 			if _, err := f.Wait(); err != nil {
@@ -558,7 +572,7 @@ func BenchmarkSchedulerDegradedPool(b *testing.B) {
 		b.ResetTimer()
 		futs := make([]*sched.Future, b.N)
 		for i := range futs {
-			futs[i] = s.Submit(w)
+			futs[i] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
 		}
 		for i, f := range futs {
 			if _, err := f.Wait(); err != nil {
@@ -608,7 +622,7 @@ func BenchmarkSchedulerDegradedPool(b *testing.B) {
 // bounded at any benchtime.
 const batchedBenchJobs = 64
 
-// benchBatchedDevice runs one 64-job batch per op through SubmitBatch on
+// benchBatchedDevice runs one 64-job batch per op through one Submit on
 // an n-device pool; MB/s is plaintext input bytes.
 func benchBatchedDevice(b *testing.B, n int) {
 	w := accel.GenConv(32, 32, 4, 1)
@@ -626,7 +640,7 @@ func benchBatchedDevice(b *testing.B, n int) {
 	b.SetBytes(int64(batchedBenchJobs * len(w.Input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, f := range s.SubmitBatch(ws) {
+		for j, f := range submitWs(s, ws) {
 			if _, err := f.Wait(); err != nil {
 				b.Fatalf("job %d: %v", j, err)
 			}
@@ -641,7 +655,7 @@ func benchBatchedSingleDevice(b *testing.B) { benchBatchedDevice(b, 1) }
 // BenchmarkBatchedThroughput is the batched-vs-unbatched comparison on
 // identical pools and workloads: each op moves the same 64 jobs, once as 64
 // Submit round trips (64 sealed register frames per job program, one DMA
-// write and read per job) and once as one SubmitBatch (one sealed frame per
+// write and read per job) and once as one Submit of 64 (one sealed frame per
 // chunk, pipelined DMA). ns/op and MB/s are directly comparable across the
 // sub-benchmarks.
 func BenchmarkBatchedThroughput(b *testing.B) {
@@ -658,7 +672,7 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 		futs := make([]*sched.Future, batchedBenchJobs)
 		for i := 0; i < b.N; i++ {
 			for j := range futs {
-				futs[j] = s.Submit(w)
+				futs[j] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
 			}
 			for j, f := range futs {
 				if _, err := f.Wait(); err != nil {
@@ -833,7 +847,7 @@ func BenchmarkFleetHotAdd(b *testing.B) {
 					return
 				default:
 				}
-				if _, err := m.Scheduler().Submit(w).Wait(); err != nil {
+				if _, err := submitW(m.Scheduler(), w, sched.SubmitOptions{Class: sched.ClassStandard}).Wait(); err != nil {
 					pumpErrs.Add(1)
 					return
 				}

@@ -100,6 +100,7 @@ func benchScheduler(n, jobs int) {
 		return systems
 	}
 	workload := func(i int) accel.Workload { return accel.GenConv(16, 16, 4, int64(i)) }
+	std := sched.SubmitOptions{Class: sched.ClassStandard}
 
 	// Serial baseline: one device, one job at a time.
 	serial := newPool(1)[0]
@@ -121,7 +122,7 @@ func benchScheduler(n, jobs int) {
 	start = time.Now()
 	futs := make([]*sched.Future, jobs)
 	for i := range futs {
-		futs[i] = s.Submit(workload(i))
+		futs[i] = s.Submit([]sched.Job{sched.PlainJob(workload(i))}, std)[0]
 	}
 	for i, f := range futs {
 		if _, err := f.Wait(); err != nil {
@@ -140,12 +141,12 @@ func benchScheduler(n, jobs int) {
 			log.Fatal(err)
 		}
 	}
-	ws := make([]accel.Workload, jobs)
-	for i := range ws {
-		ws[i] = workload(i)
+	batch := make([]sched.Job, jobs)
+	for i := range batch {
+		batch[i] = sched.PlainJob(workload(i))
 	}
 	start = time.Now()
-	for i, f := range sb.SubmitBatch(ws) {
+	for i, f := range sb.Submit(batch, std) {
 		if _, err := f.Wait(); err != nil {
 			log.Fatalf("batched job %d: %v", i, err)
 		}

@@ -1,10 +1,12 @@
 // Multi-RP: the §4.7 extension. One device exposes two reconfigurable
-// partitions; a master SM enclave fetches the device key once, then
-// per-partition SM agents deploy and attest a Conv CL and an Affine CL
-// independently, each with its own freshly injected root of trust.
+// partitions; each is a full system of its own — SM and user enclave pair,
+// sealed register channel, key epoch — so a Conv CL and an Affine CL are
+// deployed and attested independently, each with its own freshly injected
+// root of trust, and each then runs a job over its own protected path.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -15,29 +17,37 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("multirp: ")
 
-	sys, err := salus.NewMultiRPSystem(salus.TestDevice, "A58293108",
+	systems, err := salus.NewMultiRPSystem(salus.TestDevice, "A58293108",
 		[]salus.Kernel{salus.Conv{}, salus.Affine{}}, salus.FastTiming())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.BootAll(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("device %s: %d partitions booted with one manufacturer round trip\n",
-		sys.Device.DNA(), sys.Device.Partitions())
-	for i, agent := range sys.Agents {
+	dev := systems[0].Device
+	for i, sys := range systems {
+		if _, err := sys.SecureBoot(); err != nil {
+			log.Fatalf("partition %d: %v", i, err)
+		}
 		fmt.Printf("partition %d: CL %q attested=%v (digest %x...)\n",
-			i, sys.Packages[i].DesignName, agent.Attested(), sys.Packages[i].Digest[:8])
+			i, sys.Package.DesignName, sys.SM.Attested(), sys.Package.Digest[:8])
 	}
+	fmt.Printf("device %s: %d partitions booted, %d partial bitstreams loaded\n",
+		dev.DNA(), dev.Partitions(), dev.Loads())
 
-	cl0, err := sys.Device.CL(0)
-	if err != nil {
-		log.Fatal(err)
+	for i, sys := range systems {
+		w, _ := salus.TestWorkload(sys.Package.KernelName, int64(i))
+		got, err := sys.RunJob(w)
+		if err != nil {
+			log.Fatalf("partition %d job: %v", i, err)
+		}
+		want, err := w.Kernel.Compute(w.Params, w.Input)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cl, err := dev.CL(i)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("partition %d runs %s: %d-byte result matches the reference: %v\n",
+			i, cl.LogicID(), len(got), bytes.Equal(got, want))
 	}
-	cl1, err := sys.Device.CL(1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("partition 0 runs %s, partition 1 runs %s — separately programmed, separately attested\n",
-		cl0.LogicID(), cl1.LogicID())
 }

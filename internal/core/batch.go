@@ -245,15 +245,9 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult) ([]batchC
 	openChunk := func() error {
 		c := batchChunk{base: uint64(len(chunks)%2) * batchHalf}
 		if sessKey == nil || sessJobs >= s.rekeyEvery {
-			key, err := s.User.DataKey()
+			key, baseIV, err := s.newEpochSecrets()
 			if err != nil {
 				return err
-			}
-			baseIV := cryptoutil.RandomKey(16)
-			// Zero the block-counter field so per-job keystreams, 2^32 CTR
-			// blocks apart under accel.JobIV, can never collide.
-			for i := 12; i < 16; i++ {
-				baseIV[i] = 0
 			}
 			c.newEpoch, c.key, c.baseIV = true, key, baseIV
 			c.rotate = hadSession

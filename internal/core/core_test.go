@@ -393,44 +393,55 @@ func TestAblationReadbackEnabled(t *testing.T) {
 // --- Extensions ---------------------------------------------------------------
 
 func TestMultiRPBootAndIsolation(t *testing.T) {
-	sys, err := NewMultiRPSystem(netlist.TestDevice, "A58275817",
-		[]accel.Kernel{accel.Conv{}, accel.Affine{}}, FastTiming())
+	systems, err := NewPartitionSystems(SystemConfig{DNA: "A58275817", Timing: FastTiming()},
+		[]accel.Kernel{accel.Conv{}, accel.Affine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.BootAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i, agent := range sys.Agents {
-		if !agent.Attested() {
+	dev := systems[0].Device
+	for i, sys := range systems {
+		if _, err := sys.SecureBoot(); err != nil {
+			t.Fatalf("partition %d boot: %v", i, err)
+		}
+		if !sys.SM.Attested() {
 			t.Errorf("partition %d not attested", i)
 		}
+		if sys.Device != dev || sys.Partition() != i {
+			t.Errorf("partition %d: system sits on %s/rp%d", i, sys.Device.DNA(), sys.Partition())
+		}
 	}
-	if sys.Device.Loads() != 2 {
-		t.Errorf("loads = %d, want 2", sys.Device.Loads())
+	if dev.Loads() != 2 {
+		t.Errorf("loads = %d, want 2", dev.Loads())
 	}
 	// Partitions run their own kernels.
-	cl0, err := sys.Device.CL(0)
+	cl0, err := dev.CL(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl1, err := sys.Device.CL(1)
+	cl1, err := dev.CL(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cl0.LogicID() == cl1.LogicID() {
 		t.Error("partitions share logic identity")
 	}
-}
-
-func TestMultiRPRequiresMasterKey(t *testing.T) {
-	sys, err := NewMultiRPSystem(netlist.TestDevice, "D2",
-		[]accel.Kernel{accel.Conv{}}, FastTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Agents[0].AdoptDeviceKeyFrom(sys.Master); !errors.Is(err, smapp.ErrNoDeviceKey) {
-		t.Errorf("adopted key before master fetched it: %v", err)
+	// ... and each serves its own job path.
+	for i, sys := range systems {
+		w, ok := accel.TestWorkload(sys.Package.KernelName, int64(40+i))
+		if !ok {
+			t.Fatalf("no test workload for %s", sys.Package.KernelName)
+		}
+		got, err := sys.RunJob(w)
+		if err != nil {
+			t.Fatalf("partition %d job: %v", i, err)
+		}
+		want, err := w.Kernel.Compute(w.Params, w.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("partition %d output diverges from the %s golden", i, sys.Package.KernelName)
+		}
 	}
 }
 

@@ -26,10 +26,9 @@ import (
 func newCoResidentPair(t *testing.T) (a, b *System) {
 	t.Helper()
 	systems, err := NewPartitionSystems(SystemConfig{
-		Kernel: accel.Conv{},
-		Seed:   7,
-		DNA:    "CORES-1",
-	}, 2)
+		Seed: 7,
+		DNA:  "CORES-1",
+	}, []accel.Kernel{accel.Conv{}, accel.Conv{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +182,11 @@ func TestReclaimZeroizesBeforeReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems, err := NewPartitionSystems(SystemConfig{
-		Kernel:       accel.Conv{},
 		Seed:         7,
 		DNA:          "RECLAIM-1",
 		Manufacturer: mfr,
 		UserProgram:  []byte("tenant A program"),
-	}, 2)
+	}, []accel.Kernel{accel.Conv{}, accel.Conv{}})
 	if err != nil {
 		t.Fatal(err)
 	}

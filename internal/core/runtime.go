@@ -190,15 +190,9 @@ func (s *System) ensureSession() (dataKey, jobIV []byte, err error) {
 				return nil, nil, deviceFault(fmt.Errorf("core: session rotation: %w", err))
 			}
 		}
-		key, err := s.User.DataKey()
+		key, baseIV, err := s.newEpochSecrets()
 		if err != nil {
 			return nil, nil, err
-		}
-		baseIV := cryptoutil.RandomKey(16)
-		// Zero the block-counter field so per-job keystreams, 2^32 CTR
-		// blocks apart under accel.JobIV, can never collide.
-		for i := 12; i < 16; i++ {
-			baseIV[i] = 0
 		}
 		secureWrites := []struct {
 			addr uint32
@@ -226,6 +220,22 @@ func (s *System) ensureSession() (dataKey, jobIV []byte, err error) {
 	jobIV = accel.JobIV(s.sessIV, s.sessJobs)
 	s.sessJobs++
 	return s.sessKey, jobIV, nil
+}
+
+// newEpochSecrets draws the secrets of a fresh session epoch: the enclave's
+// data key and a random base IV. It is the one place that zeroes the IV's
+// block-counter field, the invariant that keeps per-job keystreams, 2^32
+// CTR blocks apart under accel.JobIV, from ever colliding.
+func (s *System) newEpochSecrets() (key, baseIV []byte, err error) {
+	key, err = s.User.DataKey()
+	if err != nil {
+		return nil, nil, err
+	}
+	baseIV = cryptoutil.RandomKey(16)
+	for i := 12; i < 16; i++ {
+		baseIV[i] = 0
+	}
+	return key, baseIV, nil
 }
 
 // invalidateSession drops the cached data-key session; the next job

@@ -246,18 +246,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // into and addresses all of its channel traffic to.
 func (s *System) Partition() int { return s.partition }
 
-// NewPartitionSystems manufactures ONE device exposing rps reconfigurable
-// partitions and assembles one System per partition around it — the §4.7
-// multi-RP shape with a full per-tenant job path on every RP. The systems
-// share the die (and the template's manufacturer, host platform, and boot
-// caches) but nothing else: each has its own SM and user enclave pair, its
-// own sealed register channel with an independent monotonic counter, and
-// its own data-key epoch, so co-resident tenants cannot observe or replay
-// each other's traffic. The template's Device must be nil and its Partition
-// zero; its DNA names the die.
-func NewPartitionSystems(template SystemConfig, rps int) ([]*System, error) {
-	if rps < 1 {
-		return nil, fmt.Errorf("core: %d partitions requested, need >= 1", rps)
+// NewPartitionSystems manufactures ONE device exposing one reconfigurable
+// partition per entry of kernels and assembles one System per partition
+// around it — the §4.7 multi-RP model: partition i deploys kernels[i] with
+// a full job path of its own. The systems share the die (and the template's
+// manufacturer, host platform, and boot caches) but nothing else: each has
+// its own SM and user enclave pair, its own sealed register channel with an
+// independent monotonic counter, and its own data-key epoch, so co-resident
+// tenants cannot observe or replay each other's traffic. The template's
+// Device must be nil and its Partition zero; its DNA names the die and its
+// Kernel is ignored.
+func NewPartitionSystems(template SystemConfig, kernels []accel.Kernel) ([]*System, error) {
+	if len(kernels) == 0 {
+		return nil, fmt.Errorf("core: no kernels, need one per partition")
 	}
 	if template.Device != nil {
 		return nil, fmt.Errorf("core: NewPartitionSystems manufactures its own device; Device must be nil")
@@ -280,7 +281,7 @@ func NewPartitionSystems(template SystemConfig, rps int) ([]*System, error) {
 	if template.DNA == "" {
 		template.DNA = "A58275817"
 	}
-	opts := append([]fpga.Option{fpga.WithPartitions(rps)}, template.DeviceOpts...)
+	opts := append([]fpga.Option{fpga.WithPartitions(len(kernels))}, template.DeviceOpts...)
 	dev, err := mfr.ManufactureDevice(template.Profile, template.DNA, opts...)
 	if err != nil {
 		return nil, err
@@ -294,11 +295,12 @@ func NewPartitionSystems(template SystemConfig, rps int) ([]*System, error) {
 		}
 		template.HostPlatform = host
 	}
-	systems := make([]*System, rps)
-	for i := range systems {
+	systems := make([]*System, len(kernels))
+	for i, k := range kernels {
 		cfg := template
 		cfg.Device = dev
 		cfg.Partition = i
+		cfg.Kernel = k
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d of %s: %w", i, template.DNA, err)

@@ -455,112 +455,76 @@ type SubmitResult struct {
 	Spilled bool
 }
 
-// Submit routes one sealed job: consistent-hash to the session's home
-// shard, spill-over to the least-loaded sibling when the home shard's
-// backlog pressure reports saturation. The target shard is keyed on first
-// use via the sibling hand-off. Modelled network time (WAN to the front
-// tier, an intra-region hop to the shard, one more hop on spill-over) is
-// charged to the federation clock.
-func (f *Federation) Submit(tenant, key, kernel string, params [4]uint64, sealed []byte, opt sched.SubmitOptions) (SubmitResult, error) {
+// place makes the one placement decision for a submission of n jobs
+// totalling payloadBytes: consistent-hash to the session's home shard,
+// spill-over to the least-loaded sibling when the home shard's backlog
+// pressure reports saturation. The target shard is keyed on first use via
+// the sibling hand-off; a spill target that cannot be keyed is skipped, not
+// fatal — the (saturated but keyed) home shard serves instead. Modelled
+// network time (WAN to the front tier, an intra-region hop to the shard,
+// one more gateway-to-gateway hop on spill-over) is charged to the
+// federation clock once per submission; routed/spilled count jobs.
+func (f *Federation) place(tenant, key string, payloadBytes, n int) (target *shard, spilled bool, err error) {
 	homeID := f.ring.Route(RouteKey(tenant, key))
 	if homeID == "" {
-		return SubmitResult{}, fmt.Errorf("federation: no shards")
+		return nil, false, fmt.Errorf("federation: no shards")
 	}
 	f.mu.RLock()
 	home := f.shards[homeID]
 	f.mu.RUnlock()
 	if home == nil {
-		return SubmitResult{}, fmt.Errorf("federation: shard %s left during routing", homeID)
+		return nil, false, fmt.Errorf("federation: shard %s left during routing", homeID)
 	}
-
-	target, spilled := home, false
+	target = home
 	if p := home.pressure(); p >= f.cfg.SpillHighWater {
-		if alt := f.spillTarget(home, p); alt != nil {
+		if alt := f.spillTarget(home, p); alt != nil && f.ensureKeyed(alt) == nil {
 			target, spilled = alt, true
 		}
 	}
-	if err := f.ensureKeyed(target); err != nil {
-		if !spilled {
-			return SubmitResult{}, err
-		}
-		// A spill target that cannot be keyed is skipped, not fatal: fall
-		// back to the (saturated but keyed) home shard.
-		target, spilled = home, false
-		if err := f.ensureKeyed(target); err != nil {
-			return SubmitResult{}, err
+	if !spilled {
+		if err := f.ensureKeyed(home); err != nil {
+			return nil, false, err
 		}
 	}
-
-	// Charge the modelled path: owner/client -> front tier over the WAN,
-	// front tier -> home gateway inside the region, plus the gateway ->
-	// gateway hop a spill adds.
-	net := f.cfg.WAN.TransferTime(len(sealed)) + f.cfg.Region.TransferTime(len(sealed))
+	net := f.cfg.WAN.TransferTime(payloadBytes) + f.cfg.Region.TransferTime(payloadBytes)
 	if spilled {
-		net += f.cfg.Region.TransferTime(len(sealed))
+		net += f.cfg.Region.TransferTime(payloadBytes)
 	}
 	f.clock.Advance(net)
 	if spilled {
-		f.spilled.Add(1)
-		mSpilled.Inc()
+		f.spilled.Add(uint64(n))
+		mSpilled.Add(uint64(n))
 		mNetSpill.Observe(net)
 	} else {
-		f.routed.Add(1)
-		mRouted.Inc()
+		f.routed.Add(uint64(n))
+		mRouted.Add(uint64(n))
 		mNetHome.Observe(net)
 	}
-
-	fut := target.mgr.Scheduler().SubmitSealedOpts(kernel, params, sealed, opt)
-	return SubmitResult{Future: fut, Shard: target.id, Spilled: spilled}, nil
+	return target, spilled, nil
 }
 
-// SubmitBatch routes a whole sealed batch as one unit (one routing and
-// spill decision, one modelled transfer of the summed payload).
-func (f *Federation) SubmitBatch(tenant, key, kernel string, jobs []core.SealedJob, opt sched.SubmitOptions) ([]*sched.Future, string, bool, error) {
-	homeID := f.ring.Route(RouteKey(tenant, key))
-	if homeID == "" {
-		return nil, "", false, fmt.Errorf("federation: no shards")
-	}
-	f.mu.RLock()
-	home := f.shards[homeID]
-	f.mu.RUnlock()
-	if home == nil {
-		return nil, "", false, fmt.Errorf("federation: shard %s left during routing", homeID)
-	}
-	target, spilled := home, false
-	if p := home.pressure(); p >= f.cfg.SpillHighWater {
-		if alt := f.spillTarget(home, p); alt != nil {
-			target, spilled = alt, true
-		}
-	}
-	if err := f.ensureKeyed(target); err != nil {
-		if !spilled {
-			return nil, "", false, err
-		}
-		target, spilled = home, false
-		if err := f.ensureKeyed(target); err != nil {
-			return nil, "", false, err
-		}
-	}
+// SubmitBatch routes a submission of sealed jobs as one unit (one routing
+// and spill decision, one modelled transfer of the summed payload) and
+// hands it to the target shard's scheduler; see sched.Scheduler.Submit.
+func (f *Federation) SubmitBatch(tenant, key string, jobs []sched.Job, opt sched.SubmitOptions) ([]*sched.Future, string, bool, error) {
 	var payload int
 	for _, j := range jobs {
 		payload += len(j.Input)
 	}
-	net := f.cfg.WAN.TransferTime(payload) + f.cfg.Region.TransferTime(payload)
-	if spilled {
-		net += f.cfg.Region.TransferTime(payload)
+	target, spilled, err := f.place(tenant, key, payload, len(jobs))
+	if err != nil {
+		return nil, "", false, err
 	}
-	f.clock.Advance(net)
-	if spilled {
-		f.spilled.Add(uint64(len(jobs)))
-		mSpilled.Add(uint64(len(jobs)))
-		mNetSpill.Observe(net)
-	} else {
-		f.routed.Add(uint64(len(jobs)))
-		mRouted.Add(uint64(len(jobs)))
-		mNetHome.Observe(net)
+	return target.mgr.Scheduler().Submit(jobs, opt), target.id, spilled, nil
+}
+
+// Submit is SubmitBatch for one sealed job.
+func (f *Federation) Submit(tenant, key, kernel string, params [4]uint64, sealed []byte, opt sched.SubmitOptions) (SubmitResult, error) {
+	futs, shard, spilled, err := f.SubmitBatch(tenant, key, []sched.Job{{Kernel: kernel, Params: params, Input: sealed, Sealed: true}}, opt)
+	if err != nil {
+		return SubmitResult{}, err
 	}
-	futs := target.mgr.Scheduler().SubmitSealedBatchOpts(kernel, jobs, opt)
-	return futs, target.id, spilled, nil
+	return SubmitResult{Future: futs[0], Shard: shard, Spilled: spilled}, nil
 }
 
 // ShardStats is one member's view in a federation snapshot.

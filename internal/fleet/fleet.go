@@ -155,7 +155,7 @@ type Manager struct {
 }
 
 // New assembles an empty fleet; boot members with BootFleet or the
-// Spawn/Adopt pair (remote gateway path), then grow and shrink at will.
+// SpawnN/Adopt pair (remote gateway path), then grow and shrink at will.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Kernel == nil {
 		return nil, fmt.Errorf("fleet: no kernel configured")
@@ -292,7 +292,6 @@ func (m *Manager) spawn(ignoreCap bool) ([]*core.System, error) {
 	m.mu.Unlock()
 
 	cfg := core.SystemConfig{
-		Kernel:       m.cfg.Kernel,
 		Seed:         m.cfg.Seed,
 		DNA:          dna,
 		Timing:       m.cfg.Timing,
@@ -306,7 +305,11 @@ func (m *Manager) spawn(ignoreCap bool) ([]*core.System, error) {
 	if m.cfg.Intercept != nil {
 		cfg.Interceptor = m.cfg.Intercept(dna)
 	}
-	systems, err := core.NewPartitionSystems(cfg, m.rps)
+	kernels := make([]accel.Kernel, m.rps)
+	for i := range kernels {
+		kernels[i] = m.cfg.Kernel
+	}
+	systems, err := core.NewPartitionSystems(cfg, kernels)
 	if err != nil {
 		m.unspawn()
 		return nil, err
@@ -323,24 +326,11 @@ func (m *Manager) unspawn() {
 	m.mu.Unlock()
 }
 
-// Spawn creates one unbooted member-to-be. The remote gateway path uses
-// this: the data owner attests and provisions the spawned systems over RPC,
-// then the gateway Adopts them. With RPsPerDevice > 1 a board is several
-// systems, so use SpawnN (which returns every partition) instead.
-func (m *Manager) Spawn() (*core.System, error) {
-	if m.rps > 1 {
-		return nil, fmt.Errorf("fleet: Spawn returns one system but each board carries %d partitions; use SpawnN", m.rps)
-	}
-	systems, err := m.spawn(false)
-	if err != nil {
-		return nil, err
-	}
-	return systems[0], nil
-}
-
 // SpawnN creates k unbooted boards and returns their k×RPsPerDevice
 // partition systems, flattened board-major (board 0's partitions 0..R-1,
-// then board 1's, ...).
+// then board 1's, ...). The remote gateway path uses this: the data owner
+// attests and provisions the spawned systems over RPC, then the gateway
+// Adopts them.
 func (m *Manager) SpawnN(k int) ([]*core.System, error) {
 	systems := make([]*core.System, 0, k*m.rps)
 	boards := 0

@@ -30,11 +30,16 @@ func newManager(t testing.TB, cfg Config) *Manager {
 	return m
 }
 
+// submitW submits one plaintext workload to the fleet's scheduler.
+func submitW(m *Manager, w accel.Workload) *sched.Future {
+	return m.Scheduler().Submit([]sched.Job{sched.PlainJob(w)}, sched.SubmitOptions{Class: sched.ClassStandard})[0]
+}
+
 func runJob(t testing.TB, m *Manager, seed int64) {
 	t.Helper()
 	w := accel.GenConv(4, 4, 1, seed)
 	ref, _ := w.Kernel.Compute(w.Params, w.Input)
-	out, err := m.Scheduler().Submit(w).Wait()
+	out, err := submitW(m, w).Wait()
 	if err != nil {
 		t.Fatalf("job: %v", err)
 	}
@@ -125,7 +130,7 @@ func TestHotAddWhileServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := range futs {
-			futs[i] = m.Scheduler().Submit(accel.GenConv(4, 4, 1, int64(i)))
+			futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(i)))
 			if i == jobs/2 {
 				close(halfway)
 			}
@@ -486,11 +491,6 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 		runJob(t, m, int64(i))
 	}
 
-	// Spawn is ambiguous on a multi-RP fleet; SpawnN is the only grow door.
-	if _, err := m.Spawn(); err == nil {
-		t.Error("Spawn on a multi-RP fleet succeeded; want an error pointing at SpawnN")
-	}
-
 	// Hot add boots BOTH partitions of the new board (owner mode: each via
 	// SecureBootWithKey); capacity counts the board once.
 	dna, err := m.Add()
@@ -565,8 +565,8 @@ func TestManagerValidation(t *testing.T) {
 		t.Error("BootFleet(0) succeeded")
 	}
 	m.Close()
-	if _, err := m.Spawn(); err == nil {
-		t.Error("Spawn after Close succeeded")
+	if _, err := m.SpawnN(1); err == nil {
+		t.Error("SpawnN after Close succeeded")
 	}
 	if err := m.Adopt(nil); err == nil {
 		t.Error("Adopt(nil) succeeded")

@@ -139,19 +139,13 @@ type backend struct {
 	fed *federation.Federation
 }
 
-func (b backend) submit(in JobRequest, opt sched.SubmitOptions) (fut *sched.Future, shard string, spilled bool, err error) {
+// submit hands sealed jobs of one session to the backend as one submission
+// and reports the placement a ring chose (none for a plain scheduler).
+func (b backend) submit(tenant, key string, jobs []sched.Job, opt sched.SubmitOptions) (futs []*sched.Future, shard string, spilled bool, err error) {
 	if b.fed == nil {
-		return b.sch.SubmitSealedOpts(in.Kernel, in.Params, in.SealedInput, opt), "", false, nil
+		return b.sch.Submit(jobs, opt), "", false, nil
 	}
-	res, err := b.fed.Submit(in.Tenant, in.Key, in.Kernel, in.Params, in.SealedInput, opt)
-	return res.Future, res.Shard, res.Spilled, err
-}
-
-func (b backend) submitBatch(in BatchRequest, jobs []core.SealedJob, opt sched.SubmitOptions) (futs []*sched.Future, shard string, spilled bool, err error) {
-	if b.fed == nil {
-		return b.sch.SubmitSealedBatchOpts(in.Kernel, jobs, opt), "", false, nil
-	}
-	return b.fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, jobs, opt)
+	return b.fed.SubmitBatch(tenant, key, jobs, opt)
 }
 
 func (b backend) stats() ClusterStatsResponse {
@@ -279,11 +273,12 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		if err != nil {
 			return JobResponse{}, err
 		}
-		fut, shard, spilled, err := b.submit(in, opt)
+		job := sched.Job{Kernel: in.Kernel, Params: in.Params, Input: in.SealedInput, Sealed: true}
+		futs, shard, spilled, err := b.submit(in.Tenant, in.Key, []sched.Job{job}, opt)
 		if err != nil {
 			return JobResponse{}, err
 		}
-		out, err := fut.Wait()
+		out, err := futs[0].Wait()
 		if err != nil {
 			return JobResponse{}, err
 		}
@@ -297,11 +292,11 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		if err != nil {
 			return BatchResponse{}, err
 		}
-		jobs := make([]core.SealedJob, len(in.Jobs))
+		jobs := make([]sched.Job, len(in.Jobs))
 		for i, j := range in.Jobs {
-			jobs[i] = core.SealedJob{Params: j.Params, Input: j.SealedInput}
+			jobs[i] = sched.Job{Kernel: in.Kernel, Params: j.Params, Input: j.SealedInput, Sealed: true}
 		}
-		futs, shard, spilled, err := b.submitBatch(in, jobs, opt)
+		futs, shard, spilled, err := b.submit(in.Tenant, in.Key, jobs, opt)
 		if err != nil {
 			return BatchResponse{}, err
 		}

@@ -207,10 +207,11 @@ func TestFederationWireHandoff(t *testing.T) {
 
 	// A new board on shard gw1's fabric finishes its instance-side boot.
 	mgr := d.Managers[1]
-	sys, err := mgr.Spawn()
+	spawned, err := mgr.SpawnN(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys := spawned[0]
 	ver := client.New(sys.Expectations())
 	nonce := ver.NewNonce()
 	quote, err := sys.BootAndQuote(nonce)

@@ -3,12 +3,14 @@ package sched
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"salus/internal/accel"
-	"salus/internal/core"
 	"salus/internal/cryptoutil"
+	"salus/internal/metrics"
 )
 
 // TestSubmitBatchMatchesReference: a batch rides to one device as a unit
@@ -22,7 +24,7 @@ func TestSubmitBatchMatchesReference(t *testing.T) {
 	for i := range ws {
 		ws[i] = accel.GenConv(4+i%4, 4, 1, int64(500+i))
 	}
-	futs := s.SubmitBatch(ws)
+	futs := submitWs(s, ws, std)
 	if len(futs) != len(ws) {
 		t.Fatalf("%d futures for %d workloads", len(futs), len(ws))
 	}
@@ -49,7 +51,7 @@ func TestSubmitBatchGroupsByKernel(t *testing.T) {
 	wConv := accel.GenConv(4, 4, 1, 1)
 	wAffine, _ := accel.TestWorkload("Affine", 2)
 	ws := []accel.Workload{wConv, {Kernel: nil}, wAffine, wConv}
-	futs := s.SubmitBatch(ws)
+	futs := submitWs(s, ws, std)
 
 	if _, err := futs[1].Wait(); err == nil {
 		t.Error("nil-kernel entry did not fail")
@@ -73,7 +75,7 @@ func TestSubmitSealedBatchRoundTrip(t *testing.T) {
 	s := newScheduler(t, systems)
 
 	const n = 9
-	jobs := make([]core.SealedJob, n)
+	jobs := make([]Job, n)
 	want := make([][]byte, n)
 	for i := range jobs {
 		w := accel.GenConv(4, 4, 1, int64(60+i))
@@ -82,9 +84,9 @@ func TestSubmitSealedBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = core.SealedJob{Params: w.Params, Input: sealed}
+		jobs[i] = Job{Kernel: "Conv", Params: w.Params, Input: sealed, Sealed: true}
 	}
-	futs := s.SubmitSealedBatch("Conv", jobs)
+	futs := s.Submit(jobs, std)
 	for i, f := range futs {
 		sealedOut, err := f.Wait()
 		if err != nil {
@@ -111,7 +113,7 @@ func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
 	for i := range ws {
 		ws[i] = accel.GenConv(4, 4, 1, int64(i))
 	}
-	futs := s.SubmitBatch(ws)
+	futs := submitWs(s, ws, std)
 	for i, f := range futs {
 		out, err := f.Wait()
 		if err != nil {
@@ -121,6 +123,101 @@ func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
 		if !bytes.Equal(out, want) {
 			t.Errorf("job %d output diverges after redispatch", i)
 		}
+	}
+}
+
+// TestOneByOneAndAsOneSubmissionAgree is the differential test for the one
+// submit path: the same 16 workloads sent one per Submit and as one Submit
+// of 16, on two fresh identical pools, produce the goldens and advance the
+// per-job counters identically, and leave every queue-depth gauge at rest.
+func TestOneByOneAndAsOneSubmissionAgree(t *testing.T) {
+	ws := make([]accel.Workload, 16)
+	for i := range ws {
+		ws[i] = accel.GenConv(4+i%4, 4, 1, int64(900+i))
+	}
+	type delta struct{ submitted, completed, jobSeconds uint64 }
+	run := func(asOne bool) delta {
+		systems, _ := newPool(t, 2, accel.Conv{})
+		s := newScheduler(t, systems)
+		before := metrics.Default().Snapshot()
+		var futs []*Future
+		if asOne {
+			futs = submitWs(s, ws, std)
+		} else {
+			for _, w := range ws {
+				futs = append(futs, submitW(s, w))
+			}
+		}
+		for i, f := range futs {
+			out, err := f.Wait()
+			if err != nil {
+				t.Fatalf("asOne=%v job %d: %v", asOne, i, err)
+			}
+			want, _ := ws[i].Kernel.Compute(ws[i].Params, ws[i].Input)
+			if !bytes.Equal(out, want) {
+				t.Errorf("asOne=%v job %d output diverges from the golden", asOne, i)
+			}
+		}
+		after := metrics.Default().Snapshot()
+		if d := after.Gauges["salus_sched_queue_depth"] - before.Gauges["salus_sched_queue_depth"]; d != 0 {
+			t.Errorf("asOne=%v: aggregate queue-depth gauge moved by %d", asOne, d)
+		}
+		for _, sys := range systems {
+			name := fmt.Sprintf("salus_sched_rp_queue_depth_%s_rp0", sys.Device.DNA())
+			if g, ok := after.Gauges[name]; !ok || g != 0 {
+				t.Errorf("asOne=%v: %s = %d (present %v), want exactly 0", asOne, name, g, ok)
+			}
+		}
+		return delta{
+			after.Counters["salus_sched_submitted_total"] - before.Counters["salus_sched_submitted_total"],
+			after.Counters["salus_sched_completed_total"] - before.Counters["salus_sched_completed_total"],
+			after.Histograms["salus_sched_job_seconds"].Count - before.Histograms["salus_sched_job_seconds"].Count,
+		}
+	}
+	single, batched := run(false), run(true)
+	if want := (delta{16, 16, 16}); single != want || batched != want {
+		t.Errorf("counter deltas: one-by-one %+v, as one %+v, want both %+v", single, batched, want)
+	}
+}
+
+// TestBatchPerJobFaultsTripBreaker: a board whose DMA read-back is dead
+// delivers every batch and then faults each of its jobs individually. The
+// jobs must still succeed via single-job re-dispatch, and the entry must
+// count as a device fault so the breaker quarantines the board instead of
+// routing it batch after batch.
+func TestBatchPerJobFaultsTripBreaker(t *testing.T) {
+	systems, _, inj := newFaultyPool(t, 2, 0)
+	s := New(Config{QuarantineAfter: 2, QuarantineBase: time.Minute})
+	for _, sys := range systems {
+		if err := s.Register(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer s.Close()
+	inj.BreakReads()
+
+	for round := 0; round < 12; round++ {
+		ws := make([]accel.Workload, 4)
+		for i := range ws {
+			ws[i] = accel.GenConv(4, 4, 1, int64(round*4+i))
+		}
+		for i, f := range submitWs(s, ws, std) {
+			out, err := f.Wait()
+			if err != nil {
+				t.Fatalf("round %d job %d did not survive the sick board: %v", round, i, err)
+			}
+			want, _ := ws[i].Kernel.Compute(ws[i].Params, ws[i].Input)
+			if !bytes.Equal(out, want) {
+				t.Errorf("round %d job %d output diverges after redispatch", round, i)
+			}
+		}
+	}
+	sick := findStats(t, s, systems[0].Device.DNA())
+	if !sick.Quarantined || sick.Retried == 0 {
+		t.Fatalf("sick board after 12 batches: %+v; want it quarantined with re-dispatched jobs", sick)
+	}
+	if healthy := findStats(t, s, systems[1].Device.DNA()); healthy.Quarantined || healthy.Failed != 0 {
+		t.Errorf("healthy board: %+v", healthy)
 	}
 }
 
@@ -136,10 +233,10 @@ func TestSubmitAfterCloseIsDeterministic(t *testing.T) {
 	}
 	s.Close()
 
-	if _, err := s.Submit(accel.GenConv(4, 4, 1, 1)).Wait(); !errors.Is(err, ErrSchedulerClosed) {
+	if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Submit after Close: got %v, want ErrSchedulerClosed", err)
 	}
-	for i, f := range s.SubmitBatch(convWorkloads(3)) {
+	for i, f := range submitWs(s, convWorkloads(3), std) {
 		if _, err := f.Wait(); !errors.Is(err, ErrSchedulerClosed) {
 			t.Fatalf("batched job %d after Close: got %v, want ErrSchedulerClosed", i, err)
 		}
@@ -184,8 +281,8 @@ func TestCloseSubmitRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 4; i++ {
-					futs <- s.Submit(accel.GenConv(4, 4, 1, int64(g*10+i)))
-					for _, f := range s.SubmitBatch(convWorkloads(3)) {
+					futs <- submitW(s, accel.GenConv(4, 4, 1, int64(g*10+i)))
+					for _, f := range submitWs(s, convWorkloads(3), std) {
 						futs <- f
 					}
 				}

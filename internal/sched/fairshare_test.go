@@ -20,13 +20,13 @@ func TestFloodingTenantBatchCannotStarveStandard(t *testing.T) {
 
 	w := accel.GenConv(4, 4, 1, 21)
 	order := make(chan string, 12)
-	watchOrder(order, "blocker", s.Submit(w))
+	watchOrder(order, "blocker", submitW(s, w))
 	for i := 0; i < 10; i++ {
 		watchOrder(order, fmt.Sprintf("flood-%d", i),
-			s.SubmitOpts(w, SubmitOptions{Class: ClassBatch, Tenant: "flooder"}))
+			submitWOpts(s, w, SubmitOptions{Class: ClassBatch, Tenant: "flooder"}))
 	}
 	watchOrder(order, "victim",
-		s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
+		submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
 
 	seq := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {
@@ -48,13 +48,13 @@ func TestFairShareBoundedWaitWithinBand(t *testing.T) {
 
 	w := accel.GenConv(4, 4, 1, 22)
 	order := make(chan string, 14)
-	watchOrder(order, "blocker", s.Submit(w))
+	watchOrder(order, "blocker", submitW(s, w))
 	for i := 0; i < 12; i++ {
 		watchOrder(order, fmt.Sprintf("flood-%d", i),
-			s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "flooder"}))
+			submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "flooder"}))
 	}
 	watchOrder(order, "victim",
-		s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
+		submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
 
 	seq := make([]string, 0, 14)
 	for i := 0; i < 14; i++ {
@@ -80,12 +80,12 @@ func TestTenantWeightsShapeServiceRatio(t *testing.T) {
 
 	w := accel.GenConv(4, 4, 1, 23)
 	order := make(chan string, 13)
-	watchOrder(order, "blocker", s.Submit(w))
+	watchOrder(order, "blocker", submitW(s, w))
 	for i := 0; i < 6; i++ {
-		watchOrder(order, "gold", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "gold"}))
+		watchOrder(order, "gold", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "gold"}))
 	}
 	for i := 0; i < 6; i++ {
-		watchOrder(order, "bronze", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "bronze"}))
+		watchOrder(order, "bronze", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "bronze"}))
 	}
 
 	seq := make([]string, 0, 13)
@@ -128,13 +128,13 @@ func TestDedicatedPartitionServesOnlyItsTenant(t *testing.T) {
 	defer s.Close()
 
 	w := accel.GenConv(4, 4, 1, 24)
-	if _, err := s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-a"}).Wait(); err != nil {
+	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-a"}).Wait(); err != nil {
 		t.Fatalf("owning tenant rejected from its own partition: %v", err)
 	}
-	if _, err := s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-b"}).Wait(); err == nil {
+	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-b"}).Wait(); err == nil {
 		t.Fatal("foreign tenant's job ran on a dedicated partition")
 	}
-	if _, err := s.Submit(w).Wait(); err == nil {
+	if _, err := submitW(s, w).Wait(); err == nil {
 		t.Fatal("unlabelled job ran on a dedicated partition")
 	}
 }
@@ -147,11 +147,10 @@ func TestDedicatedPartitionServesOnlyItsTenant(t *testing.T) {
 func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	timing := core.FastTiming()
 	systems, err := core.NewPartitionSystems(core.SystemConfig{
-		Kernel: accel.Conv{},
 		Seed:   811,
 		DNA:    "RPGAUGE-00",
 		Timing: timing,
-	}, 2)
+	}, []accel.Kernel{accel.Conv{}, accel.Conv{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +174,10 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 25)
 	var futs []*Future
 	for i := 0; i < 8; i++ {
-		futs = append(futs, s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Tenant: "a"}))
-		futs = append(futs, s.SubmitOpts(w, SubmitOptions{Class: ClassBatch, Tenant: "b"}))
+		futs = append(futs, submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "a"}))
+		futs = append(futs, submitWOpts(s, w, SubmitOptions{Class: ClassBatch, Tenant: "b"}))
 	}
-	futs = append(futs, s.SubmitOpts(w, SubmitOptions{Tenant: "a", Deadline: time.Now().Add(-time.Second)}))
+	futs = append(futs, submitWOpts(s, w, SubmitOptions{Tenant: "a", Deadline: time.Now().Add(-time.Second)}))
 	for _, f := range futs {
 		_, _ = f.Wait() // the expired job resolves with a shed error
 	}
@@ -187,7 +186,7 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	if _, err := s.RemoveRP("RPGAUGE-00", 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitOpts(w, SubmitOptions{Tenant: "b"}).Wait(); err != nil {
+	if _, err := submitWOpts(s, w, SubmitOptions{Tenant: "b"}).Wait(); err != nil {
 		t.Fatalf("surviving RP after sibling removal: %v", err)
 	}
 	s.Close()

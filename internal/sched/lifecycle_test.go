@@ -110,7 +110,7 @@ func TestBootSharedParallelPoolServesJobs(t *testing.T) {
 	s := newScheduler(t, systems)
 	w := accel.GenConv(4, 4, 1, 7)
 	ref, _ := w.Kernel.Compute(w.Params, w.Input)
-	out, err := s.Submit(w).Wait()
+	out, err := submitW(s, w).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < jobs; i++ {
-			f := s.Submit(accel.GenConv(4, 4, 1, int64(i)))
+			f := submitW(s, accel.GenConv(4, 4, 1, int64(i)))
 			mu.Lock()
 			futs = append(futs, f)
 			mu.Unlock()
@@ -178,7 +178,7 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	}
 	// The drained board rejects nothing it accepted, and new work still
 	// flows to the survivors.
-	if _, err := s.Submit(accel.GenConv(4, 4, 1, 99)).Wait(); err != nil {
+	if _, err := submitW(s, accel.GenConv(4, 4, 1, 99)).Wait(); err != nil {
 		t.Errorf("post-remove submission failed: %v", err)
 	}
 }
@@ -191,6 +191,77 @@ func TestDrainAndRemoveUnknownDevice(t *testing.T) {
 	}
 	if _, err := s.Remove("NO-SUCH-DNA", time.Second); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("Remove err = %v, want ErrUnknownDevice", err)
+	}
+}
+
+// TestBoardVerbsAreTheAllRPsCase: on a 2-RP board, Drain/Remove are
+// DrainRP/RemoveRP with AllRPs, the RP-scoped verbs leave the co-resident
+// partition serving, and unknown boards or partitions are refused.
+func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
+	const dna, wait = fpga.DNA("BOARD-2RP"), 5 * time.Second
+	cases := []struct {
+		name     string
+		op       func(*Scheduler) (*core.System, error)
+		wantErr  error
+		draining [2]bool // per RP, afterwards (removed RPs aside)
+		left     int     // registered partitions afterwards
+		gotRP    int     // partition of the returned system; -1 for none
+	}{
+		{"Drain", func(s *Scheduler) (*core.System, error) { return nil, s.Drain(dna, wait) }, nil, [2]bool{true, true}, 2, -1},
+		{"DrainRP AllRPs", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, AllRPs, wait) }, nil, [2]bool{true, true}, 2, -1},
+		{"DrainRP rp1", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, 1, wait) }, nil, [2]bool{false, true}, 2, -1},
+		{"Remove", func(s *Scheduler) (*core.System, error) { return s.Remove(dna, wait) }, nil, [2]bool{}, 0, 0},
+		{"RemoveRP AllRPs", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, AllRPs, wait) }, nil, [2]bool{}, 0, 0},
+		{"RemoveRP rp1", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, 1, wait) }, nil, [2]bool{}, 1, 1},
+		{"Drain unknown DNA", func(s *Scheduler) (*core.System, error) { return nil, s.Drain("NOPE", wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
+		{"DrainRP unknown RP", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
+		{"Remove unknown DNA", func(s *Scheduler) (*core.System, error) { return s.Remove("NOPE", wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
+		{"RemoveRP unknown RP", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			systems, err := core.NewPartitionSystems(core.SystemConfig{Seed: 812, DNA: dna, Timing: core.FastTiming()},
+				[]accel.Kernel{accel.Conv{}, accel.Conv{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BootShared(systems); err != nil {
+				t.Fatal(err)
+			}
+			s := newScheduler(t, systems)
+			if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
+				t.Fatal(err)
+			}
+
+			sys, err := tc.op(s)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			gotRP := -1
+			if sys != nil {
+				gotRP = sys.Partition()
+			}
+			if gotRP != tc.gotRP {
+				t.Errorf("returned partition %d, want %d (-1: no system)", gotRP, tc.gotRP)
+			}
+			stats := s.Stats()
+			if len(stats) != tc.left {
+				t.Fatalf("%d partitions registered afterwards, want %d", len(stats), tc.left)
+			}
+			serving := 0
+			for _, ds := range stats {
+				if ds.Draining != tc.draining[ds.RP] {
+					t.Errorf("rp%d draining = %v, want %v", ds.RP, ds.Draining, tc.draining[ds.RP])
+				}
+				if !ds.Draining {
+					serving++
+				}
+			}
+			// Whatever the verb left routable keeps serving; nothing else does.
+			if _, err := submitW(s, accel.GenConv(4, 4, 1, 2)).Wait(); (err == nil) != (serving > 0) {
+				t.Errorf("with %d partitions serving, submission err = %v", serving, err)
+			}
+		})
 	}
 }
 
@@ -210,7 +281,7 @@ func TestCloseDuringRedispatchResolvesAllFutures(t *testing.T) {
 	const jobs = 40
 	futs := make([]*Future, jobs)
 	for i := range futs {
-		futs[i] = s.Submit(accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(i)))
 	}
 	// Wait until the broken device has actually faulted and re-dispatched
 	// something, so Close really races in-flight retries; bounded so a
@@ -264,7 +335,7 @@ func TestPermanentQuarantineLatches(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never latched permanently")
 		}
-		if _, err := s.Submit(accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
+		if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
 			t.Fatalf("job lost while the pool degrades: %v", err)
 		}
 		//lint:allow test-sleep poll interval inside a deadline-bounded loop; the breaker's probe window needs real elapsed time to expire
@@ -276,7 +347,7 @@ func TestPermanentQuarantineLatches(t *testing.T) {
 	inj.Heal()
 	before := findStats(t, s, sick)
 	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

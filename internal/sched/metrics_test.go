@@ -19,7 +19,7 @@ func TestSchedulerMetricsHappyPath(t *testing.T) {
 	before := metrics.Default().Snapshot()
 	const jobs = 6
 	for i := 0; i < jobs; i++ {
-		if _, err := s.Submit(accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestSchedulerMetricsQuarantineEvents(t *testing.T) {
 	inj.Break()
 	w := accel.GenConv(4, 4, 1, 3)
 	for i := 0; i < 8 && !findStats(t, s, sick).Quarantined; i++ {
-		if _, err := s.Submit(w).Wait(); err != nil {
+		if _, err := submitW(s, w).Wait(); err != nil {
 			t.Fatalf("job during breakage: %v", err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestSchedulerMetricsQuarantineEvents(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("device never readmitted")
 		}
-		if _, err := s.Submit(w).Wait(); err != nil {
+		if _, err := submitW(s, w).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		//lint:allow test-sleep poll interval inside a deadline-bounded readmission loop; the sleep only paces probes

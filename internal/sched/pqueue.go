@@ -21,8 +21,7 @@ const (
 	// ClassBatch is best-effort bulk work: first shed under overload,
 	// never blocks the submitter.
 	ClassBatch Class = iota
-	// ClassStandard is the default for all Submit* calls that do not
-	// specify a class.
+	// ClassStandard is what the option-less SubmitSealed rides at.
 	ClassStandard
 	// ClassCritical is latency-sensitive work that jumps every queue.
 	ClassCritical
@@ -66,20 +65,10 @@ func ClassByName(name string) (Class, bool) {
 	return ClassStandard, false
 }
 
-// pushVerdict is the outcome of a pqueue push attempt.
-type pushVerdict int
-
-const (
-	pushOK pushVerdict = iota
-	pushFull
-	pushDraining
-	pushClosed
-)
-
 // jobHeap orders one tenant's share of a band by (deadline, submission
 // sequence): EDF with FIFO tie-break, so deadline-free jobs inside a band
 // keep the old channel's arrival order.
-type jobHeap []*job
+type jobHeap []*entry
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(i, k int) bool {
@@ -89,7 +78,7 @@ func (h jobHeap) Less(i, k int) bool {
 	return h[i].seq < h[k].seq
 }
 func (h jobHeap) Swap(i, k int)       { h[i], h[k] = h[k], h[i] }
-func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(*job)) }
+func (h *jobHeap) Push(x interface{}) { *h = append(*h, x.(*entry)) }
 func (h *jobHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -125,7 +114,7 @@ func (b *tband) weight(tenant string) int {
 	return 1
 }
 
-func (b *tband) push(j *job) {
+func (b *tband) push(j *entry) {
 	if b.subs == nil {
 		b.subs = make(map[string]*jobHeap)
 	}
@@ -144,7 +133,7 @@ func (b *tband) push(j *job) {
 // pop serves the current tenant's earliest deadline, consuming one credit
 // of its weighted turn; an exhausted turn or emptied subqueue advances the
 // round-robin. Returns nil when the band is empty.
-func (b *tband) pop() *job {
+func (b *tband) pop() *entry {
 	if b.size == 0 {
 		return nil
 	}
@@ -156,7 +145,7 @@ func (b *tband) pop() *job {
 		b.credit = b.weight(tenant)
 	}
 	h := b.subs[tenant]
-	j := heap.Pop(h).(*job)
+	j := heap.Pop(h).(*entry)
 	b.size--
 	b.credit--
 	if h.Len() == 0 {
@@ -185,7 +174,7 @@ func (b *tband) pop() *job {
 type pqueue struct {
 	mu       sync.Mutex
 	bands    [numClasses]tband
-	barriers []*job
+	barriers []*entry
 	entries  int
 	capacity int
 	closed   bool
@@ -216,35 +205,27 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// push offers a job. force bypasses the capacity bound (used by
-// redispatch, whose retry budget is already bounded) but never the
-// closed/draining checks.
-func (q *pqueue) push(j *job, force bool) pushVerdict {
+// push offers an entry and reports whether the queue took it: not when
+// closed or draining, nor — unless force, used by redispatch, whose retry
+// budget is already bounded — when at capacity.
+func (q *pqueue) push(e *entry, force bool) bool {
 	q.mu.Lock()
-	if q.closed {
+	if q.closed || q.draining.Load() || (!force && q.entries >= q.capacity) {
 		q.mu.Unlock()
-		return pushClosed
+		return false
 	}
-	if q.draining.Load() {
-		q.mu.Unlock()
-		return pushDraining
-	}
-	if !force && q.entries >= q.capacity {
-		q.mu.Unlock()
-		return pushFull
-	}
-	q.bands[j.class.clamp()].push(j)
+	q.bands[e.class.clamp()].push(e)
 	q.entries++
 	q.mu.Unlock()
 	signal(q.notEmpty)
-	return pushOK
+	return true
 }
 
 // pushBarrier parks a drain sentinel below every band. It ignores both
 // capacity and the draining flag (Drain itself sets the flag first) and
 // reports false only on a closed queue — which means the worker has
 // already drained everything and exited.
-func (q *pqueue) pushBarrier(j *job) bool {
+func (q *pqueue) pushBarrier(j *entry) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -259,7 +240,7 @@ func (q *pqueue) pushBarrier(j *job) bool {
 // pop blocks until work is available and returns the highest-priority
 // job (EDF within its band), a barrier if every band is empty, or nil
 // once the queue is closed and fully drained.
-func (q *pqueue) pop() *job {
+func (q *pqueue) pop() *entry {
 	for {
 		q.mu.Lock()
 		for c := numClasses - 1; c >= 0; c-- {

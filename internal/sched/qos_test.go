@@ -35,15 +35,17 @@ func indexOf(seq []string, name string) int {
 // TestStrictPriorityAcrossBands: with a device busy, a later critical
 // submission executes before earlier standard and batch submissions.
 func TestStrictPriorityAcrossBands(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 40*time.Millisecond)
+	// The blocker must outlast the submissions behind it: 40 ms was seen to
+	// lose that race on a loaded 2-CPU runner.
+	systems, _, _ := newFaultyPool(t, 1, 120*time.Millisecond)
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 7)
 	order := make(chan string, 4)
-	watchOrder(order, "blocker", s.Submit(w))
-	watchOrder(order, "batch", s.SubmitOpts(w, SubmitOptions{Class: ClassBatch}))
-	watchOrder(order, "standard", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard}))
-	watchOrder(order, "critical", s.SubmitOpts(w, SubmitOptions{Class: ClassCritical}))
+	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "batch", submitWOpts(s, w, SubmitOptions{Class: ClassBatch}))
+	watchOrder(order, "standard", submitWOpts(s, w, SubmitOptions{Class: ClassStandard}))
+	watchOrder(order, "critical", submitWOpts(s, w, SubmitOptions{Class: ClassCritical}))
 
 	seq := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
@@ -58,19 +60,19 @@ func TestStrictPriorityAcrossBands(t *testing.T) {
 // TestEDFOrderWithinBand: inside one band the earliest deadline runs
 // first, and deadline-free jobs run last in submission order.
 func TestEDFOrderWithinBand(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 40*time.Millisecond)
+	systems, _, _ := newFaultyPool(t, 1, 120*time.Millisecond) // see TestStrictPriorityAcrossBands
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 9)
 	now := time.Now()
 	order := make(chan string, 5)
-	watchOrder(order, "blocker", s.Submit(w))
+	watchOrder(order, "blocker", submitW(s, w))
 	// Submitted deliberately out of deadline order; all far enough out to
 	// never expire during the test.
-	watchOrder(order, "d8s", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(8 * time.Second)}))
-	watchOrder(order, "d2s", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(2 * time.Second)}))
-	watchOrder(order, "none", s.Submit(w))
-	watchOrder(order, "d5s", s.SubmitOpts(w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(5 * time.Second)}))
+	watchOrder(order, "d8s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(8 * time.Second)}))
+	watchOrder(order, "d2s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(2 * time.Second)}))
+	watchOrder(order, "none", submitW(s, w))
+	watchOrder(order, "d5s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(5 * time.Second)}))
 
 	seq := make([]string, 0, 5)
 	for i := 0; i < 5; i++ {
@@ -102,8 +104,8 @@ func TestBatchClassFastRejectWhenFull(t *testing.T) {
 	defer s.Close()
 
 	w := accel.GenConv(4, 4, 1, 3)
-	blocker := s.Submit(w)
-	filler := s.Submit(w)
+	blocker := submitW(s, w)
+	filler := submitW(s, w)
 	deadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, systems[0].Device.DNA()).Queued < 2 {
 		if time.Now().After(deadline) {
@@ -114,10 +116,10 @@ func TestBatchClassFastRejectWhenFull(t *testing.T) {
 	}
 
 	start := time.Now()
-	if _, err := s.SubmitOpts(w, SubmitOptions{Class: ClassBatch}).Wait(); !errors.Is(err, ErrOverloaded) {
+	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassBatch}).Wait(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch-class submit on full pool: got %v, want ErrOverloaded", err)
 	}
-	for i, f := range s.SubmitBatchOpts(convWorkloads(3), SubmitOptions{Class: ClassBatch}) {
+	for i, f := range submitWs(s, convWorkloads(3), SubmitOptions{Class: ClassBatch}) {
 		if _, err := f.Wait(); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("batched job %d on full pool: got %v, want ErrOverloaded", i, err)
 		}
@@ -143,7 +145,7 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 
 	// Already expired at submission: shed before routing.
 	start := time.Now()
-	if _, err := s.SubmitOpts(w, SubmitOptions{Deadline: start.Add(-time.Millisecond)}).Wait(); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := submitWOpts(s, w, SubmitOptions{Deadline: start.Add(-time.Millisecond)}).Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("pre-expired submit: got %v, want ErrDeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
@@ -155,10 +157,10 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 
 	// Expires while queued behind a 60 ms job: the worker sheds it at
 	// pickup instead of running it.
-	blocker := s.Submit(w)
+	blocker := submitW(s, w)
 	//lint:allow test-sleep generous margin for the worker to dequeue the blocker; failure mode is a weaker assertion, not a flake
 	time.Sleep(10 * time.Millisecond) // let the worker pick the blocker up
-	doomed := s.SubmitOpts(w, SubmitOptions{Deadline: time.Now().Add(20 * time.Millisecond)})
+	doomed := submitWOpts(s, w, SubmitOptions{Deadline: time.Now().Add(20 * time.Millisecond)})
 	if _, err := doomed.Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("queue-expired job: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -204,7 +206,7 @@ func TestLowClassFloodDoesNotStarveCritical(t *testing.T) {
 					return
 				default:
 				}
-				f := s.SubmitOpts(w, SubmitOptions{Class: ClassBatch})
+				f := submitWOpts(s, w, SubmitOptions{Class: ClassBatch})
 				if _, err := f.WaitTimeout(0); errors.Is(err, ErrWaitTimeout) {
 					continue // enqueued; keep the pressure up
 				} else if err != nil {
@@ -218,7 +220,7 @@ func TestLowClassFloodDoesNotStarveCritical(t *testing.T) {
 	var worst time.Duration
 	for i := 0; i < 20; i++ {
 		start := time.Now()
-		if _, err := s.SubmitOpts(w, SubmitOptions{Class: ClassCritical}).Wait(); err != nil {
+		if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassCritical}).Wait(); err != nil {
 			t.Fatalf("critical job %d under flood: %v", i, err)
 		}
 		if d := time.Since(start); d > worst {
@@ -272,8 +274,8 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	// Wedge the only device: one job executing for 1.2 s, one filling its
 	// single queue slot.
 	w := accel.GenConv(4, 4, 1, 6)
-	s.Submit(w)
-	s.Submit(w)
+	submitW(s, w)
+	submitW(s, w)
 	deadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, slow.Device.DNA()).Queued < 2 {
 		if time.Now().After(deadline) {
@@ -288,7 +290,7 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	}
 	futs := make(chan *Future, 16)
 	for i := 0; i < 16; i++ {
-		go func() { futs <- s.Submit(w) }()
+		go func() { futs <- submitW(s, w) }()
 	}
 	// Every flood job must finish long before the wedged device frees a
 	// slot — the old code parked submitters on its full queue forever.
@@ -325,20 +327,20 @@ func TestQueueDepthGaugeReturnsToZeroAfterChurn(t *testing.T) {
 	var futs []*Future
 	w := accel.GenConv(4, 4, 1, 13)
 	for i := 0; i < 12; i++ {
-		futs = append(futs, sa.Submit(w))
+		futs = append(futs, submitW(sa, w))
 	}
 	injA.Break()
 	for i := 0; i < 12; i++ {
-		futs = append(futs, sa.Submit(w))
+		futs = append(futs, submitW(sa, w))
 	}
-	futs = append(futs, sa.SubmitBatch(convWorkloads(8))...)
+	futs = append(futs, submitWs(sa, convWorkloads(8), std)...)
 	injA.Heal()
 	for i := 0; i < 6; i++ {
-		futs = append(futs, sa.Submit(w))
+		futs = append(futs, submitW(sa, w))
 	}
 	// Deadline sheds at admission.
 	for i := 0; i < 3; i++ {
-		futs = append(futs, sa.SubmitOpts(w, SubmitOptions{Deadline: time.Now().Add(-time.Second)}))
+		futs = append(futs, submitWOpts(sa, w, SubmitOptions{Deadline: time.Now().Add(-time.Second)}))
 	}
 
 	// Pool B: every device faulty — retries exhaust into terminal
@@ -350,9 +352,9 @@ func TestQueueDepthGaugeReturnsToZeroAfterChurn(t *testing.T) {
 	}
 	injB.Break()
 	for i := 0; i < 4; i++ {
-		futs = append(futs, sb.Submit(w))
+		futs = append(futs, submitW(sb, w))
 	}
-	futs = append(futs, sb.SubmitBatch(convWorkloads(6))...)
+	futs = append(futs, submitWs(sb, convWorkloads(6), std)...)
 
 	for _, f := range futs {
 		_, _ = f.Wait() // errors expected for the fault/shed cohorts

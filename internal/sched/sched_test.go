@@ -51,6 +51,25 @@ func newScheduler(t testing.TB, systems []*core.System) *Scheduler {
 	return s
 }
 
+// std is the contract the migrated option-less call sites submit under.
+var std = SubmitOptions{Class: ClassStandard}
+
+// submitWs submits plaintext workloads as one Submit call.
+func submitWs(s *Scheduler, ws []accel.Workload, opt SubmitOptions) []*Future {
+	jobs := make([]Job, len(ws))
+	for i, w := range ws {
+		jobs[i] = PlainJob(w)
+	}
+	return s.Submit(jobs, opt)
+}
+
+// submitWOpts submits one plaintext workload: a batch of one.
+func submitWOpts(s *Scheduler, w accel.Workload, opt SubmitOptions) *Future {
+	return submitWs(s, []accel.Workload{w}, opt)[0]
+}
+
+func submitW(s *Scheduler, w accel.Workload) *Future { return submitWOpts(s, w, std) }
+
 func TestSubmitFansOutAndResultsMatchReference(t *testing.T) {
 	systems, _ := newPool(t, 3, accel.Conv{})
 	s := newScheduler(t, systems)
@@ -65,7 +84,7 @@ func TestSubmitFansOutAndResultsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = ref
-		futs[i] = s.Submit(w)
+		futs[i] = submitW(s, w)
 	}
 	for i, f := range futs {
 		out, err := f.Wait()
@@ -96,11 +115,11 @@ func TestSubmitRoutesByKernel(t *testing.T) {
 
 	wc := accel.GenConv(4, 4, 1, 1)
 	wa := accel.GenAffine(16, 16, 2)
-	oc, err := s.Submit(wc).Wait()
+	oc, err := submitW(s, wc).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oa, err := s.Submit(wa).Wait()
+	oa, err := submitW(s, wa).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +140,10 @@ func TestSubmitUnknownKernelFailsFast(t *testing.T) {
 	s := newScheduler(t, systems)
 
 	w := accel.GenAffine(8, 8, 1) // no Affine device registered
-	if _, err := s.Submit(w).Wait(); err == nil || !strings.Contains(err.Error(), "no registered device") {
+	if _, err := submitW(s, w).Wait(); err == nil || !strings.Contains(err.Error(), "no registered device") {
 		t.Errorf("err = %v, want no-registered-device", err)
 	}
-	if _, err := s.Submit(accel.Workload{}).Wait(); err == nil {
+	if _, err := submitW(s, accel.Workload{}).Wait(); err == nil {
 		t.Error("workload without kernel accepted")
 	}
 }
@@ -193,7 +212,7 @@ func TestRegisterRequiresBoot(t *testing.T) {
 	}
 }
 
-func TestRegisterPipeline(t *testing.T) {
+func TestPipelineStagesRegister(t *testing.T) {
 	p, err := core.NewPipeline(core.FastTiming(),
 		core.Stage{Kernel: accel.Rendering{}, Params: [4]uint64{32, 32}},
 		core.Stage{Kernel: accel.Affine{}},
@@ -203,15 +222,17 @@ func TestRegisterPipeline(t *testing.T) {
 	}
 	s := New(Config{})
 	defer s.Close()
-	if err := s.RegisterPipeline(p); err != nil {
-		t.Fatal(err)
+	for _, sys := range p.Systems() {
+		if err := s.Register(sys); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := len(s.Stats()); got != 2 {
 		t.Fatalf("registered %d devices, want 2", got)
 	}
 	// Each stage kernel is individually schedulable.
 	w := accel.GenRendering(32, 5)
-	if _, err := s.Submit(w).Wait(); err != nil {
+	if _, err := submitW(s, w).Wait(); err != nil {
 		t.Errorf("pipeline-stage device rejected job: %v", err)
 	}
 }
@@ -226,7 +247,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	}
 	futs := make([]*Future, 8)
 	for i := range futs {
-		futs[i] = s.Submit(accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(i)))
 	}
 	s.Close()
 	for i, f := range futs {
@@ -234,7 +255,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 			t.Errorf("queued job %d dropped at close: %v", i, err)
 		}
 	}
-	if _, err := s.Submit(accel.GenConv(4, 4, 1, 99)).Wait(); err == nil {
+	if _, err := submitW(s, accel.GenConv(4, 4, 1, 99)).Wait(); err == nil {
 		t.Error("submit after close accepted")
 	}
 	s.Close() // idempotent
@@ -253,7 +274,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				w := accel.GenConv(4, 4, 1, int64(g*100+i))
 				ref, _ := w.Kernel.Compute(w.Params, w.Input)
-				out, err := s.Submit(w).Wait()
+				out, err := submitW(s, w).Wait()
 				if err != nil {
 					errs <- fmt.Errorf("submitter %d job %d: %w", g, i, err)
 					return
@@ -279,10 +300,18 @@ func TestConcurrentSubmitters(t *testing.T) {
 // fail with core.ErrDeviceFault. Secure-channel frames pass untouched —
 // the register-channel counters stay in sync, so a Heal()ed device
 // genuinely recovers, exactly like a board whose PCIe link flapped.
-type faultInjector struct{ broken atomic.Bool }
+type faultInjector struct{ broken, readsOnly atomic.Bool }
 
 func (f *faultInjector) Break() { f.broken.Store(true) }
 func (f *faultInjector) Heal()  { f.broken.Store(false) }
+
+// BreakReads corrupts only DMA read-back: register programs and input
+// writes go through, so a delivered batch fails job by job at result
+// read-back instead of as a whole.
+func (f *faultInjector) BreakReads() {
+	f.readsOnly.Store(true)
+	f.Break()
+}
 
 func (f *faultInjector) OnLoad(data []byte) []byte  { return data }
 func (f *faultInjector) OnResponse(b []byte) []byte { return b }
@@ -291,7 +320,12 @@ func (f *faultInjector) OnRequest(req []byte) []byte {
 		return req
 	}
 	switch channel.MsgType(req) {
-	case channel.MsgDirectReg, channel.MsgMemWrite, channel.MsgMemRead:
+	case channel.MsgDirectReg, channel.MsgMemWrite:
+		if f.readsOnly.Load() {
+			return req
+		}
+		return []byte{0xFF}
+	case channel.MsgMemRead:
 		return []byte{0xFF}
 	}
 	return req
@@ -352,7 +386,7 @@ func TestDeviceBrokenMidRunIsQuarantinedAndJobsRedispatch(t *testing.T) {
 
 	// Warm phase: the soon-to-fail device completes real work first.
 	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatalf("warm job %d: %v", i, err)
 		}
 	}
@@ -362,7 +396,7 @@ func TestDeviceBrokenMidRunIsQuarantinedAndJobsRedispatch(t *testing.T) {
 	const jobs = 24
 	futs := make([]*Future, jobs)
 	for i := range futs {
-		futs[i] = s.Submit(accel.GenConv(4, 4, 1, int64(100+i)))
+		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(100+i)))
 		if i == 2 {
 			inj.Break()
 		}
@@ -410,7 +444,7 @@ func TestThroughputWithOneDeadDeviceWithinQuarterOfHealthyBaseline(t *testing.T)
 		start := time.Now()
 		futs := make([]*Future, jobs)
 		for i := range futs {
-			futs[i] = s.Submit(w)
+			futs[i] = submitW(s, w)
 		}
 		for i, f := range futs {
 			if _, err := f.Wait(); err != nil {
@@ -442,7 +476,7 @@ func TestQuarantinedDeviceIsProbedAndReadmitted(t *testing.T) {
 	inj.Break()
 	w := accel.GenConv(4, 4, 1, 3)
 	for i := 0; i < 8 && !findStats(t, s, sick).Quarantined; i++ {
-		if _, err := s.Submit(w).Wait(); err != nil {
+		if _, err := submitW(s, w).Wait(); err != nil {
 			t.Fatalf("job during breakage should have failed over: %v", err)
 		}
 	}
@@ -456,7 +490,7 @@ func TestQuarantinedDeviceIsProbedAndReadmitted(t *testing.T) {
 	inj.Heal()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := s.Submit(w).Wait(); err != nil {
+		if _, err := submitW(s, w).Wait(); err != nil {
 			t.Fatalf("job after heal: %v", err)
 		}
 		ds := findStats(t, s, sick)
@@ -511,7 +545,7 @@ func TestPickSpreadsTiesRoundRobin(t *testing.T) {
 	// pick time, so only the tie-break decides. Least-loaded alone would
 	// send all six to one device.
 	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,7 +571,7 @@ func TestBackpressuredSubmitDoesNotBlockRegister(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 5)
 	futs := make(chan *Future, 3)
 	for i := 0; i < 3; i++ {
-		go func() { futs <- s.Submit(w) }()
+		go func() { futs <- submitW(s, w) }()
 	}
 	reserveDeadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, systems[0].Device.DNA()).Queued < 2 {

@@ -701,45 +701,3 @@ func (a *SMApp) RekeySession() error {
 
 // DNA reports the device identity as the shell claims it.
 func (a *SMApp) DNA() fpga.DNA { return a.cfg.Shell.DNA() }
-
-// LocalAttestInitiator runs the verifier side of a local attestation
-// against another SM application (the §4.7 master → slave-agent hand-off)
-// and returns the initiator's copy of the derived channel key.
-func (a *SMApp) LocalAttestInitiator(responder *SMApp) ([]byte, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	init := LAInit{VerifierMeasurement: a.enclave.Measurement(), VerifierPub: priv.PublicKey().Bytes()}
-	final, err := responder.LocalAttestResponder(init)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.enclave.VerifyReport(final.Report); err != nil {
-		return nil, fmt.Errorf("smapp: agent report: %w", err)
-	}
-	if final.Report.ReportData != LABinding(init.VerifierPub, final.ResponderPub) {
-		return nil, fmt.Errorf("smapp: agent key binding mismatch")
-	}
-	pub, err := ecdh.X25519().NewPublicKey(final.ResponderPub)
-	if err != nil {
-		return nil, err
-	}
-	shared, err := priv.ECDH(pub)
-	if err != nil {
-		return nil, err
-	}
-	return DeriveLAKey(shared), nil
-}
-
-// AdoptDeviceKeyFrom hands the master SM enclave's fetched device key to a
-// slave SM agent serving another reconfigurable partition (§4.7). Both run
-// in the same enclave trust domain, so the hand-off never crosses the
-// boundary; it just avoids a second manufacturer round trip.
-func (a *SMApp) AdoptDeviceKeyFrom(master *SMApp) error {
-	if master.deviceKey == nil {
-		return ErrNoDeviceKey
-	}
-	a.deviceKey = append([]byte(nil), master.deviceKey...)
-	return nil
-}

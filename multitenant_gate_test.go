@@ -63,7 +63,7 @@ func driveTenantMix(t *testing.T, m *fleet.Manager, n, tenants, inflight int) fl
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fut := m.Scheduler().SubmitOpts(w, sched.SubmitOptions{
+			fut := submitW(m.Scheduler(), w, sched.SubmitOptions{
 				Tenant: fmt.Sprintf("tenant-%d", i%tenants),
 				Class:  sched.ClassStandard,
 			})

@@ -106,7 +106,7 @@ func TestOverloadGate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassStandard}).Wait() //nolint:errcheck
+				submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard}).Wait() //nolint:errcheck
 			}
 		}()
 	}
@@ -125,7 +125,7 @@ func TestOverloadGate(t *testing.T) {
 	var uncontended []time.Duration
 	for i := 0; i < 150; i++ {
 		start := time.Now()
-		if _, err := s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
+		if _, err := submitW(s, w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
 			t.Fatalf("uncontended critical job: %v", err)
 		}
 		uncontended = append(uncontended, time.Since(start))
@@ -154,7 +154,7 @@ func TestOverloadGate(t *testing.T) {
 					// ClassBatch either enqueues or fast-rejects; either
 					// way the future resolves on its own and stats track
 					// completions.
-					_ = s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassBatch})
+					_ = submitW(s, w, sched.SubmitOptions{Class: sched.ClassBatch})
 				}
 				//lint:allow test-sleep paces the offered-load generator to a known rate; the gate asserts on ratios, not on this interval
 				time.Sleep(time.Millisecond)
@@ -165,7 +165,7 @@ func TestOverloadGate(t *testing.T) {
 	probeDeadline := ovStart.Add(window)
 	for time.Now().Before(probeDeadline) {
 		start := time.Now()
-		if _, err := s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
+		if _, err := submitW(s, w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
 			t.Fatalf("critical job under overload: %v", err)
 		}
 		contended = append(contended, time.Since(start))
@@ -220,11 +220,11 @@ func TestOverloadGateSmokeReject(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := accel.GenConv(4, 4, 1, 43)
-	f1 := s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassStandard})
-	f2 := s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassStandard})
+	f1 := submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
+	f2 := submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
 	rejected := false
 	for i := 0; i < 50; i++ {
-		f := s.SubmitOpts(w, sched.SubmitOptions{Class: sched.ClassBatch})
+		f := submitW(s, w, sched.SubmitOptions{Class: sched.ClassBatch})
 		if _, err := f.Wait(); errors.Is(err, sched.ErrOverloaded) {
 			rejected = true
 			break

@@ -49,13 +49,12 @@ type BootReport = core.BootReport
 // NewSystem manufactures and assembles a deployment.
 func NewSystem(cfg SystemConfig) (*System, error) { return core.NewSystem(cfg) }
 
-// MultiRPSystem is the §4.7 extension: several reconfigurable partitions
-// behind a master SM enclave with per-partition agents.
-type MultiRPSystem = core.MultiRPSystem
-
-// NewMultiRPSystem assembles a multi-partition deployment.
-func NewMultiRPSystem(profile DeviceProfile, dna DNA, kernels []Kernel, timing Timing) (*MultiRPSystem, error) {
-	return core.NewMultiRPSystem(profile, dna, kernels, timing)
+// NewMultiRPSystem assembles the §4.7 extension: one device exposing one
+// reconfigurable partition per kernel, each a full System — own enclave
+// pair, sealed register channel and key epoch — that boots, attests and
+// runs jobs independently of its co-residents.
+func NewMultiRPSystem(profile DeviceProfile, dna DNA, kernels []Kernel, timing Timing) ([]*System, error) {
+	return core.NewPartitionSystems(SystemConfig{Profile: profile, DNA: dna, Timing: timing}, kernels)
 }
 
 // --- Developer flow -----------------------------------------------------------

@@ -116,13 +116,48 @@ func TestPublicAPIExperimentHarnesses(t *testing.T) {
 }
 
 func TestPublicAPIMultiRP(t *testing.T) {
-	sys, err := salus.NewMultiRPSystem(salus.TestDevice, "MRP1",
+	systems, err := salus.NewMultiRPSystem(salus.TestDevice, "MRP1",
 		[]salus.Kernel{salus.Rendering{}, salus.FaceDetect{}}, salus.FastTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.BootAll(); err != nil {
+	for i, sys := range systems {
+		if _, err := sys.SecureBoot(); err != nil {
+			t.Fatalf("partition %d boot: %v", i, err)
+		}
+		if !sys.SM.Attested() {
+			t.Errorf("partition %d not attested", i)
+		}
+		w, ok := salus.TestWorkload(sys.Package.KernelName, int64(i))
+		if !ok {
+			t.Fatalf("no test workload for %s", sys.Package.KernelName)
+		}
+		got, err := sys.RunJob(w)
+		if err != nil {
+			t.Fatalf("partition %d job: %v", i, err)
+		}
+		want, err := w.Kernel.Compute(w.Params, w.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("partition %d output diverges from the %s golden", i, sys.Package.KernelName)
+		}
+	}
+	dev := systems[0].Device
+	if dev.Loads() != 2 {
+		t.Errorf("loads = %d, want 2", dev.Loads())
+	}
+	cl0, err := dev.CL(0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	cl1, err := dev.CL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl0.LogicID() == cl1.LogicID() {
+		t.Error("partitions share logic identity")
 	}
 }
 
