@@ -6,7 +6,7 @@ GO ?= go
 COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote
 COVER_FLOOR = 75
 
-.PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
+.PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
 
 all: build test
 
@@ -31,10 +31,20 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
-# (scheduler, core job path) under the race detector.
+# (scheduler, core job path, and the gateway wire, whose frame-aliasing
+# tests only bite with the race build's poison-on-release) under the race
+# detector.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
-	$(GO) test -race ./internal/sched ./internal/core
+	$(GO) test -race ./internal/sched ./internal/core ./internal/rpc ./internal/remote ./internal/federation
+
+# Five seconds of real fuzzing per wire decoder; without this the corpora
+# only ever run as seed unit tests. (-fuzz takes one target and one package
+# per run.)
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/rpc
+	$(GO) test -run '^$$' -fuzz '^FuzzJobWireDecode$$' -fuzztime 5s ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 5s ./internal/channel
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -65,12 +75,13 @@ cover-check:
 		END { if (bad) { print "coverage below " floor "% floor"; exit 1 } }'
 
 # The one-stop verification entry point: formatting, vet, the tier-1 gate,
-# the nested bench module (its own go.mod, so ./... above never reaches it,
+# the fuzz smoke, the nested bench module (its own go.mod, so ./... above never reaches it,
 # yet it imports salus/internal/...), the coverage floor on the
 # observability-critical packages, a full-repo race sweep, and the metrics
 # hot-path budget.
 ci: fmt-check vet lint
 	$(GO) build ./... && $(GO) test ./...
+	$(MAKE) fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(MAKE) cover-check
 	$(GO) test -race ./...

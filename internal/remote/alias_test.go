@@ -1,0 +1,133 @@
+package remote
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"salus/internal/accel"
+	"salus/internal/sched"
+)
+
+// TestSealedInputsNeverOutliveTheirFrames is the gateway half of the wire's
+// aliasing proof. The gateway hands sched and core sealed inputs that alias
+// rpc frame buffers, which are recycled the moment a handler's response is
+// written; a worker still reading one then would open another tenant's bytes.
+// Under -race rpc overwrites every frame it recycles with 0xA5, so a stale
+// alias cannot pass by luck: it fails GCM authentication or trips the
+// detector. One attested session (a gateway takes one owner handshake) is
+// driven from four goroutines mixing jobs that fit a pooled frame, jobs that
+// do not, and 64-job batches; every output must equal its golden. A second
+// phase closes the scheduler under the same load, the path that resolves
+// futures in bulk: whatever still succeeds must still be golden, and
+// everything else must be a clean refusal.
+func TestSealedInputsNeverOutliveTheirFrames(t *testing.T) {
+	d := newClusterDeployment(t, 2, accel.Conv{})
+	sess, err := DialCluster(d.addr, d.expectations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Attest(); err != nil {
+		t.Fatal(err)
+	}
+
+	type golden struct {
+		w    accel.Workload
+		want []byte
+	}
+	gen := func(h, w, c, n int) []golden {
+		gs := make([]golden, n)
+		for i := range gs {
+			gs[i].w = accel.GenConv(h, w, c, int64(1000*h+i))
+			if gs[i].want, err = gs[i].w.Kernel.Compute(gs[i].w.Params, gs[i].w.Input); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return gs
+	}
+	small := gen(16, 16, 4, 8)    // 2 KiB: pooled frames both ways
+	large := gen(150, 128, 8, 2)  // 300 KiB: past one frame chunk
+	batched := gen(16, 16, 4, 64) // one RunBatch, pooled request frame
+	batch := make([]BatchInput, len(batched))
+	for i, g := range batched {
+		batch[i] = BatchInput{Params: g.w.Params, Input: g.w.Input}
+	}
+
+	// step runs one unit of goroutine g's mix and reports the first wrong
+	// output (fatal) or the first refusal (tolerated once the scheduler is
+	// closing).
+	step := func(g, i int) (refused, wrong error) {
+		check := func(out []byte, err error, gd golden) {
+			switch {
+			case err != nil && refused == nil:
+				refused = err
+			case err == nil && !bytes.Equal(out, gd.want):
+				wrong = fmt.Errorf("goroutine %d step %d: output differs from Kernel.Compute", g, i)
+			}
+		}
+		switch (g + i) % 4 {
+		case 0, 1:
+			gd := small[(g*7+i)%len(small)]
+			out, err := sess.RunJob("Conv", gd.w.Params, gd.w.Input)
+			check(out, err, gd)
+		case 2:
+			gd := large[(g+i)%len(large)]
+			out, err := sess.RunJob("Conv", gd.w.Params, gd.w.Input)
+			check(out, err, gd)
+		case 3:
+			res, err := sess.RunBatch("Conv", batch)
+			if err != nil {
+				return err, nil
+			}
+			for j, r := range res {
+				check(r.Output, r.Err, batched[j])
+			}
+		}
+		return refused, wrong
+	}
+
+	const goroutines = 4
+	run := func(steps int, closing bool) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < steps; i++ {
+					refused, wrong := step(g, i)
+					if wrong != nil {
+						t.Error(wrong)
+						return
+					}
+					if refused == nil {
+						continue
+					}
+					if !closing || !strings.Contains(refused.Error(), sched.ErrSchedulerClosed.Error()) {
+						t.Errorf("goroutine %d step %d: %v", g, i, refused)
+					}
+					return
+				}
+			}(g)
+		}
+		if closing {
+			// Let the load build, then close the scheduler under it.
+			for d.sch.QueuedTotal() == 0 {
+				if _, wrong := step(goroutines, 0); wrong != nil {
+					t.Error(wrong)
+					break
+				}
+			}
+			d.sch.Close()
+		}
+		wg.Wait()
+	}
+	run(12, false)
+	run(1<<20, true)
+	if _, err := sess.RunJob("Conv", small[0].w.Params, small[0].w.Input); err == nil || errors.Is(err, errConnClosed) {
+		t.Errorf("job after scheduler close: err = %v, want the gateway's refusal over a live connection", err)
+	}
+}

@@ -56,7 +56,9 @@ type ClusterProvisionRequest struct {
 	Provisions []ProvisionRequest `json:"provisions"`
 }
 
-// JobRequest carries one sealed job.
+// JobRequest carries one sealed job. It and the three messages below travel
+// in their own binary form (wire.go); the JSON tags describe the same fields
+// for logs and tools, and are what the binary form is tested against.
 type JobRequest struct {
 	Kernel      string    `json:"kernel"`
 	Params      [4]uint64 `json:"params"`
@@ -87,7 +89,7 @@ type BatchJob struct {
 }
 
 // BatchRequest carries a whole batch of sealed jobs for one kernel in a
-// single RPC frame — one length prefix, one JSON envelope, one scheduler
+// single RPC frame — one length prefix, one envelope, one scheduler
 // hand-off, one routing decision — instead of one round trip per job.
 type BatchRequest struct {
 	Kernel string     `json:"kernel"`

@@ -36,7 +36,7 @@ func TestNetworkedAttestAndRunJob(t *testing.T) {
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.systems[0].Booted() {
+	if !d.booted(0) {
 		t.Error("instance not booted after remote attestation")
 	}
 
@@ -282,6 +282,16 @@ func newClusterDeploymentTiming(t testing.TB, n int, kernel accel.Kernel, timing
 	return &clusterDeployment{systems: systems, sch: sch, srv: srv, addr: addr}
 }
 
+// booted reads gateway-side state from the owner's side of the test. Gateway
+// and owner share this process, but the owner learns that Provision finished
+// only over TCP, a causality the race detector cannot see; the scheduler
+// lock, which the Provision handler took to register the device after
+// provisioning it, orders the read for the detector as well.
+func (d *clusterDeployment) booted(i int) bool {
+	d.sch.Stats()
+	return d.systems[i].Booted()
+}
+
 func (d *clusterDeployment) expectations() []client.Expectations {
 	exps := make([]client.Expectations, len(d.systems))
 	for i, sys := range d.systems {
@@ -300,8 +310,8 @@ func TestClusterAttestAndRunJobs(t *testing.T) {
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}
-	for i, sys := range d.systems {
-		if !sys.Booted() {
+	for i := range d.systems {
+		if !d.booted(i) {
 			t.Fatalf("device %d not booted after cluster attestation", i)
 		}
 	}

@@ -1,90 +1,156 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
 	"testing"
-	"unicode/utf8"
 )
 
-// FuzzFrameRoundTrip throws arbitrary bytes at the length-prefixed frame
-// codec — truncated headers, truncated bodies, oversized and lying length
-// prefixes, corrupt JSON — and asserts the decoder never panics, never
-// trusts the prefix over the bytes actually present, and stays a strict
-// inverse of the encoder for everything the encoder can produce.
-func FuzzFrameRoundTrip(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		out := make([]byte, 4+len(payload))
-		binary.BigEndian.PutUint32(out, uint32(len(payload)))
-		copy(out[4:], payload)
-		return out
-	}
-	f.Add(frame([]byte(`{"id":1,"method":"Cluster.Boot","params":{"nonce":"AAEC"}}`)))
-	f.Add(frame(nil))                                    // empty body
-	f.Add([]byte{})                                      // empty stream
-	f.Add([]byte{0x00, 0x00})                            // truncated header
-	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 'a', 'b'})      // truncated body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})           // length above MaxFrame
-	f.Add([]byte{0x04, 0x00, 0x00, 0x00})                // claims 64 MiB, delivers 0
-	f.Add(append(frame([]byte(`{"id":2}`)), 0xde, 0xad)) // valid frame + trailing junk
+// blobBatch mirrors the gateway's batch messages: a count, then per element
+// fixed fields, a short string and a raw section.
+type blobBatch struct {
+	Items []blobItem
+}
 
-	// The ring-fronting gateway's wire messages (routing, spill placement,
-	// the enclave key hand-off), seeded so the corpus explores its frame
-	// shapes: session addressing, optional key/shard/spilled fields,
-	// byte-array report blobs and base64 key material inside JSON, batch
-	// envelopes.
-	f.Add(frame([]byte(`{"id":3,"method":"Cluster.Route","params":{"tenant":"tenant-7","key":"dataset-41"}}`)))
-	f.Add(frame([]byte(`{"id":3,"result":{"shard":"gw2","addr":"127.0.0.1:7012","epoch":5}}`)))
-	f.Add(frame([]byte(`{"id":4,"method":"Cluster.RunJob","params":{"kernel":"Conv","params":[4,4,1,0],"sealed_input":"3q2+7w==","tenant":"t","class":"critical","deadline_ms":1500,"key":"k"}}`)))
-	f.Add(frame([]byte(`{"id":4,"result":{"sealed_output":"3q2+7w==","shard":"gw1","spilled":true}}`)))
-	f.Add(frame([]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"kernel":"Conv","jobs":[{"params":[1,2,3,4],"sealed_input":"AA=="},{"params":[0,0,0,0],"sealed_input":""}],"key":"k"}}`)))
-	f.Add(frame([]byte(`{"id":5,"result":{"results":[{"sealed_output":"AA=="},{"error":"oversize"}],"shard":"gw0","spilled":true}}`)))
-	f.Add(frame([]byte(`{"id":6,"method":"Cluster.Handoff","params":{"report":{"MRENCLAVE":[1,2,3],"Version":1,"Debug":false,"ReportData":[9,9],"MAC":"q83v"},"recipient_pub":"BAUG"}}`)))
-	f.Add(frame([]byte(`{"id":6,"result":{"sender_pub":"AAEC","sealed":"AAECAwQFBgc="}}`)))
+type blobItem struct {
+	Tag  uint64
+	Note string
+	Data []byte
+}
+
+func (b blobBatch) EncodeWire(e *Encoder) {
+	e.Uint32(uint32(len(b.Items)))
+	for _, it := range b.Items {
+		e.Uint64(it.Tag)
+		e.String(it.Note)
+		e.Section(it.Data)
+	}
+}
+
+func (b *blobBatch) DecodeWire(body []byte) error {
+	d := NewDecoder(body)
+	b.Items = make([]blobItem, d.Count(8+2+4))
+	for i := range b.Items {
+		b.Items[i] = blobItem{d.Uint64(), d.String(), d.Section()}
+	}
+	return d.Done()
+}
+
+// wireBytes is the stream encodeFrame and writeTo put on the wire.
+func wireBytes(t testing.TB, kind byte, id uint64, method string, v any) []byte {
+	t.Helper()
+	e, err := encodeFrame(kind, id, method, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	var buf bytes.Buffer
+	if n, err := e.writeTo(&buf); err != nil || n != buf.Len() {
+		t.Fatalf("writeTo reported %d bytes, %v; wrote %d", n, err, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+func readStream(data []byte) ([]byte, error) {
+	body, _, err := readFrame(bufio.NewReader(bytes.NewReader(data)), false)
+	return body, err
+}
+
+// FuzzFrameRoundTrip throws arbitrary bytes at the frame reader, the envelope
+// parser and both payload codecs — truncated headers and bodies, oversized
+// and lying length prefixes, section lengths past the body end, corrupt JSON
+// — and asserts they never panic, never trust a length over the bytes
+// actually present, and stay a strict inverse of the encoder for everything
+// the encoder can produce.
+func FuzzFrameRoundTrip(f *testing.F) {
+	job := blob{Tag: 4, Data: []byte{0xde, 0xad, 0xbe, 0xef}}
+	batch := blobBatch{Items: []blobItem{{1, "", []byte{0}}, {2, "oversize", nil}}}
+	seeds := [][]byte{
+		wireBytes(f, kindRequest, 4, "Cluster.RunJob", job),
+		wireBytes(f, kindResult, 4, "", job),
+		wireBytes(f, kindRequest, 5, "Cluster.RunBatch", batch),
+		wireBytes(f, kindResult, 5, "", batch),
+		wireBytes(f, kindError, 5, "", "sched: overloaded"),
+		wireBytes(f, kindRequest, 1, "Cluster.Boot", map[string]string{"nonce": "AAEC"}),
+		wireBytes(f, kindRequest, 3, "Cluster.Route", map[string]string{"tenant": "tenant-7", "key": "dataset-41"}),
+		wireBytes(f, kindResult, 3, "", map[string]any{"shard": "gw2", "addr": "127.0.0.1:7012", "epoch": 5}),
+		wireBytes(f, kindRequest, 2, "Cluster.Stats", nil),
+		{},                                 // empty stream
+		{0x00, 0x00},                       // truncated length prefix
+		{0x00, 0x00, 0x00, 0x00},           // empty body: no envelope at all
+		{0x00, 0x00, 0x00, 0x05, 1},        // truncated envelope header
+		{0x00, 0x00, 0x01, 0x00, 'a', 'b'}, // truncated body
+		{0xff, 0xff, 0xff, 0xff, 'x'},      // length far above MaxFrame
+		{0x04, 0x00, 0x00, 0x00},           // claims 64 MiB, delivers 0
+		binary.BigEndian.AppendUint32(nil, MaxFrame+1),
+		append(wireBytes(f, kindResult, 2, "", nil), 0xde, 0xad), // valid frame + trailing junk
+	}
+	// A section that claims one byte more than its frame holds, and one whose
+	// claimed end lies far past the body.
+	for _, claim := range []uint32{5, 1 << 30} {
+		lying := wireBytes(f, kindRequest, 6, "Cluster.RunJob", job)
+		binary.BigEndian.PutUint32(lying[len(lying)-8:], claim)
+		seeds = append(seeds, lying)
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := readRawFrame(bytes.NewReader(data))
+		body, err := readStream(data)
 		if err == nil {
-			// The decoder may only hand back bytes that were actually on the
+			// The reader may only hand back bytes that were actually on the
 			// stream — a lying length prefix must fail, not fabricate.
 			if len(body) > len(data)-4 {
 				t.Fatalf("decoded %d bytes from a %d-byte stream", len(body), len(data))
 			}
-			// Re-framing the decoded body must round-trip to identical bytes.
-			reframed := make([]byte, 4+len(body))
-			binary.BigEndian.PutUint32(reframed, uint32(len(body)))
-			copy(reframed[4:], body)
-			back, err := readRawFrame(bytes.NewReader(reframed))
-			if err != nil {
-				t.Fatalf("re-framed decode failed: %v", err)
-			}
-			if !bytes.Equal(body, back) {
-				t.Fatal("re-framed body differs")
+			if fr, err := parseFrame(body); err == nil {
+				// Whatever the payload claims, decoding it stays inside it.
+				var (
+					one  blob
+					many blobBatch
+					doc  any
+				)
+				if fr.payload.Decode(&one) == nil && len(one.Data) > len(fr.payload.data) {
+					t.Fatal("decoded section longer than its payload")
+				}
+				if fr.payload.Decode(&many) == nil && len(many.Items)*(8+2+4) > len(fr.payload.data) {
+					t.Fatalf("%d items from a %d-byte payload", len(many.Items), len(fr.payload.data))
+				}
+				_ = fr.payload.Decode(&doc)
 			}
 		}
 
-		// Encoder -> decoder round trip for a request carrying the fuzz
-		// bytes as its method string (JSON coerces invalid UTF-8, so only
-		// valid strings can compare equal).
-		req := Request{ID: 7, Method: string(data)}
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, req); err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				return
-			}
-			t.Fatalf("writeFrame: %v", err)
+		// Encoder -> reader -> parser -> decoder round trip, with the fuzz
+		// bytes as method name and as the raw section.
+		method := string(data[:min(len(data), 255)])
+		want := blobBatch{Items: []blobItem{{uint64(len(data)), method, data}, {Note: "empty"}}}
+		got, err := parseFrame(mustRead(t, wireBytes(t, kindRequest, 7, method, want)))
+		if err != nil || got.kind != kindRequest || got.id != 7 || string(got.method) != method {
+			t.Fatalf("envelope corrupted: %+v, %v", got, err)
 		}
-		var got Request
-		if err := readFrame(bytes.NewReader(buf.Bytes()), &got); err != nil {
-			t.Fatalf("readFrame of encoder output: %v", err)
+		var back blobBatch
+		if err := got.payload.Decode(&back); err != nil {
+			t.Fatalf("decode of encoder output: %v", err)
 		}
-		if utf8.ValidString(req.Method) && got.Method != req.Method {
-			t.Fatalf("method corrupted: %q -> %q", req.Method, got.Method)
+		if len(back.Items) != 2 || back.Items[0].Tag != uint64(len(data)) || back.Items[0].Note != method ||
+			!bytes.Equal(back.Items[0].Data, data) || back.Items[1].Note != "empty" || back.Items[1].Data != nil {
+			t.Fatalf("payload corrupted: %+v", back)
 		}
 	})
+}
+
+func mustRead(t *testing.T, stream []byte) []byte {
+	t.Helper()
+	body, err := readStream(stream)
+	if err != nil {
+		t.Fatalf("readFrame of encoder output: %v", err)
+	}
+	return body
 }
 
 // TestReadRawFrameBoundedAlloc pins the fix for the hostile-length-prefix
@@ -101,7 +167,7 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 8; i++ {
-		if _, err := readRawFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := readStream(stream); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncated max-size frame: err = %v, want unexpected EOF", err)
 		}
 	}
@@ -113,7 +179,7 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 	// A frame right at the limit still works when the bytes really arrive.
 	big := make([]byte, MaxFrame)
 	binary.BigEndian.PutUint32(hdr, MaxFrame)
-	got, err := readRawFrame(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(big)))
+	got, _, err := readFrame(bufio.NewReader(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(big))), true)
 	if err != nil {
 		t.Fatalf("full max-size frame: %v", err)
 	}
@@ -123,27 +189,26 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 }
 
 // TestFederationFrameBoundedAlloc pins the bounded-alloc property for the
-// federation tier's frames specifically: a peer opening what looks like a
-// legitimate Cluster.Handoff or RunJob request — a real JSON prefix with
-// a max-size length claim — but delivering only the prefix must cost memory
-// proportional to the delivered bytes. Hand-off grants and sealed job
-// payloads are the frames an attacker would inflate, since gateways relay
-// them between regions.
+// frames an attacker would inflate, since gateways relay them between
+// regions: a peer opening what looks like a legitimate Cluster.Handoff,
+// RunJob or RunBatch request — a real envelope and the start of a real
+// payload under a max-size length claim, each section claiming the rest —
+// but delivering only that prefix must cost memory proportional to the
+// delivered bytes.
 func TestFederationFrameBoundedAlloc(t *testing.T) {
-	prefixes := [][]byte{
-		[]byte(`{"id":6,"method":"Cluster.Handoff","params":{"report":{"MRENCLAVE":[`),
-		[]byte(`{"id":4,"method":"Cluster.RunJob","params":{"key":"k","sealed_input":"`),
-		[]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"key":"k","jobs":[{"sealed_input":"`),
+	handoff := wireBytes(t, kindRequest, 6, "Cluster.Handoff", map[string]any{"report": map[string]any{"MRENCLAVE": []int{1, 2, 3}}})
+	job := wireBytes(t, kindRequest, 4, "Cluster.RunJob", blob{Tag: 4})
+	batch := wireBytes(t, kindRequest, 5, "Cluster.RunBatch", blobBatch{Items: []blobItem{{Tag: 1, Note: "k"}}})
+	for _, p := range [][]byte{job, batch} {
+		binary.BigEndian.PutUint32(p[len(p)-4:], MaxFrame-64) // the sealed section claims the rest
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for _, p := range prefixes {
-		hdr := make([]byte, 4)
-		binary.BigEndian.PutUint32(hdr, MaxFrame) // claims 64 MiB
-		stream := append(hdr, p...)               // delivers a few dozen bytes
+	for _, p := range [][]byte{handoff[:len(handoff)-8], job, batch} {
+		binary.BigEndian.PutUint32(p, MaxFrame) // claims 64 MiB, delivers a few dozen bytes
 		for i := 0; i < 8; i++ {
-			if _, err := readRawFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, err := readStream(p); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("truncated federation frame: err = %v, want unexpected EOF", err)
 			}
 		}

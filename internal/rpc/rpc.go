@@ -1,8 +1,10 @@
 // Package rpc is the remote-procedure-call layer of the Salus software
 // stack (§5.2, Figure 6). The paper leverages gRPC "for easy development
 // and extension"; this reproduction implements the same role on the
-// standard library: length-prefixed JSON frames over TCP, a method-table
-// server, and a multiplexing client.
+// standard library: length-prefixed binary frames over TCP, a method-table
+// server, and a multiplexing client. The job messages carry their sealed
+// payloads as raw byte sections; the rare control messages are JSON inside
+// the same envelope.
 //
 // Both ends are fully concurrent. The server dispatches every request on
 // its own goroutine (responses are serialised by a per-connection write
@@ -20,12 +22,12 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -88,179 +90,173 @@ type ServerError struct {
 // Error implements error.
 func (e *ServerError) Error() string { return e.Msg }
 
-// Request is one call envelope.
-type Request struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
+// Frame layout, every integer big-endian:
+//
+//	u32 body length | u8 kind | u64 id | u8 method length | method | u8 codec | payload
+//
+// A result or error frame answers the request with the same id and carries
+// an empty method; an error frame's payload is its message, a JSON string.
+// The codec says who wrote the payload: encoding/json, or the message type
+// itself (see WireEncoder). The sender picks it from the value's type and
+// the receiver obeys the byte, so there is nothing to negotiate.
+const (
+	kindRequest = 1 + iota
+	kindResult
+	kindError
+)
+
+const (
+	codecJSON = iota
+	codecWire
+)
+
+// frame is one parsed envelope; method and payload alias the body.
+type frame struct {
+	kind    byte
+	id      uint64
+	method  []byte
+	payload Payload
 }
 
-// Response is one reply envelope.
-type Response struct {
-	ID     uint64          `json:"id"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+func parseFrame(body []byte) (frame, error) {
+	d := NewDecoder(body)
+	f := frame{kind: d.Byte(), id: d.Uint64()}
+	f.method = d.take(int(d.Byte()))
+	f.payload = Payload{codec: d.Byte(), data: d.b}
+	return f, d.err
 }
 
-// wbufPool recycles the scratch buffers writeFrame encodes into. Buffers
-// that ballooned past a few chunks (a bitstream upload, say) are dropped
-// rather than pooled, so one huge frame does not pin 64 MiB for the life
-// of the process.
-var wbufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// encPool recycles frame encoders. One whose scratch ballooned past a few
+// chunks (a JSON control message of many MiB, say) is dropped rather than
+// pooled, so one huge frame does not pin its buffer for the life of the
+// process.
+var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 const maxPooledWriteBuf = 4 * frameChunk
 
-// writeFrame sends one length-prefixed JSON value and returns the frame
-// size on the wire (header + body). The encode scratch comes from a
-// sync.Pool, so steady-state framing does not allocate a fresh body
-// buffer per message.
-func writeFrame(w io.Writer, v any) (int, error) {
-	buf := wbufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledWriteBuf {
-			wbufPool.Put(buf)
-		}
-	}()
-	buf.Write([]byte{0, 0, 0, 0}) // length-prefix placeholder, patched below
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil {
-		return 0, fmt.Errorf("rpc: encode: %w", err)
+// encodeFrame builds one frame without touching the wire, so a value that
+// cannot be encoded or does not fit MaxFrame costs its caller an error and
+// the connection nothing. The caller sends the frame with writeTo under its
+// write lock and then releases it.
+func encodeFrame(kind byte, id uint64, method string, v any) (*Encoder, error) {
+	e := encPool.Get().(*Encoder)
+	e.buf = append(e.buf[:0], 0, 0, 0, 0, kind)
+	e.Uint64(id)
+	e.Byte(byte(len(method)))
+	e.buf = append(e.buf, method...)
+	if m, ok := v.(WireEncoder); ok {
+		e.Byte(codecWire)
+		m.EncodeWire(e)
+	} else {
+		e.Byte(codecJSON)
+		var doc []byte
+		doc, e.err = json.Marshal(v)
+		e.buf = append(e.buf, doc...)
 	}
-	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // drop Encode's trailing newline
-	body := len(frame) - 4
-	if body > MaxFrame {
-		return 0, ErrFrameTooLarge
+	switch body := len(e.buf) + e.borrowed - 4; {
+	case e.err != nil:
+	case len(method) > math.MaxUint8:
+		e.err = fmt.Errorf("rpc: method name of %d bytes", len(method))
+	case body > MaxFrame:
+		e.err = ErrFrameTooLarge
+	default:
+		binary.BigEndian.PutUint32(e.buf, uint32(body))
+		return e, nil
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body))
-	if _, err := w.Write(frame); err != nil {
-		return 0, err
-	}
-	return len(frame), nil
+	err := e.err
+	e.release()
+	return nil, err
 }
 
-// frameChunk bounds how much readRawFrame allocates up front. The length
-// prefix is attacker-controlled: a hostile peer can claim a frame just
-// under MaxFrame (64 MiB) and then hang up, so the buffer must grow with
-// the bytes actually received, never with the bytes merely promised.
+// frameChunk is the size of a pooled read buffer and the most readFrame
+// takes on trust. The length prefix is attacker-controlled: a hostile peer
+// can claim a frame just under MaxFrame (64 MiB) and then hang up, so the
+// buffer must grow with the bytes actually received, never with the bytes
+// merely promised.
 const frameChunk = 256 << 10
 
-// frameBuf is one pooled read buffer, sized to a chunk. The pool keeps the
-// per-frame body allocation off the hot receive paths (client readLoop,
-// server serveConn) for every frame that fits a chunk — in this codebase
-// that is everything but a bitstream upload.
-type frameBuf struct {
-	data []byte
-}
+// frameGrowth bounds that growth: a body past one chunk is never backed by
+// more than frameGrowth times the bytes its peer has already delivered. A
+// factor of 8 lets an honest MiB-sized job land in one exact-size buffer
+// after its first chunk, and a maximum-size frame in three.
+const frameGrowth = 8
 
-var frameBufPool = sync.Pool{
-	New: func() any { return &frameBuf{data: make([]byte, frameChunk)} },
-}
+// frameBuf is one pooled read buffer, sized to a chunk. The pool keeps the
+// per-frame body allocation off the server's receive path for every frame
+// that fits a chunk.
+type frameBuf [frameChunk]byte
+
+var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// poisonFrames makes releaseFrame overwrite a buffer before pooling it, so a
+// stale alias reads 0xA5 garbage instead of another tenant's sealed bytes.
+// On under the race detector and in this package's tests.
+var poisonFrames = raceEnabled
 
 // releaseFrame returns a pooled read buffer. Nil is fine (large frames and
 // error paths carry no pooled buffer). After the call, any byte slice that
-// aliased the frame body — including json.RawMessage fields decoded from
-// it — is invalid.
+// aliased the frame body — every section a WireDecoder decoded from it — is
+// invalid.
 func releaseFrame(fb *frameBuf) {
-	if fb != nil {
-		frameBufPool.Put(fb)
+	if fb == nil {
+		return
 	}
-}
-
-// readRawFrame receives one length-prefixed body into a fresh allocation.
-// Any error here means the stream position is no longer trustworthy.
-func readRawFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	if n <= frameChunk {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, err
+	if poisonFrames {
+		for i := range fb {
+			fb[i] = 0xA5
 		}
-		return body, nil
 	}
-	return readLargeBody(r, n)
+	frameBufPool.Put(fb)
 }
 
-// readPooledFrame is readRawFrame with a recycled body buffer for frames
-// that fit one chunk. The returned frameBuf (nil for large frames) must be
-// handed back via releaseFrame once nothing aliases the body any more.
-func readPooledFrame(r io.Reader) ([]byte, *frameBuf, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame receives one length-prefixed body. With pooled set, a body that
+// fits a chunk lands in a pooled buffer, to be handed back via releaseFrame
+// once nothing aliases it; any other body is an ordinary allocation of
+// exactly its size that nothing recycles (fb is nil). Any error means the
+// stream position is no longer trustworthy.
+func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, nil, ErrFrameTooLarge
 	}
+	br.Discard(4)
+	if pooled || n > frameChunk {
+		fb = frameBufPool.Get().(*frameBuf)
+		body = fb[:min(n, frameChunk)]
+	} else {
+		body = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, body); err != nil {
+		releaseFrame(fb)
+		return nil, nil, err
+	}
 	if n <= frameChunk {
-		fb := frameBufPool.Get().(*frameBuf)
-		body := fb.data[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
-			releaseFrame(fb)
-			return nil, nil, err
-		}
 		return body, fb, nil
 	}
-	body, err := readLargeBody(r, n)
-	return body, nil, err
-}
-
-// readLargeBody grows the buffer (doubling, capped at n) as bytes arrive.
-// The length prefix is attacker-controlled, so allocation must track the
-// bytes actually received, never the bytes merely promised.
-func readLargeBody(r io.Reader, n int) ([]byte, error) {
-	body := make([]byte, 0, frameChunk)
+	defer releaseFrame(fb) // a large body's first chunk is copied out below
 	for len(body) < n {
-		want := n - len(body)
-		if want > frameChunk {
-			want = frameChunk
+		grown := make([]byte, min(n, frameGrowth*len(body)))
+		copy(grown, body)
+		if _, err := io.ReadFull(br, grown[len(body):]); err != nil {
+			return nil, nil, err
 		}
-		off := len(body)
-		if cap(body) < off+want {
-			newCap := 2 * cap(body)
-			if newCap < off+want {
-				newCap = off + want
-			}
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, off, newCap)
-			copy(grown, body)
-			body = grown
-		}
-		body = body[:off+want]
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
-			return nil, err
-		}
+		body = grown
 	}
-	return body, nil
-}
-
-// readFrame receives one length-prefixed JSON value into v.
-func readFrame(r io.Reader, v any) error {
-	body, err := readRawFrame(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
+	return body, nil, nil
 }
 
 // Handler serves one method: decode params, do work, return a result.
 //
-// Aliasing rule: params points into a pooled frame buffer that is recycled
-// the moment the handler returns, so a handler must not retain params (or
-// any subslice) past its return. Handlers built with Typed always satisfy
-// this — json.Unmarshal copies what it keeps.
-type Handler func(params json.RawMessage) (any, error)
+// Aliasing rule: params, and every byte section a WireDecoder decodes from
+// it, points into a frame buffer that is recycled once the handler has
+// returned and its response is on the wire. The result may therefore alias
+// the request, but a handler must not leave params, or anything decoded from
+// it, where something can reach it after it returns.
+type Handler func(params Payload) (any, error)
 
 // Server dispatches requests to registered handlers. Every request runs on
 // its own goroutine; responses on a connection are serialised by a write
@@ -294,13 +290,13 @@ func (s *Server) Handle(method string, h Handler) {
 }
 
 // Typed adapts a strongly typed handler func(In) (Out, error) to a Handler.
+// The types pick the codec: an In or Out that implements the wire interfaces
+// travels in its own binary form, anything else as JSON.
 func Typed[In, Out any](fn func(In) (Out, error)) Handler {
-	return func(params json.RawMessage) (any, error) {
+	return func(params Payload) (any, error) {
 		var in In
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &in); err != nil {
-				return nil, fmt.Errorf("rpc: bad params: %w", err)
-			}
+		if err := params.Decode(&in); err != nil {
+			return nil, fmt.Errorf("rpc: bad params: %w", err)
 		}
 		return fn(in)
 	}
@@ -358,28 +354,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.lnMu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	var wmu sync.Mutex // serialises response frames from concurrent handlers
 	sem := make(chan struct{}, maxInFlightPerConn)
 	for {
-		body, fb, err := readPooledFrame(br)
+		body, fb, err := readFrame(br, true)
 		if err != nil {
 			return
 		}
 		mSrvRxBytes.Add(uint64(4 + len(body)))
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
+		req, err := parseFrame(body)
+		if err != nil || req.kind != kindRequest {
 			releaseFrame(fb)
 			return
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
 		mSrvInflight.Add(1)
-		// req.Params aliases the pooled frame body, so the handler
-		// goroutine owns fb and recycles it once dispatch has returned
-		// (handlers must not retain params — see Handler).
-		go func(req Request, fb *frameBuf) {
+		// req aliases the frame body, and the result may alias req, so the
+		// handler goroutine owns fb until its response is written.
+		go func(req frame, fb *frameBuf) {
 			defer func() {
+				releaseFrame(fb)
 				mSrvInflight.Add(-1)
 				<-sem
 				handlers.Done()
@@ -387,17 +382,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			mSrvRequests.Inc()
 			start := time.Now()
 			resp := s.dispatch(req)
-			releaseFrame(fb) // dispatch returned; nothing aliases the body now
 			mSrvHandle.Since(start)
-			if resp.Error != "" {
-				mSrvErrors.Inc()
-			}
 			wmu.Lock()
-			nw, err := writeFrame(bw, resp)
-			if err == nil {
-				err = bw.Flush()
-			}
+			nw, err := resp.writeTo(conn)
 			wmu.Unlock()
+			resp.release()
 			if err != nil {
 				// The response stream is dead; tear the connection down so
 				// the read loop stops feeding it.
@@ -409,22 +398,39 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) dispatch(req Request) Response {
+// dispatch runs the handler and encodes its answer. A result that cannot be
+// encoded or would not fit a frame has put no byte on the wire yet, so it
+// fails that one call with an error frame, not the whole connection.
+func (s *Server) dispatch(req frame) *Encoder {
 	s.mu.RLock()
-	h, ok := s.handlers[req.Method]
+	h, ok := s.handlers[string(req.method)]
 	s.mu.RUnlock()
 	if !ok {
-		return Response{ID: req.ID, Error: "rpc: unknown method " + req.Method}
+		return errorFrame(req.id, "rpc: unknown method "+string(req.method))
 	}
-	out, err := h(req.Params)
+	out, err := h(req.payload)
 	if err != nil {
-		return Response{ID: req.ID, Error: err.Error()}
+		return errorFrame(req.id, err.Error())
 	}
-	body, err := json.Marshal(out)
+	resp, err := encodeFrame(kindResult, req.id, "", out)
+	switch {
+	case err == nil:
+		return resp
+	case errors.Is(err, ErrFrameTooLarge):
+		return errorFrame(req.id, "rpc: result exceeds maximum frame size")
+	}
+	return errorFrame(req.id, "rpc: encode result: "+err.Error())
+}
+
+// errorFrame encodes a handler's failure; the text reaches the client
+// verbatim unless it is itself too long for a frame.
+func errorFrame(id uint64, msg string) *Encoder {
+	mSrvErrors.Inc()
+	e, err := encodeFrame(kindError, id, "", msg)
 	if err != nil {
-		return Response{ID: req.ID, Error: "rpc: encode result: " + err.Error()}
+		e, _ = encodeFrame(kindError, id, "", "rpc: error text exceeds maximum frame size")
 	}
-	return Response{ID: req.ID, Result: body}
+	return e
 }
 
 // Close stops the listener and all connections, waiting for handlers.
@@ -461,24 +467,15 @@ type Client struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serialises request frames
-	bw  *bufio.Writer
 
 	mu         sync.Mutex
-	pending    map[uint64]chan inbound
+	pending    map[uint64]chan frame
 	abandoned  map[uint64]struct{}
 	abandonedQ []uint64 // FIFO of abandoned IDs, oldest first (may hold stale entries)
 	next       uint64
 	timeout    time.Duration
 	err        error // sticky: first fatal error (ErrBroken... or ErrClosed)
 	closed     bool
-}
-
-// inbound is one response routed from readLoop to its caller. fb is the
-// pooled frame buffer the Response's Result aliases; the receiver recycles
-// it after decoding.
-type inbound struct {
-	resp Response
-	fb   *frameBuf
 }
 
 // maxAbandoned caps the abandoned-ID set. An eviction can in principle
@@ -504,8 +501,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:      conn,
-		bw:        bufio.NewWriter(conn),
-		pending:   make(map[uint64]chan inbound),
+		pending:   make(map[uint64]chan frame),
 		abandoned: make(map[uint64]struct{}),
 	}
 	go c.readLoop()
@@ -514,42 +510,44 @@ func Dial(addr string) (*Client, error) {
 
 // readLoop is the client's single response reader: it routes every frame
 // to its pending call by ID, discards late replies to abandoned calls, and
-// breaks the client on anything it cannot account for.
+// breaks the client on anything it cannot account for. It reads every frame
+// into a buffer of its own that is never recycled, because a wire-decoded
+// result aliases its frame and outlives the Call that returned it.
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
-		body, fb, err := readPooledFrame(br)
+		body, _, err := readFrame(br, false)
 		if err != nil {
 			c.fatal(fmt.Errorf("%w: read: %w", ErrBroken, err))
 			return
 		}
 		mCliRxBytes.Add(uint64(4 + len(body)))
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			releaseFrame(fb)
+		resp, err := parseFrame(body)
+		if err == nil && resp.kind != kindResult && resp.kind != kindError {
+			err = fmt.Errorf("frame kind %d", resp.kind)
+		}
+		if err != nil {
 			// The frame cannot be attributed to any call; its owner would
 			// hang forever if we dropped it silently.
 			c.fatal(fmt.Errorf("%w: decode response: %w", ErrBroken, err))
 			return
 		}
 		c.mu.Lock()
-		if ch, ok := c.pending[resp.ID]; ok {
-			delete(c.pending, resp.ID)
+		if ch, ok := c.pending[resp.id]; ok {
+			delete(c.pending, resp.id)
 			c.mu.Unlock()
 			// Buffered; the caller may have raced to timeout but always
-			// collects a delivered response, and recycles fb after decoding.
-			ch <- inbound{resp: resp, fb: fb}
+			// collects a delivered response.
+			ch <- resp
 			continue
 		}
-		if _, ok := c.abandoned[resp.ID]; ok {
-			delete(c.abandoned, resp.ID)
+		if _, ok := c.abandoned[resp.id]; ok {
+			delete(c.abandoned, resp.id)
 			c.mu.Unlock()
-			releaseFrame(fb)
 			continue
 		}
 		c.mu.Unlock()
-		releaseFrame(fb)
-		c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.ID))
+		c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.id))
 		return
 	}
 }
@@ -589,53 +587,39 @@ func (c *Client) Call(method string, params any, result any) error {
 		mCliCall.Since(start)
 	}()
 
-	// Marshal before touching the wire: an encode failure must not poison
-	// the connection.
-	var raw json.RawMessage
-	if params != nil {
-		body, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("rpc: encode params: %w", err)
-		}
-		raw = body
+	// Encode before touching the wire: a request that cannot be encoded or
+	// does not fit a frame simply never happened, and must not poison the
+	// connection.
+	req, err := encodeFrame(kindRequest, 0, method, params)
+	if err != nil {
+		return fmt.Errorf("rpc: encode params: %w", err) // ErrFrameTooLarge included
 	}
 
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		req.release()
 		return err
 	}
 	c.next++
 	id := c.next
-	ch := make(chan inbound, 1)
+	ch := make(chan frame, 1)
 	c.pending[id] = ch
 	timeout := c.timeout
 	c.mu.Unlock()
 
-	req := Request{ID: id, Method: method, Params: raw}
+	binary.BigEndian.PutUint64(req.buf[5:], id) // after the length and kind
 	c.wmu.Lock()
-	nw, err := writeFrame(c.bw, req)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	nw, err := req.writeTo(c.conn)
 	c.wmu.Unlock()
-	if err == nil {
-		mCliTxBytes.Add(uint64(nw))
-	}
+	req.release()
 	if err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			// Rejected before any bytes hit the wire: the call simply never
-			// happened.
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
-			return err
-		}
 		ferr := fmt.Errorf("%w: write: %w", ErrBroken, err)
 		c.fatal(ferr)
 		return ferr
 	}
+	mCliTxBytes.Add(uint64(nw))
 
 	var expired <-chan time.Time
 	if timeout > 0 {
@@ -648,9 +632,7 @@ func (c *Client) Call(method string, params any, result any) error {
 		if !ok {
 			return c.lastErr()
 		}
-		err := decodeResult(in.resp, result)
-		releaseFrame(in.fb)
-		return err
+		return decodeResult(in, result)
 	case <-expired:
 		c.mu.Lock()
 		if _, still := c.pending[id]; still {
@@ -667,9 +649,7 @@ func (c *Client) Call(method string, params any, result any) error {
 		if !ok {
 			return c.lastErr()
 		}
-		err := decodeResult(in.resp, result)
-		releaseFrame(in.fb)
-		return err
+		return decodeResult(in, result)
 	}
 }
 
@@ -699,14 +679,19 @@ func (c *Client) abandon(id uint64) {
 	}
 }
 
-func decodeResult(resp Response, result any) error {
-	if resp.Error != "" {
-		return &ServerError{Msg: resp.Error}
+// decodeResult turns a response frame into Call's return.
+func decodeResult(in frame, result any) error {
+	if in.kind == kindError {
+		se := new(ServerError)
+		if err := in.payload.Decode(&se.Msg); err != nil {
+			return fmt.Errorf("rpc: decode error reply: %w", err)
+		}
+		return se
 	}
-	if result != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, result)
+	if result == nil {
+		return nil
 	}
-	return nil
+	return in.payload.Decode(result)
 }
 
 func (c *Client) lastErr() error {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,9 +23,40 @@ type echoReply struct {
 	N   int    `json:"n"`
 }
 
+// blob is this package's stand-in for the gateway's job messages (rpc cannot
+// import remote): a fixed field and one raw byte section, in its own binary
+// form.
+type blob struct {
+	Tag  uint64
+	Data []byte
+}
+
+func (b blob) EncodeWire(e *Encoder) {
+	e.Uint64(b.Tag)
+	e.Section(b.Data)
+}
+
+func (b *blob) DecodeWire(body []byte) error {
+	d := NewDecoder(body)
+	b.Tag, b.Data = d.Uint64(), d.Section()
+	return d.Done()
+}
+
+// badBlob encodes as a blob whose section claims more bytes than follow.
+type badBlob struct{}
+
+func (badBlob) EncodeWire(e *Encoder) {
+	e.Uint64(1)
+	e.Uint32(1 << 20)
+	e.Byte(0xEE)
+}
+
 func newEchoServer(t testing.TB) (addr string, srv *Server) {
 	t.Helper()
 	srv = NewServer()
+	srv.Handle("blob", Typed(func(in blob) (blob, error) {
+		return in, nil // the result aliases the request frame
+	}))
 	srv.Handle("echo", Typed(func(in echoArgs) (echoReply, error) {
 		return echoReply{Msg: in.Msg, N: in.N + 1}, nil
 	}))
@@ -94,6 +126,22 @@ func TestBadParams(t *testing.T) {
 	defer c.Close()
 	if err := c.Call("echo", json.RawMessage(`"not an object"`), nil); err == nil {
 		t.Error("accepted mistyped params")
+	}
+	// A binary payload whose section length lies, a JSON payload of the wrong
+	// shape for a binary type, and a binary payload for a JSON-only type each
+	// fail that one call.
+	var se *ServerError
+	for _, tc := range []struct {
+		method string
+		params any
+	}{{"blob", badBlob{}}, {"blob", "a JSON string"}, {"echo", blob{Tag: 1}}} {
+		if err := c.Call(tc.method, tc.params, nil); !errors.As(err, &se) || !strings.Contains(se.Msg, "rpc: bad params") {
+			t.Errorf("%s(%T): err = %v, want a bad-params ServerError", tc.method, tc.params, err)
+		}
+	}
+	var out blob
+	if err := c.Call("blob", blob{Tag: 7, Data: []byte("ok")}, &out); err != nil || out.Tag != 7 || string(out.Data) != "ok" {
+		t.Errorf("connection unusable after malformed payloads: %v %+v", err, out)
 	}
 }
 
@@ -195,10 +243,14 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var sink strings.Builder
-	_, err := writeFrame(&sink, strings.Repeat("y", MaxFrame+16))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("err = %v", err)
+	if _, err := encodeFrame(kindRequest, 1, "m", strings.Repeat("y", MaxFrame+16)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("JSON payload: err = %v", err)
+	}
+	if _, err := encodeFrame(kindRequest, 1, "m", blob{Data: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("borrowed section: err = %v", err)
+	}
+	if _, err := encodeFrame(kindRequest, 1, strings.Repeat("m", 256), nil); err == nil {
+		t.Error("accepted a method name its length byte cannot hold")
 	}
 }
 
@@ -340,11 +392,16 @@ func TestClientBrokenAfterIDMismatch(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		for {
-			var req Request
-			if err := readFrame(br, &req); err != nil {
+			body, _, err := readFrame(br, false)
+			if err != nil {
 				return
 			}
-			if _, err := writeFrame(conn, Response{ID: req.ID + 7}); err != nil {
+			req, err := parseFrame(body)
+			if err != nil {
+				return
+			}
+			resp, _ := encodeFrame(kindResult, req.id+7, "", nil)
+			if _, err := resp.writeTo(conn); err != nil {
 				return
 			}
 		}
@@ -360,5 +417,142 @@ func TestClientBrokenAfterIDMismatch(t *testing.T) {
 	}
 	if err := c.Call("echo", echoArgs{}, nil); !errors.Is(err, ErrBroken) {
 		t.Errorf("second call: err = %v, want fast ErrBroken", err)
+	}
+}
+
+// TestUnsendableResultFailsOneCall is the regression test for a handler
+// result that cannot be sent — larger than MaxFrame, or unencodable — tearing
+// down the whole connection: the size is known and the encoding done before
+// the first byte goes out, so that one id gets an error frame and every other
+// call in flight on the connection completes.
+func TestUnsendableResultFailsOneCall(t *testing.T) {
+	srv := NewServer()
+	hold := make(chan struct{})
+	var parked sync.WaitGroup
+	srv.Handle("huge", Typed(func(struct{}) (blob, error) {
+		return blob{Data: make([]byte, MaxFrame+1)}, nil
+	}))
+	srv.Handle("unencodable", Typed(func(struct{}) (chan int, error) {
+		return make(chan int), nil
+	}))
+	srv.Handle("parked", Typed(func(in echoArgs) (echoReply, error) {
+		parked.Done()
+		<-hold
+		return echoReply{N: in.N + 1}, nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	broken := mCliBroken.Value()
+
+	const normal = 8
+	parked.Add(normal)
+	errs := make(chan error, normal)
+	for i := 0; i < normal; i++ {
+		go func(i int) {
+			var out echoReply
+			err := c.Call("parked", echoArgs{N: i}, &out)
+			if err == nil && out.N != i+1 {
+				err = fmt.Errorf("call %d answered %d", i, out.N)
+			}
+			errs <- err
+		}(i)
+	}
+	parked.Wait() // all eight are inside their handlers, on this connection
+
+	var se *ServerError
+	if err := c.Call("huge", struct{}{}, nil); !errors.As(err, &se) || se.Msg != "rpc: result exceeds maximum frame size" {
+		t.Errorf("oversized result: err = %v, want a ServerError naming the frame limit", err)
+	}
+	if err := c.Call("unencodable", struct{}{}, nil); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, "rpc: encode result: ") {
+		t.Errorf("unencodable result: err = %v, want an encode-result ServerError", err)
+	}
+	close(hold)
+	for i := 0; i < normal; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("a call in flight beside the unsendable results failed: %v", err)
+		}
+	}
+	if got := mCliBroken.Value(); got != broken {
+		t.Errorf("salus_rpc_client_broken_total moved by %d", got-broken)
+	}
+}
+
+// TestDecodedSectionsOutliveTheirFrames proves both aliasing rules with
+// poison on release: a result Call decoded stays byte-identical while the
+// client makes a thousand further calls, and a request a handler decoded
+// stays intact, while other calls churn the frame pool, until the handler
+// returns — and through the write of a result that aliases it.
+func TestDecodedSectionsOutliveTheirFrames(t *testing.T) {
+	pattern := func(tag uint64, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(tag) + byte(i)*7
+		}
+		return b
+	}
+	srv := NewServer()
+	entered, hold := make(chan struct{}), make(chan struct{})
+	srv.Handle("held", Typed(func(in blob) (blob, error) {
+		close(entered)
+		<-hold
+		if !bytes.Equal(in.Data, pattern(in.Tag, len(in.Data))) {
+			return blob{}, errors.New("request changed under its handler")
+		}
+		return in, nil
+	}))
+	srv.Handle("blob", Typed(func(in blob) (blob, error) { return in, nil }))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	heldDone := make(chan error, 1)
+	go func() {
+		var out blob
+		err := c.Call("held", blob{Tag: 99, Data: pattern(99, 3000)}, &out)
+		if err == nil && !bytes.Equal(out.Data, pattern(99, 3000)) {
+			err = errors.New("result aliasing the request frame arrived corrupted")
+		}
+		heldDone <- err
+	}()
+	<-entered
+
+	var first blob
+	if err := c.Call("blob", blob{Tag: 1, Data: pattern(1, 2048)}, &first); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(2); i < 1002; i++ {
+		var out blob
+		size := 64 + int(i%5)*900
+		if i%250 == 0 {
+			size = frameChunk + 4096 // a frame the pool never sees
+		}
+		if err := c.Call("blob", blob{Tag: i, Data: pattern(i, size)}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Tag != i || !bytes.Equal(out.Data, pattern(i, size)) {
+			t.Fatalf("call %d echoed wrongly", i)
+		}
+	}
+	if first.Tag != 1 || !bytes.Equal(first.Data, pattern(1, 2048)) {
+		t.Error("a decoded result changed after Call returned")
+	}
+	close(hold)
+	if err := <-heldDone; err != nil {
+		t.Error(err)
 	}
 }
