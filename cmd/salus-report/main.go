@@ -25,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("salus-report: ")
 	out := flag.String("o", "RESULTS.md", "output markdown file")
-	skipFig9 := flag.Bool("skip-fig9", false, "skip the seconds-long U200-scale boot")
+	skipFig9 := flag.Bool("skip-fig9", false, "skip the U200-scale boot")
 	flag.Parse()
 
 	var b strings.Builder

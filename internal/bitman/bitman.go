@@ -8,9 +8,10 @@
 // The SM enclave uses it during deployment to inject the dynamically
 // generated root of trust (Key_attest) and the session secrets into the CL
 // bitstream (§4.2). Opening a bitstream performs a full parse with CRC and
-// per-frame ECC validation, and serialisation rebuilds the container —
-// deliberately the heavy path, as it is in the paper, where manipulation
-// dominates the 18.8 s boot (Figure 9).
+// per-frame ECC validation, and serialisation rebuilds the container — the
+// heavy path in the paper, where manipulation dominates the 18.8 s boot
+// (Figure 9). The tool borrows the container it opened (bitstream.Decode):
+// it never writes to it, and it must not change underneath an open Tool.
 package bitman
 
 import (
@@ -34,9 +35,6 @@ func Open(encoded []byte) (*Tool, error) {
 	}
 	return &Tool{im: im}, nil
 }
-
-// FromImage wraps an already parsed image.
-func FromImage(im *bitstream.Image) *Tool { return &Tool{im: im} }
 
 // Inject writes value into the initial content of the cell at loc,
 // starting at byte offset within the cell. The touched frames' ECC words

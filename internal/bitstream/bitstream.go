@@ -71,10 +71,17 @@ type Header struct {
 // Image is a parsed (plaintext) bitstream.
 type Image struct {
 	Header Header
-	// frames holds Header.Frames frames of Header.FrameWords*4 bytes each,
-	// backed by a single allocation.
-	frames  [][]byte
-	backing []byte
+	// store holds Header.Frames frames of Header.FrameWords*4 bytes back to
+	// back. An image built by FromPlaced, or expanded from a compressed
+	// container, owns it. An image decoded from an uncompressed container
+	// borrows the container's own payload bytes and never writes them — the
+	// container may be a developer's package shared by a whole fleet — so its
+	// edits go to patched instead.
+	store []byte
+	owned bool
+	// patched holds private copies of the frames a borrowing image has
+	// edited, by frame index; a frame here supersedes its bytes in store.
+	patched map[int][]byte
 }
 
 // frameDataBytes returns payload bytes per frame (excluding the ECC word).
@@ -101,7 +108,7 @@ func FromPlaced(pl *netlist.Placed, logicID string) *Image {
 		h.Cells = append(h.Cells, netlist.Location{Path: c.Path, FrameBase: c.FrameBase, FrameCount: c.FrameCount})
 	}
 
-	im := newImage(h)
+	im := &Image{Header: h, store: make([]byte, h.Frames*h.FrameWords*4), owned: true}
 
 	// Fill the CLB/routing area with the design-dependent pattern.
 	fill := newConfigPattern(pl)
@@ -114,28 +121,18 @@ func FromPlaced(pl *netlist.Placed, logicID string) *Image {
 	}
 	for f := 0; f < h.Frames; f++ {
 		if !inCell[f] {
-			fill.read(im.frames[f][:fdb])
+			fill.read(im.frame(f)[:fdb])
 		}
 	}
 
-	// Lay down BRAM init contents.
+	// Lay down BRAM init contents, then give every frame its ECC word.
 	for _, c := range pl.Cells() {
 		im.writeCell(netlist.Location{Path: c.Path, FrameBase: c.FrameBase, FrameCount: c.FrameCount}, 0, c.Init)
 	}
-
-	im.SealFrames()
-	return im
-}
-
-// newImage allocates an all-zero image for the header.
-func newImage(h Header) *Image {
-	fb := h.FrameWords * 4
-	backing := make([]byte, h.Frames*fb)
-	frames := make([][]byte, h.Frames)
-	for i := range frames {
-		frames[i] = backing[i*fb : (i+1)*fb]
+	for f := 0; f < h.Frames; f++ {
+		im.sealFrame(f)
 	}
-	return &Image{Header: h, frames: frames, backing: backing}
+	return im
 }
 
 // configPattern is a deterministic byte stream derived from the placed
@@ -173,11 +170,13 @@ func (c *configPattern) next() uint64 {
 }
 
 func (c *configPattern) read(dst []byte) {
-	for i := 0; i < len(dst); i += 8 {
-		v := c.next()
-		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] = byte(v >> (8 * uint(j)))
-		}
+	for ; len(dst) >= 8; dst = dst[8:] {
+		binary.LittleEndian.PutUint64(dst, c.next())
+	}
+	if len(dst) > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], c.next())
+		copy(dst, tail[:])
 	}
 }
 
@@ -186,34 +185,52 @@ func frameECC(data []byte) uint32 {
 	return crc32.ChecksumIEEE(data)
 }
 
-// SealFrames recomputes every frame's ECC word. It is called by FromPlaced
-// and by the manipulation tool after editing.
-func (im *Image) SealFrames() {
-	fdb := im.Header.frameDataBytes()
-	for _, f := range im.frames {
-		binary.BigEndian.PutUint32(f[fdb:], frameECC(f[:fdb]))
+// frame returns frame i (data + ECC word) for reading.
+func (im *Image) frame(i int) []byte {
+	if f, ok := im.patched[i]; ok {
+		return f
 	}
+	fb := im.Header.FrameWords * 4
+	return im.store[i*fb : (i+1)*fb]
+}
+
+// writableFrame returns frame i for writing: the store's own bytes when the
+// image owns them, a private copy (made on first use) when it borrows them.
+func (im *Image) writableFrame(i int) []byte {
+	if im.owned {
+		return im.frame(i)
+	}
+	f, ok := im.patched[i]
+	if !ok {
+		if im.patched == nil {
+			im.patched = make(map[int][]byte)
+		}
+		f = append([]byte(nil), im.frame(i)...)
+		im.patched[i] = f
+	}
+	return f
 }
 
 // sealFrame recomputes one frame's ECC word.
 func (im *Image) sealFrame(i int) {
 	fdb := im.Header.frameDataBytes()
-	binary.BigEndian.PutUint32(im.frames[i][fdb:], frameECC(im.frames[i][:fdb]))
+	f := im.writableFrame(i)
+	binary.BigEndian.PutUint32(f[fdb:], frameECC(f[:fdb]))
 }
 
 // Frames returns the number of frames.
-func (im *Image) Frames() int { return len(im.frames) }
+func (im *Image) Frames() int { return im.Header.Frames }
 
 // Frame returns a copy of frame i (data + ECC word).
 func (im *Image) Frame(i int) []byte {
-	return append([]byte(nil), im.frames[i]...)
+	return append([]byte(nil), im.frame(i)...)
 }
 
 // VerifyFrames checks every frame's ECC word.
 func (im *Image) VerifyFrames() error {
 	fdb := im.Header.frameDataBytes()
-	for i, f := range im.frames {
-		if binary.BigEndian.Uint32(f[fdb:]) != frameECC(f[:fdb]) {
+	for i := 0; i < im.Header.Frames; i++ {
+		if f := im.frame(i); binary.BigEndian.Uint32(f[fdb:]) != frameECC(f[:fdb]) {
 			return fmt.Errorf("%w: frame %d", ErrFrameECC, i)
 		}
 	}
@@ -236,10 +253,10 @@ func (im *Image) CellBytes(loc netlist.Location, offset, n int) ([]byte, error) 
 		return nil, err
 	}
 	fdb := im.Header.frameDataBytes()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		pos := offset + i
-		out[i] = im.frames[loc.FrameBase+pos/fdb][pos%fdb]
+	out := make([]byte, 0, n)
+	for pos := offset; len(out) < n; pos += fdb - pos%fdb {
+		piece := im.frame(loc.FrameBase + pos/fdb)[pos%fdb : fdb]
+		out = append(out, piece[:min(len(piece), n-len(out))]...)
 	}
 	return out, nil
 }
@@ -248,9 +265,8 @@ func (im *Image) CellBytes(loc netlist.Location, offset, n int) ([]byte, error) 
 // resealing frames.
 func (im *Image) writeCell(loc netlist.Location, offset int, data []byte) {
 	fdb := im.Header.frameDataBytes()
-	for i, b := range data {
-		pos := offset + i
-		im.frames[loc.FrameBase+pos/fdb][pos%fdb] = b
+	for pos := offset; len(data) > 0; pos += fdb - pos%fdb {
+		data = data[copy(im.writableFrame(loc.FrameBase + pos/fdb)[pos%fdb:fdb], data):]
 	}
 }
 
@@ -272,7 +288,7 @@ func (im *Image) SetCellBytes(loc netlist.Location, offset int, data []byte) err
 }
 
 func (im *Image) checkCellRange(loc netlist.Location, offset, n int) error {
-	if loc.FrameBase < 0 || loc.FrameBase+loc.FrameCount > len(im.frames) {
+	if loc.FrameBase < 0 || loc.FrameBase+loc.FrameCount > im.Header.Frames {
 		return fmt.Errorf("bitstream: cell %s frames [%d,%d) outside image", loc.Path, loc.FrameBase, loc.FrameBase+loc.FrameCount)
 	}
 	capacity := loc.FrameCount * im.Header.frameDataBytes()

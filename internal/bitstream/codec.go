@@ -23,83 +23,102 @@ func (im *Image) Encode() []byte { return im.encode(false) }
 func (im *Image) EncodeCompressed() []byte { return im.encode(true) }
 
 func (im *Image) encode(compressed bool) []byte {
-	var hdr bytes.Buffer
-	writeString(&hdr, im.Header.Device)
-	writeU32(&hdr, im.Header.IDCode)
-	writeString(&hdr, im.Header.DesignName)
-	writeString(&hdr, im.Header.LogicID)
-	writeU32(&hdr, im.Header.RPBase)
-	writeU32(&hdr, uint32(im.Header.Frames))
-	writeU32(&hdr, uint32(im.Header.FrameWords))
+	h := im.Header
+	hdrLen := 3*4 + len(h.Device) + len(h.DesignName) + len(h.LogicID) + 6*4
+	for _, c := range h.Cells {
+		hdrLen += 4 + len(c.Path) + 2*4
+	}
+	payloadLen := len(im.store)
+	if compressed {
+		payloadLen = 0
+		im.frameRuns(func(int, []byte) { payloadLen += 4 + h.FrameWords*4 })
+	}
+	// One buffer of exactly the container's size: magic and header block, 6
+	// words of front matter, 8 of packets, the payload, 4 of trailer.
+	out := make([]byte, 0, len(Magic)+4+hdrLen+(6+8+4)*4+payloadLen)
+
+	out = append(out, Magic...)
+	out = appendU32(out, uint32(hdrLen))
+	out = appendString(out, h.Device)
+	out = appendU32(out, h.IDCode)
+	out = appendString(out, h.DesignName)
+	out = appendString(out, h.LogicID)
+	out = appendU32(out, h.RPBase)
+	out = appendU32(out, uint32(h.Frames))
+	out = appendU32(out, uint32(h.FrameWords))
 	flags := uint32(0)
 	if compressed {
 		flags |= flagCompressed
 	}
-	writeU32(&hdr, flags)
-	writeU32(&hdr, uint32(len(im.Header.Cells)))
-	for _, c := range im.Header.Cells {
-		writeString(&hdr, c.Path)
-		writeU32(&hdr, uint32(c.FrameBase))
-		writeU32(&hdr, uint32(c.FrameCount))
+	out = appendU32(out, flags)
+	out = appendU32(out, uint32(len(h.Cells)))
+	for _, c := range h.Cells {
+		out = appendString(out, c.Path)
+		out = appendU32(out, uint32(c.FrameBase))
+		out = appendU32(out, uint32(c.FrameCount))
 	}
-
-	payload := im.backing
-	if compressed {
-		payload = compressFrames(im.frames)
-	}
-
-	out := bytes.NewBuffer(make([]byte, 0, len(payload)+hdr.Len()+128))
-	out.WriteString(Magic)
-	writeU32(out, uint32(hdr.Len()))
-	out.Write(hdr.Bytes())
 
 	// Padding and sync, as a real bitstream front matter.
-	writeU32(out, 0xFFFFFFFF)
-	writeU32(out, 0xFFFFFFFF)
-	writeU32(out, 0x000000BB) // bus width sync
-	writeU32(out, 0x11220044) // bus width detect
-	writeU32(out, 0xFFFFFFFF)
-	writeU32(out, SyncWord)
+	out = appendU32(out, 0xFFFFFFFF)
+	out = appendU32(out, 0xFFFFFFFF)
+	out = appendU32(out, 0x000000BB) // bus width sync
+	out = appendU32(out, 0x11220044) // bus width detect
+	out = appendU32(out, 0xFFFFFFFF)
+	out = appendU32(out, SyncWord)
 
 	// Configuration packets.
-	writeU32(out, type1(regIDCODE, 1))
-	writeU32(out, im.Header.IDCode)
-	writeU32(out, type1(regFAR, 1))
-	writeU32(out, im.Header.RPBase)
-	writeU32(out, type1(regCMD, 1))
-	writeU32(out, cmdWCFG)
-	writeU32(out, type1(regFDRI, 0))
-	writeU32(out, type2(uint32(len(payload)/4)))
-	out.Write(payload)
+	out = appendU32(out, type1(regIDCODE, 1))
+	out = appendU32(out, h.IDCode)
+	out = appendU32(out, type1(regFAR, 1))
+	out = appendU32(out, h.RPBase)
+	out = appendU32(out, type1(regCMD, 1))
+	out = appendU32(out, cmdWCFG)
+	out = appendU32(out, type1(regFDRI, 0))
+	out = appendU32(out, type2(uint32(payloadLen/4)))
+	payloadAt := len(out)
+	if compressed {
+		// Multi-frame write: [repeat uint32][frame bytes] per run.
+		im.frameRuns(func(repeat int, frame []byte) {
+			out = append(appendU32(out, uint32(repeat)), frame...)
+		})
+	} else {
+		out = append(out, im.store...)
+		fb := h.FrameWords * 4
+		for i, f := range im.patched {
+			copy(out[payloadAt+i*fb:], f)
+		}
+	}
 
 	// Global CRC over the frame payload, then desync.
-	writeU32(out, type1(regCRC, 1))
-	writeU32(out, crc32.ChecksumIEEE(payload))
-	writeU32(out, type1(regCMD, 1))
-	writeU32(out, cmdDESYNC)
-	return out.Bytes()
+	crc := crc32.ChecksumIEEE(out[payloadAt:])
+	out = appendU32(out, type1(regCRC, 1))
+	out = appendU32(out, crc)
+	out = appendU32(out, type1(regCMD, 1))
+	out = appendU32(out, cmdDESYNC)
+	return out
 }
 
 // flagCompressed marks multi-frame-write compression in the header flags.
 const flagCompressed = 1 << 0
 
-// compressFrames emits [repeat uint32][frame bytes] records for runs of
-// identical consecutive frames.
-func compressFrames(frames [][]byte) []byte {
-	var out bytes.Buffer
-	for i := 0; i < len(frames); {
+// maxFDRIWords is the largest word count a type-2 FDRI packet can carry,
+// and so the largest partition a container can describe.
+const maxFDRIWords = 0x07FFFFFF
+
+// frameRuns calls fn once per run of identical consecutive frames.
+func (im *Image) frameRuns(fn func(repeat int, frame []byte)) {
+	for i := 0; i < im.Header.Frames; {
 		j := i + 1
-		for j < len(frames) && bytes.Equal(frames[j], frames[i]) {
+		for j < im.Header.Frames && bytes.Equal(im.frame(j), im.frame(i)) {
 			j++
 		}
-		writeU32(&out, uint32(j-i))
-		out.Write(frames[i])
+		fn(j-i, im.frame(i))
 		i = j
 	}
-	return out.Bytes()
 }
 
-// expandFrames inverts compressFrames into an image's backing store.
+// expandFrames inverts the multi-frame-write records into an image's
+// backing store.
 func expandFrames(payload []byte, frames, frameBytes int) ([]byte, error) {
 	out := make([]byte, 0, frames*frameBytes)
 	r := &reader{data: payload}
@@ -121,9 +140,11 @@ func expandFrames(payload []byte, frames, frameBytes int) ([]byte, error) {
 
 // Decode parses and validates a plaintext container produced by Encode,
 // checking magic, sync word, packet structure, the global CRC, and every
-// frame's ECC word.
+// frame's ECC word. The image of an uncompressed container borrows data's
+// frame payload rather than copying it: data must stay unmodified for as
+// long as the image is in use, and the image never writes to it.
 func Decode(data []byte) (*Image, error) {
-	if len(data) >= len(EncMagic) && string(data[:len(EncMagic)]) == EncMagic {
+	if IsEncrypted(data) {
 		return nil, ErrEncrypted
 	}
 	r := &reader{data: data}
@@ -145,7 +166,7 @@ func Decode(data []byte) (*Image, error) {
 	h.FrameWords = int(hr.u32())
 	flags := hr.u32()
 	nc := int(hr.u32())
-	if hr.err != nil || h.Frames < 0 || h.FrameWords < 2 || nc < 0 || nc > 1<<20 {
+	if hr.err != nil || h.Frames < 0 || h.FrameWords < 2 || h.Frames > maxFDRIWords/h.FrameWords || nc < 0 || nc > 1<<20 {
 		return nil, ErrCorrupt
 	}
 	compressed := flags&flagCompressed != 0
@@ -212,15 +233,13 @@ func Decode(data []byte) (*Image, error) {
 		return nil, r.err
 	}
 
+	im := &Image{Header: h, store: payload, owned: compressed}
 	if compressed {
-		expanded, err := expandFrames(payload, h.Frames, h.FrameWords*4)
-		if err != nil {
+		var err error
+		if im.store, err = expandFrames(payload, h.Frames, h.FrameWords*4); err != nil {
 			return nil, err
 		}
-		payload = expanded
 	}
-	im := newImage(h)
-	copy(im.backing, payload)
 	if err := im.VerifyFrames(); err != nil {
 		return nil, err
 	}
@@ -242,13 +261,8 @@ func Encrypt(encoded []byte, deviceKey []byte, device string) ([]byte, error) {
 	if len(encoded) < len(Magic) || string(encoded[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	ct, err := cryptoutil.Seal(deviceKey, encoded, []byte(device))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(EncMagic)+len(ct))
-	out = append(out, EncMagic...)
-	return append(out, ct...), nil
+	out := make([]byte, 0, len(EncMagic)+len(encoded)+cryptoutil.SealOverhead)
+	return cryptoutil.AppendSeal(append(out, EncMagic...), deviceKey, encoded, []byte(device))
 }
 
 // IsEncrypted reports whether data is an encrypted container.
@@ -263,11 +277,7 @@ func Decrypt(data []byte, deviceKey []byte, device string) ([]byte, error) {
 	if !IsEncrypted(data) {
 		return nil, ErrBadMagic
 	}
-	pt, err := cryptoutil.Open(deviceKey, data[len(EncMagic):], []byte(device))
-	if err != nil {
-		return nil, err
-	}
-	return pt, nil
+	return cryptoutil.Open(deviceKey, data[len(EncMagic):], []byte(device))
 }
 
 // type1 builds a simplified type-1 packet header: write to register reg
@@ -343,13 +353,8 @@ func (r *reader) str() string {
 	return string(r.take(n))
 }
 
-func writeU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 
-func writeString(w *bytes.Buffer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
+func appendString(b []byte, s string) []byte {
+	return append(appendU32(b, uint32(len(s))), s...)
 }

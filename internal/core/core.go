@@ -71,8 +71,9 @@ type Timing struct {
 // DefaultTiming returns the calibration used to regenerate Figure 9 on a
 // U200-scale bitstream. The quote-path constants are taken from the
 // paper's own measurements (key distribution 1709 ms intra-cloud, user RA
-// 2568 ms over WAN); the slowdown factors are calibrated once against this
-// machine's measured crypto/manipulation throughput (see EXPERIMENTS.md).
+// 2568 ms over WAN); the slowdown factors were calibrated once against the
+// native crypto/manipulation throughputs recorded in internal/simtime (see
+// EXPERIMENTS.md).
 func DefaultTiming() Timing {
 	return Timing{
 		EnclaveSlowdown: 16,
@@ -88,7 +89,7 @@ func DefaultTiming() Timing {
 	}
 }
 
-// FastTiming disables all modelling: wall-clock factors of 1 and no
+// FastTiming disables all modelling: slowdown factors of 1 and no
 // synthetic latency. Unit and integration tests use it.
 func FastTiming() Timing {
 	zero := simnet.Link{}

@@ -1,25 +1,28 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"salus/internal/accel"
+	"salus/internal/netlist"
+	"salus/internal/perfmodel"
 	"salus/internal/trace"
 )
 
 // TestFigure9Shape runs the full U200-scale booting-time experiment and
-// checks the paper's shape claims: bitstream manipulation dominates
-// (73.2% in the paper), the two remote attestations are seconds-scale,
+// checks it against the paper: bitstream manipulation dominates (73.2% in
+// the paper), the two remote attestations are seconds-scale,
 // verification+encryption is sub-second, and local/CL attestation are
-// negligible. Absolute totals depend on this machine; EXPERIMENTS.md
-// records the calibration.
+// negligible. The bitstream-sized segments are charged by size
+// (EXPERIMENTS.md), so they and the total are the same on every host and
+// are pinned to 1 % and 3 %, race detector or not; only the two sub-20 ms
+// attestations are scaled wall-clock measurements.
 func TestFigure9Shape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("U200-scale boot is seconds-long; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock calibration is meaningless under the race detector's slowdown")
+		t.Skip("a U200-scale image is 32 MiB; skipped in -short")
 	}
 	r, err := RunFigure9("Conv")
 	if err != nil {
@@ -38,17 +41,20 @@ func TestFigure9Shape(t *testing.T) {
 	la := r.Trace.PhaseTotal(trace.PhaseLocalAttest)
 	clAuth := r.Trace.PhaseTotal(trace.PhaseCLAuth)
 
-	if total < 5*time.Second || total > 90*time.Second {
-		t.Errorf("total boot = %v, expected the paper's order of magnitude (18.8 s)", total)
+	within := func(d time.Duration, want, tolerance float64) bool {
+		return math.Abs(d.Seconds()-want) <= want*tolerance
 	}
-	if share := float64(manip) / float64(total); share < 0.5 || share > 0.9 {
+	if !within(total, 18.8, 0.03) {
+		t.Errorf("total boot = %v, paper reports 18.8 s", total)
+	}
+	if share := float64(manip) / float64(total); share < 0.72 || share > 0.75 {
 		t.Errorf("manipulation share = %.1f%%, paper reports 73.2%%", share*100)
 	}
-	if manip < verifEnc || manip < userRA || manip < keyDist {
-		t.Error("manipulation does not dominate the boot — wrong shape")
+	if !within(manip, 14.03, 0.01) {
+		t.Errorf("manipulation = %v, want 14.03 s (paper 13.8 s)", manip)
 	}
-	if verifEnc < 200*time.Millisecond || verifEnc > 3*time.Second {
-		t.Errorf("verify+encrypt = %v, paper reports 725 ms", verifEnc)
+	if !within(verifEnc, 0.769, 0.01) {
+		t.Errorf("verify+encrypt = %v, want 769 ms (paper 725 ms)", verifEnc)
 	}
 	if userRA < 2*time.Second || userRA > 3200*time.Millisecond {
 		t.Errorf("user RA = %v, paper reports 2568 ms", userRA)
@@ -61,10 +67,11 @@ func TestFigure9Shape(t *testing.T) {
 	if userRA <= keyDist {
 		t.Error("user RA not slower than intra-cloud key distribution — wrong shape")
 	}
-	if la > 20*time.Millisecond {
+	// The two measured segments: skipped under the race detector's slowdown.
+	if la > 20*time.Millisecond && !raceEnabled {
 		t.Errorf("local attestation = %v, paper reports 836 µs", la)
 	}
-	if clAuth > 20*time.Millisecond {
+	if clAuth > 20*time.Millisecond && !raceEnabled {
 		t.Errorf("CL authentication = %v, paper reports 1.3 ms", clAuth)
 	}
 
@@ -72,6 +79,34 @@ func TestFigure9Shape(t *testing.T) {
 	for _, want := range []string{"Bitstream Manipulation", "Paper", "18.8 s", "TOTAL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure 9 output missing %q", want)
+		}
+	}
+}
+
+// TestBootModelMatchesHarness: the analytic twin and the harness charge the
+// bitstream-sized segments from one formula over one set of constants, so
+// they agree to the nanosecond at any image size.
+func TestBootModelMatchesHarness(t *testing.T) {
+	profiles := []netlist.DeviceProfile{netlist.TestDevice}
+	if !testing.Short() {
+		profiles = append(profiles, netlist.U200)
+	}
+	for _, profile := range profiles {
+		sys, err := NewSystem(SystemConfig{Profile: profile, Kernel: accel.Conv{}, Seed: 1, Timing: DefaultTiming()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.SecureBoot(); err != nil {
+			t.Fatal(err)
+		}
+		model := map[string]time.Duration{}
+		for _, seg := range perfmodel.DefaultBootModel(len(sys.Package.Encoded)).Breakdown() {
+			model[seg.Name] = seg.D
+		}
+		for _, p := range []trace.Phase{trace.PhaseBitManipulation, trace.PhaseBitVerifyEnc} {
+			if got, want := sys.Trace.PhaseTotal(p), model[string(p)]; got != want || want == 0 {
+				t.Errorf("%s, %s: harness charged %v, model says %v", profile.Name, p, got, want)
+			}
 		}
 	}
 }

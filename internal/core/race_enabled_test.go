@@ -2,7 +2,7 @@
 
 package core
 
-// raceEnabled reports that this binary was built with -race; wall-clock
-// calibration tests skip themselves, since the detector slows crypto and
-// bitstream work by an order of magnitude.
+// raceEnabled reports that this binary was built with -race: bounds on
+// scaled wall-clock measurements (the constant-size enclave crypto) are
+// not checked, since the detector slows crypto by an order of magnitude.
 const raceEnabled = true

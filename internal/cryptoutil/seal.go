@@ -43,18 +43,27 @@ func RandomKey(n int) []byte {
 	return k
 }
 
+// SealOverhead is how many bytes Seal's output is longer than its
+// plaintext: the nonce prefix and the GCM tag.
+const SealOverhead = NonceSize + 16
+
 // Seal encrypts and authenticates plaintext with AES-GCM under key,
 // binding the optional additional data. The returned ciphertext carries the
 // random nonce as its prefix.
 func Seal(key, plaintext, additional []byte) ([]byte, error) {
+	return AppendSeal(make([]byte, 0, len(plaintext)+SealOverhead), key, plaintext, additional)
+}
+
+// AppendSeal appends Seal's output to dst and returns the extended slice, so
+// a caller that frames a large ciphertext (the bitstream container's magic)
+// builds the message in one buffer. dst must not overlap plaintext.
+func AppendSeal(dst, key, plaintext, additional []byte) ([]byte, error) {
 	aead, err := newGCM(key)
 	if err != nil {
 		return nil, err
 	}
 	nonce := RandomKey(NonceSize)
-	out := make([]byte, 0, NonceSize+len(plaintext)+aead.Overhead())
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, additional), nil
+	return aead.Seal(append(dst, nonce...), nonce, plaintext, additional), nil
 }
 
 // Open authenticates and decrypts a Seal-produced ciphertext.

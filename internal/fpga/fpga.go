@@ -220,7 +220,10 @@ func (i *ICAP) ProgramPartition(idx int, data []byte) error {
 		return fmt.Errorf("fpga: partition %d out of range", idx)
 	}
 
-	payload := data
+	// The decoded image borrows payload, which therefore has to be the
+	// fabric's own: the one plaintext the internal decryption produces, or a
+	// private copy of a plaintext container the shell still holds.
+	var payload []byte
 	if bitstream.IsEncrypted(data) {
 		if d.efuse == nil {
 			return ErrNotFused
@@ -230,6 +233,8 @@ func (i *ICAP) ProgramPartition(idx int, data []byte) error {
 			return fmt.Errorf("%w: internal decryption failed: %v", ErrBadBitstream, err)
 		}
 		payload = pt
+	} else {
+		payload = append([]byte(nil), data...)
 	}
 
 	im, err := bitstream.Decode(payload)

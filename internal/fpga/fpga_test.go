@@ -320,3 +320,48 @@ func TestResetClearsPartitionsKeepsFuse(t *testing.T) {
 		t.Error("eFUSE writable after reset")
 	}
 }
+
+// TestLoadedImageIsTheFabricsOwn: the partition's image borrows the bytes
+// it was decoded from, so those must belong to the fabric. Whatever the
+// shell does afterwards to the slice it handed in — plaintext or ciphertext
+// — and whatever is loaded next door, the configuration stays what was
+// programmed.
+func TestLoadedImageIsTheFabricsOwn(t *testing.T) {
+	key := cryptoutil.RandomKey(cryptoutil.DeviceKeySize)
+	forms := map[string]func([]byte) []byte{
+		"plaintext": func(enc []byte) []byte { return enc },
+		"encrypted": func(enc []byte) []byte {
+			sealed, err := bitstream.Encrypt(enc, key, netlist.TestDevice.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sealed
+		},
+	}
+	for name, form := range forms {
+		t.Run(name, func(t *testing.T) {
+			dev := newDevice(t, WithPartitions(2))
+			if err := dev.FuseKey(key); err != nil {
+				t.Fatal(err)
+			}
+			data := form(testEncoded(t, 0x5A))
+			if err := dev.ICAP().ProgramPartition(0, data); err != nil {
+				t.Fatal(err)
+			}
+			for i := range data {
+				data[i] ^= 0xFF
+			}
+			if err := dev.ICAP().ProgramPartition(1, form(testEncoded(t, 0x11))); err != nil {
+				t.Fatal(err)
+			}
+			im := dev.parts[0].image
+			loc, _ := im.Cell("sm/secrets")
+			if got, err := im.CellBytes(loc, 0, 16); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 16)) {
+				t.Errorf("loaded secrets cell reads % x (%v) after the caller's buffer was overwritten", got, err)
+			}
+			if err := im.VerifyFrames(); err != nil {
+				t.Errorf("loaded configuration no longer verifies: %v", err)
+			}
+		})
+	}
+}

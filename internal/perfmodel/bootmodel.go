@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"salus/internal/simtime"
 )
 
 // BootModel is the analytic counterpart of the measured Figure 9 harness:
 // a closed-form booting-time model for what-if sweeps (bigger partitions,
 // faster links, tailored in-enclave toolchains) without running the real
-// bitstream operations. Throughputs are native rates measured once on this
-// repository's bitstream toolchain; the slowdown factors mirror
-// core.DefaultTiming.
+// bitstream operations. Throughputs are the native rates the harness itself
+// charges from (simtime), through the same formula (simtime.SizeCost); the
+// slowdown factors mirror core.DefaultTiming.
 type BootModel struct {
 	BitstreamBytes float64
 
@@ -42,9 +44,9 @@ type BootModel struct {
 func DefaultBootModel(bitstreamBytes int) BootModel {
 	return BootModel{
 		BitstreamBytes:  float64(bitstreamBytes),
-		HashBW:          1.3e9,
-		GCMBW:           1.5e9,
-		ManipBW:         1.05e9,
+		HashBW:          simtime.HashBytesPerSec,
+		GCMBW:           simtime.GCMBytesPerSec,
+		ManipBW:         simtime.ManipBytesPerSec,
 		EnclaveSlowdown: 16,
 		ToolSlowdown:    440,
 		SMQuoteGen:      646 * time.Millisecond,
@@ -66,12 +68,9 @@ type BootSegment struct {
 
 // Breakdown returns the modelled Figure 9 segments.
 func (m BootModel) Breakdown() []BootSegment {
-	secs := func(bytes, bw, slow float64) time.Duration {
-		return time.Duration(bytes / bw * slow * float64(time.Second))
-	}
-	manip := secs(m.BitstreamBytes, m.ManipBW, m.ToolSlowdown)
-	verifEnc := secs(m.BitstreamBytes, m.HashBW, m.EnclaveSlowdown) +
-		secs(m.BitstreamBytes, m.GCMBW, m.EnclaveSlowdown)
+	manip := simtime.SizeCost(m.BitstreamBytes, m.ManipBW, m.ToolSlowdown)
+	verifEnc := simtime.SizeCost(m.BitstreamBytes, m.HashBW, m.EnclaveSlowdown) +
+		simtime.SizeCost(m.BitstreamBytes, m.GCMBW, m.EnclaveSlowdown)
 	deploy := m.PCIeRTT/2 + time.Duration(m.BitstreamBytes/m.PCIeBW*float64(time.Second))
 	return []BootSegment{
 		{Name: "Bitstream Manipulation", D: manip},

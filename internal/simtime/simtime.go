@@ -1,14 +1,20 @@
 // Package simtime provides the virtual clock that the Salus simulation
 // charges time to.
 //
-// The reproduction mixes two kinds of time:
+// The reproduction mixes two kinds of time, and one rule says which is
+// which: bitstream-sized work is charged by size, constant-size work by
+// measurement.
 //
-//   - Real compute, executed for real (hashing, AES-GCM over real bitstream
-//     bytes, SipHash, bitstream re-serialisation). Measured with the wall
-//     clock, optionally scaled by a slowdown factor modelling execution
-//     inside an enclave library OS (the paper runs RapidWright under Occlum
-//     and reports that "directly wrapping RapidWright inside an enclave
-//     without tailoring results in an inefficient implementation").
+//   - In-enclave compute, all executed for real. The three operations that
+//     stream the whole partial bitstream (digest, manipulation, AES-GCM) run
+//     once, untimed, and are charged SizeCost: bytes over the operation's
+//     native throughput, times a slowdown factor modelling execution inside
+//     an enclave library OS (the paper runs RapidWright under Occlum and
+//     reports that "directly wrapping RapidWright inside an enclave without
+//     tailoring results in an inefficient implementation"). The modelled
+//     boot thus never depends on how fast this host, or this code, is.
+//     Constant-size enclave crypto (ECDH, EREPORT, key unwrap) is measured
+//     with the wall clock and scaled (Measure).
 //
 //   - Modelled latency that our testbed does not have (WAN round trips to a
 //     DCAP server, intra-cloud links, PCIe DMA), charged analytically.
@@ -58,39 +64,25 @@ func (c *Clock) Elapsed() time.Duration {
 func (c *Clock) Measure(slowdown float64, fn func()) time.Duration {
 	start := time.Now()
 	fn()
-	wall := time.Since(start)
-	charged := scale(wall, slowdown)
+	charged := time.Duration(float64(time.Since(start)) * max(slowdown, 0))
 	c.Advance(charged)
 	return charged
 }
 
-// MeasureBest runs fn `runs` times (at least once), charges slowdown times
-// the *minimum* wall duration, and returns the charged amount. It exists
-// for heavily scaled measurements, where a single wall-clock sample would
-// amplify scheduler noise by the slowdown factor; the minimum of a few runs
-// approximates the operation's intrinsic cost. fn must be idempotent.
-func (c *Clock) MeasureBest(slowdown float64, runs int, fn func()) time.Duration {
-	if runs < 1 {
-		runs = 1
-	}
-	best := time.Duration(-1)
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		fn()
-		if d := time.Since(start); best < 0 || d < best {
-			best = d
-		}
-	}
-	charged := scale(best, slowdown)
-	c.Advance(charged)
-	return charged
-}
+// Native throughputs, in bytes per second, of the three bitstream-sized boot
+// operations on the reference machine against which the ×16 and ×440
+// slowdowns were calibrated (EXPERIMENTS.md). The boot harness (smapp) and
+// its analytic twin (perfmodel.BootModel) both charge from these.
+const (
+	HashBytesPerSec  = 1.3e9  // SHA-256 digest
+	GCMBytesPerSec   = 1.5e9  // AES-GCM-256 seal
+	ManipBytesPerSec = 1.05e9 // parse and validate, inject, re-serialise
+)
 
-func scale(d time.Duration, factor float64) time.Duration {
-	if factor <= 0 {
-		return 0
-	}
-	return time.Duration(float64(d) * factor)
+// SizeCost returns the modelled duration of an operation that natively
+// streams bytes at bytesPerSec and is modelled to run slowdown times slower.
+func SizeCost(bytes, bytesPerSec, slowdown float64) time.Duration {
+	return time.Duration(bytes / bytesPerSec * slowdown * float64(time.Second))
 }
 
 // Span measures a section of virtual time: it records the clock on creation

@@ -229,18 +229,8 @@ func (a *SMApp) measure(p trace.Phase, slowdown float64, fn func()) {
 	a.cfg.Trace.Record(p, d)
 }
 
-// measureBest charges the best of three runs of an idempotent heavy
-// operation — scaled measurements amplify scheduler noise otherwise.
-func (a *SMApp) measureBest(p trace.Phase, slowdown float64, fn func()) {
-	runs := 1
-	if slowdown > 4 {
-		runs = 3
-	}
-	d := a.cfg.Clock.MeasureBest(slowdown, runs, fn)
-	a.cfg.Trace.Record(p, d)
-}
-
-// charge records a modelled duration against a phase.
+// charge records a modelled duration (a constant, or a simtime.SizeCost)
+// against a phase.
 func (a *SMApp) charge(p trace.Phase, d time.Duration) {
 	a.cfg.Clock.Advance(d)
 	a.cfg.Trace.Record(p, d)
@@ -392,13 +382,11 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 	// and is byte-identical for every board deploying this CL, so a fleet
 	// PreparedCache runs the closure once; only the builder is charged.
 	build := func() (*preparedCL, error) {
+		size := float64(len(encoded))
 		// Bitstream verification against the digest from the user client.
-		var ok bool
-		a.measureBest(trace.PhaseBitVerifyEnc, a.cfg.EnclaveSlowdown, func() {
-			got := cryptoutil.Digest(encoded)
-			ok = cryptoutil.ConstantTimeEqual(got[:], a.meta.Digest[:])
-		})
-		if !ok {
+		got := cryptoutil.Digest(encoded)
+		a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(size, simtime.HashBytesPerSec, a.cfg.EnclaveSlowdown))
+		if !cryptoutil.ConstantTimeEqual(got[:], a.meta.Digest[:]) {
 			return nil, ErrDigest
 		}
 
@@ -410,39 +398,14 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 		}
 		ctrInit >>= 16 // leave headroom for a long session
 
-		var manipulated []byte
-		var err error
-		a.measureBest(trace.PhaseBitManipulation, a.cfg.ToolSlowdown, func() {
-			var tool *bitman.Tool
-			tool, err = bitman.Open(encoded)
-			if err != nil {
-				return
-			}
-			// Kerckhoff hardening: the reserved RoT cell must arrive zeroed.
-			// A developer-shipped bitstream with pre-initialised "secrets"
-			// would be a hidden, non-deployment-fresh key — refuse it.
-			var existing []byte
-			existing, err = tool.ReadCell(a.meta.Loc, 0, smlogic.SecretsSize)
-			if err != nil {
-				return
-			}
-			for _, b := range existing {
-				if b != 0 {
-					err = fmt.Errorf("smapp: reserved RoT cell %s is pre-initialised — refusing to deploy", a.meta.Loc.Path)
-					return
-				}
-			}
-			// Loc_Keyattest from the metadata locates the secrets cell; the
-			// layout within the cell is the HDK contract.
-			buf := make([]byte, smlogic.SecretsSize)
-			copy(buf[smlogic.OffKeyAttest:], keyAttest)
-			copy(buf[smlogic.OffKeySession:], keySession)
-			binary.BigEndian.PutUint64(buf[smlogic.OffCtrSession:], ctrInit)
-			if err = tool.Inject(a.meta.Loc, 0, buf); err != nil {
-				return
-			}
-			manipulated = tool.Serialize()
-		})
+		// Loc_Keyattest from the metadata locates the secrets cell; the
+		// layout within the cell is the HDK contract.
+		secrets := make([]byte, smlogic.SecretsSize)
+		copy(secrets[smlogic.OffKeyAttest:], keyAttest)
+		copy(secrets[smlogic.OffKeySession:], keySession)
+		binary.BigEndian.PutUint64(secrets[smlogic.OffCtrSession:], ctrInit)
+		manipulated, err := manipulate(encoded, a.meta.Loc, secrets)
+		a.charge(trace.PhaseBitManipulation, simtime.SizeCost(size, simtime.ManipBytesPerSec, a.cfg.ToolSlowdown))
 		if err != nil {
 			return nil, fmt.Errorf("smapp: manipulation: %w", err)
 		}
@@ -469,12 +432,8 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 	// memoised per (CL, device key) so a reboot of the same board skips it.
 	profile := a.cfg.Shell.Device().Profile().Name
 	encBuild := func() ([]byte, error) {
-		var sealed []byte
-		var encErr error
-		a.measureBest(trace.PhaseBitVerifyEnc, a.cfg.EnclaveSlowdown, func() {
-			sealed, encErr = bitstream.Encrypt(cl.manipulated, a.deviceKey, profile)
-		})
-		return sealed, encErr
+		a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(float64(len(cl.manipulated)), simtime.GCMBytesPerSec, a.cfg.EnclaveSlowdown))
+		return bitstream.Encrypt(cl.manipulated, a.deviceKey, profile)
 	}
 	var sealed []byte
 	if a.cfg.Prepared != nil {
@@ -500,6 +459,32 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 	a.sharedSecrets = fromCache
 	a.sealer = nil
 	return nil
+}
+
+// manipulate is the RapidWright step: parse and validate the container,
+// write secrets into the cell at loc, and re-serialise. encoded is only
+// read — it is the developer's package, shared by every board of a fleet.
+func manipulate(encoded []byte, loc netlist.Location, secrets []byte) ([]byte, error) {
+	tool, err := bitman.Open(encoded)
+	if err != nil {
+		return nil, err
+	}
+	// Kerckhoff hardening: the reserved RoT cell must arrive zeroed. A
+	// developer-shipped bitstream with pre-initialised "secrets" would be a
+	// hidden, non-deployment-fresh key — refuse it.
+	existing, err := tool.ReadCell(loc, 0, len(secrets))
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range existing {
+		if b != 0 {
+			return nil, fmt.Errorf("smapp: reserved RoT cell %s is pre-initialised — refusing to deploy", loc.Path)
+		}
+	}
+	if err := tool.Inject(loc, 0, secrets); err != nil {
+		return nil, err
+	}
+	return tool.Serialize(), nil
 }
 
 // AttestCL runs the verifier side of Figure 4a over the untrusted shell:

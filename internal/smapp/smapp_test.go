@@ -29,7 +29,7 @@ type harness struct {
 	laKey   []byte // the "user enclave" side of the LA channel
 }
 
-func newHarness(t testing.TB) *harness {
+func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 	t.Helper()
 	mfr, err := manufacturer.New()
 	if err != nil {
@@ -44,7 +44,11 @@ func newHarness(t testing.TB) *harness {
 		t.Fatal(err)
 	}
 	sh := shell.New(dev)
-	app, err := New(Config{Platform: host, Manufacturer: mfr, Shell: sh})
+	cfg := Config{Platform: host, Manufacturer: mfr, Shell: sh}
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	app, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +106,23 @@ func (h *harness) establishLA(t testing.TB, host *sgx.Platform) {
 func fullBoot(t testing.TB) (*harness, *sgx.Platform) {
 	t.Helper()
 	h := newHarness(t)
-	host, err := sgx.NewPlatform(h.mfr.Authority())
-	if err != nil {
+	h.deploy(t)
+	return h, h.appPlatform()
+}
+
+// deploy runs Figure 3 ③–⑥ on the harness.
+func (h *harness) deploy(t testing.TB) {
+	t.Helper()
+	h.prepare(t)
+	if err := h.app.DeployCL(h.encoded); err != nil {
 		t.Fatal(err)
 	}
-	// LA must be against the SAME platform the SM enclave runs on; reuse
-	// its platform via a fresh harness construction is wrong — use the
-	// app's own platform through its config instead.
-	_ = host
+}
+
+// prepare runs Figure 3 ③–④: local attestation against the platform the SM
+// enclave runs on, metadata, device key — everything DeployCL needs.
+func (h *harness) prepare(t testing.TB) {
+	t.Helper()
 	h.establishLA(t, h.appPlatform())
 	sealed, err := SealMetadata(h.laKey, Metadata{Digest: h.digest, Loc: h.loc})
 	if err != nil {
@@ -121,10 +134,6 @@ func fullBoot(t testing.TB) (*harness, *sgx.Platform) {
 	if err := h.app.FetchDeviceKey(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.app.DeployCL(h.encoded); err != nil {
-		t.Fatal(err)
-	}
-	return h, h.appPlatform()
 }
 
 // appPlatform exposes the platform the SM enclave was loaded on.
