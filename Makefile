@@ -31,12 +31,12 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
-# (scheduler, core job path, and the gateway wire, whose frame-aliasing
-# tests only bite with the race build's poison-on-release) under the race
-# detector.
+# (scheduler, core job path, shell, accelerator, and the gateway wire) under
+# the race detector. The frame-aliasing tests of the gateway wire and of the
+# job path's borrowed DMA frames only bite with the race build's poisoning.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
-	$(GO) test -race ./internal/sched ./internal/core ./internal/rpc ./internal/remote ./internal/federation
+	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/rpc ./internal/remote ./internal/federation
 
 # Five seconds of real fuzzing per wire decoder and for the bitstream
 # decoder (whose images borrow their input); without this the corpora only

@@ -12,6 +12,7 @@ import (
 
 	"salus"
 	"salus/internal/accel"
+	"salus/internal/shell"
 )
 
 func main() {
@@ -19,8 +20,11 @@ func main() {
 	log.SetPrefix("secure-inference: ")
 
 	// Stage 1: face detection on an encrypted 320x240 frame with six
-	// synthetic faces planted by the workload generator.
-	det, err := salus.NewSystem(salus.SystemConfig{Kernel: salus.FaceDetect{}, Timing: salus.FastTiming()})
+	// synthetic faces planted by the workload generator. Each instance's
+	// shell snoops its bus with a Recorder, so the run can show afterwards
+	// what the CSP saw.
+	detBus := &shell.Recorder{}
+	det, err := salus.NewSystem(salus.SystemConfig{Kernel: salus.FaceDetect{}, Timing: salus.FastTiming(), Interceptor: detBus})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +58,8 @@ func main() {
 
 	// Stage 2: a convolution layer over an encrypted feature map — e.g.
 	// the embedding stage of a recognition model.
-	conv, err := salus.NewSystem(salus.SystemConfig{Kernel: salus.Conv{}, Timing: salus.FastTiming()})
+	convBus := &shell.Recorder{}
+	conv, err := salus.NewSystem(salus.SystemConfig{Kernel: salus.Conv{}, Timing: salus.FastTiming(), Interceptor: convBus})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,8 +79,8 @@ func main() {
 		len(res)/4, checksum)
 
 	// Prove the data path really was opaque to the CSP.
-	for _, sys := range []*salus.System{det, conv} {
-		for _, f := range sys.Shell.Transcript() {
+	for _, bus := range []*shell.Recorder{detBus, convBus} {
+		for _, f := range bus.Frames() {
 			if containsPlaintext(f, frame.Input) || containsPlaintext(f, fm.Input) {
 				log.Fatal("plaintext user data observed by the shell")
 			}

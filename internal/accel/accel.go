@@ -81,7 +81,9 @@ type Device interface {
 	WriteReg(addr uint32, v uint64) error
 	ReadReg(addr uint32) (uint64, error)
 	WriteMem(addr uint64, data []byte) error
-	ReadMem(addr uint64, n int) ([]byte, error)
+	// ReadMem fills dst from device memory starting at addr, so the caller
+	// (the CL's DMA engine) decides where the bytes land.
+	ReadMem(addr uint64, dst []byte) error
 }
 
 // Core wraps a Kernel with the hardware shell: register file, device
@@ -254,16 +256,18 @@ func (c *Core) WriteMem(addr uint64, data []byte) error {
 }
 
 // ReadMem implements Device (the host-initiated DMA read path).
-func (c *Core) ReadMem(addr uint64, n int) ([]byte, error) {
+func (c *Core) ReadMem(addr uint64, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n < 0 || addr > MemBytes || uint64(n) > MemBytes-addr {
-		return nil, fmt.Errorf("%w: read [%d,%d)", ErrMemRange, addr, addr+uint64(n))
+	n := len(dst)
+	if addr > MemBytes || uint64(n) > MemBytes-addr {
+		return fmt.Errorf("%w: read [%d,%d)", ErrMemRange, addr, addr+uint64(n))
 	}
 	if err := c.checkBlocks(addr, n); err != nil {
-		return nil, err
+		return err
 	}
-	return append([]byte(nil), c.mem[addr:addr+uint64(n)]...), nil
+	copy(dst, c.mem[addr:])
+	return nil
 }
 
 // dataKey assembles the 16-byte key and IV from the key registers.
@@ -312,17 +316,19 @@ func (c *Core) run() {
 	if err := c.checkBlocks(inAddr, int(inLen)); err != nil {
 		return
 	}
-	input := append([]byte(nil), c.mem[inAddr:inAddr+inLen]...)
-
-	// Inline stream decryption at the memory interface (Table 4: inbound
-	// traffic is always encrypted in TEE mode).
+	// The kernel's one input buffer. Inline stream decryption at the memory
+	// interface (Table 4: inbound traffic is always encrypted in TEE mode)
+	// fills it straight from device memory, which keeps the ciphertext.
+	input := make([]byte, inLen)
 	if c.keySet {
 		key, base := c.dataKey()
-		dec, err := cryptoutil.XORKeyStreamCTR(key, JobIV(base, jobIdx), input)
+		ctr, err := cryptoutil.CTRStream(key, JobIV(base, jobIdx))
 		if err != nil {
 			return
 		}
-		input = dec
+		ctr.XORKeyStream(input, c.mem[inAddr:inAddr+inLen])
+	} else {
+		copy(input, c.mem[inAddr:])
 	}
 
 	params := [4]uint64{c.regs[RegParam0], c.regs[RegParam1], c.regs[RegParam2], c.regs[RegParam3]}
@@ -337,11 +343,11 @@ func (c *Core) run() {
 		// Outbound traffic uses a disjoint counter block: flip the top bit
 		// so input and output keystreams never overlap.
 		iv[0] ^= 0x80
-		enc, err := cryptoutil.XORKeyStreamCTR(key, iv, out)
+		ctr, err := cryptoutil.CTRStream(key, iv)
 		if err != nil {
 			return
 		}
-		out = enc
+		ctr.XORKeyStream(out, out)
 	}
 
 	if outAddr > MemBytes || uint64(len(out)) > MemBytes-outAddr {
@@ -354,9 +360,15 @@ func (c *Core) run() {
 }
 
 // DecryptOutput is the host-side helper undoing the accelerator's outbound
-// encryption (same key/IV schedule as the memory engine).
-func DecryptOutput(key, iv, data []byte) ([]byte, error) {
+// encryption (same key/IV schedule as the memory engine) in place: data
+// becomes the plaintext.
+func DecryptOutput(key, iv, data []byte) error {
 	iv2 := append([]byte(nil), iv...)
 	iv2[0] ^= 0x80
-	return cryptoutil.XORKeyStreamCTR(key, iv2, data)
+	ctr, err := cryptoutil.CTRStream(key, iv2)
+	if err != nil {
+		return err
+	}
+	ctr.XORKeyStream(data, data)
+	return nil
 }

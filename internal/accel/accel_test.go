@@ -49,21 +49,28 @@ func TestTable4EncryptionDirections(t *testing.T) {
 	}
 }
 
-func TestConvRefHandComputed(t *testing.T) {
-	// 3x3 single-channel feature map of ones: output is the weight sum>>8.
-	fm := make([]int16, 9)
-	for i := range fm {
-		fm[i] = 1
-	}
+func TestConvHandComputed(t *testing.T) {
+	// A 3x3 single-channel feature map of one value v: the output is
+	// (v × weight sum)>>8. A negative v checks the int16 sign extension.
 	var sum int64
 	for ky := 0; ky < 3; ky++ {
 		for kx := 0; kx < 3; kx++ {
 			sum += int64(ConvWeight(0, ky, kx))
 		}
 	}
-	out := ConvRef(fm, 3, 3, 1)
-	if len(out) != 1 || out[0] != int32(sum>>8) {
-		t.Errorf("ConvRef = %v, want [%d]", out, sum>>8)
+	for _, v := range []int16{1, -3} {
+		in := make([]byte, 18)
+		for i := 0; i < 9; i++ {
+			binary.LittleEndian.PutUint16(in[2*i:], uint16(v))
+		}
+		out, err := Conv{}.Compute([4]uint64{3, 3, 1}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int32((int64(v) * sum) >> 8)
+		if len(out) != 4 || int32(binary.LittleEndian.Uint32(out)) != want {
+			t.Errorf("v=%d: Compute = %v, want [%d]", v, out, want)
+		}
 	}
 }
 
@@ -296,16 +303,14 @@ func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := core.ReadMem(outAddr, int(n))
-	if err != nil {
+	out := make([]byte, n)
+	if err := core.ReadMem(outAddr, out); err != nil {
 		t.Fatal(err)
 	}
 	if key != nil && w.Kernel.EncryptOutput() {
-		dec, err := DecryptOutput(key, iv, out)
-		if err != nil {
+		if err := DecryptOutput(key, iv, out); err != nil {
 			t.Fatal(err)
 		}
-		out = dec
 	}
 	return out
 }
@@ -368,11 +373,11 @@ func TestCoreMemoryBounds(t *testing.T) {
 	if err := core.WriteMem(MemBytes-1, []byte{1, 2}); !errors.Is(err, ErrMemRange) {
 		t.Errorf("write past end: %v", err)
 	}
-	if _, err := core.ReadMem(MemBytes, 1); !errors.Is(err, ErrMemRange) {
+	if err := core.ReadMem(MemBytes, make([]byte, 1)); !errors.Is(err, ErrMemRange) {
 		t.Errorf("read past end: %v", err)
 	}
-	if _, err := core.ReadMem(0, -1); !errors.Is(err, ErrMemRange) {
-		t.Errorf("negative read: %v", err)
+	if err := core.ReadMem(MemBytes-1, make([]byte, 2)); !errors.Is(err, ErrMemRange) {
+		t.Errorf("read straddling the end: %v", err)
 	}
 }
 

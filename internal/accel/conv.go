@@ -43,7 +43,11 @@ func ConvWeight(c, ky, kx int) int32 {
 	return int32(int8(h >> 24))
 }
 
-// Compute implements Kernel. Params: [0]=H, [1]=W, [2]=C.
+// Compute implements Kernel. Params: [0]=H, [1]=W, [2]=C. It is the
+// reference convolution shared by the accelerator model and the CPU
+// baseline: a valid (no padding) 3x3 convolution over all input channels
+// into a single output channel, read straight from the little-endian
+// input and accumulated into the one exact-size result.
 func (Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	h, w, c := int(params[0]), int(params[1]), int(params[2])
 	if h < 3 || w < 3 || c < 1 {
@@ -52,36 +56,31 @@ func (Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	if len(input) != h*w*c*2 {
 		return nil, fmt.Errorf("accel: Conv: input %d bytes, want %d", len(input), h*w*c*2)
 	}
-	fm := make([]int16, h*w*c)
-	for i := range fm {
-		fm[i] = int16(binary.LittleEndian.Uint16(input[2*i:]))
+	// For one output and one kernel row ky, the 3 taps × C channels are a
+	// contiguous [kx][ch] span of the input; wt holds the weights in that
+	// order, row by row.
+	span := 3 * c
+	wt := make([]int64, 3*span)
+	for ky := 0; ky < 3; ky++ {
+		for kx := 0; kx < 3; kx++ {
+			for ch := 0; ch < c; ch++ {
+				wt[ky*span+kx*c+ch] = int64(ConvWeight(ch, ky, kx))
+			}
+		}
 	}
-	out := ConvRef(fm, h, w, c)
-	res := make([]byte, 4*len(out))
-	for i, v := range out {
-		binary.LittleEndian.PutUint32(res[4*i:], uint32(v))
-	}
-	return res, nil
-}
-
-// ConvRef is the reference convolution shared by the accelerator model and
-// the CPU baseline: a valid (no padding) 3x3 convolution over all input
-// channels into a single output channel.
-func ConvRef(fm []int16, h, w, c int) []int32 {
-	out := make([]int32, (h-2)*(w-2))
+	res := make([]byte, 4*(h-2)*(w-2))
 	for y := 0; y < h-2; y++ {
 		for x := 0; x < w-2; x++ {
 			var acc int64
-			for ch := 0; ch < c; ch++ {
-				for ky := 0; ky < 3; ky++ {
-					row := ((y+ky)*w + x) * c
-					for kx := 0; kx < 3; kx++ {
-						acc += int64(fm[row+kx*c+ch]) * int64(ConvWeight(ch, ky, kx))
-					}
+			for ky := 0; ky < 3; ky++ {
+				off := 2 * ((y+ky)*w + x) * c
+				seg := input[off : off+2*span]
+				for j, wv := range wt[ky*span : (ky+1)*span] {
+					acc += int64(int16(uint16(seg[2*j])|uint16(seg[2*j+1])<<8)) * wv
 				}
 			}
-			out[y*(w-2)+x] = int32(acc >> 8)
+			binary.LittleEndian.PutUint32(res[4*(y*(w-2)+x):], uint32(int32(acc>>8)))
 		}
 	}
-	return out
+	return res, nil
 }

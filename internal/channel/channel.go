@@ -716,15 +716,15 @@ func DecodeMemRead(b []byte) (MemRead, error) {
 	return MemRead{Addr: binary.BigEndian.Uint64(body), N: binary.BigEndian.Uint32(body[8:12])}, nil
 }
 
-// EncodeMemData frames DMA read data; like EncodeMemWrite, data beyond the
-// uint32 length field is refused with ErrMalformed.
-func EncodeMemData(data []byte) ([]byte, error) {
-	if uint64(len(data)) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: DMA data of %d bytes exceeds frame limit", ErrMalformed, len(data))
-	}
-	out := []byte{MsgMemData}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
-	return append(out, data...), nil
+// EncodeMemData frames an n-byte DMA read response in one exact-size
+// buffer and returns the frame together with its data region, which the
+// caller fills (the CL's DMA engine reads device memory straight into it).
+// n = 0 is the empty acknowledgement of a DMA write.
+func EncodeMemData(n uint32) (frame, data []byte) {
+	frame = make([]byte, 1+4+int(n))
+	frame[0] = MsgMemData
+	binary.BigEndian.PutUint32(frame[1:], n)
+	return frame, frame[5:]
 }
 
 // DecodeMemData parses DMA read data.

@@ -204,8 +204,9 @@ func TestMemMessages(t *testing.T) {
 	if err != nil || gotR != r {
 		t.Errorf("MemRead round trip: %+v, %v", gotR, err)
 	}
-	dEnc, dErr := EncodeMemData([]byte{1, 2, 3})
-	data, err := DecodeMemData(mustBytes(t, dEnc, dErr))
+	dEnc, dFill := EncodeMemData(3)
+	copy(dFill, []byte{1, 2, 3})
+	data, err := DecodeMemData(dEnc)
 	if err != nil || !bytes.Equal(data, []byte{1, 2, 3}) {
 		t.Errorf("MemData round trip: %v, %v", data, err)
 	}
@@ -217,8 +218,7 @@ func TestMemRejectsLengthMismatch(t *testing.T) {
 	if _, err := DecodeMemWrite(enc[:len(enc)-1]); err == nil {
 		t.Error("accepted truncated MemWrite")
 	}
-	dEnc2, dErr2 := EncodeMemData([]byte{1, 2, 3, 4})
-	encD := mustBytes(t, dEnc2, dErr2)
+	encD, _ := EncodeMemData(4)
 	if _, err := DecodeMemData(append(encD, 0xFF)); err == nil {
 		t.Error("accepted over-long MemData")
 	}

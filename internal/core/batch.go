@@ -50,7 +50,6 @@ type batchJob struct {
 	inAddr  uint64
 	outAddr uint64
 	outCap  uint64
-	enc     []byte
 }
 
 // batchChunk is one secure frame's worth of jobs: bounded by the session
@@ -81,7 +80,7 @@ func (s *System) RunJobBatch(ws []accel.Workload) ([]BatchResult, error) {
 	start := time.Now()
 	defer mCoreBatch.Since(start)
 	results := make([]BatchResult, len(ws))
-	if err := s.runJobBatchLocked(ws, results); err != nil {
+	if err := s.runJobBatchLocked(ws, results, nil); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -97,8 +96,9 @@ type SealedJob struct {
 // RunJobSealedBatch is the remote-data-owner batch path: every input
 // arrives sealed under the provisioned data key, is opened inside the
 // user enclave, offloaded through the batched data path, and every result
-// returns sealed the same way. A job whose input fails authentication is
-// rejected individually; its siblings still run.
+// returns sealed the same way (read back and sealed in place, see
+// readOutput). A job whose input fails authentication is rejected
+// individually; its siblings still run.
 func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]BatchResult, error) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
@@ -118,37 +118,26 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 	results := make([]BatchResult, len(jobs))
 	ws := make([]accel.Workload, len(jobs))
 	for i, j := range jobs {
-		input, err := cryptoutil.Open(dataKey, j.Input, []byte("job-input"))
+		input, err := cryptoutil.Open(dataKey, j.Input, jobInputAD)
 		if err != nil {
 			results[i].Err = fmt.Errorf("core: sealed job input rejected: %w", err)
 			continue
 		}
 		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: input}
 	}
-	if err := s.runJobBatchLocked(ws, results); err != nil {
+	if err := s.runJobBatchLocked(ws, results, dataKey); err != nil {
 		return nil, err
-	}
-	for i := range results {
-		if results[i].Err != nil {
-			continue
-		}
-		sealed, err := cryptoutil.Seal(dataKey, results[i].Output, []byte("job-output"))
-		if err != nil {
-			results[i].Err = err
-			results[i].Output = nil
-			continue
-		}
-		results[i].Output = sealed
 	}
 	return results, nil
 }
 
 // runJobBatchLocked plans, pipelines and executes the batch; callers hold
 // jobMu. Entries of results whose Err is already set are skipped (the
-// sealed path uses this for inputs that failed authentication). A non-nil
-// return is a transport/session fault covering the whole batch; the
-// session is invalidated and the caller must discard results.
-func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult) (err error) {
+// sealed path uses this for inputs that failed authentication). Outputs
+// are plaintext with a nil sealKey and sealed under it otherwise. A
+// non-nil return is a transport/session fault covering the whole batch;
+// the session is invalidated and the caller must discard results.
+func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, sealKey []byte) (err error) {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
@@ -215,7 +204,7 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult) (
 			time.Sleep(s.Timing.RealJobLatency)
 		}
 
-		readErr := s.readChunkResults(ws, results, chunk, s.batchRes)
+		readErr := s.readChunkResults(ws, results, chunk, s.batchRes, sealKey)
 		<-writeDone
 		if readErr != nil {
 			return readErr
@@ -321,7 +310,7 @@ func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 		w := ws[j.idx]
 		s.batchTxns = append(s.batchTxns,
 			channel.RegTxn{Write: true, Addr: accel.RegInAddr, Data: j.inAddr},
-			channel.RegTxn{Write: true, Addr: accel.RegInLen, Data: uint64(len(j.enc))},
+			channel.RegTxn{Write: true, Addr: accel.RegInLen, Data: uint64(len(w.Input))},
 			channel.RegTxn{Write: true, Addr: accel.RegOutAddr, Data: j.outAddr},
 			channel.RegTxn{Write: true, Addr: accel.RegParam0, Data: w.Params[0]},
 			channel.RegTxn{Write: true, Addr: accel.RegParam1, Data: w.Params[1]},
@@ -339,27 +328,18 @@ func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 // The chunk carries its own epoch secrets, so this can run ahead of the
 // frame that installs them on the device (the pipelined overlap).
 func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error {
-	for k := range chunk.jobs {
-		j := &chunk.jobs[k]
-		enc, err := cryptoutil.XORKeyStreamCTR(chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), ws[j.idx].Input)
-		if err != nil {
-			return err
-		}
-		j.enc = enc
-		if err := s.dmaWrite(j.inAddr, enc); err != nil {
+	for _, j := range chunk.jobs {
+		if err := s.writeInput(j.inAddr, chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), ws[j.idx].Input); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readChunkResults parses the chunk's result vector, reads every
-// successful job's output back over the direct channel and decrypts it.
-// Per-job verdicts land in results; only transport faults return an
-// error. A garbled decrypt means the engine's keystream position and the
-// host's disagree, so the session is dropped and the next batch
-// re-exchanges.
-func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, res []channel.RegResult) error {
+// readChunkResults parses the chunk's result vector and reads every
+// successful job's output back over the direct channel. Per-job verdicts
+// land in results; only transport faults return an error.
+func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, res []channel.RegResult, sealKey []byte) error {
 	off := 0
 	if chunk.newEpoch {
 		for i := 0; i < epochTxnCount; i++ {
@@ -369,25 +349,16 @@ func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, ch
 		}
 		off = epochTxnCount
 	}
-	desynced := false
 	for k, j := range chunk.jobs {
 		r := res[off+k*batchTxnsPerJob : off+(k+1)*batchTxnsPerJob]
-		out, err := s.readOneJob(ws[j.idx], chunk, j, r, &desynced)
-		if err != nil {
-			results[j.idx].Err = err
-			continue
-		}
-		results[j.idx].Output = out
-	}
-	if desynced {
-		s.invalidateSession()
+		results[j.idx].Output, results[j.idx].Err = s.readOneJob(ws[j.idx], chunk, j, r, sealKey)
 	}
 	return nil
 }
 
 // readOneJob applies one job's verdict from its 10-transaction result
-// window and reads back/decrypts its output.
-func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r []channel.RegResult, desynced *bool) ([]byte, error) {
+// window and reads back its output.
+func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r []channel.RegResult, sealKey []byte) ([]byte, error) {
 	for t := 0; t < 8; t++ {
 		if !r[t].OK {
 			return nil, deviceFault(fmt.Errorf("core: batched register write %d rejected", t))
@@ -404,18 +375,7 @@ func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r [
 		return nil, deviceFault(fmt.Errorf("core: CL reports implausible output length %d at %#x (slot capacity is %d bytes)",
 			outLen.Data, j.outAddr, j.outCap))
 	}
-	out, err := s.dmaRead(j.outAddr, int(outLen.Data))
-	if err != nil {
-		return nil, deviceFault(err)
-	}
-	if w.Kernel.EncryptOutput() {
-		out, err = accel.DecryptOutput(chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), out)
-		if err != nil {
-			*desynced = true
-			return nil, deviceFault(err)
-		}
-	}
-	return out, nil
+	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), sealKey)
 }
 
 // alignUp rounds a device-memory slot length up to the DMA burst

@@ -32,6 +32,13 @@ func newTestSystem(t testing.TB, opts ...func(*SystemConfig)) *System {
 	return s
 }
 
+// recorded installs a snooping Recorder on the system's shell and returns
+// the option together with the recorder.
+func recorded() (func(*SystemConfig), *shell.Recorder) {
+	rec := &shell.Recorder{}
+	return func(c *SystemConfig) { c.Interceptor = rec }, rec
+}
+
 func TestDevelopCL(t *testing.T) {
 	pkg, err := DevelopCL(accel.Affine{}, netlist.TestDevice, 3)
 	if err != nil {
@@ -99,11 +106,12 @@ func TestSecureBootKeepsSecretsOffTheBus(t *testing.T) {
 	// enclave state), but we can check the strongest observable: the
 	// plaintext manipulated bitstream never appears, i.e. every loaded
 	// frame set is encrypted.
-	s := newTestSystem(t)
+	rec, bus := recorded()
+	s := newTestSystem(t, rec)
 	if _, err := s.SecureBoot(); err != nil {
 		t.Fatal(err)
 	}
-	for i, frame := range s.Shell.Transcript() {
+	for i, frame := range bus.Frames() {
 		if bytes.HasPrefix(frame, []byte("SLSBSTR1")) {
 			t.Errorf("frame %d: plaintext bitstream crossed the shell", i)
 		}
@@ -546,11 +554,12 @@ func TestBootTranscriptShape(t *testing.T) {
 	// The protocol's bus footprint is part of its contract: the shell sees
 	// exactly one (encrypted) bitstream and one attestation exchange
 	// during boot — nothing else leaks onto PCIe.
-	s := newTestSystem(t)
+	rec, bus := recorded()
+	s := newTestSystem(t, rec)
 	if _, err := s.SecureBoot(); err != nil {
 		t.Fatal(err)
 	}
-	tr := s.Shell.Transcript()
+	tr := bus.Frames()
 	if len(tr) != 3 {
 		t.Fatalf("boot transcript has %d frames, want 3", len(tr))
 	}
@@ -576,14 +585,14 @@ func TestBootTranscriptShape(t *testing.T) {
 		channel.MsgDirectReg: true, channel.MsgDirectResp: true,
 		channel.MsgMemWrite: true, channel.MsgMemRead: true, channel.MsgMemData: true,
 	}
-	for i, f := range s.Shell.Transcript()[3:] {
+	for i, f := range bus.Frames()[3:] {
 		if !allowed[channel.MsgType(f)] {
 			t.Errorf("job frame %d has unexpected type %#x", i, channel.MsgType(f))
 		}
 	}
 	countSecure := func() int {
 		n := 0
-		for _, f := range s.Shell.Transcript() {
+		for _, f := range bus.Frames() {
 			if channel.MsgType(f) == channel.MsgSecureReg {
 				n++
 			}
@@ -646,7 +655,8 @@ func TestRunJobRejectsImplausibleOutLen(t *testing.T) {
 }
 
 func TestSessionRekeyEveryNJobs(t *testing.T) {
-	s := newTestSystem(t, func(c *SystemConfig) { c.SessionRekeyEvery = 2 })
+	rec, bus := recorded()
+	s := newTestSystem(t, rec, func(c *SystemConfig) { c.SessionRekeyEvery = 2 })
 	if _, err := s.SecureBoot(); err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +678,7 @@ func TestSessionRekeyEveryNJobs(t *testing.T) {
 	// 4-write exchanges plus five secure start commands — and the second
 	// and third epoch each rotate the register-channel key first.
 	secure, rekeys := 0, 0
-	for _, f := range s.Shell.Transcript() {
+	for _, f := range bus.Frames() {
 		switch channel.MsgType(f) {
 		case channel.MsgSecureReg:
 			secure++
@@ -688,7 +698,8 @@ func TestSessionSurvivesExplicitRekey(t *testing.T) {
 	// An external RekeySession rotates the register-channel epoch but not
 	// the cached data-key session: the next job must still run (its secure
 	// start rides the new channel epoch) without a fresh key exchange.
-	s := newTestSystem(t)
+	rec, bus := recorded()
+	s := newTestSystem(t, rec)
 	if _, err := s.SecureBoot(); err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +714,7 @@ func TestSessionSurvivesExplicitRekey(t *testing.T) {
 		t.Fatalf("job after rekey: %v", err)
 	}
 	exchanges := 0
-	for _, f := range s.Shell.Transcript() {
+	for _, f := range bus.Frames() {
 		if channel.MsgType(f) == channel.MsgSecureReg {
 			exchanges++
 		}

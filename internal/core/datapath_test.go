@@ -1,0 +1,379 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"slices"
+	"testing"
+
+	"salus/internal/accel"
+	"salus/internal/channel"
+	"salus/internal/cryptoutil"
+	"salus/internal/shell"
+)
+
+// The job data path's buffer-ownership contract (DESIGN.md, "Job data
+// path"): every payload-sized buffer has one owner, the shell keeps
+// nothing, frames it sees are borrowed, and neither the bus nor device
+// memory ever holds plaintext.
+
+// sealedRig is a booted Conv system with the data owner's sealing key.
+type sealedRig struct {
+	*System
+	key []byte
+}
+
+func newSealedRig(t testing.TB, opts ...func(*SystemConfig)) sealedRig {
+	t.Helper()
+	s := newTestSystem(t, opts...)
+	if _, err := s.SecureBoot(); err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.User.DataKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealedRig{s, key}
+}
+
+func (r sealedRig) seal(t testing.TB, in []byte) []byte {
+	t.Helper()
+	sealed, err := cryptoutil.Seal(r.key, in, []byte("job-input"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealed
+}
+
+// run runs one sealed job and returns its opened result.
+func (r sealedRig) run(t testing.TB, w accel.Workload, sealed []byte) []byte {
+	t.Helper()
+	out, err := r.RunJobSealed(w.Kernel.Name(), w.Params, sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := cryptoutil.Open(r.key, out, []byte("job-output"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestShellRetainsNothing is the leak regression for a long-lived gateway:
+// an honest shell keeps none of the traffic it carries, so the live heap
+// after 20,000 small sealed jobs is where it was after the first 1,000.
+func TestShellRetainsNothing(t *testing.T) {
+	const jobs, settle = 20000, 1000
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1) // 2 KiB in, 784 B out
+	sealed := r.seal(t, w.Input)
+	var base uint64
+	for i := 0; i < jobs; i++ {
+		if _, err := r.RunJobSealed("Conv", w.Params, sealed); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if i+1 == settle {
+			base = liveHeap()
+		}
+	}
+	end := liveHeap()
+	runtime.KeepAlive(r.System) // what it retains must count
+	if end > base+1<<20 {
+		t.Errorf("live heap grew %d KiB over %d jobs (%d → %d bytes): the job path retains traffic",
+			(end-base)>>10, jobs-settle, base, end)
+	}
+}
+
+// memWrites returns the MsgMemWrite frames among frames.
+func memWrites(frames [][]byte) [][]byte {
+	var out [][]byte
+	for _, f := range frames {
+		if channel.MsgType(f) == channel.MsgMemWrite {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestRecorderFramesSurviveBurstReuse: the shell borrows every DMA burst
+// frame for one transaction only; the host rebuilds the next burst in the
+// same scratch (and under -race poisons it with 0xA5 as soon as the
+// transaction returns). What a Recorder captured must not move.
+func TestRecorderFramesSurviveBurstReuse(t *testing.T) {
+	opt, bus := recorded()
+	r := newSealedRig(t, opt)
+	w := accel.GenConv(16, 16, 4, 2)
+	sealed := r.seal(t, w.Input)
+	r.run(t, w, sealed)
+	first := memWrites(bus.Frames())
+	if len(first) == 0 {
+		t.Fatal("no DMA write recorded")
+	}
+	snapshot := make([][]byte, len(first))
+	for i, f := range first {
+		snapshot[i] = append([]byte(nil), f...)
+	}
+	for i := 0; i < 100; i++ {
+		r.run(t, w, sealed)
+	}
+	for i, f := range memWrites(bus.Frames())[:len(first)] {
+		if !bytes.Equal(f, snapshot[i]) {
+			t.Fatalf("recorded DMA write %d changed after 100 further jobs", i)
+		}
+	}
+}
+
+// plaintextWindows indexes every 32-byte window of the given plaintexts by
+// a polynomial hash, so a bus frame can be scanned for any of them in one
+// rolling pass.
+type plaintextWindows []uint64
+
+const (
+	window   = 32
+	hashBase = 0x100000001b3
+)
+
+// rolling calls f with the hash of every window of b.
+func rolling(b []byte, f func(uint64)) {
+	if len(b) < window {
+		return
+	}
+	var h, top uint64 = 0, 1
+	for i := 0; i < window; i++ {
+		h = h*hashBase + uint64(b[i])
+		if i > 0 {
+			top *= hashBase
+		}
+	}
+	f(h)
+	for i := window; i < len(b); i++ {
+		h = (h-uint64(b[i-window])*top)*hashBase + uint64(b[i])
+		f(h)
+	}
+}
+
+func indexPlaintexts(pts ...[]byte) plaintextWindows {
+	var ix plaintextWindows
+	for _, p := range pts {
+		rolling(p, func(h uint64) { ix = append(ix, h) })
+	}
+	slices.Sort(ix)
+	return ix
+}
+
+// leaks reports whether b contains any indexed plaintext window.
+func (ix plaintextWindows) leaks(b []byte) bool {
+	hit := false
+	rolling(b, func(h uint64) {
+		if _, ok := slices.BinarySearch(ix, h); ok {
+			hit = true
+		}
+	})
+	return hit
+}
+
+// readDRAM reads device memory the way a compromised shell would: a raw
+// DMA read of its own.
+func readDRAM(t *testing.T, s *System, addr uint64, n int) []byte {
+	t.Helper()
+	resp, err := s.Shell.TransactPartition(s.Partition(), channel.EncodeMemRead(channel.MemRead{Addr: addr, N: uint32(n)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := channel.DecodeMemData(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestJobDataNeverOnBusOrInDRAM: with every copy on the data path gone, a
+// snooping shell still sees no plaintext input, nor the plaintext output
+// of a kernel that encrypts its output (Table 4: inbound traffic is always
+// encrypted, outbound per kernel), and device memory still holds each
+// job's input encrypted (the fabric decrypts into its own buffer, not in
+// place in DRAM). Covers a 1 MiB sealed Conv job, a sealed job of an
+// output-encrypting kernel and a 64-job sealed batch.
+func TestJobDataNeverOnBusOrInDRAM(t *testing.T) {
+	type job struct {
+		in, out []byte
+		inAddr  uint64
+	}
+	check := func(t *testing.T, r sealedRig, bus *shell.Recorder, from int, jobs []job, encOut bool) {
+		t.Helper()
+		var pts [][]byte
+		for _, j := range jobs {
+			pts = append(pts, j.in)
+			if encOut {
+				pts = append(pts, j.out)
+			}
+		}
+		ix := indexPlaintexts(pts...)
+		frames := bus.Frames()[from:]
+		for i, f := range frames {
+			if ix.leaks(f) {
+				t.Fatalf("frame %d (type %#x, %d bytes) carries plaintext job data", i, channel.MsgType(f), len(f))
+			}
+		}
+		// Each job's input slot, as the last DMA write to it left it.
+		written := map[uint64][]byte{}
+		for _, f := range memWrites(frames) {
+			m, err := channel.DecodeMemWrite(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written[m.Addr] = m.Data
+		}
+		inIx := indexPlaintexts(func() [][]byte {
+			var ins [][]byte
+			for _, j := range jobs {
+				ins = append(ins, j.in)
+			}
+			return ins
+		}()...)
+		for k, j := range jobs {
+			dram := readDRAM(t, r.System, j.inAddr, len(j.in))
+			if bytes.Equal(dram, j.in) || inIx.leaks(dram) {
+				t.Fatalf("job %d: device memory holds plaintext input", k)
+			}
+			if len(jobs) == 1 && !bytes.Equal(dram, written[j.inAddr]) {
+				t.Fatalf("job %d: device memory is not the ciphertext the host wrote", k)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		w    accel.Workload
+	}{
+		{"Conv 1 MiB", accel.GenConv(256, 256, 8, 3)},
+		{"Affine, output encrypted", accel.GenAffine(64, 64, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt, bus := recorded()
+			r := newSealedRig(t, opt, func(c *SystemConfig) { c.Kernel = tc.w.Kernel })
+			from := len(bus.Frames())
+			out := r.run(t, tc.w, r.seal(t, tc.w.Input))
+			check(t, r, bus, from, []job{{tc.w.Input, out, 0}}, tc.w.Kernel.EncryptOutput())
+		})
+	}
+
+	t.Run("sealed batch of 64", func(t *testing.T) {
+		opt, bus := recorded()
+		r := newSealedRig(t, opt)
+		from := len(bus.Frames())
+		ws := make([]accel.Workload, 64)
+		sj := make([]SealedJob, len(ws))
+		for i := range ws {
+			ws[i] = accel.GenConv(16, 16, 4, int64(100+i))
+			sj[i] = SealedJob{Params: ws[i].Params, Input: r.seal(t, ws[i].Input)}
+		}
+		res, err := r.RunJobSealedBatch("Conv", sj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last chunk's slots are intact; earlier chunks' slots may have
+		// been reused by later ones, so every slot is checked by content.
+		var addrs []uint64
+		for _, f := range memWrites(bus.Frames()[from:]) {
+			m, err := channel.DecodeMemWrite(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, m.Addr)
+		}
+		if len(addrs) != len(ws) {
+			t.Fatalf("%d DMA writes for %d jobs", len(addrs), len(ws))
+		}
+		jobs := make([]job, len(ws))
+		for i, br := range res {
+			if br.Err != nil {
+				t.Fatalf("job %d: %v", i, br.Err)
+			}
+			out, err := cryptoutil.Open(r.key, br.Output, []byte("job-output"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[i] = job{ws[i].Input, out, addrs[i]}
+		}
+		check(t, r, bus, from, jobs, false)
+	})
+}
+
+// allocKiB returns how many KiB one call of f allocates.
+func allocKiB(f func()) float64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / 1024
+}
+
+// TestSealedJobAllocBudget keeps the job data path's copy count in tier-1.
+// A sealed job may allocate the enclave's opened input, the fabric's
+// decrypted input, the kernel's result, the CL's response frame and the
+// enclave's seal buffer: 2 × input + 3 × output, plus 64 KiB of small
+// change. RunJob has no opened input, and its result is the plaintext
+// buffer in place of the seal buffer: input + 3 × output. A batch job of
+// 2 KiB also pays for its crypto contexts (four AES key schedules, two GCM
+// and two CTR instances, 4.7 KiB measured) and for rounding its 784-byte
+// buffers up to the allocator's 896-byte size class, 5 KiB a job in all.
+//
+// Measured on a warmed system before the copies were removed (1 MiB Conv
+// input, 258,064 B output): RunJobSealed 8,987 KiB, RunJob 7,703 KiB, and a
+// 64 × 2 KiB sealed batch 1,687 KiB.
+func TestSealedJobAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := newSealedRig(t)
+	bulk := accel.GenConv(256, 256, 8, 4)
+	sealed := r.seal(t, bulk.Input)
+	in, out := float64(len(bulk.Input))/1024, float64((256-2)*(256-2)*4)/1024
+	small := make([]SealedJob, 64)
+	var smallIn, smallOut float64
+	for i := range small {
+		w := accel.GenConv(16, 16, 4, int64(i))
+		small[i] = SealedJob{Params: w.Params, Input: r.seal(t, w.Input)}
+		smallIn += float64(len(w.Input)) / 1024
+		smallOut += float64((16-2)*(16-2)*4) / 1024
+	}
+	runSealed := func() {
+		if _, err := r.RunJobSealed("Conv", bulk.Params, sealed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runPlain := func() {
+		if _, err := r.RunJob(bulk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runBatch := func() {
+		if _, err := r.RunJobSealedBatch("Conv", small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		run    func()
+		budget float64
+	}{
+		{"RunJobSealed", runSealed, 2*in + 3*out + 64},
+		{"RunJob", runPlain, in + 3*out + 64},
+		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, 2*smallIn + 3*smallOut + float64(len(small))*5 + 64},
+	} {
+		c.run() // warm: session, burst scratch, batch scratch
+		got := allocKiB(c.run)
+		t.Logf("%s: %.0f KiB (budget %.0f)", c.name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s allocated %.0f KiB, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}

@@ -22,13 +22,15 @@ import (
 
 // newCoResidentPair manufactures one die with two partitions and boots an
 // independent tenant into each: separate user programs, separate secure
-// boots, and therefore separate (random) data keys.
-func newCoResidentPair(t *testing.T) (a, b *System) {
+// boots, and therefore separate (random) data keys. Options apply to the
+// shared template (a Recorder installed there snoops both tenants' shells).
+func newCoResidentPair(t *testing.T, opts ...func(*SystemConfig)) (a, b *System) {
 	t.Helper()
-	systems, err := NewPartitionSystems(SystemConfig{
-		Seed: 7,
-		DNA:  "CORES-1",
-	}, []accel.Kernel{accel.Conv{}, accel.Conv{}})
+	template := SystemConfig{Seed: 7, DNA: "CORES-1"}
+	for _, o := range opts {
+		o(&template)
+	}
+	systems, err := NewPartitionSystems(template, []accel.Kernel{accel.Conv{}, accel.Conv{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +47,13 @@ func newCoResidentPair(t *testing.T) (a, b *System) {
 // SM logic holds its own Key_session, so the frame fails authentication no
 // matter which shell handle carries it.
 func TestCrossRPSealedFrameRejected(t *testing.T) {
-	a, b := newCoResidentPair(t)
+	rec, bus := recorded()
+	a, b := newCoResidentPair(t, rec)
 	w, _ := accel.TestWorkload("Conv", 1)
 	if _, err := a.RunJob(w); err != nil {
 		t.Fatal(err)
 	}
-	frame := findFirstSecureFrame(t, a)
+	frame := findFirstSecureFrame(t, bus.Frames()) // only A has run a job
 
 	// The host replays A's frame into B's partition — through B's own shell
 	// handle, exactly as a compromised scheduler would.
@@ -122,7 +125,8 @@ func TestCrossTenantKeyCannotOpenCoResidentChannel(t *testing.T) {
 // tenants run concurrently), and a frame that was valid at some counter
 // position on RP0 verifies nowhere on RP1.
 func TestPerRPCountersIndependent(t *testing.T) {
-	a, b := newCoResidentPair(t)
+	rec, bus := recorded()
+	a, b := newCoResidentPair(t, rec)
 	w, _ := accel.TestWorkload("Conv", 3)
 
 	// Concurrent tenants on one die: the race detector patrols the shared
@@ -143,6 +147,7 @@ func TestPerRPCountersIndependent(t *testing.T) {
 	wg.Wait()
 
 	// Skew the counters: 8 more jobs on RP0 only.
+	rp0Only := len(bus.Frames())
 	for i := 0; i < 8; i++ {
 		if _, err := a.RunJob(w); err != nil {
 			t.Fatal(err)
@@ -153,10 +158,10 @@ func TestPerRPCountersIndependent(t *testing.T) {
 		t.Errorf("RP1's session desynced by RP0's traffic: %v", err)
 	}
 
-	// A frame that WAS valid on RP0 (its first secure write) replays onto
-	// RP1 without success: even at the exact counter position where RP0
-	// accepted it, RP1's independent Key_session rejects it.
-	frame := findFirstSecureFrame(t, a)
+	// A frame that WAS valid on RP0 (its first secure write of the skew,
+	// when only RP0 was running) replays onto RP1 without success: RP1's
+	// independent Key_session rejects it.
+	frame := findFirstSecureFrame(t, bus.Frames()[rp0Only:])
 	resp, err := b.Shell.TransactPartition(b.Partition(), frame)
 	if err == nil {
 		if _, isErr := channel.DecodeError(resp); !isErr {

@@ -67,11 +67,13 @@ func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreJob.Since(start)
-	return s.runJobLocked(w)
+	return s.runJobLocked(w, nil)
 }
 
-// runJobLocked is the hot path; callers hold jobMu.
-func (s *System) runJobLocked(w accel.Workload) (out []byte, err error) {
+// runJobLocked is the hot path; callers hold jobMu. With a nil sealKey it
+// returns the plaintext result; otherwise the result sealed under sealKey
+// (see readOutput).
+func (s *System) runJobLocked(w accel.Workload, sealKey []byte) (out []byte, err error) {
 	if !s.booted {
 		return nil, fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
@@ -92,23 +94,17 @@ func (s *System) runJobLocked(w accel.Workload) (out []byte, err error) {
 		return nil, err
 	}
 
-	// Encrypt the payload inside the user enclave, then DMA it over the
-	// direct channel.
-	encIn, err := cryptoutil.XORKeyStreamCTR(dataKey, jobIV, w.Input)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.dmaWrite(0, encIn); err != nil {
+	if err := s.writeInput(0, dataKey, jobIV, w.Input); err != nil {
 		return nil, deviceFault(err)
 	}
 
-	outAddr := uint64(len(encIn) + 4096)
+	outAddr := uint64(len(w.Input) + 4096)
 	directRegs := []struct {
 		addr uint32
 		val  uint64
 	}{
 		{accel.RegInAddr, 0},
-		{accel.RegInLen, uint64(len(encIn))},
+		{accel.RegInLen, uint64(len(w.Input))},
 		{accel.RegOutAddr, outAddr},
 		{accel.RegParam0, w.Params[0]},
 		{accel.RegParam1, w.Params[1]},
@@ -162,20 +158,7 @@ func (s *System) runJobLocked(w accel.Workload) (out []byte, err error) {
 			outLen.Data, outAddr, accel.MemBytes))
 	}
 
-	out, err = s.dmaRead(outAddr, int(outLen.Data))
-	if err != nil {
-		return nil, deviceFault(err)
-	}
-	if w.Kernel.EncryptOutput() {
-		out, err = accel.DecryptOutput(dataKey, jobIV, out)
-		if err != nil {
-			// Garbled ciphertext means the engine's keystream desynced or
-			// the board corrupted the result — a device fault, not a
-			// rejection of the job.
-			return nil, deviceFault(err)
-		}
-	}
-	return out, nil
+	return s.readOutput(outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), dataKey, jobIV, sealKey)
 }
 
 // ensureSession returns the data key and this job's IV, performing the
@@ -266,36 +249,59 @@ func (s *System) RunJobSealed(kernelName string, params [4]uint64, sealedInput [
 	if err != nil {
 		return nil, err
 	}
-	input, err := cryptoutil.Open(dataKey, sealedInput, []byte("job-input"))
+	input, err := cryptoutil.Open(dataKey, sealedInput, jobInputAD)
 	if err != nil {
 		return nil, fmt.Errorf("core: sealed job input rejected: %w", err)
 	}
-	out, err := s.runJobLocked(accel.Workload{Kernel: k, Params: params, Input: input})
-	if err != nil {
-		return nil, err
-	}
-	return cryptoutil.Seal(dataKey, out, []byte("job-output"))
+	return s.runJobLocked(accel.Workload{Kernel: k, Params: params, Input: input}, dataKey)
 }
+
+// Additional data binding sealed job payloads to their direction.
+var (
+	jobInputAD  = []byte("job-input")
+	jobOutputAD = []byte("job-output")
+)
 
 // dmaBurst is the DMA chunk size: large transfers are split into bursts,
 // as a real PCIe DMA engine does.
 const dmaBurst = 1 << 20
 
-// dmaWrite streams data to device memory in bursts over the direct channel.
-func (s *System) dmaWrite(addr uint64, data []byte) error {
-	for off := 0; off < len(data); off += dmaBurst {
-		end := off + dmaBurst
-		if end > len(data) {
-			end = len(data)
+// memWriteHdr is the header of a channel.MsgMemWrite frame: the tag, the
+// u64 device address and the u32 payload length (channel.EncodeMemWrite).
+const memWriteHdr = 1 + 8 + 4
+
+// writeInput is the enclave's half of the inbound data path: it
+// CTR-encrypts a job's plaintext under (key, iv) straight into DMA burst
+// frames and streams them to device memory at addr over the direct
+// channel. The plaintext never leaves enclave memory and no whole-payload
+// ciphertext exists on the host: each burst frame is built in s.burst, the
+// one scratch buffer a System owns, grown on first use and reused by every
+// later burst. The shell borrows a frame only for its transaction (see
+// shell.Interceptor); under -race the scratch is poisoned once each
+// transaction returns, so anything that kept it reads garbage. Callers
+// hold jobMu, and at most one writeInput runs at a time.
+func (s *System) writeInput(addr uint64, key, iv, plaintext []byte) error {
+	ctr, err := cryptoutil.CTRStream(key, iv)
+	if err != nil {
+		return err
+	}
+	for off := 0; off < len(plaintext); off += dmaBurst {
+		chunk := plaintext[off:min(off+dmaBurst, len(plaintext))]
+		if cap(s.burst) < memWriteHdr+len(chunk) {
+			s.burst = make([]byte, memWriteHdr+len(chunk))
 		}
-		frame, err := channel.EncodeMemWrite(channel.MemWrite{
-			Addr: addr + uint64(off), Data: data[off:end],
-		})
-		if err != nil {
-			return err
-		}
-		//lint:allow sealed-boundary direct channel is plaintext-by-design (§4.5): sealed-path callers CTR-encrypt data before DMA, and the frame header is public
+		frame := s.burst[:memWriteHdr+len(chunk)]
+		frame[0] = channel.MsgMemWrite
+		binary.BigEndian.PutUint64(frame[1:], addr+uint64(off))
+		binary.BigEndian.PutUint32(frame[9:], uint32(len(chunk)))
+		ctr.XORKeyStream(frame[memWriteHdr:], chunk)
+		//lint:allow sealed-boundary direct channel is plaintext-by-design (§4.5): the payload was CTR-encrypted into the frame above, and the frame header is public
 		resp, err := s.User.Direct(frame)
+		if raceEnabled {
+			for i := range frame {
+				frame[i] = 0xA5
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -306,39 +312,63 @@ func (s *System) dmaWrite(addr uint64, data []byte) error {
 	return nil
 }
 
-// dmaRead streams data from device memory in bursts, symmetric with
-// dmaWrite — an unbounded single MemRead would let one response frame pin
-// the whole result in flight.
-func (s *System) dmaRead(addr uint64, n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("core: DMA read of negative length %d", n)
+// readOutput is the enclave's half of the outbound data path: it reads a
+// job's n-byte result from device memory at addr into the one buffer the
+// job returns. For a plaintext job (nil sealKey) that buffer is exactly n
+// bytes. For a sealed job it is n+SealOverhead bytes, the result is read
+// into its middle, and the kernel's output CTR (when it encrypts output)
+// and the GCM seal under sealKey both run in place, so the buffer ends up
+// holding exactly cryptoutil.Seal's output.
+func (s *System) readOutput(addr uint64, n int, encrypted bool, key, iv, sealKey []byte) ([]byte, error) {
+	size, lo := n, 0
+	if sealKey != nil {
+		size, lo = n+cryptoutil.SealOverhead, cryptoutil.NonceSize
 	}
-	out := make([]byte, 0, n)
-	for off := 0; off < n; off += dmaBurst {
-		want := n - off
-		if want > dmaBurst {
-			want = dmaBurst
+	buf := make([]byte, size)
+	out := buf[lo : lo+n]
+	if err := s.dmaRead(addr, out); err != nil {
+		return nil, deviceFault(err)
+	}
+	if encrypted {
+		if err := accel.DecryptOutput(key, iv, out); err != nil {
+			return nil, deviceFault(err)
 		}
+	}
+	if sealKey == nil {
+		return out, nil
+	}
+	if err := cryptoutil.SealInPlace(sealKey, buf, jobOutputAD); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// dmaRead fills dst from device memory at addr in bursts, symmetric with
+// writeInput — an unbounded single MemRead would let one response frame
+// pin the whole result in flight.
+func (s *System) dmaRead(addr uint64, dst []byte) error {
+	for off := 0; off < len(dst); off += dmaBurst {
+		want := min(len(dst)-off, dmaBurst)
 		//lint:allow sealed-boundary MemRead frames carry only a public (address, length) header; returned data is ciphertext on the sealed path
 		resp, err := s.User.Direct(channel.EncodeMemRead(channel.MemRead{
 			Addr: addr + uint64(off), N: uint32(want),
 		}))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if msg, isErr := channel.DecodeError(resp); isErr {
-			return nil, fmt.Errorf("core: DMA read: %s", msg)
+			return fmt.Errorf("core: DMA read: %s", msg)
 		}
 		chunk, err := channel.DecodeMemData(resp)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(chunk) != want {
-			return nil, fmt.Errorf("core: DMA read returned %d bytes, want %d", len(chunk), want)
+			return fmt.Errorf("core: DMA read returned %d bytes, want %d", len(chunk), want)
 		}
-		out = append(out, chunk...)
+		copy(dst[off:], chunk)
 	}
-	return out, nil
+	return nil
 }
 
 func (s *System) directReg(txn channel.RegTxn) (channel.RegResult, error) {

@@ -53,7 +53,8 @@ func TestRuntimeReplacementWithForeignCLDetected(t *testing.T) {
 // value while the host's has advanced, so the live channel still desyncs
 // and the replacement is caught on the next fresh transaction.
 func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
-	s := newTestSystem(t)
+	rec, bus := recorded()
+	s := newTestSystem(t, rec)
 	if _, err := s.SecureBoot(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
 	// The shell recorded the encrypted bitstream at deployment (frame 0 of
 	// its transcript) and replays it into the partition.
 	var recorded []byte
-	for _, f := range s.Shell.Transcript() {
+	for _, f := range bus.Frames() {
 		if bitstream.IsEncrypted(f) {
 			recorded = f
 			break
@@ -92,7 +93,7 @@ func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayedFrame := findFirstSecureFrame(t, s)
+	replayedFrame := findFirstSecureFrame(t, bus.Frames())
 	resp, err := cl.HandleTransaction(replayedFrame)
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +103,9 @@ func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
 	}
 }
 
-func findFirstSecureFrame(t *testing.T, s *System) []byte {
+func findFirstSecureFrame(t *testing.T, frames [][]byte) []byte {
 	t.Helper()
-	for _, f := range s.Shell.Transcript() {
+	for _, f := range frames {
 		if channel.MsgType(f) == channel.MsgSecureReg {
 			return f
 		}

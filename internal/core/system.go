@@ -114,6 +114,10 @@ type System struct {
 	// path allocates nothing.
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
+
+	// burst is the DMA burst scratch every input frame is built in (see
+	// writeInput), guarded by jobMu.
+	burst []byte
 }
 
 // NewSystem manufactures the device, provisions the TEE host, develops the

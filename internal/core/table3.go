@@ -43,8 +43,7 @@ func RunTable3() []Table3Row {
 			shell.SpoofDNA{Claim: "B00000000"}, nil, wantFailsAt(smapp.ErrCLAttestation, "⑦")),
 		runScenario("replay on runtime channel", "session freshness (attack 3)",
 			&shell.ReplayRequests{}, nil, wantRuntimeReplayBlocked(kernel)),
-		runScenario("bus snooping", "bitstream/secret confidentiality",
-			shell.PassThrough{}, nil, wantNoPlaintextOnBus),
+		busSnoop(),
 		runScenario("ICAP readback scan", "loaded CL confidentiality",
 			nil, nil, wantReadbackBlocked),
 		runScenario("wrong bitstream from CSP storage", "CL integrity (digest H)",
@@ -125,17 +124,27 @@ func wantRuntimeReplayBlocked(k accel.Kernel) checker {
 	}
 }
 
-func wantNoPlaintextOnBus(s *System) (string, bool) {
-	if _, err := s.SecureBoot(); err != nil {
-		return "boot failed: " + err.Error(), false
-	}
-	for _, frame := range s.Shell.Transcript() {
-		if bytes.HasPrefix(frame, []byte("SLSBSTR1")) {
-			return "NOT PROTECTED: plaintext bitstream observed on the bus", false
+// busSnoop is the snooping row: the shell installs a Recorder and the
+// boot's recorded traffic must hold no plaintext bitstream.
+func busSnoop() Table3Row {
+	rec := &shell.Recorder{}
+	return runScenario("bus snooping", "bitstream/secret confidentiality",
+		rec, nil, wantNoPlaintextOnBus(rec))
+}
+
+func wantNoPlaintextOnBus(rec *shell.Recorder) checker {
+	return func(s *System) (string, bool) {
+		if _, err := s.SecureBoot(); err != nil {
+			return "boot failed: " + err.Error(), false
 		}
+		frames := rec.Frames()
+		for _, frame := range frames {
+			if bytes.HasPrefix(frame, []byte("SLSBSTR1")) {
+				return "NOT PROTECTED: plaintext bitstream observed on the bus", false
+			}
+		}
+		return fmt.Sprintf("shell observed %d frames; all bitstream traffic encrypted", len(frames)), true
 	}
-	n := len(s.Shell.Transcript())
-	return fmt.Sprintf("shell observed %d frames; all bitstream traffic encrypted", n), true
 }
 
 func wantReadbackBlocked(s *System) (string, bool) {

@@ -37,10 +37,14 @@ var (
 // broken system RNG (which is unrecoverable).
 func RandomKey(n int) []byte {
 	k := make([]byte, n)
-	if _, err := io.ReadFull(rand.Reader, k); err != nil {
+	fillRandom(k)
+	return k
+}
+
+func fillRandom(b []byte) {
+	if _, err := io.ReadFull(rand.Reader, b); err != nil {
 		panic(fmt.Sprintf("cryptoutil: system RNG failure: %v", err))
 	}
-	return k
 }
 
 // SealOverhead is how many bytes Seal's output is longer than its
@@ -66,8 +70,43 @@ func AppendSeal(dst, key, plaintext, additional []byte) ([]byte, error) {
 	return aead.Seal(append(dst, nonce...), nonce, plaintext, additional), nil
 }
 
+// SealInPlace seals a message that is already in its final buffer: buf is
+// len(plaintext)+SealOverhead bytes with the plaintext at
+// buf[NonceSize:len(buf)-16]. It writes a fresh nonce in front and the tag
+// behind, encrypting in between, so buf becomes exactly Seal's output
+// without a second payload-sized buffer.
+func SealInPlace(key, buf, additional []byte) error {
+	if len(buf) < SealOverhead {
+		return fmt.Errorf("cryptoutil: in-place seal buffer of %d bytes", len(buf))
+	}
+	aead, err := newGCM(key)
+	if err != nil {
+		return err
+	}
+	nonce := buf[:NonceSize]
+	fillRandom(nonce)
+	pt := buf[NonceSize : len(buf)-aead.Overhead()]
+	aead.Seal(pt[:0], nonce, pt, additional)
+	return nil
+}
+
 // Open authenticates and decrypts a Seal-produced ciphertext.
 func Open(key, ciphertext, additional []byte) ([]byte, error) {
+	return open(key, nil, ciphertext, additional)
+}
+
+// OpenInPlace is Open decrypting over the ciphertext's own bytes: the
+// plaintext it returns aliases ciphertext[NonceSize:]. For a caller that
+// owns the sealed buffer and needs it no longer. On failure the buffer's
+// contents are unspecified.
+func OpenInPlace(key, ciphertext, additional []byte) ([]byte, error) {
+	if len(ciphertext) < NonceSize {
+		return nil, ErrDecrypt
+	}
+	return open(key, ciphertext[NonceSize:NonceSize], ciphertext, additional)
+}
+
+func open(key, dst, ciphertext, additional []byte) ([]byte, error) {
 	aead, err := newGCM(key)
 	if err != nil {
 		return nil, err
@@ -75,7 +114,7 @@ func Open(key, ciphertext, additional []byte) ([]byte, error) {
 	if len(ciphertext) < NonceSize+aead.Overhead() {
 		return nil, ErrDecrypt
 	}
-	pt, err := aead.Open(nil, ciphertext[:NonceSize], ciphertext[NonceSize:], additional)
+	pt, err := aead.Open(dst, ciphertext[:NonceSize], ciphertext[NonceSize:], additional)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -179,7 +179,9 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 	if err := s.conn.call("Cluster.RunJob", req, &resp); err != nil {
 		return nil, FederationPlacement{}, err
 	}
-	out, err := cryptoutil.Open(dk, resp.SealedOutput, []byte("job-output"))
+	// The sealed output sits in the client's own exact-size response frame,
+	// which nothing else holds: open it in place.
+	out, err := cryptoutil.OpenInPlace(dk, resp.SealedOutput, []byte("job-output"))
 	if err != nil {
 		return nil, FederationPlacement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
 	}
@@ -192,7 +194,8 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 // succeed or fail individually — the returned slice is index-aligned with
 // jobs — while the error covers whole-batch failures (unattested session,
 // unreachable gateway, malformed response). Like runJob, a batch lost to a
-// broken connection is safely re-submitted.
+// broken connection is safely re-submitted, and every output is opened in
+// place in the response frame.
 func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, FederationPlacement, error) {
 	dk, err := s.key()
 	if err != nil {
@@ -226,7 +229,7 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 			results[i].Err = errors.New(r.Error)
 			continue
 		}
-		out, err := cryptoutil.Open(dk, r.SealedOutput, []byte("job-output"))
+		out, err := cryptoutil.OpenInPlace(dk, r.SealedOutput, []byte("job-output"))
 		if err != nil {
 			results[i].Err = fmt.Errorf("remote: sealed output rejected: %w", err)
 			continue

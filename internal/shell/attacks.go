@@ -1,6 +1,8 @@
 package shell
 
 import (
+	"sync"
+
 	"salus/internal/channel"
 	"salus/internal/siphash"
 )
@@ -21,6 +23,41 @@ func (PassThrough) OnRequest(r []byte) []byte { return r }
 
 // OnResponse implements Interceptor.
 func (PassThrough) OnResponse(r []byte) []byte { return r }
+
+// Recorder is the snooping adversary: it copies every bitstream, request
+// and response the shell carries, in order, and changes nothing. The
+// confidentiality claims of the tests (Table 3's bus-snooping row, the
+// transcript and replay tests) are stated against what it captured. It
+// copies because every payload is borrowed (see Interceptor). Safe for
+// concurrent use: the pipelined batch path transacts from two goroutines.
+type Recorder struct {
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (r *Recorder) record(b []byte) []byte {
+	r.mu.Lock()
+	r.frames = append(r.frames, append([]byte(nil), b...))
+	r.mu.Unlock()
+	return b
+}
+
+// OnLoad implements Interceptor.
+func (r *Recorder) OnLoad(d []byte) []byte { return r.record(d) }
+
+// OnRequest implements Interceptor.
+func (r *Recorder) OnRequest(q []byte) []byte { return r.record(q) }
+
+// OnResponse implements Interceptor.
+func (r *Recorder) OnResponse(p []byte) []byte { return r.record(p) }
+
+// Frames returns everything recorded so far, in order. The frames are the
+// recorder's own copies; callers must not modify them.
+func (r *Recorder) Frames() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]byte(nil), r.frames...)
+}
 
 // SubstituteCL replaces every loaded bitstream with the attacker's own —
 // the booting-integrity attack (Table 3, attack 1): a malicious CL that

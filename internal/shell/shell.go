@@ -23,8 +23,15 @@ var ErrNoDevice = errors.New("shell: no device attached")
 
 // Interceptor is the hook a compromised shell uses on the traffic it
 // mediates. Every method may return a modified payload (or the input
-// unchanged). A nil Interceptor means an honest shell — which still *sees*
-// everything: snooping needs no hook.
+// unchanged). A nil Interceptor means an honest shell, which looks at
+// nothing and keeps nothing: snooping is an adversary capability, installed
+// like any other attack (see Recorder).
+//
+// Borrow contract: every payload an Interceptor sees is borrowed for the
+// duration of the call. The host may overwrite a request frame as soon as
+// the transaction returns (the job path reuses one DMA burst buffer), so
+// an Interceptor that keeps bytes, or returns bytes it means to keep
+// using, copies them.
 type Interceptor interface {
 	// OnLoad sees (and may replace) a bitstream before it reaches ICAP.
 	OnLoad(data []byte) []byte
@@ -42,9 +49,8 @@ type Shell struct {
 	clock *simtime.Clock
 	link  simnet.Link
 
-	mu         sync.Mutex
-	transcript [][]byte // every frame the shell has observed, in order
-	stats      Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 // Stats is the shell's operational accounting — what a real shell exports
@@ -89,25 +95,6 @@ func (s *Shell) DNA() fpga.DNA { return s.dev.DNA() }
 // Device returns the managed device (the CSP owns the board).
 func (s *Shell) Device() *fpga.Device { return s.dev }
 
-func (s *Shell) record(frame []byte) {
-	s.mu.Lock()
-	s.transcript = append(s.transcript, append([]byte(nil), frame...))
-	s.mu.Unlock()
-}
-
-// Transcript returns a copy of everything the shell has observed — the
-// snooping surface. Confidentiality claims in the tests are stated against
-// this transcript.
-func (s *Shell) Transcript() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]byte, len(s.transcript))
-	for i, f := range s.transcript {
-		out[i] = append([]byte(nil), f...)
-	}
-	return out
-}
-
 // LoadCL forwards a (normally encrypted) partial bitstream to ICAP for
 // partition 0.
 func (s *Shell) LoadCL(data []byte) error { return s.LoadCLPartition(0, data) }
@@ -120,7 +107,6 @@ func (s *Shell) LoadCLPartition(idx int, data []byte) error {
 	if s.clock != nil {
 		s.link.Send(s.clock, len(data))
 	}
-	s.record(data)
 	s.mu.Lock()
 	s.stats.Loads++
 	s.stats.BytesLoaded += len(data)
@@ -155,7 +141,6 @@ func (s *Shell) TransactPartition(idx int, req []byte) ([]byte, error) {
 	if s.dev == nil {
 		return nil, ErrNoDevice
 	}
-	s.record(req)
 	if s.interceptor != nil {
 		req = s.interceptor.OnRequest(req)
 	}
@@ -180,7 +165,6 @@ func (s *Shell) TransactPartition(idx int, req []byte) ([]byte, error) {
 	s.mu.Lock()
 	s.stats.BytesOut += len(resp)
 	s.mu.Unlock()
-	s.record(resp)
 	if s.interceptor != nil {
 		resp = s.interceptor.OnResponse(resp)
 	}

@@ -82,13 +82,14 @@ func TestHonestShellLoadAndTransact(t *testing.T) {
 
 func TestShellSeesAllTraffic(t *testing.T) {
 	key := cryptoutil.RandomKey(16)
-	s := newShell(t)
+	rec := &Recorder{}
+	s := newShell(t, WithInterceptor(rec))
 	bs := clBitstream(t, key, 2)
 	if err := s.LoadCL(bs); err != nil {
 		t.Fatal(err)
 	}
 	attest(t, s, key)
-	tr := s.Transcript()
+	tr := rec.Frames()
 	if len(tr) != 3 { // bitstream, request, response
 		t.Fatalf("transcript has %d frames, want 3", len(tr))
 	}
@@ -97,16 +98,39 @@ func TestShellSeesAllTraffic(t *testing.T) {
 	}
 }
 
+func TestRecorderCopiesBorrowedFrames(t *testing.T) {
+	// A request frame is borrowed: the host reuses its buffer as soon as the
+	// transaction returns, so what the Recorder captured must not change.
+	key := cryptoutil.RandomKey(16)
+	rec := &Recorder{}
+	s := newShell(t, WithInterceptor(rec))
+	if err := s.LoadCL(clBitstream(t, key, 21)); err != nil {
+		t.Fatal(err)
+	}
+	req := channel.EncodeDirectReg(channel.RegTxn{Addr: accel.RegStatus})
+	want := append([]byte(nil), req...)
+	if _, err := s.Transact(req); err != nil {
+		t.Fatal(err)
+	}
+	for i := range req {
+		req[i] = 0xA5
+	}
+	if got := rec.Frames()[1]; !bytes.Equal(got, want) {
+		t.Errorf("recorded request changed with the host's buffer: %x, want %x", got, want)
+	}
+}
+
 func TestShellPlaintextLoadLeaksSecrets(t *testing.T) {
 	// Loading an *unencrypted* bitstream hands the shell the attestation
 	// key on a platter — this is why the SM enclave must encrypt before
 	// deployment. The test documents the attack working.
 	key := cryptoutil.RandomKey(16)
-	s := newShell(t)
+	rec := &Recorder{}
+	s := newShell(t, WithInterceptor(rec))
 	if err := s.LoadCL(clBitstream(t, key, 3)); err != nil {
 		t.Fatal(err)
 	}
-	im, err := bitstream.Decode(s.Transcript()[0])
+	im, err := bitstream.Decode(rec.Frames()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +147,8 @@ func TestShellPlaintextLoadLeaksSecrets(t *testing.T) {
 func TestShellEncryptedLoadLeaksNothing(t *testing.T) {
 	key := cryptoutil.RandomKey(16)
 	devKey := cryptoutil.RandomKey(cryptoutil.DeviceKeySize)
-	s := newShell(t)
+	rec := &Recorder{}
+	s := newShell(t, WithInterceptor(rec))
 	if err := s.Device().FuseKey(devKey); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +159,7 @@ func TestShellEncryptedLoadLeaksNothing(t *testing.T) {
 	if err := s.LoadCL(sealed); err != nil {
 		t.Fatal(err)
 	}
-	for _, frame := range s.Transcript() {
+	for _, frame := range rec.Frames() {
 		if bytes.Contains(frame, key) {
 			t.Fatal("attestation key visible in shell transcript")
 		}

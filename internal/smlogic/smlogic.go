@@ -365,6 +365,9 @@ func (l *Logic) execReg(txn channel.RegTxn) channel.RegResult {
 	return channel.RegResult{Data: v, OK: true}
 }
 
+// handleMemWrite lands a DMA burst in device memory. The request frame is
+// the shell's, borrowed for this call: the bytes are copied into DRAM and
+// nothing keeps the frame.
 func (l *Logic) handleMemWrite(req []byte) []byte {
 	m, err := channel.DecodeMemWrite(req)
 	if err != nil {
@@ -373,27 +376,25 @@ func (l *Logic) handleMemWrite(req []byte) []byte {
 	if err := l.accel.WriteMem(m.Addr, m.Data); err != nil {
 		return channel.EncodeError("smlogic: " + err.Error())
 	}
-	ack, err := channel.EncodeMemData(nil) // empty ack
-	if err != nil {
-		return channel.EncodeError("smlogic: encoding DMA ack: " + err.Error())
-	}
+	ack, _ := channel.EncodeMemData(0)
 	return ack
 }
 
+// handleMemRead answers a DMA read with one response frame that device
+// memory is read straight into.
 func (l *Logic) handleMemRead(req []byte) []byte {
 	m, err := channel.DecodeMemRead(req)
 	if err != nil {
 		return channel.EncodeError("smlogic: malformed DMA read")
 	}
-	data, err := l.accel.ReadMem(m.Addr, int(m.N))
-	if err != nil {
+	if m.N > accel.MemBytes {
+		return channel.EncodeError(fmt.Sprintf("smlogic: DMA read of %d bytes exceeds device memory", m.N))
+	}
+	frame, data := channel.EncodeMemData(m.N)
+	if err := l.accel.ReadMem(m.Addr, data); err != nil {
 		return channel.EncodeError("smlogic: " + err.Error())
 	}
-	out, err := channel.EncodeMemData(data)
-	if err != nil {
-		return channel.EncodeError("smlogic: encoding DMA data: " + err.Error())
-	}
-	return out
+	return frame
 }
 
 // InjectSecrets writes the three secrets into an image's reserved cell in
