@@ -110,12 +110,24 @@ bench-smoke:
 # plus the same pool with metrics disabled — the <3% overhead comparison),
 # the batched-vs-unbatched data-path comparison, and the acceptance gate:
 # the batched path must clear 5x the 6.5 MB/s unbatched single-device
-# baseline with an allocation-free seal/open hot path.
+# baseline with an allocation-free seal/open hot path (batched and single
+# frames).
 bench-sched: bench-sched-gate
 	$(GO) test -run xxx -bench 'SchedulerThroughput|BatchedThroughput' -benchtime 100x .
 
+# Runs a gate test with its -v output filtered to the lines worth reading,
+# and exits with go test's status (the filter alone would hide a failure).
+# $(1) is the filter pattern, the rest go test's arguments.
+gate = @out=$$(SALUS_BENCH_SMOKE=1 $(GO) test -v $(2) 2>&1); status=$$?; \
+	printf '%s\n' "$$out" | grep -E '$(1)'; exit $$status
+
 bench-sched-gate:
-	SALUS_BENCH_SMOKE=1 $(GO) test -run TestBatchedThroughputGate -v . | grep -E 'MB/s|ok|FAIL|PASS'
+	$(call gate,MB/s|ok|FAIL|PASS,-run TestBatchedThroughputGate .)
+
+# The overload, federation and multi-tenant gates below still pipe into
+# grep, so `make ci` does not fail on them: their wall-clock bounds are not
+# yet stable on small hosts (ROADMAP open item 2). bench-metrics and
+# bench-sched-gate use the gate helper above and do fail it.
 
 # Overload survival gate: at >= 10x-capacity offered ClassBatch load the
 # pool must keep goodput >= 80% of calibrated capacity and hold the
@@ -150,7 +162,7 @@ bench-fleet:
 # Metrics hot-path smoke gate: one enabled counter+histogram record must
 # stay under ~100ns/op with zero allocations (see TestHotPathBudget).
 bench-metrics:
-	SALUS_BENCH_SMOKE=1 $(GO) test -run TestHotPathBudget -v ./internal/metrics | grep -E 'ns/op|ok|FAIL|PASS'
+	$(call gate,ns/op|ok|FAIL|PASS,-run TestHotPathBudget ./internal/metrics)
 
 clean:
 	$(GO) clean ./...

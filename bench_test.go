@@ -705,7 +705,7 @@ func TestBatchedThroughputGate(t *testing.T) {
 	}
 
 	// The zero-copy claim, pinned: sealing and opening a warm batch frame in
-	// both directions must not allocate.
+	// both directions must not allocate, nor a warm single-frame round trip.
 	key := cryptoutil.RandomKey(16)
 	host, err := channel.NewSealer(key)
 	if err != nil {
@@ -734,6 +734,29 @@ func TestBatchedThroughputGate(t *testing.T) {
 	roundTrip() // warm the sealer scratch
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Fatalf("batch seal/open allocates %.0f objects/op, want 0", allocs)
+	}
+	// The single-job path frames its secure start through the same
+	// Sealers: a warm single-frame round trip must not allocate either.
+	single := func() {
+		frame, err := host.SealRegRequest(ctr, txns[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.OpenRegRequest(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		frame, err = dev.SealRegResponse(ctr, channel.RegResult{Data: txns[0].Data, OK: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := host.OpenRegResponse(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		ctr++
+	}
+	single()
+	if allocs := testing.AllocsPerRun(100, single); allocs != 0 {
+		t.Fatalf("single-frame seal/open allocates %.0f objects/op, want 0", allocs)
 	}
 }
 

@@ -12,12 +12,13 @@
 package accel
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
-	"salus/internal/cryptoutil"
 	"salus/internal/merkle"
 	"salus/internal/netlist"
 )
@@ -103,6 +104,14 @@ type Core struct {
 	outLen uint64
 	runs   int
 	jobCtr uint32 // keyed runs since the last IV install (per-job IV schedule)
+
+	// The memory-interface engine's loaded key: block is the schedule of
+	// the key the key registers held when it was expanded (blockKey), so it
+	// is re-expanded only when they change. iv is the current run's CTR IV;
+	// it lives here because the CTR stream needs a heap-resident IV.
+	block    cipher.Block
+	blockKey [2]uint64
+	iv       [16]byte
 }
 
 // IntegrityBlock is the protection granularity of the memory integrity
@@ -270,15 +279,22 @@ func (c *Core) ReadMem(addr uint64, dst []byte) error {
 	return nil
 }
 
-// dataKey assembles the 16-byte key and IV from the key registers.
-func (c *Core) dataKey() (key, iv []byte) {
-	key = make([]byte, 16)
-	iv = make([]byte, 16)
-	binary.BigEndian.PutUint64(key[0:], c.regs[RegKey1])
-	binary.BigEndian.PutUint64(key[8:], c.regs[RegKey0])
-	binary.BigEndian.PutUint64(iv[0:], c.regs[RegIV1])
-	binary.BigEndian.PutUint64(iv[8:], c.regs[RegIV0])
-	return key, iv
+// keyBlock returns the AES schedule of the key the key registers hold,
+// expanding it only when they changed since it was last expanded; the key
+// bytes are assembled on the stack. Callers hold c.mu.
+func (c *Core) keyBlock() (cipher.Block, error) {
+	k := [2]uint64{c.regs[RegKey1], c.regs[RegKey0]}
+	if c.block == nil || k != c.blockKey {
+		var key [16]byte
+		binary.BigEndian.PutUint64(key[0:], k[0])
+		binary.BigEndian.PutUint64(key[8:], k[1])
+		block, err := aes.NewCipher(key[:])
+		if err != nil {
+			return nil, err
+		}
+		c.block, c.blockKey = block, k
+	}
+	return c.block, nil
 }
 
 // JobIV derives the CTR IV for the n-th run under an installed base IV: the
@@ -291,8 +307,13 @@ func (c *Core) dataKey() (key, iv []byte) {
 // blocks apart) can never collide.
 func JobIV(base []byte, n uint32) []byte {
 	iv := append([]byte(nil), base...)
-	binary.BigEndian.PutUint32(iv[8:12], binary.BigEndian.Uint32(iv[8:12])^n)
+	foldJobIndex(iv, n)
 	return iv
+}
+
+// foldJobIndex turns a base IV into run n's IV in place (see JobIV).
+func foldJobIndex(iv []byte, n uint32) {
+	binary.BigEndian.PutUint32(iv[8:12], binary.BigEndian.Uint32(iv[8:12])^n)
 }
 
 // run executes one kernel invocation; callers hold c.mu.
@@ -320,13 +341,16 @@ func (c *Core) run() {
 	// interface (Table 4: inbound traffic is always encrypted in TEE mode)
 	// fills it straight from device memory, which keeps the ciphertext.
 	input := make([]byte, inLen)
+	var block cipher.Block
 	if c.keySet {
-		key, base := c.dataKey()
-		ctr, err := cryptoutil.CTRStream(key, JobIV(base, jobIdx))
-		if err != nil {
+		var err error
+		if block, err = c.keyBlock(); err != nil {
 			return
 		}
-		ctr.XORKeyStream(input, c.mem[inAddr:inAddr+inLen])
+		binary.BigEndian.PutUint64(c.iv[0:], c.regs[RegIV1])
+		binary.BigEndian.PutUint64(c.iv[8:], c.regs[RegIV0])
+		foldJobIndex(c.iv[:], jobIdx)
+		cipher.NewCTR(block, c.iv[:]).XORKeyStream(input, c.mem[inAddr:inAddr+inLen])
 	} else {
 		copy(input, c.mem[inAddr:])
 	}
@@ -337,17 +361,11 @@ func (c *Core) run() {
 		return
 	}
 
-	if c.keySet && c.kernel.EncryptOutput() {
-		key, base := c.dataKey()
-		iv := JobIV(base, jobIdx)
+	if block != nil && c.kernel.EncryptOutput() {
 		// Outbound traffic uses a disjoint counter block: flip the top bit
 		// so input and output keystreams never overlap.
-		iv[0] ^= 0x80
-		ctr, err := cryptoutil.CTRStream(key, iv)
-		if err != nil {
-			return
-		}
-		ctr.XORKeyStream(out, out)
+		c.iv[0] ^= 0x80
+		cipher.NewCTR(block, c.iv[:]).XORKeyStream(out, out)
 	}
 
 	if outAddr > MemBytes || uint64(len(out)) > MemBytes-outAddr {
@@ -361,14 +379,10 @@ func (c *Core) run() {
 
 // DecryptOutput is the host-side helper undoing the accelerator's outbound
 // encryption (same key/IV schedule as the memory engine) in place: data
-// becomes the plaintext.
-func DecryptOutput(key, iv, data []byte) error {
-	iv2 := append([]byte(nil), iv...)
-	iv2[0] ^= 0x80
-	ctr, err := cryptoutil.CTRStream(key, iv2)
-	if err != nil {
-		return err
-	}
-	ctr.XORKeyStream(data, data)
-	return nil
+// becomes the plaintext. block is the data key's expanded schedule and iv
+// the run's JobIV.
+func DecryptOutput(block cipher.Block, iv, data []byte) {
+	outIV := append([]byte(nil), iv...)
+	outIV[0] ^= 0x80
+	cipher.NewCTR(block, outIV).XORKeyStream(data, data)
 }

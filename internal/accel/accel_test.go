@@ -2,12 +2,14 @@ package accel
 
 import (
 	"bytes"
+	"crypto/aes"
 	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
 
 	"salus/internal/cryptoutil"
+	"salus/internal/netlist"
 )
 
 func TestKernelsRegistry(t *testing.T) {
@@ -308,9 +310,11 @@ func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 		t.Fatal(err)
 	}
 	if key != nil && w.Kernel.EncryptOutput() {
-		if err := DecryptOutput(key, iv, out); err != nil {
+		block, err := aes.NewCipher(key)
+		if err != nil {
 			t.Fatal(err)
 		}
+		DecryptOutput(block, iv, out)
 	}
 	return out
 }
@@ -468,5 +472,69 @@ func TestRenderZInterpolation(t *testing.T) {
 	}
 	if left < 9 || left > 40 {
 		t.Errorf("left z = %d, want near the z=10 vertex", left)
+	}
+}
+
+// echoKernel returns its (decrypted) input unchanged, so a run exposes
+// exactly the keystream the memory-interface engine applied.
+type echoKernel struct{}
+
+func (echoKernel) Name() string               { return "echo" }
+func (echoKernel) Module() netlist.ModuleSpec { return netlist.ModuleSpec{} }
+func (echoKernel) EncryptOutput() bool        { return false }
+func (echoKernel) Compute(_ [4]uint64, in []byte) ([]byte, error) {
+	return append([]byte(nil), in...), nil
+}
+
+// TestKeyRewriteMidSessionUsesNewKey: the engine's expanded key is cached
+// per key-register value, not per session. Rewriting the key registers
+// between runs, without a new IV, must switch the very next run to the new
+// key: its output is the XORKeyStreamCTR reference under the new key at
+// the run's place in the IV schedule.
+func TestKeyRewriteMidSessionUsesNewKey(t *testing.T) {
+	core := NewCore(echoKernel{})
+	base := cryptoutil.RandomKey(16)
+	for i := 12; i < 16; i++ {
+		base[i] = 0
+	}
+	mem := cryptoutil.RandomKey(200)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(core.WriteMem(0, mem))
+	for reg, v := range map[uint32]uint64{
+		RegIV1: binary.BigEndian.Uint64(base[0:8]), RegIV0: binary.BigEndian.Uint64(base[8:16]),
+		RegInAddr: 0, RegInLen: uint64(len(mem)), RegOutAddr: 4096,
+	} {
+		must(core.WriteReg(reg, v))
+	}
+	keyA, keyB := cryptoutil.RandomKey(16), cryptoutil.RandomKey(16)
+	keyC := append(append([]byte(nil), keyB[:8]...), cryptoutil.RandomKey(8)...) // only RegKey0 differs from B
+	for run, step := range []struct {
+		name string
+		key  []byte
+	}{
+		{"first key", keyA},
+		{"same key again", keyA},
+		{"both halves rewritten", keyB},
+		{"low half rewritten", keyC},
+		{"back to the first key", keyA},
+	} {
+		must(core.WriteReg(RegKey1, binary.BigEndian.Uint64(step.key[0:8])))
+		must(core.WriteReg(RegKey0, binary.BigEndian.Uint64(step.key[8:16])))
+		must(core.WriteReg(RegCtrl, CtrlStart))
+		if st, _ := core.ReadReg(RegStatus); st != StatusDone {
+			t.Fatalf("%s: status %d", step.name, st)
+		}
+		got := make([]byte, len(mem))
+		must(core.ReadMem(4096, got))
+		want, err := cryptoutil.XORKeyStreamCTR(step.key, JobIV(base, uint32(run)), mem)
+		must(err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d (%s): output is not the CTR stream under the key the registers hold", run, step.name)
+		}
 	}
 }

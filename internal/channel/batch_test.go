@@ -172,21 +172,18 @@ func TestBatchRejectsTruncatedVector(t *testing.T) {
 	// Forge a validly MAC'd frame whose count says 3 but which carries 2
 	// records, using the internal seal primitive directly.
 	payloadLen := batchHdrSize + 2*regTxnSize
-	frame := s.seal(MsgSecureRegBatch, dirRequest, 7, payloadLen, func(buf []byte) []byte {
-		buf = binary.BigEndian.AppendUint16(buf, 3)
-		for _, txn := range testTxns(2) {
-			buf = appendRegTxn(buf, txn)
-		}
-		return buf
-	})
+	buf := binary.BigEndian.AppendUint16(s.begin(MsgSecureRegBatch, 7, payloadLen), 3)
+	for _, txn := range testTxns(2) {
+		buf = appendRegTxn(buf, txn)
+	}
+	frame := s.finish(dirRequest, 7, buf)
 	if _, err := OpenRegBatchRequest(key, 7, frame); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("got %v, want ErrMalformed", err)
 	}
 	// Same for a zero count and an oversize count.
 	for _, count := range []uint16{0, MaxBatchTxns + 1} {
-		frame := s.seal(MsgSecureRegBatch, dirRequest, 8, batchHdrSize, func(buf []byte) []byte {
-			return binary.BigEndian.AppendUint16(buf, count)
-		})
+		buf := binary.BigEndian.AppendUint16(s.begin(MsgSecureRegBatch, 8, batchHdrSize), count)
+		frame := s.finish(dirRequest, 8, buf)
 		if _, err := OpenRegBatchRequest(key, 8, frame); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("count %d: got %v, want ErrMalformed", count, err)
 		}
@@ -302,6 +299,61 @@ func TestBatchSealOpenZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("pooled seal/open path allocates %.1f/op, want 0", allocs)
 	}
+
+	// The single-frame and rekey forms share the pooled path: a warm
+	// register round trip and a warm rotation round trip allocate nothing.
+	newKey := key16()
+	single := func() {
+		frame, err := host.SealRegRequest(ctr, txns[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.OpenRegRequest(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		frame, err = dev.SealRegResponse(ctr, res[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := host.OpenRegResponse(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		frame, err = host.SealRekeyRequest(ctr, newKey, ctr+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dev.OpenRekeyRequest(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		frame, err = dev.SealRekeyResponse(ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := host.OpenRekeyResponse(ctr, frame); err != nil {
+			t.Fatal(err)
+		}
+		ctr++
+	}
+	if allocs := testing.AllocsPerRun(200, single); allocs != 0 {
+		t.Fatalf("pooled single-frame and rekey round trip allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestSealerSingleFramesAreGolden: one Sealer, reused across every vector,
+// frames them byte for byte as the golden file (and the one-shot functions)
+// do.
+func TestSealerSingleFramesAreGolden(t *testing.T) {
+	s := newTestSealer(t, goldenKey)
+	checkGoldenFrames(t, singleFramer{
+		sealReq:    s.SealRegRequest,
+		openReq:    s.OpenRegRequest,
+		sealResp:   s.SealRegResponse,
+		openResp:   s.OpenRegResponse,
+		sealRekey:  s.SealRekeyRequest,
+		openRekey:  s.OpenRekeyRequest,
+		sealRekeyR: s.SealRekeyResponse,
+		openRekeyR: s.OpenRekeyResponse,
+	})
 }
 
 // TestAttestEncodeRejectsOversizeDNA is the regression test for the silent

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 
-	"salus/internal/cryptoutil"
 	"salus/internal/siphash"
 )
 
@@ -195,10 +194,6 @@ func appendRegTxn(out []byte, t RegTxn) []byte {
 	return binary.BigEndian.AppendUint64(out, t.Data)
 }
 
-func encodeRegTxn(t RegTxn) []byte {
-	return appendRegTxn(make([]byte, 0, regTxnSize), t)
-}
-
 func decodeRegTxn(b []byte) (RegTxn, bool) {
 	if len(b) != regTxnSize || b[0] > 1 {
 		return RegTxn{}, false
@@ -219,10 +214,6 @@ func appendRegResult(out []byte, r RegResult) []byte {
 	return binary.BigEndian.AppendUint64(out, r.Data)
 }
 
-func encodeRegResult(r RegResult) []byte {
-	return appendRegResult(make([]byte, 0, regResultSize), r)
-}
-
 func decodeRegResult(b []byte) (RegResult, bool) {
 	if len(b) != regResultSize || b[0] > 1 {
 		return RegResult{}, false
@@ -232,6 +223,12 @@ func decodeRegResult(b []byte) (RegResult, bool) {
 
 // ---------------------------------------------------------------------------
 // Secure register channel (§4.5)
+//
+// A secure frame is tag ‖ ctr ‖ AES-CTR(payload) ‖ SipHash(tag ‖ ctr ‖ ct),
+// all under Key_session. The CTR counter block is ctr ‖ dir ‖ zeros, so
+// the two directions of one counter value never share a keystream. Single
+// register frames, batched register programs and rekey frames are all
+// framed this way, by one Sealer per key.
 
 // Direction bytes bound into the IV and MAC so a reflected frame can never
 // be confused for a response (and vice versa).
@@ -240,84 +237,6 @@ const (
 	dirResponse byte = 0x01
 )
 
-func sessionIV(ctr uint64, dir byte) []byte {
-	iv := make([]byte, 16)
-	binary.BigEndian.PutUint64(iv, ctr)
-	iv[8] = dir
-	return iv
-}
-
-func sealSecure(tag byte, dir byte, key []byte, ctr uint64, payload []byte) ([]byte, error) {
-	ct, err := cryptoutil.XORKeyStreamCTR(key, sessionIV(ctr, dir), payload)
-	if err != nil {
-		return nil, err
-	}
-	out := []byte{tag}
-	out = binary.BigEndian.AppendUint64(out, ctr)
-	out = append(out, ct...)
-	mac := siphash.Sum64(key, out)
-	return binary.BigEndian.AppendUint64(out, mac), nil
-}
-
-func openSecure(tag byte, dir byte, key []byte, wantCtr uint64, frame []byte) ([]byte, error) {
-	if len(frame) < 1+8+8 || frame[0] != tag {
-		return nil, ErrMalformed
-	}
-	body := frame[:len(frame)-8]
-	mac := binary.BigEndian.Uint64(frame[len(frame)-8:])
-	if !siphash.Verify(key, body, mac) {
-		return nil, ErrMAC
-	}
-	ctr := binary.BigEndian.Uint64(body[1:9])
-	if ctr != wantCtr {
-		return nil, fmt.Errorf("%w: counter %d, expected %d", ErrReplay, ctr, wantCtr)
-	}
-	return cryptoutil.XORKeyStreamCTR(key, sessionIV(ctr, dir), body[9:])
-}
-
-// SealRegRequest protects a register transaction for the host→CL direction
-// under Key_session at counter ctr.
-func SealRegRequest(key []byte, ctr uint64, txn RegTxn) ([]byte, error) {
-	return sealSecure(MsgSecureReg, dirRequest, key, ctr, encodeRegTxn(txn))
-}
-
-// OpenRegRequest verifies and decrypts a secure register request; wantCtr
-// is the receiver's expected next counter (strictly increasing — anything
-// else is a replay or reorder and is rejected).
-func OpenRegRequest(key []byte, wantCtr uint64, frame []byte) (RegTxn, error) {
-	pt, err := openSecure(MsgSecureReg, dirRequest, key, wantCtr, frame)
-	if err != nil {
-		return RegTxn{}, err
-	}
-	txn, ok := decodeRegTxn(pt)
-	if !ok {
-		return RegTxn{}, ErrMalformed
-	}
-	return txn, nil
-}
-
-// SealRegResponse protects a register result for the CL→host direction at
-// the same counter as its request.
-func SealRegResponse(key []byte, ctr uint64, res RegResult) ([]byte, error) {
-	return sealSecure(MsgSecureRegResp, dirResponse, key, ctr, encodeRegResult(res))
-}
-
-// OpenRegResponse verifies and decrypts a secure register response.
-func OpenRegResponse(key []byte, wantCtr uint64, frame []byte) (RegResult, error) {
-	pt, err := openSecure(MsgSecureRegResp, dirResponse, key, wantCtr, frame)
-	if err != nil {
-		return RegResult{}, err
-	}
-	res, ok := decodeRegResult(pt)
-	if !ok {
-		return RegResult{}, ErrMalformed
-	}
-	return res, nil
-}
-
-// ---------------------------------------------------------------------------
-// Batched secure register channel
-//
 // A batched frame carries a whole register *program* — the per-job setup
 // writes, start commands, and status reads of an entire job batch — as one
 // transaction vector sealed under a single session-counter tick. One MAC
@@ -336,13 +255,19 @@ const MaxBatchTxns = 4096
 // batch payload layout: uint16 count, then count fixed-size records.
 const batchHdrSize = 2
 
-// Sealer seals and opens batched secure-register frames for one session
-// key with zero steady-state allocations: the AES block cipher is expanded
-// once per key, counter and keystream blocks live in the struct, and frame
-// buffers are grown once and reused. A Sealer is NOT safe for concurrent
-// use — callers (smapp.SMApp, smlogic.Logic) already serialise the secure
-// channel, which is single-lane by construction (one strictly increasing
-// counter).
+// rekeyPayloadSize is a rekey request's payload: the new 16-byte key and
+// the new counter.
+const rekeyPayloadSize = 16 + 8
+
+// Sealer seals and opens secure-channel frames — single register
+// transactions, batched register programs and session rotations — for one
+// session key with zero steady-state allocations: the AES block cipher is
+// expanded once per key, counter and keystream blocks live in the struct,
+// and frame buffers are grown once and reused. Each end of the channel
+// holds one Sealer per Key_session epoch and replaces it when the epoch
+// rotates. A Sealer is NOT safe for concurrent use — callers
+// (smapp.SMApp, smlogic.Logic) already serialise the secure channel, which
+// is single-lane by construction (one strictly increasing counter).
 //
 // Aliasing rules: the []byte returned by Seal* and the slices returned by
 // Open* (when dst is nil) are valid only until the next call on the same
@@ -360,8 +285,7 @@ type Sealer struct {
 	openBuf []byte
 }
 
-// NewSealer expands key (16 bytes, Key_session) into a reusable batch
-// sealer.
+// NewSealer expands key (16 bytes, Key_session) into a reusable sealer.
 func NewSealer(key []byte) (*Sealer, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -370,11 +294,10 @@ func NewSealer(key []byte) (*Sealer, error) {
 	return &Sealer{key: append([]byte(nil), key...), block: block}, nil
 }
 
-// xorCTR applies the session keystream at (ctr, dir) to buf in place. The
-// counter block layout matches sessionIV, and the stream matches
-// cipher.NewCTR over that IV, so batched and single frames share one
-// keystream schedule (each counter value seals at most one frame per
-// direction, so streams never repeat).
+// xorCTR applies the session keystream at (ctr, dir) to buf in place; the
+// stream is cipher.NewCTR's over the counter block ctr ‖ dir ‖ zeros. Each
+// counter value seals at most one frame per direction, so streams never
+// repeat.
 func (s *Sealer) xorCTR(ctr uint64, dir byte, buf []byte) {
 	for i := range s.ctrBlk {
 		s.ctrBlk[i] = 0
@@ -399,33 +322,32 @@ func (s *Sealer) xorCTR(ctr uint64, dir byte, buf []byte) {
 	}
 }
 
-// scratchSeal returns the seal buffer with at least n capacity, length 0.
-func (s *Sealer) scratchSeal(n int) []byte {
-	if cap(s.sealBuf) < n {
+// secureHdrSize is the tag and counter in front of a secure payload.
+const secureHdrSize = 1 + 8
+
+// begin starts a frame in the seal buffer: tag ‖ ctr, with room for a
+// payloadLen-byte payload and the MAC. The caller appends the plaintext
+// payload and hands the buffer to finish.
+func (s *Sealer) begin(tag byte, ctr uint64, payloadLen int) []byte {
+	if n := secureHdrSize + payloadLen + 8; cap(s.sealBuf) < n {
 		s.sealBuf = make([]byte, 0, n)
 	}
-	return s.sealBuf[:0]
+	buf := append(s.sealBuf[:0], tag)
+	return binary.BigEndian.AppendUint64(buf, ctr)
 }
 
-// seal builds tag‖ctr‖CTR(payload)‖MAC into the seal buffer. build appends
-// the plaintext payload.
-func (s *Sealer) seal(tag, dir byte, ctr uint64, payloadLen int, build func([]byte) []byte) []byte {
-	buf := s.scratchSeal(1 + 8 + payloadLen + 8)
-	buf = append(buf, tag)
-	buf = binary.BigEndian.AppendUint64(buf, ctr)
-	payloadStart := len(buf)
-	buf = build(buf)
-	s.xorCTR(ctr, dir, buf[payloadStart:])
+// finish encrypts the payload begin's caller appended and appends the MAC.
+func (s *Sealer) finish(dir byte, ctr uint64, buf []byte) []byte {
+	s.xorCTR(ctr, dir, buf[secureHdrSize:])
 	mac := siphash.Sum64(s.key, buf)
-	buf = binary.BigEndian.AppendUint64(buf, mac)
-	s.sealBuf = buf
-	return buf
+	s.sealBuf = binary.BigEndian.AppendUint64(buf, mac)
+	return s.sealBuf
 }
 
 // open verifies tag, MAC, and counter, then decrypts the payload into the
 // open buffer (the caller's frame is left untouched).
 func (s *Sealer) open(tag, dir byte, wantCtr uint64, frame []byte) ([]byte, error) {
-	if len(frame) < 1+8+8 || frame[0] != tag {
+	if len(frame) < secureHdrSize+8 || frame[0] != tag {
 		return nil, ErrMalformed
 	}
 	body := frame[:len(frame)-8]
@@ -433,11 +355,11 @@ func (s *Sealer) open(tag, dir byte, wantCtr uint64, frame []byte) ([]byte, erro
 	if !siphash.Verify(s.key, body, mac) {
 		return nil, ErrMAC
 	}
-	ctr := binary.BigEndian.Uint64(body[1:9])
+	ctr := binary.BigEndian.Uint64(body[1:secureHdrSize])
 	if ctr != wantCtr {
 		return nil, fmt.Errorf("%w: counter %d, expected %d", ErrReplay, ctr, wantCtr)
 	}
-	ct := body[9:]
+	ct := body[secureHdrSize:]
 	if cap(s.openBuf) < len(ct) {
 		s.openBuf = make([]byte, 0, len(ct))
 	}
@@ -448,20 +370,60 @@ func (s *Sealer) open(tag, dir byte, wantCtr uint64, frame []byte) ([]byte, erro
 	return pt, nil
 }
 
+// SealRegRequest protects one register transaction for the host→CL
+// direction at counter ctr.
+func (s *Sealer) SealRegRequest(ctr uint64, txn RegTxn) ([]byte, error) {
+	buf := s.begin(MsgSecureReg, ctr, regTxnSize)
+	return s.finish(dirRequest, ctr, appendRegTxn(buf, txn)), nil
+}
+
+// OpenRegRequest verifies and decrypts a secure register request; wantCtr
+// is the receiver's expected next counter (strictly increasing — anything
+// else is a replay or reorder and is rejected).
+func (s *Sealer) OpenRegRequest(wantCtr uint64, frame []byte) (RegTxn, error) {
+	pt, err := s.open(MsgSecureReg, dirRequest, wantCtr, frame)
+	if err != nil {
+		return RegTxn{}, err
+	}
+	txn, ok := decodeRegTxn(pt)
+	if !ok {
+		return RegTxn{}, ErrMalformed
+	}
+	return txn, nil
+}
+
+// SealRegResponse protects a register result for the CL→host direction at
+// the same counter as its request.
+func (s *Sealer) SealRegResponse(ctr uint64, res RegResult) ([]byte, error) {
+	buf := s.begin(MsgSecureRegResp, ctr, regResultSize)
+	return s.finish(dirResponse, ctr, appendRegResult(buf, res)), nil
+}
+
+// OpenRegResponse verifies and decrypts a secure register response.
+func (s *Sealer) OpenRegResponse(wantCtr uint64, frame []byte) (RegResult, error) {
+	pt, err := s.open(MsgSecureRegResp, dirResponse, wantCtr, frame)
+	if err != nil {
+		return RegResult{}, err
+	}
+	res, ok := decodeRegResult(pt)
+	if !ok {
+		return RegResult{}, ErrMalformed
+	}
+	return res, nil
+}
+
 // SealRegBatchRequest seals txns (1..MaxBatchTxns transactions) for the
-// host→CL direction under one counter tick. The returned frame is valid
-// until the next call on this Sealer.
+// host→CL direction under one counter tick.
 func (s *Sealer) SealRegBatchRequest(ctr uint64, txns []RegTxn) ([]byte, error) {
 	if len(txns) == 0 || len(txns) > MaxBatchTxns {
 		return nil, fmt.Errorf("%w: batch of %d transactions", ErrMalformed, len(txns))
 	}
-	return s.seal(MsgSecureRegBatch, dirRequest, ctr, batchHdrSize+regTxnSize*len(txns), func(buf []byte) []byte {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(txns)))
-		for _, t := range txns {
-			buf = appendRegTxn(buf, t)
-		}
-		return buf
-	}), nil
+	buf := s.begin(MsgSecureRegBatch, ctr, batchHdrSize+regTxnSize*len(txns))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(txns)))
+	for _, t := range txns {
+		buf = appendRegTxn(buf, t)
+	}
+	return s.finish(dirRequest, ctr, buf), nil
 }
 
 // OpenRegBatchRequest verifies and decrypts a batched request. Results are
@@ -497,13 +459,12 @@ func (s *Sealer) SealRegBatchResponse(ctr uint64, res []RegResult) ([]byte, erro
 	if len(res) == 0 || len(res) > MaxBatchTxns {
 		return nil, fmt.Errorf("%w: batch of %d results", ErrMalformed, len(res))
 	}
-	return s.seal(MsgSecureRegBatchResp, dirResponse, ctr, batchHdrSize+regResultSize*len(res), func(buf []byte) []byte {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(res)))
-		for _, r := range res {
-			buf = appendRegResult(buf, r)
-		}
-		return buf
-	}), nil
+	buf := s.begin(MsgSecureRegBatchResp, ctr, batchHdrSize+regResultSize*len(res))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(res)))
+	for _, r := range res {
+		buf = appendRegResult(buf, r)
+	}
+	return s.finish(dirResponse, ctr, buf), nil
 }
 
 // OpenRegBatchResponse verifies and decrypts a batched response into dst.
@@ -531,74 +492,26 @@ func (s *Sealer) OpenRegBatchResponse(wantCtr uint64, frame []byte, dst []RegRes
 	return dst, nil
 }
 
-// SealRegBatchRequest is the one-shot (allocating) form of
-// Sealer.SealRegBatchRequest; hot paths should hold a Sealer instead.
-func SealRegBatchRequest(key []byte, ctr uint64, txns []RegTxn) ([]byte, error) {
-	s, err := NewSealer(key)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := s.SealRegBatchRequest(ctr, txns)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), frame...), nil
-}
-
-// OpenRegBatchRequest is the one-shot form of Sealer.OpenRegBatchRequest.
-func OpenRegBatchRequest(key []byte, wantCtr uint64, frame []byte) ([]RegTxn, error) {
-	s, err := NewSealer(key)
-	if err != nil {
-		return nil, err
-	}
-	return s.OpenRegBatchRequest(wantCtr, frame, nil)
-}
-
-// SealRegBatchResponse is the one-shot form of Sealer.SealRegBatchResponse.
-func SealRegBatchResponse(key []byte, ctr uint64, res []RegResult) ([]byte, error) {
-	s, err := NewSealer(key)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := s.SealRegBatchResponse(ctr, res)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), frame...), nil
-}
-
-// OpenRegBatchResponse is the one-shot form of Sealer.OpenRegBatchResponse.
-func OpenRegBatchResponse(key []byte, wantCtr uint64, frame []byte) ([]RegResult, error) {
-	s, err := NewSealer(key)
-	if err != nil {
-		return nil, err
-	}
-	return s.OpenRegBatchResponse(wantCtr, frame, nil)
-}
-
-// ---------------------------------------------------------------------------
-// Session rekeying
-
 // SealRekeyRequest protects a session-key rotation: the new key and new
 // counter ride the *current* session key at the current counter, so only
 // the party holding Key_session can rotate it.
-func SealRekeyRequest(key []byte, ctr uint64, newKey []byte, newCtr uint64) ([]byte, error) {
+func (s *Sealer) SealRekeyRequest(ctr uint64, newKey []byte, newCtr uint64) ([]byte, error) {
 	if len(newKey) != 16 {
 		return nil, fmt.Errorf("%w: rekey needs a 16-byte key", ErrMalformed)
 	}
-	payload := make([]byte, 0, 24)
-	payload = append(payload, newKey...)
-	payload = binary.BigEndian.AppendUint64(payload, newCtr)
-	return sealSecure(MsgRekey, dirRequest, key, ctr, payload)
+	buf := append(s.begin(MsgRekey, ctr, rekeyPayloadSize), newKey...)
+	buf = binary.BigEndian.AppendUint64(buf, newCtr)
+	return s.finish(dirRequest, ctr, buf), nil
 }
 
-// OpenRekeyRequest verifies and decrypts a rekey request.
-func OpenRekeyRequest(key []byte, wantCtr uint64, frame []byte) (newKey []byte, newCtr uint64, err error) {
-	pt, err := openSecure(MsgRekey, dirRequest, key, wantCtr, frame)
+// OpenRekeyRequest verifies and decrypts a rekey request. newKey follows
+// the Sealer aliasing rules.
+func (s *Sealer) OpenRekeyRequest(wantCtr uint64, frame []byte) (newKey []byte, newCtr uint64, err error) {
+	pt, err := s.open(MsgRekey, dirRequest, wantCtr, frame)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(pt) != 24 {
+	if len(pt) != rekeyPayloadSize {
 		return nil, 0, ErrMalformed
 	}
 	return pt[:16], binary.BigEndian.Uint64(pt[16:]), nil
@@ -607,13 +520,14 @@ func OpenRekeyRequest(key []byte, wantCtr uint64, frame []byte) (newKey []byte, 
 // SealRekeyResponse acknowledges a rotation under the *old* key at the
 // request's counter, so the initiator can distinguish "installed" from a
 // dropped request before switching.
-func SealRekeyResponse(key []byte, ctr uint64) ([]byte, error) {
-	return sealSecure(MsgRekeyResp, dirResponse, key, ctr, []byte{1})
+func (s *Sealer) SealRekeyResponse(ctr uint64) ([]byte, error) {
+	buf := append(s.begin(MsgRekeyResp, ctr, 1), 1)
+	return s.finish(dirResponse, ctr, buf), nil
 }
 
 // OpenRekeyResponse verifies a rotation acknowledgement.
-func OpenRekeyResponse(key []byte, wantCtr uint64, frame []byte) error {
-	pt, err := openSecure(MsgRekeyResp, dirResponse, key, wantCtr, frame)
+func (s *Sealer) OpenRekeyResponse(wantCtr uint64, frame []byte) error {
+	pt, err := s.open(MsgRekeyResp, dirResponse, wantCtr, frame)
 	if err != nil {
 		return err
 	}
@@ -623,12 +537,100 @@ func OpenRekeyResponse(key []byte, wantCtr uint64, frame []byte) error {
 	return nil
 }
 
+// One-shot forms. Each expands key into a throwaway Sealer, so its output
+// is the caller's to keep; anything that frames more than once under a
+// key holds a Sealer instead.
+
+// oneShot runs f on a fresh Sealer for key.
+func oneShot[T any](key []byte, f func(*Sealer) (T, error)) (T, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return f(s)
+}
+
+// SealRegRequest is the one-shot form of Sealer.SealRegRequest.
+func SealRegRequest(key []byte, ctr uint64, txn RegTxn) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegRequest(ctr, txn) })
+}
+
+// OpenRegRequest is the one-shot form of Sealer.OpenRegRequest.
+func OpenRegRequest(key []byte, wantCtr uint64, frame []byte) (RegTxn, error) {
+	return oneShot(key, func(s *Sealer) (RegTxn, error) { return s.OpenRegRequest(wantCtr, frame) })
+}
+
+// SealRegResponse is the one-shot form of Sealer.SealRegResponse.
+func SealRegResponse(key []byte, ctr uint64, res RegResult) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegResponse(ctr, res) })
+}
+
+// OpenRegResponse is the one-shot form of Sealer.OpenRegResponse.
+func OpenRegResponse(key []byte, wantCtr uint64, frame []byte) (RegResult, error) {
+	return oneShot(key, func(s *Sealer) (RegResult, error) { return s.OpenRegResponse(wantCtr, frame) })
+}
+
+// SealRegBatchRequest is the one-shot form of Sealer.SealRegBatchRequest.
+func SealRegBatchRequest(key []byte, ctr uint64, txns []RegTxn) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegBatchRequest(ctr, txns) })
+}
+
+// OpenRegBatchRequest is the one-shot form of Sealer.OpenRegBatchRequest.
+func OpenRegBatchRequest(key []byte, wantCtr uint64, frame []byte) ([]RegTxn, error) {
+	return oneShot(key, func(s *Sealer) ([]RegTxn, error) { return s.OpenRegBatchRequest(wantCtr, frame, nil) })
+}
+
+// SealRegBatchResponse is the one-shot form of Sealer.SealRegBatchResponse.
+func SealRegBatchResponse(key []byte, ctr uint64, res []RegResult) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegBatchResponse(ctr, res) })
+}
+
+// OpenRegBatchResponse is the one-shot form of Sealer.OpenRegBatchResponse.
+func OpenRegBatchResponse(key []byte, wantCtr uint64, frame []byte) ([]RegResult, error) {
+	return oneShot(key, func(s *Sealer) ([]RegResult, error) { return s.OpenRegBatchResponse(wantCtr, frame, nil) })
+}
+
+// SealRekeyRequest is the one-shot form of Sealer.SealRekeyRequest.
+func SealRekeyRequest(key []byte, ctr uint64, newKey []byte, newCtr uint64) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRekeyRequest(ctr, newKey, newCtr) })
+}
+
+// OpenRekeyRequest is the one-shot form of Sealer.OpenRekeyRequest.
+func OpenRekeyRequest(key []byte, wantCtr uint64, frame []byte) (newKey []byte, newCtr uint64, err error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.OpenRekeyRequest(wantCtr, frame)
+}
+
+// SealRekeyResponse is the one-shot form of Sealer.SealRekeyResponse.
+func SealRekeyResponse(key []byte, ctr uint64) ([]byte, error) {
+	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRekeyResponse(ctr) })
+}
+
+// OpenRekeyResponse is the one-shot form of Sealer.OpenRekeyResponse.
+func OpenRekeyResponse(key []byte, wantCtr uint64, frame []byte) error {
+	s, err := NewSealer(key)
+	if err != nil {
+		return err
+	}
+	return s.OpenRekeyResponse(wantCtr, frame)
+}
+
 // ---------------------------------------------------------------------------
 // Direct (unprotected) channel
 
 // EncodeDirectReg frames a plaintext register transaction.
 func EncodeDirectReg(txn RegTxn) []byte {
-	return append([]byte{MsgDirectReg}, encodeRegTxn(txn)...)
+	return AppendDirectReg(make([]byte, 0, 1+regTxnSize), txn)
+}
+
+// AppendDirectReg appends a plaintext register transaction frame to dst, so
+// a caller that issues many builds each in one reused buffer.
+func AppendDirectReg(dst []byte, txn RegTxn) []byte {
+	return appendRegTxn(append(dst, MsgDirectReg), txn)
 }
 
 // DecodeDirectReg parses a plaintext register transaction.
@@ -644,9 +646,9 @@ func DecodeDirectReg(b []byte) (RegTxn, error) {
 	return txn, nil
 }
 
-// EncodeDirectResp frames a plaintext register result.
-func EncodeDirectResp(res RegResult) []byte {
-	return append([]byte{MsgDirectResp}, encodeRegResult(res)...)
+// AppendDirectResp appends a plaintext register result frame to dst.
+func AppendDirectResp(dst []byte, res RegResult) []byte {
+	return appendRegResult(append(dst, MsgDirectResp), res)
 }
 
 // DecodeDirectResp parses a plaintext register result.
@@ -702,9 +704,13 @@ func DecodeMemWrite(b []byte) (MemWrite, error) {
 
 // EncodeMemRead frames a DMA read request.
 func EncodeMemRead(m MemRead) []byte {
-	out := []byte{MsgMemRead}
-	out = binary.BigEndian.AppendUint64(out, m.Addr)
-	return binary.BigEndian.AppendUint32(out, m.N)
+	return AppendMemRead(make([]byte, 0, 1+8+4), m)
+}
+
+// AppendMemRead appends a DMA read request frame to dst.
+func AppendMemRead(dst []byte, m MemRead) []byte {
+	dst = binary.BigEndian.AppendUint64(append(dst, MsgMemRead), m.Addr)
+	return binary.BigEndian.AppendUint32(dst, m.N)
 }
 
 // DecodeMemRead parses a DMA read request.

@@ -186,7 +186,7 @@ func TestDirectRegRoundTrip(t *testing.T) {
 		t.Errorf("got %+v err %v", got, err)
 	}
 	res := RegResult{Data: 9, OK: true}
-	gotRes, err := DecodeDirectResp(EncodeDirectResp(res))
+	gotRes, err := DecodeDirectResp(AppendDirectResp(nil, res))
 	if err != nil || gotRes != res {
 		t.Errorf("got %+v err %v", gotRes, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -59,8 +60,9 @@ type batchChunk struct {
 	jobs     []batchJob
 	base     uint64 // buffer half base address
 	newEpoch bool
-	rotate   bool // rekey the register channel before this chunk's frame
-	key      []byte
+	rotate   bool         // rekey the register channel before this chunk's frame
+	key      []byte       // the new epoch's data key; set only with newEpoch
+	block    cipher.Block // the epoch's data-key schedule, shared by its chunks
 	baseIV   []byte
 }
 
@@ -111,21 +113,21 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 	if !ok {
 		return nil, fmt.Errorf("core: unknown kernel %q", kernelName)
 	}
-	dataKey, err := s.User.DataKey()
+	aead, err := s.User.DataAEAD()
 	if err != nil {
 		return nil, err
 	}
 	results := make([]BatchResult, len(jobs))
 	ws := make([]accel.Workload, len(jobs))
 	for i, j := range jobs {
-		input, err := cryptoutil.Open(dataKey, j.Input, jobInputAD)
+		input, err := cryptoutil.OpenWith(aead, j.Input, jobInputAD)
 		if err != nil {
 			results[i].Err = fmt.Errorf("core: sealed job input rejected: %w", err)
 			continue
 		}
 		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: input}
 	}
-	if err := s.runJobBatchLocked(ws, results, dataKey); err != nil {
+	if err := s.runJobBatchLocked(ws, results, aead); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -134,10 +136,10 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 // runJobBatchLocked plans, pipelines and executes the batch; callers hold
 // jobMu. Entries of results whose Err is already set are skipped (the
 // sealed path uses this for inputs that failed authentication). Outputs
-// are plaintext with a nil sealKey and sealed under it otherwise. A
-// non-nil return is a transport/session fault covering the whole batch;
-// the session is invalidated and the caller must discard results.
-func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, sealKey []byte) (err error) {
+// are plaintext with a nil seal and sealed under it otherwise. A non-nil
+// return is a transport/session fault covering the whole batch; the
+// session is invalidated and the caller must discard results.
+func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD) (err error) {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
@@ -178,7 +180,7 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		// CtrlStart (success or failure); mirror that before any per-job
 		// verdicts so the schedules cannot drift.
 		if chunk.newEpoch {
-			s.sessKey, s.sessIV, s.sessJobs = chunk.key, chunk.baseIV, 0
+			s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = chunk.key, chunk.block, chunk.baseIV, 0
 			mSessionExchanges.Inc()
 		}
 		s.sessJobs += uint32(len(chunk.jobs))
@@ -204,7 +206,7 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 			time.Sleep(s.Timing.RealJobLatency)
 		}
 
-		readErr := s.readChunkResults(ws, results, chunk, s.batchRes, sealKey)
+		readErr := s.readChunkResults(ws, results, chunk, s.batchRes, seal)
 		<-writeDone
 		if readErr != nil {
 			return readErr
@@ -225,26 +227,26 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 func (s *System) planBatch(ws []accel.Workload, results []BatchResult) ([]batchChunk, error) {
 	maxJobsPerFrame := (channel.MaxBatchTxns - epochTxnCount) / batchTxnsPerJob
 
-	sessKey, sessIV, sessJobs := s.sessKey, s.sessIV, int(s.sessJobs)
-	hadSession := sessKey != nil
+	sessBlock, sessIV, sessJobs := s.sessBlock, s.sessIV, int(s.sessJobs)
+	hadSession := sessBlock != nil
 	var chunks []batchChunk
 	var cur *batchChunk
 	var cursor uint64
 
 	openChunk := func() error {
 		c := batchChunk{base: uint64(len(chunks)%2) * batchHalf}
-		if sessKey == nil || sessJobs >= s.rekeyEvery {
-			key, baseIV, err := s.newEpochSecrets()
+		if sessBlock == nil || sessJobs >= s.rekeyEvery {
+			key, block, baseIV, err := s.newEpochSecrets()
 			if err != nil {
 				return err
 			}
-			c.newEpoch, c.key, c.baseIV = true, key, baseIV
+			c.newEpoch, c.key, c.block, c.baseIV = true, key, block, baseIV
 			c.rotate = hadSession
 			hadSession = true
-			sessKey, sessIV, sessJobs = key, baseIV, 0
+			sessBlock, sessIV, sessJobs = block, baseIV, 0
 		} else {
 			// Continue the live epoch: encrypt under the cached secrets.
-			c.key, c.baseIV = sessKey, sessIV
+			c.block, c.baseIV = sessBlock, sessIV
 		}
 		chunks = append(chunks, c)
 		cur = &chunks[len(chunks)-1]
@@ -329,7 +331,7 @@ func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 // frame that installs them on the device (the pipelined overlap).
 func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error {
 	for _, j := range chunk.jobs {
-		if err := s.writeInput(j.inAddr, chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), ws[j.idx].Input); err != nil {
+		if err := s.writeInput(j.inAddr, chunk.block, accel.JobIV(chunk.baseIV, j.ivIdx), ws[j.idx].Input); err != nil {
 			return err
 		}
 	}
@@ -339,7 +341,7 @@ func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error 
 // readChunkResults parses the chunk's result vector and reads every
 // successful job's output back over the direct channel. Per-job verdicts
 // land in results; only transport faults return an error.
-func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, res []channel.RegResult, sealKey []byte) error {
+func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, res []channel.RegResult, seal cipher.AEAD) error {
 	off := 0
 	if chunk.newEpoch {
 		for i := 0; i < epochTxnCount; i++ {
@@ -351,14 +353,14 @@ func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, ch
 	}
 	for k, j := range chunk.jobs {
 		r := res[off+k*batchTxnsPerJob : off+(k+1)*batchTxnsPerJob]
-		results[j.idx].Output, results[j.idx].Err = s.readOneJob(ws[j.idx], chunk, j, r, sealKey)
+		results[j.idx].Output, results[j.idx].Err = s.readOneJob(ws[j.idx], chunk, j, r, seal)
 	}
 	return nil
 }
 
 // readOneJob applies one job's verdict from its 10-transaction result
 // window and reads back its output.
-func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r []channel.RegResult, sealKey []byte) ([]byte, error) {
+func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r []channel.RegResult, seal cipher.AEAD) ([]byte, error) {
 	for t := 0; t < 8; t++ {
 		if !r[t].OK {
 			return nil, deviceFault(fmt.Errorf("core: batched register write %d rejected", t))
@@ -375,7 +377,7 @@ func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r [
 		return nil, deviceFault(fmt.Errorf("core: CL reports implausible output length %d at %#x (slot capacity is %d bytes)",
 			outLen.Data, j.outAddr, j.outCap))
 	}
-	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.key, accel.JobIV(chunk.baseIV, j.ivIdx), sealKey)
+	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.block, accel.JobIV(chunk.baseIV, j.ivIdx), seal)
 }
 
 // alignUp rounds a device-memory slot length up to the DMA burst

@@ -635,7 +635,7 @@ func (a *forgeOutLen) OnResponse(r []byte) []byte {
 		return r
 	}
 	a.pending = false
-	return channel.EncodeDirectResp(channel.RegResult{Data: a.value, OK: true})
+	return channel.AppendDirectResp(nil, channel.RegResult{Data: a.value, OK: true})
 }
 
 func TestRunJobRejectsImplausibleOutLen(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,10 +72,10 @@ func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	return s.runJobLocked(w, nil)
 }
 
-// runJobLocked is the hot path; callers hold jobMu. With a nil sealKey it
-// returns the plaintext result; otherwise the result sealed under sealKey
-// (see readOutput).
-func (s *System) runJobLocked(w accel.Workload, sealKey []byte) (out []byte, err error) {
+// runJobLocked is the hot path; callers hold jobMu. With a nil seal it
+// returns the plaintext result; otherwise the result sealed under seal, the
+// data key's expanded AEAD (see readOutput).
+func (s *System) runJobLocked(w accel.Workload, seal cipher.AEAD) (out []byte, err error) {
 	if !s.booted {
 		return nil, fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
@@ -89,12 +91,12 @@ func (s *System) runJobLocked(w accel.Workload, sealKey []byte) (out []byte, err
 		}
 	}()
 
-	dataKey, jobIV, err := s.ensureSession()
+	block, jobIV, err := s.ensureSession()
 	if err != nil {
 		return nil, err
 	}
 
-	if err := s.writeInput(0, dataKey, jobIV, w.Input); err != nil {
+	if err := s.writeInput(0, block, jobIV, w.Input); err != nil {
 		return nil, deviceFault(err)
 	}
 
@@ -158,22 +160,22 @@ func (s *System) runJobLocked(w accel.Workload, sealKey []byte) (out []byte, err
 			outLen.Data, outAddr, accel.MemBytes))
 	}
 
-	return s.readOutput(outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), dataKey, jobIV, sealKey)
+	return s.readOutput(outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), block, jobIV, seal)
 }
 
-// ensureSession returns the data key and this job's IV, performing the
-// 4-write secure key/IV exchange only when no session is cached or the
-// epoch is exhausted. Epoch rotation also rotates the register-channel
-// session key, so a long-lived deployment never accumulates unbounded
-// traffic under one Key_session.
-func (s *System) ensureSession() (dataKey, jobIV []byte, err error) {
+// ensureSession returns the session's expanded data-key schedule and this
+// job's IV, performing the 4-write secure key/IV exchange only when no
+// session is cached or the epoch is exhausted. Epoch rotation also rotates
+// the register-channel session key, so a long-lived deployment never
+// accumulates unbounded traffic under one Key_session.
+func (s *System) ensureSession() (block cipher.Block, jobIV []byte, err error) {
 	if s.sessKey == nil || int(s.sessJobs) >= s.rekeyEvery {
 		if s.sessKey != nil {
 			if err := s.SM.RekeySession(); err != nil {
 				return nil, nil, deviceFault(fmt.Errorf("core: session rotation: %w", err))
 			}
 		}
-		key, baseIV, err := s.newEpochSecrets()
+		key, block, baseIV, err := s.newEpochSecrets()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -197,34 +199,38 @@ func (s *System) ensureSession() (dataKey, jobIV []byte, err error) {
 				return nil, nil, deviceFault(fmt.Errorf("core: secure write to %#x rejected", wr.addr))
 			}
 		}
-		s.sessKey, s.sessIV, s.sessJobs = key, baseIV, 0
+		s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = key, block, baseIV, 0
 		mSessionExchanges.Inc()
 	}
 	jobIV = accel.JobIV(s.sessIV, s.sessJobs)
 	s.sessJobs++
-	return s.sessKey, jobIV, nil
+	return s.sessBlock, jobIV, nil
 }
 
 // newEpochSecrets draws the secrets of a fresh session epoch: the enclave's
-// data key and a random base IV. It is the one place that zeroes the IV's
-// block-counter field, the invariant that keeps per-job keystreams, 2^32
-// CTR blocks apart under accel.JobIV, from ever colliding.
-func (s *System) newEpochSecrets() (key, baseIV []byte, err error) {
+// data key, expanded once for the epoch's CTR streams, and a random base
+// IV. It is the one place that zeroes the IV's block-counter field, the
+// invariant that keeps per-job keystreams, 2^32 CTR blocks apart under
+// accel.JobIV, from ever colliding.
+func (s *System) newEpochSecrets() (key []byte, block cipher.Block, baseIV []byte, err error) {
 	key, err = s.User.DataKey()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	if block, err = aes.NewCipher(key); err != nil {
+		return nil, nil, nil, err
 	}
 	baseIV = cryptoutil.RandomKey(16)
 	for i := 12; i < 16; i++ {
 		baseIV[i] = 0
 	}
-	return key, baseIV, nil
+	return key, block, baseIV, nil
 }
 
 // invalidateSession drops the cached data-key session; the next job
 // re-exchanges. Callers hold jobMu.
 func (s *System) invalidateSession() {
-	s.sessKey, s.sessIV, s.sessJobs = nil, nil, 0
+	s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = nil, nil, nil, 0
 }
 
 // RunJobSealed is the remote-data-owner job path: the input arrives sealed
@@ -245,15 +251,15 @@ func (s *System) RunJobSealed(kernelName string, params [4]uint64, sealedInput [
 	if !ok {
 		return nil, fmt.Errorf("core: unknown kernel %q", kernelName)
 	}
-	dataKey, err := s.User.DataKey()
+	aead, err := s.User.DataAEAD()
 	if err != nil {
 		return nil, err
 	}
-	input, err := cryptoutil.Open(dataKey, sealedInput, jobInputAD)
+	input, err := cryptoutil.OpenWith(aead, sealedInput, jobInputAD)
 	if err != nil {
 		return nil, fmt.Errorf("core: sealed job input rejected: %w", err)
 	}
-	return s.runJobLocked(accel.Workload{Kernel: k, Params: params, Input: input}, dataKey)
+	return s.runJobLocked(accel.Workload{Kernel: k, Params: params, Input: input}, aead)
 }
 
 // Additional data binding sealed job payloads to their direction.
@@ -271,7 +277,7 @@ const dmaBurst = 1 << 20
 const memWriteHdr = 1 + 8 + 4
 
 // writeInput is the enclave's half of the inbound data path: it
-// CTR-encrypts a job's plaintext under (key, iv) straight into DMA burst
+// CTR-encrypts a job's plaintext under (block, iv) straight into DMA burst
 // frames and streams them to device memory at addr over the direct
 // channel. The plaintext never leaves enclave memory and no whole-payload
 // ciphertext exists on the host: each burst frame is built in s.burst, the
@@ -280,11 +286,8 @@ const memWriteHdr = 1 + 8 + 4
 // shell.Interceptor); under -race the scratch is poisoned once each
 // transaction returns, so anything that kept it reads garbage. Callers
 // hold jobMu, and at most one writeInput runs at a time.
-func (s *System) writeInput(addr uint64, key, iv, plaintext []byte) error {
-	ctr, err := cryptoutil.CTRStream(key, iv)
-	if err != nil {
-		return err
-	}
+func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byte) error {
+	ctr := cipher.NewCTR(block, iv)
 	for off := 0; off < len(plaintext); off += dmaBurst {
 		chunk := plaintext[off:min(off+dmaBurst, len(plaintext))]
 		if cap(s.burst) < memWriteHdr+len(chunk) {
@@ -297,11 +300,7 @@ func (s *System) writeInput(addr uint64, key, iv, plaintext []byte) error {
 		ctr.XORKeyStream(frame[memWriteHdr:], chunk)
 		//lint:allow sealed-boundary direct channel is plaintext-by-design (§4.5): the payload was CTR-encrypted into the frame above, and the frame header is public
 		resp, err := s.User.Direct(frame)
-		if raceEnabled {
-			for i := range frame {
-				frame[i] = 0xA5
-			}
-		}
+		poison(frame)
 		if err != nil {
 			return err
 		}
@@ -314,14 +313,14 @@ func (s *System) writeInput(addr uint64, key, iv, plaintext []byte) error {
 
 // readOutput is the enclave's half of the outbound data path: it reads a
 // job's n-byte result from device memory at addr into the one buffer the
-// job returns. For a plaintext job (nil sealKey) that buffer is exactly n
+// job returns. For a plaintext job (nil seal) that buffer is exactly n
 // bytes. For a sealed job it is n+SealOverhead bytes, the result is read
-// into its middle, and the kernel's output CTR (when it encrypts output)
-// and the GCM seal under sealKey both run in place, so the buffer ends up
-// holding exactly cryptoutil.Seal's output.
-func (s *System) readOutput(addr uint64, n int, encrypted bool, key, iv, sealKey []byte) ([]byte, error) {
+// into its middle, and the kernel's output CTR (when it encrypts output,
+// under the epoch's block) and the GCM seal under seal both run in place,
+// so the buffer ends up holding exactly cryptoutil.Seal's output.
+func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Block, iv []byte, seal cipher.AEAD) ([]byte, error) {
 	size, lo := n, 0
-	if sealKey != nil {
+	if seal != nil {
 		size, lo = n+cryptoutil.SealOverhead, cryptoutil.NonceSize
 	}
 	buf := make([]byte, size)
@@ -330,14 +329,12 @@ func (s *System) readOutput(addr uint64, n int, encrypted bool, key, iv, sealKey
 		return nil, deviceFault(err)
 	}
 	if encrypted {
-		if err := accel.DecryptOutput(key, iv, out); err != nil {
-			return nil, deviceFault(err)
-		}
+		accel.DecryptOutput(block, iv, out)
 	}
-	if sealKey == nil {
+	if seal == nil {
 		return out, nil
 	}
-	if err := cryptoutil.SealInPlace(sealKey, buf, jobOutputAD); err != nil {
+	if err := cryptoutil.SealInPlaceWith(seal, buf, jobOutputAD); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -345,14 +342,15 @@ func (s *System) readOutput(addr uint64, n int, encrypted bool, key, iv, sealKey
 
 // dmaRead fills dst from device memory at addr in bursts, symmetric with
 // writeInput — an unbounded single MemRead would let one response frame
-// pin the whole result in flight.
+// pin the whole result in flight. Each read request is built in the
+// register-frame scratch (see directReg).
 func (s *System) dmaRead(addr uint64, dst []byte) error {
 	for off := 0; off < len(dst); off += dmaBurst {
 		want := min(len(dst)-off, dmaBurst)
+		s.regFrame = channel.AppendMemRead(s.regFrame[:0], channel.MemRead{Addr: addr + uint64(off), N: uint32(want)})
 		//lint:allow sealed-boundary MemRead frames carry only a public (address, length) header; returned data is ciphertext on the sealed path
-		resp, err := s.User.Direct(channel.EncodeMemRead(channel.MemRead{
-			Addr: addr + uint64(off), N: uint32(want),
-		}))
+		resp, err := s.User.Direct(s.regFrame)
+		poison(s.regFrame)
 		if err != nil {
 			return err
 		}
@@ -371,9 +369,15 @@ func (s *System) dmaRead(addr uint64, dst []byte) error {
 	return nil
 }
 
+// directReg issues one plaintext register transaction. The request is
+// built in s.regFrame, the System's one register-frame scratch, which the
+// shell borrows for the transaction only (and which is poisoned once it
+// returns under -race, like the DMA burst scratch). Callers hold jobMu.
 func (s *System) directReg(txn channel.RegTxn) (channel.RegResult, error) {
+	s.regFrame = channel.AppendDirectReg(s.regFrame[:0], txn)
 	//lint:allow sealed-boundary direct register path is the paper's unprotected channel; secure register writes go through smapp's sealed path instead
-	resp, err := s.User.Direct(channel.EncodeDirectReg(txn))
+	resp, err := s.User.Direct(s.regFrame)
+	poison(s.regFrame)
 	if err != nil {
 		return channel.RegResult{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/cipher"
 	"fmt"
 	"sync"
 	"time"
@@ -103,8 +104,11 @@ type System struct {
 	// Cached per-session job state (guarded by jobMu): once the data key
 	// and a base IV are exchanged over the secure register channel, repeat
 	// jobs derive per-job IVs from sessJobs instead of re-running the
-	// 4-write exchange. rekeyEvery bounds the epoch length.
+	// 4-write exchange. sessBlock is sessKey's AES schedule, expanded once
+	// per epoch for every CTR stream the host runs in it. rekeyEvery bounds
+	// the epoch length.
 	sessKey    []byte
+	sessBlock  cipher.Block
 	sessIV     []byte
 	sessJobs   uint32
 	rekeyEvery int
@@ -116,8 +120,11 @@ type System struct {
 	batchRes  []channel.RegResult
 
 	// burst is the DMA burst scratch every input frame is built in (see
-	// writeInput), guarded by jobMu.
-	burst []byte
+	// writeInput), and regFrame the scratch every direct register request
+	// and DMA read request is built in (see directReg); both guarded by
+	// jobMu.
+	burst    []byte
+	regFrame []byte
 }
 
 // NewSystem manufactures the device, provisions the TEE host, develops the
@@ -591,7 +598,7 @@ func (s *System) Reclaim() {
 	defer s.jobMu.Unlock()
 	zeroBytes(s.sessKey)
 	zeroBytes(s.sessIV)
-	s.sessKey, s.sessIV, s.sessJobs = nil, nil, 0
+	s.invalidateSession()
 	zeroBytes(s.dataKey)
 	s.dataKey = nil
 	s.User.Zeroize()
@@ -612,6 +619,17 @@ func (s *System) Reclaimed() bool {
 func zeroBytes(b []byte) {
 	for i := range b {
 		b[i] = 0
+	}
+}
+
+// poison fills a scratch frame the shell has given back with 0xA5 under
+// -race, so an interceptor that kept a borrowed frame instead of copying it
+// reads garbage; otherwise it does nothing.
+func poison(frame []byte) {
+	if raceEnabled {
+		for i := range frame {
+			frame[i] = 0xA5
+		}
 	}
 }
 

@@ -55,33 +55,70 @@ const SealOverhead = NonceSize + 16
 // binding the optional additional data. The returned ciphertext carries the
 // random nonce as its prefix.
 func Seal(key, plaintext, additional []byte) ([]byte, error) {
-	return AppendSeal(make([]byte, 0, len(plaintext)+SealOverhead), key, plaintext, additional)
+	aead, err := NewAEAD(key)
+	if err != nil {
+		return nil, err
+	}
+	return SealWith(aead, plaintext, additional), nil
 }
 
 // AppendSeal appends Seal's output to dst and returns the extended slice, so
 // a caller that frames a large ciphertext (the bitstream container's magic)
 // builds the message in one buffer. dst must not overlap plaintext.
 func AppendSeal(dst, key, plaintext, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
+	aead, err := NewAEAD(key)
 	if err != nil {
 		return nil, err
 	}
-	nonce := RandomKey(NonceSize)
-	return aead.Seal(append(dst, nonce...), nonce, plaintext, additional), nil
+	return AppendSealWith(dst, aead, plaintext, additional), nil
 }
 
-// SealInPlace seals a message that is already in its final buffer: buf is
-// len(plaintext)+SealOverhead bytes with the plaintext at
+// Open authenticates and decrypts a Seal-produced ciphertext.
+func Open(key, ciphertext, additional []byte) ([]byte, error) {
+	aead, err := NewAEAD(key)
+	if err != nil {
+		return nil, err
+	}
+	return OpenWith(aead, ciphertext, additional)
+}
+
+// NewAEAD expands key into the AES-GCM instance the *With functions below
+// seal and open under. A holder of a long-lived key (a session's data key)
+// expands it once and keeps the instance for as long as it keeps the key;
+// Seal, AppendSeal and Open expand a fresh one per call. The instance is
+// safe for concurrent use.
+func NewAEAD(key []byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("cryptoutil: %w", err)
+	}
+	return cipher.NewGCM(block)
+}
+
+// SealWith is Seal under an expanded key: one exact-size allocation.
+func SealWith(aead cipher.AEAD, plaintext, additional []byte) []byte {
+	return AppendSealWith(make([]byte, 0, len(plaintext)+SealOverhead), aead, plaintext, additional)
+}
+
+// AppendSealWith is AppendSeal under an expanded key. The nonce is drawn
+// straight into dst, so a dst with room for the whole message costs no
+// allocation.
+func AppendSealWith(dst []byte, aead cipher.AEAD, plaintext, additional []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, NonceSize)...)
+	nonce := dst[start:]
+	fillRandom(nonce)
+	return aead.Seal(dst, nonce, plaintext, additional)
+}
+
+// SealInPlaceWith seals a message that is already in its final buffer:
+// buf is len(plaintext)+SealOverhead bytes with the plaintext at
 // buf[NonceSize:len(buf)-16]. It writes a fresh nonce in front and the tag
 // behind, encrypting in between, so buf becomes exactly Seal's output
 // without a second payload-sized buffer.
-func SealInPlace(key, buf, additional []byte) error {
+func SealInPlaceWith(aead cipher.AEAD, buf, additional []byte) error {
 	if len(buf) < SealOverhead {
 		return fmt.Errorf("cryptoutil: in-place seal buffer of %d bytes", len(buf))
-	}
-	aead, err := newGCM(key)
-	if err != nil {
-		return err
 	}
 	nonce := buf[:NonceSize]
 	fillRandom(nonce)
@@ -90,27 +127,23 @@ func SealInPlace(key, buf, additional []byte) error {
 	return nil
 }
 
-// Open authenticates and decrypts a Seal-produced ciphertext.
-func Open(key, ciphertext, additional []byte) ([]byte, error) {
-	return open(key, nil, ciphertext, additional)
+// OpenWith is Open under an expanded key; the plaintext is a new buffer.
+func OpenWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
+	return open(aead, nil, ciphertext, additional)
 }
 
-// OpenInPlace is Open decrypting over the ciphertext's own bytes: the
-// plaintext it returns aliases ciphertext[NonceSize:]. For a caller that
-// owns the sealed buffer and needs it no longer. On failure the buffer's
-// contents are unspecified.
-func OpenInPlace(key, ciphertext, additional []byte) ([]byte, error) {
+// OpenInPlaceWith is OpenWith decrypting over the ciphertext's own bytes:
+// the plaintext it returns aliases ciphertext[NonceSize:]. For a caller
+// that owns the sealed buffer and needs it no longer. On failure the
+// buffer's contents are unspecified.
+func OpenInPlaceWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
 	if len(ciphertext) < NonceSize {
 		return nil, ErrDecrypt
 	}
-	return open(key, ciphertext[NonceSize:NonceSize], ciphertext, additional)
+	return open(aead, ciphertext[NonceSize:NonceSize], ciphertext, additional)
 }
 
-func open(key, dst, ciphertext, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
+func open(aead cipher.AEAD, dst, ciphertext, additional []byte) ([]byte, error) {
 	if len(ciphertext) < NonceSize+aead.Overhead() {
 		return nil, ErrDecrypt
 	}
@@ -121,19 +154,13 @@ func open(key, dst, ciphertext, additional []byte) ([]byte, error) {
 	return pt, nil
 }
 
-func newGCM(key []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: %w", err)
-	}
-	return cipher.NewGCM(block)
-}
-
-// CTRStream returns an AES-CTR keystream cipher for the given key and
-// 16-byte IV. It is the software model of the streaming
-// encryption/decryption engine the benchmark accelerators attach at their
-// memory interfaces (§6.4).
-func CTRStream(key, iv []byte) (cipher.Stream, error) {
+// XORKeyStreamCTR encrypts (or decrypts — CTR is symmetric) src in one call
+// under key and a 16-byte IV, expanding key for this call only. It is the
+// reference model of the streaming encryption/decryption engine the
+// benchmark accelerators attach at their memory interfaces (§6.4); the job
+// path itself keeps each key's schedule (cipher.NewCTR over a cached
+// block).
+func XORKeyStreamCTR(key, iv, src []byte) ([]byte, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("cryptoutil: %w", err)
@@ -141,17 +168,8 @@ func CTRStream(key, iv []byte) (cipher.Stream, error) {
 	if len(iv) != block.BlockSize() {
 		return nil, fmt.Errorf("cryptoutil: CTR IV must be %d bytes, got %d", block.BlockSize(), len(iv))
 	}
-	return cipher.NewCTR(block, iv), nil
-}
-
-// XORKeyStreamCTR encrypts (or decrypts — CTR is symmetric) src in one call.
-func XORKeyStreamCTR(key, iv, src []byte) ([]byte, error) {
-	s, err := CTRStream(key, iv)
-	if err != nil {
-		return nil, err
-	}
 	dst := make([]byte, len(src))
-	s.XORKeyStream(dst, src)
+	cipher.NewCTR(block, iv).XORKeyStream(dst, src)
 	return dst, nil
 }
 

@@ -400,3 +400,39 @@ func TestClusterJobOpaqueToGateway(t *testing.T) {
 
 // sessKey exposes the session's provisioned key to the leak test above.
 func sessKey(s *ClusterSession) []byte { return s.dataKey }
+
+// TestSessionRunJobAllocCount is the end-to-end allocation tripwire of one
+// owner job: a 2 KiB RunJob through a ClusterSession, the binary wire, the
+// gateway, the scheduler and a board, client and server in one process,
+// averaged over four session epochs. Both ends expand the data key once
+// and the board's register frames reuse their buffers. Measured at the
+// commit before that: 102 allocations a job; now 24.
+func TestSessionRunJobAllocCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := newClusterDeployment(t, 1, accel.Conv{})
+	sess, err := DialCluster(d.addr, d.expectations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Attest(); err != nil {
+		t.Fatal(err)
+	}
+	w := accel.GenConv(16, 16, 4, 1)
+	run := func() {
+		if _, err := sess.RunJob("Conv", w.Params, w.Input); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < core.DefaultSessionRekeyEvery; i++ {
+		run()
+	}
+	const budget = 28
+	allocs := testing.AllocsPerRun(4*core.DefaultSessionRekeyEvery, run)
+	t.Logf("2 KiB session RunJob: %.2f allocations a job (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("2 KiB session RunJob: %.2f allocations a job, budget %d", allocs, budget)
+	}
+}

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,8 +53,11 @@ type session struct {
 	mu      sync.Mutex
 	nonce   []byte
 	dataKey []byte
-	qos     QoS
-	qosSet  bool
+	// dataAEAD is dataKey expanded once, at provisioning, for sealing every
+	// job input and opening every job output of the session.
+	dataAEAD cipher.AEAD
+	qos      QoS
+	qosSet   bool
 }
 
 // dialSession opens a session toward a gateway, pinning the expectations
@@ -97,14 +101,15 @@ func (s *session) qosFields() (tenant, class string, deadlineMillis int64) {
 	return s.qos.Tenant, s.qos.Class.String(), deadlineMillis
 }
 
-// key returns the provisioned data key, or an error before Attest.
-func (s *session) key() ([]byte, error) {
+// aead returns the provisioned data key's expanded AEAD, or an error
+// before Attest.
+func (s *session) aead() (cipher.AEAD, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dataKey == nil {
+	if s.dataAEAD == nil {
 		return nil, fmt.Errorf("remote: session not attested")
 	}
-	return s.dataKey, nil
+	return s.dataAEAD, nil
 }
 
 // Attest attests every device the session holds expectations for with one
@@ -133,6 +138,10 @@ func (s *session) Attest() error {
 		return fmt.Errorf("remote: gateway returned %d quotes for %d expected devices", len(boot.Quotes), len(s.exps))
 	}
 	key := cryptoutil.RandomKey(16)
+	aead, err := cryptoutil.NewAEAD(key)
+	if err != nil {
+		return err
+	}
 	req := ClusterProvisionRequest{Provisions: make([]ProvisionRequest, len(boot.Quotes))}
 	for i, q := range boot.Quotes {
 		pub, err := client.New(s.exps[i]).VerifyRAResponse(nonce, q)
@@ -149,10 +158,17 @@ func (s *session) Attest() error {
 		return fmt.Errorf("remote: provision: %w", err)
 	}
 	s.mu.Lock()
-	s.dataKey = key
+	s.dataKey, s.dataAEAD = key, aead
 	s.mu.Unlock()
 	return nil
 }
+
+// Additional data binding sealed job payloads to their direction; the
+// enclave side binds the same.
+var (
+	jobInputAD  = []byte("job-input")
+	jobOutputAD = []byte("job-output")
+)
 
 // runJob seals the input under the shared data key, submits it under the
 // session key (empty for a gateway with no ring), and opens the sealed
@@ -162,14 +178,11 @@ func (s *session) Attest() error {
 // so a job lost to a broken connection is safely re-submitted over a fresh
 // one.
 func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]byte, FederationPlacement, error) {
-	dk, err := s.key()
+	aead, err := s.aead()
 	if err != nil {
 		return nil, FederationPlacement{}, err
 	}
-	sealedIn, err := cryptoutil.Seal(dk, input, []byte("job-input"))
-	if err != nil {
-		return nil, FederationPlacement{}, err
-	}
+	sealedIn := cryptoutil.SealWith(aead, input, jobInputAD)
 	tenant, class, deadlineMillis := s.qosFields()
 	req := JobRequest{
 		Kernel: kernel, Params: params, SealedInput: sealedIn,
@@ -181,7 +194,7 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 	}
 	// The sealed output sits in the client's own exact-size response frame,
 	// which nothing else holds: open it in place.
-	out, err := cryptoutil.OpenInPlace(dk, resp.SealedOutput, []byte("job-output"))
+	out, err := cryptoutil.OpenInPlaceWith(aead, resp.SealedOutput, jobOutputAD)
 	if err != nil {
 		return nil, FederationPlacement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
 	}
@@ -197,7 +210,7 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 // broken connection is safely re-submitted, and every output is opened in
 // place in the response frame.
 func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, FederationPlacement, error) {
-	dk, err := s.key()
+	aead, err := s.aead()
 	if err != nil {
 		return nil, FederationPlacement{}, err
 	}
@@ -210,11 +223,7 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
 	}
 	for i, j := range jobs {
-		sealedIn, err := cryptoutil.Seal(dk, j.Input, []byte("job-input"))
-		if err != nil {
-			return nil, FederationPlacement{}, err
-		}
-		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: sealedIn}
+		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: cryptoutil.SealWith(aead, j.Input, jobInputAD)}
 	}
 	var resp BatchResponse
 	if err := s.conn.call("Cluster.RunBatch", req, &resp); err != nil {
@@ -229,7 +238,7 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 			results[i].Err = errors.New(r.Error)
 			continue
 		}
-		out, err := cryptoutil.OpenInPlace(dk, r.SealedOutput, []byte("job-output"))
+		out, err := cryptoutil.OpenInPlaceWith(aead, r.SealedOutput, jobOutputAD)
 		if err != nil {
 			results[i].Err = fmt.Errorf("remote: sealed output rejected: %w", err)
 			continue

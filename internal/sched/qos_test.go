@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,28 @@ func watchOrder(order chan<- string, name string, f *Future) {
 		_, _ = f.Wait()
 		order <- name
 	}()
+}
+
+// waitInService returns once the pool's only device holds no waiting
+// entry: its worker has taken everything submitted so far into service.
+// The ordering tests submit their contenders only after this, so the
+// worker's next pick sees all of them at once.
+func waitInService(t *testing.T, s *Scheduler) {
+	t.Helper()
+	s.mu.RLock()
+	q := s.devices[0].q
+	s.mu.RUnlock()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		q.mu.Lock()
+		waiting := q.entries
+		q.mu.Unlock()
+		if waiting == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the blocker was never taken into service")
+		}
+	}
 }
 
 func indexOf(seq []string, name string) int {
@@ -43,6 +66,7 @@ func TestStrictPriorityAcrossBands(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 7)
 	order := make(chan string, 4)
 	watchOrder(order, "blocker", submitW(s, w))
+	waitInService(t, s)
 	watchOrder(order, "batch", submitWOpts(s, w, SubmitOptions{Class: ClassBatch}))
 	watchOrder(order, "standard", submitWOpts(s, w, SubmitOptions{Class: ClassStandard}))
 	watchOrder(order, "critical", submitWOpts(s, w, SubmitOptions{Class: ClassCritical}))
@@ -67,6 +91,7 @@ func TestEDFOrderWithinBand(t *testing.T) {
 	now := time.Now()
 	order := make(chan string, 5)
 	watchOrder(order, "blocker", submitW(s, w))
+	waitInService(t, s)
 	// Submitted deliberately out of deadline order; all far enough out to
 	// never expire during the test.
 	watchOrder(order, "d8s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(8 * time.Second)}))

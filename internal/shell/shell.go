@@ -29,9 +29,11 @@ var ErrNoDevice = errors.New("shell: no device attached")
 //
 // Borrow contract: every payload an Interceptor sees is borrowed for the
 // duration of the call. The host may overwrite a request frame as soon as
-// the transaction returns (the job path reuses one DMA burst buffer), so
-// an Interceptor that keeps bytes, or returns bytes it means to keep
-// using, copies them.
+// the transaction returns (the job path reuses one DMA burst buffer and
+// one register-frame buffer), and the CL may overwrite a response frame at
+// its next transaction (the SM logic reuses its register response
+// buffers), so an Interceptor that keeps bytes, or returns bytes it means
+// to keep using, copies them.
 type Interceptor interface {
 	// OnLoad sees (and may replace) a bitstream before it reaches ICAP.
 	OnLoad(data []byte) []byte

@@ -173,9 +173,10 @@ type SMApp struct {
 	// no cross-board frame replay is possible on a live session.
 	sharedSecrets bool
 
-	// sealer caches the batched-channel cipher for the current Key_session
-	// epoch (guarded by mu, invalidated on rekey/redeploy) so the
-	// steady-state batch path is alloc-free.
+	// sealer frames every secure-channel message of the current Key_session
+	// epoch — single, batched and rekey — from one key schedule (guarded by
+	// mu; dropped on rekey, redeploy and Zeroize) so the steady-state paths
+	// are alloc-free.
 	sealer *channel.Sealer
 }
 
@@ -575,16 +576,35 @@ func OpenResult(laKey, sealed []byte) (CLResult, error) {
 	return res, nil
 }
 
+// sessionSealer returns the secure channel's Sealer for the current
+// Key_session epoch, expanding the key on first use after a deployment or
+// rotation; callers hold mu.
+func (a *SMApp) sessionSealer() (*channel.Sealer, error) {
+	if a.sealer == nil {
+		s, err := channel.NewSealer(a.keySession)
+		if err != nil {
+			return nil, err
+		}
+		a.sealer = s
+	}
+	return a.sealer, nil
+}
+
 // SecureReg forwards one register transaction over the Key_session channel
 // (§4.5): seal, transact through the shell, open the response under the
-// same counter, advance.
+// same counter, advance. The frame is built in the epoch's Sealer, so a
+// warm call allocates nothing.
 func (a *SMApp) SecureReg(txn channel.RegTxn) (channel.RegResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.attested {
 		return channel.RegResult{}, ErrNotAttested
 	}
-	frame, err := channel.SealRegRequest(a.keySession, a.ctr, txn)
+	sealer, err := a.sessionSealer()
+	if err != nil {
+		return channel.RegResult{}, err
+	}
+	frame, err := sealer.SealRegRequest(a.ctr, txn)
 	if err != nil {
 		return channel.RegResult{}, err
 	}
@@ -595,7 +615,7 @@ func (a *SMApp) SecureReg(txn channel.RegTxn) (channel.RegResult, error) {
 	if msg, isErr := channel.DecodeError(respBytes); isErr {
 		return channel.RegResult{}, fmt.Errorf("smapp: CL rejected secure register frame: %s", msg)
 	}
-	res, err := channel.OpenRegResponse(a.keySession, a.ctr, respBytes)
+	res, err := sealer.OpenRegResponse(a.ctr, respBytes)
 	if err != nil {
 		return channel.RegResult{}, fmt.Errorf("smapp: secure response rejected: %w", err)
 	}
@@ -617,14 +637,11 @@ func (a *SMApp) SecureRegBatch(txns []channel.RegTxn, dst []channel.RegResult) (
 	if !a.attested {
 		return nil, ErrNotAttested
 	}
-	if a.sealer == nil {
-		s, err := channel.NewSealer(a.keySession)
-		if err != nil {
-			return nil, err
-		}
-		a.sealer = s
+	sealer, err := a.sessionSealer()
+	if err != nil {
+		return nil, err
 	}
-	frame, err := a.sealer.SealRegBatchRequest(a.ctr, txns)
+	frame, err := sealer.SealRegBatchRequest(a.ctr, txns)
 	if err != nil {
 		return nil, err
 	}
@@ -635,7 +652,7 @@ func (a *SMApp) SecureRegBatch(txns []channel.RegTxn, dst []channel.RegResult) (
 	if msg, isErr := channel.DecodeError(respBytes); isErr {
 		return nil, fmt.Errorf("smapp: CL rejected secure batch frame: %s", msg)
 	}
-	res, err := a.sealer.OpenRegBatchResponse(a.ctr, respBytes, dst)
+	res, err := sealer.OpenRegBatchResponse(a.ctr, respBytes, dst)
 	if err != nil {
 		return nil, fmt.Errorf("smapp: secure batch response rejected: %w", err)
 	}
@@ -650,12 +667,18 @@ func (a *SMApp) SecureRegBatch(txns []channel.RegTxn, dst []channel.RegResult) (
 // a fresh key and counter epoch, installed through the authenticated
 // channel itself. Rotation invalidates every frame an observer recorded
 // under the old epoch — the antidote to the bitstream-replay residue the
-// runtime-attack tests document.
+// runtime-attack tests document. The old epoch's Sealer framed the
+// rotation and is dropped with its key; the new epoch's is expanded on its
+// first frame.
 func (a *SMApp) RekeySession() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.attested {
 		return ErrNotAttested
+	}
+	sealer, err := a.sessionSealer()
+	if err != nil {
+		return err
 	}
 	newKey := cryptoutil.RandomKey(cryptoutil.SessionKeySize)
 	var newCtr uint64
@@ -663,7 +686,7 @@ func (a *SMApp) RekeySession() error {
 		return err
 	}
 	newCtr >>= 16
-	frame, err := channel.SealRekeyRequest(a.keySession, a.ctr, newKey, newCtr)
+	frame, err := sealer.SealRekeyRequest(a.ctr, newKey, newCtr)
 	if err != nil {
 		return err
 	}
@@ -674,12 +697,12 @@ func (a *SMApp) RekeySession() error {
 	if msg, isErr := channel.DecodeError(respBytes); isErr {
 		return fmt.Errorf("smapp: rekey rejected by CL: %s", msg)
 	}
-	if err := channel.OpenRekeyResponse(a.keySession, a.ctr, respBytes); err != nil {
+	if err := sealer.OpenRekeyResponse(a.ctr, respBytes); err != nil {
 		return fmt.Errorf("smapp: rekey ack rejected: %w", err)
 	}
 	a.keySession = newKey
 	a.ctr = newCtr
-	a.sealer = nil // cached batch cipher belongs to the old epoch
+	a.sealer = nil
 	mRekeys.Inc()
 	return nil
 }

@@ -3,6 +3,7 @@ package smapp
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -377,5 +378,76 @@ func TestDeployRefusesPreInitialisedRoTCell(t *testing.T) {
 	}
 	if err := h.app.DeployCL(poisoned); err == nil {
 		t.Error("deployed a bitstream with a pre-initialised RoT cell")
+	}
+}
+
+// TestRekeyRetiresTheOldSealer: the SM enclave frames every secure message
+// of an epoch with that epoch's Sealer. After RekeySession — the same call
+// the batch path makes when it rotates an epoch — every single and batched
+// frame on the bus is sealed under the new key and none under the old, and
+// the old epoch's Sealer is gone.
+func TestRekeyRetiresTheOldSealer(t *testing.T) {
+	bus := &shell.Recorder{}
+	h := newHarness(t, func(c *Config) { c.Shell = shell.New(c.Shell.Device(), shell.WithInterceptor(bus)) })
+	h.deploy(t)
+	if err := h.app.AttestCL(); err != nil {
+		t.Fatal(err)
+	}
+	txns := []channel.RegTxn{channelRegTxn(), {Addr: accel.RegStatus}}
+	traffic := func() {
+		t.Helper()
+		if _, err := h.app.SecureReg(channelRegTxn()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.app.SecureRegBatch(txns, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traffic()
+	oldKey, oldSealer := append([]byte(nil), h.app.keySession...), h.app.sealer
+	if oldSealer == nil {
+		t.Fatal("no Sealer after secure traffic")
+	}
+	if err := h.app.RekeySession(); err != nil {
+		t.Fatal(err)
+	}
+	if h.app.sealer == oldSealer {
+		t.Fatal("the old epoch's Sealer survived the rotation")
+	}
+	from := len(bus.Frames())
+	traffic()
+	if h.app.sealer == nil || h.app.sealer == oldSealer {
+		t.Fatal("the new epoch is not framed by a Sealer of its own")
+	}
+
+	// opens reports whether frame verifies and decrypts under key.
+	opens := func(key, frame []byte) bool {
+		ctr := binary.BigEndian.Uint64(frame[1:9])
+		var err error
+		switch channel.MsgType(frame) {
+		case channel.MsgSecureReg:
+			_, err = channel.OpenRegRequest(key, ctr, frame)
+		case channel.MsgSecureRegResp:
+			_, err = channel.OpenRegResponse(key, ctr, frame)
+		case channel.MsgSecureRegBatch:
+			_, err = channel.OpenRegBatchRequest(key, ctr, frame)
+		case channel.MsgSecureRegBatchResp:
+			_, err = channel.OpenRegBatchResponse(key, ctr, frame)
+		default:
+			t.Fatalf("unexpected frame type %#x after rotation", channel.MsgType(frame))
+		}
+		return err == nil
+	}
+	after := bus.Frames()[from:]
+	if len(after) != 4 {
+		t.Fatalf("recorded %d frames after rotation, want 4", len(after))
+	}
+	for i, f := range after {
+		if opens(oldKey, f) {
+			t.Errorf("frame %d (type %#x) after rotation opens under the old Key_session", i, channel.MsgType(f))
+		}
+		if !opens(h.app.keySession, f) {
+			t.Errorf("frame %d (type %#x) after rotation does not open under the new Key_session", i, channel.MsgType(f))
+		}
 	}
 }

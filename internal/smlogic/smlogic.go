@@ -178,12 +178,17 @@ type Logic struct {
 	nextCtr uint64
 	accel   accel.Device
 
-	// Batched secure channel scratch (guarded by mu): the sealer caches the
-	// session key's cipher; the slices are reused across batches so the
-	// steady-state batch path allocates nothing.
+	// Secure channel state (guarded by mu): the sealer frames every secure
+	// message of the current Key_session epoch from one key schedule, and
+	// the slices are reused across batches, so the steady-state secure
+	// paths allocate nothing.
 	sealer    *channel.Sealer
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
+
+	// directResp is the buffer every direct register response is built in
+	// (guarded by mu), lent to the shell until the next transaction.
+	directResp []byte
 }
 
 // LogicID implements fpga.CL.
@@ -240,16 +245,21 @@ func (l *Logic) handleAttest(req []byte) []byte {
 
 // handleSecureReg is the transparent register protection path: decrypt,
 // verify, forward to the accelerator, and encrypt the response under the
-// same session counter.
+// same session counter. The response is built in the epoch Sealer's
+// scratch and is borrowed until the next transaction (see
+// shell.Interceptor).
 func (l *Logic) handleSecureReg(req []byte) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	txn, err := channel.OpenRegRequest(l.keySession, l.nextCtr, req)
+	sealer, err := l.sessionSealer()
+	if err != nil {
+		return channel.EncodeError("smlogic: sealer: " + err.Error())
+	}
+	txn, err := sealer.OpenRegRequest(l.nextCtr, req)
 	if err != nil {
 		return channel.EncodeError("smlogic: secure register frame rejected: " + err.Error())
 	}
-	res := l.execReg(txn)
-	frame, err := channel.SealRegResponse(l.keySession, l.nextCtr, res)
+	frame, err := sealer.SealRegResponse(l.nextCtr, l.execReg(txn))
 	if err != nil {
 		return channel.EncodeError("smlogic: sealing response failed")
 	}
@@ -289,8 +299,8 @@ func (l *Logic) handleSecureRegBatch(req []byte) []byte {
 	return frame
 }
 
-// sessionSealer returns the cached batch sealer for the current
-// Key_session epoch, rebuilding it after a rekey; callers hold l.mu.
+// sessionSealer returns the Sealer of the current Key_session epoch,
+// expanding the key on the epoch's first frame; callers hold l.mu.
 func (l *Logic) sessionSealer() (*channel.Sealer, error) {
 	if l.sealer == nil {
 		s, err := channel.NewSealer(l.keySession)
@@ -305,28 +315,35 @@ func (l *Logic) sessionSealer() (*channel.Sealer, error) {
 // handleRekey rotates Key_session and Ctr_session on the SM enclave's
 // authenticated request: verify under the current key, acknowledge under
 // the current key, then switch — a fresh session epoch that also invalidates
-// every previously recorded frame.
+// every previously recorded frame. The old epoch's Sealer goes with its key.
 func (l *Logic) handleRekey(req []byte) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	newKey, newCtr, err := channel.OpenRekeyRequest(l.keySession, l.nextCtr, req)
+	sealer, err := l.sessionSealer()
+	if err != nil {
+		return channel.EncodeError("smlogic: sealer: " + err.Error())
+	}
+	newKey, newCtr, err := sealer.OpenRekeyRequest(l.nextCtr, req)
 	if err != nil {
 		return channel.EncodeError("smlogic: rekey rejected: " + err.Error())
 	}
-	resp, err := channel.SealRekeyResponse(l.keySession, l.nextCtr)
+	resp, err := sealer.SealRekeyResponse(l.nextCtr)
 	if err != nil {
 		return channel.EncodeError("smlogic: rekey ack failed")
 	}
-	l.keySession = append([]byte(nil), newKey...)
+	// newKey borrows the old sealer's scratch: copy it over the old key.
+	l.keySession = append(l.keySession[:0], newKey...)
 	l.nextCtr = newCtr
-	l.sealer = nil // batch sealer caches the old key's cipher
+	l.sealer = nil
 	return resp
 }
 
 // handleDirectReg is the direct, unprotected register path. The key and IV
 // registers are only wired through the secure port: hardware physically
 // refuses them here, so a malicious shell can neither overwrite nor probe
-// the data key.
+// the data key. The response is built in the Logic's one direct-response
+// buffer and is borrowed until the next transaction (see
+// shell.Interceptor).
 func (l *Logic) handleDirectReg(req []byte) []byte {
 	txn, err := channel.DecodeDirectReg(req)
 	if err != nil {
@@ -336,9 +353,9 @@ func (l *Logic) handleDirectReg(req []byte) []byte {
 		return channel.EncodeError("smlogic: register reachable only via secure channel")
 	}
 	l.mu.Lock()
-	res := l.execReg(txn)
-	l.mu.Unlock()
-	return channel.EncodeDirectResp(res)
+	defer l.mu.Unlock()
+	l.directResp = channel.AppendDirectResp(l.directResp[:0], l.execReg(txn))
+	return l.directResp
 }
 
 func isProtectedReg(addr uint32) bool {

@@ -538,3 +538,72 @@ func TestPropertyAttestationProtocol(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRekeyRetiresTheOldSealer is the CL end of the rotation: after the SM
+// logic acknowledges a rekey, its old epoch's Sealer is gone, every
+// response it seals is under the new key and none under the old, and a
+// request still sealed under the old key is refused.
+func TestRekeyRetiresTheOldSealer(t *testing.T) {
+	oldKey, newKey := cryptoutil.RandomKey(16), cryptoutil.RandomKey(16)
+	cl := loadedCL(t, cryptoutil.RandomKey(16), oldKey, 40)
+	l := cl.(*Logic)
+	txn := channel.RegTxn{Write: true, Addr: accel.RegInLen, Data: 9}
+	roundTrip := func(key []byte, ctr uint64) []byte {
+		t.Helper()
+		frame, err := channel.SealRegRequest(key, ctr, txn)
+		resp, err := cl.HandleTransaction(mustEnc(t, frame, err))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(nil), resp...)
+	}
+	batch := func(key []byte, ctr uint64) []byte {
+		t.Helper()
+		frame, err := channel.SealRegBatchRequest(key, ctr, []channel.RegTxn{txn, txn})
+		resp, err := cl.HandleTransaction(mustEnc(t, frame, err))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(nil), resp...)
+	}
+	if _, err := channel.OpenRegResponse(oldKey, 40, roundTrip(oldKey, 40)); err != nil {
+		t.Fatal(err)
+	}
+	oldSealer := l.sealer
+	if oldSealer == nil {
+		t.Fatal("no Sealer after secure traffic")
+	}
+	rekey, err := channel.SealRekeyRequest(oldKey, 41, newKey, 900)
+	ack, err := cl.HandleTransaction(mustEnc(t, rekey, err))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := channel.OpenRekeyResponse(oldKey, 41, ack); err != nil {
+		t.Fatalf("rekey ack: %v", err)
+	}
+	if l.sealer == oldSealer {
+		t.Fatal("the old epoch's Sealer survived the rotation")
+	}
+	if !bytes.Equal(l.keySession, newKey) {
+		t.Fatal("Key_session not rotated")
+	}
+
+	single := roundTrip(newKey, 900)
+	if _, err := channel.OpenRegResponse(newKey, 900, single); err != nil {
+		t.Fatalf("response after rotation does not open under the new key: %v", err)
+	}
+	if _, err := channel.OpenRegResponse(oldKey, 900, single); err == nil {
+		t.Error("response after rotation opens under the old key")
+	}
+	vec := batch(newKey, 901)
+	if _, err := channel.OpenRegBatchResponse(newKey, 901, vec); err != nil {
+		t.Fatalf("batch response after rotation does not open under the new key: %v", err)
+	}
+	if _, err := channel.OpenRegBatchResponse(oldKey, 901, vec); err == nil {
+		t.Error("batch response after rotation opens under the old key")
+	}
+	if l.sealer == nil || l.sealer == oldSealer {
+		t.Fatal("the new epoch is not framed by a Sealer of its own")
+	}
+	isError(t, roundTrip(oldKey, 902), "rejected")
+}

@@ -8,6 +8,7 @@
 package userapp
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
@@ -63,6 +64,10 @@ type UserApp struct {
 	result   *smapp.CLResult
 	dataPriv *ecdh.PrivateKey
 	dataKey  []byte
+	// dataAEAD is dataKey's expanded AES-GCM instance, built on the first
+	// job (not at provisioning, so a boot costs nothing extra) and dropped
+	// with the key.
+	dataAEAD cipher.AEAD
 
 	// handoffPriv is the ephemeral key of an in-progress sibling data-key
 	// hand-off (share.go); nil when none is pending.
@@ -292,15 +297,37 @@ func (u *UserApp) DataKey() ([]byte, error) {
 	return append([]byte(nil), u.dataKey...), nil
 }
 
+// DataAEAD returns the provisioned data key expanded for sealing and
+// opening job payloads (in-enclave use only, like DataKey). The schedule is
+// expanded on the first call and reused for as long as the key lives.
+// Callers serialise it with the enclave's other key-state methods (the job
+// runner holds its job lock).
+func (u *UserApp) DataAEAD() (cipher.AEAD, error) {
+	if u.dataKey == nil {
+		return nil, fmt.Errorf("userapp: no data key provisioned")
+	}
+	if u.dataAEAD == nil {
+		aead, err := cryptoutil.NewAEAD(u.dataKey)
+		if err != nil {
+			return nil, err
+		}
+		u.dataAEAD = aead
+	}
+	return u.dataAEAD, nil
+}
+
 // Zeroize destroys the enclave's key material in place — data key, local
 // attestation key, and any pending key-agreement state — so a reclaimed
 // partition leaves nothing for the next tenant's co-residency window to
-// recover. The enclave cannot serve afterwards.
+// recover. The data key's expanded schedule cannot be wiped (crypto/aes
+// offers no way to), so it is dropped: this was its only reference. The
+// enclave cannot serve afterwards.
 func (u *UserApp) Zeroize() {
 	for i := range u.dataKey {
 		u.dataKey[i] = 0
 	}
 	u.dataKey = nil
+	u.dataAEAD = nil
 	for i := range u.laKey {
 		u.laKey[i] = 0
 	}
