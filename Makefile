@@ -38,15 +38,17 @@ tier1:
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/rpc ./internal/remote ./internal/federation
 
-# Five seconds of real fuzzing per wire decoder and for the bitstream
-# decoder (whose images borrow their input); without this the corpora only
-# ever run as seed unit tests. (-fuzz takes one target and one package per
+# Five seconds of real fuzzing per wire decoder, for the bitstream decoder
+# (whose images borrow their input) and for the kernels' output bounds
+# (which size every job's device-memory slot); without this the corpora
+# only ever run as seed unit tests. (-fuzz takes one target and one package per
 # run.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzJobWireDecode$$' -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelOutputCap$$' -fuzztime 5s ./internal/accel
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

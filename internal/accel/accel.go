@@ -74,6 +74,35 @@ type Kernel interface {
 	// Compute runs the kernel on plaintext input with the four parameter
 	// registers and returns the plaintext output.
 	Compute(params [4]uint64, input []byte) ([]byte, error)
+	// OutputCap bounds the output Compute returns for these parameters and
+	// an input of inLen bytes: the size of the device-memory slot a job's
+	// result is written to. Parameters arrive from remote clients, so it
+	// never overflows and always lies in [0, MemBytes].
+	OutputCap(params [4]uint64, inLen int) int
+}
+
+// sizeOf multiplies buffer dimensions. ok is false for a negative factor or
+// a product beyond MemBytes: no kernel buffer outgrows device memory, and
+// a product of client-supplied dimensions must never wrap into a plausible
+// length.
+func sizeOf(dims ...int) (n int, ok bool) {
+	n = 1
+	for _, d := range dims {
+		if d < 0 || (d > 0 && n > MemBytes/d) {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// capOf is sizeOf for an output bound: a product too large for device
+// memory saturates at MemBytes. Callers pass non-negative factors.
+func capOf(dims ...int) int {
+	if n, ok := sizeOf(dims...); ok {
+		return n
+	}
+	return MemBytes
 }
 
 // Device is the accelerator as the SM logic sees it: registers and memory.

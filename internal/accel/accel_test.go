@@ -485,6 +485,7 @@ func (echoKernel) EncryptOutput() bool        { return false }
 func (echoKernel) Compute(_ [4]uint64, in []byte) ([]byte, error) {
 	return append([]byte(nil), in...), nil
 }
+func (echoKernel) OutputCap(_ [4]uint64, inLen int) int { return min(inLen, MemBytes) }
 
 // TestKeyRewriteMidSessionUsesNewKey: the engine's expanded key is cached
 // per key-register value, not per session. Rewriting the key registers

@@ -64,6 +64,11 @@ func (m AffineMatrix) Params(w, h int) [4]uint64 {
 
 func unpack(p uint64) (int32, int32) { return int32(uint32(p >> 32)), int32(uint32(p)) }
 
+// OutputCap implements Kernel: a W*H image.
+func (Affine) OutputCap(params [4]uint64, _ int) int {
+	return capOf(int(params[0]>>32), int(uint32(params[0])))
+}
+
 // Compute implements Kernel.
 func (Affine) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	w := int(params[0] >> 32)

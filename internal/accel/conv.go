@@ -35,6 +35,15 @@ func (Conv) Module() netlist.ModuleSpec {
 	}
 }
 
+// OutputCap implements Kernel: (H-2)*(W-2) int32 values.
+func (Conv) OutputCap(params [4]uint64, _ int) int {
+	h, w := int(params[0]), int(params[1])
+	if h < 3 || w < 3 {
+		return 0
+	}
+	return capOf(4, h-2, w-2)
+}
+
 // ConvWeight returns the fixed kernel weight for input channel c and tap
 // (ky, kx) — a deterministic pseudo-random signed byte, standing in for
 // trained weights (which the paper keeps in plaintext anyway).
@@ -53,8 +62,8 @@ func (Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	if h < 3 || w < 3 || c < 1 {
 		return nil, fmt.Errorf("accel: Conv: bad dimensions %dx%dx%d", h, w, c)
 	}
-	if len(input) != h*w*c*2 {
-		return nil, fmt.Errorf("accel: Conv: input %d bytes, want %d", len(input), h*w*c*2)
+	if want, ok := sizeOf(h, w, c, 2); !ok || len(input) != want {
+		return nil, fmt.Errorf("accel: Conv: input %d bytes, want %d×%d×%d int16 values", len(input), h, w, c)
 	}
 	// For one output and one kernel row ky, the 3 taps × C channels are a
 	// contiguous [kx][ch] span of the input; wt holds the weights in that

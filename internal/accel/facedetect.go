@@ -70,6 +70,19 @@ var cascade = [][]haarFeature{
 	},
 }
 
+// OutputCap implements Kernel: the count word and a record for every
+// window the scan visits, the most it can accept.
+func (FaceDetect) OutputCap(params [4]uint64, _ int) int {
+	w, h := int(params[0]>>32), int(uint32(params[0]))
+	const most = (MemBytes - 4) / 12 // records that fit beside the count word
+	windows := 0
+	faceScales(w, h, func(size, stride int) bool {
+		windows += ((w-size)/stride + 1) * ((h-size)/stride + 1)
+		return windows <= most
+	})
+	return 4 + 12*min(windows, most)
+}
+
 // Compute implements Kernel.
 func (FaceDetect) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	w := int(params[0] >> 32)
@@ -117,8 +130,7 @@ func DecodeDetections(out []byte) ([]Detection, error) {
 func FaceDetectRef(img []byte, w, h int) []Detection {
 	ii := IntegralImage(img, w, h)
 	var dets []Detection
-	for size := BaseWindow; size <= minInt(w, h); size = size * 5 / 4 {
-		stride := maxInt(1, size/4)
+	faceScales(w, h, func(size, stride int) bool {
 		for y := 0; y+size <= h; y += stride {
 			for x := 0; x+size <= w; x += stride {
 				if evalWindow(ii, w, x, y, size) {
@@ -126,8 +138,20 @@ func FaceDetectRef(img []byte, w, h int) []Detection {
 				}
 			}
 		}
-	}
+		return true
+	})
 	return dets
+}
+
+// faceScales calls scan with every window size the detector slides over a
+// w x h image and the stride between windows at that size, smallest first,
+// until scan returns false.
+func faceScales(w, h int, scan func(size, stride int) bool) {
+	for size := BaseWindow; size <= min(w, h); size = size * 5 / 4 {
+		if !scan(size, max(1, size/4)) {
+			return
+		}
+	}
 }
 
 // IntegralImage computes the (w+1)x(h+1) summed-area table of img.
@@ -175,18 +199,4 @@ func evalWindow(ii []int64, w, x, y, size int) bool {
 		}
 	}
 	return true
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

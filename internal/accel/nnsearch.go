@@ -36,15 +36,19 @@ func (NNSearch) Module() netlist.ModuleSpec {
 	}
 }
 
+// OutputCap implements Kernel: M uint32 indices.
+func (NNSearch) OutputCap(params [4]uint64, _ int) int {
+	return capOf(4, max(int(params[1]), 0))
+}
+
 // Compute implements Kernel.
 func (NNSearch) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	n, m, d := int(params[0]), int(params[1]), int(params[2])
 	if n < 1 || m < 0 || d < 1 {
 		return nil, fmt.Errorf("accel: NNSearch: bad shape n=%d m=%d d=%d", n, m, d)
 	}
-	want := (n + m) * d * 4
-	if len(input) != want {
-		return nil, fmt.Errorf("accel: NNSearch: input %d bytes, want %d", len(input), want)
+	if want, ok := sizeOf(n+m, d, 4); !ok || len(input) != want {
+		return nil, fmt.Errorf("accel: NNSearch: input %d bytes, want (%d+%d)×%d int32 values", len(input), n, m, d)
 	}
 	pts := make([]int32, (n+m)*d)
 	for i := range pts {

@@ -39,6 +39,9 @@ func (Rendering) Module() netlist.ModuleSpec {
 	}
 }
 
+// OutputCap implements Kernel: one frame, whatever the triangle count.
+func (Rendering) OutputCap([4]uint64, int) int { return FrameDim * FrameDim }
+
 // Triangle is one 3-D triangle in 8-bit coordinates.
 type Triangle struct {
 	X [3]uint8
@@ -49,8 +52,8 @@ type Triangle struct {
 // Compute implements Kernel.
 func (Rendering) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	n := int(params[0])
-	if n < 0 || len(input) != n*9 {
-		return nil, fmt.Errorf("accel: Rendering: %d triangles need %d bytes, got %d", n, n*9, len(input))
+	if want, ok := sizeOf(n, 9); !ok || len(input) != want {
+		return nil, fmt.Errorf("accel: Rendering: %d triangles need 9 bytes each, got %d", n, len(input))
 	}
 	tris := make([]Triangle, n)
 	for i := range tris {

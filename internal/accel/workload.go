@@ -93,7 +93,7 @@ func GenFaceDetect(w, h, faces int, seed int64) Workload {
 // PlantedFaces returns where GenFaceDetect places its synthetic faces.
 func PlantedFaces(w, h, faces int) []Detection {
 	var out []Detection
-	cols := maxInt(1, (w-BaseWindow)/(BaseWindow*2))
+	cols := max(1, (w-BaseWindow)/(BaseWindow*2))
 	for i := 0; i < faces; i++ {
 		x := (i%cols)*BaseWindow*2 + 4
 		y := (i/cols)*BaseWindow*2 + 4

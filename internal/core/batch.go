@@ -31,7 +31,8 @@ const epochTxnCount = 4
 
 // batchHalf is one half of the double-buffered device memory window:
 // chunk N+1's inputs are DMA-written into the idle half while the host
-// waits out chunk N's fabric run and reads its results back.
+// waits out chunk N's fabric run and reads its results back. A one-job
+// plan has no next chunk to overlap with and gets all of device memory.
 const batchHalf = accel.MemBytes / 2
 
 // BatchResult is one job's outcome inside a batch. Transport- and
@@ -43,11 +44,12 @@ type BatchResult struct {
 	Err    error
 }
 
-// batchJob is one planned job: its IV-schedule slot and its device-memory
-// slot inside the chunk's buffer half.
+// batchJob is one planned job: its IV (its slot in the epoch's schedule,
+// derived once for both directions) and its device-memory slot inside the
+// chunk's buffer half.
 type batchJob struct {
 	idx     int // index into ws/results
-	ivIdx   uint32
+	iv      []byte
 	inAddr  uint64
 	outAddr uint64
 	outCap  uint64
@@ -66,6 +68,15 @@ type batchChunk struct {
 	baseIV   []byte
 }
 
+// loneScratch is the one-element plan, workload and result a lone job runs
+// through (see RunJob and loneScratch.take).
+type loneScratch struct {
+	w     [1]accel.Workload
+	res   [1]BatchResult
+	chunk [1]batchChunk
+	job   [1]batchJob
+}
+
 // RunJobBatch executes a batch of workloads as a first-class unit: per
 // chunk, every job's register program rides ONE sealed MsgSecureRegBatch
 // frame (one counter tick for the whole vector), a fresh session epoch's
@@ -74,15 +85,16 @@ type batchChunk struct {
 // once per job. Inputs of chunk N+1 are DMA-written into the idle half of
 // the double-buffered device memory window while chunk N runs and reads
 // back. Per-job IVs are the contiguous accel.JobIV range starting at the
-// session counter, so sealing stays per-job-unique exactly as on the
-// single-job path.
+// session counter, so sealing stays per-job-unique exactly as for a lone
+// job.
 func (s *System) RunJobBatch(ws []accel.Workload) ([]BatchResult, error) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreBatch.Since(start)
+	mCoreBatchJobs.Add(uint64(len(ws)))
 	results := make([]BatchResult, len(ws))
-	if err := s.runJobBatchLocked(ws, results, nil); err != nil {
+	if err := s.runJobBatchLocked(ws, results, nil, nil, make([]batchJob, 0, len(ws))); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -106,19 +118,30 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreBatch.Since(start)
+	mCoreBatchJobs.Add(uint64(len(jobs)))
+	results := make([]BatchResult, len(jobs))
+	if err := s.runSealedLocked(kernelName, jobs, make([]accel.Workload, len(jobs)), results, nil, make([]batchJob, 0, len(jobs))); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// runSealedLocked opens every sealed input inside the user enclave into ws
+// and runs ws through the job engine, each output sealed under the data
+// key. A job whose input fails authentication is rejected alone in
+// results. Callers hold jobMu.
+func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel.Workload, results []BatchResult, chunks []batchChunk, plan []batchJob) error {
 	if !s.booted {
-		return nil, fmt.Errorf("core: system not booted")
+		return fmt.Errorf("core: system not booted")
 	}
 	k, ok := accel.KernelByName(kernelName)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown kernel %q", kernelName)
+		return fmt.Errorf("core: unknown kernel %q", kernelName)
 	}
 	aead, err := s.User.DataAEAD()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	results := make([]BatchResult, len(jobs))
-	ws := make([]accel.Workload, len(jobs))
 	for i, j := range jobs {
 		input, err := cryptoutil.OpenWith(aead, j.Input, jobInputAD)
 		if err != nil {
@@ -127,29 +150,31 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 		}
 		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: input}
 	}
-	if err := s.runJobBatchLocked(ws, results, aead); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return s.runJobBatchLocked(ws, results, aead, chunks, plan)
 }
 
-// runJobBatchLocked plans, pipelines and executes the batch; callers hold
-// jobMu. Entries of results whose Err is already set are skipped (the
-// sealed path uses this for inputs that failed authentication). Outputs
-// are plaintext with a nil seal and sealed under it otherwise. A non-nil
-// return is a transport/session fault covering the whole batch; the
-// session is invalidated and the caller must discard results.
-func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD) (err error) {
+// runJobBatchLocked is the one job engine behind every entry point: it
+// plans, pipelines and executes ws; callers hold jobMu. Entries of results
+// whose Err is already set are skipped (the sealed path uses this for
+// inputs that failed authentication). Outputs are plaintext with a nil
+// seal and sealed under it otherwise; chunks and jobs back the plan. A
+// non-nil return is a transport/session fault covering the whole call;
+// the session is invalidated and the caller must discard results. Only the
+// encoding (issueTxns) and the memory window (planBatch) depend on len(ws).
+func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD, chunks []batchChunk, jobs []batchJob) (err error) {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
+	// Any failure leaves host and engine potentially disagreeing about the
+	// IV schedule position — drop the cached session so the next call
+	// re-exchanges and resynchronises.
 	defer func() {
 		if err != nil {
 			s.invalidateSession()
 		}
 	}()
 
-	chunks, err := s.planBatch(ws, results)
+	chunks, err = s.planBatch(ws, results, chunks, jobs)
 	if err != nil {
 		return err
 	}
@@ -172,14 +197,18 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		}
 
 		s.buildChunkTxns(ws, chunk)
-		s.batchRes, err = s.User.SecureRegBatch(s.batchTxns, s.batchRes[:0])
-		if err != nil {
-			return deviceFault(fmt.Errorf("core: secure batch: %w", err))
+		if err := s.issueTxns(len(ws) == 1); err != nil {
+			return deviceFault(err)
 		}
 		// The device has installed the epoch and consumed one IV slot per
 		// CtrlStart (success or failure); mirror that before any per-job
 		// verdicts so the schedules cannot drift.
 		if chunk.newEpoch {
+			for i, r := range s.batchRes[:epochTxnCount] {
+				if !r.OK {
+					return deviceFault(fmt.Errorf("core: secure key exchange write %d rejected", i))
+				}
+			}
 			s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = chunk.key, chunk.block, chunk.baseIV, 0
 			mSessionExchanges.Inc()
 		}
@@ -187,16 +216,11 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 
 		// Overlap the next chunk's DMA writes with this chunk's fabric
 		// wait and read-back: the idle buffer half is untouched by either.
-		var writeErr error
-		writeDone := make(chan struct{})
+		var pending chan error
 		if ci+1 < len(chunks) {
-			next := &chunks[ci+1]
-			go func() {
-				writeErr = s.writeChunkInputs(ws, next)
-				close(writeDone)
-			}()
-		} else {
-			close(writeDone)
+			done, next := make(chan error, 1), &chunks[ci+1]
+			go func() { done <- s.writeChunkInputs(ws, next) }()
+			pending = done
 		}
 
 		// On a physical board the host now blocks until the fabric raises
@@ -206,30 +230,32 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 			time.Sleep(s.Timing.RealJobLatency)
 		}
 
-		readErr := s.readChunkResults(ws, results, chunk, s.batchRes, seal)
-		<-writeDone
-		if readErr != nil {
-			return readErr
+		s.readChunkResults(ws, results, chunk, seal)
+		if pending != nil {
+			if err := <-pending; err != nil {
+				return deviceFault(err)
+			}
 		}
-		if writeErr != nil {
-			return deviceFault(writeErr)
-		}
-		mCoreBatchJobs.Add(uint64(len(chunk.jobs)))
 	}
 	return nil
 }
 
 // planBatch assigns every runnable job an IV-schedule slot and a device
-// memory slot, splitting the batch into chunks at epoch, memory-half and
-// transaction-cap boundaries. It pre-generates fresh epoch key material
-// so chunk inputs can be encrypted (and DMA-written) ahead of the frame
-// that installs the epoch on the device.
-func (s *System) planBatch(ws []accel.Workload, results []BatchResult) ([]batchChunk, error) {
+// memory slot, splitting the batch into chunks at epoch, memory-window and
+// transaction-cap boundaries; chunks and jobs are appended to the given
+// backing store. A job's slot holds its input and the most output its
+// kernel can produce (accel.Kernel.OutputCap). It pre-generates fresh
+// epoch key material so chunk inputs can be encrypted (and DMA-written)
+// ahead of the frame that installs the epoch on the device.
+func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []batchChunk, jobs []batchJob) ([]batchChunk, error) {
 	maxJobsPerFrame := (channel.MaxBatchTxns - epochTxnCount) / batchTxnsPerJob
+	window := uint64(batchHalf)
+	if len(ws) == 1 {
+		window = accel.MemBytes
+	}
 
 	sessBlock, sessIV, sessJobs := s.sessBlock, s.sessIV, int(s.sessJobs)
 	hadSession := sessBlock != nil
-	var chunks []batchChunk
 	var cur *batchChunk
 	var cursor uint64
 
@@ -259,7 +285,7 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult) ([]batchC
 			continue // pre-rejected (sealed input failed authentication)
 		}
 		if w.Kernel == nil {
-			results[i].Err = fmt.Errorf("core: batch job %d has no kernel", i)
+			results[i].Err = fmt.Errorf("core: job %d has no kernel", i)
 			continue
 		}
 		if w.Kernel.Name() != s.Package.KernelName {
@@ -267,45 +293,47 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult) ([]batchC
 			continue
 		}
 		inLen := uint64(len(w.Input))
-		outCap := 2*inLen + 4096
+		outCap := uint64(w.Kernel.OutputCap(w.Params, len(w.Input)))
 		slot := alignUp(inLen) + alignUp(outCap)
-		if slot > batchHalf {
-			results[i].Err = fmt.Errorf("core: batch job %d input (%d bytes) exceeds the pipelined buffer half (%d bytes); submit it as a single job", i, inLen, batchHalf)
+		if slot > window {
+			results[i].Err = fmt.Errorf("core: job %d needs a %d-byte slot for its input and output, more than the %d-byte window; a single job gets all %d bytes of device memory",
+				i, slot, window, accel.MemBytes)
 			continue
 		}
 		needNew := cur == nil ||
 			len(cur.jobs) >= maxJobsPerFrame ||
 			sessJobs >= s.rekeyEvery ||
-			cursor+slot > cur.base+batchHalf
+			cursor+slot > cur.base+window
 		if needNew {
 			if err := openChunk(); err != nil {
 				return nil, err
 			}
 		}
-		cur.jobs = append(cur.jobs, batchJob{
+		jobs = append(jobs, batchJob{
 			idx:     i,
-			ivIdx:   uint32(sessJobs),
+			iv:      accel.JobIV(cur.baseIV, uint32(sessJobs)),
 			inAddr:  cursor,
 			outAddr: cursor + alignUp(inLen),
 			outCap:  outCap,
 		})
+		cur.jobs = jobs[len(jobs)-len(cur.jobs)-1:]
 		cursor += slot
 		sessJobs++
 	}
 	return chunks, nil
 }
 
-// buildChunkTxns assembles the chunk's sealed register program into the
-// reusable s.batchTxns scratch: the coalesced 4-write key/IV exchange for
-// a fresh epoch, then every job's 10-transaction program in order.
+// buildChunkTxns assembles the chunk's register program into the reusable
+// s.batchTxns scratch: the 4-write key/IV exchange for a fresh epoch, then
+// every job's 10-transaction program in order.
 func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 	s.batchTxns = s.batchTxns[:0]
 	if chunk.newEpoch {
 		s.batchTxns = append(s.batchTxns,
-			channel.RegTxn{Write: true, Addr: accel.RegKey1, Data: beUint64(chunk.key[0:8])},
-			channel.RegTxn{Write: true, Addr: accel.RegKey0, Data: beUint64(chunk.key[8:16])},
-			channel.RegTxn{Write: true, Addr: accel.RegIV1, Data: beUint64(chunk.baseIV[0:8])},
-			channel.RegTxn{Write: true, Addr: accel.RegIV0, Data: beUint64(chunk.baseIV[8:16])},
+			channel.RegTxn{Write: true, Addr: accel.RegKey1, Data: binary.BigEndian.Uint64(chunk.key[0:8])},
+			channel.RegTxn{Write: true, Addr: accel.RegKey0, Data: binary.BigEndian.Uint64(chunk.key[8:16])},
+			channel.RegTxn{Write: true, Addr: accel.RegIV1, Data: binary.BigEndian.Uint64(chunk.baseIV[0:8])},
+			channel.RegTxn{Write: true, Addr: accel.RegIV0, Data: binary.BigEndian.Uint64(chunk.baseIV[8:16])},
 		)
 	}
 	for _, j := range chunk.jobs {
@@ -325,13 +353,46 @@ func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 	}
 }
 
+// issueTxns sends the register program in s.batchTxns, one result per
+// transaction into s.batchRes: as one sealed MsgSecureRegBatch frame for a
+// batch, one transaction at a time for a lone job — key, IV and start over
+// the secure register channel, the rest over the direct one, and a
+// rejected write ends the call before a start runs on a half-programmed
+// register file.
+func (s *System) issueTxns(lone bool) (err error) {
+	if !lone {
+		if s.batchRes, err = s.User.SecureRegBatch(s.batchTxns, s.batchRes[:0]); err != nil {
+			return fmt.Errorf("core: secure batch: %w", err)
+		}
+		return nil
+	}
+	s.batchRes = s.batchRes[:0]
+	for _, txn := range s.batchTxns {
+		var res channel.RegResult
+		switch txn.Addr {
+		case accel.RegKey0, accel.RegKey1, accel.RegIV0, accel.RegIV1, accel.RegCtrl:
+			res, err = s.User.SecureReg(txn)
+		default:
+			res, err = s.directReg(txn)
+		}
+		if err != nil {
+			return fmt.Errorf("core: register %#x: %w", txn.Addr, err)
+		}
+		if txn.Write && !res.OK {
+			return fmt.Errorf("core: write to register %#x rejected", txn.Addr)
+		}
+		s.batchRes = append(s.batchRes, res)
+	}
+	return nil
+}
+
 // writeChunkInputs encrypts every job input under its planned per-job IV
 // and DMA-writes it into the chunk's buffer half over the direct channel.
 // The chunk carries its own epoch secrets, so this can run ahead of the
 // frame that installs them on the device (the pipelined overlap).
 func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error {
 	for _, j := range chunk.jobs {
-		if err := s.writeInput(j.inAddr, chunk.block, accel.JobIV(chunk.baseIV, j.ivIdx), ws[j.idx].Input); err != nil {
+		if err := s.writeInput(j.inAddr, chunk.block, j.iv, ws[j.idx].Input); err != nil {
 			return err
 		}
 	}
@@ -340,35 +401,30 @@ func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error 
 
 // readChunkResults parses the chunk's result vector and reads every
 // successful job's output back over the direct channel. Per-job verdicts
-// land in results; only transport faults return an error.
-func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, res []channel.RegResult, seal cipher.AEAD) error {
-	off := 0
+// land in results.
+func (s *System) readChunkResults(ws []accel.Workload, results []BatchResult, chunk *batchChunk, seal cipher.AEAD) {
+	res := s.batchRes
 	if chunk.newEpoch {
-		for i := 0; i < epochTxnCount; i++ {
-			if !res[i].OK {
-				return deviceFault(fmt.Errorf("core: secure key exchange write %d rejected in batch frame", i))
-			}
-		}
-		off = epochTxnCount
+		res = res[epochTxnCount:]
 	}
 	for k, j := range chunk.jobs {
-		r := res[off+k*batchTxnsPerJob : off+(k+1)*batchTxnsPerJob]
+		r := res[k*batchTxnsPerJob : (k+1)*batchTxnsPerJob]
 		results[j.idx].Output, results[j.idx].Err = s.readOneJob(ws[j.idx], chunk, j, r, seal)
 	}
-	return nil
 }
 
 // readOneJob applies one job's verdict from its 10-transaction result
-// window and reads back its output.
+// window and reads back its output. The CL's 64-bit output length must fit
+// the job's slot, or a hostile CL could have the host read a neighbour's.
 func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r []channel.RegResult, seal cipher.AEAD) ([]byte, error) {
 	for t := 0; t < 8; t++ {
 		if !r[t].OK {
-			return nil, deviceFault(fmt.Errorf("core: batched register write %d rejected", t))
+			return nil, deviceFault(fmt.Errorf("core: register write %d rejected", t))
 		}
 	}
 	status, outLen := r[8], r[9]
 	if !status.OK || !outLen.OK {
-		return nil, deviceFault(fmt.Errorf("core: batched status read-back rejected"))
+		return nil, deviceFault(fmt.Errorf("core: status read-back rejected"))
 	}
 	if status.Data != accel.StatusDone {
 		return nil, deviceFault(fmt.Errorf("core: accelerator finished with status %d", status.Data))
@@ -377,7 +433,7 @@ func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r [
 		return nil, deviceFault(fmt.Errorf("core: CL reports implausible output length %d at %#x (slot capacity is %d bytes)",
 			outLen.Data, j.outAddr, j.outCap))
 	}
-	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.block, accel.JobIV(chunk.baseIV, j.ivIdx), seal)
+	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.block, j.iv, seal)
 }
 
 // alignUp rounds a device-memory slot length up to the DMA burst
@@ -386,5 +442,3 @@ func alignUp(n uint64) uint64 {
 	const a = 64
 	return (n + a - 1) &^ (a - 1)
 }
-
-func beUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"salus/internal/accel"
+	"salus/internal/channel"
+	"salus/internal/cryptoutil"
 )
 
 func bootedSystem(t testing.TB, opts ...func(*SystemConfig)) *System {
@@ -103,16 +105,15 @@ func TestRunJobBatchContinuesLiveSession(t *testing.T) {
 	}
 }
 
-// TestRunJobBatchRejectsOversizeJobIndividually: a job too large for the
-// pipelined buffer half is refused with a pointer at the single-job path,
-// while its batch-mates run to completion.
+// TestRunJobBatchRejectsOversizeJobIndividually: a job whose slot (input
+// plus its kernel's output cap) exceeds the pipelined buffer half is
+// refused with a pointer at the single-job path, while its batch-mates run
+// to completion — and the same job does run as a single job, which gets the
+// whole device memory window.
 func TestRunJobBatchRejectsOversizeJobIndividually(t *testing.T) {
 	s := bootedSystem(t)
-	huge := accel.Workload{
-		Kernel: accel.Conv{},
-		Params: [4]uint64{4096, 256, 4, 0},
-		Input:  make([]byte, 4096*256*4), // slot (in + 2*in+4096) exceeds the 8 MiB half
-	}
+	// 2,880,000 B in + 5,740,816 B out: over the 8 MiB half, inside 16 MiB.
+	huge := accel.GenConv(1200, 1200, 1, 3)
 	ws := []accel.Workload{accel.GenConv(4, 4, 1, 1), huge, accel.GenConv(4, 4, 1, 2)}
 	results, err := s.RunJobBatch(ws)
 	if err != nil {
@@ -129,6 +130,14 @@ func TestRunJobBatchRejectsOversizeJobIndividually(t *testing.T) {
 		if !bytes.Equal(results[i].Output, want) {
 			t.Errorf("sibling job %d output diverges", i)
 		}
+	}
+	out, err := s.RunJob(huge)
+	if err != nil {
+		t.Fatalf("oversize batch job as a single job: %v", err)
+	}
+	want, _ := huge.Kernel.Compute(huge.Params, huge.Input)
+	if !bytes.Equal(out, want) {
+		t.Error("oversize job's single-job output diverges")
 	}
 }
 
@@ -167,10 +176,11 @@ func TestRunJobBatchRequiresBoot(t *testing.T) {
 // memory-half bound (big inputs) so the overlapped DMA writer actually
 // runs, and checks nothing corrupts across the double-buffered halves.
 func TestRunJobBatchLargeEnoughToPipeline(t *testing.T) {
-	s := bootedSystem(t)
-	// ~1.5 MiB inputs: a slot (input + doubled output capacity) is ~4.7
-	// MiB, so no two jobs share an 8 MiB half and every chunk boundary
-	// exercises the half-flip.
+	opt, bus := recorded()
+	s := bootedSystem(t, opt)
+	// 1.5 MiB inputs and 1,040,400 B outputs: a slot is ~2.5 MiB, so three
+	// jobs fill an 8 MiB half and the fourth opens a second chunk in the
+	// other half, written while the first chunk runs.
 	ws := make([]accel.Workload, 4)
 	for i := range ws {
 		ws[i] = accel.GenConv(512, 512, 3, int64(i))
@@ -187,5 +197,79 @@ func TestRunJobBatchLargeEnoughToPipeline(t *testing.T) {
 		if !bytes.Equal(r.Output, want) {
 			t.Errorf("job %d output corrupted across buffer halves", i)
 		}
+	}
+	frames := 0
+	for _, f := range bus.Frames() {
+		if channel.MsgType(f) == channel.MsgSecureRegBatch {
+			frames++
+		}
+	}
+	if frames < 2 {
+		t.Errorf("%d secure batch frames, want at least 2: the batch never pipelined", frames)
+	}
+}
+
+// TestEveryKernelEveryEntryPoint runs each kernel's test workload through
+// all four entry points — RunJob, RunJobSealed, a 3-job RunJobBatch and a
+// 3-job RunJobSealedBatch — and checks every output byte for byte against
+// Compute. Every job's output must land in a slot of its own, whatever the
+// kernel's output size (Rendering writes a 64 KiB frame for any input).
+func TestEveryKernelEveryEntryPoint(t *testing.T) {
+	for _, k := range accel.Kernels() {
+		t.Run(k.Name(), func(t *testing.T) {
+			r := newSealedRig(t, func(c *SystemConfig) { c.Kernel = k })
+			ws := make([]accel.Workload, 3)
+			sealed := make([]SealedJob, len(ws))
+			want := make([][]byte, len(ws))
+			for i := range ws {
+				ws[i], _ = accel.TestWorkload(k.Name(), int64(20+i))
+				sealed[i] = SealedJob{Params: ws[i].Params, Input: r.seal(t, ws[i].Input)}
+				var err error
+				if want[i], err = k.Compute(ws[i].Params, ws[i].Input); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(entry string, i int, got []byte, err error) {
+				t.Helper()
+				if err != nil {
+					t.Errorf("%s job %d: %v", entry, i, err)
+				} else if !bytes.Equal(got, want[i]) {
+					t.Errorf("%s job %d: output diverges from Compute", entry, i)
+				}
+			}
+			open := func(out []byte) []byte {
+				pt, err := cryptoutil.Open(r.key, out, []byte("job-output"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pt
+			}
+
+			out, err := r.RunJob(ws[0])
+			check("RunJob", 0, out, err)
+			sealedOut, err := r.RunJobSealed(k.Name(), ws[0].Params, sealed[0].Input)
+			if err == nil {
+				sealedOut = open(sealedOut)
+			}
+			check("RunJobSealed", 0, sealedOut, err)
+
+			results, err := r.RunJobBatch(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, br := range results {
+				check("RunJobBatch", i, br.Output, br.Err)
+			}
+			results, err = r.RunJobSealedBatch(k.Name(), sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, br := range results {
+				if br.Err == nil {
+					br.Output = open(br.Output)
+				}
+				check("RunJobSealedBatch", i, br.Output, br.Err)
+			}
+		})
 	}
 }

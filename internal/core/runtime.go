@@ -62,6 +62,10 @@ func deviceFault(err error) error {
 // protected path once — the start command is issued over the secure
 // register channel — so a runtime CL substitution or a desynced session
 // is caught on the very next job, exactly as with per-job key exchange.
+//
+// A lone job is a batch of one: it runs through the job engine (see
+// runJobBatchLocked), which sends its register program one transaction at
+// a time and gives it the whole device memory window.
 func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	// One job at a time: the accelerator's register file and DMA windows
 	// are a single shared resource, exactly as on the physical board.
@@ -69,142 +73,21 @@ func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreJob.Since(start)
-	return s.runJobLocked(w, nil)
+	l := &s.lone
+	l.w[0] = w
+	return l.take(s.runJobBatchLocked(l.w[:], l.res[:], nil, l.chunk[:0], l.job[:0]))
 }
 
-// runJobLocked is the hot path; callers hold jobMu. With a nil seal it
-// returns the plaintext result; otherwise the result sealed under seal, the
-// data key's expanded AEAD (see readOutput).
-func (s *System) runJobLocked(w accel.Workload, seal cipher.AEAD) (out []byte, err error) {
-	if !s.booted {
-		return nil, fmt.Errorf("core: system not booted; run SecureBoot first")
-	}
-	if w.Kernel.Name() != s.Package.KernelName {
-		return nil, fmt.Errorf("core: workload targets %s, deployed CL is %s", w.Kernel.Name(), s.Package.KernelName)
-	}
-	// Any failure leaves host and engine potentially disagreeing about the
-	// IV schedule position — drop the cached session so the next job
-	// re-exchanges and resynchronises.
-	defer func() {
-		if err != nil {
-			s.invalidateSession()
-		}
-	}()
-
-	block, jobIV, err := s.ensureSession()
+// take returns a lone job's outcome — err, a fault covering the call, or
+// else the job's own verdict — and clears the scratch, so the System keeps
+// no reference to the job's plaintext or the epoch's key material.
+func (l *loneScratch) take(err error) ([]byte, error) {
+	out, jobErr := l.res[0].Output, l.res[0].Err
+	*l = loneScratch{}
 	if err != nil {
 		return nil, err
 	}
-
-	if err := s.writeInput(0, block, jobIV, w.Input); err != nil {
-		return nil, deviceFault(err)
-	}
-
-	outAddr := uint64(len(w.Input) + 4096)
-	directRegs := []struct {
-		addr uint32
-		val  uint64
-	}{
-		{accel.RegInAddr, 0},
-		{accel.RegInLen, uint64(len(w.Input))},
-		{accel.RegOutAddr, outAddr},
-		{accel.RegParam0, w.Params[0]},
-		{accel.RegParam1, w.Params[1]},
-		{accel.RegParam2, w.Params[2]},
-		{accel.RegParam3, w.Params[3]},
-	}
-	for _, wr := range directRegs {
-		res, err := s.directReg(channel.RegTxn{Write: true, Addr: wr.addr, Data: wr.val})
-		if err != nil {
-			return nil, deviceFault(err)
-		}
-		if !res.OK {
-			return nil, deviceFault(fmt.Errorf("core: direct write to %#x rejected", wr.addr))
-		}
-	}
-
-	// The start command rides the protected path: one secure transaction
-	// per job keeps the session-counter liveness check of §4.5 on the hot
-	// path even when the key exchange is amortised away.
-	res, err := s.User.SecureReg(channel.RegTxn{Write: true, Addr: accel.RegCtrl, Data: accel.CtrlStart})
-	if err != nil {
-		return nil, deviceFault(fmt.Errorf("core: secure job start: %w", err))
-	}
-	if !res.OK {
-		return nil, deviceFault(fmt.Errorf("core: secure job start rejected"))
-	}
-
-	// On a physical board the host now blocks until the fabric raises
-	// done; model that idle wait for real so multi-board overlap is
-	// measurable (see Timing.RealJobLatency).
-	if s.Timing.RealJobLatency > 0 {
-		time.Sleep(s.Timing.RealJobLatency)
-	}
-
-	status, err := s.directReg(channel.RegTxn{Addr: accel.RegStatus})
-	if err != nil {
-		return nil, deviceFault(err)
-	}
-	if status.Data != accel.StatusDone {
-		return nil, deviceFault(fmt.Errorf("core: accelerator finished with status %d", status.Data))
-	}
-	outLen, err := s.directReg(channel.RegTxn{Addr: accel.RegOutLen})
-	if err != nil {
-		return nil, deviceFault(err)
-	}
-	// RegOutLen is 64-bit; a buggy or hostile CL could report a length
-	// whose low 32 bits look plausible. Validate against the device memory
-	// window instead of silently truncating.
-	if outLen.Data > accel.MemBytes || outLen.Data > accel.MemBytes-outAddr {
-		return nil, deviceFault(fmt.Errorf("core: CL reports implausible output length %d at %#x (device memory is %d bytes)",
-			outLen.Data, outAddr, accel.MemBytes))
-	}
-
-	return s.readOutput(outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), block, jobIV, seal)
-}
-
-// ensureSession returns the session's expanded data-key schedule and this
-// job's IV, performing the 4-write secure key/IV exchange only when no
-// session is cached or the epoch is exhausted. Epoch rotation also rotates
-// the register-channel session key, so a long-lived deployment never
-// accumulates unbounded traffic under one Key_session.
-func (s *System) ensureSession() (block cipher.Block, jobIV []byte, err error) {
-	if s.sessKey == nil || int(s.sessJobs) >= s.rekeyEvery {
-		if s.sessKey != nil {
-			if err := s.SM.RekeySession(); err != nil {
-				return nil, nil, deviceFault(fmt.Errorf("core: session rotation: %w", err))
-			}
-		}
-		key, block, baseIV, err := s.newEpochSecrets()
-		if err != nil {
-			return nil, nil, err
-		}
-		secureWrites := []struct {
-			addr uint32
-			val  uint64
-		}{
-			{accel.RegKey1, binary.BigEndian.Uint64(key[0:8])},
-			{accel.RegKey0, binary.BigEndian.Uint64(key[8:16])},
-			{accel.RegIV1, binary.BigEndian.Uint64(baseIV[0:8])},
-			{accel.RegIV0, binary.BigEndian.Uint64(baseIV[8:16])},
-		}
-		for _, wr := range secureWrites {
-			res, err := s.User.SecureReg(channel.RegTxn{Write: true, Addr: wr.addr, Data: wr.val})
-			if err != nil {
-				s.invalidateSession()
-				return nil, nil, deviceFault(fmt.Errorf("core: secure key exchange: %w", err))
-			}
-			if !res.OK {
-				s.invalidateSession()
-				return nil, nil, deviceFault(fmt.Errorf("core: secure write to %#x rejected", wr.addr))
-			}
-		}
-		s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = key, block, baseIV, 0
-		mSessionExchanges.Inc()
-	}
-	jobIV = accel.JobIV(s.sessIV, s.sessJobs)
-	s.sessJobs++
-	return s.sessBlock, jobIV, nil
+	return out, jobErr
 }
 
 // newEpochSecrets draws the secrets of a fresh session epoch: the enclave's
@@ -244,22 +127,8 @@ func (s *System) RunJobSealed(kernelName string, params [4]uint64, sealedInput [
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreSealedJob.Since(start)
-	if !s.booted {
-		return nil, fmt.Errorf("core: system not booted")
-	}
-	k, ok := accel.KernelByName(kernelName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown kernel %q", kernelName)
-	}
-	aead, err := s.User.DataAEAD()
-	if err != nil {
-		return nil, err
-	}
-	input, err := cryptoutil.OpenWith(aead, sealedInput, jobInputAD)
-	if err != nil {
-		return nil, fmt.Errorf("core: sealed job input rejected: %w", err)
-	}
-	return s.runJobLocked(accel.Workload{Kernel: k, Params: params, Input: input}, aead)
+	l := &s.lone
+	return l.take(s.runSealedLocked(kernelName, []SealedJob{{params, sealedInput}}, l.w[:], l.res[:], l.chunk[:0], l.job[:0]))
 }
 
 // Additional data binding sealed job payloads to their direction.

@@ -118,6 +118,7 @@ type System struct {
 	// path allocates nothing.
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
+	lone      loneScratch
 
 	// burst is the DMA burst scratch every input frame is built in (see
 	// writeInput), and regFrame the scratch every direct register request

@@ -73,17 +73,18 @@ func TestClusterRunBatchPerJobErrors(t *testing.T) {
 	}
 
 	w := accel.GenConv(4, 4, 1, 7)
+	// Slot (input + the kernel's output cap) exceeds the 8 MiB half.
+	huge := accel.GenConv(1200, 1200, 1, 8)
 	results, err := sess.RunBatch("Conv", []BatchInput{
 		{Params: w.Params, Input: w.Input},
-		// Slot (input + doubled output capacity) exceeds the 8 MiB half.
-		{Params: [4]uint64{4096, 256, 4, 0}, Input: make([]byte, 4096*256*4)},
+		{Params: huge.Params, Input: huge.Input},
 		{Params: w.Params, Input: w.Input},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[1].Err == nil {
-		t.Error("implausible job did not fail")
+		t.Error("oversize job did not fail")
 	}
 	for _, i := range []int{0, 2} {
 		if results[i].Err != nil {

@@ -126,6 +126,36 @@ func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
 	}
 }
 
+// TestRenderingBatchIsNotADeviceFault: Rendering writes a 64 KiB frame
+// whatever its input size, so a batch whose device-memory slots were sized
+// from the input alone reported every job as a device fault, charged a
+// healthy board's breaker and re-ran each job on its own. Three Rendering
+// jobs in one Submit to a one-board pool must complete as a batch: nothing
+// failed, nothing retried, no fault streak.
+func TestRenderingBatchIsNotADeviceFault(t *testing.T) {
+	systems, _ := newPool(t, 1, accel.Rendering{})
+	s := newScheduler(t, systems)
+	ws := make([]accel.Workload, 3)
+	for i := range ws {
+		ws[i], _ = accel.TestWorkload("Rendering", int64(70+i))
+	}
+	for i, f := range submitWs(s, ws, std) {
+		out, err := f.Wait()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		want, _ := ws[i].Kernel.Compute(ws[i].Params, ws[i].Input)
+		if !bytes.Equal(out, want) {
+			t.Errorf("job %d output diverges", i)
+		}
+	}
+	ds := findStats(t, s, systems[0].Device.DNA())
+	if ds.Completed != 3 || ds.Failed != 0 || ds.Retried != 0 || ds.ConsecutiveFaults != 0 {
+		t.Errorf("board after a 3-job Rendering batch: Completed %d, Failed %d, Retried %d, ConsecutiveFaults %d; want 3, 0, 0, 0",
+			ds.Completed, ds.Failed, ds.Retried, ds.ConsecutiveFaults)
+	}
+}
+
 // TestOneByOneAndAsOneSubmissionAgree is the differential test for the one
 // submit path: the same 16 workloads sent one per Submit and as one Submit
 // of 16, on two fresh identical pools, produce the goldens and advance the

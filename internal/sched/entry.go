@@ -263,12 +263,12 @@ func (d *device) run(s *Scheduler) {
 }
 
 // execute runs the entry on the device and is the only code that looks at
-// its shape. A lone job takes core's single-job path (one secure start
-// command, the rest over direct registers, no pipelined-buffer bound on the
-// input); a vector takes the batched path (one sealed register frame and
-// one fabric wait per chunk). Neither subsumes the other, so both stay and
-// n picks. A returned error covers the whole entry; a lone job's result is
-// appended to buf.
+// its shape. Every core entry point runs one job engine; a lone job goes
+// through RunJob/RunJobSealed, which send its register program one
+// transaction at a time over all of device memory and allocate no result
+// vector, and a vector through the batch calls (one sealed register frame
+// and one fabric wait per chunk). A returned error covers the whole entry;
+// a lone job's result is appended to buf.
 func (d *device) execute(e *entry, buf []core.BatchResult) ([]core.BatchResult, error) {
 	lone := len(e.jobs) == 1
 	if e.sealed {
