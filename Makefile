@@ -1,9 +1,11 @@
 GO ?= go
 
-# Packages whose statement coverage is gated in CI (the observability layer
-# and the two subsystems its health signals come from), and the floor they
+# Packages whose statement coverage is gated in CI (the observability layer,
+# the subsystems its health signals come from, the job engine, the federation
+# tier, the runtime channel and the Table 1 baselines), and the floor they
 # must clear.
-COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote
+COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote \
+	salus/internal/core salus/internal/federation salus/internal/channel salus/internal/compare
 COVER_FLOOR = 75
 
 .PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean

@@ -48,7 +48,7 @@ import (
 // BenchmarkFigure9SecureBootU200 runs the complete secure CL booting flow
 // on a real ~32 MiB partial bitstream under the calibrated timing model.
 // The reported wall time is the real compute; the virtual breakdown is
-// printed by cmd/salus-boot.
+// printed by cmd/salus-report.
 func BenchmarkFigure9SecureBootU200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := salus.RunFigure9("Conv")
@@ -473,7 +473,7 @@ func benchPool(b *testing.B, n int) []*core.System {
 		}
 		systems[i] = sys
 	}
-	if _, err := sched.BootShared(systems); err != nil {
+	if _, err := sched.BootSharedParallel(systems); err != nil {
 		b.Fatal(err)
 	}
 	return systems
@@ -606,7 +606,7 @@ func BenchmarkSchedulerDegradedPool(b *testing.B) {
 			}
 			systems[i] = sys
 		}
-		if _, err := sched.BootShared(systems); err != nil {
+		if _, err := sched.BootSharedParallel(systems); err != nil {
 			b.Fatal(err)
 		}
 		inj.broken.Store(true) // boots clean, then the board dies for good
@@ -688,7 +688,7 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 // TestBatchedThroughputGate is the bench-sched acceptance gate: with
 // SALUS_BENCH_SMOKE=1 it measures the batched single-device path and fails
 // unless it clears 5x the 6.5 MB/s unbatched single-device baseline
-// (RESULTS.md), and unless the pooled batch seal/open hot path runs
+// (DESIGN.md), and unless the pooled batch seal/open hot path runs
 // allocation-free. Skipped in ordinary test runs — wall-clock assertions do
 // not belong in `go test ./...`.
 func TestBatchedThroughputGate(t *testing.T) {
@@ -776,7 +776,8 @@ func newBenchFleet(b *testing.B, timing core.Timing) *fleet.Manager {
 	return m
 }
 
-// BenchmarkFleetBoot compares booting 8 boards serially, in parallel
+// BenchmarkFleetBoot compares booting 8 boards serially (eight one-board
+// boots, one after another), in parallel
 // without the shared caches, and through the fleet manager (parallel boot
 // plus the prepared-bitstream cache and quote pool). RealBootLatency
 // models the ~10 ms the host spends idle-blocked on the ICAP per board —
@@ -810,8 +811,10 @@ func BenchmarkFleetBoot(b *testing.B) {
 			b.StopTimer()
 			systems := freshSystems(b, i)
 			b.StartTimer()
-			if _, err := sched.BootShared(systems); err != nil {
-				b.Fatal(err)
+			for _, sys := range systems {
+				if _, err := sched.BootSharedParallel([]*core.System{sys}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

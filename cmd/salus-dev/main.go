@@ -63,7 +63,7 @@ func usage() {
 func compile(args []string) {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
 	kernel := fs.String("kernel", "Conv", "benchmark kernel")
-	device := fs.String("device", "test", "device profile: test or u200")
+	device := fs.String("device", "test", "device profile: test, u200 or u250")
 	seed := fs.Int64("seed", 1, "place-and-route seed")
 	out := fs.String("o", "", "output basename (default: <kernel>_cl)")
 	fs.Parse(args)
@@ -72,9 +72,9 @@ func compile(args []string) {
 	if !ok {
 		log.Fatalf("unknown kernel %q", *kernel)
 	}
-	profile := salus.TestDevice
-	if *device == "u200" {
-		profile = salus.U200
+	profile, err := profileByName(*device)
+	if err != nil {
+		log.Fatal(err)
 	}
 	pkg, err := salus.DevelopCL(k, profile, *seed)
 	if err != nil {
@@ -102,6 +102,20 @@ func compile(args []string) {
 	}
 	fmt.Printf("compiled %s on %s: %s.bit (%d bytes), %s.json (H=%x...)\n",
 		pkg.DesignName, profile.Name, base, len(pkg.Encoded), base, pkg.Digest[:8])
+}
+
+// profileByName maps a -device value onto its profile; anything unknown is
+// an error rather than a silent fallback to the test device.
+func profileByName(name string) (salus.DeviceProfile, error) {
+	switch name {
+	case "test":
+		return salus.TestDevice, nil
+	case "u200":
+		return salus.U200, nil
+	case "u250":
+		return salus.U250, nil
+	}
+	return salus.DeviceProfile{}, fmt.Errorf("unknown device %q (want test, u200 or u250)", name)
 }
 
 func inspect(args []string) {
@@ -145,12 +159,27 @@ func verify(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got := cryptoutil.Digest(data)
-	//lint:allow ct-compare offline dev tool comparing public measurements of a local file; no attacker-observable timing surface
-	if hex.EncodeToString(got[:]) != m.DigestHex {
-		log.Fatalf("DIGEST MISMATCH: bitstream %x..., metadata %s...", got[:8], m.DigestHex[:16])
+	if err := checkDigest(data, m.DigestHex); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("digest OK: %x\n", got)
+	fmt.Printf("digest OK: %x\n", cryptoutil.Digest(data))
+}
+
+// checkDigest compares the bitstream's digest H with the metadata's
+// hex-encoded one, which must be a full 32-byte SHA-256.
+func checkDigest(data []byte, digestHex string) error {
+	want, err := hex.DecodeString(digestHex)
+	if err != nil {
+		return fmt.Errorf("metadata digest: %w", err)
+	}
+	if len(want) != 32 {
+		return fmt.Errorf("metadata digest is %d bytes, want 32", len(want))
+	}
+	got := cryptoutil.Digest(data)
+	if !cryptoutil.ConstantTimeEqual(got[:], want) {
+		return fmt.Errorf("DIGEST MISMATCH: bitstream %x..., metadata %x...", got[:8], want[:8])
+	}
+	return nil
 }
 
 func diff(args []string) {

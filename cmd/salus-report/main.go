@@ -1,14 +1,16 @@
 // Command salus-report regenerates the paper's entire evaluation in one
-// run and writes a markdown report (default RESULTS.md): Table 1
-// (executable comparison), Figure 8 + Table 5 (floorplan and utilisation),
-// Table 3 (attack matrix), Table 6 + Figure 10 (runtime model), Table 2
-// (attestation analogy), and — unless -skip-fig9 — the Figure 9 boot-time
-// breakdown on a real U200-scale bitstream.
+// run and writes it as markdown (default RESULTS.md; -o /dev/stdout prints
+// it): Table 1 (executable comparison), Figure 8 + Table 5 (floorplan and
+// utilisation), Table 2 (attestation analogy), Table 3 (attack matrix),
+// Table 6 + Figure 10 (runtime model), and the Figure 9 boot-time breakdown
+// on a real U200-scale bitstream.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -25,85 +27,97 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("salus-report: ")
 	out := flag.String("o", "RESULTS.md", "output markdown file")
-	skipFig9 := flag.Bool("skip-fig9", false, "skip the U200-scale boot")
 	flag.Parse()
 
-	var b strings.Builder
-	section := func(title string, body func() (string, error)) {
-		fmt.Fprintf(&b, "## %s\n\n", title)
-		text, err := body()
-		if err != nil {
-			log.Fatalf("%s: %v", title, err)
-		}
-		fmt.Fprintf(&b, "```\n%s```\n\n", ensureNL(text))
-		fmt.Fprintln(os.Stderr, "done:", title)
+	// Render fully before writing, so a failing section never truncates
+	// the previous report.
+	var b bytes.Buffer
+	if err := render(&b); err != nil {
+		log.Fatal(err)
 	}
+	if err := os.WriteFile(*out, b.Bytes(), 0o644); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	b.WriteString("# Salus reproduction — regenerated evaluation\n\n")
-	b.WriteString("Produced by `go run ./cmd/salus-report`. Paper-vs-measured commentary lives in EXPERIMENTS.md.\n\n")
+const header = `# Salus reproduction — regenerated evaluation
 
-	section("Table 1 — comparison with existing FPGA TEEs (executed)", func() (string, error) {
-		rows, err := compare.RunTable1()
-		if err != nil {
-			return "", err
-		}
-		return compare.FormatTable1(rows), nil
-	})
+Produced by ` + "`go run ./cmd/salus-report`" + `. Paper-vs-measured commentary lives in EXPERIMENTS.md.
+Serving-tier numbers come from ` + "`bash bench/run.sh`" + ` (workloads in BENCHMARK.json); the gates run under ` + "`make ci`" + `.
 
-	section("Figure 8 — floor planning", func() (string, error) {
-		return salus.U200Floorplan().String(), nil
-	})
+`
 
-	section("Table 5 — resource utilisation breakdown", func() (string, error) {
-		mods := make([]netlist.ModuleSpec, 0, 6)
-		for _, k := range accel.Kernels() {
-			mods = append(mods, k.Module())
-		}
-		mods = append(mods, smlogic.Module())
-		return netlist.UtilizationReport(salus.U200, mods), nil
-	})
+// section is one table or figure of the evaluation: a title and the body
+// rendered into a fenced block under it.
+type section struct {
+	title string
+	body  func() (string, error)
+}
 
-	section("Table 2 — SGX local attestation vs Salus CL attestation", func() (string, error) {
-		return core.Table2(), nil
-	})
-
-	section("Table 3 — protection of secrets (attack matrix)", func() (string, error) {
-		rows := salus.RunTable3()
-		for _, r := range rows {
-			if !r.Protected {
-				return "", fmt.Errorf("attack not blocked: %s", r.Attack)
-			}
-		}
-		return salus.FormatTable3(rows), nil
-	})
-
+// render writes the whole evaluation report to w.
+func render(w io.Writer) error {
 	c := salus.DefaultPerfConstants()
-	section("Table 6 — TEE slowdowns", func() (string, error) {
-		return salus.FormatTable6(salus.Table6(c)), nil
-	})
-	section("Figure 10 — workload speedups", func() (string, error) {
-		return salus.FormatFigure10(salus.Figure10(c)), nil
-	})
-
-	if !*skipFig9 {
-		section("Figure 9 — CL booting time (real U200-scale bitstream)", func() (string, error) {
+	sections := []section{
+		{"Table 1 — comparison with existing FPGA TEE works (properties demonstrated, not asserted)", func() (string, error) {
+			rows, err := compare.RunTable1()
+			if err != nil {
+				return "", err
+			}
+			return compare.FormatTable1(rows) + "\nHE = heterogeneous CPU-FPGA TEE, SA = standalone FPGA TEE\n", nil
+		}},
+		{"Figure 8 — floor planning of shell and CL on the FPGA", func() (string, error) {
+			return salus.U200Floorplan().String(), nil
+		}},
+		{"Table 5 — resource utilisation breakdown of CL", func() (string, error) {
+			mods := make([]netlist.ModuleSpec, 0, 6)
+			for _, k := range accel.Kernels() {
+				mods = append(mods, k.Module())
+			}
+			mods = append(mods, smlogic.Module())
+			return fmt.Sprintf("%s\nPartial bitstream volume (fixed by the reserved partition, §6.3): %d MiB\n",
+				netlist.UtilizationReport(salus.U200, mods), salus.U200.RPBytes()>>20), nil
+		}},
+		{"Table 2 — SGX local attestation vs Salus CL attestation", func() (string, error) {
+			return core.Table2(), nil
+		}},
+		{"Table 3 — protection of secrets in the secure CL booting flow", func() (string, error) {
+			rows := salus.RunTable3()
+			for _, r := range rows {
+				if !r.Protected {
+					return "", fmt.Errorf("attack not blocked: %s", r.Attack)
+				}
+			}
+			return salus.FormatTable3(rows), nil
+		}},
+		{"Table 6 — slowdown of CPU TEE and FPGA TEE (paper rows: Conv, Rendering, FaceDetect)", func() (string, error) {
+			return salus.FormatTable6(salus.Table6(c)), nil
+		}},
+		{"Figure 10 — performance of realistic workloads on a securely booted FPGA TEE", func() (string, error) {
+			return salus.FormatFigure10(salus.Figure10(c)) + "\n(paper envelope: 1.17x – 15.64x)\n", nil
+		}},
+		{"Figure 9 — CL booting time (real U200-scale bitstream)", func() (string, error) {
 			r, err := salus.RunFigure9("Conv")
 			if err != nil {
 				return "", err
 			}
 			return salus.FormatFigure9(r), nil
-		})
+		}},
 	}
 
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		log.Fatal(err)
+	if _, err := io.WriteString(w, header); err != nil {
+		return err
 	}
-	fmt.Println("report written:", *out)
-}
-
-func ensureNL(s string) string {
-	if !strings.HasSuffix(s, "\n") {
-		return s + "\n"
+	for _, s := range sections {
+		text, err := s.body()
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.title, err)
+		}
+		if !strings.HasSuffix(text, "\n") {
+			text += "\n"
+		}
+		if _, err := fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", s.title, text); err != nil {
+			return err
+		}
 	}
-	return s
+	return nil
 }

@@ -99,5 +99,5 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Println("every attack stopped; see cmd/salus-attack for the full Table 3 matrix")
+	fmt.Println("every attack stopped; go run ./cmd/salus-report prints the full Table 3 matrix")
 }

@@ -1,9 +1,8 @@
 // Package compare makes Table 1 of the paper executable: instead of
 // asserting qualitative properties of prior FPGA TEEs, it *runs* the
-// implemented baselines — the SGX-FPGA-style PUF root of trust
-// (internal/puf) and the ShEF-style device-key TEE (internal/shef) — and
-// derives each row's columns from observed behaviour, alongside Salus
-// itself.
+// implemented baselines — the SGX-FPGA-style PUF root of trust (puf.go)
+// and the ShEF-style device-key TEE (shef.go) — and derives each row's
+// columns from observed behaviour, alongside Salus itself.
 package compare
 
 import (
@@ -15,8 +14,6 @@ import (
 	"salus/internal/core"
 	"salus/internal/cryptoutil"
 	"salus/internal/fpga"
-	"salus/internal/puf"
-	"salus/internal/shef"
 )
 
 // Table1Row is one comparison row with the evidence that produced it.
@@ -81,11 +78,11 @@ func RunTable1() ([]Table1Row, error) {
 // demonstratePUFCoupling returns true when the PUF baseline exhibits the
 // dev/dep coupling (database from one die rejected on another).
 func demonstratePUFCoupling() (bool, error) {
-	bench := puf.New()
-	rented := puf.New()
-	db := puf.Enroll(bench, 2)
-	err := puf.Attest(db, rented.Evaluate)
-	if errors.Is(err, puf.ErrMismatch) {
+	bench := newPUF()
+	rented := newPUF()
+	db := enroll(bench, 2)
+	err := pufAttest(db, rented.evaluate)
+	if errors.Is(err, errPUFMismatch) {
 		return true, nil
 	}
 	if err == nil {
@@ -98,22 +95,22 @@ func demonstratePUFCoupling() (bool, error) {
 // to end (its mechanism is sound — the objection is the hardware and PKI it
 // requires).
 func demonstrateShEF() (bool, error) {
-	mfr, err := shef.NewManufacturer()
+	mfr, err := newShefManufacturer()
 	if err != nil {
 		return false, err
 	}
-	dev, err := mfr.ManufactureDevice()
+	dev, err := mfr.manufactureDevice()
 	if err != nil {
 		return false, err
 	}
-	ca, err := shef.NewDeveloperCA()
+	ca, err := newShefDeveloperCA()
 	if err != nil {
 		return false, err
 	}
 	digest := cryptoutil.Digest([]byte("cl"))
 	nonce := cryptoutil.RandomKey(16)
-	att := dev.AttestCL(digest, nonce, ca.Endorse(digest))
-	return shef.Verify(mfr.Root(), ca.Public(), nonce, att) == nil, nil
+	att := dev.attestCL(digest, nonce, ca.endorse(digest))
+	return shefVerify(mfr.pub, ca.pub, nonce, att) == nil, nil
 }
 
 // demonstrateSalusDecoupling boots the same developer output on two

@@ -6,9 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"salus/internal/accel"
-	"salus/internal/netlist"
-	"salus/internal/perfmodel"
 	"salus/internal/trace"
 )
 
@@ -79,34 +76,6 @@ func TestFigure9Shape(t *testing.T) {
 	for _, want := range []string{"Bitstream Manipulation", "Paper", "18.8 s", "TOTAL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure 9 output missing %q", want)
-		}
-	}
-}
-
-// TestBootModelMatchesHarness: the analytic twin and the harness charge the
-// bitstream-sized segments from one formula over one set of constants, so
-// they agree to the nanosecond at any image size.
-func TestBootModelMatchesHarness(t *testing.T) {
-	profiles := []netlist.DeviceProfile{netlist.TestDevice}
-	if !testing.Short() {
-		profiles = append(profiles, netlist.U200)
-	}
-	for _, profile := range profiles {
-		sys, err := NewSystem(SystemConfig{Profile: profile, Kernel: accel.Conv{}, Seed: 1, Timing: DefaultTiming()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.SecureBoot(); err != nil {
-			t.Fatal(err)
-		}
-		model := map[string]time.Duration{}
-		for _, seg := range perfmodel.DefaultBootModel(len(sys.Package.Encoded)).Breakdown() {
-			model[seg.Name] = seg.D
-		}
-		for _, p := range []trace.Phase{trace.PhaseBitManipulation, trace.PhaseBitVerifyEnc} {
-			if got, want := sys.Trace.PhaseTotal(p), model[string(p)]; got != want || want == 0 {
-				t.Errorf("%s, %s: harness charged %v, model says %v", profile.Name, p, got, want)
-			}
 		}
 	}
 }

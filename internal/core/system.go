@@ -484,7 +484,7 @@ func (s *System) FinishProvision(senderPub, sealed []byte) error {
 // system's clock, and returns the enclave key the data key must be sealed
 // to. Split out of SecureBootWithKey so a fleet booter can run the
 // instance side of many boots first and only provision once every chain
-// verified (sched.BootShared's atomicity).
+// verified (sched.BootSharedParallel's atomicity).
 func (s *System) VerifyQuote(ver *client.Verifier, nonce []byte, quote sgx.Quote) ([]byte, error) {
 	s.chargeWAN(func() { s.Timing.WAN.RoundTrip(s.Clock, 2048, 256) })
 	s.Clock.Advance(s.Timing.UserQuoteVerify)

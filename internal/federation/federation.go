@@ -146,7 +146,7 @@ func (f *Federation) newShard(id string, mgr *fleet.Manager, addr string) (*shar
 // AddRootShard registers the region's attestation anchor and spawns k
 // member systems for the data owner's handshake. The owner attests and
 // provisions THESE systems only (via the federation gateway or a local
-// BootShared); every later shard receives the data key from them over the
+// BootSharedParallel); every later shard receives the data key from them over the
 // sibling hand-off — the O(1)-per-region attestation property.
 func (f *Federation) AddRootShard(id string, mgr *fleet.Manager, addr string, k int) ([]*core.System, error) {
 	f.mu.RLock()
@@ -285,7 +285,7 @@ func (f *Federation) RemoveShard(id string) error {
 
 // MarkRootKeyed records that the root shard's systems finished the owner
 // handshake (attest + provision + scheduler registration). Callers that
-// boot the root locally (sched.BootShared + Adopt) or through the remote
+// boot the root locally (sched.BootSharedParallel + Adopt) or through the remote
 // gateway must call this before traffic flows.
 func (f *Federation) MarkRootKeyed() {
 	f.mu.RLock()

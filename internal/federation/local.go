@@ -16,8 +16,8 @@ import (
 // sharing one manufacturer, one TEE host platform (the hand-off rides SGX
 // local attestation, which only verifies within a platform), and one set
 // of boot caches, each shard owning DevicesPerShard boards behind its own
-// fleet manager and scheduler. This is the deployment salus-server -shards
-// and salus-bench federation run.
+// fleet manager and scheduler. This is the deployment salus-server -shards,
+// TestFederationGate and the bench module's fed-tenants workload run.
 type LocalSpec struct {
 	// Shards and DevicesPerShard size the tier; both must be >= 1.
 	Shards          int

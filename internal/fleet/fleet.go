@@ -397,7 +397,7 @@ func (m *Manager) Adopt(sys *core.System) error {
 
 // BootFleet spawns and securely boots k boards — k×RPsPerDevice partition
 // systems — in parallel with one shared data key (owner mode),
-// registering all of them. Atomic like sched.BootShared: a single
+// registering all of them. Atomic like sched.BootSharedParallel: a single
 // partition failing mid-boot fails the whole call and nothing holds the
 // key.
 func (m *Manager) BootFleet(k int) error {

@@ -129,7 +129,7 @@ func PackDevice(profile netlist.DeviceProfile, rps int, kernels []accel.Kernel, 
 }
 
 // ParseFootprint parses the published footprint form "Name:LUT/REG/BRAM"
-// (e.g. "Conv:19735/20169/329") — the format RESULTS.md bins and operators
+// (e.g. "Conv:19735/20169/329") — Table 5's rows in the form operators
 // feed to capacity planning. Each count must be a non-negative integer.
 func ParseFootprint(s string) (Footprint, error) {
 	name, counts, ok := strings.Cut(s, ":")

@@ -185,7 +185,7 @@ type SubmitOptions struct {
 // entry (a mixed submission splits into one entry per group), so several
 // pay one sealed register frame and one fabric wait per chunk instead of
 // per-job round trips. Sealed jobs need a pool that shares one data key —
-// see BootShared — to route by load instead of by identity. An admission
+// see BootSharedParallel — to route by load instead of by identity. An admission
 // failure (closed scheduler, no device for the kernel, overload, expired
 // deadline) resolves the entry's futures with the error, deterministically,
 // without touching a device queue.

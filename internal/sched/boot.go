@@ -10,67 +10,43 @@ import (
 	"salus/internal/cryptoutil"
 )
 
-// BootShared boots every system in the slice with one freshly generated
-// shared data key and returns that key. A pool provisioned this way runs
-// sealed jobs interchangeably: input sealed under the key opens on any
-// device, which is what lets SubmitSealed route by load instead of by
+// BootSharedParallel boots every system in the slice with one freshly
+// generated shared data key and returns that key. A pool provisioned this
+// way runs sealed jobs interchangeably: input sealed under the key opens on
+// any device, which is what lets SubmitSealed route by load instead of by
 // identity.
 //
 // Key distribution is atomic in two phases: first every device runs the
-// instance side of the boot and has its cascaded quote verified; only when
-// all K chains check out is the key sealed and delivered to each. A board
-// failing mid-boot therefore never leaves siblings holding a
-// half-distributed shared key — the call fails and no device received it.
-func BootShared(systems []*core.System) ([]byte, error) { return bootShared(systems, false) }
-
-// BootSharedParallel is BootShared with phase one running concurrently —
-// one goroutine per device. With a shared smapp.PreparedCache/QuotePool in
-// the systems' configs the expensive boot stages single-flight across the
-// fleet; without them the boots are merely overlapped. The same two-phase
-// atomicity holds.
-func BootSharedParallel(systems []*core.System) ([]byte, error) { return bootShared(systems, true) }
-
-// bootShared runs phase one (boot + verify, optionally parallel) on every
-// system, then phase two (seal + deliver a fresh key) only if the whole
-// fleet passed.
-func bootShared(systems []*core.System, parallel bool) ([]byte, error) {
+// instance side of the boot and has its cascaded quote verified — one
+// goroutine per device; only when all K chains check out is the key sealed
+// and delivered to each. A board failing mid-boot therefore never leaves
+// siblings holding a half-distributed shared key — the call fails and no
+// device received it. With a shared smapp.PreparedCache/QuotePool in the
+// systems' configs the expensive boot stages single-flight across the
+// fleet; without them the boots are merely overlapped.
+func BootSharedParallel(systems []*core.System) ([]byte, error) {
 	pubs := make([][]byte, len(systems))
-	bootOne := func(i int) error {
-		sys := systems[i]
-		ver := client.New(sys.Expectations())
-		nonce := ver.NewNonce()
-		quote, err := sys.BootAndQuote(nonce)
-		if err != nil {
-			return fmt.Errorf("sched: boot device %d (%s): %w", i, sys.Device.DNA(), err)
-		}
-		pub, err := sys.VerifyQuote(ver, nonce, quote)
-		if err != nil {
-			return fmt.Errorf("sched: verify device %d (%s): %w", i, sys.Device.DNA(), err)
-		}
-		pubs[i] = pub
-		return nil
-	}
-
-	if !parallel {
-		for i := range systems {
-			if err := bootOne(i); err != nil {
-				return nil, err
+	errs := make([]error, len(systems))
+	var wg sync.WaitGroup
+	for i, sys := range systems {
+		wg.Add(1)
+		go func(i int, sys *core.System) {
+			defer wg.Done()
+			ver := client.New(sys.Expectations())
+			nonce := ver.NewNonce()
+			quote, err := sys.BootAndQuote(nonce)
+			if err != nil {
+				errs[i] = fmt.Errorf("sched: boot device %d (%s): %w", i, sys.Device.DNA(), err)
+				return
 			}
-		}
-	} else {
-		errs := make([]error, len(systems))
-		var wg sync.WaitGroup
-		for i := range systems {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = bootOne(i)
-			}(i)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
-		}
+			if pubs[i], err = sys.VerifyQuote(ver, nonce, quote); err != nil {
+				errs[i] = fmt.Errorf("sched: verify device %d (%s): %w", i, sys.Device.DNA(), err)
+			}
+		}(i, sys)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	// Every chain verified: deliver the key. Sealing is per-enclave-key and

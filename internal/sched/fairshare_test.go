@@ -154,7 +154,7 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BootShared(systems); err != nil {
+	if _, err := BootSharedParallel(systems); err != nil {
 		t.Fatal(err)
 	}
 

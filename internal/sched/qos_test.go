@@ -286,7 +286,7 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BootShared([]*core.System{slow, fast}); err != nil {
+	if _, err := BootSharedParallel([]*core.System{slow, fast}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,7 +32,7 @@ func newPool(t testing.TB, n int, k accel.Kernel) ([]*core.System, []byte) {
 		}
 		systems[i] = sys
 	}
-	key, err := BootShared(systems)
+	key, err := BootSharedParallel(systems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func newFaultyPool(t testing.TB, n int, latency time.Duration) ([]*core.System, 
 		}
 		systems[i] = sys
 	}
-	key, err := BootShared(systems)
+	key, err := BootSharedParallel(systems)
 	if err != nil {
 		t.Fatal(err)
 	}

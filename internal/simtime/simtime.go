@@ -71,8 +71,8 @@ func (c *Clock) Measure(slowdown float64, fn func()) time.Duration {
 
 // Native throughputs, in bytes per second, of the three bitstream-sized boot
 // operations on the reference machine against which the ×16 and ×440
-// slowdowns were calibrated (EXPERIMENTS.md). The boot harness (smapp) and
-// its analytic twin (perfmodel.BootModel) both charge from these.
+// slowdowns were calibrated (EXPERIMENTS.md). The boot harness (smapp)
+// charges from these.
 const (
 	HashBytesPerSec  = 1.3e9  // SHA-256 digest
 	GCMBytesPerSec   = 1.5e9  // AES-GCM-256 seal

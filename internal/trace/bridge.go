@@ -25,8 +25,8 @@ func FeedHistograms(reg *metrics.Registry, l *Log, prefix string) {
 
 // FromHistogram folds a metrics histogram snapshot into the log under the
 // phase: one synthetic sample per non-empty bucket, scaled so the phase's
-// total duration equals the histogram's Sum exactly. PhaseTotal, Breakdown,
-// WriteCSV, and String therefore agree with the aggregate metric; Count
+// total duration equals the histogram's Sum exactly. PhaseTotal, Breakdown
+// and String therefore agree with the aggregate metric; Count
 // reports the number of non-empty buckets, not the observation count (the
 // histogram has already aggregated those away).
 func (l *Log) FromHistogram(p Phase, s metrics.HistogramSnapshot) {

@@ -4,7 +4,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -137,25 +136,6 @@ func (l *Log) Breakdown() []Sample {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].D > out[j].D })
 	return out
-}
-
-// WriteCSV emits the per-phase breakdown as CSV (phase, microseconds,
-// share) for downstream plotting of the Figure 9 bars.
-func (l *Log) WriteCSV(w io.Writer) error {
-	total := l.Total()
-	if _, err := fmt.Fprintln(w, "phase,us,share"); err != nil {
-		return err
-	}
-	for _, s := range l.Breakdown() {
-		share := 0.0
-		if total > 0 {
-			share = float64(s.D) / float64(total)
-		}
-		if _, err := fmt.Fprintf(w, "%q,%d,%.4f\n", s.Phase, s.D.Microseconds(), share); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // String renders the breakdown as an aligned table with percentages,

@@ -143,19 +143,3 @@ func TestMergeConcurrentWithRecord(t *testing.T) {
 		t.Error("merged fleet log recorded nothing")
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	l := New()
-	l.Record(PhaseBitManipulation, 13*time.Second)
-	l.Record(PhaseUserRA, 2*time.Second)
-	var b strings.Builder
-	if err := l.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"phase,us,share", "Bitstream Manipulation", "13000000", "0.8667"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CSV missing %q:\n%s", want, out)
-		}
-	}
-}

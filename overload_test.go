@@ -42,7 +42,7 @@ func overloadPool(t *testing.T, n int) *sched.Scheduler {
 		}
 		systems[i] = sys
 	}
-	if _, err := sched.BootShared(systems); err != nil {
+	if _, err := sched.BootSharedParallel(systems); err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(sched.Config{QueueDepth: 16})
@@ -211,7 +211,7 @@ func TestOverloadGateSmokeReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.BootShared([]*core.System{sys}); err != nil {
+	if _, err := sched.BootSharedParallel([]*core.System{sys}); err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(sched.Config{QueueDepth: 1})
