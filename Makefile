@@ -2,10 +2,10 @@ GO ?= go
 
 # Packages whose statement coverage is gated in CI (the observability layer,
 # the subsystems its health signals come from, the job engine, the federation
-# tier, the runtime channel and the Table 1 baselines), and the floor they
-# must clear.
+# tier, the runtime channel, the Table 1 baselines and the kernel models), and
+# the floor they must clear.
 COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote \
-	salus/internal/core salus/internal/federation salus/internal/channel salus/internal/compare
+	salus/internal/core salus/internal/federation salus/internal/channel salus/internal/compare salus/internal/accel
 COVER_FLOOR = 75
 
 .PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
@@ -41,16 +41,17 @@ tier1:
 	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/rpc ./internal/remote ./internal/federation
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
-# (whose images borrow their input) and for the kernels' output bounds
-# (which size every job's device-memory slot); without this the corpora
-# only ever run as seed unit tests. (-fuzz takes one target and one package per
-# run.)
+# (whose images borrow their input), for the kernels' output bounds (which
+# size every job's device-memory slot) and for the packed Conv kernel against
+# its plain reference loop; without this the corpora only ever run as seed
+# unit tests. (-fuzz takes one target and one package per run.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzJobWireDecode$$' -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOutputCap$$' -fuzztime 5s ./internal/accel
+	$(GO) test -run '^$$' -fuzz '^FuzzConvMatchesReference$$' -fuzztime 5s ./internal/accel
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -334,9 +334,10 @@ func (c *Core) keyBlock() (cipher.Block, error) {
 // uses the base IV verbatim. Hosts that reuse a session must install a base
 // IV whose block-counter field is zero, so per-job keystreams (at most 2^32
 // blocks apart) can never collide.
-func JobIV(base []byte, n uint32) []byte {
-	iv := append([]byte(nil), base...)
-	foldJobIndex(iv, n)
+func JobIV(base []byte, n uint32) [16]byte {
+	var iv [16]byte
+	copy(iv[:], base)
+	foldJobIndex(iv[:], n)
 	return iv
 }
 
@@ -409,9 +410,8 @@ func (c *Core) run() {
 // DecryptOutput is the host-side helper undoing the accelerator's outbound
 // encryption (same key/IV schedule as the memory engine) in place: data
 // becomes the plaintext. block is the data key's expanded schedule and iv
-// the run's JobIV.
-func DecryptOutput(block cipher.Block, iv, data []byte) {
-	outIV := append([]byte(nil), iv...)
-	outIV[0] ^= 0x80
-	cipher.NewCTR(block, outIV).XORKeyStream(data, data)
+// the run's JobIV; the outbound counter block is derived in this copy.
+func DecryptOutput(block cipher.Block, iv [16]byte, data []byte) {
+	iv[0] ^= 0x80
+	cipher.NewCTR(block, iv[:]).XORKeyStream(data, data)
 }

@@ -314,7 +314,7 @@ func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		DecryptOutput(block, iv, out)
+		DecryptOutput(block, [16]byte(iv), out)
 	}
 	return out
 }
@@ -423,6 +423,15 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		})
 	}
+	// The bulk bench shape, where the kernel's cost shows end to end.
+	w := GenConv(256, 256, 8, 1)
+	b.Run("ConvBulk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Kernel.Compute(w.Params, w.Input); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestOutputDecoders(t *testing.T) {
@@ -532,7 +541,8 @@ func TestKeyRewriteMidSessionUsesNewKey(t *testing.T) {
 		}
 		got := make([]byte, len(mem))
 		must(core.ReadMem(4096, got))
-		want, err := cryptoutil.XORKeyStreamCTR(step.key, JobIV(base, uint32(run)), mem)
+		iv := JobIV(base, uint32(run))
+		want, err := cryptoutil.XORKeyStreamCTR(step.key, iv[:], mem)
 		must(err)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("run %d (%s): output is not the CTR stream under the key the registers hold", run, step.name)

@@ -49,7 +49,7 @@ type BatchResult struct {
 // chunk's buffer half.
 type batchJob struct {
 	idx     int // index into ws/results
-	iv      []byte
+	iv      [16]byte
 	inAddr  uint64
 	outAddr uint64
 	outCap  uint64
@@ -391,8 +391,11 @@ func (s *System) issueTxns(lone bool) (err error) {
 // The chunk carries its own epoch secrets, so this can run ahead of the
 // frame that installs them on the device (the pipelined overlap).
 func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error {
-	for _, j := range chunk.jobs {
-		if err := s.writeInput(j.inAddr, chunk.block, j.iv, ws[j.idx].Input); err != nil {
+	for i := range chunk.jobs {
+		// By index: cipher.NewCTR leaks its IV, so slicing a loop copy's
+		// iv would move the copy to the heap on every iteration.
+		j := &chunk.jobs[i]
+		if err := s.writeInput(j.inAddr, chunk.block, j.iv[:], ws[j.idx].Input); err != nil {
 			return err
 		}
 	}

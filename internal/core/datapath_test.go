@@ -338,12 +338,13 @@ func allocKiB(f func()) float64 {
 // TestSealedJobAllocBudget keeps the job data path's copy count in tier-1.
 // A sealed job may allocate the enclave's opened input, the fabric's
 // decrypted input, the kernel's result, the CL's response frame and the
-// enclave's seal buffer: 2 × input + 3 × output, plus 64 KiB of small
-// change. RunJob has no opened input, and its result is the plaintext
-// buffer in place of the seal buffer: input + 3 × output. A batch job of
-// 2 KiB also pays for its two CTR streams and IVs and for rounding its
-// 784-byte buffers up to the allocator's 896-byte size class, 2 KiB a job
-// in all.
+// enclave's seal buffer: 2 × input + 3 × output, plus Conv's scratch of
+// three packed input rows (int64 per value: 48 KiB at 256 × 8) and 64 KiB
+// of small change. RunJob has no opened input, and its result is the
+// plaintext buffer in place of the seal buffer: input + 3 × output. A
+// batch job of 2 KiB also pays for its two CTR streams and for rounding
+// its 784-byte buffers up to the allocator's 896-byte size class, 2 KiB a
+// job in all.
 //
 // Measured on a warmed system before the copies were removed (1 MiB Conv
 // input, 258,064 B output): RunJobSealed 8,987 KiB, RunJob 7,703 KiB, and a
@@ -358,6 +359,7 @@ func TestSealedJobAllocBudget(t *testing.T) {
 	bulk := accel.GenConv(256, 256, 8, 4)
 	sealed := r.seal(t, bulk.Input)
 	in, out := float64(len(bulk.Input))/1024, float64((256-2)*(256-2)*4)/1024
+	rows := float64(3*256*8*8) / 1024
 	small := make([]SealedJob, 64)
 	var smallIn, smallOut float64
 	for i := range small {
@@ -386,8 +388,8 @@ func TestSealedJobAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"RunJobSealed", runSealed, 2*in + 3*out + 64},
-		{"RunJob", runPlain, in + 3*out + 64},
+		{"RunJobSealed", runSealed, 2*in + 3*out + rows + 64},
+		{"RunJob", runPlain, in + 3*out + rows + 64},
 		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, 2*smallIn + 3*smallOut + float64(len(small))*2 + 64},
 	} {
 		c.run() // warm: session, burst scratch, batch scratch
@@ -399,15 +401,25 @@ func TestSealedJobAllocBudget(t *testing.T) {
 	}
 }
 
+// warmAllocsPerJob runs a job through one session epoch, then returns its
+// allocations a call averaged over four epochs, so the per-epoch rotation
+// and key exchange are paid in proportion.
+func warmAllocsPerJob(run func()) float64 {
+	for i := 0; i < DefaultSessionRekeyEvery; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(4*DefaultSessionRekeyEvery, run)
+}
+
 // TestSealedJobAllocCount is the allocation-count tripwire beside the KiB
-// budget above: a warm 2 KiB sealed job, averaged over four session epochs
-// so the per-epoch rotation and key exchange are paid in proportion. Each
-// key schedule is expanded once per key, and every fixed-size frame is
+// budget above: a warm 2 KiB sealed job (see warmAllocsPerJob). Each key
+// schedule is expanded once per key, and every fixed-size frame is
 // built in a buffer its owner reuses, so what is left is the job's own:
-// the opened input, the IV, the host's and the fabric's CTR streams, the
-// DMA write acknowledgement, the fabric's input buffer, the kernel's
-// output and weight table, the read-back frame and the sealed output.
-// Measured at the commit before that: 81 allocations a job; now 10.
+// the opened input, the host's and the fabric's CTR streams, the DMA write
+// acknowledgement, the fabric's input buffer, the kernel's output, the
+// read-back frame and the sealed output. Measured at the commit before
+// that: 81 allocations a job; then 10; now 8, since the per-job IV and
+// Conv's weight table no longer allocate.
 func TestSealedJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -420,13 +432,33 @@ func TestSealedJobAllocCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < DefaultSessionRekeyEvery; i++ {
-		run()
-	}
-	const budget = 12
-	allocs := testing.AllocsPerRun(4*DefaultSessionRekeyEvery, run)
+	const budget = 10
+	allocs := warmAllocsPerJob(run)
 	t.Logf("2 KiB RunJobSealed: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("2 KiB RunJobSealed: %.2f allocations a job, budget %d", allocs, budget)
+	}
+}
+
+// TestLoneRunJobAllocCount pins the allocations of a warm lone plaintext
+// 2 KiB RunJob (see warmAllocsPerJob) at exactly the 7 it makes: any new
+// allocation on this path fails here. The per-job IV lives in the plan's job slot and Conv keeps its
+// weights and packed rows on the stack, so neither allocates (9 before).
+func TestLoneRunJobAllocCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1)
+	run := func() {
+		if _, err := r.RunJob(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 7
+	allocs := warmAllocsPerJob(run)
+	t.Logf("2 KiB RunJob: %.2f allocations a job (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("2 KiB RunJob: %.2f allocations a job, budget %d", allocs, budget)
 	}
 }

@@ -187,7 +187,7 @@ func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byt
 // into its middle, and the kernel's output CTR (when it encrypts output,
 // under the epoch's block) and the GCM seal under seal both run in place,
 // so the buffer ends up holding exactly cryptoutil.Seal's output.
-func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Block, iv []byte, seal cipher.AEAD) ([]byte, error) {
+func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Block, iv [16]byte, seal cipher.AEAD) ([]byte, error) {
 	size, lo := n, 0
 	if seal != nil {
 		size, lo = n+cryptoutil.SealOverhead, cryptoutil.NonceSize

@@ -3,31 +3,24 @@
 // TEE) and Table 6 (the slowdown each TEE adds over its own non-TEE
 // baseline).
 //
-// Two layers coexist:
-//
-//   - The analytic layer models the four configurations per benchmark —
-//     CPU plain, CPU TEE, FPGA plain, FPGA TEE — from per-application
-//     baseline times plus architectural overhead terms: enclave transition
-//     and OpenSSL-style buffer encryption plus transparent EPC encryption
-//     pressure for the CPU TEE; AES-CTR pipeline fill plus a small inline
-//     stall for the FPGA TEE. Plain-baseline times for Conv, Rendering and
-//     FaceDetect are the paper's own measurements (Table 6 cites Rosetta's
-//     U200 numbers for two of them); Affine and NNSearch baselines are
-//     chosen to land inside the paper's reported 1.17x–15.64x speedup
-//     band. EXPERIMENTS.md records modelled vs paper values.
-//
-//   - The measured layer (Measure*) really executes the Go kernels with
-//     real AES-CTR traffic encryption, for functional ground truth and for
-//     the testing.B benchmarks.
+// The model is analytic: it derives the four configurations per benchmark
+// — CPU plain, CPU TEE, FPGA plain, FPGA TEE — from per-application
+// baseline times plus architectural overhead terms: enclave transition and
+// OpenSSL-style buffer encryption plus transparent EPC encryption pressure
+// for the CPU TEE; AES-CTR pipeline fill plus a small inline stall for the
+// FPGA TEE. Plain-baseline times for Conv, Rendering and FaceDetect are the
+// paper's own measurements (Table 6 cites Rosetta's U200 numbers for two of
+// them); Affine and NNSearch baselines are chosen to land inside the
+// paper's reported 1.17x–15.64x speedup band. EXPERIMENTS.md records
+// modelled vs paper values. The Go kernels themselves, with real AES-CTR
+// traffic encryption, are timed by the root package's
+// BenchmarkFigure10Kernels.
 package perfmodel
 
 import (
 	"fmt"
 	"strings"
 	"time"
-
-	"salus/internal/accel"
-	"salus/internal/cryptoutil"
 )
 
 // AppModel carries one benchmark's workload character at paper scale.
@@ -235,37 +228,4 @@ func FormatFigure10(rows []SpeedupRow) string {
 
 func fmtMS(d time.Duration) string {
 	return fmt.Sprintf("%.2f ms", float64(d)/float64(time.Millisecond))
-}
-
-// MeasureCPU really runs a kernel on the host CPU, optionally with the TEE
-// data path (encrypt input, decrypt inside, compute, re-encrypt output as
-// the enclave boundary requires). Used by benchmarks for ground truth.
-func MeasureCPU(k accel.Kernel, w accel.Workload, tee bool) (time.Duration, error) {
-	start := time.Now()
-	input := w.Input
-	if tee {
-		key := cryptoutil.RandomKey(16)
-		iv := cryptoutil.RandomKey(16)
-		enc, err := cryptoutil.XORKeyStreamCTR(key, iv, w.Input)
-		if err != nil {
-			return 0, err
-		}
-		dec, err := cryptoutil.XORKeyStreamCTR(key, iv, enc)
-		if err != nil {
-			return 0, err
-		}
-		input = dec
-	}
-	out, err := k.Compute(w.Params, input)
-	if err != nil {
-		return 0, err
-	}
-	if tee && k.EncryptOutput() {
-		key := cryptoutil.RandomKey(16)
-		iv := cryptoutil.RandomKey(16)
-		if _, err := cryptoutil.XORKeyStreamCTR(key, iv, out); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
 }

@@ -166,31 +166,3 @@ func TestFormatters(t *testing.T) {
 		t.Errorf("Figure 10 output malformed:\n%s", f10)
 	}
 }
-
-func TestMeasureCPUModes(t *testing.T) {
-	w, _ := accel.TestWorkload("Affine", 5)
-	plain, err := MeasureCPU(accel.Affine{}, w, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tee, err := MeasureCPU(accel.Affine{}, w, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain <= 0 || tee <= 0 {
-		t.Errorf("non-positive measurements: %v %v", plain, tee)
-	}
-}
-
-func BenchmarkMeasuredKernelsTEE(b *testing.B) {
-	for _, k := range accel.Kernels() {
-		w, _ := accel.TestWorkload(k.Name(), 1)
-		b.Run(k.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MeasureCPU(k, w, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
