@@ -124,10 +124,16 @@ type Device interface {
 type Core struct {
 	kernel Kernel
 
-	mu     sync.Mutex
-	regs   map[uint32]uint64
-	mem    []byte
-	tree   *merkle.Tree // nil = unprotected memory
+	mu   sync.Mutex
+	regs map[uint32]uint64
+	// mem is device memory up to its high-water mark: it grows on the first
+	// write past the mark (see grow), and every byte beyond it reads as
+	// zero, so a partition costs the memory its jobs touch, not MemBytes.
+	mem  []byte
+	tree *merkle.Tree // nil = unprotected memory
+	// input is the fabric's one kernel input buffer, reused by every run
+	// (kernels never alias their input).
+	input  []byte
 	keySet bool
 	status uint64
 	outLen uint64
@@ -147,21 +153,23 @@ type Core struct {
 // tree.
 const IntegrityBlock = 64
 
-// NewCore instantiates the accelerator for a kernel.
+// NewCore instantiates the accelerator for a kernel. Its device memory is
+// allocated on first touch.
 func NewCore(k Kernel) *Core {
 	return &Core{
 		kernel: k,
 		regs:   make(map[uint32]uint64),
-		mem:    make([]byte, MemBytes),
 	}
 }
 
 // NewProtectedCore instantiates the accelerator with a Bonsai-Merkle-style
 // integrity tree over its device memory: every DMA read and every kernel
 // input fetch is verified against the on-chip root, so off-chip tampering
-// surfaces as an integrity error instead of silently corrupt results.
+// surfaces as an integrity error instead of silently corrupt results. The
+// tree covers the whole window, so its memory is allocated up front.
 func NewProtectedCore(k Kernel) (*Core, error) {
 	c := NewCore(k)
+	c.mem = make([]byte, MemBytes)
 	t, err := merkle.New(c.mem, IntegrityBlock)
 	if err != nil {
 		return nil, err
@@ -179,6 +187,40 @@ func blockRange(addr uint64, n int) (first, last int) {
 		return 0, -1
 	}
 	return int(addr / IntegrityBlock), int((addr + uint64(n) - 1) / IntegrityBlock)
+}
+
+// grow raises the high-water mark to end <= MemBytes, doubling the backing
+// array so a run of growing writes copies it O(log n) times. Bytes past the
+// old mark are fresh zeros. Callers hold c.mu.
+func (c *Core) grow(end uint64) {
+	if end <= uint64(len(c.mem)) {
+		return
+	}
+	if end > uint64(cap(c.mem)) {
+		m := make([]byte, end, min(max(end, 2*uint64(cap(c.mem))), MemBytes))
+		copy(m, c.mem)
+		c.mem = m
+	}
+	c.mem = c.mem[:end]
+}
+
+// store writes data at addr, growing device memory to cover it (an empty
+// write touches nothing), and refreshes the integrity tree. Callers hold
+// c.mu and have range-checked the span.
+func (c *Core) store(addr uint64, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	c.grow(addr + uint64(len(data)))
+	copy(c.mem[addr:], data)
+	c.syncBlocks(addr, len(data))
+}
+
+// backed returns the part of [addr, addr+n) below the high-water mark; the
+// rest reads as zero. Callers hold c.mu and have range-checked the span.
+func (c *Core) backed(addr, n uint64) []byte {
+	lo := min(addr, uint64(len(c.mem)))
+	return c.mem[lo:min(addr+n, uint64(len(c.mem)))]
 }
 
 // syncBlocks refreshes tree leaves after a write; callers hold c.mu.
@@ -217,6 +259,7 @@ func (c *Core) CorruptMem(addr uint64) error {
 	if addr >= MemBytes {
 		return fmt.Errorf("%w: corrupt at %d", ErrMemRange, addr)
 	}
+	c.grow(addr + 1)
 	c.mem[addr] ^= 0xFF
 	return nil
 }
@@ -288,8 +331,7 @@ func (c *Core) WriteMem(addr uint64, data []byte) error {
 	if addr > MemBytes || uint64(len(data)) > MemBytes-addr {
 		return fmt.Errorf("%w: write [%d,%d)", ErrMemRange, addr, addr+uint64(len(data)))
 	}
-	copy(c.mem[addr:], data)
-	c.syncBlocks(addr, len(data))
+	c.store(addr, data)
 	return nil
 }
 
@@ -304,7 +346,7 @@ func (c *Core) ReadMem(addr uint64, dst []byte) error {
 	if err := c.checkBlocks(addr, n); err != nil {
 		return err
 	}
-	copy(dst, c.mem[addr:])
+	clear(dst[copy(dst, c.backed(addr, uint64(n))):])
 	return nil
 }
 
@@ -367,10 +409,15 @@ func (c *Core) run() {
 	if err := c.checkBlocks(inAddr, int(inLen)); err != nil {
 		return
 	}
-	// The kernel's one input buffer. Inline stream decryption at the memory
-	// interface (Table 4: inbound traffic is always encrypted in TEE mode)
-	// fills it straight from device memory, which keeps the ciphertext.
-	input := make([]byte, inLen)
+	// The kernel's one input buffer, reused across runs. Inline stream
+	// decryption at the memory interface (Table 4: inbound traffic is always
+	// encrypted in TEE mode) fills it straight from device memory, which
+	// keeps the ciphertext; input past the high-water mark is zeros.
+	if uint64(cap(c.input)) < inLen {
+		c.input = make([]byte, inLen)
+	}
+	input := c.input[:inLen]
+	src := c.backed(inAddr, inLen)
 	var block cipher.Block
 	if c.keySet {
 		var err error
@@ -380,9 +427,13 @@ func (c *Core) run() {
 		binary.BigEndian.PutUint64(c.iv[0:], c.regs[RegIV1])
 		binary.BigEndian.PutUint64(c.iv[8:], c.regs[RegIV0])
 		foldJobIndex(c.iv[:], jobIdx)
-		cipher.NewCTR(block, c.iv[:]).XORKeyStream(input, c.mem[inAddr:inAddr+inLen])
+		ctr := cipher.NewCTR(block, c.iv[:])
+		ctr.XORKeyStream(input, src)
+		rest := input[len(src):]
+		clear(rest)
+		ctr.XORKeyStream(rest, rest)
 	} else {
-		copy(input, c.mem[inAddr:])
+		clear(input[copy(input, src):])
 	}
 
 	params := [4]uint64{c.regs[RegParam0], c.regs[RegParam1], c.regs[RegParam2], c.regs[RegParam3]}
@@ -401,8 +452,7 @@ func (c *Core) run() {
 	if outAddr > MemBytes || uint64(len(out)) > MemBytes-outAddr {
 		return
 	}
-	copy(c.mem[outAddr:], out)
-	c.syncBlocks(outAddr, len(out))
+	c.store(outAddr, out)
 	c.outLen = uint64(len(out))
 	c.status = StatusDone
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"salus/internal/siphash"
 )
@@ -722,15 +723,22 @@ func DecodeMemRead(b []byte) (MemRead, error) {
 	return MemRead{Addr: binary.BigEndian.Uint64(body), N: binary.BigEndian.Uint32(body[8:12])}, nil
 }
 
-// EncodeMemData frames an n-byte DMA read response in one exact-size
-// buffer and returns the frame together with its data region, which the
-// caller fills (the CL's DMA engine reads device memory straight into it).
-// n = 0 is the empty acknowledgement of a DMA write.
-func EncodeMemData(n uint32) (frame, data []byte) {
-	frame = make([]byte, 1+4+int(n))
-	frame[0] = MsgMemData
-	binary.BigEndian.PutUint32(frame[1:], n)
-	return frame, frame[5:]
+// DMABurst is the most data one DMA frame carries on the job path: the
+// host splits larger transfers into bursts, as a real PCIe DMA engine does.
+const DMABurst = 1 << 20
+
+// AppendMemData appends an n-byte DMA read response frame to dst and
+// returns the frame together with its data region, which the caller fills
+// (the CL's DMA engine reads device memory straight into it), so a
+// responder can reuse one frame buffer. The data region is not cleared: the
+// caller must fill all of it. n = 0 is the empty acknowledgement of a DMA
+// write.
+func AppendMemData(dst []byte, n uint32) (frame, data []byte) {
+	start := len(dst)
+	frame = slices.Grow(dst, 1+4+int(n))[:start+1+4+int(n)]
+	frame[start] = MsgMemData
+	binary.BigEndian.PutUint32(frame[start+1:], n)
+	return frame, frame[start+5:]
 }
 
 // DecodeMemData parses DMA read data.

@@ -204,7 +204,7 @@ func TestMemMessages(t *testing.T) {
 	if err != nil || gotR != r {
 		t.Errorf("MemRead round trip: %+v, %v", gotR, err)
 	}
-	dEnc, dFill := EncodeMemData(3)
+	dEnc, dFill := AppendMemData(nil, 3)
 	copy(dFill, []byte{1, 2, 3})
 	data, err := DecodeMemData(dEnc)
 	if err != nil || !bytes.Equal(data, []byte{1, 2, 3}) {
@@ -218,7 +218,7 @@ func TestMemRejectsLengthMismatch(t *testing.T) {
 	if _, err := DecodeMemWrite(enc[:len(enc)-1]); err == nil {
 		t.Error("accepted truncated MemWrite")
 	}
-	encD, _ := EncodeMemData(4)
+	encD, _ := AppendMemData(nil, 4)
 	if _, err := DecodeMemData(append(encD, 0xFF)); err == nil {
 		t.Error("accepted over-long MemData")
 	}

@@ -130,6 +130,11 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 // and runs ws through the job engine, each output sealed under the data
 // key. A job whose input fails authentication is rejected alone in
 // results. Callers hold jobMu.
+//
+// The inputs are opened side by side into s.plain, the System's plaintext
+// scratch, which is zeroed before the call returns. A call whose inputs
+// outgrow device memory opens into a one-off buffer the System does not
+// keep (zeroed all the same).
 func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel.Workload, results []BatchResult, chunks []batchChunk, plan []batchJob) error {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted")
@@ -142,12 +147,26 @@ func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel
 	if err != nil {
 		return err
 	}
+	total := 0
+	for _, j := range jobs {
+		total += max(len(j.Input)-cryptoutil.SealOverhead, 0)
+	}
+	plain := s.plain
+	if cap(plain) < total {
+		plain = make([]byte, 0, total)
+		if total <= accel.MemBytes {
+			s.plain = plain
+		}
+	}
+	used := 0
+	defer func() { clear(plain[:used]) }()
 	for i, j := range jobs {
-		input, err := cryptoutil.OpenWith(aead, j.Input, jobInputAD)
+		input, err := cryptoutil.AppendOpenWith(plain[used:used], aead, j.Input, jobInputAD)
 		if err != nil {
 			results[i].Err = fmt.Errorf("core: sealed job input rejected: %w", err)
 			continue
 		}
+		used += len(input)
 		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: input}
 	}
 	return s.runJobBatchLocked(ws, results, aead, chunks, plan)

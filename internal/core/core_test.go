@@ -64,6 +64,35 @@ func TestDevelopCL(t *testing.T) {
 	}
 }
 
+// TestSystemDeploysAGivenPackage: a system handed a developed package
+// deploys it as is and boots, and refuses one built for another kernel or
+// for the other CL variant.
+func TestSystemDeploysAGivenPackage(t *testing.T) {
+	conv, err := DevelopCL(accel.Conv{}, netlist.TestDevice, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affine, err := DevelopCL(accel.Affine{}, netlist.TestDevice, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestSystem(t, func(c *SystemConfig) { c.Package = conv })
+	if s.Package != conv {
+		t.Fatal("the system developed its own package instead of deploying the given one")
+	}
+	if _, err := s.SecureBoot(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]SystemConfig{
+		"another kernel":        {Kernel: accel.Conv{}, Package: affine},
+		"the protected variant": {Kernel: accel.Conv{}, Package: conv, ProtectedMemory: true},
+	} {
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem accepted a package built for %s", name)
+		}
+	}
+}
+
 func TestSecureBootSucceeds(t *testing.T) {
 	s := newTestSystem(t)
 	rep, err := s.SecureBoot()

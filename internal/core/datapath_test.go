@@ -149,6 +149,42 @@ func TestRecorderFramesSurviveBurstReuse(t *testing.T) {
 	}
 }
 
+// readKeeper is a shell that breaks the borrow contract: it keeps every DMA
+// read response it carries without copying it.
+type readKeeper struct {
+	shell.PassThrough
+	kept [][]byte
+}
+
+func (k *readKeeper) OnResponse(r []byte) []byte {
+	if channel.MsgType(r) == channel.MsgMemData && len(r) > 5 {
+		k.kept = append(k.kept, r)
+	}
+	return r
+}
+
+// TestKeptReadFrameIsPoisoned: a DMA read response is the SM logic's reused
+// read frame, and under -race the host poisons it with 0xA5 as soon as it
+// has copied the data out, so a shell that kept the frame reads garbage at
+// once instead of the next read's data.
+func TestKeptReadFrameIsPoisoned(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("frames are poisoned only under the race detector")
+	}
+	keeper := &readKeeper{}
+	r := newSealedRig(t, func(c *SystemConfig) { c.Interceptor = keeper })
+	w := accel.GenConv(16, 16, 4, 1)
+	r.run(t, w, r.seal(t, w.Input))
+	if len(keeper.kept) == 0 {
+		t.Fatal("the job read nothing back")
+	}
+	for i, f := range keeper.kept {
+		if !bytes.Equal(f, bytes.Repeat([]byte{0xA5}, len(f))) {
+			t.Errorf("kept read frame %d was not poisoned", i)
+		}
+	}
+}
+
 // plaintextWindows indexes every 32-byte window of the given plaintexts by
 // a polynomial hash, so a bus frame can be scanned for any of them in one
 // rolling pass.
@@ -336,12 +372,12 @@ func allocKiB(f func()) float64 {
 }
 
 // TestSealedJobAllocBudget keeps the job data path's copy count in tier-1.
-// A sealed job may allocate the enclave's opened input, the fabric's
-// decrypted input, the kernel's result, the CL's response frame and the
-// enclave's seal buffer: 2 × input + 3 × output, plus Conv's scratch of
-// three packed input rows (int64 per value: 48 KiB at 256 × 8) and 64 KiB
-// of small change. RunJob has no opened input, and its result is the
-// plaintext buffer in place of the seal buffer: input + 3 × output. A
+// The opened input, the fabric's decrypted input and the CL's DMA read
+// frame are scratch their owners reuse (System, Core, Logic), so a sealed
+// job may allocate only the kernel's result and the enclave's seal buffer:
+// 2 × output, plus Conv's scratch of three packed input rows (int64 per
+// value: 48 KiB at 256 × 8) and 64 KiB of small change. RunJob's result is
+// the plaintext buffer in place of the seal buffer: the same 2 × output. A
 // batch job of 2 KiB also pays for its two CTR streams and for rounding
 // its 784-byte buffers up to the allocator's 896-byte size class, 2 KiB a
 // job in all.
@@ -350,7 +386,9 @@ func allocKiB(f func()) float64 {
 // input, 258,064 B output): RunJobSealed 8,987 KiB, RunJob 7,703 KiB, and a
 // 64 × 2 KiB sealed batch 1,687 KiB. Before each key was expanded once, a
 // batch job also expanded four AES key schedules and two GCM instances
-// (5 KiB a job in all; the batch measured 783 KiB, now 554).
+// (5 KiB a job in all; the batch measured 783 KiB, then 554). Before the
+// per-job payload buffers became owner-held scratch: 2,865, 1,841 and
+// 531 KiB; now 561, 561 and 219.
 func TestSealedJobAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -358,14 +396,13 @@ func TestSealedJobAllocBudget(t *testing.T) {
 	r := newSealedRig(t)
 	bulk := accel.GenConv(256, 256, 8, 4)
 	sealed := r.seal(t, bulk.Input)
-	in, out := float64(len(bulk.Input))/1024, float64((256-2)*(256-2)*4)/1024
+	out := float64((256-2)*(256-2)*4) / 1024
 	rows := float64(3*256*8*8) / 1024
 	small := make([]SealedJob, 64)
-	var smallIn, smallOut float64
+	var smallOut float64
 	for i := range small {
 		w := accel.GenConv(16, 16, 4, int64(i))
 		small[i] = SealedJob{Params: w.Params, Input: r.seal(t, w.Input)}
-		smallIn += float64(len(w.Input)) / 1024
 		smallOut += float64((16-2)*(16-2)*4) / 1024
 	}
 	runSealed := func() {
@@ -388,9 +425,9 @@ func TestSealedJobAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"RunJobSealed", runSealed, 2*in + 3*out + rows + 64},
-		{"RunJob", runPlain, in + 3*out + rows + 64},
-		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, 2*smallIn + 3*smallOut + float64(len(small))*2 + 64},
+		{"RunJobSealed", runSealed, 2*out + rows + 64},
+		{"RunJob", runPlain, 2*out + rows + 64},
+		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, 2*smallOut + float64(len(small))*2 + 64},
 	} {
 		c.run() // warm: session, burst scratch, batch scratch
 		got := allocKiB(c.run)
@@ -413,13 +450,14 @@ func warmAllocsPerJob(run func()) float64 {
 
 // TestSealedJobAllocCount is the allocation-count tripwire beside the KiB
 // budget above: a warm 2 KiB sealed job (see warmAllocsPerJob). Each key
-// schedule is expanded once per key, and every fixed-size frame is
+// schedule is expanded once per key, and every frame and payload buffer is
 // built in a buffer its owner reuses, so what is left is the job's own:
-// the opened input, the host's and the fabric's CTR streams, the DMA write
-// acknowledgement, the fabric's input buffer, the kernel's output, the
-// read-back frame and the sealed output. Measured at the commit before
-// that: 81 allocations a job; then 10; now 8, since the per-job IV and
-// Conv's weight table no longer allocate.
+// the host's and the fabric's CTR streams, the kernel's output and the
+// sealed output. Measured at the commit before that: 81 allocations a job;
+// then 10; then 8, since the per-job IV and Conv's weight table no longer
+// allocate; now 4, since the opened input, the fabric's input buffer, the
+// DMA write acknowledgement and the read-back frame are owner-held
+// scratch.
 func TestSealedJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -432,7 +470,7 @@ func TestSealedJobAllocCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 10
+	const budget = 4
 	allocs := warmAllocsPerJob(run)
 	t.Logf("2 KiB RunJobSealed: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {
@@ -441,9 +479,13 @@ func TestSealedJobAllocCount(t *testing.T) {
 }
 
 // TestLoneRunJobAllocCount pins the allocations of a warm lone plaintext
-// 2 KiB RunJob (see warmAllocsPerJob) at exactly the 7 it makes: any new
-// allocation on this path fails here. The per-job IV lives in the plan's job slot and Conv keeps its
-// weights and packed rows on the stack, so neither allocates (9 before).
+// 2 KiB RunJob (see warmAllocsPerJob) at exactly the 4 it makes — the two
+// CTR streams, the kernel's output and the result — so any new allocation
+// on this path fails here. The per-job IV lives in the plan's job slot and
+// Conv keeps its weights and packed rows on the stack, so neither
+// allocates (9 before); the fabric's input buffer, the DMA write
+// acknowledgement and the read-back frame are owner-held scratch (7
+// before).
 func TestLoneRunJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -455,10 +497,36 @@ func TestLoneRunJobAllocCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 7
+	const budget = 4
 	allocs := warmAllocsPerJob(run)
 	t.Logf("2 KiB RunJob: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("2 KiB RunJob: %.2f allocations a job, budget %d", allocs, budget)
 	}
+}
+
+// TestSealedPlaintextScratchZeroed: sealed inputs are opened into the
+// System's one plaintext scratch, and no plaintext is left in it once the
+// call returns — after a lone sealed job and after a sealed batch.
+func TestSealedPlaintextScratchZeroed(t *testing.T) {
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1)
+	sealed := r.seal(t, w.Input)
+	check := func(after string, opened int) {
+		t.Helper()
+		scratch := r.plain[:cap(r.plain)]
+		if len(scratch) < opened {
+			t.Fatalf("after %s: the plaintext scratch has room for %d bytes, the call opened %d", after, len(scratch), opened)
+		}
+		if !bytes.Equal(scratch, make([]byte, len(scratch))) {
+			t.Errorf("after %s: plaintext left in the scratch", after)
+		}
+	}
+	r.run(t, w, sealed)
+	check("RunJobSealed", len(w.Input))
+	jobs := []SealedJob{{w.Params, sealed}, {w.Params, sealed}, {w.Params, sealed}}
+	if _, err := r.RunJobSealedBatch("Conv", jobs); err != nil {
+		t.Fatal(err)
+	}
+	check("a 3-job RunJobSealedBatch", 3*len(w.Input))
 }

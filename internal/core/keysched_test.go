@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/cipher"
 	"fmt"
 	"reflect"
@@ -125,5 +126,61 @@ func TestReclaimDropsEveryKeySchedule(t *testing.T) {
 	}
 	if _, err := r.RunJobSealed("Conv", w.Params, sealed); err == nil {
 		t.Error("a sealed job ran after Reclaim")
+	}
+}
+
+// heldSlices returns the path of every slice with capacity that the System
+// value itself holds (its own fields and the structs and arrays inside
+// them; pointers are not followed — the enclaves have their own walk).
+func heldSlices(s *System) []string {
+	var found []string
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Slice:
+			if v.Cap() > 0 {
+				found = append(found, path)
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.ValueOf(s).Elem(), "System")
+	return found
+}
+
+// TestReclaimDropsEveryJobScratch: besides key schedules, Reclaim drops
+// every buffer the job path reuses — the DMA burst, the register frame, the
+// register program and results (which carry an epoch's key words) and the
+// sealed-input plaintext scratch, which it zeroes first.
+func TestReclaimDropsEveryJobScratch(t *testing.T) {
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1)
+	sealed := r.seal(t, w.Input)
+	r.run(t, w, sealed)
+	if _, err := r.RunJobSealedBatch("Conv", []SealedJob{{Params: w.Params, Input: sealed}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := strings.Join(heldSlices(r.System), " ")
+	for _, f := range []string{"System.burst", "System.regFrame", "System.plain", "System.batchTxns", "System.batchRes"} {
+		if !strings.Contains(warm, f) {
+			t.Fatalf("%s holds nothing before Reclaim (held: %s): the walk is blind", f, warm)
+		}
+	}
+	plain := r.plain[:cap(r.plain)]
+	copy(plain, w.Input) // as if a call had left plaintext behind
+
+	r.Reclaim()
+	if left := heldSlices(r.System); len(left) != 0 {
+		t.Errorf("job scratch held after Reclaim: %v", left)
+	}
+	if !bytes.Equal(plain, make([]byte, len(plain))) {
+		t.Error("Reclaim dropped the plaintext scratch without zeroing it")
 	}
 }

@@ -137,10 +137,6 @@ var (
 	jobOutputAD = []byte("job-output")
 )
 
-// dmaBurst is the DMA chunk size: large transfers are split into bursts,
-// as a real PCIe DMA engine does.
-const dmaBurst = 1 << 20
-
 // memWriteHdr is the header of a channel.MsgMemWrite frame: the tag, the
 // u64 device address and the u32 payload length (channel.EncodeMemWrite).
 const memWriteHdr = 1 + 8 + 4
@@ -157,8 +153,8 @@ const memWriteHdr = 1 + 8 + 4
 // hold jobMu, and at most one writeInput runs at a time.
 func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byte) error {
 	ctr := cipher.NewCTR(block, iv)
-	for off := 0; off < len(plaintext); off += dmaBurst {
-		chunk := plaintext[off:min(off+dmaBurst, len(plaintext))]
+	for off := 0; off < len(plaintext); off += channel.DMABurst {
+		chunk := plaintext[off:min(off+channel.DMABurst, len(plaintext))]
 		if cap(s.burst) < memWriteHdr+len(chunk) {
 			s.burst = make([]byte, memWriteHdr+len(chunk))
 		}
@@ -212,10 +208,12 @@ func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Blo
 // dmaRead fills dst from device memory at addr in bursts, symmetric with
 // writeInput — an unbounded single MemRead would let one response frame
 // pin the whole result in flight. Each read request is built in the
-// register-frame scratch (see directReg).
+// register-frame scratch (see directReg). Each response is the SM logic's
+// reused read frame, lent until its next DMA read; under -race it is
+// poisoned once its data is copied out, like the request scratches.
 func (s *System) dmaRead(addr uint64, dst []byte) error {
-	for off := 0; off < len(dst); off += dmaBurst {
-		want := min(len(dst)-off, dmaBurst)
+	for off := 0; off < len(dst); off += channel.DMABurst {
+		want := min(len(dst)-off, channel.DMABurst)
 		s.regFrame = channel.AppendMemRead(s.regFrame[:0], channel.MemRead{Addr: addr + uint64(off), N: uint32(want)})
 		//lint:allow sealed-boundary MemRead frames carry only a public (address, length) header; returned data is ciphertext on the sealed path
 		resp, err := s.User.Direct(s.regFrame)
@@ -234,6 +232,7 @@ func (s *System) dmaRead(addr uint64, dst []byte) error {
 			return fmt.Errorf("core: DMA read returned %d bytes, want %d", len(chunk), want)
 		}
 		copy(dst[off:], chunk)
+		poison(resp)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"salus/internal/shell"
 	"salus/internal/simtime"
 	"salus/internal/smapp"
+	"salus/internal/smlogic"
 	"salus/internal/trace"
 	"salus/internal/userapp"
 )
@@ -78,6 +79,11 @@ type SystemConfig struct {
 	// Quotes shares one manufacturer quote exchange between SM enclaves of
 	// the same measurement (see smapp.QuotePool). Nil disables pooling.
 	Quotes *smapp.QuotePool
+	// Package deploys an already developed CL instead of running the
+	// development flow for this system, so a fleet builds its CL once. It is
+	// shared, never modified, and must have been developed for Kernel (and
+	// for ProtectedMemory's CL variant). Nil develops one at Seed.
+	Package *CLPackage
 }
 
 // System is an assembled deployment: every party of the threat model plus
@@ -121,11 +127,13 @@ type System struct {
 	lone      loneScratch
 
 	// burst is the DMA burst scratch every input frame is built in (see
-	// writeInput), and regFrame the scratch every direct register request
-	// and DMA read request is built in (see directReg); both guarded by
+	// writeInput), regFrame the scratch every direct register request and
+	// DMA read request is built in (see directReg), and plain the scratch
+	// sealed inputs are opened into (see runSealedLocked); all guarded by
 	// jobMu.
 	burst    []byte
 	regFrame []byte
+	plain    []byte
 }
 
 // NewSystem manufactures the device, provisions the TEE host, develops the
@@ -179,13 +187,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			return nil, err
 		}
 	}
-	develop := DevelopCL
+	logicID := smlogic.LogicID(cfg.Kernel)
 	if cfg.ProtectedMemory {
-		develop = DevelopProtectedCL
+		logicID = smlogic.ProtectedLogicID(cfg.Kernel)
 	}
-	pkg, err := develop(cfg.Kernel, cfg.Profile, cfg.Seed)
-	if err != nil {
-		return nil, err
+	pkg := cfg.Package
+	if pkg == nil {
+		var err error
+		if pkg, err = developCL(cfg.Kernel, cfg.Profile, cfg.Seed, logicID); err != nil {
+			return nil, err
+		}
+	} else if pkg.KernelName != cfg.Kernel.Name() || pkg.LogicID != logicID {
+		return nil, fmt.Errorf("core: package %s (%s) does not deploy kernel %s as %s",
+			pkg.DesignName, pkg.LogicID, cfg.Kernel.Name(), logicID)
 	}
 
 	clock := simtime.NewClock()
@@ -588,12 +602,14 @@ func (s *System) Booted() bool { return s.booted }
 // Reclaim decommissions the system's tenancy: it zeroizes every copy of
 // key material the deployment holds — the host-side data key and cached
 // session key/IV, the user enclave's data key and attestation secrets, and
-// the SM enclave's device/attestation/session keys — and marks the system
-// unbootable. An RP must be reclaimed after its tenant is drained and
-// before the partition is re-placed to a new tenant: the next tenant boots
-// a fresh System on the same (device, partition) pair, and nothing of the
-// previous occupant survives to be replayed against it. Serialised against
-// in-flight jobs; idempotent.
+// the SM enclave's device/attestation/session keys — drops every job
+// scratch the System owns (zeroing first the plaintext scratch and the
+// register program and results, which carry an epoch's key words), and
+// marks the system unbootable. An RP must be reclaimed after its tenant is
+// drained and before the partition is re-placed to a new tenant: the next
+// tenant boots a fresh System on the same (device, partition) pair, and
+// nothing of the previous occupant survives to be replayed against it.
+// Serialised against in-flight jobs; idempotent.
 func (s *System) Reclaim() {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
@@ -602,6 +618,10 @@ func (s *System) Reclaim() {
 	s.invalidateSession()
 	zeroBytes(s.dataKey)
 	s.dataKey = nil
+	zeroBytes(s.plain[:cap(s.plain)])
+	clear(s.batchTxns[:cap(s.batchTxns)])
+	clear(s.batchRes[:cap(s.batchRes)])
+	s.batchTxns, s.batchRes, s.burst, s.regFrame, s.plain = nil, nil, nil, nil, nil
 	s.User.Zeroize()
 	s.SM.Zeroize()
 	s.booted = false

@@ -59,7 +59,7 @@ func Seal(key, plaintext, additional []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SealWith(aead, plaintext, additional), nil
+	return AppendSealWith(make([]byte, 0, len(plaintext)+SealOverhead), aead, plaintext, additional), nil
 }
 
 // AppendSeal appends Seal's output to dst and returns the extended slice, so
@@ -79,7 +79,7 @@ func Open(key, ciphertext, additional []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OpenWith(aead, ciphertext, additional)
+	return AppendOpenWith(nil, aead, ciphertext, additional)
 }
 
 // NewAEAD expands key into the AES-GCM instance the *With functions below
@@ -93,11 +93,6 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 		return nil, fmt.Errorf("cryptoutil: %w", err)
 	}
 	return cipher.NewGCM(block)
-}
-
-// SealWith is Seal under an expanded key: one exact-size allocation.
-func SealWith(aead cipher.AEAD, plaintext, additional []byte) []byte {
-	return AppendSealWith(make([]byte, 0, len(plaintext)+SealOverhead), aead, plaintext, additional)
 }
 
 // AppendSealWith is AppendSeal under an expanded key. The nonce is drawn
@@ -127,23 +122,9 @@ func SealInPlaceWith(aead cipher.AEAD, buf, additional []byte) error {
 	return nil
 }
 
-// OpenWith is Open under an expanded key; the plaintext is a new buffer.
-func OpenWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
-	return open(aead, nil, ciphertext, additional)
-}
-
-// OpenInPlaceWith is OpenWith decrypting over the ciphertext's own bytes:
-// the plaintext it returns aliases ciphertext[NonceSize:]. For a caller
-// that owns the sealed buffer and needs it no longer. On failure the
-// buffer's contents are unspecified.
-func OpenInPlaceWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
-	if len(ciphertext) < NonceSize {
-		return nil, ErrDecrypt
-	}
-	return open(aead, ciphertext[NonceSize:NonceSize], ciphertext, additional)
-}
-
-func open(aead cipher.AEAD, dst, ciphertext, additional []byte) ([]byte, error) {
+// AppendOpenWith is Open under an expanded key, appending the plaintext to
+// dst, so a caller with room in dst opens without allocating.
+func AppendOpenWith(dst []byte, aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
 	if len(ciphertext) < NonceSize+aead.Overhead() {
 		return nil, ErrDecrypt
 	}
@@ -152,6 +133,17 @@ func open(aead cipher.AEAD, dst, ciphertext, additional []byte) ([]byte, error) 
 		return nil, ErrDecrypt
 	}
 	return pt, nil
+}
+
+// OpenInPlaceWith is AppendOpenWith decrypting over the ciphertext's own
+// bytes: the plaintext it returns aliases ciphertext[NonceSize:]. For a
+// caller that owns the sealed buffer and needs it no longer. On failure the
+// buffer's contents are unspecified.
+func OpenInPlaceWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, error) {
+	if len(ciphertext) < NonceSize {
+		return nil, ErrDecrypt
+	}
+	return AppendOpenWith(ciphertext[NonceSize:NonceSize], aead, ciphertext, additional)
 }
 
 // XORKeyStreamCTR encrypts (or decrypts — CTR is symmetric) src in one call

@@ -140,7 +140,8 @@ type Manager struct {
 
 	bootTrace *trace.Log // merged per-device boot traces (Figure-9 fleet report)
 
-	rps int // partitions per board (>= 1)
+	rps int             // partitions per board (>= 1)
+	pkg *core.CLPackage // the CL every partition deploys, developed once
 
 	mu      sync.Mutex
 	members map[fpga.DNA][]*core.System // every adopted RP of each board
@@ -195,6 +196,11 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 	}
+	// Every member deploys the same CL: develop it once, not per partition.
+	pkg, err := core.DevelopCL(cfg.Kernel, profile, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	prepared := cfg.Prepared
 	if prepared == nil {
 		prepared = smapp.NewPreparedCache()
@@ -210,6 +216,7 @@ func New(cfg Config) (*Manager, error) {
 		prepared:  prepared,
 		quotes:    quotes,
 		rps:       rps,
+		pkg:       pkg,
 		sch:       sched.New(cfg.Scheduler),
 		bootTrace: trace.New(),
 		members:   make(map[fpga.DNA][]*core.System),
@@ -301,6 +308,7 @@ func (m *Manager) spawn(ignoreCap bool) ([]*core.System, error) {
 		HostPlatform: m.host,
 		Prepared:     m.prepared,
 		Quotes:       m.quotes,
+		Package:      m.pkg,
 	}
 	if m.cfg.Intercept != nil {
 		cfg.Interceptor = m.cfg.Intercept(dna)

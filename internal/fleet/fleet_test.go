@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -570,5 +571,38 @@ func TestManagerValidation(t *testing.T) {
 	}
 	if err := m.Adopt(nil); err == nil {
 		t.Error("Adopt(nil) succeeded")
+	}
+}
+
+// TestFleetPartitionCostsWhatItTouches: the fleet develops its CL once and
+// hands the same package to every partition it spawns, hot-added siblings
+// included, and a booted partition does not pin a device-memory window it
+// never used.
+func TestFleetPartitionCostsWhatItTouches(t *testing.T) {
+	const boards, rps = 2, 2
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	m := newManager(t, Config{DNAPrefix: "COST", RPsPerDevice: rps})
+	if err := m.BootFleet(boards); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	perRP := float64(m1.TotalAlloc-m0.TotalAlloc) / (boards * rps) / (1 << 20)
+	t.Logf("%d-board × %d-RP fleet: %.2f MiB allocated per partition", boards, rps, perRP)
+	if perRP >= 4 {
+		t.Errorf("booting a %d-board × %d-RP fleet allocated %.2f MiB per partition, want < 4", boards, rps, perRP)
+	}
+
+	if _, err := m.AddSibling(); err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[*core.CLPackage]bool{}
+	for _, dna := range m.Members() {
+		for _, sys := range m.Systems(dna) {
+			pkgs[sys.Package] = true
+		}
+	}
+	if len(pkgs) != 1 {
+		t.Errorf("the fleet's partitions deploy %d CL packages, want the one it developed", len(pkgs))
 	}
 }

@@ -58,6 +58,11 @@ type session struct {
 	dataAEAD cipher.AEAD
 	qos      QoS
 	qosSet   bool
+	// sealBufs are the free buffers job inputs are sealed into. Each call
+	// takes one and gives it back once conn.call has written its frame, so
+	// a session keeps as many as it has calls in flight. They only ever
+	// hold ciphertext.
+	sealBufs [][]byte
 }
 
 // dialSession opens a session toward a gateway, pinning the expectations
@@ -110,6 +115,28 @@ func (s *session) aead() (cipher.AEAD, error) {
 		return nil, fmt.Errorf("remote: session not attested")
 	}
 	return s.dataAEAD, nil
+}
+
+// takeSealBuf returns an empty buffer with room for n bytes of sealed
+// input, reusing a free one when it is large enough.
+func (s *session) takeSealBuf(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.sealBufs) - 1; k >= 0 {
+		b := s.sealBufs[k]
+		s.sealBufs = s.sealBufs[:k]
+		if cap(b) >= n {
+			return b
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+// giveSealBuf returns a buffer from takeSealBuf once nothing reads it.
+func (s *session) giveSealBuf(b []byte) {
+	s.mu.Lock()
+	s.sealBufs = append(s.sealBufs, b[:0])
+	s.mu.Unlock()
 }
 
 // Attest attests every device the session holds expectations for with one
@@ -170,26 +197,28 @@ var (
 	jobOutputAD = []byte("job-output")
 )
 
-// runJob seals the input under the shared data key, submits it under the
-// session key (empty for a gateway with no ring), and opens the sealed
-// result. Which device ran the job is irrelevant to its safety, since every
-// device that can hold the key was attested — by the owner, or enclave to
-// enclave — before the key reached it. Sealed jobs are pure and idempotent,
-// so a job lost to a broken connection is safely re-submitted over a fresh
-// one.
+// runJob seals the input under the shared data key into a seal buffer (see
+// takeSealBuf), submits it under the session key (empty for a gateway with
+// no ring), and opens the sealed result. Which device ran the job is
+// irrelevant to its safety, since every device that can hold the key was
+// attested — by the owner, or enclave to enclave — before the key reached
+// it. Sealed jobs are pure and idempotent, so a job lost to a broken
+// connection is safely re-submitted over a fresh one.
 func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]byte, FederationPlacement, error) {
 	aead, err := s.aead()
 	if err != nil {
 		return nil, FederationPlacement{}, err
 	}
-	sealedIn := cryptoutil.SealWith(aead, input, jobInputAD)
+	buf := s.takeSealBuf(len(input) + cryptoutil.SealOverhead)
 	tenant, class, deadlineMillis := s.qosFields()
 	req := JobRequest{
-		Kernel: kernel, Params: params, SealedInput: sealedIn,
+		Kernel: kernel, Params: params, SealedInput: cryptoutil.AppendSealWith(buf, aead, input, jobInputAD),
 		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
 	}
 	var resp JobResponse
-	if err := s.conn.call("Cluster.RunJob", req, &resp); err != nil {
+	err = s.conn.call("Cluster.RunJob", req, &resp)
+	s.giveSealBuf(buf)
+	if err != nil {
 		return nil, FederationPlacement{}, err
 	}
 	// The sealed output sits in the client's own exact-size response frame,
@@ -201,14 +230,14 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 	return out, FederationPlacement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
 }
 
-// runBatch seals every input and submits the whole batch in one RPC frame
-// under one session key; the gateway runs it through the scheduler's
-// batched path (one sealed register program per chunk on the device). Jobs
-// succeed or fail individually — the returned slice is index-aligned with
-// jobs — while the error covers whole-batch failures (unattested session,
-// unreachable gateway, malformed response). Like runJob, a batch lost to a
-// broken connection is safely re-submitted, and every output is opened in
-// place in the response frame.
+// runBatch seals every input, side by side in one seal buffer, and submits
+// the whole batch in one RPC frame under one session key; the gateway runs
+// it through the scheduler's batched path (one sealed register program per
+// chunk on the device). Jobs succeed or fail individually — the returned
+// slice is index-aligned with jobs — while the error covers whole-batch
+// failures (unattested session, unreachable gateway, malformed response).
+// Like runJob, a batch lost to a broken connection is safely re-submitted,
+// and every output is opened in place in the response frame.
 func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, FederationPlacement, error) {
 	aead, err := s.aead()
 	if err != nil {
@@ -222,11 +251,21 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 		Kernel: kernel, Jobs: make([]BatchJob, len(jobs)),
 		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
 	}
+	n := 0
+	for _, j := range jobs {
+		n += len(j.Input) + cryptoutil.SealOverhead
+	}
+	buf := s.takeSealBuf(n)
 	for i, j := range jobs {
-		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: cryptoutil.SealWith(aead, j.Input, jobInputAD)}
+		// buf has room for every input, so each seal lands in place.
+		start := len(buf)
+		buf = cryptoutil.AppendSealWith(buf, aead, j.Input, jobInputAD)
+		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: buf[start:]}
 	}
 	var resp BatchResponse
-	if err := s.conn.call("Cluster.RunBatch", req, &resp); err != nil {
+	err = s.conn.call("Cluster.RunBatch", req, &resp)
+	s.giveSealBuf(buf)
+	if err != nil {
 		return nil, FederationPlacement{}, err
 	}
 	if len(resp.Results) != len(jobs) {

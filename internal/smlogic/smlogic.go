@@ -189,6 +189,14 @@ type Logic struct {
 	// directResp is the buffer every direct register response is built in
 	// (guarded by mu), lent to the shell until the next transaction.
 	directResp []byte
+	// readFrame is the buffer every DMA read response of at most
+	// channel.DMABurst bytes is built in (guarded by mu), lent until the
+	// next DMA read; a larger read, which only a hostile shell asks for,
+	// gets a frame of its own. The host poisons it under -race once it has
+	// copied the data out (see core's dmaRead). writeAck is where every DMA
+	// write is acknowledged, lent until the next DMA write.
+	readFrame []byte
+	writeAck  []byte
 }
 
 // LogicID implements fpga.CL.
@@ -393,12 +401,15 @@ func (l *Logic) handleMemWrite(req []byte) []byte {
 	if err := l.accel.WriteMem(m.Addr, m.Data); err != nil {
 		return channel.EncodeError("smlogic: " + err.Error())
 	}
-	ack, _ := channel.EncodeMemData(0)
-	return ack
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.writeAck, _ = channel.AppendMemData(l.writeAck[:0], 0)
+	return l.writeAck
 }
 
 // handleMemRead answers a DMA read with one response frame that device
-// memory is read straight into.
+// memory is read straight into: the Logic's read frame for a burst-sized
+// read, borrowed until the next DMA read (see shell.Interceptor).
 func (l *Logic) handleMemRead(req []byte) []byte {
 	m, err := channel.DecodeMemRead(req)
 	if err != nil {
@@ -407,7 +418,15 @@ func (l *Logic) handleMemRead(req []byte) []byte {
 	if m.N > accel.MemBytes {
 		return channel.EncodeError(fmt.Sprintf("smlogic: DMA read of %d bytes exceeds device memory", m.N))
 	}
-	frame, data := channel.EncodeMemData(m.N)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var frame, data []byte
+	if m.N <= channel.DMABurst {
+		l.readFrame, data = channel.AppendMemData(l.readFrame[:0], m.N)
+		frame = l.readFrame
+	} else {
+		frame, data = channel.AppendMemData(nil, m.N)
+	}
 	if err := l.accel.ReadMem(m.Addr, data); err != nil {
 		return channel.EncodeError("smlogic: " + err.Error())
 	}

@@ -607,3 +607,46 @@ func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	}
 	isError(t, roundTrip(oldKey, 902), "rejected")
 }
+
+// TestHostileReadKeepsNoBigFrame: the Logic reuses one frame for DMA reads
+// up to channel.DMABurst bytes, the most the host's driver asks for. A
+// shell asking for all of device memory still gets its answer, in a frame
+// the Logic does not keep.
+func TestHostileReadKeepsNoBigFrame(t *testing.T) {
+	cl := loadedCL(t, cryptoutil.RandomKey(16), cryptoutil.RandomKey(16), 0)
+	resp, err := cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: 0, N: accel.MemBytes}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := channel.DecodeMemData(resp); err != nil || len(data) != accel.MemBytes {
+		t.Fatalf("16 MiB read: %d bytes, %v", len(data), err)
+	}
+	if held := cap(cl.(*Logic).readFrame); held > 1+4+channel.DMABurst {
+		t.Errorf("the Logic keeps a %d-byte read frame after a hostile read, want at most a burst", held)
+	}
+}
+
+// TestReadFrameIsReused: a burst-sized DMA read response is built in the
+// Logic's one read frame, which the next read reuses.
+func TestReadFrameIsReused(t *testing.T) {
+	cl := loadedCL(t, cryptoutil.RandomKey(16), cryptoutil.RandomKey(16), 0)
+	data := []byte("device memory contents")
+	wEnc, encErr := channel.EncodeMemWrite(channel.MemWrite{Addr: 0, Data: data})
+	if _, err := cl.HandleTransaction(mustEnc(t, wEnc, encErr)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() []byte {
+		resp, err := cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: 0, N: uint32(len(data))}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := channel.DecodeMemData(resp)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back %q, %v", got, err)
+		}
+		return resp
+	}
+	if first, second := read(), read(); &first[0] != &second[0] {
+		t.Error("the second read did not reuse the first read's frame")
+	}
+}
