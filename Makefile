@@ -33,13 +33,14 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
-# (scheduler, core job path, shell, accelerator, SM logic, fleet, and the
-# gateway wire) under the race detector. The frame-aliasing tests of the
-# gateway wire, of the job path's borrowed DMA frames and of the SM logic's
-# reused DMA read frame only bite with the race build's poisoning.
+# (scheduler, core job path, shell, accelerator, SM logic, fleet, the
+# gateway wire, and the secure boot's concurrent digest and decode checks)
+# under the race detector. The frame-aliasing tests of the gateway wire, of
+# the job path's borrowed DMA frames and of the SM logic's reused DMA read
+# frame only bite with the race build's poisoning.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
-	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/rpc ./internal/remote ./internal/federation
+	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
 # (whose images borrow their input), for the kernels' output bounds (which

@@ -226,6 +226,19 @@ func (im *Image) Frame(i int) []byte {
 	return append([]byte(nil), im.frame(i)...)
 }
 
+// Wipe zeroes every byte the image has written: the whole store of an
+// image that owns it, the patched frames of one that borrows. An image that
+// held injected secrets is wiped once they have been sealed; a borrowed
+// container is never touched. The wiped frames read as zero afterwards.
+func (im *Image) Wipe() {
+	if im.owned {
+		clear(im.store)
+	}
+	for _, f := range im.patched {
+		clear(f)
+	}
+}
+
 // VerifyFrames checks every frame's ECC word.
 func (im *Image) VerifyFrames() error {
 	fdb := im.Header.frameDataBytes()
@@ -249,16 +262,21 @@ func (im *Image) Cell(path string) (netlist.Location, bool) {
 
 // CellBytes reads n bytes of a cell's initial content starting at offset.
 func (im *Image) CellBytes(loc netlist.Location, offset, n int) ([]byte, error) {
+	return im.AppendCellBytes(make([]byte, 0, n), loc, offset, n)
+}
+
+// AppendCellBytes is CellBytes appending to dst, so a caller with room in
+// dst reads a cell without allocating.
+func (im *Image) AppendCellBytes(dst []byte, loc netlist.Location, offset, n int) ([]byte, error) {
 	if err := im.checkCellRange(loc, offset, n); err != nil {
 		return nil, err
 	}
 	fdb := im.Header.frameDataBytes()
-	out := make([]byte, 0, n)
-	for pos := offset; len(out) < n; pos += fdb - pos%fdb {
+	for end, pos := len(dst)+n, offset; len(dst) < end; pos += fdb - pos%fdb {
 		piece := im.frame(loc.FrameBase + pos/fdb)[pos%fdb : fdb]
-		out = append(out, piece[:min(len(piece), n-len(out))]...)
+		dst = append(dst, piece[:min(len(piece), end-len(dst))]...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // writeCell writes data into a cell's initial content at offset without

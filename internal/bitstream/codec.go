@@ -14,31 +14,47 @@ import (
 // shell: magic, header block, padding and bus-width detection words, sync
 // word, configuration packets (IDCODE, FAR, WCFG, FDRI with frame data),
 // global CRC, and DESYNC.
-func (im *Image) Encode() []byte { return im.encode(false) }
+func (im *Image) Encode() []byte {
+	return im.appendEncoded(make([]byte, 0, im.encodedLen(false)), false)
+}
 
 // EncodeCompressed serialises with multi-frame-write compression: runs of
 // identical consecutive frames are written once with a repeat count, as the
 // Xilinx bitstream compression option does. Unused (zeroed) partition area
 // collapses dramatically; place-and-route output barely compresses.
-func (im *Image) EncodeCompressed() []byte { return im.encode(true) }
+func (im *Image) EncodeCompressed() []byte {
+	return im.appendEncoded(make([]byte, 0, im.encodedLen(true)), true)
+}
 
-func (im *Image) encode(compressed bool) []byte {
-	h := im.Header
-	hdrLen := 3*4 + len(h.Device) + len(h.DesignName) + len(h.LogicID) + 6*4
+// EncodedLen is the length of Encode's container.
+func (im *Image) EncodedLen() int { return im.encodedLen(false) }
+
+// headerLen is the length of the header block after its length word.
+func (h Header) headerLen() int {
+	n := 3*4 + len(h.Device) + len(h.DesignName) + len(h.LogicID) + 6*4
 	for _, c := range h.Cells {
-		hdrLen += 4 + len(c.Path) + 2*4
+		n += 4 + len(c.Path) + 2*4
 	}
-	payloadLen := len(im.store)
-	if compressed {
-		payloadLen = 0
-		im.frameRuns(func(int, []byte) { payloadLen += 4 + h.FrameWords*4 })
-	}
-	// One buffer of exactly the container's size: magic and header block, 6
-	// words of front matter, 8 of packets, the payload, 4 of trailer.
-	out := make([]byte, 0, len(Magic)+4+hdrLen+(6+8+4)*4+payloadLen)
+	return n
+}
 
+// encodedLen is the container's length: magic and header block, 6 words of
+// front matter, 8 of packets, the frame payload, 4 of trailer.
+func (im *Image) encodedLen(compressed bool) int {
+	payload := len(im.store)
+	if compressed {
+		payload = 0
+		im.frameRuns(func(int, []byte) { payload += 4 + im.Header.FrameWords*4 })
+	}
+	return len(Magic) + 4 + im.Header.headerLen() + (6+8+4)*4 + payload
+}
+
+// appendEncoded appends the container to out; with encodedLen bytes of
+// spare capacity in out it writes them in place.
+func (im *Image) appendEncoded(out []byte, compressed bool) []byte {
+	h := im.Header
 	out = append(out, Magic...)
-	out = appendU32(out, uint32(hdrLen))
+	out = appendU32(out, uint32(h.headerLen()))
 	out = appendString(out, h.Device)
 	out = appendU32(out, h.IDCode)
 	out = appendString(out, h.DesignName)
@@ -74,7 +90,8 @@ func (im *Image) encode(compressed bool) []byte {
 	out = appendU32(out, type1(regCMD, 1))
 	out = appendU32(out, cmdWCFG)
 	out = appendU32(out, type1(regFDRI, 0))
-	out = appendU32(out, type2(uint32(payloadLen/4)))
+	fdriAt := len(out)
+	out = appendU32(out, 0) // word count, known once the payload is written
 	payloadAt := len(out)
 	if compressed {
 		// Multi-frame write: [repeat uint32][frame bytes] per run.
@@ -88,6 +105,8 @@ func (im *Image) encode(compressed bool) []byte {
 			copy(out[payloadAt+i*fb:], f)
 		}
 	}
+
+	binary.BigEndian.PutUint32(out[fdriAt:], type2(uint32((len(out)-payloadAt)/4)))
 
 	// Global CRC over the frame payload, then desync.
 	crc := crc32.ChecksumIEEE(out[payloadAt:])
@@ -143,6 +162,10 @@ func expandFrames(payload []byte, frames, frameBytes int) ([]byte, error) {
 // frame's ECC word. The image of an uncompressed container borrows data's
 // frame payload rather than copying it: data must stay unmodified for as
 // long as the image is in use, and the image never writes to it.
+//
+// The global CRC runs on its own goroutine beside the rest of the checks;
+// a CRC mismatch wins over whatever else they find, as it would if the
+// checks ran one after another.
 func Decode(data []byte) (*Image, error) {
 	if IsEncrypted(data) {
 		return nil, ErrEncrypted
@@ -155,7 +178,9 @@ func Decode(data []byte) (*Image, error) {
 	if r.err != nil || hdrLen < 0 || hdrLen > r.remaining() {
 		return nil, ErrCorrupt
 	}
-	hr := &reader{data: r.take(hdrLen)}
+	// The header's strings are substrings of one copy of the header block.
+	block := r.take(hdrLen)
+	hr := &reader{data: block, text: string(block)}
 	var h Header
 	h.Device = hr.str()
 	h.IDCode = hr.u32()
@@ -166,10 +191,14 @@ func Decode(data []byte) (*Image, error) {
 	h.FrameWords = int(hr.u32())
 	flags := hr.u32()
 	nc := int(hr.u32())
-	if hr.err != nil || h.Frames < 0 || h.FrameWords < 2 || h.Frames > maxFDRIWords/h.FrameWords || nc < 0 || nc > 1<<20 {
+	// A cell entry takes at least 12 bytes, which bounds the table.
+	if hr.err != nil || h.Frames < 0 || h.FrameWords < 2 || h.Frames > maxFDRIWords/h.FrameWords || nc < 0 || nc > hr.remaining()/12 {
 		return nil, ErrCorrupt
 	}
 	compressed := flags&flagCompressed != 0
+	if nc > 0 {
+		h.Cells = make([]netlist.Location, 0, nc)
+	}
 	for i := 0; i < nc; i++ {
 		var c netlist.Location
 		c.Path = hr.str()
@@ -221,10 +250,19 @@ func Decode(data []byte) (*Image, error) {
 	if r.err != nil {
 		return nil, ErrCorrupt
 	}
-	if crc != crc32.ChecksumIEEE(payload) {
+	crcOK := make(chan bool, 1)
+	go func() { crcOK <- crc32.ChecksumIEEE(payload) == crc }()
+	im, err := decodeFrames(r, h, payload, compressed)
+	if !<-crcOK {
 		return nil, ErrCRC
 	}
+	return im, err
+}
 
+// decodeFrames is the rest of Decode after the global CRC word: the DESYNC
+// trailer, then the image over the payload — expanded when compressed — and
+// its frame ECC walk.
+func decodeFrames(r *reader, h Header, payload []byte, compressed bool) (*Image, error) {
 	expectPacket(r, regCMD)
 	if cmd := r.u32(); r.err == nil && cmd != cmdDESYNC {
 		return nil, fmt.Errorf("%w: expected DESYNC trailer, got %#x", ErrCorrupt, cmd)
@@ -261,8 +299,31 @@ func Encrypt(encoded []byte, deviceKey []byte, device string) ([]byte, error) {
 	if len(encoded) < len(Magic) || string(encoded[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	out := make([]byte, 0, len(EncMagic)+len(encoded)+cryptoutil.SealOverhead)
-	return cryptoutil.AppendSeal(append(out, EncMagic...), deviceKey, encoded, []byte(device))
+	return seal(deviceKey, device, len(encoded), func([]byte) []byte { return encoded })
+}
+
+// Encrypt is Encrypt of the image's Encode, with the container encoded
+// straight into the sealed buffer and sealed over itself: no plaintext copy
+// of it is left behind.
+func (im *Image) Encrypt(deviceKey []byte, device string) ([]byte, error) {
+	return seal(deviceKey, device, im.EncodedLen(), func(dst []byte) []byte {
+		return im.appendEncoded(dst, false)[len(dst):]
+	})
+}
+
+// seal builds EncMagic ‖ nonce ‖ ciphertext ‖ tag of an n-byte container in
+// one buffer. plaintext returns the container: one the caller holds, or one
+// it appends to dst — the buffer up to the ciphertext — which is then
+// sealed in place.
+func seal(deviceKey []byte, device string, n int, plaintext func(dst []byte) []byte) ([]byte, error) {
+	aead, err := cryptoutil.NewAEAD(deviceKey)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(EncMagic)+cryptoutil.NonceSize, len(EncMagic)+n+cryptoutil.SealOverhead)
+	copy(out, EncMagic)
+	pt := plaintext(out)
+	return cryptoutil.AppendSealWith(out[:len(EncMagic)], aead, pt, []byte(device)), nil
 }
 
 // IsEncrypted reports whether data is an encrypted container.
@@ -311,6 +372,7 @@ func expectPacket(r *reader, reg uint32) {
 
 type reader struct {
 	data []byte
+	text string // data as a string, for str
 	pos  int
 	err  error
 }
@@ -344,13 +406,17 @@ func (r *reader) u32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
+// str reads a length-prefixed string as a substring of text, so a reader
+// over a header block copies it once rather than once per string.
 func (r *reader) str() string {
 	n := int(r.u32())
 	if r.err != nil || n < 0 || n > r.remaining() {
 		r.err = ErrCorrupt
 		return ""
 	}
-	return string(r.take(n))
+	at := r.pos
+	r.take(n)
+	return r.text[at : at+n]
 }
 
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }

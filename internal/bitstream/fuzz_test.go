@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"salus/internal/cryptoutil"
@@ -68,8 +69,9 @@ func TestDecodedImageNeverWritesItsContainer(t *testing.T) {
 
 // FuzzDecode feeds arbitrary bytes — including mutations of valid
 // bitstreams — to the decoder; it must either return a valid image or an
-// error, never panic, and anything it accepts must re-encode canonically
-// and honour the borrowing contract.
+// error, never panic, and anything it accepts must re-encode canonically,
+// honour the borrowing contract, and turn into a CRC mismatch when one of
+// its payload bytes flips.
 func FuzzDecode(f *testing.F) {
 	d := &netlist.Design{Name: "cl", Modules: []netlist.ModuleSpec{
 		{Name: "sm", Res: netlist.Resources{LUT: 10, Register: 10, BRAM: 1},
@@ -103,6 +105,13 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encode of accepted image rejected: %v", err)
 		}
 		checkEditsStayOutOfContainer(t, data)
+		if start, n := payloadSpan(data); n > 0 {
+			flipped := append([]byte(nil), data...)
+			flipped[start+n/2] ^= 0x01
+			if _, err := Decode(flipped); !errors.Is(err, ErrCRC) {
+				t.Fatalf("payload byte %d flipped: Decode = %v, want ErrCRC", n/2, err)
+			}
+		}
 	})
 }
 

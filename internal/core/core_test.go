@@ -248,8 +248,8 @@ func TestAttackTamperEncryptedBitstream(t *testing.T) {
 
 func TestAttackServeWrongBitstream(t *testing.T) {
 	// A hostile CSP storage serves a different (validly formatted)
-	// bitstream: the SM enclave's digest check (⑤a) refuses to inject the
-	// RoT into it.
+	// bitstream: the SM enclave's digest check (⑤a) refuses it, and nothing
+	// built from it beside the check reaches the shell.
 	s := newTestSystem(t)
 	if err := s.User.LocalAttestSM(); err != nil {
 		t.Fatal(err)
@@ -265,8 +265,12 @@ func TestAttackServeWrongBitstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loads := s.Shell.Stats().Loads
 	if err := s.SM.DeployCL(other.Encoded); !errors.Is(err, smapp.ErrDigest) {
 		t.Errorf("err = %v, want ErrDigest", err)
+	}
+	if n := s.Shell.Stats().Loads - loads; n != 0 {
+		t.Errorf("the shell saw %d loads of the wrong bitstream", n)
 	}
 }
 

@@ -62,17 +62,6 @@ func Seal(key, plaintext, additional []byte) ([]byte, error) {
 	return AppendSealWith(make([]byte, 0, len(plaintext)+SealOverhead), aead, plaintext, additional), nil
 }
 
-// AppendSeal appends Seal's output to dst and returns the extended slice, so
-// a caller that frames a large ciphertext (the bitstream container's magic)
-// builds the message in one buffer. dst must not overlap plaintext.
-func AppendSeal(dst, key, plaintext, additional []byte) ([]byte, error) {
-	aead, err := NewAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	return AppendSealWith(dst, aead, plaintext, additional), nil
-}
-
 // Open authenticates and decrypts a Seal-produced ciphertext.
 func Open(key, ciphertext, additional []byte) ([]byte, error) {
 	aead, err := NewAEAD(key)
@@ -85,8 +74,8 @@ func Open(key, ciphertext, additional []byte) ([]byte, error) {
 // NewAEAD expands key into the AES-GCM instance the *With functions below
 // seal and open under. A holder of a long-lived key (a session's data key)
 // expands it once and keeps the instance for as long as it keeps the key;
-// Seal, AppendSeal and Open expand a fresh one per call. The instance is
-// safe for concurrent use.
+// Seal and Open expand a fresh one per call. The instance is safe for
+// concurrent use.
 func NewAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -95,9 +84,13 @@ func NewAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// AppendSealWith is AppendSeal under an expanded key. The nonce is drawn
-// straight into dst, so a dst with room for the whole message costs no
-// allocation.
+// AppendSealWith appends Seal's output under an expanded key to dst and
+// returns the extended slice, so a caller that frames a large ciphertext
+// (the bitstream container's magic) builds the message in one buffer. The
+// nonce is drawn straight into dst, so a dst with room for the whole
+// message costs no allocation. plaintext may lie exactly where the
+// ciphertext goes — in dst's capacity, NonceSize bytes past its length —
+// to seal in place; any other overlap with dst panics.
 func AppendSealWith(dst []byte, aead cipher.AEAD, plaintext, additional []byte) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, NonceSize)...)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"sync"
 
+	"salus/internal/bitstream"
 	"salus/internal/metrics"
 	"salus/internal/netlist"
 	"salus/internal/sgx"
@@ -29,7 +30,7 @@ var (
 // (RapidWright-under-Occlum), and the SM enclave's quote exchange. A fleet
 // booting K boards with one CL can pay each of those once:
 //
-//   - PreparedCache memoises the manipulated bitstream per (digest, Loc) and
+//   - PreparedCache memoises the manipulated image per (digest, Loc) and
 //     the encrypted ciphertext per (digest, device key, profile). Sharing the
 //     manipulation result means sharing the injected Key_attest/Key_session —
 //     sound only inside one SM-enclave trust domain (all consumers run the
@@ -46,13 +47,27 @@ var (
 // Both are optional: a nil cache/pool in Config preserves the exact
 // single-device behaviour.
 
-// preparedCL is one manipulation result: the RoT-injected bitstream plus the
-// secrets that were injected into it.
+// preparedCL is one manipulation result: the RoT-injected image and the
+// secrets that were injected into it. The image is the developer's package
+// — borrowed, read-only — with the secrets cell's frames patched over it, so
+// holding it costs those frames, not a copy of the container.
 type preparedCL struct {
-	manipulated []byte
-	keyAttest   []byte
-	keySession  []byte
-	ctrInit     uint64
+	image *bitstream.Image
+	// secrets is the injected cell (smlogic layout); keyAttest and
+	// keySession are views of it.
+	secrets    []byte
+	keyAttest  []byte
+	keySession []byte
+	ctrInit    uint64
+}
+
+// wipe zeroes the secrets and the image frames that hold them. A nil cl is
+// a no-op.
+func (cl *preparedCL) wipe() {
+	if cl != nil {
+		clear(cl.secrets)
+		cl.image.Wipe()
+	}
 }
 
 // manipKey identifies a manipulation: the CL digest pins the input bytes,
@@ -72,16 +87,83 @@ type encKey struct {
 	profile string
 }
 
-type manipEntry struct {
-	ready chan struct{} // closed when cl/err are set
-	cl    *preparedCL
+// flight is one single-flighted build; ready is closed once v and err are
+// set.
+type flight[V any] struct {
+	ready chan struct{}
+	v     V
 	err   error
 }
 
-type encEntry struct {
-	ready  chan struct{}
-	sealed []byte
-	err    error
+// memo runs each key's build once and shares its result. Concurrent calls
+// for a key wait for the one build in flight. A failed build is evicted, and
+// a caller that waited on it runs its own: the failure belonged to the
+// builder's input — one board served a wrong bitstream — and must not fail
+// every board booting the same CL beside it.
+type memo[K comparable, V any] struct {
+	mu          sync.Mutex
+	m           map[K]*flight[V]
+	built, hits int
+	mBuilt      *metrics.Counter
+	mHits       *metrics.Counter
+}
+
+func newMemo[K comparable, V any](built, hits *metrics.Counter) *memo[K, V] {
+	return &memo[K, V]{m: make(map[K]*flight[V]), mBuilt: built, mHits: hits}
+}
+
+// get returns key's value, building it if no build has succeeded or is in
+// flight. The bool reports a shared result.
+func (c *memo[K, V]) get(key K, build func() (V, error)) (V, bool, error) {
+	c.mu.Lock()
+	for {
+		e, ok := c.m[key]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		<-e.ready
+		c.mu.Lock()
+		if e.err == nil {
+			c.hits++
+			c.mu.Unlock()
+			c.mHits.Inc()
+			return e.v, true, nil
+		}
+	}
+	e := &flight[V]{ready: make(chan struct{})}
+	c.m[key] = e
+	c.mu.Unlock()
+
+	e.v, e.err = build()
+	c.mu.Lock()
+	if e.err != nil {
+		// Evict-if-current: a reset may already have dropped it. Evicting
+		// before waking the waiters keeps them from finding it again.
+		if c.m[key] == e {
+			delete(c.m, key)
+		}
+	} else {
+		c.built++
+		c.mBuilt.Inc()
+	}
+	c.mu.Unlock()
+	close(e.ready)
+	return e.v, false, e.err
+}
+
+// counts returns the successful builds and the shared results so far.
+func (c *memo[K, V]) counts() (built, hits int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.built, c.hits
+}
+
+// reset drops every entry; calls already holding one keep it.
+func (c *memo[K, V]) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
 }
 
 // PreparedStats counts cache activity; tests and benchmarks use it to prove
@@ -99,25 +181,30 @@ type PreparedStats struct {
 // same CL are single-flighted so the toolchain runs once and latecomers
 // block until the builder finishes.
 type PreparedCache struct {
-	mu    sync.Mutex
-	manip map[manipKey]*manipEntry
-	enc   map[encKey]*encEntry
-	stats PreparedStats
+	manip *memo[manipKey, *preparedCL]
+	enc   *memo[encKey, []byte]
+
+	mu            sync.Mutex
+	invalidations int
 }
 
 // NewPreparedCache returns an empty cache.
 func NewPreparedCache() *PreparedCache {
 	return &PreparedCache{
-		manip: make(map[manipKey]*manipEntry),
-		enc:   make(map[encKey]*encEntry),
+		manip: newMemo[manipKey, *preparedCL](mManip, mManipHits),
+		enc:   newMemo[encKey, []byte](mEnc, mEncHits),
 	}
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *PreparedCache) Stats() PreparedStats {
+	var st PreparedStats
+	st.Manipulations, st.ManipulationHits = c.manip.counts()
+	st.Encryptions, st.EncryptionHits = c.enc.counts()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st.Invalidations = c.invalidations
+	c.mu.Unlock()
+	return st
 }
 
 // Invalidate flushes every entry. The fleet manager calls this when the RoT
@@ -126,87 +213,25 @@ func (c *PreparedCache) Stats() PreparedStats {
 // already in flight keep the entry pointer they resolved and are unaffected;
 // invalidation governs future lookups only.
 func (c *PreparedCache) Invalidate() {
+	c.manip.reset()
+	c.enc.reset()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.manip = make(map[manipKey]*manipEntry)
-	c.enc = make(map[encKey]*encEntry)
-	c.stats.Invalidations++
+	c.invalidations++
+	c.mu.Unlock()
 }
 
 // manipulated returns the memoised manipulation for (digest, loc), running
-// build exactly once per key. The bool reports whether the result came from
-// the cache (secrets shared with other boards). Failed builds are evicted so
-// a later boot can retry.
+// build once per key. The bool reports whether the result came from the
+// cache (secrets shared with other boards).
 func (c *PreparedCache) manipulated(digest [32]byte, loc netlist.Location, build func() (*preparedCL, error)) (*preparedCL, bool, error) {
-	key := manipKey{digest: digest, loc: loc.Path}
-	c.mu.Lock()
-	if e, ok := c.manip[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, false, e.err
-		}
-		c.mu.Lock()
-		c.stats.ManipulationHits++
-		c.mu.Unlock()
-		mManipHits.Inc()
-		return e.cl, true, nil
-	}
-	e := &manipEntry{ready: make(chan struct{})}
-	c.manip[key] = e
-	c.mu.Unlock()
-
-	e.cl, e.err = build()
-	close(e.ready)
-	c.mu.Lock()
-	if e.err != nil {
-		// Evict-if-current: an Invalidate may already have replaced the map.
-		if c.manip[key] == e {
-			delete(c.manip, key)
-		}
-	} else {
-		c.stats.Manipulations++
-		mManip.Inc()
-	}
-	c.mu.Unlock()
-	return e.cl, false, e.err
+	return c.manip.get(manipKey{digest: digest, loc: loc.Path}, build)
 }
 
 // encrypted is the per-board stage: memoise the ciphertext per (digest,
 // device key, profile) so a reboot of the same board skips even the
 // encryption pass.
 func (c *PreparedCache) encrypted(digest [32]byte, deviceKey []byte, profile string, build func() ([]byte, error)) ([]byte, bool, error) {
-	key := encKey{digest: digest, device: sha256.Sum256(deviceKey), profile: profile}
-	c.mu.Lock()
-	if e, ok := c.enc[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, false, e.err
-		}
-		c.mu.Lock()
-		c.stats.EncryptionHits++
-		c.mu.Unlock()
-		mEncHits.Inc()
-		return e.sealed, true, nil
-	}
-	e := &encEntry{ready: make(chan struct{})}
-	c.enc[key] = e
-	c.mu.Unlock()
-
-	e.sealed, e.err = build()
-	close(e.ready)
-	c.mu.Lock()
-	if e.err != nil {
-		if c.enc[key] == e {
-			delete(c.enc, key)
-		}
-	} else {
-		c.stats.Encryptions++
-		mEnc.Inc()
-	}
-	c.mu.Unlock()
-	return e.sealed, false, e.err
+	return c.enc.get(encKey{digest: digest, device: sha256.Sum256(deviceKey), profile: profile}, build)
 }
 
 // QuoteStats counts quote-pool activity.
@@ -215,11 +240,11 @@ type QuoteStats struct {
 	Reused    int // fetches served the pooled quote
 }
 
-type quoteEntry struct {
-	ready chan struct{}
+// pooledQuote is the exchange a QuotePool shares: the quote and the
+// ephemeral ECDH key it binds.
+type pooledQuote struct {
 	priv  *ecdh.PrivateKey
 	quote sgx.Quote
-	err   error
 }
 
 // QuotePool shares one SM-enclave quote and its bound ephemeral ECDH key
@@ -230,59 +255,29 @@ type quoteEntry struct {
 // image, so the key never leaves the shared trust domain. Reset drops the
 // pooled exchange (e.g. alongside a cache Invalidate).
 type QuotePool struct {
-	mu    sync.Mutex
-	entry *quoteEntry
-	stats QuoteStats
+	pool *memo[struct{}, pooledQuote]
 }
 
 // NewQuotePool returns an empty pool.
-func NewQuotePool() *QuotePool { return &QuotePool{} }
+func NewQuotePool() *QuotePool {
+	return &QuotePool{pool: newMemo[struct{}, pooledQuote](mQuoteGen, mQuoteReused)}
+}
 
 // Stats returns a snapshot of the pool counters.
 func (p *QuotePool) Stats() QuoteStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	generated, reused := p.pool.counts()
+	return QuoteStats{Generated: generated, Reused: reused}
 }
 
 // Reset drops the pooled quote so the next fetch performs a fresh exchange.
-func (p *QuotePool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entry = nil
-}
+func (p *QuotePool) Reset() { p.pool.reset() }
 
-// get returns the pooled (priv, quote), running gen exactly once while the
-// pool is warm. The bool reports reuse. A failed gen is evicted for retry.
+// get returns the pooled (priv, quote), running gen once while the pool is
+// warm. The bool reports reuse.
 func (p *QuotePool) get(gen func() (*ecdh.PrivateKey, sgx.Quote, error)) (*ecdh.PrivateKey, sgx.Quote, bool, error) {
-	p.mu.Lock()
-	if e := p.entry; e != nil {
-		p.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, sgx.Quote{}, false, e.err
-		}
-		p.mu.Lock()
-		p.stats.Reused++
-		p.mu.Unlock()
-		mQuoteReused.Inc()
-		return e.priv, e.quote, true, nil
-	}
-	e := &quoteEntry{ready: make(chan struct{})}
-	p.entry = e
-	p.mu.Unlock()
-
-	e.priv, e.quote, e.err = gen()
-	close(e.ready)
-	p.mu.Lock()
-	if e.err != nil {
-		if p.entry == e {
-			p.entry = nil
-		}
-	} else {
-		p.stats.Generated++
-		mQuoteGen.Inc()
-	}
-	p.mu.Unlock()
-	return e.priv, e.quote, false, e.err
+	q, reused, err := p.pool.get(struct{}{}, func() (pooledQuote, error) {
+		priv, quote, err := gen()
+		return pooledQuote{priv, quote}, err
+	})
+	return q.priv, q.quote, reused, err
 }

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"salus/internal/bitman"
-	"salus/internal/bitstream"
 	"salus/internal/channel"
 	"salus/internal/cryptoutil"
 	"salus/internal/fpga"
@@ -368,6 +367,12 @@ func (a *SMApp) FetchDeviceKey() error {
 // inject freshly generated secrets at Loc_Keyattest, encrypt under
 // Key_device, and hand the ciphertext to the shell. Everything before the
 // shell hand-off happens on in-enclave plaintext.
+//
+// The digest ⑤a runs on its own goroutine beside the manipulation and
+// encryption it guards, and nothing escapes before it has matched: a
+// prepared-cache build joins it before the cache publishes the build, a
+// board without a cache joins it before the shell sees the ciphertext. On
+// a mismatch DeployCL returns ErrDigest, whatever a later stage hit.
 func (a *SMApp) DeployCL(encoded []byte) error {
 	switch {
 	case a.meta == nil:
@@ -377,73 +382,35 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 	case a.cfg.Shell == nil:
 		return fmt.Errorf("smapp: no shell configured")
 	}
+	profile := a.cfg.Shell.Device().Profile().Name
 
-	// ⑤a+⑤b: verify, then manipulate — parse, inject fresh secrets,
-	// re-serialise. The RapidWright-under-Occlum path dominates boot time
-	// and is byte-identical for every board deploying this CL, so a fleet
-	// PreparedCache runs the closure once; only the builder is charged.
-	build := func() (*preparedCL, error) {
-		size := float64(len(encoded))
-		// Bitstream verification against the digest from the user client.
-		got := cryptoutil.Digest(encoded)
-		a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(size, simtime.HashBytesPerSec, a.cfg.EnclaveSlowdown))
-		if !cryptoutil.ConstantTimeEqual(got[:], a.meta.Digest[:]) {
-			return nil, ErrDigest
-		}
-
-		keyAttest := cryptoutil.RandomKey(cryptoutil.AttestKeySize)
-		keySession := cryptoutil.RandomKey(cryptoutil.SessionKeySize)
-		var ctrInit uint64
-		if err := binary.Read(rand.Reader, binary.BigEndian, &ctrInit); err != nil {
-			return nil, err
-		}
-		ctrInit >>= 16 // leave headroom for a long session
-
-		// Loc_Keyattest from the metadata locates the secrets cell; the
-		// layout within the cell is the HDK contract.
-		secrets := make([]byte, smlogic.SecretsSize)
-		copy(secrets[smlogic.OffKeyAttest:], keyAttest)
-		copy(secrets[smlogic.OffKeySession:], keySession)
-		binary.BigEndian.PutUint64(secrets[smlogic.OffCtrSession:], ctrInit)
-		manipulated, err := manipulate(encoded, a.meta.Loc, secrets)
-		a.charge(trace.PhaseBitManipulation, simtime.SizeCost(size, simtime.ManipBytesPerSec, a.cfg.ToolSlowdown))
-		if err != nil {
-			return nil, fmt.Errorf("smapp: manipulation: %w", err)
-		}
-		return &preparedCL{
-			manipulated: manipulated,
-			keyAttest:   keyAttest,
-			keySession:  keySession,
-			ctrInit:     ctrInit,
-		}, nil
-	}
+	// ⑤a+⑤b: verify, then manipulate — parse, inject fresh secrets. The
+	// RapidWright-under-Occlum path dominates boot time and is
+	// byte-identical for every board deploying this CL, so a fleet
+	// PreparedCache builds it once; only the builder is charged. ⑤c, the
+	// encryption under Key_device, is the only genuinely per-board stage,
+	// memoised per (CL, device key) so a reboot of the same board skips it.
 	var cl *preparedCL
+	var sealed []byte
 	var fromCache bool
 	var err error
-	if a.cfg.Prepared != nil {
-		cl, fromCache, err = a.cfg.Prepared.manipulated(a.meta.Digest, a.meta.Loc, build)
+	if c := a.cfg.Prepared; c != nil {
+		cl, fromCache, err = c.manipulated(a.meta.Digest, a.meta.Loc, func() (*preparedCL, error) {
+			digest := a.startDigest(encoded)
+			cl, err := manipulate(encoded, a.meta.Loc)
+			return a.settle(digest, len(encoded), cl, err)
+		})
+		if err == nil {
+			sealed, _, err = c.encrypted(a.meta.Digest, a.deviceKey, profile, func() ([]byte, error) {
+				return a.encrypt(cl, profile)
+			})
+		}
 	} else {
-		cl, err = build()
+		cl, sealed, err = a.buildSealed(encoded, profile)
+		defer cl.wipe()
 	}
 	if err != nil {
 		return err
-	}
-
-	// ⑤c: encryption under Key_device — the only genuinely per-board stage,
-	// memoised per (CL, device key) so a reboot of the same board skips it.
-	profile := a.cfg.Shell.Device().Profile().Name
-	encBuild := func() ([]byte, error) {
-		a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(float64(len(cl.manipulated)), simtime.GCMBytesPerSec, a.cfg.EnclaveSlowdown))
-		return bitstream.Encrypt(cl.manipulated, a.deviceKey, profile)
-	}
-	var sealed []byte
-	if a.cfg.Prepared != nil {
-		sealed, _, err = a.cfg.Prepared.encrypted(a.meta.Digest, a.deviceKey, profile, encBuild)
-	} else {
-		sealed, err = encBuild()
-	}
-	if err != nil {
-		return fmt.Errorf("smapp: encryption: %w", err)
 	}
 
 	// ⑥: the shell loads the ciphertext; the FPGA decrypts internally.
@@ -462,10 +429,61 @@ func (a *SMApp) DeployCL(encoded []byte) error {
 	return nil
 }
 
-// manipulate is the RapidWright step: parse and validate the container,
-// write secrets into the cell at loc, and re-serialise. encoded is only
-// read — it is the developer's package, shared by every board of a fleet.
-func manipulate(encoded []byte, loc netlist.Location, secrets []byte) ([]byte, error) {
+// buildSealed is ⑤a–⑤c for a board without a cache: the digest joins only
+// after sealing, and the plaintext frames are wiped as soon as they are
+// sealed — the ciphertext is all the board needs of them. The secrets stay
+// in cl for the caller to take over and wipe.
+func (a *SMApp) buildSealed(encoded []byte, profile string) (*preparedCL, []byte, error) {
+	digest := a.startDigest(encoded)
+	cl, err := manipulate(encoded, a.meta.Loc)
+	var sealed []byte
+	if err == nil {
+		sealed, err = a.encrypt(cl, profile)
+		cl.image.Wipe()
+	}
+	if cl, err = a.settle(digest, len(encoded), cl, err); err != nil {
+		return nil, nil, err
+	}
+	return cl, sealed, nil
+}
+
+// startDigest starts ⑤a, the digest of encoded, on its own goroutine and
+// charges its modelled cost on the caller's, once. The caller receives the
+// digest before anything it built from encoded escapes (see settle).
+func (a *SMApp) startDigest(encoded []byte) <-chan [32]byte {
+	digest := make(chan [32]byte, 1)
+	go func() { digest <- cryptoutil.Digest(encoded) }()
+	a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(float64(len(encoded)), simtime.HashBytesPerSec, a.cfg.EnclaveSlowdown))
+	return digest
+}
+
+// settle joins the digest with the manipulation of size bytes built beside
+// it. A mismatch is ErrDigest whatever the build returned; only a match
+// charges the manipulation, as if it had run after the check. Any failure
+// wipes the build.
+func (a *SMApp) settle(digest <-chan [32]byte, size int, cl *preparedCL, err error) (*preparedCL, error) {
+	if got := <-digest; !cryptoutil.ConstantTimeEqual(got[:], a.meta.Digest[:]) {
+		err = ErrDigest
+	} else {
+		a.charge(trace.PhaseBitManipulation, simtime.SizeCost(float64(size), simtime.ManipBytesPerSec, a.cfg.ToolSlowdown))
+	}
+	if err != nil {
+		cl.wipe()
+		return nil, err
+	}
+	return cl, nil
+}
+
+// manipulate is the RapidWright step ⑤b: parse and validate the container,
+// draw fresh secrets, and write them into the cell at loc. encoded is only
+// read — it is the developer's package, shared by every board of a fleet —
+// and the result borrows it.
+func manipulate(encoded []byte, loc netlist.Location) (_ *preparedCL, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("smapp: manipulation: %w", err)
+		}
+	}()
 	tool, err := bitman.Open(encoded)
 	if err != nil {
 		return nil, err
@@ -473,7 +491,8 @@ func manipulate(encoded []byte, loc netlist.Location, secrets []byte) ([]byte, e
 	// Kerckhoff hardening: the reserved RoT cell must arrive zeroed. A
 	// developer-shipped bitstream with pre-initialised "secrets" would be a
 	// hidden, non-deployment-fresh key — refuse it.
-	existing, err := tool.ReadCell(loc, 0, len(secrets))
+	var cell [smlogic.SecretsSize]byte
+	existing, err := tool.Image().AppendCellBytes(cell[:0], loc, 0, len(cell))
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +501,39 @@ func manipulate(encoded []byte, loc netlist.Location, secrets []byte) ([]byte, e
 			return nil, fmt.Errorf("smapp: reserved RoT cell %s is pre-initialised — refusing to deploy", loc.Path)
 		}
 	}
-	if err := tool.Inject(loc, 0, secrets); err != nil {
+
+	// Fresh Key_attest, Key_session and Ctr_session in the layout of the
+	// HDK contract; the counter keeps headroom for a long session.
+	secrets := make([]byte, smlogic.SecretsSize)
+	if _, err := rand.Read(secrets); err != nil {
 		return nil, err
 	}
-	return tool.Serialize(), nil
+	ctr := secrets[smlogic.OffCtrSession:]
+	ctrInit := binary.BigEndian.Uint64(ctr) >> 16
+	binary.BigEndian.PutUint64(ctr, ctrInit)
+	cl := &preparedCL{
+		image:      tool.Image(),
+		secrets:    secrets,
+		keyAttest:  secrets[smlogic.OffKeyAttest : smlogic.OffKeyAttest+cryptoutil.AttestKeySize],
+		keySession: secrets[smlogic.OffKeySession : smlogic.OffKeySession+cryptoutil.SessionKeySize],
+		ctrInit:    ctrInit,
+	}
+	if err := tool.Inject(loc, 0, secrets); err != nil {
+		cl.wipe()
+		return nil, err
+	}
+	return cl, nil
+}
+
+// encrypt is ⑤c: the manipulated image encoded straight into its sealed
+// container under Key_device.
+func (a *SMApp) encrypt(cl *preparedCL, profile string) ([]byte, error) {
+	a.charge(trace.PhaseBitVerifyEnc, simtime.SizeCost(float64(cl.image.EncodedLen()), simtime.GCMBytesPerSec, a.cfg.EnclaveSlowdown))
+	sealed, err := cl.image.Encrypt(a.deviceKey, profile)
+	if err != nil {
+		return nil, fmt.Errorf("smapp: encryption: %w", err)
+	}
+	return sealed, nil
 }
 
 // AttestCL runs the verifier side of Figure 4a over the untrusted shell:

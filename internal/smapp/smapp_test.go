@@ -32,11 +32,17 @@ type harness struct {
 
 func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 	t.Helper()
+	return newHarnessOn(t, netlist.TestDevice, mods...)
+}
+
+// newHarnessOn is newHarness on a device of the given profile.
+func newHarnessOn(t testing.TB, profile netlist.DeviceProfile, mods ...func(*Config)) *harness {
+	t.Helper()
 	mfr, err := manufacturer.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := mfr.ManufactureDevice(netlist.TestDevice, "A58275817")
+	dev, err := mfr.ManufactureDevice(profile, "A58275817")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := netlist.Implement(design, netlist.TestDevice, 5)
+	pl, err := netlist.Implement(design, profile, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 	loc, _ := pl.Location(smlogic.SecretsCellPath)
 	encoded := im.Encode()
 	return &harness{
-		app: app, mfr: mfr, sh: sh,
+		app: app, mfr: mfr, sh: cfg.Shell,
 		encoded: encoded,
 		digest:  cryptoutil.Digest(encoded),
 		loc:     loc,
