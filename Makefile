@@ -44,15 +44,18 @@ tier1:
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
 # (whose images borrow their input), for the kernels' output bounds (which
-# size every job's device-memory slot) and for the packed Conv kernel against
-# its plain reference loop; without this the corpora only ever run as seed
-# unit tests. (-fuzz takes one target and one package per run.)
+# size every job's device-memory slot), for the kernels' AppendCompute into a
+# reused stale buffer (the fabric's output buffer) and for the packed Conv
+# kernel against its plain reference loop; without this the corpora only
+# ever run as seed unit tests. (-fuzz takes one target and one package per
+# run.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzJobWireDecode$$' -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOutputCap$$' -fuzztime 5s ./internal/accel
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelAppendCompute$$' -fuzztime 5s ./internal/accel
 	$(GO) test -run '^$$' -fuzz '^FuzzConvMatchesReference$$' -fuzztime 5s ./internal/accel
 
 fmt-check:

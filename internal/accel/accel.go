@@ -71,8 +71,13 @@ type Kernel interface {
 	Module() netlist.ModuleSpec
 	// EncryptOutput reports whether outbound traffic is encrypted (Table 4).
 	EncryptOutput() bool
-	// Compute runs the kernel on plaintext input with the four parameter
-	// registers and returns the plaintext output.
+	// AppendCompute runs the kernel on plaintext input with the four
+	// parameter registers and appends the plaintext output to dst, in dst's
+	// spare capacity when it has enough. It writes every byte it appends, so
+	// stale bytes in that capacity never reach the output, and it retains
+	// neither dst nor the returned slice.
+	AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error)
+	// Compute is AppendCompute into a fresh buffer.
 	Compute(params [4]uint64, input []byte) ([]byte, error)
 	// OutputCap bounds the output Compute returns for these parameters and
 	// an input of inLen bytes: the size of the device-memory slot a job's
@@ -105,6 +110,20 @@ func capOf(dims ...int) int {
 	return MemBytes
 }
 
+// extend grows dst by n bytes for a kernel to overwrite and returns both
+// the grown slice and its last n bytes. Reused capacity holds stale bytes,
+// not zeros; a dst without room for them is copied into one of exactly
+// len(dst)+n.
+func extend(dst []byte, n int) (all, tail []byte) {
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	all = dst[:len(dst)+n]
+	return all, all[len(dst):]
+}
+
 // Device is the accelerator as the SM logic sees it: registers and memory.
 type Device interface {
 	Name() string
@@ -131,9 +150,10 @@ type Core struct {
 	// zero, so a partition costs the memory its jobs touch, not MemBytes.
 	mem  []byte
 	tree *merkle.Tree // nil = unprotected memory
-	// input is the fabric's one kernel input buffer, reused by every run
-	// (kernels never alias their input).
+	// input and output are the fabric's kernel buffers, reused by every
+	// run (kernels never alias their input, nor retain their output).
 	input  []byte
+	output []byte
 	keySet bool
 	status uint64
 	outLen uint64
@@ -437,10 +457,11 @@ func (c *Core) run() {
 	}
 
 	params := [4]uint64{c.regs[RegParam0], c.regs[RegParam1], c.regs[RegParam2], c.regs[RegParam3]}
-	out, err := c.kernel.Compute(params, input)
+	out, err := c.kernel.AppendCompute(c.output[:0], params, input)
 	if err != nil {
 		return
 	}
+	c.output = out
 
 	if block != nil && c.kernel.EncryptOutput() {
 		// Outbound traffic uses a disjoint counter block: flip the top bit

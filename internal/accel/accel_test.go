@@ -491,8 +491,11 @@ type echoKernel struct{}
 func (echoKernel) Name() string               { return "echo" }
 func (echoKernel) Module() netlist.ModuleSpec { return netlist.ModuleSpec{} }
 func (echoKernel) EncryptOutput() bool        { return false }
-func (echoKernel) Compute(_ [4]uint64, in []byte) ([]byte, error) {
-	return append([]byte(nil), in...), nil
+func (echoKernel) AppendCompute(dst []byte, _ [4]uint64, in []byte) ([]byte, error) {
+	return append(dst, in...), nil
+}
+func (k echoKernel) Compute(p [4]uint64, in []byte) ([]byte, error) {
+	return k.AppendCompute(nil, p, in)
 }
 func (echoKernel) OutputCap(_ [4]uint64, inLen int) int { return min(inLen, MemBytes) }
 

@@ -70,7 +70,12 @@ func (Affine) OutputCap(params [4]uint64, _ int) int {
 }
 
 // Compute implements Kernel.
-func (Affine) Compute(params [4]uint64, input []byte) ([]byte, error) {
+func (k Affine) Compute(params [4]uint64, input []byte) ([]byte, error) {
+	return k.AppendCompute(nil, params, input)
+}
+
+// AppendCompute implements Kernel.
+func (Affine) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
 	w := int(params[0] >> 32)
 	h := int(uint32(params[0]))
 	if w <= 0 || h <= 0 {
@@ -83,7 +88,9 @@ func (Affine) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	m.TX, m.TY = unpack(params[1])
 	m.A11, m.A12 = unpack(params[2])
 	m.A21, m.A22 = unpack(params[3])
-	return AffineRef(input, w, h, m), nil
+	dst, out := extend(dst, w*h)
+	affineInto(out, input, w, h, m)
+	return dst, nil
 }
 
 // AffineRef is the reference transform shared with the CPU baseline:
@@ -91,14 +98,21 @@ func (Affine) Compute(params [4]uint64, input []byte) ([]byte, error) {
 // produce black pixels.
 func AffineRef(img []byte, w, h int, m AffineMatrix) []byte {
 	out := make([]byte, w*h)
+	affineInto(out, img, w, h, m)
+	return out
+}
+
+// affineInto writes every pixel of the w*h image out.
+func affineInto(out, img []byte, w, h int, m AffineMatrix) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			sx := (int64(m.A11)*int64(x) + int64(m.A12)*int64(y) + int64(m.TX)) >> 16
 			sy := (int64(m.A21)*int64(x) + int64(m.A22)*int64(y) + int64(m.TY)) >> 16
+			var v byte
 			if sx >= 0 && sx < int64(w) && sy >= 0 && sy < int64(h) {
-				out[y*w+x] = img[sy*int64(w)+sx]
+				v = img[sy*int64(w)+sx]
 			}
+			out[y*w+x] = v
 		}
 	}
-	return out
 }

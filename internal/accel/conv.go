@@ -64,7 +64,12 @@ const (
 	convStackRing    = 256
 )
 
-// Compute implements Kernel. Params: [0]=H, [1]=W, [2]=C. It is the
+// Compute implements Kernel.
+func (k Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
+	return k.AppendCompute(nil, params, input)
+}
+
+// AppendCompute implements Kernel. Params: [0]=H, [1]=W, [2]=C. It is the
 // reference convolution shared by the accelerator model and the CPU
 // baseline: a valid (no padding) 3x3 convolution over all input channels
 // into a single output channel. Each output is the exact int64 sum of its
@@ -80,7 +85,7 @@ const (
 // per-output loop for every C, and every C ≤ 56 (9·C ≤ 511 taps) unpacks
 // once per output pair. Each weight load feeds two accumulators, four
 // outputs.
-func (Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
+func (Conv) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
 	h, w, c := int(params[0]), int(params[1]), int(params[2])
 	if h < 3 || w < 3 || c < 1 {
 		return nil, fmt.Errorf("accel: Conv: bad dimensions %dx%dx%d", h, w, c)
@@ -108,12 +113,12 @@ func (Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
 	packRow(slot(1), input[2*rowLen:4*rowLen], c)
 
 	wo := w - 2
-	res := make([]byte, 4*(h-2)*wo)
+	dst, res := extend(dst, 4*(h-2)*wo)
 	for y := 0; y < h-2; y++ {
 		packRow(slot(y+2), input[2*(y+2)*rowLen:2*(y+3)*rowLen], c)
 		convRow(res[4*y*wo:4*(y+1)*wo], wt, slot(y), slot(y+1), slot(y+2), c)
 	}
-	return res, nil
+	return dst, nil
 }
 
 // stackOrHeap returns the first n values of buf, or a heap slice of n

@@ -145,7 +145,8 @@ func TestConvGoldenDigest(t *testing.T) {
 }
 
 // TestConvComputeAllocs pins the kernel's allocations on the small bench
-// shape: the result is the only one; weights and packed rows stay on the
+// shape: Compute's result is the only one, and AppendCompute into a buffer
+// with room for the output makes none; weights and packed rows stay on the
 // stack.
 func TestConvComputeAllocs(t *testing.T) {
 	w := GenConv(16, 16, 4, 1)
@@ -156,5 +157,15 @@ func TestConvComputeAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("Conv.Compute on 16x16x4 makes %.0f allocations, want 1 (the result)", allocs)
+	}
+	var dst []byte
+	allocs = testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = w.Kernel.AppendCompute(dst[:0], w.Params, w.Input); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Conv.AppendCompute on 16x16x4 makes %.0f allocations, want 0", allocs)
 	}
 }

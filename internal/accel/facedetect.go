@@ -84,7 +84,12 @@ func (FaceDetect) OutputCap(params [4]uint64, _ int) int {
 }
 
 // Compute implements Kernel.
-func (FaceDetect) Compute(params [4]uint64, input []byte) ([]byte, error) {
+func (k FaceDetect) Compute(params [4]uint64, input []byte) ([]byte, error) {
+	return k.AppendCompute(nil, params, input)
+}
+
+// AppendCompute implements Kernel.
+func (FaceDetect) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
 	w := int(params[0] >> 32)
 	h := int(uint32(params[0]))
 	if w < BaseWindow || h < BaseWindow {
@@ -94,14 +99,14 @@ func (FaceDetect) Compute(params [4]uint64, input []byte) ([]byte, error) {
 		return nil, fmt.Errorf("accel: FaceDetect: input %d bytes, want %d", len(input), w*h)
 	}
 	dets := FaceDetectRef(input, w, h)
-	out := make([]byte, 4+12*len(dets))
+	dst, out := extend(dst, 4+12*len(dets))
 	binary.LittleEndian.PutUint32(out, uint32(len(dets)))
 	for i, d := range dets {
 		binary.LittleEndian.PutUint32(out[4+12*i:], uint32(d.X))
 		binary.LittleEndian.PutUint32(out[8+12*i:], uint32(d.Y))
 		binary.LittleEndian.PutUint32(out[12+12*i:], uint32(d.Size))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeDetections parses the Compute output.

@@ -42,7 +42,12 @@ func (NNSearch) OutputCap(params [4]uint64, _ int) int {
 }
 
 // Compute implements Kernel.
-func (NNSearch) Compute(params [4]uint64, input []byte) ([]byte, error) {
+func (k NNSearch) Compute(params [4]uint64, input []byte) ([]byte, error) {
+	return k.AppendCompute(nil, params, input)
+}
+
+// AppendCompute implements Kernel.
+func (NNSearch) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
 	n, m, d := int(params[0]), int(params[1]), int(params[2])
 	if n < 1 || m < 0 || d < 1 {
 		return nil, fmt.Errorf("accel: NNSearch: bad shape n=%d m=%d d=%d", n, m, d)
@@ -55,11 +60,11 @@ func (NNSearch) Compute(params [4]uint64, input []byte) ([]byte, error) {
 		pts[i] = int32(binary.LittleEndian.Uint32(input[4*i:]))
 	}
 	idx := NNSearchRef(pts[:n*d], pts[n*d:], n, m, d)
-	out := make([]byte, 4*m)
+	dst, out := extend(dst, 4*m)
 	for i, v := range idx {
 		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // NNSearchRef is the reference linear search shared with the CPU baseline.

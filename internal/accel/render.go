@@ -50,7 +50,12 @@ type Triangle struct {
 }
 
 // Compute implements Kernel.
-func (Rendering) Compute(params [4]uint64, input []byte) ([]byte, error) {
+func (k Rendering) Compute(params [4]uint64, input []byte) ([]byte, error) {
+	return k.AppendCompute(nil, params, input)
+}
+
+// AppendCompute implements Kernel.
+func (Rendering) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
 	n := int(params[0])
 	if want, ok := sizeOf(n, 9); !ok || len(input) != want {
 		return nil, fmt.Errorf("accel: Rendering: %d triangles need 9 bytes each, got %d", n, len(input))
@@ -64,7 +69,9 @@ func (Rendering) Compute(params [4]uint64, input []byte) ([]byte, error) {
 			Z: [3]uint8{b[2], b[5], b[8]},
 		}
 	}
-	return RenderRef(tris), nil
+	dst, fb := extend(dst, FrameDim*FrameDim)
+	renderInto(fb, tris)
+	return dst, nil
 }
 
 // RenderRef is the reference rasteriser shared with the CPU baseline:
@@ -73,10 +80,16 @@ func (Rendering) Compute(params [4]uint64, input []byte) ([]byte, error) {
 // keeps the largest z (nearest surface).
 func RenderRef(tris []Triangle) []byte {
 	fb := make([]byte, FrameDim*FrameDim)
+	renderInto(fb, tris)
+	return fb
+}
+
+// renderInto clears the frame buffer fb and rasterises tris into it.
+func renderInto(fb []byte, tris []Triangle) {
+	clear(fb)
 	for _, t := range tris {
 		rasterize(t, fb)
 	}
-	return fb
 }
 
 func rasterize(t Triangle, fb []byte) {

@@ -372,15 +372,14 @@ func allocKiB(f func()) float64 {
 }
 
 // TestSealedJobAllocBudget keeps the job data path's copy count in tier-1.
-// The opened input, the fabric's decrypted input and the CL's DMA read
-// frame are scratch their owners reuse (System, Core, Logic), so a sealed
-// job may allocate only the kernel's result and the enclave's seal buffer:
-// 2 × output, plus Conv's scratch of three packed input rows (int64 per
-// value: 48 KiB at 256 × 8) and 64 KiB of small change. RunJob's result is
-// the plaintext buffer in place of the seal buffer: the same 2 × output. A
-// batch job of 2 KiB also pays for its two CTR streams and for rounding
-// its 784-byte buffers up to the allocator's 896-byte size class, 2 KiB a
-// job in all.
+// The opened input, the fabric's decrypted input and output and the CL's
+// DMA read frame are scratch their owners reuse (System, Core, Logic), so a
+// sealed job may allocate only the enclave's seal buffer: 1 × output, plus
+// Conv's scratch of three packed input rows (int64 per value: 48 KiB at
+// 256 × 8) and 64 KiB of small change. RunJob's result is the plaintext
+// buffer in place of the seal buffer: the same 1 × output. A batch job of
+// 2 KiB also pays for its two CTR streams and for rounding its 784-byte
+// output up to the allocator's 896-byte size class, 2 KiB a job in all.
 //
 // Measured on a warmed system before the copies were removed (1 MiB Conv
 // input, 258,064 B output): RunJobSealed 8,987 KiB, RunJob 7,703 KiB, and a
@@ -388,7 +387,8 @@ func allocKiB(f func()) float64 {
 // batch job also expanded four AES key schedules and two GCM instances
 // (5 KiB a job in all; the batch measured 783 KiB, then 554). Before the
 // per-job payload buffers became owner-held scratch: 2,865, 1,841 and
-// 531 KiB; now 561, 561 and 219.
+// 531 KiB; then 561, 561 and 219; now, with the kernel computing into the
+// fabric's output buffer, 305, 305 and 163.
 func TestSealedJobAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -425,9 +425,9 @@ func TestSealedJobAllocBudget(t *testing.T) {
 		run    func()
 		budget float64
 	}{
-		{"RunJobSealed", runSealed, 2*out + rows + 64},
-		{"RunJob", runPlain, 2*out + rows + 64},
-		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, 2*smallOut + float64(len(small))*2 + 64},
+		{"RunJobSealed", runSealed, out + rows + 64},
+		{"RunJob", runPlain, out + rows + 64},
+		{"RunJobSealedBatch(64 × 2 KiB)", runBatch, smallOut + float64(len(small))*2 + 64},
 	} {
 		c.run() // warm: session, burst scratch, batch scratch
 		got := allocKiB(c.run)
@@ -452,12 +452,12 @@ func warmAllocsPerJob(run func()) float64 {
 // budget above: a warm 2 KiB sealed job (see warmAllocsPerJob). Each key
 // schedule is expanded once per key, and every frame and payload buffer is
 // built in a buffer its owner reuses, so what is left is the job's own:
-// the host's and the fabric's CTR streams, the kernel's output and the
-// sealed output. Measured at the commit before that: 81 allocations a job;
-// then 10; then 8, since the per-job IV and Conv's weight table no longer
-// allocate; now 4, since the opened input, the fabric's input buffer, the
-// DMA write acknowledgement and the read-back frame are owner-held
-// scratch.
+// the host's and the fabric's CTR streams and the sealed output. Measured
+// at the commit before that: 81 allocations a job; then 10; then 8, since
+// the per-job IV and Conv's weight table no longer allocate; then 4, since
+// the opened input, the fabric's input buffer, the DMA write
+// acknowledgement and the read-back frame are owner-held scratch; now 3,
+// since the kernel computes into the fabric's output buffer.
 func TestSealedJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -470,7 +470,7 @@ func TestSealedJobAllocCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 4
+	const budget = 3
 	allocs := warmAllocsPerJob(run)
 	t.Logf("2 KiB RunJobSealed: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {
@@ -479,13 +479,13 @@ func TestSealedJobAllocCount(t *testing.T) {
 }
 
 // TestLoneRunJobAllocCount pins the allocations of a warm lone plaintext
-// 2 KiB RunJob (see warmAllocsPerJob) at exactly the 4 it makes — the two
-// CTR streams, the kernel's output and the result — so any new allocation
-// on this path fails here. The per-job IV lives in the plan's job slot and
-// Conv keeps its weights and packed rows on the stack, so neither
-// allocates (9 before); the fabric's input buffer, the DMA write
-// acknowledgement and the read-back frame are owner-held scratch (7
-// before).
+// 2 KiB RunJob (see warmAllocsPerJob) at exactly the 3 it makes — the two
+// CTR streams and the result — so any new allocation on this path fails
+// here. The per-job IV lives in the plan's job slot and Conv keeps its
+// weights and packed rows on the stack, so neither allocates (9 before);
+// the fabric's input buffer, the DMA write acknowledgement and the
+// read-back frame are owner-held scratch (7 before); the kernel computes
+// into the fabric's output buffer (4 before).
 func TestLoneRunJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -497,7 +497,7 @@ func TestLoneRunJobAllocCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 4
+	const budget = 3
 	allocs := warmAllocsPerJob(run)
 	t.Logf("2 KiB RunJob: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {

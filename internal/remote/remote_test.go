@@ -407,9 +407,10 @@ func sessKey(s *ClusterSession) []byte { return s.dataKey }
 // gateway, the scheduler and a board, client and server in one process,
 // averaged over four session epochs. Both ends expand the data key once
 // and the board's register frames reuse their buffers. Measured at the
-// commit before that: 102 allocations a job; then 24, then 22; now 17,
+// commit before that: 102 allocations a job; then 24, then 22; then 17,
 // since the client seals into a reused buffer and the board's payload
-// buffers are owner-held scratch.
+// buffers are owner-held scratch; now 16, since the kernel computes into
+// the fabric's output buffer.
 func TestSessionRunJobAllocCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -432,7 +433,7 @@ func TestSessionRunJobAllocCount(t *testing.T) {
 	for i := 0; i < core.DefaultSessionRekeyEvery; i++ {
 		run()
 	}
-	const budget = 17
+	const budget = 16
 	allocs := testing.AllocsPerRun(4*core.DefaultSessionRekeyEvery, run)
 	t.Logf("2 KiB session RunJob: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {

@@ -218,3 +218,80 @@ func TestFederationFrameBoundedAlloc(t *testing.T) {
 		t.Fatalf("truncated federation frames allocated %d bytes — decoder trusts the length prefix", grew)
 	}
 }
+
+// spyReader serves a stream, then fails, and records the largest buffer the
+// frame reader offered it. bufio.Reader hands a read at least as large as
+// its own buffer, made while that buffer is empty, straight to the reader
+// underneath; every byte served before it is then already in the body, so
+// the bytes served so far plus the capacity offered is the capacity of the
+// buffer the body is being read into.
+type spyReader struct {
+	data   []byte
+	served int
+	widest int
+}
+
+func (r *spyReader) Read(p []byte) (int, error) {
+	r.widest = max(r.widest, r.served-4+cap(p))
+	if r.served == len(r.data) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := copy(p, r.data[r.served:])
+	r.served += n
+	return n, nil
+}
+
+// TestPooledFrameClasses: with every class a MiB body passes through warm,
+// the server's pooled read path keeps the promises of the exact-size one it
+// replaced. A truncated frame under a hostile length never reads into a
+// class wider than frameGrowth times the bytes delivered (one chunk is taken
+// on trust), a MiB body is sliced with cap == len so no stale pooled byte
+// past it is reachable, and a released large buffer reads 0xA5.
+func TestPooledFrameClasses(t *testing.T) {
+	if frameChunk<<(frameClasses-1) != MaxFrame {
+		t.Fatalf("the largest class is %d bytes, MaxFrame %d", frameChunk<<(frameClasses-1), MaxFrame)
+	}
+	stream := func(claim, deliver int) []byte {
+		s := binary.BigEndian.AppendUint32(nil, uint32(claim))
+		for i := 0; i < deliver; i++ {
+			s = append(s, byte(i*7))
+		}
+		return s
+	}
+	const mib = 1<<20 + 64 // a MiB job's sealed input and its envelope
+	for _, n := range []int{mib, mib, 4 << 20} {
+		_, fb, err := readFrame(bufio.NewReader(bytes.NewReader(stream(n, n))), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releaseFrame(fb)
+	}
+
+	for _, delivered := range []int{1 << 10, frameChunk + 1, 300 << 10, 2<<20 + 1} {
+		spy := &spyReader{data: stream(MaxFrame, delivered)}
+		if _, _, err := readFrame(bufio.NewReader(spy), true); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d of %d bytes: err = %v, want unexpected EOF", delivered, MaxFrame, err)
+		}
+		if bound := max(frameChunk, frameGrowth*delivered); spy.widest > bound {
+			t.Errorf("%d bytes delivered under a %d-byte claim took a %d-byte buffer, bound %d", delivered, MaxFrame, spy.widest, bound)
+		}
+	}
+
+	want := stream(mib, mib)[4:]
+	body, fb, err := readFrame(bufio.NewReader(bytes.NewReader(stream(mib, mib))), true)
+	switch {
+	case err != nil:
+		t.Fatal(err)
+	case fb == nil:
+		t.Fatal("a MiB body was not read into a pooled buffer")
+	case !bytes.Equal(body, want):
+		t.Fatal("a MiB body read into a warm pooled buffer arrived corrupted")
+	case cap(body) != len(body):
+		t.Fatalf("a MiB body has cap %d, len %d: stale pooled bytes are reachable", cap(body), len(body))
+	}
+	whole := (*fb)[:cap(*fb)]
+	releaseFrame(fb)
+	if !bytes.Equal(whole, bytes.Repeat([]byte{0xA5}, len(whole))) {
+		t.Error("a released large buffer still holds its frame's bytes")
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -168,7 +169,7 @@ func encodeFrame(kind byte, id uint64, method string, v any) (*Encoder, error) {
 	return nil, err
 }
 
-// frameChunk is the size of a pooled read buffer and the most readFrame
+// frameChunk is the smallest pooled read buffer and the most readFrame
 // takes on trust. The length prefix is attacker-controlled: a hostile peer
 // can claim a frame just under MaxFrame (64 MiB) and then hang up, so the
 // buffer must grow with the bytes actually received, never with the bytes
@@ -177,43 +178,63 @@ const frameChunk = 256 << 10
 
 // frameGrowth bounds that growth: a body past one chunk is never backed by
 // more than frameGrowth times the bytes its peer has already delivered. A
-// factor of 8 lets an honest MiB-sized job land in one exact-size buffer
-// after its first chunk, and a maximum-size frame in three.
+// factor of 8 lets an honest MiB-sized job land in its final buffer after
+// its first chunk, and a maximum-size frame in three steps.
 const frameGrowth = 8
 
-// frameBuf is one pooled read buffer, sized to a chunk. The pool keeps the
-// per-frame body allocation off the server's receive path for every frame
-// that fits a chunk.
-type frameBuf [frameChunk]byte
+// frameClasses is the number of pooled buffer sizes, frameChunk << k for k
+// below it; the largest is MaxFrame.
+const frameClasses = 9
 
-var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
+// frameBuf is one pooled read buffer; its length is its class's size.
+type frameBuf []byte
+
+// framePools holds one pool per class, so every request body the server
+// reads, a MiB job's included, lands in a recycled buffer.
+var framePools [frameClasses]sync.Pool
+
+// frameClass returns the smallest class that holds n bytes.
+func frameClass(n int) int { return bits.Len(uint(max(n-1, 0) / frameChunk)) }
+
+// getFrame takes a pooled buffer of the smallest class that holds n bytes.
+func getFrame(n int) *frameBuf {
+	k := frameClass(n)
+	if fb, ok := framePools[k].Get().(*frameBuf); ok {
+		return fb
+	}
+	fb := make(frameBuf, frameChunk<<k)
+	return &fb
+}
 
 // poisonFrames makes releaseFrame overwrite a buffer before pooling it, so a
 // stale alias reads 0xA5 garbage instead of another tenant's sealed bytes.
 // On under the race detector and in this package's tests.
 var poisonFrames = raceEnabled
 
-// releaseFrame returns a pooled read buffer. Nil is fine (large frames and
-// error paths carry no pooled buffer). After the call, any byte slice that
-// aliased the frame body — every section a WireDecoder decoded from it — is
-// invalid.
+// releaseFrame returns a pooled read buffer to its class. Nil is fine (the
+// client's bodies and error paths carry no pooled buffer). After the call,
+// any byte slice that aliased the frame body — every section a WireDecoder
+// decoded from it — is invalid.
 func releaseFrame(fb *frameBuf) {
 	if fb == nil {
 		return
 	}
 	if poisonFrames {
-		for i := range fb {
-			fb[i] = 0xA5
+		for i := range *fb {
+			(*fb)[i] = 0xA5
 		}
 	}
-	frameBufPool.Put(fb)
+	framePools[frameClass(len(*fb))].Put(fb)
 }
 
-// readFrame receives one length-prefixed body. With pooled set, a body that
-// fits a chunk lands in a pooled buffer, to be handed back via releaseFrame
-// once nothing aliases it; any other body is an ordinary allocation of
-// exactly its size that nothing recycles (fb is nil). Any error means the
-// stream position is no longer trustworthy.
+// readFrame receives one length-prefixed body, sliced so that its capacity
+// is its length. With pooled set, the body lands in a pooled buffer of its
+// size class, to be handed back via releaseFrame once nothing aliases it.
+// Without it, the body is an allocation of exactly its size that nothing
+// recycles (fb is nil); only a large body's first chunk is staged in the
+// pool. Either way a body past one chunk grows by at most frameGrowth times
+// the bytes delivered. Any error means the stream position is no longer
+// trustworthy.
 func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
@@ -225,8 +246,8 @@ func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err er
 	}
 	br.Discard(4)
 	if pooled || n > frameChunk {
-		fb = frameBufPool.Get().(*frameBuf)
-		body = fb[:min(n, frameChunk)]
+		fb = getFrame(min(n, frameChunk))
+		body = (*fb)[:min(n, frameChunk)]
 	} else {
 		body = make([]byte, n)
 	}
@@ -234,19 +255,26 @@ func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err er
 		releaseFrame(fb)
 		return nil, nil, err
 	}
-	if n <= frameChunk {
-		return body, fb, nil
-	}
-	defer releaseFrame(fb) // a large body's first chunk is copied out below
 	for len(body) < n {
-		grown := make([]byte, min(n, frameGrowth*len(body)))
+		size := min(n, frameGrowth*len(body))
+		var next *frameBuf
+		var grown []byte
+		if pooled {
+			next = getFrame(size)
+			grown = (*next)[:size]
+		} else {
+			grown = make([]byte, size)
+		}
 		copy(grown, body)
+		releaseFrame(fb)
+		fb = next
 		if _, err := io.ReadFull(br, grown[len(body):]); err != nil {
+			releaseFrame(fb)
 			return nil, nil, err
 		}
 		body = grown
 	}
-	return body, nil, nil
+	return body[:n:n], fb, nil
 }
 
 // Handler serves one method: decode params, do work, return a result.

@@ -212,17 +212,22 @@ func TestRegisterRequiresBoot(t *testing.T) {
 	}
 }
 
+// TestPipelineStagesRegister: the two stages of a render-then-warp
+// pipeline, each a booted board of its own with its own kernel, register
+// with one scheduler side by side.
 func TestPipelineStagesRegister(t *testing.T) {
-	p, err := core.NewPipeline(core.FastTiming(),
-		core.Stage{Kernel: accel.Rendering{}, Params: [4]uint64{32, 32}},
-		core.Stage{Kernel: accel.Affine{}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(Config{})
 	defer s.Close()
-	for _, sys := range p.Systems() {
+	for i, k := range []accel.Kernel{accel.Rendering{}, accel.Affine{}} {
+		sys, err := core.NewSystem(core.SystemConfig{
+			Kernel: k, Seed: int64(100 + i), DNA: fpga.DNA(fmt.Sprintf("PIPE-%02d", i)), Timing: core.FastTiming(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.SecureBoot(); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Register(sys); err != nil {
 			t.Fatal(err)
 		}
