@@ -3,10 +3,11 @@
 // attests every device listed there with one cascaded-attestation exchange
 // over TCP, provisions one shared data key, and fans -jobs sealed jobs out
 // concurrently over a single multiplexed connection — polling the per-device
-// stats on that same connection while the jobs run. The flow is the same
-// against one board, an elastic fleet, or a federation front tier (where
-// the expectations cover the root shard only and -key names the session the
-// ring routes by).
+// stats on that same connection while the jobs run. Every subcommand opens
+// the one owner session (remote.Dial), and the flow is the same against one
+// board, an elastic fleet, or a federated region: the expectations cover
+// the root shard, which is the whole pool on a one-shard gateway, and -key
+// names the session the ring routes by.
 package main
 
 import (
@@ -108,7 +109,7 @@ func runFleet(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := remote.DialCluster(*instAddr, exps)
+	sess, err := remote.Dial(*instAddr, exps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func runFleet(args []string) {
 		}
 	}
 	if *drain != "" {
-		if _, err := sess.DrainDevice(fpga.DNA(*drain), *timeout, *remove); err != nil {
+		if _, err := sess.Drain(fpga.DNA(*drain), *timeout, *remove); err != nil {
 			log.Fatalf("drain: %v", err)
 		}
 		if *remove {
@@ -137,7 +138,7 @@ func runFleet(args []string) {
 		}
 	}
 
-	stats, err := sess.Stats()
+	stats, err := sess.DeviceStats()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,13 +161,12 @@ func runFleet(args []string) {
 // runJobs attests the listed devices and drives sealed jobs plus live stats
 // over one shared connection — concurrently one call per job, or (with
 // -batch) as a single batched RPC frame riding the batched secure data
-// path. The keyed session type is the general one: with an empty key its
-// requests are exactly a ClusterSession's.
+// path.
 func runJobs(exps []client.Expectations, addr, key, kernel string, jobs int, batch bool, qos *remote.QoS) {
 	fmt.Printf("expecting %d devices (first: user enclave %s, SM enclave %s, CL digest %x..., device %s)\n",
 		len(exps), exps[0].UserEnclave, exps[0].SMEnclave, exps[0].Digest[:8], exps[0].DNA)
 
-	sess, err := remote.DialFederation(addr, exps)
+	sess, err := remote.Dial(addr, exps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func runJobs(exps []client.Expectations, addr, key, kernel string, jobs int, bat
 // runBatch submits every job in one RunBatch call: one RPC frame up, one
 // down, and on the device one sealed register program per chunk instead of
 // one secure round trip per job.
-func runBatch(sess *remote.FederationSession, key, kernel string, jobs int) {
+func runBatch(sess *remote.Session, key, kernel string, jobs int) {
 	inputs := make([]remote.BatchInput, jobs)
 	var inBytes int
 	for i := range inputs {

@@ -17,8 +17,8 @@ import (
 // queue depth, boot-cache hit rates, quarantine state, and job-latency
 // quantiles. -inst accepts a comma-separated gateway list: counters sum,
 // histograms merge bucket-for-bucket (metrics.MergeSnapshots), and device
-// rows concatenate, so one board covers a whole fleet of gateways — or a
-// federation front tier, which serves the same Stats/Metrics methods.
+// rows concatenate, so one board covers a whole fleet of gateways, each a
+// pool or a federated region serving the same Stats/Metrics methods.
 // -iterations bounds the loop (0 = run until interrupted), which is what
 // the e2e test uses.
 func runTop(args []string) {
@@ -42,9 +42,9 @@ func runTop(args []string) {
 	if len(addrs) == 0 {
 		log.Fatal("top: no gateway addresses")
 	}
-	sessions := make([]*remote.ClusterSession, 0, len(addrs))
+	sessions := make([]*remote.Session, 0, len(addrs))
 	for _, a := range addrs {
-		sess, err := remote.DialCluster(a, exps)
+		sess, err := remote.Dial(a, exps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func runTop(args []string) {
 		var stats []sched.DeviceStats
 		snaps := make([]metrics.Snapshot, 0, len(sessions))
 		for j, sess := range sessions {
-			s, err := sess.Stats()
+			s, err := sess.DeviceStats()
 			if err != nil {
 				log.Fatalf("stats from %s: %v", addrs[j], err)
 			}

@@ -11,14 +11,17 @@
 // on its own.
 //
 // With -shards N it hosts a federated region instead: N shards of -devices
-// boards each, every shard behind its own scheduler, fronted by one gateway
-// that routes sessions on a consistent-hash ring (tenant + session key),
-// spills them to the least-loaded sibling when their home shard saturates,
-// and brokers the enclave-to-enclave data-key hand-off. The data owner
-// attests ONLY the root shard; every other shard is keyed lazily the first
-// time the ring routes it work. The region shares one in-process
-// manufacturer and boot caches, so -mfr, -rps-per-device and the elastic
-// flags do not apply.
+// boards each, every shard behind its own scheduler, routing sessions on a
+// consistent-hash ring (tenant + session key), spilling them to the
+// least-loaded sibling when their home shard saturates, and brokering the
+// enclave-to-enclave data-key hand-off. The data owner attests ONLY the
+// root shard; every other shard is keyed lazily the first time the ring
+// routes it work, and Scale/Drain act on the root shard. The region shares
+// one in-process manufacturer and boot caches, so -mfr, -rps-per-device and
+// the elastic flags do not apply.
+//
+// Either way one remote.Serve call builds the gateway: a lone fleet is a
+// region of one shard, and the wire dialect is the same.
 //
 // It writes the data owner's expectations (measurements, digest H, DNA,
 // root) to -exp as a JSON array, one entry per device the owner attests,
@@ -101,7 +104,7 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 0, "sustained jobs/sec each tenant may submit (0 disables)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant burst depth (0 defaults to -tenant-rate)")
 	maxP99 := flag.Duration("max-p99", 0, "shed non-critical work when live p99 job latency exceeds this (0 disables)")
-	metricsEvery := flag.Duration("metrics-interval", 0, "dump the process metrics registry (and ring stats with -shards) every interval (0 disables)")
+	metricsEvery := flag.Duration("metrics-interval", 0, "dump the process metrics registry and ring stats every interval (0 disables)")
 	shards := flag.Int("shards", 0, "front a federated region of this many shards, -devices boards each (0 serves one pool)")
 	vnodes := flag.Int("vnodes", federation.DefaultVirtualNodes, "with -shards: virtual nodes per shard on the routing ring")
 	spillHigh := flag.Float64("spill-high", federation.DefaultSpillHighWater, "with -shards: mean queued jobs per device at which a shard spills")
@@ -143,11 +146,12 @@ func main() {
 		fmt.Printf("admission control:   tenant-rate=%g/s burst=%g max-p99=%v\n", *tenantRate, *tenantBurst, *maxP99)
 	}
 
-	// attested are the systems the data owner verifies: the whole pool, or
-	// the root shard of a region. fed is the region's ring, when there is one.
+	// fed is what the gateway fronts: a federated region, or one fleet as a
+	// one-shard region. attested are the systems the data owner verifies:
+	// the root shard's, which for one fleet is the whole pool.
 	var (
-		attested []*core.System
 		fed      *federation.Federation
+		attested []*core.System
 	)
 	if *shards > 0 {
 		d, err := federation.BuildLocal(federation.LocalSpec{
@@ -164,14 +168,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer d.Close()
-		srv, bound, err := remote.ServeFederation(d.Fed, d.RootSystems, *instAddr, gwOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		attested, fed = d.RootSystems, d.Fed
-		fmt.Println("front-tier gateway: ", bound)
+		fed, attested = d.Fed, d.RootSystems
 		fmt.Printf("region:              %d shards x %d devices, root %s, %d vnodes/shard, spill at %g queued/device\n",
 			*shards, *devices, fed.Root(), *vnodes, *spillHigh)
 		fmt.Println("the owner attests the root shard only; siblings are keyed by enclave hand-off")
@@ -210,13 +207,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer mgr.Close()
-		clSrv, systems, clBound, err := remote.ServeFleet(mgr, *devices, *instAddr, gwOpts...)
-		if err != nil {
+		if attested, err = mgr.SpawnN(*devices); err != nil {
 			log.Fatal(err)
 		}
-		defer clSrv.Close()
-		attested = systems
+		fed = federation.Single(mgr)
 		if *autoReplace > 0 {
 			mgr.StartAutoReplace(*autoReplace)
 			fmt.Println("auto-replace every: ", *autoReplace)
@@ -229,10 +223,16 @@ func main() {
 			})
 			fmt.Printf("autoscale every:     %v (high=%g low=%g per device)\n", *autoscale, *autoscaleHigh, *autoscaleLow)
 		}
-		fmt.Println("fleet gateway:      ", clBound)
 		fmt.Printf("deployed %s CL on %d boards x %d RPs = %d partitions (digest %x...), elastic %d..%s boards\n",
-			*kernel, *devices, *rpsPerDevice, len(systems), systems[0].Package.Digest[:8], *minDevices, ceiling(*maxDevices))
+			*kernel, *devices, *rpsPerDevice, len(attested), attested[0].Package.Digest[:8], *minDevices, ceiling(*maxDevices))
 	}
+	defer fed.Close()
+	srv, bound, err := remote.Serve(fed, attested, *instAddr, gwOpts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+	fmt.Println("gateway:            ", bound)
 	if len(weights) > 0 {
 		fmt.Printf("tenant fair share:   %s\n", *tenantWeights)
 	}
@@ -262,9 +262,7 @@ func main() {
 					return
 				case <-t.C:
 					fmt.Printf("--- metrics %s ---\n%s", time.Now().Format(time.TimeOnly), metrics.Default().Snapshot())
-					if fed != nil {
-						printRing(fed.Stats())
-					}
+					printRing(fed.Stats())
 				}
 			}
 		}()
@@ -279,7 +277,7 @@ func main() {
 	fmt.Println("\nshutting down")
 }
 
-// printRing renders the front tier's routing and shard snapshot.
+// printRing renders the gateway's routing and shard snapshot.
 func printRing(st federation.Stats) {
 	fmt.Printf("--- ring --- epoch=%d routed=%d spilled=%d handoffs=%d\n", st.Epoch, st.Routed, st.Spilled, st.Handoffs)
 	for _, sh := range st.Shards {

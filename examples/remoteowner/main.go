@@ -14,6 +14,8 @@ import (
 	"salus"
 	"salus/internal/client"
 	"salus/internal/core"
+	"salus/internal/federation"
+	"salus/internal/fleet"
 	"salus/internal/manufacturer"
 	"salus/internal/remote"
 	"salus/internal/sched"
@@ -51,9 +53,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A fixed pool of one is a one-shard region over the caller's scheduler.
 	sch := sched.New(sched.Config{})
 	defer sch.Close()
-	instSrv, instAddr, err := remote.ServeCluster([]*core.System{sys}, sch, "127.0.0.1:0")
+	pool := []*core.System{sys}
+	instSrv, instAddr, err := remote.Serve(federation.Single(fleet.Fixed(sch, pool)), pool, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func main() {
 	fmt.Println("instance gateway on   ", instAddr)
 
 	// Owner domain: attest across the network, then offload.
-	sess, err := remote.DialCluster(instAddr, []client.Expectations{sys.Expectations()})
+	sess, err := remote.Dial(instAddr, []client.Expectations{sys.Expectations()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func main() {
 	fmt.Println("cascaded attestation verified over TCP; data key provisioned")
 
 	w, _ := salus.TestWorkload("FaceDetect", 8)
-	out, err := sess.RunJob("FaceDetect", w.Params, w.Input)
+	out, _, err := sess.RunJob("", "FaceDetect", w.Params, w.Input)
 	if err != nil {
 		log.Fatal(err)
 	}

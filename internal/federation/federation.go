@@ -55,8 +55,8 @@ type Config struct {
 }
 
 // shard is one member gateway: a fleet manager owning a disjoint board
-// pool, plus the hand-off state that tracks whether its enclaves hold the
-// federation session's data key yet.
+// pool, plus the boards it booted that still await the federation session's
+// data key.
 type shard struct {
 	id   string
 	addr string
@@ -65,8 +65,18 @@ type shard struct {
 	pressureGauge *metrics.Gauge
 
 	mu      sync.Mutex
-	keyed   bool
 	preboot []*core.System // instance-side booted, awaiting the data key
+}
+
+// keyed reports whether the shard serves the session: no booted board still
+// awaits the data key, and its scheduler holds at least one keyed board.
+// It derives from state the shard holds anyway, so a gateway re-served over
+// an already provisioned root (a restart) finds the root keyed without a
+// second owner handshake.
+func (s *shard) keyed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.preboot) == 0 && s.mgr.Scheduler().DeviceCount() > 0
 }
 
 // pressure reads the shard's backlog signal and mirrors it into the
@@ -114,6 +124,17 @@ func New(cfg Config) *Federation {
 		clock:  clock,
 		shards: make(map[string]*shard),
 	}
+}
+
+// Single builds the one-shard federation every lone pool or fleet gateway
+// serves: mgr is its root shard "gw0", and the owner's systems join it
+// through mgr.Adopt. It returns nil for a nil manager.
+func Single(mgr *fleet.Manager) *Federation {
+	f := New(Config{})
+	if _, err := f.newShard("gw0", mgr, ""); err != nil {
+		return nil
+	}
+	return f
 }
 
 // NetClock returns the clock the tier charges modelled network time to.
@@ -231,22 +252,17 @@ func (f *Federation) RemoveShard(id string) error {
 		f.mu.Unlock()
 		return fmt.Errorf("federation: unknown shard %s", id)
 	}
-	sh.mu.Lock()
-	leavingKeyed := sh.keyed
-	sh.mu.Unlock()
-	if leavingKeyed {
+	if sh.keyed() {
 		keyedLeft, unkeyed := 0, 0
 		for sid, other := range f.shards {
 			if sid == id {
 				continue
 			}
-			other.mu.Lock()
-			if other.keyed {
+			if other.keyed() {
 				keyedLeft++
 			} else {
 				unkeyed++
 			}
-			other.mu.Unlock()
 		}
 		if keyedLeft == 0 && unkeyed > 0 {
 			f.mu.Unlock()
@@ -263,10 +279,7 @@ func (f *Federation) RemoveShard(id string) error {
 		}
 		sort.Strings(ids)
 		for _, sid := range ids {
-			f.shards[sid].mu.Lock()
-			keyed := f.shards[sid].keyed
-			f.shards[sid].mu.Unlock()
-			if keyed {
+			if f.shards[sid].keyed() {
 				f.root = sid
 				break
 			}
@@ -281,21 +294,6 @@ func (f *Federation) RemoveShard(id string) error {
 	}
 	mShardsNow.Add(-1)
 	return nil
-}
-
-// MarkRootKeyed records that the root shard's systems finished the owner
-// handshake (attest + provision + scheduler registration). Callers that
-// boot the root locally (sched.BootSharedParallel + Adopt) or through the remote
-// gateway must call this before traffic flows.
-func (f *Federation) MarkRootKeyed() {
-	f.mu.RLock()
-	sh := f.shards[f.root]
-	f.mu.RUnlock()
-	if sh != nil {
-		sh.mu.Lock()
-		sh.keyed = true
-		sh.mu.Unlock()
-	}
 }
 
 // Root returns the donor-anchor shard's id — the shard whose members the
@@ -349,7 +347,9 @@ func (f *Federation) AllDeviceStats() []sched.DeviceStats {
 	return out
 }
 
-// donor returns a booted enclave system from a keyed shard, root first.
+// donor returns a booted enclave system from a keyed shard, root first. A
+// shard's members all hold the key (a board joins only once keyed), so any
+// shard with a member can donate.
 func (f *Federation) donor() *core.System {
 	f.mu.RLock()
 	ordered := make([]*shard, 0, len(f.shards))
@@ -368,12 +368,6 @@ func (f *Federation) donor() *core.System {
 	}
 	f.mu.RUnlock()
 	for _, sh := range ordered {
-		sh.mu.Lock()
-		keyed := sh.keyed
-		sh.mu.Unlock()
-		if !keyed {
-			continue
-		}
 		if d := sh.mgr.Donor(); d != nil {
 			return d
 		}
@@ -390,7 +384,7 @@ func (f *Federation) donor() *core.System {
 func (f *Federation) ensureKeyed(sh *shard) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.keyed {
+	if len(sh.preboot) == 0 {
 		return nil
 	}
 	donor := f.donor()
@@ -409,7 +403,6 @@ func (f *Federation) ensureKeyed(sh *shard) error {
 		donor = sys // chain within the shard: one cross-shard hop total
 	}
 	sh.preboot = nil
-	sh.keyed = true
 	return nil
 }
 
@@ -417,7 +410,7 @@ func (f *Federation) ensureKeyed(sh *shard) error {
 // the routing-table epoch. Deterministic across every party that holds the
 // same membership set.
 func (f *Federation) Route(tenant, key string) (id, addr string, epoch uint64, err error) {
-	id = f.ring.Route(RouteKey(tenant, key))
+	id = f.ring.Route(tenant, key)
 	if id == "" {
 		return "", "", 0, fmt.Errorf("federation: no shards")
 	}
@@ -465,7 +458,7 @@ type SubmitResult struct {
 // one more gateway-to-gateway hop on spill-over) is charged to the
 // federation clock once per submission; routed/spilled count jobs.
 func (f *Federation) place(tenant, key string, payloadBytes, n int) (target *shard, spilled bool, err error) {
-	homeID := f.ring.Route(RouteKey(tenant, key))
+	homeID := f.ring.Route(tenant, key)
 	if homeID == "" {
 		return nil, false, fmt.Errorf("federation: no shards")
 	}
@@ -564,16 +557,13 @@ func (f *Federation) Stats() Stats {
 		Handoffs: f.handoffs.Load(),
 	}
 	for _, sh := range shards {
-		sh.mu.Lock()
-		keyed := sh.keyed
-		sh.mu.Unlock()
 		out.Shards = append(out.Shards, ShardStats{
 			ID:       sh.id,
 			Addr:     sh.addr,
 			Devices:  sh.mgr.Scheduler().DeviceCount(),
 			Queued:   sh.mgr.Scheduler().QueuedTotal(),
 			Pressure: sh.pressure(),
-			Keyed:    keyed,
+			Keyed:    sh.keyed(),
 			Root:     sh.id == root,
 		})
 	}

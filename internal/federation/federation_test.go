@@ -260,3 +260,49 @@ func TestFederationRejoinAfterLeave(t *testing.T) {
 		}
 	}
 }
+
+// TestOneShardSubmitAllocatesLikeScheduler: on a one-shard region the
+// federation path — ring routing, pressure, keying check, modelled network
+// charge — allocates nothing of its own, so Federation.SubmitBatch costs
+// exactly what the shard's Scheduler.Submit costs for the same sealed job.
+// That is what lets every gateway serve through a federation.
+func TestOneShardSubmitAllocatesLikeScheduler(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := buildTestFederation(t, LocalSpec{Shards: 1, DevicesPerShard: 1})
+	w := accel.GenConv(16, 16, 4, 1)
+	sealed, err := cryptoutil.Seal(d.Key, w.Input, []byte("job-input"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []sched.Job{{Kernel: "Conv", Params: w.Params, Input: sealed, Sealed: true}}
+	opt := sched.SubmitOptions{Class: sched.ClassStandard}
+	sch := d.Managers[0].Scheduler()
+	viaSched := func() {
+		if _, err := sch.Submit(jobs, opt)[0].Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viaFed := func() {
+		futs, _, _, err := d.Fed.SubmitBatch("tenant-a", "dataset-7", jobs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := futs[0].Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm both paths past a session rekey, then average over whole rekey
+	// periods so each side pays the same share of them.
+	for i := 0; i < core.DefaultSessionRekeyEvery; i++ {
+		viaSched()
+		viaFed()
+	}
+	runs := 4 * core.DefaultSessionRekeyEvery
+	s, f := testing.AllocsPerRun(runs, viaSched), testing.AllocsPerRun(runs, viaFed)
+	t.Logf("sealed job: Scheduler.Submit %.0f allocations, one-shard Federation.SubmitBatch %.0f", s, f)
+	if f != s {
+		t.Errorf("one-shard Federation.SubmitBatch allocates %.0f a job, Scheduler.Submit %.0f", f, s)
+	}
+}

@@ -172,7 +172,6 @@ func BuildLocal(spec LocalSpec) (*LocalDeployment, error) {
 				return nil, err
 			}
 		}
-		fed.MarkRootKeyed()
 		d.Key = key
 	}
 	return d, nil

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"salus/internal/siphash"
@@ -43,11 +44,14 @@ const DefaultVirtualNodes = 64
 // keys identically.
 var ringHashKey = []byte("salus/federation")
 
-// RouteKey combines a session's tenant and data-set key into the ring key.
-// Both parts are length-prefixed so ("ab","c") and ("a","bc") cannot
-// collide.
-func RouteKey(tenant, key string) string {
-	return fmt.Sprintf("%d:%s|%d:%s", len(tenant), tenant, len(key), key)
+// appendRouteKey appends the ring key of a session's tenant and data-set
+// key, "len:tenant|len:key" with decimal lengths: both parts are
+// length-prefixed so ("ab","c") and ("a","bc") cannot collide.
+func appendRouteKey(b []byte, tenant, key string) []byte {
+	b = append(strconv.AppendInt(b, int64(len(tenant)), 10), ':')
+	b = append(append(b, tenant...), '|')
+	b = append(strconv.AppendInt(b, int64(len(key)), 10), ':')
+	return append(b, key...)
 }
 
 // Ring is a consistent-hash ring over shard IDs. Every shard contributes
@@ -124,16 +128,18 @@ func (r *Ring) Remove(shard string) error {
 	return nil
 }
 
-// Route returns the owning shard for a ring key, or "" on an empty ring.
-// Placement is deterministic: every party holding the same membership set
-// computes the same owner.
-func (r *Ring) Route(key string) string {
+// Route returns the owning shard of a session's tenant and data-set key, or
+// "" on an empty ring. Placement is deterministic: every party holding the
+// same membership set computes the same owner. The ring key is built in a
+// stack buffer, so routing a session whose key fits it does not allocate.
+func (r *Ring) Route(tenant, key string) string {
+	var buf [128]byte
+	h := siphash.Sum64(ringHashKey, appendRouteKey(buf[:0], tenant, key))
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := siphash.Sum64(ringHashKey, []byte(key))
 	// First point clockwise from h; wrap to the start past the last point.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

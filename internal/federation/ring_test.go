@@ -2,14 +2,21 @@ package federation
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
+
+	"salus/internal/siphash"
 )
 
-// sampleKeys returns n distinct ring keys shaped like real session keys.
-func sampleKeys(n int) []string {
-	keys := make([]string, n)
+// session is one (tenant, data-set key) pair the ring routes.
+type session struct{ tenant, key string }
+
+// sampleKeys returns n distinct sessions shaped like real ones.
+func sampleKeys(n int) []session {
+	keys := make([]session, n)
 	for i := range keys {
-		keys[i] = RouteKey(fmt.Sprintf("tenant-%d", i%97), fmt.Sprintf("dataset-%d", i))
+		keys[i] = session{fmt.Sprintf("tenant-%d", i%97), fmt.Sprintf("dataset-%d", i)}
 	}
 	return keys
 }
@@ -29,7 +36,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 	a := ringWith(t, "gw0", "gw1", "gw2")
 	b := ringWith(t, "gw2", "gw0", "gw1") // insertion order must not matter
 	for _, k := range sampleKeys(2000) {
-		oa, ob := a.Route(k), b.Route(k)
+		oa, ob := a.Route(k.tenant, k.key), b.Route(k.tenant, k.key)
 		if oa == "" {
 			t.Fatalf("key %q routed nowhere", k)
 		}
@@ -44,7 +51,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := sampleKeys(30000)
 	for _, k := range keys {
-		counts[r.Route(k)]++
+		counts[r.Route(k.tenant, k.key)]++
 	}
 	want := len(keys) / 3
 	for shard, n := range counts {
@@ -60,9 +67,9 @@ func TestRingBalance(t *testing.T) {
 func TestRingJoinMovesOnlyOneSegment(t *testing.T) {
 	r := ringWith(t, "gw0", "gw1", "gw2")
 	keys := sampleKeys(20000)
-	before := make(map[string]string, len(keys))
+	before := make(map[session]string, len(keys))
 	for _, k := range keys {
-		before[k] = r.Route(k)
+		before[k] = r.Route(k.tenant, k.key)
 	}
 	epoch0 := r.Epoch()
 
@@ -74,7 +81,7 @@ func TestRingJoinMovesOnlyOneSegment(t *testing.T) {
 	}
 	moved := 0
 	for _, k := range keys {
-		after := r.Route(k)
+		after := r.Route(k.tenant, k.key)
 		if after == before[k] {
 			continue
 		}
@@ -93,7 +100,7 @@ func TestRingJoinMovesOnlyOneSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if got := r.Route(k); got != before[k] {
+		if got := r.Route(k.tenant, k.key); got != before[k] {
 			t.Fatalf("key %q maps to %s after join+leave, was %s: leave did not restore the segment", k, got, before[k])
 		}
 	}
@@ -101,7 +108,7 @@ func TestRingJoinMovesOnlyOneSegment(t *testing.T) {
 
 func TestRingMembership(t *testing.T) {
 	r := NewRing(8)
-	if got := r.Route("anything"); got != "" {
+	if got := r.Route("", "anything"); got != "" {
 		t.Errorf("empty ring routed to %q", got)
 	}
 	if err := r.Add(""); err == nil {
@@ -125,7 +132,45 @@ func TestRingMembership(t *testing.T) {
 }
 
 func TestRouteKeyUnambiguous(t *testing.T) {
-	if RouteKey("ab", "c") == RouteKey("a", "bc") {
+	if string(appendRouteKey(nil, "ab", "c")) == string(appendRouteKey(nil, "a", "bc")) {
 		t.Error("tenant/key concatenation is ambiguous")
+	}
+}
+
+// TestRoutePlacesLikeSprintfKey holds Route to the placements of the ring
+// key it used to build with fmt.Sprintf, kept here as the reference: the
+// same bytes hashed, so no session moves shard.
+func TestRoutePlacesLikeSprintfKey(t *testing.T) {
+	r := ringWith(t, "gw0", "gw1", "gw2")
+	sessions := append(sampleKeys(10000), session{"", ""}, session{"", "k"}, session{"t", ""},
+		session{strings.Repeat("t", 100), strings.Repeat("k", 100)}) // longer than the stack buffer
+	for _, s := range sessions {
+		ref := fmt.Sprintf("%d:%s|%d:%s", len(s.tenant), s.tenant, len(s.key), s.key)
+		if want := routeRef(r, ref); r.Route(s.tenant, s.key) != want {
+			t.Fatalf("session %+v routes to %s, the Sprintf key to %s", s, r.Route(s.tenant, s.key), want)
+		}
+	}
+}
+
+// routeRef routes an already-built ring key the way Route did before it
+// built the key itself.
+func routeRef(r *Ring, key string) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	h := siphash.Sum64(ringHashKey, []byte(key))
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].shard
+}
+
+func TestRouteDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := ringWith(t, "gw0", "gw1", "gw2")
+	if n := testing.AllocsPerRun(1000, func() { r.Route("tenant-42", "dataset-4242") }); n != 0 {
+		t.Errorf("Route allocates %.1f times a call, want 0", n)
 	}
 }

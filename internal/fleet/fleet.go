@@ -224,6 +224,30 @@ func New(cfg Config) (*Manager, error) {
 	}, nil
 }
 
+// Fixed wraps the caller's scheduler in a manager pinned at the boards of
+// systems, which join it through Adopt: MinDevices and MaxDevices both equal
+// the board count, and the boards count as pending until adopted, so Add
+// and Remove are refused whether or not the owner has provisioned them. It
+// spawns nothing and so needs no kernel. Close closes sch.
+func Fixed(sch *sched.Scheduler, systems []*core.System) *Manager {
+	boards := make(map[fpga.DNA]bool)
+	for _, sys := range systems {
+		boards[sys.Device.DNA()] = true
+	}
+	n := len(boards)
+	return &Manager{
+		cfg:       Config{MinDevices: n, MaxDevices: n, DrainTimeout: DefaultDrainTimeout},
+		prepared:  smapp.NewPreparedCache(),
+		quotes:    smapp.NewQuotePool(),
+		rps:       1,
+		sch:       sch,
+		bootTrace: trace.New(),
+		members:   make(map[fpga.DNA][]*core.System),
+		pending:   n,
+		stopCh:    make(chan struct{}),
+	}
+}
+
 // RPsPerDevice reports how many reconfigurable partitions each board
 // serves.
 func (m *Manager) RPsPerDevice() int { return m.rps }

@@ -127,7 +127,7 @@ func (a *Admission) Admit(tenant string, class sched.Class, cost int) error {
 	return nil
 }
 
-// GatewayOption configures ServeCluster/ServeFleet.
+// GatewayOption configures Serve.
 type GatewayOption func(*gatewayOptions)
 
 type gatewayOptions struct {

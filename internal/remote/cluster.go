@@ -3,30 +3,34 @@ package remote
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"salus/internal/core"
 	"salus/internal/cryptoutil"
 	"salus/internal/federation"
+	"salus/internal/fpga"
 	"salus/internal/metrics"
 	"salus/internal/rpc"
 	"salus/internal/sched"
 	"salus/internal/sgx"
+	"salus/internal/userapp"
 )
 
 // --- Gateway protocol --------------------------------------------------------
 //
 // Every gateway speaks one dialect, the Cluster.* verbs, whatever it
-// fronts: one board is a pool of one, a pool is a region of one shard. The
-// data owner attests every device of the pool it is shown individually —
-// there is no transitive trust between boards — then provisions one shared
-// data key to all of them (Cluster.Boot, Cluster.Provision), after which a
-// sealed job (Cluster.RunJob, Cluster.RunBatch) runs wherever the gateway
-// places it. An elastic gateway adds Cluster.Scale / Cluster.Drain
-// (fleetgw.go); a gateway fronting a routing ring adds Cluster.Route /
-// Cluster.Handoff (fedgw.go).
+// fronts: one board is a pool of one, a pool is a region of one shard, and
+// one server body (Serve) answers every verb. The data owner attests every
+// device of the root shard individually — there is no transitive trust
+// between boards — then provisions one shared data key to all of them
+// (Cluster.Boot, Cluster.Provision), after which a sealed job
+// (Cluster.RunJob, Cluster.RunBatch) runs wherever the ring places it.
+// Cluster.Scale / Cluster.Drain change the root shard's membership;
+// Cluster.Route / Cluster.Handoff answer routing and sibling key requests.
 //
 // The gateway is untrusted plumbing (it runs outside the enclaves, like the
 // RPC modules in Figure 7): the quotes are signed, the key copies are
@@ -68,14 +72,15 @@ type JobRequest struct {
 	Tenant         string `json:"tenant,omitempty"`
 	Class          string `json:"class,omitempty"`
 	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
-	// Key names the session for a ring-fronting gateway, which hashes
-	// tenant + key to a home shard; other gateways ignore it.
+	// Key names the session: the gateway hashes tenant + key to a home
+	// shard, which on a one-shard region is always the same one.
 	Key string `json:"key,omitempty"`
 }
 
-// JobResponse carries the sealed result. A ring-fronting gateway also
+// JobResponse carries the sealed result. A region of several shards also
 // reports the placement it chose, so clients (and the bench) can observe
-// routing hit rate and spill-over without trusting extra state.
+// routing hit rate and spill-over without trusting extra state; one shard
+// reports none.
 type JobResponse struct {
 	SealedOutput []byte `json:"sealed_output"`
 	Shard        string `json:"shard,omitempty"`
@@ -111,18 +116,18 @@ type BatchJobResult struct {
 }
 
 // BatchResponse carries every job's result in request order, plus the
-// batch's placement from a ring-fronting gateway.
+// batch's placement as in JobResponse.
 type BatchResponse struct {
 	Results []BatchJobResult `json:"results"`
 	Shard   string           `json:"shard,omitempty"`
 	Spilled bool             `json:"spilled,omitempty"`
 }
 
-// ClusterStatsResponse snapshots every device behind the gateway; a
-// ring-fronting gateway adds its routing and shard snapshot.
+// ClusterStatsResponse snapshots every device behind the gateway, every
+// shard's in shard order, and the ring's routing and shard snapshot.
 type ClusterStatsResponse struct {
 	Devices []sched.DeviceStats `json:"devices"`
-	Ring    *federation.Stats   `json:"ring,omitempty"`
+	Ring    federation.Stats    `json:"ring"`
 }
 
 // ClusterMetricsResponse carries the gateway process's whole metrics
@@ -133,68 +138,90 @@ type ClusterMetricsResponse struct {
 	Metrics metrics.Snapshot `json:"metrics"`
 }
 
-// backend is where a gateway sends sealed jobs: straight into one
-// scheduler (sch), or through a federation's ring and spill-over (fed,
-// which takes precedence when set).
-type backend struct {
-	sch *sched.Scheduler
-	fed *federation.Federation
+// ScaleRequest asks the root shard's fleet to grow (Delta > 0) or shrink
+// (Delta < 0).
+type ScaleRequest struct {
+	Delta int `json:"delta"`
 }
 
-// submit hands sealed jobs of one session to the backend as one submission
-// and reports the placement a ring chose (none for a plain scheduler).
-func (b backend) submit(tenant, key string, jobs []sched.Job, opt sched.SubmitOptions) (futs []*sched.Future, shard string, spilled bool, err error) {
-	if b.fed == nil {
-		return b.sch.Submit(jobs, opt), "", false, nil
-	}
-	return b.fed.SubmitBatch(tenant, key, jobs, opt)
+// ScaleResponse reports the membership change actually applied.
+type ScaleResponse struct {
+	Added   []fpga.DNA          `json:"added,omitempty"`
+	Removed []fpga.DNA          `json:"removed,omitempty"`
+	Devices []sched.DeviceStats `json:"devices"`
 }
 
-func (b backend) stats() ClusterStatsResponse {
-	if b.fed == nil {
-		return ClusterStatsResponse{Devices: b.sch.Stats()}
-	}
-	ring := b.fed.Stats()
-	return ClusterStatsResponse{Devices: b.fed.AllDeviceStats(), Ring: &ring}
+// DrainDeviceRequest drains one board; with Remove set it is also
+// decommissioned once (bounded) draining finishes.
+type DrainDeviceRequest struct {
+	DNA           fpga.DNA `json:"dna"`
+	TimeoutMillis int64    `json:"timeout_millis"`
+	Remove        bool     `json:"remove"`
 }
 
-// ServeCluster exposes a pool's gateway on addr. The systems must be
-// freshly constructed (not yet booted); after a successful
-// Cluster.Provision they are registered into sch and jobs flow.
-func ServeCluster(systems []*core.System, sch *sched.Scheduler, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
-	if len(systems) == 0 {
-		return nil, "", fmt.Errorf("remote: empty cluster")
-	}
-	return listen(newGateway(systems, sch.Register, backend{sch: sch}, opts), addr)
+// RouteRequest asks where a session lives.
+type RouteRequest struct {
+	Tenant string `json:"tenant,omitempty"`
+	Key    string `json:"key"`
 }
 
-// listen binds srv to addr (use "127.0.0.1:0" to pick a free port) and
-// returns it with the bound address.
-func listen(srv *rpc.Server, addr string) (*rpc.Server, string, error) {
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
+// RouteResponse names the session's home shard, its gateway address when
+// published, and the routing-table epoch the answer is valid for — a
+// client holding a stale epoch should re-route.
+type RouteResponse struct {
+	Shard string `json:"shard"`
+	Addr  string `json:"addr,omitempty"`
+	Epoch uint64 `json:"epoch"`
 }
 
-// newGateway builds the one server body every gateway shares: the
-// idempotent owner handshake over a fixed initial device order, then the
-// job, stats and metrics verbs over b.
+// HandoffRequest is a recipient enclave's local-attestation key request
+// relayed to this region (core.System.BeginAdoptDataKey wire form). The
+// report pins the recipient's measurement and binds its ephemeral public
+// key into the report data, so the relaying hosts cannot swap either.
+type HandoffRequest struct {
+	Report       sgx.Report `json:"report"`
+	RecipientPub []byte     `json:"recipient_pub"`
+}
+
+// HandoffGrant is the donor enclave's answer: the region's data key sealed
+// under a one-pass ECDH channel toward the attested recipient key
+// (userapp.KeyGrant wire form, fed to core.System.FinishAdoptDataKey).
+type HandoffGrant struct {
+	SenderPub []byte `json:"sender_pub"`
+	Sealed    []byte `json:"sealed"`
+}
+
+// Serve exposes a gateway over fed on addr; it is the only constructor of
+// a gateway server. A lone pool or fleet is a one-shard federation
+// (federation.Single), a region is N shards, and every gateway serves
+// every Cluster.* verb.
 //
-// register is called once per device, serialised under the handshake lock,
-// after the whole pool finished provisioning: the scheduler for a plain
-// cluster, fleet adoption for an elastic one, root-shard adoption for a
-// federation.
+// The owner handshake runs against owner only — the root shard's systems,
+// fresh and not yet booted: the owner attests and provisions them, each is
+// then adopted into the root shard's manager, and every other shard is
+// keyed enclave to enclave (Cluster.Handoff, or the in-process hand-off on
+// first routing) with no further owner round trip. Jobs go through the
+// ring. Scale and Drain act on the root shard's manager, so a fixed pool
+// (fleet.Fixed) refuses them through its own device bounds.
 //
 // Boot and Provision are retry-safe: a client whose connection broke
 // mid-handshake can re-dial and resend the same request. A replayed Boot
 // under the original nonce returns the cached quotes (re-signing the same
 // deterministic response leaks nothing); a partially applied Boot or
 // Provision resumes from the first unfinished device; a replayed Provision
-// returns success without double-registering anything. Only *conflicting*
+// returns success without adopting anything twice. Only *conflicting*
 // replays — a different nonce, a different key material — are refused.
-func newGateway(systems []*core.System, register func(*core.System) error, b backend, opts []GatewayOption) *rpc.Server {
+func Serve(fed *federation.Federation, owner []*core.System, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
+	if fed == nil {
+		return nil, "", fmt.Errorf("remote: nil federation")
+	}
+	if len(owner) == 0 {
+		return nil, "", fmt.Errorf("remote: no owner systems")
+	}
+	root := fed.Manager(fed.Root())
+	if root == nil {
+		return nil, "", fmt.Errorf("remote: federation has no root shard")
+	}
 	var o gatewayOptions
 	for _, opt := range opts {
 		opt(&o)
@@ -211,7 +238,7 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		booted     int // devices through BootAndQuote
 		provFP     []byte
 		provided   int // devices through FinishProvision
-		registered int // devices handed to register
+		adopted    int // devices adopted into the root shard
 	)
 	srv.Handle("Cluster.Boot", rpc.Typed(func(in ClusterBootRequest) (ClusterBootResponse, error) {
 		mu.Lock()
@@ -224,20 +251,20 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		}
 		if booted == 0 {
 			bootNonce = append([]byte(nil), in.Nonce...)
-			bootQuotes = make([]sgx.Quote, len(systems))
+			bootQuotes = make([]sgx.Quote, len(owner))
 		}
-		for ; booted < len(systems); booted++ {
-			q, err := systems[booted].BootAndQuote(in.Nonce)
+		for ; booted < len(owner); booted++ {
+			q, err := owner[booted].BootAndQuote(in.Nonce)
 			if err != nil {
-				return ClusterBootResponse{}, fmt.Errorf("device %d (%s): %w", booted, systems[booted].Device.DNA(), err)
+				return ClusterBootResponse{}, fmt.Errorf("device %d (%s): %w", booted, owner[booted].Device.DNA(), err)
 			}
 			bootQuotes[booted] = q
 		}
 		return ClusterBootResponse{Quotes: bootQuotes}, nil
 	}))
 	srv.Handle("Cluster.Provision", rpc.Typed(func(in ClusterProvisionRequest) (struct{}, error) {
-		if len(in.Provisions) != len(systems) {
-			return struct{}{}, fmt.Errorf("got %d provisions for %d devices", len(in.Provisions), len(systems))
+		if len(in.Provisions) != len(owner) {
+			return struct{}{}, fmt.Errorf("got %d provisions for %d devices", len(in.Provisions), len(owner))
 		}
 		raw, err := json.Marshal(in)
 		if err != nil {
@@ -253,18 +280,18 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 			return struct{}{}, fmt.Errorf("cluster already provisioned with different key material")
 		}
 		provFP = fp[:]
-		for ; provided < len(systems); provided++ {
+		for ; provided < len(owner); provided++ {
 			p := in.Provisions[provided]
-			if err := systems[provided].FinishProvision(p.SenderPub, p.Sealed); err != nil {
+			if err := owner[provided].FinishProvision(p.SenderPub, p.Sealed); err != nil {
 				return struct{}{}, fmt.Errorf("device %d: %w", provided, err)
 			}
 		}
 		// Only a fully provisioned pool starts serving: a device that
 		// failed provisioning never sees a job, and a replayed Provision
-		// never registers a device twice.
-		for ; registered < len(systems); registered++ {
-			if err := register(systems[registered]); err != nil {
-				return struct{}{}, fmt.Errorf("device %d: %w", registered, err)
+		// never adopts a device twice.
+		for ; adopted < len(owner); adopted++ {
+			if err := root.Adopt(owner[adopted]); err != nil {
+				return struct{}{}, fmt.Errorf("device %d: %w", adopted, err)
 			}
 		}
 		return struct{}{}, nil
@@ -276,7 +303,7 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 			return JobResponse{}, err
 		}
 		job := sched.Job{Kernel: in.Kernel, Params: in.Params, Input: in.SealedInput, Sealed: true}
-		futs, shard, spilled, err := b.submit(in.Tenant, in.Key, []sched.Job{job}, opt)
+		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, []sched.Job{job}, opt)
 		if err != nil {
 			return JobResponse{}, err
 		}
@@ -284,7 +311,9 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		if err != nil {
 			return JobResponse{}, err
 		}
-		return JobResponse{SealedOutput: out, Shard: shard, Spilled: spilled}, nil
+		resp := JobResponse{SealedOutput: out}
+		resp.Shard, resp.Spilled = placed(fed, shard, spilled)
+		return resp, nil
 	}))
 	srv.Handle("Cluster.RunBatch", rpc.Typed(func(in BatchRequest) (BatchResponse, error) {
 		if len(in.Jobs) == 0 {
@@ -298,11 +327,12 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		for i, j := range in.Jobs {
 			jobs[i] = sched.Job{Kernel: in.Kernel, Params: j.Params, Input: j.SealedInput, Sealed: true}
 		}
-		futs, shard, spilled, err := b.submit(in.Tenant, in.Key, jobs, opt)
+		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, jobs, opt)
 		if err != nil {
 			return BatchResponse{}, err
 		}
-		resp := BatchResponse{Results: make([]BatchJobResult, len(futs)), Shard: shard, Spilled: spilled}
+		resp := BatchResponse{Results: make([]BatchJobResult, len(futs))}
+		resp.Shard, resp.Spilled = placed(fed, shard, spilled)
 		for i, f := range futs {
 			out, err := f.Wait()
 			if err != nil {
@@ -314,12 +344,135 @@ func newGateway(systems []*core.System, register func(*core.System) error, b bac
 		return resp, nil
 	}))
 	srv.Handle("Cluster.Stats", rpc.Typed(func(struct{}) (ClusterStatsResponse, error) {
-		return b.stats(), nil
+		return ClusterStatsResponse{Devices: fed.AllDeviceStats(), Ring: fed.Stats()}, nil
 	}))
 	srv.Handle("Cluster.Metrics", rpc.Typed(func(struct{}) (ClusterMetricsResponse, error) {
 		return ClusterMetricsResponse{Metrics: metrics.Default().Snapshot()}, nil
 	}))
-	return srv
+
+	// Growth needs no client round trip: a board added by Cluster.Scale
+	// boots the same CL (the fleet's prepared-bitstream cache pins one
+	// digest) and receives the data key only through the sibling enclave
+	// hand-off (core.AdoptDataKeyFrom) from an already-attested user
+	// enclave on the same platform with an identical measurement. The host
+	// brokers ciphertext; it can deny growth, never mint a rogue member.
+	srv.Handle("Cluster.Scale", rpc.Typed(func(in ScaleRequest) (ScaleResponse, error) {
+		var resp ScaleResponse
+		switch {
+		case in.Delta > 0:
+			for i := 0; i < in.Delta; i++ {
+				dna, err := root.Add()
+				if err != nil {
+					resp.Devices = root.Stats()
+					return resp, fmt.Errorf("grew by %d of %d: %w", i, in.Delta, err)
+				}
+				resp.Added = append(resp.Added, dna)
+			}
+		case in.Delta < 0:
+			for i, dna := range shrinkOrder(root.Stats(), -in.Delta) {
+				if _, err := root.Remove(dna); err != nil {
+					resp.Devices = root.Stats()
+					return resp, fmt.Errorf("shrank by %d of %d: %w", i, -in.Delta, err)
+				}
+				resp.Removed = append(resp.Removed, dna)
+			}
+		}
+		resp.Devices = root.Stats()
+		return resp, nil
+	}))
+	srv.Handle("Cluster.Drain", rpc.Typed(func(in DrainDeviceRequest) (ClusterStatsResponse, error) {
+		err := root.Scheduler().Drain(in.DNA, time.Duration(in.TimeoutMillis)*time.Millisecond)
+		// A drain timeout does not block decommissioning (matching
+		// fleet.Remove's semantics); anything else does.
+		if err == nil || (in.Remove && errors.Is(err, sched.ErrDrainTimeout)) {
+			err = nil
+			if in.Remove {
+				_, err = root.Remove(in.DNA)
+			}
+		}
+		return ClusterStatsResponse{Devices: root.Stats()}, err
+	}))
+	srv.Handle("Cluster.Route", rpc.Typed(func(in RouteRequest) (RouteResponse, error) {
+		id, shardAddr, epoch, err := fed.Route(in.Tenant, in.Key)
+		return RouteResponse{Shard: id, Addr: shardAddr, Epoch: epoch}, err
+	}))
+	srv.Handle("Cluster.Handoff", rpc.Typed(func(in HandoffRequest) (HandoffGrant, error) {
+		grant, err := fed.Grant(userapp.KeyRequest{Report: in.Report, RecipientPub: in.RecipientPub})
+		return HandoffGrant{SenderPub: grant.SenderPub, Sealed: grant.Sealed}, err
+	}))
+
+	return listen(srv, addr)
+}
+
+// listen binds srv to addr (use "127.0.0.1:0" to pick a free port) and
+// returns it with the bound address.
+func listen(srv *rpc.Server, addr string) (*rpc.Server, string, error) {
+	bound, err := srv.Listen(addr)
+	if err != nil {
+		return nil, "", err
+	}
+	return srv, bound, nil
+}
+
+// placed is the placement a job response reports: none from a one-shard
+// region, which has nowhere else to place work, so its responses are the
+// bytes a plain pool's always were.
+func placed(fed *federation.Federation, shard string, spilled bool) (string, bool) {
+	if fed.Ring().Size() < 2 {
+		return "", false
+	}
+	return shard, spilled
+}
+
+// shrinkOrder picks n decommission victims: permanently quarantined boards
+// first, then quarantined, then the least-loaded healthy boards. Stats
+// arrive one row per reconfigurable partition; a board's health is its
+// sickest RP, its load the sum over its RPs, and each board is named once
+// no matter how many partitions it serves.
+func shrinkOrder(stats []sched.DeviceStats, n int) []fpga.DNA {
+	type board struct {
+		dna    fpga.DNA
+		rank   int
+		queued int64
+	}
+	rank := func(ds sched.DeviceStats) int {
+		switch {
+		case ds.Permanent:
+			return 0
+		case ds.Quarantined:
+			return 1
+		default:
+			return 2
+		}
+	}
+	byDNA := make(map[fpga.DNA]*board)
+	var boards []*board
+	for _, ds := range stats {
+		b := byDNA[ds.DNA]
+		if b == nil {
+			b = &board{dna: ds.DNA, rank: rank(ds)}
+			byDNA[ds.DNA] = b
+			boards = append(boards, b)
+		}
+		if r := rank(ds); r < b.rank {
+			b.rank = r
+		}
+		b.queued += ds.Queued
+	}
+	sort.SliceStable(boards, func(i, j int) bool {
+		if boards[i].rank != boards[j].rank {
+			return boards[i].rank < boards[j].rank
+		}
+		return boards[i].queued < boards[j].queued
+	})
+	if n > len(boards) {
+		n = len(boards)
+	}
+	out := make([]fpga.DNA, n)
+	for i := 0; i < n; i++ {
+		out[i] = boards[i].dna
+	}
+	return out
 }
 
 // admit screens one request costing cost jobs and maps its wire QoS fields

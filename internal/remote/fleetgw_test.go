@@ -152,7 +152,7 @@ func TestFleetGatewayDrainRemove(t *testing.T) {
 	sess := d.session(t)
 	target := d.systems[1].Device.DNA()
 
-	devices, err := sess.DrainDevice(target, 5*time.Second, true)
+	devices, err := sess.Drain(target, 5*time.Second, true)
 	if err != nil {
 		t.Fatalf("drain+remove: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestFleetGatewayDrainRemove(t *testing.T) {
 	}
 	runFleetJob(t, sess, 9)
 
-	if _, err := sess.DrainDevice("NO-SUCH-DNA", time.Second, false); err == nil {
+	if _, err := sess.Drain("NO-SUCH-DNA", time.Second, false); err == nil {
 		t.Error("drain of unknown device succeeded")
 	}
 }

@@ -4,6 +4,12 @@
 // trusted-side parties — the SM enclave (as key client) and the data owner
 // (as verifier) — talk to them over TCP.
 //
+// There is one gateway and one owner session. Serve builds every gateway
+// over a federation: a fixed pool (fleet.Fixed) or an elastic fleet is a
+// region of one shard (federation.Single), a region is N. Dial opens the
+// one Session, which attests the root shard once and then addresses sealed
+// jobs by session key, whatever the topology behind the gateway.
+//
 // The transports are untrusted, exactly as in the paper: every sensitive
 // payload that crosses them is independently protected (signed quotes,
 // ECDH-sealed keys, AES-GCM-sealed job data), so a man in the middle can

@@ -9,6 +9,8 @@ import (
 
 	"salus/internal/client"
 	"salus/internal/cryptoutil"
+	"salus/internal/federation"
+	"salus/internal/fpga"
 	"salus/internal/metrics"
 	"salus/internal/sched"
 )
@@ -18,8 +20,8 @@ import (
 // schedule by class, and shed expired work.
 type QoS struct {
 	// Tenant identifies the caller for the gateway's per-tenant token
-	// bucket; empty means the anonymous bucket. A ring-fronting gateway
-	// also hashes it, with the session key, into the routing identity.
+	// bucket; empty means the anonymous bucket. The gateway also hashes
+	// it, with the session key, into the routing identity.
 	Tenant string
 	// Class is the scheduling band (sched.ClassBatch/Standard/Critical).
 	Class sched.Class
@@ -40,13 +42,24 @@ type BatchResult struct {
 	Err    error
 }
 
-// session is the data owner's session with a gateway, whatever the gateway
-// fronts: it attests the devices it holds expectations for, provisions one
-// shared data key, and then submits sealed jobs. It rides a redialing
-// connection (see conn): the data key and the QoS contract live here, not
-// in the connection, so both survive a reconnect. ClusterSession and
-// FederationSession are thin exported views over it.
-type session struct {
+// Placement reports where one request landed; it is zero from a one-shard
+// gateway, which has nowhere else to place work.
+type Placement struct {
+	Shard   string
+	Spilled bool
+}
+
+// Session is the data owner's session with a gateway, whatever the gateway
+// fronts — one board, a fleet, or a region of shards. It attests the
+// devices it holds expectations for, provisions one shared data key, and
+// then addresses sealed jobs by session key: the ring places them,
+// spill-over moves them, and the hand-off keys new shards, all without the
+// session's involvement. It rides a redialing connection (see conn): the
+// data key and the QoS contract live here, not in the connection, so both
+// survive a reconnect. Calls and HandshakeCalls let tests and benchmarks
+// assert from the owner's chair that the owner made exactly one Boot and
+// one Provision, ever, however many shards end up serving the key.
+type Session struct {
 	conn *conn
 	exps []client.Expectations
 
@@ -65,12 +78,13 @@ type session struct {
 	sealBufs [][]byte
 }
 
-// dialSession opens a session toward a gateway, pinning the expectations
-// the owner verified out of band (developer-published H and measurements,
-// CSP-assigned DNAs, manufacturer root): one set per device the owner
-// attests, in the gateway's device order. A mismatched order fails
-// attestation, since expectations pin each device's DNA.
-func dialSession(addr string, exps []client.Expectations) (*session, error) {
+// Dial opens a session toward a gateway, pinning the expectations the
+// owner verified out of band (developer-published H and measurements,
+// CSP-assigned DNAs, manufacturer root): one set per root-shard device —
+// the only devices the owner ever verifies — in the gateway's device
+// order. A mismatched order fails attestation, since expectations pin each
+// device's DNA.
+func Dial(addr string, exps []client.Expectations) (*Session, error) {
 	if len(exps) == 0 {
 		return nil, fmt.Errorf("remote: no device expectations")
 	}
@@ -78,13 +92,13 @@ func dialSession(addr string, exps []client.Expectations) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &session{conn: c, exps: exps}, nil
+	return &Session{conn: c, exps: exps}, nil
 }
 
 // SetQoS attaches a QoS contract to every subsequent RunJob/RunBatch.
 // Sessions that never call it send no QoS fields and the gateway applies
 // its defaults (ClassStandard, no deadline, anonymous tenant).
-func (s *session) SetQoS(q QoS) {
+func (s *Session) SetQoS(q QoS) {
 	s.mu.Lock()
 	s.qos, s.qosSet = q, true
 	s.mu.Unlock()
@@ -93,7 +107,7 @@ func (s *session) SetQoS(q QoS) {
 // qosFields renders the session's QoS for a wire request. The wire carries
 // whole milliseconds with 0 meaning "no deadline", so a positive deadline
 // is rounded up to at least 1 ms rather than truncated into "none".
-func (s *session) qosFields() (tenant, class string, deadlineMillis int64) {
+func (s *Session) qosFields() (tenant, class string, deadlineMillis int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.qosSet {
@@ -108,7 +122,7 @@ func (s *session) qosFields() (tenant, class string, deadlineMillis int64) {
 
 // aead returns the provisioned data key's expanded AEAD, or an error
 // before Attest.
-func (s *session) aead() (cipher.AEAD, error) {
+func (s *Session) aead() (cipher.AEAD, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dataAEAD == nil {
@@ -119,7 +133,7 @@ func (s *session) aead() (cipher.AEAD, error) {
 
 // takeSealBuf returns an empty buffer with room for n bytes of sealed
 // input, reusing a free one when it is large enough.
-func (s *session) takeSealBuf(n int) []byte {
+func (s *Session) takeSealBuf(n int) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if k := len(s.sealBufs) - 1; k >= 0 {
@@ -133,7 +147,7 @@ func (s *session) takeSealBuf(n int) []byte {
 }
 
 // giveSealBuf returns a buffer from takeSealBuf once nothing reads it.
-func (s *session) giveSealBuf(b []byte) {
+func (s *Session) giveSealBuf(b []byte) {
 	s.mu.Lock()
 	s.sealBufs = append(s.sealBufs, b[:0])
 	s.mu.Unlock()
@@ -149,7 +163,7 @@ func (s *session) giveSealBuf(b []byte) {
 // and reused on retries, matching the gateway's idempotent Boot handler,
 // so an Attest that died to a mid-flight connection loss can simply be
 // called again.
-func (s *session) Attest() error {
+func (s *Session) Attest() error {
 	s.mu.Lock()
 	if s.nonce == nil {
 		s.nonce = client.New(s.exps[0]).NewNonce()
@@ -197,17 +211,17 @@ var (
 	jobOutputAD = []byte("job-output")
 )
 
-// runJob seals the input under the shared data key into a seal buffer (see
-// takeSealBuf), submits it under the session key (empty for a gateway with
-// no ring), and opens the sealed result. Which device ran the job is
-// irrelevant to its safety, since every device that can hold the key was
-// attested — by the owner, or enclave to enclave — before the key reached
-// it. Sealed jobs are pure and idempotent, so a job lost to a broken
-// connection is safely re-submitted over a fresh one.
-func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]byte, FederationPlacement, error) {
+// RunJob seals the input under the shared data key into a seal buffer (see
+// takeSealBuf), submits it under the session key, and opens the sealed
+// result; it also returns the placement the gateway reported. Which device
+// ran the job is irrelevant to its safety, since every device that can hold
+// the key was attested — by the owner, or enclave to enclave — before the
+// key reached it. Sealed jobs are pure and idempotent, so a job lost to a
+// broken connection is safely re-submitted over a fresh one.
+func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]byte, Placement, error) {
 	aead, err := s.aead()
 	if err != nil {
-		return nil, FederationPlacement{}, err
+		return nil, Placement{}, err
 	}
 	buf := s.takeSealBuf(len(input) + cryptoutil.SealOverhead)
 	tenant, class, deadlineMillis := s.qosFields()
@@ -219,32 +233,33 @@ func (s *session) runJob(key, kernel string, params [4]uint64, input []byte) ([]
 	err = s.conn.call("Cluster.RunJob", req, &resp)
 	s.giveSealBuf(buf)
 	if err != nil {
-		return nil, FederationPlacement{}, err
+		return nil, Placement{}, err
 	}
 	// The sealed output sits in the client's own exact-size response frame,
 	// which nothing else holds: open it in place.
 	out, err := cryptoutil.OpenInPlaceWith(aead, resp.SealedOutput, jobOutputAD)
 	if err != nil {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
+		return nil, Placement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
 	}
-	return out, FederationPlacement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
+	return out, Placement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
 }
 
-// runBatch seals every input, side by side in one seal buffer, and submits
-// the whole batch in one RPC frame under one session key; the gateway runs
-// it through the scheduler's batched path (one sealed register program per
-// chunk on the device). Jobs succeed or fail individually — the returned
-// slice is index-aligned with jobs — while the error covers whole-batch
-// failures (unattested session, unreachable gateway, malformed response).
-// Like runJob, a batch lost to a broken connection is safely re-submitted,
+// RunBatch seals every input, side by side in one seal buffer, and submits
+// the whole batch in one RPC frame under one session key — one routing
+// decision, one placement returned; the gateway runs it through the
+// scheduler's batched path (one sealed register program per chunk on the
+// device). Jobs succeed or fail individually — the returned slice is
+// index-aligned with jobs — while the error covers whole-batch failures
+// (unattested session, unreachable gateway, malformed response).
+// Like RunJob, a batch lost to a broken connection is safely re-submitted,
 // and every output is opened in place in the response frame.
-func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, FederationPlacement, error) {
+func (s *Session) RunBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, Placement, error) {
 	aead, err := s.aead()
 	if err != nil {
-		return nil, FederationPlacement{}, err
+		return nil, Placement{}, err
 	}
 	if len(jobs) == 0 {
-		return nil, FederationPlacement{}, nil
+		return nil, Placement{}, nil
 	}
 	tenant, class, deadlineMillis := s.qosFields()
 	req := BatchRequest{
@@ -266,10 +281,10 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 	err = s.conn.call("Cluster.RunBatch", req, &resp)
 	s.giveSealBuf(buf)
 	if err != nil {
-		return nil, FederationPlacement{}, err
+		return nil, Placement{}, err
 	}
 	if len(resp.Results) != len(jobs) {
-		return nil, FederationPlacement{}, fmt.Errorf("remote: gateway returned %d results for %d jobs", len(resp.Results), len(jobs))
+		return nil, Placement{}, fmt.Errorf("remote: gateway returned %d results for %d jobs", len(resp.Results), len(jobs))
 	}
 	results := make([]BatchResult, len(jobs))
 	for i, r := range resp.Results {
@@ -284,25 +299,59 @@ func (s *session) runBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 		}
 		results[i].Output = out
 	}
-	return results, FederationPlacement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
+	return results, Placement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
 }
 
 // stats fetches the gateway's Cluster.Stats snapshot.
-func (s *session) stats() (ClusterStatsResponse, error) {
+func (s *Session) stats() (ClusterStatsResponse, error) {
 	var resp ClusterStatsResponse
 	err := s.conn.call("Cluster.Stats", struct{}{}, &resp)
 	return resp, err
 }
 
 // DeviceStats fetches the per-device counters of every device behind the
-// gateway (every shard's, behind a front tier).
-func (s *session) DeviceStats() ([]sched.DeviceStats, error) {
+// gateway, every shard's.
+func (s *Session) DeviceStats() ([]sched.DeviceStats, error) {
 	resp, err := s.stats()
 	return resp.Devices, err
 }
 
+// Stats fetches the gateway's routing and shard snapshot.
+func (s *Session) Stats() (federation.Stats, error) {
+	resp, err := s.stats()
+	return resp.Ring, err
+}
+
+// Route asks the gateway where a session key lives right now.
+func (s *Session) Route(key string) (RouteResponse, error) {
+	tenant, _, _ := s.qosFields()
+	var resp RouteResponse
+	err := s.conn.call("Cluster.Route", RouteRequest{Tenant: tenant, Key: key}, &resp)
+	return resp, err
+}
+
+// Scale asks the gateway to grow or shrink its root shard. Growth needs no
+// new attestation round: the data key reaches new boards only via the
+// sibling enclave hand-off, and the returned stats let the owner audit the
+// resulting membership. A fixed pool refuses both directions.
+func (s *Session) Scale(delta int) (ScaleResponse, error) {
+	var resp ScaleResponse
+	err := s.conn.call("Cluster.Scale", ScaleRequest{Delta: delta}, &resp)
+	return resp, err
+}
+
+// Drain stops routing to one root-shard board and waits (bounded by
+// timeout; zero waits indefinitely) for its accepted jobs; with remove set
+// the board is then decommissioned, which a fixed pool refuses.
+func (s *Session) Drain(dna fpga.DNA, timeout time.Duration, remove bool) ([]sched.DeviceStats, error) {
+	var resp ClusterStatsResponse
+	req := DrainDeviceRequest{DNA: dna, TimeoutMillis: timeout.Milliseconds(), Remove: remove}
+	err := s.conn.call("Cluster.Drain", req, &resp)
+	return resp.Devices, err
+}
+
 // Metrics fetches the gateway process's aggregate metrics snapshot.
-func (s *session) Metrics() (metrics.Snapshot, error) {
+func (s *Session) Metrics() (metrics.Snapshot, error) {
 	var resp ClusterMetricsResponse
 	err := s.conn.call("Cluster.Metrics", struct{}{}, &resp)
 	return resp.Metrics, err
@@ -310,49 +359,17 @@ func (s *session) Metrics() (metrics.Snapshot, error) {
 
 // Redials reports how many times the session re-dialed the gateway after a
 // broken transport.
-func (s *session) Redials() int { return s.conn.redialCount() }
+func (s *Session) Redials() int { return s.conn.redialCount() }
 
 // Calls reports how many times the session invoked method (a retried call
 // counts once).
-func (s *session) Calls(method string) int { return s.conn.count(method) }
+func (s *Session) Calls(method string) int { return s.conn.count(method) }
 
 // HandshakeCalls reports the owner's total attestation-path round trips —
 // Boot plus Provision. The region-scoped attestation acceptance check:
 // this stays at 2 while shards join, spill, and get keyed.
-func (s *session) HandshakeCalls() int { return s.conn.count("Cluster.Boot", "Cluster.Provision") }
+func (s *Session) HandshakeCalls() int { return s.conn.count("Cluster.Boot", "Cluster.Provision") }
 
 // Close releases the session. A call parked in redial backoff returns
 // promptly instead of waiting the window out.
-func (s *session) Close() error { return s.conn.close() }
-
-// ClusterSession is the data owner's session with one device pool. Each
-// device is verified against its own expectations (its own DNA, its own
-// RoT-injected bitstream hash); one shared data key is provisioned to all.
-type ClusterSession struct{ *session }
-
-// DialCluster opens a session toward a gateway; exps holds one expectation
-// set per device, in the gateway's device order.
-func DialCluster(addr string, exps []client.Expectations) (*ClusterSession, error) {
-	s, err := dialSession(addr, exps)
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterSession{s}, nil
-}
-
-// RunJob runs one sealed job on whichever device the gateway picks and
-// returns the opened output.
-func (s *ClusterSession) RunJob(kernel string, params [4]uint64, input []byte) ([]byte, error) {
-	out, _, err := s.runJob("", kernel, params, input)
-	return out, err
-}
-
-// RunBatch runs a batch in one RPC frame; results are index-aligned with
-// jobs.
-func (s *ClusterSession) RunBatch(kernel string, jobs []BatchInput) ([]BatchResult, error) {
-	res, _, err := s.runBatch("", kernel, jobs)
-	return res, err
-}
-
-// Stats fetches the pool's per-device counters.
-func (s *ClusterSession) Stats() ([]sched.DeviceStats, error) { return s.DeviceStats() }
+func (s *Session) Close() error { return s.conn.close() }
