@@ -34,16 +34,17 @@ race:
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
 # (scheduler, core job path, shell, accelerator, SM logic, fleet, the
-# gateway wire, and the secure boot's concurrent digest and decode checks)
-# under the race detector. The frame-aliasing tests of the gateway wire, of
-# the job path's borrowed DMA frames and of the SM logic's reused DMA read
-# frame only bite with the race build's poisoning. The nested bench module
+# gateway wire, the buffer pool its frames and sealed outputs recycle
+# through, and the secure boot's concurrent digest and decode checks)
+# under the race detector. The frame- and output-aliasing tests of the
+# gateway wire, of the job path's borrowed DMA frames and of the SM logic's
+# reused DMA read frame only bite with the race build's poisoning. The nested bench module
 # is vetted too: it is the only caller of remote's compatibility wrappers,
 # and ./... never reaches it.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) vet -C bench ./...
-	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
+	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/bufpool ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
 # (whose images borrow their input), for the kernels' output bounds (which

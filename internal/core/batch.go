@@ -112,7 +112,8 @@ type SealedJob struct {
 // user enclave, offloaded through the batched data path, and every result
 // returns sealed the same way (read back and sealed in place, see
 // readOutput). A job whose input fails authentication is rejected
-// individually; its siblings still run.
+// individually; its siblings still run. A fault covering the whole call
+// drops the outputs its earlier chunks already sealed.
 func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]BatchResult, error) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
@@ -121,6 +122,9 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 	mCoreBatchJobs.Add(uint64(len(jobs)))
 	results := make([]BatchResult, len(jobs))
 	if err := s.runSealedLocked(kernelName, jobs, make([]accel.Workload, len(jobs)), results, nil, make([]batchJob, 0, len(jobs))); err != nil {
+		for _, r := range results {
+			dropOutput(r.Output)
+		}
 		return nil, err
 	}
 	return results, nil

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	mrand "math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
 	"salus/internal/accel"
+	"salus/internal/bufpool"
 	"salus/internal/channel"
 	"salus/internal/cryptoutil"
 	"salus/internal/shell"
@@ -529,4 +533,84 @@ func TestSealedPlaintextScratchZeroed(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("a 3-job RunJobSealedBatch", 3*len(w.Input))
+}
+
+// readForger is a shell that, once armed, answers the host's DMA reads
+// with plain in order, and faults on read number fault (counting from
+// zero; -1 never), so the host's seal buffer holds plaintext when a read
+// or the seal after it fails.
+type readForger struct {
+	shell.PassThrough
+	armed       bool
+	plain       []byte
+	fault, read int
+	served      int
+}
+
+func (f *readForger) OnResponse(r []byte) []byte {
+	if !f.armed || channel.MsgType(r) != channel.MsgMemData {
+		return r
+	}
+	f.read++
+	if f.read-1 == f.fault {
+		return channel.EncodeError("injected DMA fault")
+	}
+	data, err := channel.DecodeMemData(r)
+	if err != nil {
+		return r
+	}
+	frame, out := channel.AppendMemData(nil, uint32(len(data)))
+	f.served += copy(out, f.plain[f.served:])
+	return frame
+}
+
+// TestFailedReadOutputPoolsNoPlaintext: a sealed output's buffer holds the
+// job's plaintext between read-back and seal, so a DMA read that faults
+// after its first burst and a seal that fails both zero the buffer before
+// it goes back to bufpool: no buffer the pool hands out afterwards holds a
+// window of that plaintext.
+func TestFailedReadOutputPoolsNoPlaintext(t *testing.T) {
+	forger := &readForger{}
+	r := newSealedRig(t, func(c *SystemConfig) { c.Interceptor = forger })
+	aead, err := r.User.DataAEAD()
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := aes.NewCipher(r.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortTag, err := cipher.NewGCMWithTagSize(block, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([]byte, channel.DMABurst+4096)
+	mrand.New(mrand.NewSource(1)).Read(plain)
+	ix := indexPlaintexts(plain)
+	for _, c := range []struct {
+		name  string
+		n     int
+		fault int
+		seal  cipher.AEAD
+	}{
+		{"DMA read fault on the second burst", len(plain), 1, aead},
+		{"seal failure", 4096, -1, shortTag},
+	} {
+		forger.armed, forger.plain, forger.fault, forger.read, forger.served = true, plain, c.fault, 0, 0
+		r.jobMu.Lock()
+		out, err := r.readOutput(0, c.n, false, nil, [16]byte{}, c.seal)
+		r.jobMu.Unlock()
+		forger.armed = false
+		switch {
+		case err == nil || out != nil:
+			t.Fatalf("%s: readOutput = %d bytes, %v; want a failure", c.name, len(out), err)
+		case forger.served == 0:
+			t.Fatalf("%s: no plaintext was read back, so the case proves nothing", c.name)
+		}
+		for i := 0; i < 4; i++ {
+			if b := bufpool.Get(c.n + cryptoutil.SealOverhead); ix.leaks(b[:cap(b)]) {
+				t.Errorf("%s: bufpool handed out a buffer holding the job's plaintext", c.name)
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"salus/internal/accel"
+	"salus/internal/bufpool"
 	"salus/internal/channel"
 	"salus/internal/cryptoutil"
 	"salus/internal/metrics"
@@ -179,18 +180,23 @@ func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byt
 // readOutput is the enclave's half of the outbound data path: it reads a
 // job's n-byte result from device memory at addr into the one buffer the
 // job returns. For a plaintext job (nil seal) that buffer is exactly n
-// bytes. For a sealed job it is n+SealOverhead bytes, the result is read
-// into its middle, and the kernel's output CTR (when it encrypts output,
-// under the epoch's block) and the GCM seal under seal both run in place,
-// so the buffer ends up holding exactly cryptoutil.Seal's output.
+// bytes, and the caller keeps it. For a sealed job it is n+SealOverhead
+// bytes from bufpool, the result is read into its middle, and the kernel's
+// output CTR (when it encrypts output, under the epoch's block) and the GCM
+// seal under seal both run in place, so the buffer ends up holding exactly
+// cryptoutil.Seal's output, which its last holder may hand back to bufpool
+// once it is sent. Until the seal it may hold plaintext, so a failure on
+// the way drops it through dropOutput.
 func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Block, iv [16]byte, seal cipher.AEAD) ([]byte, error) {
-	size, lo := n, 0
-	if seal != nil {
-		size, lo = n+cryptoutil.SealOverhead, cryptoutil.NonceSize
+	buf, lo := []byte(nil), 0
+	if seal == nil {
+		buf = make([]byte, n)
+	} else {
+		buf, lo = bufpool.Get(n+cryptoutil.SealOverhead), cryptoutil.NonceSize
 	}
-	buf := make([]byte, size)
 	out := buf[lo : lo+n]
 	if err := s.dmaRead(addr, out); err != nil {
+		dropOutput(buf)
 		return nil, deviceFault(err)
 	}
 	if encrypted {
@@ -200,9 +206,19 @@ func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Blo
 		return out, nil
 	}
 	if err := cryptoutil.SealInPlaceWith(seal, buf, jobOutputAD); err != nil {
+		dropOutput(buf)
 		return nil, err
 	}
 	return buf, nil
+}
+
+// dropOutput zeroes a job output nobody will receive (a failed read-back
+// or seal, or a whole-call fault's discarded results) and offers it to
+// bufpool, which keeps a sealed one; zeroed and unreferenced, any buffer
+// is safe to pool.
+func dropOutput(buf []byte) {
+	clear(buf)
+	bufpool.Put(buf)
 }
 
 // dmaRead fills dst from device memory at addr in bursts, symmetric with

@@ -103,8 +103,12 @@ func AppendSealWith(dst []byte, aead cipher.AEAD, plaintext, additional []byte) 
 // buf is len(plaintext)+SealOverhead bytes with the plaintext at
 // buf[NonceSize:len(buf)-16]. It writes a fresh nonce in front and the tag
 // behind, encrypting in between, so buf becomes exactly Seal's output
-// without a second payload-sized buffer.
+// without a second payload-sized buffer. aead must be one with Seal's
+// nonce and tag sizes, or the buffer would not hold Seal's format.
 func SealInPlaceWith(aead cipher.AEAD, buf, additional []byte) error {
+	if aead.NonceSize() != NonceSize || aead.Overhead() != SealOverhead-NonceSize {
+		return fmt.Errorf("cryptoutil: in-place seal under an AEAD of %d-byte nonces and %d-byte tags", aead.NonceSize(), aead.Overhead())
+	}
 	if len(buf) < SealOverhead {
 		return fmt.Errorf("cryptoutil: in-place seal buffer of %d bytes", len(buf))
 	}

@@ -594,16 +594,24 @@ func (m *Manager) Drain(dna fpga.DNA) error {
 	return nil
 }
 
+// CanRemove reports the refusal Remove would give now for dropping below
+// MinDevices, so a caller can refuse before it drains anything.
+func (m *Manager) CanRemove() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cfg.MinDevices > 0 && len(m.members) <= m.cfg.MinDevices {
+		return fmt.Errorf("fleet: removal would drop below %d devices", m.cfg.MinDevices)
+	}
+	return nil
+}
+
 // Remove drains and decommissions the member. A drain timeout does not
 // abort the removal (the leftover jobs still resolve — see sched.Remove);
 // dropping below MinDevices does.
 func (m *Manager) Remove(dna fpga.DNA) (*core.System, error) {
-	m.mu.Lock()
-	if m.cfg.MinDevices > 0 && len(m.members) <= m.cfg.MinDevices {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("fleet: removal would drop below %d devices", m.cfg.MinDevices)
+	if err := m.CanRemove(); err != nil {
+		return nil, err
 	}
-	m.mu.Unlock()
 	sys, err := m.sch.Remove(dna, m.cfg.DrainTimeout)
 	if sys == nil {
 		return nil, err

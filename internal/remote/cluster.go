@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"salus/internal/bufpool"
 	"salus/internal/core"
 	"salus/internal/cryptoutil"
 	"salus/internal/federation"
@@ -121,6 +122,19 @@ type BatchResponse struct {
 	Results []BatchJobResult `json:"results"`
 	Shard   string           `json:"shard,omitempty"`
 	Spilled bool             `json:"spilled,omitempty"`
+}
+
+// Release hands the sealed output back to bufpool; rpc calls it once the
+// gateway's response is written (rpc.Handler's release rule). Only the
+// gateway's server path releases: a client's outputs belong to the data
+// owner.
+func (r JobResponse) Release() { bufpool.Put(r.SealedOutput) }
+
+// Release hands every job's sealed output back, as JobResponse.Release.
+func (r BatchResponse) Release() {
+	for _, res := range r.Results {
+		bufpool.Put(res.SealedOutput)
+	}
 }
 
 // ClusterStatsResponse snapshots every device behind the gateway, every
@@ -381,6 +395,13 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		return resp, nil
 	}))
 	srv.Handle("Cluster.Drain", rpc.Typed(func(in DrainDeviceRequest) (ClusterStatsResponse, error) {
+		// A drained board is unroutable until re-registered, so a removal
+		// the manager would refuse is refused before anything drains.
+		if in.Remove {
+			if err := root.CanRemove(); err != nil {
+				return ClusterStatsResponse{Devices: root.Stats()}, err
+			}
+		}
 		err := root.Scheduler().Drain(in.DNA, time.Duration(in.TimeoutMillis)*time.Millisecond)
 		// A drain timeout does not block decommissioning (matching
 		// fleet.Remove's semantics); anything else does.

@@ -3,6 +3,8 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -438,6 +440,55 @@ func TestSessionRunJobAllocCount(t *testing.T) {
 	t.Logf("2 KiB session RunJob: %.2f allocations a job (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("2 KiB session RunJob: %.2f allocations a job, budget %d", allocs, budget)
+	}
+}
+
+// TestSessionBulkJobAllocBudget pins what a warm gateway and its Session
+// allocate, client and server in one process, for a 1 MiB Conv job: the
+// client's response frame, the one buffer of output size left per job,
+// plus Conv's 48 KiB ring of packed rows and 64 KiB of everything else.
+// The request frame and the seal buffer are recycled (2 × sealed output
+// when the seal buffer was a fresh allocation per job). A garbage
+// collection can cost a pooled class a refill, so the pin is the quietest
+// of eight windows of four calls.
+func TestSessionBulkJobAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := newClusterDeployment(t, 1, accel.Conv{})
+	sess, err := Dial(d.addr, d.expectations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Attest(); err != nil {
+		t.Fatal(err)
+	}
+	w := accel.GenConv(256, 256, 8, 1)
+	sealedOut := (256-2)*(256-2)*4 + cryptoutil.SealOverhead
+	run := func() {
+		if _, _, err := sess.RunJob("", "Conv", w.Params, w.Input); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run() // warm: session, pools, board scratch
+	}
+	const calls, windows = 4, 8
+	per := uint64(math.MaxUint64)
+	for i := 0; i < windows; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < calls; j++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	budget := uint64(sealedOut + 48<<10 + 64<<10)
+	t.Logf("1 MiB session RunJob: %d KiB a job (budget %d KiB)", per>>10, budget>>10)
+	if per > budget {
+		t.Errorf("1 MiB session RunJob: %d KiB a job, budget %d KiB", per>>10, budget>>10)
 	}
 }
 

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,6 +240,77 @@ func TestOneSessionEveryTopology(t *testing.T) {
 			}
 			if got := sess.HandshakeCalls(); got != 2 {
 				t.Errorf("owner handshake calls = %d, want 2", got)
+			}
+		})
+	}
+}
+
+// TestRefusedRemoveDrainsNothing: Drain{Remove} on a pool that may not lose
+// a board, a fixed pool or a fleet at its MinDevices floor, is refused
+// before anything drains. A drained partition is unroutable until it is
+// re-registered, so draining first would have taken the board out of
+// service for a call that failed.
+func TestRefusedRemoveDrainsNothing(t *testing.T) {
+	w := accel.GenConv(4, 4, 1, 3)
+	want, err := w.Kernel.Compute(w.Params, w.Input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T) (*federation.Federation, []*core.System)
+	}{
+		{"fixed pool", func(t *testing.T) (*federation.Federation, []*core.System) {
+			sys, err := core.NewSystem(core.SystemConfig{Kernel: accel.Conv{}, Seed: 7, DNA: "DRFX-00"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch := sched.New(sched.Config{})
+			t.Cleanup(sch.Close)
+			return federation.Single(fleet.Fixed(sch, []*core.System{sys})), []*core.System{sys}
+		}},
+		{"fleet at its floor", func(t *testing.T) (*federation.Federation, []*core.System) {
+			mgr, err := fleet.New(fleet.Config{Kernel: accel.Conv{}, DNAPrefix: "DRFL", MinDevices: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(mgr.Close)
+			systems, err := mgr.SpawnN(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return federation.Single(mgr), systems
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fed, owner := c.build(t)
+			srv, addr, err := Serve(fed, owner, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			sess, err := Dial(addr, expectationsOf(owner))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if err := sess.Attest(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Drain(owner[0].Device.DNA(), time.Second, true); err == nil || !strings.Contains(err.Error(), "would drop below 1 devices") {
+				t.Fatalf("Drain{Remove} of the only board: err = %v, want the manager's floor refusal", err)
+			}
+			devs, err := sess.DeviceStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ds := range devs {
+				if ds.Draining {
+					t.Fatalf("the refused removal left %s drained", ds.DNA)
+				}
+			}
+			if out, _, err := sess.RunJob("", "Conv", w.Params, w.Input); err != nil || !bytes.Equal(out, want) {
+				t.Errorf("the board after a refused removal: %v", err)
 			}
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"salus/internal/bufpool"
 )
 
 // blobBatch mirrors the gateway's batch messages: a count, then per element
@@ -248,8 +250,8 @@ func (r *spyReader) Read(p []byte) (int, error) {
 // on trust), a MiB body is sliced with cap == len so no stale pooled byte
 // past it is reachable, and a released large buffer reads 0xA5.
 func TestPooledFrameClasses(t *testing.T) {
-	if frameChunk<<(frameClasses-1) != MaxFrame {
-		t.Fatalf("the largest class is %d bytes, MaxFrame %d", frameChunk<<(frameClasses-1), MaxFrame)
+	if bufpool.MinSize<<(bufpool.Classes-1) != MaxFrame {
+		t.Fatalf("the largest class is %d bytes, MaxFrame %d", bufpool.MinSize<<(bufpool.Classes-1), MaxFrame)
 	}
 	stream := func(claim, deliver int) []byte {
 		s := binary.BigEndian.AppendUint32(nil, uint32(claim))
@@ -260,11 +262,11 @@ func TestPooledFrameClasses(t *testing.T) {
 	}
 	const mib = 1<<20 + 64 // a MiB job's sealed input and its envelope
 	for _, n := range []int{mib, mib, 4 << 20} {
-		_, fb, err := readFrame(bufio.NewReader(bytes.NewReader(stream(n, n))), true)
+		_, buf, err := readFrame(bufio.NewReader(bytes.NewReader(stream(n, n))), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		releaseFrame(fb)
+		bufpool.Put(buf)
 	}
 
 	for _, delivered := range []int{1 << 10, frameChunk + 1, 300 << 10, 2<<20 + 1} {
@@ -278,19 +280,19 @@ func TestPooledFrameClasses(t *testing.T) {
 	}
 
 	want := stream(mib, mib)[4:]
-	body, fb, err := readFrame(bufio.NewReader(bytes.NewReader(stream(mib, mib))), true)
+	body, buf, err := readFrame(bufio.NewReader(bytes.NewReader(stream(mib, mib))), true)
 	switch {
 	case err != nil:
 		t.Fatal(err)
-	case fb == nil:
+	case buf == nil:
 		t.Fatal("a MiB body was not read into a pooled buffer")
 	case !bytes.Equal(body, want):
 		t.Fatal("a MiB body read into a warm pooled buffer arrived corrupted")
 	case cap(body) != len(body):
 		t.Fatalf("a MiB body has cap %d, len %d: stale pooled bytes are reachable", cap(body), len(body))
 	}
-	whole := (*fb)[:cap(*fb)]
-	releaseFrame(fb)
+	whole := buf[:cap(buf)]
+	bufpool.Put(buf)
 	if !bytes.Equal(whole, bytes.Repeat([]byte{0xA5}, len(whole))) {
 		t.Error("a released large buffer still holds its frame's bytes")
 	}

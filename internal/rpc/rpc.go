@@ -28,11 +28,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 	"time"
 
+	"salus/internal/bufpool"
 	"salus/internal/metrics"
 )
 
@@ -169,11 +169,10 @@ func encodeFrame(kind byte, id uint64, method string, v any) (*Encoder, error) {
 	return nil, err
 }
 
-// frameChunk is the smallest pooled read buffer and the most readFrame
-// takes on trust. The length prefix is attacker-controlled: a hostile peer
-// can claim a frame just under MaxFrame (64 MiB) and then hang up, so the
-// buffer must grow with the bytes actually received, never with the bytes
-// merely promised.
+// frameChunk is the most readFrame takes on trust. The length prefix is
+// attacker-controlled: a hostile peer can claim a frame just under MaxFrame
+// (64 MiB) and then hang up, so the buffer must grow with the bytes
+// actually received, never with the bytes merely promised.
 const frameChunk = 256 << 10
 
 // frameGrowth bounds that growth: a body past one chunk is never backed by
@@ -182,60 +181,15 @@ const frameChunk = 256 << 10
 // its first chunk, and a maximum-size frame in three steps.
 const frameGrowth = 8
 
-// frameClasses is the number of pooled buffer sizes, frameChunk << k for k
-// below it; the largest is MaxFrame.
-const frameClasses = 9
-
-// frameBuf is one pooled read buffer; its length is its class's size.
-type frameBuf []byte
-
-// framePools holds one pool per class, so every request body the server
-// reads, a MiB job's included, lands in a recycled buffer.
-var framePools [frameClasses]sync.Pool
-
-// frameClass returns the smallest class that holds n bytes.
-func frameClass(n int) int { return bits.Len(uint(max(n-1, 0) / frameChunk)) }
-
-// getFrame takes a pooled buffer of the smallest class that holds n bytes.
-func getFrame(n int) *frameBuf {
-	k := frameClass(n)
-	if fb, ok := framePools[k].Get().(*frameBuf); ok {
-		return fb
-	}
-	fb := make(frameBuf, frameChunk<<k)
-	return &fb
-}
-
-// poisonFrames makes releaseFrame overwrite a buffer before pooling it, so a
-// stale alias reads 0xA5 garbage instead of another tenant's sealed bytes.
-// On under the race detector and in this package's tests.
-var poisonFrames = raceEnabled
-
-// releaseFrame returns a pooled read buffer to its class. Nil is fine (the
-// client's bodies and error paths carry no pooled buffer). After the call,
-// any byte slice that aliased the frame body — every section a WireDecoder
-// decoded from it — is invalid.
-func releaseFrame(fb *frameBuf) {
-	if fb == nil {
-		return
-	}
-	if poisonFrames {
-		for i := range *fb {
-			(*fb)[i] = 0xA5
-		}
-	}
-	framePools[frameClass(len(*fb))].Put(fb)
-}
-
 // readFrame receives one length-prefixed body, sliced so that its capacity
-// is its length. With pooled set, the body lands in a pooled buffer of its
-// size class, to be handed back via releaseFrame once nothing aliases it.
-// Without it, the body is an allocation of exactly its size that nothing
-// recycles (fb is nil); only a large body's first chunk is staged in the
-// pool. Either way a body past one chunk grows by at most frameGrowth times
-// the bytes delivered. Any error means the stream position is no longer
-// trustworthy.
-func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err error) {
+// is its length. With pooled set, the body lands in a bufpool buffer of its
+// size class, returned as buf, to be handed back with bufpool.Put once
+// nothing aliases it. Without it, the body is an allocation of exactly its
+// size that nothing recycles (buf is nil); only a large body's first chunk
+// is staged in the pool. Either way a body past one chunk grows by at most
+// frameGrowth times the bytes delivered. Any error means the stream
+// position is no longer trustworthy.
+func readFrame(br *bufio.Reader, pooled bool) (body, buf []byte, err error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
 		return nil, nil, err
@@ -246,35 +200,34 @@ func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err er
 	}
 	br.Discard(4)
 	if pooled || n > frameChunk {
-		fb = getFrame(min(n, frameChunk))
-		body = (*fb)[:min(n, frameChunk)]
+		buf = bufpool.Get(min(n, frameChunk))
+		body = buf
 	} else {
 		body = make([]byte, n)
 	}
 	if _, err := io.ReadFull(br, body); err != nil {
-		releaseFrame(fb)
+		bufpool.Put(buf)
 		return nil, nil, err
 	}
 	for len(body) < n {
 		size := min(n, frameGrowth*len(body))
-		var next *frameBuf
-		var grown []byte
+		var next, grown []byte
 		if pooled {
-			next = getFrame(size)
-			grown = (*next)[:size]
+			next = bufpool.Get(size)
+			grown = next
 		} else {
 			grown = make([]byte, size)
 		}
 		copy(grown, body)
-		releaseFrame(fb)
-		fb = next
+		bufpool.Put(buf)
+		buf = next
 		if _, err := io.ReadFull(br, grown[len(body):]); err != nil {
-			releaseFrame(fb)
+			bufpool.Put(buf)
 			return nil, nil, err
 		}
 		body = grown
 	}
-	return body[:n:n], fb, nil
+	return body[:n:n], buf, nil
 }
 
 // Handler serves one method: decode params, do work, return a result.
@@ -284,7 +237,16 @@ func readFrame(br *bufio.Reader, pooled bool) (body []byte, fb *frameBuf, err er
 // returned and its response is on the wire. The result may therefore alias
 // the request, but a handler must not leave params, or anything decoded from
 // it, where something can reach it after it returns.
+//
+// Release rule: a result with a Release method gives back what it holds
+// through it. The server calls Release exactly once, after the result's
+// frame has been written, or its write has failed, or the result could not
+// be encoded; never while the encoder still borrows the result's sections,
+// and never for a handler that returned an error.
 type Handler func(params Payload) (any, error)
+
+// releaser is a handler result under the release rule (see Handler).
+type releaser interface{ Release() }
 
 // Server dispatches requests to registered handlers. Every request runs on
 // its own goroutine; responses on a connection are serialised by a write
@@ -385,36 +347,39 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex // serialises response frames from concurrent handlers
 	sem := make(chan struct{}, maxInFlightPerConn)
 	for {
-		body, fb, err := readFrame(br, true)
+		body, buf, err := readFrame(br, true)
 		if err != nil {
 			return
 		}
 		mSrvRxBytes.Add(uint64(4 + len(body)))
 		req, err := parseFrame(body)
 		if err != nil || req.kind != kindRequest {
-			releaseFrame(fb)
+			bufpool.Put(buf)
 			return
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
 		mSrvInflight.Add(1)
 		// req aliases the frame body, and the result may alias req, so the
-		// handler goroutine owns fb until its response is written.
-		go func(req frame, fb *frameBuf) {
+		// handler goroutine owns buf until its response is written.
+		go func(req frame, buf []byte) {
 			defer func() {
-				releaseFrame(fb)
+				bufpool.Put(buf)
 				mSrvInflight.Add(-1)
 				<-sem
 				handlers.Done()
 			}()
 			mSrvRequests.Inc()
 			start := time.Now()
-			resp := s.dispatch(req)
+			resp, result := s.dispatch(req)
 			mSrvHandle.Since(start)
 			wmu.Lock()
 			nw, err := resp.writeTo(conn)
 			wmu.Unlock()
 			resp.release()
+			if result != nil {
+				result.Release()
+			}
 			if err != nil {
 				// The response stream is dead; tear the connection down so
 				// the read loop stops feeding it.
@@ -422,32 +387,35 @@ func (s *Server) serveConn(conn net.Conn) {
 			} else {
 				mSrvTxBytes.Add(uint64(nw))
 			}
-		}(req, fb)
+		}(req, buf)
 	}
 }
 
-// dispatch runs the handler and encodes its answer. A result that cannot be
-// encoded or would not fit a frame has put no byte on the wire yet, so it
-// fails that one call with an error frame, not the whole connection.
-func (s *Server) dispatch(req frame) *Encoder {
+// dispatch runs the handler and encodes its answer, and returns with it the
+// handler's result when that is to be released once the answer is written.
+// A result that cannot be encoded or would not fit a frame has put no byte
+// on the wire yet, so it fails that one call with an error frame, not the
+// whole connection.
+func (s *Server) dispatch(req frame) (*Encoder, releaser) {
 	s.mu.RLock()
 	h, ok := s.handlers[string(req.method)]
 	s.mu.RUnlock()
 	if !ok {
-		return errorFrame(req.id, "rpc: unknown method "+string(req.method))
+		return errorFrame(req.id, "rpc: unknown method "+string(req.method)), nil
 	}
 	out, err := h(req.payload)
 	if err != nil {
-		return errorFrame(req.id, err.Error())
+		return errorFrame(req.id, err.Error()), nil
 	}
+	result, _ := out.(releaser)
 	resp, err := encodeFrame(kindResult, req.id, "", out)
 	switch {
 	case err == nil:
-		return resp
+		return resp, result
 	case errors.Is(err, ErrFrameTooLarge):
-		return errorFrame(req.id, "rpc: result exceeds maximum frame size")
+		return errorFrame(req.id, "rpc: result exceeds maximum frame size"), result
 	}
-	return errorFrame(req.id, "rpc: encode result: "+err.Error())
+	return errorFrame(req.id, "rpc: encode result: "+err.Error()), result
 }
 
 // errorFrame encodes a handler's failure; the text reaches the client

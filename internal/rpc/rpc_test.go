@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -539,7 +541,7 @@ func TestDecodedSectionsOutliveTheirFrames(t *testing.T) {
 		var out blob
 		size := 64 + int(i%5)*900
 		if i%250 == 0 {
-			size = frameChunk + 4096 // a frame the pool never sees
+			size = frameChunk + 4096 // a frame past one chunk: grown through a second class
 		}
 		if err := c.Call("blob", blob{Tag: i, Data: pattern(i, size)}, &out); err != nil {
 			t.Fatal(err)
@@ -554,5 +556,119 @@ func TestDecodedSectionsOutliveTheirFrames(t *testing.T) {
 	close(hold)
 	if err := <-heldDone; err != nil {
 		t.Error(err)
+	}
+}
+
+// releasedBlob is a blob result under the release rule: Release scribbles
+// over its section, as handing it back to a pool does, and counts its
+// calls. With bad set it also carries a string field too long for the wire,
+// so its encoding fails after the section is already borrowed.
+type releasedBlob struct {
+	blob
+	bad      bool
+	releases *atomic.Int32
+}
+
+func (r releasedBlob) EncodeWire(e *Encoder) {
+	r.blob.EncodeWire(e)
+	if r.bad {
+		e.String(strings.Repeat("x", math.MaxUint16+1))
+	}
+}
+
+func (r releasedBlob) Release() {
+	for i := range r.Data {
+		r.Data[i] = 0xA5
+	}
+	r.releases.Add(1)
+}
+
+// TestResultReleasedOnceAfterWrite: the server releases a result exactly
+// once and only after its frame's bytes are written, so every echo reaches
+// the client intact although Release scribbles over the section the write
+// sent from. A result whose encoding failed is released too, and so is one
+// whose peer hung up before it was written; a handler error's result never
+// is.
+func TestResultReleasedOnceAfterWrite(t *testing.T) {
+	const calls = 200
+	var releases [calls + 3]atomic.Int32
+	pattern := func(tag uint64) []byte {
+		return bytes.Repeat([]byte{byte(tag), byte(tag >> 8), 0x5C}, 300+int(tag))
+	}
+	result := func(tag uint64, bad bool) releasedBlob {
+		return releasedBlob{blob: blob{Tag: tag, Data: pattern(tag)}, bad: bad, releases: &releases[tag]}
+	}
+	const failed, unencodable, orphaned = calls, calls + 1, calls + 2
+	entered, hold := make(chan struct{}), make(chan struct{})
+	srv := NewServer()
+	srv.Handle("release", Typed(func(in blob) (releasedBlob, error) { return result(in.Tag, false), nil }))
+	srv.Handle("fail", Typed(func(struct{}) (releasedBlob, error) {
+		return result(failed, false), errors.New("refused")
+	}))
+	srv.Handle("unencodable", Typed(func(struct{}) (releasedBlob, error) { return result(unencodable, true), nil }))
+	srv.Handle("orphan", Typed(func(struct{}) (releasedBlob, error) {
+		close(entered)
+		<-hold
+		return result(orphaned, false), nil
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tag := g; tag < calls; tag += 4 {
+				var out blob
+				if err := c.Call("release", blob{Tag: tag}, &out); err != nil {
+					t.Error(err)
+					return
+				}
+				if out.Tag != tag || !bytes.Equal(out.Data, pattern(tag)) {
+					t.Errorf("call %d: the result was released before its frame was written", tag)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var se *ServerError
+	if err := c.Call("fail", struct{}{}, nil); !errors.As(err, &se) || se.Msg != "refused" {
+		t.Errorf("failing handler: err = %v", err)
+	}
+	if err := c.Call("unencodable", struct{}{}, nil); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, "rpc: encode result: ") {
+		t.Errorf("unencodable result: err = %v, want an encode-result ServerError", err)
+	}
+
+	orphan, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := make(chan error, 1)
+	go func() { called <- orphan.Call("orphan", struct{}{}, nil) }()
+	<-entered
+	orphan.Close()
+	if err := <-called; err == nil {
+		t.Error("a call on a closed client succeeded")
+	}
+	close(hold)
+	srv.Close() // waits for every handler goroutine, releases included
+
+	for tag := range releases {
+		want := int32(1)
+		if tag == failed {
+			want = 0
+		}
+		if got := releases[tag].Load(); got != want {
+			t.Errorf("result %d released %d times, want %d", tag, got, want)
+		}
 	}
 }
