@@ -8,7 +8,7 @@ COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet sa
 	salus/internal/core salus/internal/federation salus/internal/channel salus/internal/compare salus/internal/accel
 COVER_FLOOR = 75
 
-.PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
+.PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc ab bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean
 
 all: build test
 
@@ -114,6 +114,14 @@ bench:
 # metrics) as one machine-readable document; see bench/README.md.
 bench-json:
 	$(GO) run -C bench . -seed 1 -out $(CURDIR)/BENCH.json
+
+# Paired runs of one benchmark workload, the committed tree at BASE against
+# the working tree, alternating which runs first (see scripts/ab.sh):
+#   make ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # One iteration of every benchmark: fast enough for CI, and keeps the
 # bench suite from silently rotting.

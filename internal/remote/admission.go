@@ -60,6 +60,7 @@ type Admission struct {
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
+	swept   int // len(buckets) after the last sweep
 	cached  time.Duration
 	readAt  time.Time
 }
@@ -87,23 +88,29 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // Admit screens one request of the given class costing cost jobs.
 // Returns nil to admit, ErrRateLimited or ErrGatewayOverloaded to
 // reject. Admitted cost is debited from the tenant's bucket.
+//
+// The tenant string arrives before anything authenticates the request, so
+// the bucket map must not keep one entry per name ever sent: a bucket that
+// has refilled to TenantBurst admits exactly what a missing one would, and
+// each time the map has doubled since its last sweep, such buckets are
+// dropped (amortised O(1) per new tenant).
 func (a *Admission) Admit(tenant string, class sched.Class, cost int) error {
 	if cost <= 0 {
 		cost = 1
 	}
-	now := a.now()
 	a.mu.Lock()
+	now := a.now()
 	if a.cfg.TenantRate > 0 {
 		b, ok := a.buckets[tenant]
 		if !ok {
+			if len(a.buckets) >= 2*a.swept {
+				a.sweep(now)
+			}
 			b = &tokenBucket{tokens: a.cfg.TenantBurst, last: now}
 			a.buckets[tenant] = b
 		}
-		b.tokens += now.Sub(b.last).Seconds() * a.cfg.TenantRate
+		b.tokens = a.refilled(b, now)
 		b.last = now
-		if b.tokens > a.cfg.TenantBurst {
-			b.tokens = a.cfg.TenantBurst
-		}
 		if b.tokens < float64(cost) {
 			a.mu.Unlock()
 			mRateLimited.Add(uint64(cost))
@@ -125,6 +132,23 @@ func (a *Admission) Admit(tenant string, class sched.Class, cost int) error {
 		return ErrGatewayOverloaded
 	}
 	return nil
+}
+
+// refilled is b's token count at now, capped at TenantBurst. Caller holds
+// a.mu.
+func (a *Admission) refilled(b *tokenBucket, now time.Time) float64 {
+	return min(b.tokens+now.Sub(b.last).Seconds()*a.cfg.TenantRate, a.cfg.TenantBurst)
+}
+
+// sweep drops every bucket that has refilled to TenantBurst. Caller holds
+// a.mu.
+func (a *Admission) sweep(now time.Time) {
+	for tenant, b := range a.buckets {
+		if a.refilled(b, now) >= a.cfg.TenantBurst {
+			delete(a.buckets, tenant)
+		}
+	}
+	a.swept = len(a.buckets)
 }
 
 // GatewayOption configures Serve.

@@ -124,11 +124,19 @@ type BatchResponse struct {
 	Spilled bool             `json:"spilled,omitempty"`
 }
 
-// Release hands the sealed output back to bufpool; rpc calls it once the
-// gateway's response is written (rpc.Handler's release rule). Only the
-// gateway's server path releases: a client's outputs belong to the data
-// owner.
-func (r JobResponse) Release() { bufpool.Put(r.SealedOutput) }
+// jobResponses recycles the gateway's RunJob results, so a served job
+// boxes no response of its own into the rpc layer's result.
+var jobResponses = sync.Pool{New: func() any { return new(JobResponse) }}
+
+// Release hands the sealed output back to bufpool and the response itself
+// back to its pool; rpc calls it once the gateway's response is written
+// (rpc.Handler's release rule). Only the gateway's server path releases: a
+// client's outputs belong to the data owner.
+func (r *JobResponse) Release() {
+	bufpool.Put(r.SealedOutput)
+	*r = JobResponse{}
+	jobResponses.Put(r)
+}
 
 // Release hands every job's sealed output back, as JobResponse.Release.
 func (r BatchResponse) Release() {
@@ -243,8 +251,8 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 	adm := o.admission
 	srv := rpc.NewServer()
 
-	// Handshake state. RPC handlers run concurrently (one goroutine per
-	// request), so every mutation of the pool is serialised here.
+	// Handshake state. RPC handlers run concurrently (up to one per handler
+	// worker), so every mutation of the pool is serialised here.
 	var (
 		mu         sync.Mutex
 		bootNonce  []byte
@@ -311,21 +319,22 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		return struct{}{}, nil
 	}))
 
-	srv.Handle("Cluster.RunJob", rpc.Typed(func(in JobRequest) (JobResponse, error) {
+	srv.Handle("Cluster.RunJob", rpc.Typed(func(in JobRequest) (*JobResponse, error) {
 		opt, err := admit(adm, in.Tenant, in.Class, in.DeadlineMillis, 1)
 		if err != nil {
-			return JobResponse{}, err
+			return nil, err
 		}
 		job := sched.Job{Kernel: in.Kernel, Params: in.Params, Input: in.SealedInput, Sealed: true}
 		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, []sched.Job{job}, opt)
 		if err != nil {
-			return JobResponse{}, err
+			return nil, err
 		}
 		out, err := futs[0].Wait()
 		if err != nil {
-			return JobResponse{}, err
+			return nil, err
 		}
-		resp := JobResponse{SealedOutput: out}
+		resp := jobResponses.Get().(*JobResponse)
+		resp.SealedOutput = out
 		resp.Shard, resp.Spilled = placed(fed, shard, spilled)
 		return resp, nil
 	}))

@@ -119,7 +119,7 @@ func (k *conn) call(method string, params, result any) error {
 		}
 		err = c.Call(method, params, result)
 		if !errors.Is(err, rpc.ErrBroken) {
-			// Success, or a deliberate server rejection, timeout, oversized
+			// Success, or a deliberate server rejection or an oversized
 			// frame: the transport is fine, retrying cannot help.
 			return err
 		}

@@ -2,6 +2,8 @@ package remote
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +134,88 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	clock = clock.Add(10 * time.Second)
 	if err := adm.Admit("alice", sched.ClassStandard, 3); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("3-job batch on 2 tokens: got %v, want ErrRateLimited", err)
+	}
+}
+
+// neverEvicting is the token-bucket screen as it was before full buckets
+// were swept: one bucket per tenant ever seen, for as long as the process
+// lives.
+type neverEvicting struct {
+	rate, burst float64
+	buckets     map[string]*tokenBucket
+}
+
+func (r *neverEvicting) admit(tenant string, cost int, now time.Time) bool {
+	b, ok := r.buckets[tenant]
+	if !ok {
+		b = &tokenBucket{tokens: r.burst, last: now}
+		r.buckets[tenant] = b
+	}
+	b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*r.rate, r.burst)
+	b.last = now
+	if b.tokens < float64(cost) {
+		return false
+	}
+	b.tokens -= float64(cost)
+	return true
+}
+
+// TestAdmissionSweepKeepsVerdicts: dropping the buckets that have refilled
+// changes no verdict. On a seeded random trace of tenants, costs and clock
+// steps, the sweeping screen admits and refuses exactly what a screen that
+// never evicts does, while holding fewer buckets than tenants it has seen.
+func TestAdmissionSweepKeepsVerdicts(t *testing.T) {
+	const rate, burst = 40, 6
+	adm := NewAdmission(AdmissionConfig{TenantRate: rate, TenantBurst: burst})
+	clock := time.Unix(3000, 0)
+	adm.now = func() time.Time { return clock }
+	ref := &neverEvicting{rate: rate, burst: burst, buckets: make(map[string]*tokenBucket)}
+	rng := rand.New(rand.NewSource(39))
+	limited := 0
+	for i := 0; i < 50000; i++ {
+		clock = clock.Add(time.Duration(rng.Intn(2000)) * time.Microsecond)
+		tenant := fmt.Sprintf("t%d", rng.Intn(400))
+		if rng.Intn(8) == 0 {
+			tenant = fmt.Sprintf("once-%d", i) // a name sent once and never again
+		}
+		cost := 1 + rng.Intn(3)
+		want := ref.admit(tenant, cost, clock)
+		err := adm.Admit(tenant, sched.ClassStandard, cost)
+		if got := err == nil; got != want || (err != nil && !errors.Is(err, ErrRateLimited)) {
+			t.Fatalf("step %d (%s, cost %d): Admit = %v, never-evicting screen admits %v", i, tenant, cost, err, want)
+		}
+		if !want {
+			limited++
+		}
+	}
+	if limited == 0 {
+		t.Fatal("the trace never hit a rate limit")
+	}
+	if n := len(adm.buckets); n > len(ref.buckets)/2 {
+		t.Errorf("the screen holds %d buckets for %d tenants seen", n, len(ref.buckets))
+	}
+}
+
+// TestAdmissionBucketsBounded: 100k distinct tenants sending one job each,
+// a hundred per refill period (the time one job's token takes to come
+// back), leave the screen holding buckets for about the tenants of the last
+// few periods, not one for every name it was ever sent.
+func TestAdmissionBucketsBounded(t *testing.T) {
+	const rate, burst, perPeriod = 10, 10, 100
+	adm := NewAdmission(AdmissionConfig{TenantRate: rate, TenantBurst: burst})
+	clock := time.Unix(4000, 0)
+	adm.now = func() time.Time { return clock }
+	refill := time.Second / rate // one job's token comes back
+	peak := 0
+	for i := 0; i < 100000; i++ {
+		clock = clock.Add(refill / perPeriod)
+		if err := adm.Admit(fmt.Sprintf("tenant-%d", i), sched.ClassStandard, 1); err != nil {
+			t.Fatalf("tenant %d: %v", i, err)
+		}
+		peak = max(peak, len(adm.buckets))
+	}
+	if peak > 4*perPeriod {
+		t.Errorf("%d buckets held at peak for %d tenants live per refill period", peak, perPeriod)
 	}
 }
 

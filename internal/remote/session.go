@@ -212,11 +212,11 @@ var (
 )
 
 // RunJob seals the input under the shared data key into a seal buffer (see
-// takeSealBuf), submits it under the session key, and opens the sealed
-// result; it also returns the placement the gateway reported. Which device
-// ran the job is irrelevant to its safety, since every device that can hold
-// the key was attested — by the owner, or enclave to enclave — before the
-// key reached it. Sealed jobs are pure and idempotent, so a job lost to a
+// takeSealBuf), submits it under the session key in a pooled request
+// envelope, and opens the sealed result; it also returns the placement the
+// gateway reported. Which device ran the job is irrelevant to its safety,
+// since every device that can hold the key was attested — by the owner, or
+// enclave to enclave — before the key reached it. Sealed jobs are pure and idempotent, so a job lost to a
 // broken connection is safely re-submitted over a fresh one.
 func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]byte, Placement, error) {
 	aead, err := s.aead()
@@ -225,24 +225,33 @@ func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]
 	}
 	buf := s.takeSealBuf(len(input) + cryptoutil.SealOverhead)
 	tenant, class, deadlineMillis := s.qosFields()
-	req := JobRequest{
+	req, resp := jobRequests.Get().(*JobRequest), jobResponses.Get().(*JobResponse)
+	*req = JobRequest{
 		Kernel: kernel, Params: params, SealedInput: cryptoutil.AppendSealWith(buf, aead, input, jobInputAD),
 		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
 	}
-	var resp JobResponse
-	err = s.conn.call("Cluster.RunJob", req, &resp)
+	err = s.conn.call("Cluster.RunJob", req, resp)
 	s.giveSealBuf(buf)
+	sealed, placement := resp.SealedOutput, Placement{Shard: resp.Shard, Spilled: resp.Spilled}
+	*req, *resp = JobRequest{}, JobResponse{}
+	jobRequests.Put(req)
+	jobResponses.Put(resp)
 	if err != nil {
 		return nil, Placement{}, err
 	}
 	// The sealed output sits in the client's own exact-size response frame,
 	// which nothing else holds: open it in place.
-	out, err := cryptoutil.OpenInPlaceWith(aead, resp.SealedOutput, jobOutputAD)
+	out, err := cryptoutil.OpenInPlaceWith(aead, sealed, jobOutputAD)
 	if err != nil {
 		return nil, Placement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
 	}
-	return out, Placement{Shard: resp.Shard, Spilled: resp.Spilled}, nil
+	return out, placement, nil
 }
+
+// jobRequests recycles the owner's RunJob request envelopes (responses
+// share the gateway's pool, jobResponses), so a job boxes neither into
+// the rpc call.
+var jobRequests = sync.Pool{New: func() any { return new(JobRequest) }}
 
 // RunBatch seals every input, side by side in one seal buffer, and submits
 // the whole batch in one RPC frame under one session key — one routing

@@ -297,14 +297,17 @@ func TestJobWireDecodeBoundedAlloc(t *testing.T) {
 // TestJobWireAllocBudget keeps the job path's framing cost in tier-1, client
 // and server sides together, so a regression (a sealed payload passing
 // through encoding/json or base64 again, a copy per hop) fails here without
-// the benchmark. Pinned at the measured 11 allocations for a 2 KiB round
-// trip (budget 20 before) and, for a 1 MiB one, the client's response frame
-// alone: 256 KiB once rounded to whole pages. The server reads the request
-// into a pooled buffer of its size class, so a warm pool allocates nothing
-// for it (1,301–1,327 KiB a call and a budget of 1,400 when that frame was
-// an exact-size allocation; 2,560 KiB before). A garbage collection can
-// still cost a pooled class a refill of up to 2 MiB, so the pin is the
-// quietest of eight windows of ten calls.
+// the benchmark. Pinned at the measured 6 allocations for a 2 KiB round
+// trip (11 before rpc recycled its handler goroutines, reply channels and
+// decoded params; budget 20 before that): the boxed request and the
+// escaping response on the client, its response frame, the decoded kernel
+// and class names, and the boxed result. For a 1 MiB one it is the
+// client's response frame alone: 256 KiB once rounded to whole pages. The
+// server reads the request into a pooled buffer of its size class, so a
+// warm pool allocates nothing for it (1,301–1,327 KiB a call and a budget
+// of 1,400 when that frame was an exact-size allocation; 2,560 KiB before).
+// A garbage collection can still cost a pooled class a refill of up to
+// 2 MiB, so the pin is the quietest of eight windows of ten calls.
 func TestJobWireAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -334,8 +337,8 @@ func TestJobWireAllocBudget(t *testing.T) {
 	in2k := make([]byte, 2076)
 	allocs := testing.AllocsPerRun(200, func() { call("small", in2k, len(small)) })
 	t.Logf("2 KiB job round trip: %.1f allocations", allocs)
-	if allocs > 11 {
-		t.Errorf("2 KiB job round trip: %.1f allocations, budget 11", allocs)
+	if allocs > 6 {
+		t.Errorf("2 KiB job round trip: %.1f allocations, budget 6", allocs)
 	}
 
 	in1m := make([]byte, 1<<20+28)

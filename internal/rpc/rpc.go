@@ -6,12 +6,15 @@
 // payloads as raw byte sections; the rare control messages are JSON inside
 // the same envelope.
 //
-// Both ends are fully concurrent. The server dispatches every request on
-// its own goroutine (responses are serialised by a per-connection write
-// lock, so a slow handler never blocks a fast one). The client matches
-// responses to calls through an ID → pending-call map, so any number of
-// concurrent Calls share one connection without head-of-line blocking —
-// a long-running job RPC does not delay a stats poll on the same socket.
+// Both ends are fully concurrent. Each server connection serves its
+// requests on handler workers it starts on demand, at most
+// maxInFlightPerConn of them, each running one handler at a time
+// (responses are serialised by a per-connection write lock, so a slow
+// handler never blocks a fast one). The client matches responses to calls
+// through an ID → pending-call map, so any number of concurrent Calls share
+// one connection without head-of-line blocking — a long-running job RPC
+// does not delay a stats poll on the same socket. A call has no timeout: it
+// ends with its reply or with its connection.
 //
 // Security posture matches the paper's: RPC transports are *untrusted*.
 // Everything sensitive that crosses them is independently protected —
@@ -50,7 +53,6 @@ var (
 
 	mCliInflight = metrics.Default().Gauge("salus_rpc_client_inflight")
 	mCliCalls    = metrics.Default().Counter("salus_rpc_client_calls_total")
-	mCliTimeouts = metrics.Default().Counter("salus_rpc_client_timeouts_total")
 	mCliBroken   = metrics.Default().Counter("salus_rpc_client_broken_total")
 	mCliRxBytes  = metrics.Default().Counter("salus_rpc_client_rx_bytes_total")
 	mCliTxBytes  = metrics.Default().Counter("salus_rpc_client_tx_bytes_total")
@@ -60,9 +62,10 @@ var (
 // MaxFrame bounds a single message (a U200 bitstream plus headroom).
 const MaxFrame = 64 << 20
 
-// maxInFlightPerConn bounds how many handler goroutines one connection may
-// have running at once; further requests queue in the read loop. It keeps
-// a hostile or buggy peer from ballooning the server with one socket.
+// maxInFlightPerConn bounds how many handler workers one connection may
+// have, and so how many of its handlers run at once; further requests wait
+// in the read loop. It keeps a hostile or buggy peer from ballooning the
+// server with one socket.
 const maxInFlightPerConn = 64
 
 // Errors.
@@ -75,10 +78,6 @@ var (
 	// subsequent Call fails fast and the caller re-dials. It wraps
 	// ErrClosed so retry layers treat it as a transport failure.
 	ErrBroken = fmt.Errorf("rpc: transport desynced, client unusable: %w", ErrClosed)
-	// ErrTimeout marks a call abandoned after the SetTimeout deadline. The
-	// connection itself stays usable: the reply, if it arrives late, is
-	// matched by ID and discarded.
-	ErrTimeout = errors.New("rpc: call timed out")
 )
 
 // ServerError is an application-level failure reported by a handler. It is
@@ -248,8 +247,11 @@ type Handler func(params Payload) (any, error)
 // releaser is a handler result under the release rule (see Handler).
 type releaser interface{ Release() }
 
-// Server dispatches requests to registered handlers. Every request runs on
-// its own goroutine; responses on a connection are serialised by a write
+// Server dispatches requests to registered handlers. A connection's read
+// loop hands each request to one of the connection's handler workers,
+// starting one when none is idle and fewer than maxInFlightPerConn exist,
+// and blocking when all of them are busy; the workers exit when their
+// connection closes. Responses on a connection are serialised by a write
 // lock and may arrive in any order (clients match them by ID). Handlers
 // touching shared state must therefore synchronise themselves.
 type Server struct {
@@ -281,11 +283,25 @@ func (s *Server) Handle(method string, h Handler) {
 
 // Typed adapts a strongly typed handler func(In) (Out, error) to a Handler.
 // The types pick the codec: an In or Out that implements the wire interfaces
-// travels in its own binary form, anything else as JSON.
+// travels in its own binary form, anything else as JSON. The params are
+// decoded into a pooled *In and copied out, so a request costs no In of its
+// own; an Out that is a pointer reaches the server without being boxed.
 func Typed[In, Out any](fn func(In) (Out, error)) Handler {
+	return typed(&sync.Pool{New: func() any { return new(In) }}, fn)
+}
+
+// typed is Typed over the pool its decoded params pass through. The pooled
+// value is zeroed before it goes back, so no section of a frame that will
+// be recycled stays reachable from the pool (the aliasing rule).
+func typed[In, Out any](pool *sync.Pool, fn func(In) (Out, error)) Handler {
 	return func(params Payload) (any, error) {
-		var in In
-		if err := params.Decode(&in); err != nil {
+		p := pool.Get().(*In)
+		err := params.Decode(p)
+		in := *p
+		var zero In
+		*p = zero
+		pool.Put(p)
+		if err != nil {
 			return nil, fmt.Errorf("rpc: bad params: %w", err)
 		}
 		return fn(in)
@@ -334,18 +350,33 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// request is one parsed request and the pooled frame buffer it aliases.
+type request struct {
+	frame
+	buf []byte
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	var handlers sync.WaitGroup
+	var wmu sync.Mutex // serialises response frames from concurrent handlers
+	// reqs is unbuffered: a send completes only into an idle worker's hands.
+	reqs := make(chan request)
 	defer func() {
+		close(reqs) // every worker returns once its handler has
 		handlers.Wait()
 		conn.Close()
 		s.lnMu.Lock()
 		delete(s.conns, conn)
 		s.lnMu.Unlock()
 	}()
+	worker := func() {
+		defer handlers.Done()
+		for r := range reqs {
+			s.serve(conn, &wmu, r)
+		}
+	}
 	br := bufio.NewReader(conn)
-	var wmu sync.Mutex // serialises response frames from concurrent handlers
-	sem := make(chan struct{}, maxInFlightPerConn)
+	workers := 0
 	for {
 		body, buf, err := readFrame(br, true)
 		if err != nil {
@@ -357,37 +388,46 @@ func (s *Server) serveConn(conn net.Conn) {
 			bufpool.Put(buf)
 			return
 		}
-		sem <- struct{}{}
-		handlers.Add(1)
 		mSrvInflight.Add(1)
 		// req aliases the frame body, and the result may alias req, so the
-		// handler goroutine owns buf until its response is written.
-		go func(req frame, buf []byte) {
-			defer func() {
-				bufpool.Put(buf)
-				mSrvInflight.Add(-1)
-				<-sem
-				handlers.Done()
-			}()
-			mSrvRequests.Inc()
-			start := time.Now()
-			resp, result := s.dispatch(req)
-			mSrvHandle.Since(start)
-			wmu.Lock()
-			nw, err := resp.writeTo(conn)
-			wmu.Unlock()
-			resp.release()
-			if result != nil {
-				result.Release()
-			}
-			if err != nil {
-				// The response stream is dead; tear the connection down so
-				// the read loop stops feeding it.
-				conn.Close()
-			} else {
-				mSrvTxBytes.Add(uint64(nw))
-			}
-		}(req, buf)
+		// worker that takes it owns buf until its response is written.
+		r := request{req, buf}
+		select {
+		case reqs <- r:
+			continue
+		default:
+		}
+		if workers < maxInFlightPerConn {
+			workers++
+			handlers.Add(1)
+			go worker()
+		}
+		reqs <- r
+	}
+}
+
+// serve runs one request on a handler worker, writes its response, and
+// gives back what the request and its result hold.
+func (s *Server) serve(conn net.Conn, wmu *sync.Mutex, r request) {
+	mSrvRequests.Inc()
+	start := time.Now()
+	resp, result := s.dispatch(r.frame)
+	mSrvHandle.Since(start)
+	wmu.Lock()
+	nw, err := resp.writeTo(conn)
+	wmu.Unlock()
+	resp.release()
+	if result != nil {
+		result.Release()
+	}
+	bufpool.Put(r.buf)
+	mSrvInflight.Add(-1)
+	if err != nil {
+		// The response stream is dead; tear the connection down so the
+		// read loop stops feeding it.
+		conn.Close()
+	} else {
+		mSrvTxBytes.Add(uint64(nw))
 	}
 }
 
@@ -450,44 +490,27 @@ func (s *Server) Close() error {
 // concurrent Calls overlap on the wire instead of queueing behind each
 // other.
 //
-// A timed-out call (see SetTimeout) is abandoned, not fatal: its ID moves
-// to an abandoned set and the late reply, if any, is discarded on arrival.
-// The set is bounded (maxAbandoned, oldest evicted first) and cleared when
-// the client dies, so a silent server cannot grow it without limit — one
-// abandoned ID per timed-out call, forever, was exactly the slow leak this
-// bound fixes. Only genuine stream desync — a read failure, an undecodable
-// frame, or a response ID matching neither a pending nor an abandoned call
-// — breaks the client; then every pending and subsequent Call fails fast
-// with ErrBroken and the caller re-dials.
+// A call waits for its reply or for the client to die; there is no
+// per-call timeout. Stream desync — a read failure, an undecodable frame,
+// or a response ID matching no pending call — breaks the client; then
+// every pending and subsequent Call fails fast with ErrBroken and the
+// caller re-dials.
 type Client struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serialises request frames
 
-	mu         sync.Mutex
-	pending    map[uint64]chan frame
-	abandoned  map[uint64]struct{}
-	abandonedQ []uint64 // FIFO of abandoned IDs, oldest first (may hold stale entries)
-	next       uint64
-	timeout    time.Duration
-	err        error // sticky: first fatal error (ErrBroken... or ErrClosed)
-	closed     bool
+	mu      sync.Mutex
+	pending map[uint64]chan frame
+	next    uint64
+	err     error // sticky: first fatal error (ErrBroken... or ErrClosed)
+	closed  bool
 }
 
-// maxAbandoned caps the abandoned-ID set. An eviction can in principle
-// break the client later (the evicted ID's reply finally arrives and
-// matches nothing), but a peer that answers a call after 1024 further
-// calls have timed out is indistinguishable from a desynced one anyway.
-const maxAbandoned = 1024
-
-// SetTimeout bounds how long every subsequent Call waits for its response;
-// zero restores blocking behaviour. Unlike a socket deadline, expiry
-// abandons only the one call — the connection stays usable.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
+// replyChans recycles the one-slot channels a call's reply is delivered
+// on. A channel is either sent to once, by the read loop, or closed, by
+// fatal; only one that carried its reply comes back here.
+var replyChans = sync.Pool{New: func() any { return make(chan frame, 1) }}
 
 // Dial connects to a server.
 func Dial(addr string) (*Client, error) {
@@ -496,19 +519,18 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		conn:      conn,
-		pending:   make(map[uint64]chan frame),
-		abandoned: make(map[uint64]struct{}),
+		conn:    conn,
+		pending: make(map[uint64]chan frame),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
 // readLoop is the client's single response reader: it routes every frame
-// to its pending call by ID, discards late replies to abandoned calls, and
-// breaks the client on anything it cannot account for. It reads every frame
-// into a buffer of its own that is never recycled, because a wire-decoded
-// result aliases its frame and outlives the Call that returned it.
+// to its pending call by ID and breaks the client on anything it cannot
+// account for. It reads every frame into a buffer of its own that is never
+// recycled, because a wire-decoded result aliases its frame and outlives
+// the Call that returned it.
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
@@ -529,22 +551,14 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		if ch, ok := c.pending[resp.id]; ok {
-			delete(c.pending, resp.id)
-			c.mu.Unlock()
-			// Buffered; the caller may have raced to timeout but always
-			// collects a delivered response.
-			ch <- resp
-			continue
-		}
-		if _, ok := c.abandoned[resp.id]; ok {
-			delete(c.abandoned, resp.id)
-			c.mu.Unlock()
-			continue
-		}
+		ch, ok := c.pending[resp.id]
+		delete(c.pending, resp.id)
 		c.mu.Unlock()
-		c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.id))
-		return
+		if !ok {
+			c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.id))
+			return
+		}
+		ch <- resp // buffered: never blocks
 	}
 }
 
@@ -562,12 +576,6 @@ func (c *Client) fatal(err error) {
 		delete(c.pending, id)
 		close(ch)
 	}
-	// The read loop is done consulting the abandoned set once the client is
-	// fatal, so drop it — otherwise IDs abandoned before the death would
-	// linger for the life of the (unusable but maybe still referenced)
-	// client.
-	clear(c.abandoned)
-	c.abandonedQ = nil
 	c.mu.Unlock()
 	c.conn.Close()
 }
@@ -600,9 +608,8 @@ func (c *Client) Call(method string, params any, result any) error {
 	}
 	c.next++
 	id := c.next
-	ch := make(chan frame, 1)
+	ch := replyChans.Get().(chan frame)
 	c.pending[id] = ch
-	timeout := c.timeout
 	c.mu.Unlock()
 
 	binary.BigEndian.PutUint64(req.buf[5:], id) // after the length and kind
@@ -617,62 +624,12 @@ func (c *Client) Call(method string, params any, result any) error {
 	}
 	mCliTxBytes.Add(uint64(nw))
 
-	var expired <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		expired = timer.C
+	in, ok := <-ch
+	if !ok {
+		return c.lastErr()
 	}
-	select {
-	case in, ok := <-ch:
-		if !ok {
-			return c.lastErr()
-		}
-		return decodeResult(in, result)
-	case <-expired:
-		c.mu.Lock()
-		if _, still := c.pending[id]; still {
-			delete(c.pending, id)
-			c.abandon(id)
-			c.mu.Unlock()
-			mCliTimeouts.Inc()
-			return fmt.Errorf("%w: %s after %v", ErrTimeout, method, timeout)
-		}
-		c.mu.Unlock()
-		// The response raced in (or the client broke) just as the timer
-		// fired; the channel resolves immediately either way.
-		in, ok := <-ch
-		if !ok {
-			return c.lastErr()
-		}
-		return decodeResult(in, result)
-	}
-}
-
-// abandon records a timed-out call ID, evicting the oldest entries past
-// maxAbandoned so a silent server leaks a bounded set, not one ID per
-// timeout forever. Caller holds c.mu.
-func (c *Client) abandon(id uint64) {
-	c.abandoned[id] = struct{}{}
-	c.abandonedQ = append(c.abandonedQ, id)
-	for len(c.abandoned) > maxAbandoned && len(c.abandonedQ) > 0 {
-		old := c.abandonedQ[0]
-		c.abandonedQ = c.abandonedQ[1:]
-		delete(c.abandoned, old)
-	}
-	// The queue may accumulate stale entries for IDs whose late replies did
-	// arrive (readLoop deletes from the map only); compact it before the
-	// slice — and the dead capacity behind its sliced-off head — outgrows
-	// the bound the map honours.
-	if len(c.abandonedQ) > 4*maxAbandoned {
-		kept := make([]uint64, 0, len(c.abandoned))
-		for _, old := range c.abandonedQ {
-			if _, ok := c.abandoned[old]; ok {
-				kept = append(kept, old)
-			}
-		}
-		c.abandonedQ = kept
-	}
+	replyChans.Put(ch)
+	return decodeResult(in, result)
 }
 
 // decodeResult turns a response frame into Call's return.

@@ -34,21 +34,55 @@ func PlainJob(w accel.Workload) Job {
 }
 
 // Future is the handle returned by Submit: it resolves when the job
-// finishes on some device.
+// finishes on some device. It lives inside its queue entry (a lone job's
+// entry embeds it, a vector entry holds one block of them), and its wake-up
+// channel is made only when a waiter finds it unresolved, so a job that is
+// done before anyone waits costs no channel at all.
 type Future struct {
-	done chan struct{}
-	out  []byte
-	err  error
+	mu       sync.Mutex
+	done     chan struct{} // nil until a waiter needs it, closed on resolution
+	resolved bool
+	out      []byte
+	err      error
 }
+
+// closedDone is what Done returns for a future that resolved before anyone
+// asked for its channel.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Wait blocks until the job completes and returns its result.
 func (f *Future) Wait() ([]byte, error) {
-	<-f.done
+	if done := f.wake(); done != nil {
+		<-done
+	}
 	return f.out, f.err
 }
 
 // Done is closed when the result is available; use with select.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} {
+	if done := f.wake(); done != nil {
+		return done
+	}
+	return closedDone
+}
+
+// wake returns the channel resolve will close, making it if need be, or
+// nil once the future has resolved (its result is then safe to read).
+func (f *Future) wake() chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.resolved {
+		return nil
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
 
 // WaitTimeout blocks until the job completes or d elapses, whichever comes
 // first; on timeout it returns ErrWaitTimeout and the future stays live —
@@ -57,9 +91,13 @@ func (f *Future) Done() <-chan struct{} { return f.done }
 // ErrWaitTimeout. Fleet drains use this so one wedged job cannot block a
 // decommission forever.
 func (f *Future) WaitTimeout(d time.Duration) ([]byte, error) {
+	done := f.wake()
+	if done == nil {
+		return f.out, f.err
+	}
 	if d <= 0 {
 		select {
-		case <-f.done:
+		case <-done:
 			return f.out, f.err
 		default:
 			return nil, ErrWaitTimeout
@@ -68,32 +106,41 @@ func (f *Future) WaitTimeout(d time.Duration) ([]byte, error) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-f.done:
+	case <-done:
 		return f.out, f.err
 	case <-t.C:
 		return nil, ErrWaitTimeout
 	}
 }
 
+// resolve publishes the result and wakes every waiter; it runs once per
+// future.
 func (f *Future) resolve(out []byte, err error) {
-	f.out, f.err = out, err
-	close(f.done)
+	f.mu.Lock()
+	f.out, f.err, f.resolved = out, err, true
+	done := f.done
+	f.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // entry is one queue entry: a vector of n >= 1 jobs of one kernel, all
 // sealed or all plaintext, riding to one device under one QoS contract. A
-// lone job is a vector of one (jobs and futs then live in the in-struct
-// backing arrays, so it costs no more than a scalar would).
+// lone job is a vector of one: its job and its future live in the entry
+// itself, so it costs one allocation. A vector's futures are one block.
 type entry struct {
 	kernel   string
 	sealed   bool
 	attempts int // re-dispatches so far
 
 	// jobs[i] resolves futs[i]; Input is sealed or plaintext per sealed.
-	jobs []core.SealedJob
-	futs []*Future
-	job1 [1]core.SealedJob
-	fut1 [1]*Future
+	jobs  []core.SealedJob
+	futs  []*Future
+	job1  [1]core.SealedJob
+	fut1  [1]*Future
+	own   Future   // a lone job's future
+	block []Future // a vector's futures, in job order
 
 	// QoS: class selects the band, deadlineNs (UnixNano, MaxInt64 when
 	// none) orders the band's EDF heap with seq as the FIFO tie-break;
@@ -118,7 +165,7 @@ type entry struct {
 }
 
 // newEntry returns an empty entry under opt's QoS contract with room for n
-// jobs.
+// jobs and their futures.
 func newEntry(n int, opt SubmitOptions) *entry {
 	e := &entry{class: opt.Class.clamp(), tenant: opt.Tenant, deadline: opt.Deadline, deadlineNs: math.MaxInt64}
 	if !opt.Deadline.IsZero() {
@@ -126,23 +173,30 @@ func newEntry(n int, opt SubmitOptions) *entry {
 	}
 	e.jobs, e.futs = e.job1[:0], e.fut1[:0]
 	if n > 1 {
-		e.jobs, e.futs = make([]core.SealedJob, 0, n), make([]*Future, 0, n)
+		e.jobs, e.futs, e.block = make([]core.SealedJob, 0, n), make([]*Future, 0, n), make([]Future, n)
 	}
 	return e
 }
 
-// add appends one job and its fresh future.
+// add appends one job and its future.
 func (e *entry) add(j core.SealedJob) {
+	f := &e.own
+	if e.block != nil {
+		f = &e.block[len(e.jobs)]
+	}
 	e.jobs = append(e.jobs, j)
-	e.futs = append(e.futs, &Future{done: make(chan struct{})})
+	e.futs = append(e.futs, f)
 }
 
 // single returns job i as an entry of its own, one attempt further along,
-// for re-dispatch away from a device that faulted on it alone.
+// for re-dispatch away from a device that faulted on it alone. The job
+// keeps the future its submitter holds.
 func (e *entry) single(i int) *entry {
-	sub := new(entry)
-	*sub = *e
-	sub.attempts++
+	sub := &entry{
+		kernel: e.kernel, sealed: e.sealed, attempts: e.attempts + 1,
+		class: e.class, tenant: e.tenant, deadline: e.deadline, deadlineNs: e.deadlineNs, seq: e.seq,
+		submitAt: e.submitAt, enqueueAt: e.enqueueAt, barrier: e.barrier,
+	}
 	sub.jobs, sub.futs = append(sub.job1[:0], e.jobs[i]), append(sub.fut1[:0], e.futs[i])
 	return sub
 }
