@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,25 @@ func TestRenderReport(t *testing.T) {
 			if f := strings.Fields(string([]rune(r)[74:])); len(f) == 0 || (f[0] != "OK" && f[0] != "BLOCKED") {
 				t.Errorf("row does not read OK/BLOCKED: %q", r)
 			}
+		}
+	})
+
+	t.Run("table 2 runs", func(t *testing.T) {
+		_, sec, _ := strings.Cut(out, "## Table 2 ")
+		sec, _, _ = strings.Cut(sec, "## Table 3 ")
+		if !strings.Contains(sec, "Figure 1, run: a same-platform report verifies; a cross-platform report is rejected\n") {
+			t.Errorf("Table 2 lacks the Figure 1 local attestation line:\n%s", sec)
+		}
+		_, line, ok := strings.Cut(sec, "§4.4 multi-stage baseline (U200, Conv): ")
+		var report, attested, window float64
+		if _, err := fmt.Sscanf(line, "customer report at %f s, CL attested at %f s: a %f s exposure window", &report, &attested, &window); !ok || err != nil {
+			t.Fatalf("Table 2 lacks the §4.4 multi-stage line (%v):\n%s", err, sec)
+		}
+		// The window spans the SM enclave's attestation and the whole CL
+		// deployment, so it is most of the Figure 9 boot. Each figure is
+		// rounded to 0.1 s, so the three agree to within 0.15 s.
+		if report <= 0 || window < 10 || math.Abs(attested-report-window) > 0.151 {
+			t.Errorf("multi-stage timeline: report %.1f s, CL attested %.1f s, window %.1f s", report, attested, window)
 		}
 	})
 

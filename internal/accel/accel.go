@@ -269,30 +269,8 @@ func (c *Core) checkBlocks(addr uint64, n int) error {
 	return nil
 }
 
-// CorruptMem models a physical attack on the device DRAM (DMA from a
-// hostile peripheral, disturbance errors): it flips a byte *without*
-// updating the integrity tree. On an unprotected core the corruption is
-// silent; on a protected core the next access detects it.
-func (c *Core) CorruptMem(addr uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if addr >= MemBytes {
-		return fmt.Errorf("%w: corrupt at %d", ErrMemRange, addr)
-	}
-	c.grow(addr + 1)
-	c.mem[addr] ^= 0xFF
-	return nil
-}
-
 // Name implements Device.
 func (c *Core) Name() string { return c.kernel.Name() }
-
-// Runs returns how many kernel executions completed (successfully or not).
-func (c *Core) Runs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
 
 // WriteReg implements Device. Writing CtrlStart to RegCtrl runs the kernel
 // synchronously (the simulation has no concurrency between host polls and

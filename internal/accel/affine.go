@@ -45,12 +45,6 @@ type AffineMatrix struct {
 	TX, TY             int32 // 16.16
 }
 
-// Identity returns the identity transform.
-func Identity() AffineMatrix {
-	one := int32(1 << 16)
-	return AffineMatrix{A11: one, A22: one}
-}
-
 // Params packs the matrix and image size into the parameter registers.
 func (m AffineMatrix) Params(w, h int) [4]uint64 {
 	pack := func(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

@@ -74,16 +74,6 @@ func (Rendering) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]by
 	return dst, nil
 }
 
-// RenderRef is the reference rasteriser shared with the CPU baseline:
-// orthographic projection (drop z), bounding-box rasterisation with edge
-// functions, per-pixel barycentric z interpolation, and a z-buffer that
-// keeps the largest z (nearest surface).
-func RenderRef(tris []Triangle) []byte {
-	fb := make([]byte, FrameDim*FrameDim)
-	renderInto(fb, tris)
-	return fb
-}
-
 // renderInto clears the frame buffer fb and rasterises tris into it.
 func renderInto(fb []byte, tris []Triangle) {
 	clear(fb)

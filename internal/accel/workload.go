@@ -2,7 +2,6 @@ package accel
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 )
 
@@ -176,28 +175,4 @@ func TestWorkload(name string, seed int64) (Workload, bool) {
 		return GenNNSearch(64, 8, 3, seed), true
 	}
 	return Workload{}, false
-}
-
-// DecodeIndices parses NNSearch output into query→target indices.
-func DecodeIndices(out []byte) ([]int, error) {
-	if len(out)%4 != 0 {
-		return nil, fmt.Errorf("accel: NNSearch output %d bytes not a multiple of 4", len(out))
-	}
-	idx := make([]int, len(out)/4)
-	for i := range idx {
-		idx[i] = int(binary.LittleEndian.Uint32(out[4*i:]))
-	}
-	return idx, nil
-}
-
-// DecodeActivations parses Conv output into int32 activations.
-func DecodeActivations(out []byte) ([]int32, error) {
-	if len(out)%4 != 0 {
-		return nil, fmt.Errorf("accel: Conv output %d bytes not a multiple of 4", len(out))
-	}
-	acts := make([]int32, len(out)/4)
-	for i := range acts {
-		acts[i] = int32(binary.LittleEndian.Uint32(out[4*i:]))
-	}
-	return acts, nil
 }

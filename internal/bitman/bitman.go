@@ -47,16 +47,6 @@ func (t *Tool) Inject(loc netlist.Location, offset int, value []byte) error {
 	return nil
 }
 
-// InjectByPath resolves the cell location from the image's own cell table
-// and injects value at offset.
-func (t *Tool) InjectByPath(path string, offset int, value []byte) error {
-	loc, ok := t.im.Cell(path)
-	if !ok {
-		return fmt.Errorf("bitman: no cell %q in bitstream cell table", path)
-	}
-	return t.Inject(loc, offset, value)
-}
-
 // ReadCell reads n bytes of a cell's initial content — what a reverse
 // engineer with a *plaintext* bitstream can always do, which is exactly why
 // the manipulated bitstream must only ever leave the enclave encrypted.
@@ -67,9 +57,6 @@ func (t *Tool) ReadCell(loc netlist.Location, offset, n int) ([]byte, error) {
 	}
 	return b, nil
 }
-
-// Edits returns the number of injections performed in this session.
-func (t *Tool) Edits() int { return t.edits }
 
 // Image exposes the underlying image (e.g. for digest computation).
 func (t *Tool) Image() *bitstream.Image { return t.im }

@@ -562,11 +562,6 @@ func OpenRegRequest(key []byte, wantCtr uint64, frame []byte) (RegTxn, error) {
 	return oneShot(key, func(s *Sealer) (RegTxn, error) { return s.OpenRegRequest(wantCtr, frame) })
 }
 
-// SealRegResponse is the one-shot form of Sealer.SealRegResponse.
-func SealRegResponse(key []byte, ctr uint64, res RegResult) ([]byte, error) {
-	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegResponse(ctr, res) })
-}
-
 // OpenRegResponse is the one-shot form of Sealer.OpenRegResponse.
 func OpenRegResponse(key []byte, wantCtr uint64, frame []byte) (RegResult, error) {
 	return oneShot(key, func(s *Sealer) (RegResult, error) { return s.OpenRegResponse(wantCtr, frame) })
@@ -582,11 +577,6 @@ func OpenRegBatchRequest(key []byte, wantCtr uint64, frame []byte) ([]RegTxn, er
 	return oneShot(key, func(s *Sealer) ([]RegTxn, error) { return s.OpenRegBatchRequest(wantCtr, frame, nil) })
 }
 
-// SealRegBatchResponse is the one-shot form of Sealer.SealRegBatchResponse.
-func SealRegBatchResponse(key []byte, ctr uint64, res []RegResult) ([]byte, error) {
-	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRegBatchResponse(ctr, res) })
-}
-
 // OpenRegBatchResponse is the one-shot form of Sealer.OpenRegBatchResponse.
 func OpenRegBatchResponse(key []byte, wantCtr uint64, frame []byte) ([]RegResult, error) {
 	return oneShot(key, func(s *Sealer) ([]RegResult, error) { return s.OpenRegBatchResponse(wantCtr, frame, nil) })
@@ -595,20 +585,6 @@ func OpenRegBatchResponse(key []byte, wantCtr uint64, frame []byte) ([]RegResult
 // SealRekeyRequest is the one-shot form of Sealer.SealRekeyRequest.
 func SealRekeyRequest(key []byte, ctr uint64, newKey []byte, newCtr uint64) ([]byte, error) {
 	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRekeyRequest(ctr, newKey, newCtr) })
-}
-
-// OpenRekeyRequest is the one-shot form of Sealer.OpenRekeyRequest.
-func OpenRekeyRequest(key []byte, wantCtr uint64, frame []byte) (newKey []byte, newCtr uint64, err error) {
-	s, err := NewSealer(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.OpenRekeyRequest(wantCtr, frame)
-}
-
-// SealRekeyResponse is the one-shot form of Sealer.SealRekeyResponse.
-func SealRekeyResponse(key []byte, ctr uint64) ([]byte, error) {
-	return oneShot(key, func(s *Sealer) ([]byte, error) { return s.SealRekeyResponse(ctr) })
 }
 
 // OpenRekeyResponse is the one-shot form of Sealer.OpenRekeyResponse.

@@ -32,12 +32,6 @@ func DevelopCL(k accel.Kernel, profile netlist.DeviceProfile, seed int64) (*CLPa
 	return developCL(k, profile, seed, smlogic.LogicID(k))
 }
 
-// DevelopProtectedCL builds the CL variant whose accelerator integrates
-// the memory integrity tree (§3.1 attack-2 defence) at its DRAM interface.
-func DevelopProtectedCL(k accel.Kernel, profile netlist.DeviceProfile, seed int64) (*CLPackage, error) {
-	return developCL(k, profile, seed, smlogic.ProtectedLogicID(k))
-}
-
 func developCL(k accel.Kernel, profile netlist.DeviceProfile, seed int64, logicID string) (*CLPackage, error) {
 	designName := k.Name() + "_cl"
 	design, err := smlogic.Integrate(designName, k.Module())

@@ -167,18 +167,6 @@ func TestDeriveKeyProperties(t *testing.T) {
 	}
 }
 
-func TestHMACHelpers(t *testing.T) {
-	key := RandomKey(32)
-	msg := []byte("local attestation transcript")
-	tag := HMAC256(key, msg)
-	if !VerifyHMAC256(key, msg, tag) {
-		t.Error("rejected valid HMAC")
-	}
-	if VerifyHMAC256(key, msg, tag[:31]) {
-		t.Error("accepted truncated HMAC")
-	}
-}
-
 func TestPropertySealOpen(t *testing.T) {
 	key := RandomKey(DeviceKeySize)
 	f := func(pt, ad []byte) bool {

@@ -180,18 +180,6 @@ func DeriveKey(secret []byte, label string, n int) []byte {
 	return out[:n]
 }
 
-// HMAC256 computes HMAC-SHA256 of msg under key.
-func HMAC256(key, msg []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(msg)
-	return mac.Sum(nil)
-}
-
-// VerifyHMAC256 reports whether tag is the HMAC-SHA256 of msg under key.
-func VerifyHMAC256(key, msg, tag []byte) bool {
-	return subtle.ConstantTimeCompare(HMAC256(key, msg), tag) == 1
-}
-
 // Digest returns the SHA-256 digest of data; it is the bitstream digest H
 // carried through the attestation chain.
 func Digest(data []byte) [32]byte {

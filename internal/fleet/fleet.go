@@ -255,9 +255,6 @@ func (m *Manager) RPsPerDevice() int { return m.rps }
 // Scheduler exposes the underlying pool for job submission.
 func (m *Manager) Scheduler() *sched.Scheduler { return m.sch }
 
-// BootTrace returns the merged per-device boot trace.
-func (m *Manager) BootTrace() *trace.Log { return m.bootTrace }
-
 // PreparedStats and QuoteStats snapshot the shared boot caches.
 func (m *Manager) PreparedStats() smapp.PreparedStats { return m.prepared.Stats() }
 func (m *Manager) QuoteStats() smapp.QuoteStats       { return m.quotes.Stats() }
@@ -698,17 +695,6 @@ func (m *Manager) StartAutoReplace(interval time.Duration) {
 			}
 		}
 	}()
-}
-
-// RotateRoT invalidates the prepared-bitstream cache and the pooled quote
-// exchange: the next boot regenerates the RoT secrets (fresh Key_attest /
-// Key_session) and performs a fresh manufacturer attestation. Call this
-// when the fleet-shared key material must be considered exposed. Already
-// running members keep their (post-attest rotated) sessions; reboot or
-// Replace them to move them onto the new RoT.
-func (m *Manager) RotateRoT() {
-	m.prepared.Invalidate()
-	m.quotes.Reset()
 }
 
 // Close stops the auto-replace loop and shuts the scheduler down; every

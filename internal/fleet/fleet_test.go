@@ -381,31 +381,6 @@ func TestStartAutoReplaceBackgroundLoop(t *testing.T) {
 	}
 }
 
-// TestRotateRoTForcesRebuild: after an RoT rotation the next boot must not
-// reuse cached manipulated bitstreams or the pooled quote.
-func TestRotateRoTForcesRebuild(t *testing.T) {
-	m := newManager(t, Config{})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
-	m.RotateRoT()
-	if _, err := m.Add(); err != nil {
-		t.Fatal(err)
-	}
-	ps := m.PreparedStats()
-	if ps.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", ps.Invalidations)
-	}
-	if ps.Manipulations != 2 {
-		t.Errorf("manipulations after rotation = %d, want 2 (cache must not survive)", ps.Manipulations)
-	}
-	qs := m.QuoteStats()
-	if qs.Generated != 2 {
-		t.Errorf("quote generations after rotation = %d, want 2", qs.Generated)
-	}
-	runJob(t, m, 3)
-}
-
 // TestCapacityBounds: MaxDevices refuses growth, MinDevices refuses
 // shrink, and Replace is exempt from the ceiling (add-first swap).
 func TestCapacityBounds(t *testing.T) {

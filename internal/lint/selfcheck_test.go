@@ -2,8 +2,13 @@ package lint
 
 import (
 	"bytes"
+	"fmt"
+	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +90,167 @@ func moduleRoot(t *testing.T) string {
 			t.Fatal("no go.mod above the test directory")
 		}
 		dir = parent
+	}
+}
+
+// testOnlyAllowed are the exports the scan below may find unreached, each
+// with the reason it stays.
+var testOnlyAllowed = map[string]string{
+	"salus/internal/core.System.Reclaim":   "ROADMAP item 12 wires this into every removal",
+	"salus/internal/core.System.Reclaimed": "ROADMAP item 12 wires this into every removal",
+}
+
+// TestNoTestOnlyExports fails on an exported function or method under
+// internal/ that only its own package's tests reach: such a name is either
+// a call the served path is missing or dead code kept alive by its test.
+// A name counts as reached when a non-test file anywhere in the tree
+// (bench/, cmd/ and examples/ included) refers to it, when another
+// package's tests use it, or when a method of that name belongs to an
+// interface. Methods match by name alone, so the scan can only over-count
+// reach: what it reports is real. It needs the whole tree at once, which is
+// why it is a test and not a per-package salus-vet analyzer.
+func TestNoTestOnlyExports(t *testing.T) {
+	root := moduleRoot(t)
+	pkgs, err := LoadTree(root, Names(All()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	importPath := func(p *Package) string {
+		rel, err := filepath.Rel(root, p.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "salus/" + filepath.ToSlash(rel)
+	}
+
+	// users maps a package function ("path.Name") or a method name to the
+	// places that refer to it: "" for a non-test file, else the directory
+	// of the test file.
+	funcUsers := map[string]map[string]bool{}
+	methodUsers := map[string]map[string]bool{}
+	interfaceMethods := map[string]bool{
+		// Methods of the standard-library interfaces the tree implements.
+		"Error": true, "String": true, "Unwrap": true, "Is": true,
+		"Read": true, "Write": true, "Close": true,
+		"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true, // heap.Interface
+		"Import":      true, // types.Importer
+		"MarshalJSON": true, "UnmarshalJSON": true,
+		"MarshalBinary": true, "UnmarshalBinary": true,
+	}
+	use := func(m map[string]map[string]bool, key, from string) {
+		if m[key] == nil {
+			m[key] = map[string]bool{}
+		}
+		m[key][from] = true
+	}
+	type export struct {
+		key, name, dir string // key indexes the users maps
+		method         bool
+		pos            token.Position
+	}
+	var exports []export
+	for _, p := range pkgs {
+		path := importPath(p)
+		internal := strings.HasPrefix(path, "salus/internal/")
+		for _, f := range p.Files {
+			from := ""
+			if f.IsTest {
+				from = p.Dir
+			}
+			skip := map[*ast.Ident]bool{}
+			for _, d := range f.AST.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				skip[fd.Name] = true
+				if f.IsTest || !internal || !fd.Name.IsExported() {
+					continue
+				}
+				e := export{key: path + "." + fd.Name.Name, dir: p.Dir, pos: p.Fset.Position(fd.Pos())}
+				e.name = e.key
+				if fd.Recv != nil {
+					e.key, e.method = fd.Name.Name, true
+					e.name = path + "." + recvType(fd.Recv.List[0].Type) + "." + e.key
+				}
+				exports = append(exports, e)
+			}
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							interfaceMethods[name.Name] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					skip[n.Sel] = true
+					if x, ok := n.X.(*ast.Ident); ok {
+						if ip := f.ImportPath(x.Name); ip != "" {
+							use(funcUsers, ip+"."+n.Sel.Name, from)
+							break
+						}
+					}
+					use(methodUsers, n.Sel.Name, from)
+				case *ast.Ident:
+					if !skip[n] {
+						use(funcUsers, path+"."+n.Name, from)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var found []string
+	allowed := map[string]bool{}
+	for _, e := range exports {
+		users := funcUsers[e.key]
+		if e.method {
+			if interfaceMethods[e.key] {
+				continue
+			}
+			users = methodUsers[e.key]
+		}
+		reached := false
+		for from := range users {
+			if from != e.dir {
+				reached = true
+			}
+		}
+		switch {
+		case reached:
+		case testOnlyAllowed[e.name] != "":
+			allowed[e.name] = true
+		default:
+			found = append(found, fmt.Sprintf("%s: %s", e.pos, e.name))
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is exported but only its own package's tests reach it: call it, delete it, or move it into a _test.go file", f)
+	}
+	for name := range testOnlyAllowed {
+		if !allowed[name] {
+			t.Errorf("%s is no longer a test-only export: drop its exception", name)
+		}
+	}
+}
+
+// recvType names a method receiver's type: "T" for T, *T and T[P].
+func recvType(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
 	}
 }

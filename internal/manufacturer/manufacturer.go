@@ -101,15 +101,6 @@ func (s *Service) TrustSMEnclave(m sgx.Measurement) {
 	s.mu.Unlock()
 }
 
-// SetMinSMVersion raises the TCB recovery floor: quotes from SM enclave
-// builds older than v are refused even if their measurement was once
-// trusted — the DCAP "fully patched platform" policy (§2.1).
-func (s *Service) SetMinSMVersion(v uint16) {
-	s.mu.Lock()
-	s.minSMVersion = v
-	s.mu.Unlock()
-}
-
 // Requests counts key distribution requests served (including rejected
 // ones), for the audit trail.
 func (s *Service) Requests() int {

@@ -29,7 +29,8 @@ type Tree struct {
 	leafBase  int // index of the first leaf in nodes
 	// nodes is the untrusted node store: a flat heap-ordered array,
 	// nodes[0] unused, nodes[1] the root position, leaves at the tail.
-	// Exposed to the adversary via UntrustedNodes.
+	// Index 1 is the off-chip *copy* of the root; corrupting it does not
+	// help, because verification ends at the trusted on-chip root.
 	nodes [][32]byte
 	// root is the trusted on-chip copy.
 	root [32]byte
@@ -68,9 +69,6 @@ func New(mem []byte, blockSize int) (*Tree, error) {
 
 // BlockSize returns the protection granularity.
 func (t *Tree) BlockSize() int { return t.blockSize }
-
-// Blocks returns the number of protected blocks.
-func (t *Tree) Blocks() int { return t.blocks }
 
 // Root returns the trusted root digest.
 func (t *Tree) Root() [32]byte { return t.root }
@@ -140,8 +138,3 @@ func (t *Tree) Verify(idx int, data []byte) error {
 	}
 	return nil
 }
-
-// UntrustedNodes exposes the off-chip node store — the adversary's attack
-// surface in tests. Index 1 is the off-chip *copy* of the root; corrupting
-// it does not help, because verification ends at the trusted on-chip root.
-func (t *Tree) UntrustedNodes() [][32]byte { return t.nodes }

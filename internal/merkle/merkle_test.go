@@ -33,8 +33,8 @@ func TestVerifyFreshMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Blocks() != 10 {
-		t.Errorf("blocks = %d", tr.Blocks())
+	if tr.blocks != 10 {
+		t.Errorf("blocks = %d", tr.blocks)
 	}
 	for i := 0; i < 10; i++ {
 		if err := tr.Verify(i, m[i*64:(i+1)*64]); err != nil {
@@ -89,7 +89,7 @@ func TestDetectsNodeTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := tr.UntrustedNodes()
+	nodes := tr.nodes
 
 	// Every sibling on block 0's path: leaf^1, then parents' siblings.
 	for n := tr.leafBase; n > 1; n >>= 1 {

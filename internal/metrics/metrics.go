@@ -82,9 +82,6 @@ func Default() *Registry { return defaultRegistry }
 // way; snapshots of a disabled registry simply stop moving.
 func (r *Registry) SetEnabled(v bool) { r.enabled.Store(v) }
 
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // Counter returns the named counter, creating it on first use. Call once
 // and cache the handle; the map lookup is mutex-guarded.
 func (r *Registry) Counter(name string) *Counter {

@@ -56,17 +56,6 @@ func U200Floorplan() Floorplan {
 	}
 }
 
-// RPSLR returns the SLR index hosting the reconfigurable partition, or -1
-// if the floorplan reserves none.
-func (f Floorplan) RPSLR() int {
-	for _, r := range f.Regions {
-		if r.Kind == Reconfigurable {
-			return r.SLR
-		}
-	}
-	return -1
-}
-
 // Validate checks region SLR bounds and that at most one SLR is
 // reconfigurable (the paper's prototype reserves exactly one; §4.7 treats
 // multiple RPs as an extension handled at a higher layer).

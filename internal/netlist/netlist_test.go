@@ -242,9 +242,6 @@ func TestU200Floorplan(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if f.RPSLR() != 1 {
-		t.Errorf("RP on SLR %d, want 1", f.RPSLR())
-	}
 	art := f.String()
 	for _, want := range []string{"SM Logic", "Accelerator", "DDR-A", "Central Interconnect", "Reconfigurable"} {
 		if !strings.Contains(art, want) {

@@ -119,16 +119,6 @@ func PaperApps() []AppModel {
 	}
 }
 
-// AppByName returns the paper-scale model for a benchmark.
-func AppByName(name string) (AppModel, bool) {
-	for _, a := range PaperApps() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return AppModel{}, false
-}
-
 // CPUTime returns the modelled CPU execution time, with or without the SGX
 // TEE.
 func CPUTime(m AppModel, tee bool, c Constants) time.Duration {

@@ -26,12 +26,6 @@ func TestPaperAppsComplete(t *testing.T) {
 		if _, ok := accel.KernelByName(m.Name); !ok {
 			t.Errorf("%s: no matching kernel", m.Name)
 		}
-		if _, ok := AppByName(m.Name); !ok {
-			t.Errorf("AppByName(%s) failed", m.Name)
-		}
-	}
-	if _, ok := AppByName("Nope"); ok {
-		t.Error("found model for nonexistent app")
 	}
 }
 

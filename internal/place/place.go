@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"salus/internal/accel"
 	"salus/internal/netlist"
@@ -117,44 +115,7 @@ func Pack(footprints []Footprint, partitions int, budget netlist.Resources, seed
 	return plan, nil
 }
 
-// PackDevice packs the kernels into rps partitions of one device profile,
-// each budgeted at the profile's per-SLR RP resources — the admission
-// check a fleet manager runs before manufacturing a multi-RP board.
-func PackDevice(profile netlist.DeviceProfile, rps int, kernels []accel.Kernel, seed int64) (*Plan, error) {
-	fps := make([]Footprint, len(kernels))
-	for i, k := range kernels {
-		fps[i] = KernelFootprint(k)
-	}
-	return Pack(fps, rps, profile.RPResources, seed)
-}
-
-// ParseFootprint parses the published footprint form "Name:LUT/REG/BRAM"
-// (e.g. "Conv:19735/20169/329") — Table 5's rows in the form operators
-// feed to capacity planning. Each count must be a non-negative integer.
-func ParseFootprint(s string) (Footprint, error) {
-	name, counts, ok := strings.Cut(s, ":")
-	if !ok || name == "" || strings.ContainsAny(name, "/:") {
-		return Footprint{}, fmt.Errorf("place: footprint %q: want Name:LUT/REG/BRAM", s)
-	}
-	parts := strings.Split(counts, "/")
-	if len(parts) != 3 {
-		return Footprint{}, fmt.Errorf("place: footprint %q: want 3 resource counts, got %d", s, len(parts))
-	}
-	var vals [3]int
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return Footprint{}, fmt.Errorf("place: footprint %q: resource %q: %w", s, p, err)
-		}
-		if v < 0 {
-			return Footprint{}, fmt.Errorf("place: footprint %q: negative resource count %d", s, v)
-		}
-		vals[i] = v
-	}
-	return Footprint{Name: name, Res: netlist.Resources{LUT: vals[0], Register: vals[1], BRAM: vals[2]}}, nil
-}
-
-// String renders the footprint in its ParseFootprint form.
+// String renders the footprint in Table 5's form, Name:LUT/REG/BRAM.
 func (f Footprint) String() string {
 	return fmt.Sprintf("%s:%d/%d/%d", f.Name, f.Res.LUT, f.Res.Register, f.Res.BRAM)
 }

@@ -118,41 +118,19 @@ func TestPackUnsatisfiableTyped(t *testing.T) {
 	}
 }
 
-// TestPackDevice exercises the fleet admission path: every Table 5 kernel
-// fits one RP alone, and the whole catalogue packs into three U200 RPs.
+// TestPackDevice exercises the fleet admission check: every Table 5 kernel
+// fits one U200 RP alone, and the whole catalogue packs into three.
 func TestPackDevice(t *testing.T) {
-	for _, k := range salus.Kernels() {
-		plan, err := PackDevice(netlist.U200, 1, []salus.Kernel{k}, 7)
+	for _, f := range table5() {
+		plan, err := Pack([]Footprint{f}, 1, netlist.U200.RPResources, 7)
 		if err != nil {
-			t.Fatalf("kernel %s alone: %v", k.Name(), err)
+			t.Fatalf("kernel %s alone: %v", f.Name, err)
 		}
 		if got := len(plan.Partitions[0].Kernels); got != 1 {
-			t.Fatalf("kernel %s: %d kernels in partition 0", k.Name(), got)
+			t.Fatalf("kernel %s: %d kernels in partition 0", f.Name, got)
 		}
 	}
-	if _, err := PackDevice(netlist.U200, 3, salus.Kernels(), 7); err != nil {
+	if _, err := Pack(table5(), 3, netlist.U200.RPResources, 7); err != nil {
 		t.Fatalf("full catalogue on 3 RPs: %v", err)
-	}
-}
-
-// TestParseFootprintRoundTrip: String and ParseFootprint are inverses for
-// every Table 5 bin, and malformed inputs fail with errors, not panics.
-func TestParseFootprintRoundTrip(t *testing.T) {
-	for _, f := range table5() {
-		got, err := ParseFootprint(f.String())
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if got != f {
-			t.Fatalf("round trip %v != %v", got, f)
-		}
-	}
-	for _, bad := range []string{
-		"", "Conv", ":1/2/3", "Conv:1/2", "Conv:1/2/3/4", "Conv:a/2/3",
-		"Conv:1/-2/3", "Conv:1//3", "Conv:999999999999999999999999/1/1",
-	} {
-		if _, err := ParseFootprint(bad); err == nil {
-			t.Fatalf("ParseFootprint(%q) accepted malformed input", bad)
-		}
 	}
 }

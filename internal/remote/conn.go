@@ -128,24 +128,6 @@ func (k *conn) call(method string, params, result any) error {
 	return fmt.Errorf("remote: %s unreachable after %d attempts: %w", k.addr, redialAttempts, err)
 }
 
-// count reports how many logical calls were made to each named method.
-func (k *conn) count(methods ...string) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	n := 0
-	for _, m := range methods {
-		n += k.calls[m]
-	}
-	return n
-}
-
-// redialCount reports how many times the connection was re-dialed.
-func (k *conn) redialCount() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.redials
-}
-
 // close releases the connection. A call parked in redial backoff returns
 // promptly instead of waiting the window out.
 func (k *conn) close() error {

@@ -191,7 +191,7 @@ func TestFederationSpillOverZeroOwnerRPCs(t *testing.T) {
 	if got := sess.HandshakeCalls(); got != base {
 		t.Errorf("owner handshake calls grew %d -> %d during spill-over", base, got)
 	}
-	if got := sess.Calls("Cluster.Handoff"); got != 0 {
+	if got := sess.conn.count("Cluster.Handoff"); got != 0 {
 		t.Errorf("owner participated in %d hand-offs", got)
 	}
 }

@@ -366,19 +366,6 @@ func (s *Session) Metrics() (metrics.Snapshot, error) {
 	return resp.Metrics, err
 }
 
-// Redials reports how many times the session re-dialed the gateway after a
-// broken transport.
-func (s *Session) Redials() int { return s.conn.redialCount() }
-
-// Calls reports how many times the session invoked method (a retried call
-// counts once).
-func (s *Session) Calls(method string) int { return s.conn.count(method) }
-
-// HandshakeCalls reports the owner's total attestation-path round trips —
-// Boot plus Provision. The region-scoped attestation acceptance check:
-// this stays at 2 while shards join, spill, and get keyed.
-func (s *Session) HandshakeCalls() int { return s.conn.count("Cluster.Boot", "Cluster.Provision") }
-
 // Close releases the session. A call parked in redial backoff returns
 // promptly instead of waiting the window out.
 func (s *Session) Close() error { return s.conn.close() }

@@ -35,6 +35,15 @@ func (d *device) beginProbe() {
 	d.hmu.Unlock()
 }
 
+// endProbe ends a half-open probe that proved nothing either way: a
+// deliberate rejection or a deadline shed. The board stays quarantined, and
+// admissible again, since its probe time has passed.
+func (d *device) endProbe() {
+	d.hmu.Lock()
+	d.probing = false
+	d.hmu.Unlock()
+}
+
 // onSuccess resets the breaker: one good job readmits the device.
 func (d *device) onSuccess() {
 	d.hmu.Lock()

@@ -287,6 +287,7 @@ func (d *device) shedExpired(e *entry) {
 	d.failed.Add(n)
 	mShed.Add(n)
 	mFailed.Add(n)
+	d.endProbe()
 	e.fail(ErrDeadlineExceeded)
 }
 
@@ -354,7 +355,8 @@ func (d *device) execute(e *entry, buf []core.BatchResult) ([]core.BatchResult, 
 // resolve individually: a retryable per-job fault is re-dispatched as an
 // entry of one, so one sick result cannot force its siblings through
 // another round trip. Any success readmits the device; an entry in which
-// nothing succeeded and some job faulted retryably is one device fault.
+// nothing succeeded and some job faulted retryably is one device fault; a
+// rejection ends a half-open probe without a verdict.
 func (d *device) finish(s *Scheduler, e *entry, results []core.BatchResult, err error) {
 	if err != nil {
 		n := uint64(e.size())
@@ -368,6 +370,8 @@ func (d *device) finish(s *Scheduler, e *entry, results []core.BatchResult, err 
 				s.redispatch(e, d, err)
 				return
 			}
+		} else {
+			d.endProbe()
 		}
 		mFailed.Add(n)
 		e.fail(err)
@@ -397,9 +401,12 @@ func (d *device) finish(s *Scheduler, e *entry, results []core.BatchResult, err 
 		mJob.Since(e.submitAt)
 		e.futs[i].resolve(nil, r.Err)
 	}
-	if succeeded {
+	switch {
+	case succeeded:
 		d.onSuccess()
-	} else if faulted {
+	case faulted:
 		d.onFault(time.Now(), &s.cfg)
+	default:
+		d.endProbe()
 	}
 }

@@ -290,24 +290,6 @@ func (p *Platform) PlatformPublicKey() ed25519.PublicKey {
 	return append(ed25519.PublicKey(nil), p.cert.PlatformPub...)
 }
 
-// SealData encrypts data so that only an enclave with the same measurement
-// on the same platform can recover it — the EGETKEY(SEAL) usage. Enclaves
-// use it to persist state (e.g. cached attestation collateral) across
-// restarts without trusting the disk.
-func (e *Enclave) SealData(data, additional []byte) ([]byte, error) {
-	return cryptoutil.Seal(e.sealKey(), data, additional)
-}
-
-// UnsealData recovers SealData output; it fails for any other measurement
-// or platform.
-func (e *Enclave) UnsealData(sealed, additional []byte) ([]byte, error) {
-	return cryptoutil.Open(e.sealKey(), sealed, additional)
-}
-
-func (e *Enclave) sealKey() []byte {
-	return cryptoutil.DeriveKey(e.platform.secret, "seal-key/"+string(e.mrenclave[:]), 32)
-}
-
 // LocalAttest runs the Figure 1 protocol: the verifier challenges with its
 // own measurement, the prover EREPORTs toward it carrying data, and the
 // verifier checks the MAC. On success it returns the prover's verified

@@ -230,48 +230,6 @@ func BenchmarkLocalAttest(b *testing.B) {
 	}
 }
 
-func TestSealDataRoundTrip(t *testing.T) {
-	pa := newPA(t)
-	p := newPlatform(t, pa)
-	e := p.Load(img("sm"))
-	sealed, err := e.SealData([]byte("cached collateral"), []byte("v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.UnsealData(sealed, []byte("v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "cached collateral" {
-		t.Errorf("unsealed %q", got)
-	}
-	// A restarted instance of the SAME enclave on the SAME platform can
-	// unseal too — that is the point of sealing.
-	if _, err := p.Load(img("sm")).UnsealData(sealed, []byte("v1")); err != nil {
-		t.Errorf("re-loaded enclave cannot unseal: %v", err)
-	}
-}
-
-func TestSealDataBoundToMeasurementAndPlatform(t *testing.T) {
-	pa := newPA(t)
-	p := newPlatform(t, pa)
-	e := p.Load(img("sm"))
-	sealed, err := e.SealData([]byte("secret"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(img("other")).UnsealData(sealed, nil); err == nil {
-		t.Error("different measurement unsealed the data")
-	}
-	p2 := newPlatform(t, pa)
-	if _, err := p2.Load(img("sm")).UnsealData(sealed, nil); err == nil {
-		t.Error("different platform unsealed the data")
-	}
-	if _, err := e.UnsealData(sealed, []byte("wrong-ad")); err == nil {
-		t.Error("wrong additional data accepted")
-	}
-}
-
 func TestRevokedPlatformRejected(t *testing.T) {
 	pa := newPA(t)
 	p := newPlatform(t, pa)

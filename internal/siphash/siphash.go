@@ -101,18 +101,6 @@ func Sum64(key []byte, msg []byte) uint64 {
 	return s.v0 ^ s.v1 ^ s.v2 ^ s.v3
 }
 
-// Sum computes the SipHash-2-4 MAC of msg under key and returns it as an
-// 8-byte little-endian slice, matching the reference implementation's
-// output ordering.
-func Sum(key, msg []byte) ([]byte, error) {
-	if len(key) != KeySize {
-		return nil, ErrKeySize
-	}
-	out := make([]byte, Size)
-	binary.LittleEndian.PutUint64(out, Sum64(key, msg))
-	return out, nil
-}
-
 // Verify reports whether mac is the SipHash-2-4 MAC of msg under key.
 // The comparison runs over the full 64-bit value regardless of where a
 // mismatch occurs.

@@ -38,7 +38,7 @@ var (
 //     only because every sharing SMApp rotates its session epoch right after
 //     CL attestation (see AttestCL), so no two boards ever serve traffic
 //     under the same live session key. Key_attest remains fleet-shared for
-//     the CL's lifetime; Invalidate drops it when the RoT is regenerated.
+//     the CL's lifetime.
 //   - QuotePool reuses one quote + ephemeral ECDH key across SM enclaves of
 //     the same measurement under one authority: the manufacturer verifies
 //     identical quote bytes, so only the first fetch pays quote generation
@@ -138,11 +138,9 @@ func (c *memo[K, V]) get(key K, build func() (V, error)) (V, bool, error) {
 	e.v, e.err = build()
 	c.mu.Lock()
 	if e.err != nil {
-		// Evict-if-current: a reset may already have dropped it. Evicting
-		// before waking the waiters keeps them from finding it again.
-		if c.m[key] == e {
-			delete(c.m, key)
-		}
+		// Evicting before waking the waiters keeps them from finding it
+		// again.
+		delete(c.m, key)
 	} else {
 		c.built++
 		c.mBuilt.Inc()
@@ -159,13 +157,6 @@ func (c *memo[K, V]) counts() (built, hits int) {
 	return c.built, c.hits
 }
 
-// reset drops every entry; calls already holding one keep it.
-func (c *memo[K, V]) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.m)
-}
-
 // PreparedStats counts cache activity; tests and benchmarks use it to prove
 // the expensive pipeline ran once.
 type PreparedStats struct {
@@ -173,7 +164,6 @@ type PreparedStats struct {
 	ManipulationHits int // boots served a memoised manipulation
 	Encryptions      int // cold per-(device,CL) encryptions
 	EncryptionHits   int // boots served a memoised ciphertext
-	Invalidations    int // RoT-regeneration flushes
 }
 
 // PreparedCache memoises the manipulate and encrypt stages of DeployCL
@@ -183,9 +173,6 @@ type PreparedStats struct {
 type PreparedCache struct {
 	manip *memo[manipKey, *preparedCL]
 	enc   *memo[encKey, []byte]
-
-	mu            sync.Mutex
-	invalidations int
 }
 
 // NewPreparedCache returns an empty cache.
@@ -201,23 +188,7 @@ func (c *PreparedCache) Stats() PreparedStats {
 	var st PreparedStats
 	st.Manipulations, st.ManipulationHits = c.manip.counts()
 	st.Encryptions, st.EncryptionHits = c.enc.counts()
-	c.mu.Lock()
-	st.Invalidations = c.invalidations
-	c.mu.Unlock()
 	return st
-}
-
-// Invalidate flushes every entry. The fleet manager calls this when the RoT
-// key material must be regenerated (e.g. suspected Key_attest exposure):
-// subsequent boots re-run manipulation and inject fresh secrets. Boots
-// already in flight keep the entry pointer they resolved and are unaffected;
-// invalidation governs future lookups only.
-func (c *PreparedCache) Invalidate() {
-	c.manip.reset()
-	c.enc.reset()
-	c.mu.Lock()
-	c.invalidations++
-	c.mu.Unlock()
 }
 
 // manipulated returns the memoised manipulation for (digest, loc), running
@@ -252,8 +223,7 @@ type pooledQuote struct {
 // manufacturer. The key-distribution response is sealed to the quoted
 // public key, so the pooled private key is what lets every pool member open
 // its own per-DNA key response — all members run the identical measured SM
-// image, so the key never leaves the shared trust domain. Reset drops the
-// pooled exchange (e.g. alongside a cache Invalidate).
+// image, so the key never leaves the shared trust domain.
 type QuotePool struct {
 	pool *memo[struct{}, pooledQuote]
 }
@@ -268,9 +238,6 @@ func (p *QuotePool) Stats() QuoteStats {
 	generated, reused := p.pool.counts()
 	return QuoteStats{Generated: generated, Reused: reused}
 }
-
-// Reset drops the pooled quote so the next fetch performs a fresh exchange.
-func (p *QuotePool) Reset() { p.pool.reset() }
 
 // get returns the pooled (priv, quote), running gen once while the pool is
 // warm. The bool reports reuse.

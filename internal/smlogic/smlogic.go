@@ -74,49 +74,6 @@ func Integrate(designName string, accelMod netlist.ModuleSpec) (*netlist.Design,
 	return d, nil
 }
 
-// ValidateDesign is the HDK lint pass a developer runs before shipping a
-// CL: the SM logic must be integrated exactly once and unmodified (the
-// manufacturer whitelists only the released module), the reserved secrets
-// cell must exist, and the combined design must fit the target partition.
-func ValidateDesign(d *netlist.Design, profile netlist.DeviceProfile) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	var sm *netlist.ModuleSpec
-	for i := range d.Modules {
-		if d.Modules[i].Name == ModuleName {
-			if sm != nil {
-				return fmt.Errorf("smlogic: design %s integrates the SM logic twice", d.Name)
-			}
-			sm = &d.Modules[i]
-		}
-	}
-	if sm == nil {
-		return fmt.Errorf("smlogic: design %s does not integrate the SM logic", d.Name)
-	}
-	want := Module()
-	if sm.Res != want.Res {
-		return fmt.Errorf("smlogic: design %s ships a modified SM logic (%v, released %v)", d.Name, sm.Res, want.Res)
-	}
-	hasSecrets := false
-	for _, c := range sm.Cells {
-		if c.Name == SecretsCellName {
-			hasSecrets = true
-			if len(c.Init) != 0 {
-				return fmt.Errorf("smlogic: design %s pre-initialises the secrets cell — the RoT must be injected at deployment", d.Name)
-			}
-		}
-	}
-	if !hasSecrets {
-		return fmt.Errorf("smlogic: design %s lacks the reserved %s cell", d.Name, SecretsCellPath)
-	}
-	if !d.Resources().Fits(profile.RPResources) {
-		return fmt.Errorf("smlogic: design %s (%v) exceeds %s partition budget (%v)",
-			d.Name, d.Resources(), profile.Name, profile.RPResources)
-	}
-	return nil
-}
-
 func init() {
 	// The HDK ships one SM-logic wrapper per benchmark kernel — plus the
 	// memory-integrity-protected variant; loading a bitstream with the
@@ -128,11 +85,9 @@ func init() {
 	}
 }
 
-// NewFactory returns the fpga.CLFactory instantiating the SM logic wrapped
+// newFactory returns the fpga.CLFactory instantiating the SM logic wrapped
 // around the given kernel. The secrets are read from the freshly programmed
 // configuration memory — i.e. from whatever the loaded bitstream carried.
-func NewFactory(k accel.Kernel) fpga.CLFactory { return newFactory(k, false) }
-
 func newFactory(k accel.Kernel, protected bool) fpga.CLFactory {
 	return func(cfg fpga.CLConfig) (fpga.CL, error) {
 		loc, ok := cfg.Image.Cell(SecretsCellPath)
@@ -201,9 +156,6 @@ type Logic struct {
 
 // LogicID implements fpga.CL.
 func (l *Logic) LogicID() string { return l.logicID }
-
-// AccelName returns the wrapped accelerator's name.
-func (l *Logic) AccelName() string { return l.accel.Name() }
 
 // HandleTransaction implements fpga.CL: it dispatches one PCIe transaction.
 // Protocol failures (bad MAC, replay, bad register) come back as MsgError

@@ -438,59 +438,6 @@ func TestFullJobThroughLogic(t *testing.T) {
 	}
 }
 
-func TestValidateDesign(t *testing.T) {
-	good, err := Integrate("cl", accel.Conv{}.Module())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateDesign(good, netlist.U200); err != nil {
-		t.Errorf("valid design rejected: %v", err)
-	}
-
-	noSM := &netlist.Design{Name: "cl", Modules: []netlist.ModuleSpec{accel.Conv{}.Module()}}
-	if err := ValidateDesign(noSM, netlist.U200); err == nil {
-		t.Error("accepted design without SM logic")
-	}
-
-	twice := &netlist.Design{Name: "cl2", Modules: []netlist.ModuleSpec{accel.Conv{}.Module(), Module()}}
-	dup := Module()
-	dup.Cells = []netlist.BRAMCell{{Name: "secrets2"}, {Name: "txn_fifo2"}}
-	// A second module with the SM name collides at Validate; emulate a
-	// doubled integration by duplicating under the same name.
-	twice.Modules = append(twice.Modules, dup)
-	if err := ValidateDesign(twice, netlist.U200); err == nil {
-		t.Error("accepted double SM integration")
-	}
-
-	tampered, err := Integrate("cl3", accel.Conv{}.Module())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered.Modules[1].Res.LUT++
-	if err := ValidateDesign(tampered, netlist.U200); err == nil {
-		t.Error("accepted modified SM logic")
-	}
-
-	preloaded, err := Integrate("cl4", accel.Conv{}.Module())
-	if err != nil {
-		t.Fatal(err)
-	}
-	preloaded.Modules[1].Cells = []netlist.BRAMCell{
-		{Name: SecretsCellName, Init: []byte{1, 2, 3}},
-		{Name: "txn_fifo"},
-	}
-	if err := ValidateDesign(preloaded, netlist.U200); err == nil {
-		t.Error("accepted hardcoded secrets — exactly what Salus forbids")
-	}
-
-	big := accel.Conv{}.Module()
-	big.Res.LUT = 1 << 30
-	oversized := &netlist.Design{Name: "cl5", Modules: []netlist.ModuleSpec{big, Module()}}
-	if err := ValidateDesign(oversized, netlist.U200); err == nil {
-		t.Error("accepted oversized design")
-	}
-}
-
 func TestPropertyAttestationProtocol(t *testing.T) {
 	// Over random keys and nonces: a challenge MAC'd under the loaded key
 	// always yields a verifiable response; any other key never does.

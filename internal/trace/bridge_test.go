@@ -25,49 +25,3 @@ func TestFeedHistograms(t *testing.T) {
 		t.Fatalf("cl_auth histogram = count %d sum %v", auth.Count, auth.Sum)
 	}
 }
-
-// TestFromHistogram asserts the round trip the observability layer
-// promises: folding a histogram snapshot into a trace log preserves the
-// phase total exactly, so the Figure-9 style breakdown and the aggregate
-// metric report the same time.
-func TestFromHistogram(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("salus_job_seconds")
-	durations := []time.Duration{
-		7 * time.Microsecond, 9 * time.Microsecond, 130 * time.Microsecond,
-		2 * time.Millisecond, 2 * time.Millisecond, 450 * time.Millisecond,
-	}
-	var want time.Duration
-	for _, d := range durations {
-		h.Observe(d)
-		want += d
-	}
-
-	l := New()
-	l.FromHistogram(PhaseNetwork, h.Snapshot())
-	if got := l.PhaseTotal(PhaseNetwork); got != want {
-		t.Fatalf("PhaseTotal = %v, want exactly %v", got, want)
-	}
-	// One synthetic sample per non-empty bucket.
-	if n := l.Count(PhaseNetwork); n == 0 || n > len(durations) {
-		t.Fatalf("sample count = %d, want 1..%d", n, len(durations))
-	}
-
-	// Empty snapshots contribute nothing.
-	l2 := New()
-	l2.FromHistogram(PhaseNetwork, metrics.HistogramSnapshot{})
-	if l2.Count(PhaseNetwork) != 0 {
-		t.Fatal("empty snapshot produced samples")
-	}
-}
-
-func TestFromHistogramOverflowOnly(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("h")
-	h.Observe(200 * time.Hour) // lands in the +Inf bucket
-	l := New()
-	l.FromHistogram(PhaseNetwork, h.Snapshot())
-	if got := l.PhaseTotal(PhaseNetwork); got != 200*time.Hour {
-		t.Fatalf("overflow-only total = %v, want 200h", got)
-	}
-}

@@ -94,14 +94,6 @@ func New(cfg Config) (*UserApp, error) {
 // Measurement returns the user enclave's MRENCLAVE.
 func (u *UserApp) Measurement() sgx.Measurement { return u.enclave.Measurement() }
 
-// SMMeasurement returns the locally attested SM enclave measurement.
-func (u *UserApp) SMMeasurement() (sgx.Measurement, error) {
-	if u.laKey == nil {
-		return sgx.Measurement{}, ErrNoLA
-	}
-	return u.smID, nil
-}
-
 // LocalAttestSM runs the initiator side of the local attestation with the
 // SM enclave (Figure 4b "LA Initial"/"LA Final"): ECDH exchange bound into
 // the EREPORT, verified with the user enclave's own report key.

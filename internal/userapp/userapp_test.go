@@ -102,9 +102,6 @@ func TestImageMeasuresProgram(t *testing.T) {
 
 func TestOrderingErrors(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.user.SMMeasurement(); !errors.Is(err, ErrNoLA) {
-		t.Errorf("SMMeasurement before LA: %v", err)
-	}
 	if err := r.user.ForwardMetadata(r.md); !errors.Is(err, ErrNoLA) {
 		t.Errorf("forward before LA: %v", err)
 	}
@@ -127,11 +124,7 @@ func TestLocalAttestRecordsSMMeasurement(t *testing.T) {
 	if err := r.user.LocalAttestSM(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.user.SMMeasurement()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != r.sm.Measurement() {
+	if r.user.smID != r.sm.Measurement() {
 		t.Error("recorded SM measurement wrong")
 	}
 }
@@ -181,8 +174,7 @@ func TestRAResponseAndDataKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := r.user.CLResult()
-	sm, _ := r.user.SMMeasurement()
-	want := ChainBinding(nonce, sm, res, q.ReportData[32:])
+	want := ChainBinding(nonce, r.user.smID, res, q.ReportData[32:])
 	if q.ReportData != want {
 		t.Error("quote report data is not the chain binding")
 	}

@@ -67,12 +67,6 @@ func DevelopCL(k Kernel, profile DeviceProfile, seed int64) (*CLPackage, error) 
 	return core.DevelopCL(k, profile, seed)
 }
 
-// DevelopProtectedCL builds the CL variant whose accelerator integrates a
-// memory integrity tree at its DRAM interface (§3.1 attack-2 defence).
-func DevelopProtectedCL(k Kernel, profile DeviceProfile, seed int64) (*CLPackage, error) {
-	return core.DevelopProtectedCL(k, profile, seed)
-}
-
 // --- Kernels and workloads -----------------------------------------------------
 
 // Kernel is a benchmark accelerator (Table 4).
