@@ -876,9 +876,9 @@ func BenchmarkFleetBoot(b *testing.B) {
 }
 
 // BenchmarkFleetHotAdd measures one grow-then-shrink cycle against a pool
-// that is busy serving the whole time: every Add boots through the warm
-// prepared cache while jobs keep flowing, and every Remove drains without
-// losing one.
+// that is busy serving the whole time: every Scale(1) boots through the warm
+// prepared cache while jobs keep flowing, and every Scale(-1) drains its
+// victim without losing a job and reclaims it.
 func BenchmarkFleetHotAdd(b *testing.B) {
 	timing := core.FastTiming()
 	timing.RealJobLatency = time.Millisecond
@@ -912,12 +912,11 @@ func BenchmarkFleetHotAdd(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dna, err := m.Add()
-		if err != nil {
+		if _, _, err := m.Scale(1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Remove(dna); err != nil {
-			b.Fatal(err)
+		if _, removed, err := m.Scale(-1); err != nil || len(removed) != 1 {
+			b.Fatalf("shrink removed %v: %v", removed, err)
 		}
 	}
 	b.StopTimer()

@@ -540,18 +540,34 @@ func (s *System) ProvisionKey(dataPub, dataKey []byte) error {
 // copy stays empty — in this mode only enclaves ever hold the key, so jobs
 // must arrive pre-sealed (RunJobSealed / the scheduler path).
 func (s *System) AdoptDataKeyFrom(donor *System) error {
-	if donor == nil || !donor.Booted() {
-		return fmt.Errorf("core: donor system is not booted")
+	if donor == nil {
+		return errNotDonor
 	}
 	req, err := s.BeginAdoptDataKey(donor.User.Measurement())
 	if err != nil {
 		return err
 	}
-	grant, err := donor.User.ShareDataKey(req)
+	grant, err := donor.ShareDataKey(req)
 	if err != nil {
 		return fmt.Errorf("core: adopt data key: %w", err)
 	}
 	return s.FinishAdoptDataKey(grant)
+}
+
+// errNotDonor refuses a hand-off from a system that holds no data key.
+var errNotDonor = fmt.Errorf("core: donor system is not booted")
+
+// ShareDataKey is the donor side of a sibling hand-off: the user enclave's
+// sealed grant of the data key toward the recipient that req attests.
+// Serialised against Reclaim, so a board that leaves the pool mid hand-off
+// either grants before its key is zeroized or refuses.
+func (s *System) ShareDataKey(req userapp.KeyRequest) (userapp.KeyGrant, error) {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	if !s.booted {
+		return userapp.KeyGrant{}, errNotDonor
+	}
+	return s.User.ShareDataKey(req)
 }
 
 // BeginAdoptDataKey is the recipient-side first half of AdoptDataKeyFrom,

@@ -316,7 +316,7 @@ func (f *Federation) Grant(req userapp.KeyRequest) (userapp.KeyGrant, error) {
 	if donor == nil {
 		return userapp.KeyGrant{}, fmt.Errorf("federation: no keyed shard can donate")
 	}
-	grant, err := donor.User.ShareDataKey(req)
+	grant, err := donor.ShareDataKey(req)
 	if err != nil {
 		return userapp.KeyGrant{}, err
 	}

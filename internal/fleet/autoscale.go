@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
 	"salus/internal/fpga"
 	"salus/internal/metrics"
+	"salus/internal/sched"
 )
 
 // Autoscale metrics: one counter per direction, plus the last pressure
@@ -50,31 +52,84 @@ func (m *Manager) Pressure() float64 {
 	return p
 }
 
-// pressure is the autoscale loop's internal alias for Pressure.
-func (m *Manager) pressure() float64 { return m.Pressure() }
-
-// scaleDownVictim picks the member to decommission: quarantined boards
-// first, then the least-queued healthy board.
-func (m *Manager) scaleDownVictim() (fpga.DNA, bool) {
-	stats := m.sch.Stats()
-	if len(stats) == 0 {
-		return "", false
-	}
-	sort.SliceStable(stats, func(i, j int) bool {
-		qi, qj := stats[i].Quarantined || stats[i].Permanent, stats[j].Quarantined || stats[j].Permanent
-		if qi != qj {
-			return qi
+// Scale grows the fleet by delta boards (delta > 0) or shrinks it by
+// -delta, and reports the boards that joined and the boards that left.
+// Growth is Add; shrinking removes victims in the fleet's one victim order
+// (see victims), each drain bounded by DefaultDrainTimeout. A board whose
+// drain timed out has left and is reported as removed, with the error.
+// Scale stops at the first failure: MaxDevices, MinDevices, a failed boot.
+func (m *Manager) Scale(delta int) (added, removed []fpga.DNA, err error) {
+	for i := 0; i < delta; i++ {
+		dna, err := m.Add()
+		if err != nil {
+			return added, nil, fmt.Errorf("fleet: grew by %d of %d: %w", i, delta, err)
 		}
-		return stats[i].Queued < stats[j].Queued
+		added = append(added, dna)
+	}
+	for _, dna := range victims(m.sch.Stats(), -delta) {
+		err := m.Remove(dna, DefaultDrainTimeout)
+		if left(err) {
+			removed = append(removed, dna)
+		}
+		if err != nil {
+			return nil, removed, fmt.Errorf("fleet: shrank by %d of %d: %w", len(removed), -delta, err)
+		}
+	}
+	return added, removed, nil
+}
+
+// victims picks up to n boards to decommission, in the fleet's one victim
+// order: permanently quarantined boards first, then quarantined ones, then
+// the least loaded. Stats arrive one row per partition; a board ranks by
+// its sickest partition, its load is the sum over its partitions, and each
+// board is named once however many partitions it serves.
+func victims(stats []sched.DeviceStats, n int) []fpga.DNA {
+	type board struct {
+		dna    fpga.DNA
+		rank   int
+		queued int64
+	}
+	rank := func(ds sched.DeviceStats) int {
+		switch {
+		case ds.Permanent:
+			return 0
+		case ds.Quarantined:
+			return 1
+		default:
+			return 2
+		}
+	}
+	byDNA := make(map[fpga.DNA]*board)
+	var boards []*board
+	for _, ds := range stats {
+		b := byDNA[ds.DNA]
+		if b == nil {
+			b = &board{dna: ds.DNA, rank: rank(ds)}
+			byDNA[ds.DNA] = b
+			boards = append(boards, b)
+		}
+		b.rank = min(b.rank, rank(ds))
+		b.queued += ds.Queued
+	}
+	sort.SliceStable(boards, func(i, j int) bool {
+		if boards[i].rank != boards[j].rank {
+			return boards[i].rank < boards[j].rank
+		}
+		return boards[i].queued < boards[j].queued
 	})
-	return stats[0].DNA, true
+	boards = boards[:min(max(n, 0), len(boards))]
+	out := make([]fpga.DNA, len(boards))
+	for i, b := range boards {
+		out[i] = b.dna
+	}
+	return out
 }
 
 // autoscaleTick takes one pressure sample and acts when a streak completes.
 // Returns +1 / -1 / 0 for grew / shrank / held (tests drive this directly;
 // StartAutoscale drives it from a ticker).
 func (m *Manager) autoscaleTick(cfg *AutoscaleConfig, upStreak, downStreak *int) int {
-	p := m.pressure()
+	p := m.Pressure()
 	switch {
 	case p >= cfg.HighWater:
 		*upStreak++
@@ -87,7 +142,7 @@ func (m *Manager) autoscaleTick(cfg *AutoscaleConfig, upStreak, downStreak *int)
 	}
 	if *upStreak >= cfg.SustainUp {
 		*upStreak, *downStreak = 0, 0
-		if _, err := m.Add(); err != nil {
+		if _, _, err := m.Scale(1); err != nil {
 			return 0 // at MaxDevices or boot failed; retry next streak
 		}
 		mScaleUps.Inc()
@@ -95,12 +150,8 @@ func (m *Manager) autoscaleTick(cfg *AutoscaleConfig, upStreak, downStreak *int)
 	}
 	if *downStreak >= cfg.SustainDown {
 		*upStreak, *downStreak = 0, 0
-		victim, ok := m.scaleDownVictim()
-		if !ok {
-			return 0
-		}
-		if _, err := m.Remove(victim); err != nil {
-			return 0 // at MinDevices; retry next streak
+		if _, removed, _ := m.Scale(-1); len(removed) == 0 {
+			return 0 // at MinDevices or no member; retry next streak
 		}
 		mScaleDowns.Inc()
 		return -1

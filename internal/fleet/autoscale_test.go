@@ -66,10 +66,28 @@ func TestAutoscaleTickGrowsAndShrinksWithinBounds(t *testing.T) {
 		}
 	}
 
-	// Idle fleet: pressure 0, sustained → shrink back to the floor.
+	// Idle fleet: pressure 0, sustained → shrink back to the floor, and
+	// every board that leaves is reclaimed by the time the tick returns.
+	var before []*core.System
+	for _, dna := range m.Members() {
+		before = append(before, m.Systems(dna)...)
+	}
 	m.autoscaleTick(&cfg, &up, &down)
 	if got := m.autoscaleTick(&cfg, &up, &down); got != -1 {
 		t.Fatalf("sustained idleness must shrink the fleet, got %+d", got)
+	}
+	gone := 0
+	for _, sys := range before {
+		member := m.System(sys.Device.DNA()) != nil
+		if !member {
+			gone++
+		}
+		if sys.Reclaimed() == member {
+			t.Errorf("board %s: member %v, reclaimed %v", sys.Device.DNA(), member, sys.Reclaimed())
+		}
+	}
+	if gone != 1 {
+		t.Errorf("scale-down removed %d boards, want 1", gone)
 	}
 	m.autoscaleTick(&cfg, &up, &down)
 	if got := m.autoscaleTick(&cfg, &up, &down); got != -1 {

@@ -29,6 +29,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -48,8 +49,10 @@ import (
 	"salus/internal/trace"
 )
 
-// DefaultDrainTimeout bounds how long a decommission waits for in-flight
-// jobs before removing the device anyway (the leftover jobs still resolve).
+// DefaultDrainTimeout bounds the drain of a removal whose caller names no
+// timeout — Replace and Scale: past it the verb returns
+// sched.ErrDrainTimeout, and the board's leftover jobs still resolve
+// before it is reclaimed.
 const DefaultDrainTimeout = 30 * time.Second
 
 // Fleet lifecycle metrics. The members gauge mirrors the membership map;
@@ -117,8 +120,6 @@ type Config struct {
 	// Scheduler tunes the underlying pool; see sched.Config. Set
 	// PermanentAfter there for auto-replace to ever trigger.
 	Scheduler sched.Config
-	// DrainTimeout bounds Remove/Replace drains; zero selects the default.
-	DrainTimeout time.Duration
 	// MinDevices refuses Remove below this floor (zero: no floor).
 	// MaxDevices refuses Add beyond this ceiling (zero: no ceiling);
 	// Replace may exceed it by one transiently so capacity never dips.
@@ -163,9 +164,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.DNAPrefix == "" {
 		cfg.DNAPrefix = "FLEET"
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	rps := cfg.RPsPerDevice
 	if rps < 1 {
@@ -236,7 +234,7 @@ func Fixed(sch *sched.Scheduler, systems []*core.System) *Manager {
 	}
 	n := len(boards)
 	return &Manager{
-		cfg:       Config{MinDevices: n, MaxDevices: n, DrainTimeout: DefaultDrainTimeout},
+		cfg:       Config{MinDevices: n, MaxDevices: n},
 		prepared:  smapp.NewPreparedCache(),
 		quotes:    smapp.NewQuotePool(),
 		rps:       1,
@@ -515,16 +513,15 @@ func (m *Manager) bootSibling(sys *core.System) error {
 	return sys.AdoptDataKeyFrom(donor)
 }
 
-func (m *Manager) add(ignoreCap bool) (fpga.DNA, error) {
+// add hot-adds one board booted under key, or through the sibling
+// hand-off when key is nil; ignoreCap lets Replace exceed MaxDevices.
+func (m *Manager) add(ignoreCap bool, key []byte) (fpga.DNA, error) {
 	systems, err := m.spawn(ignoreCap)
 	if err != nil {
 		mAddFails.Inc()
 		return "", err
 	}
 	dna := systems[0].Device.DNA()
-	m.mu.Lock()
-	key := m.key
-	m.mu.Unlock()
 	for _, sys := range systems {
 		if key != nil {
 			_, err = sys.SecureBootWithKey(key)
@@ -551,39 +548,17 @@ func (m *Manager) add(ignoreCap bool) (fpga.DNA, error) {
 // manager holds the shared key, sibling hand-off otherwise), register. The
 // scheduler keeps serving throughout; the new board takes work from the
 // moment Add returns.
-func (m *Manager) Add() (fpga.DNA, error) { return m.add(false) }
+func (m *Manager) Add() (fpga.DNA, error) { return m.add(false, m.Key()) }
 
 // AddSibling hot-adds one board via the sibling enclave hand-off even when
 // the manager holds the key (e.g. to exercise the no-owner-roundtrip path).
-func (m *Manager) AddSibling() (fpga.DNA, error) {
-	systems, err := m.spawn(false)
-	if err != nil {
-		mAddFails.Inc()
-		return "", err
-	}
-	dna := systems[0].Device.DNA()
-	for _, sys := range systems {
-		if err := m.bootSibling(sys); err != nil {
-			m.unspawn()
-			mAddFails.Inc()
-			return "", fmt.Errorf("fleet: hot add %s/rp%d: %w", dna, sys.Partition(), err)
-		}
-	}
-	for _, sys := range systems {
-		if err := m.Adopt(sys); err != nil {
-			mAddFails.Inc()
-			return "", err
-		}
-	}
-	mAdds.Inc()
-	return dna, nil
-}
+func (m *Manager) AddSibling() (fpga.DNA, error) { return m.add(false, nil) }
 
-// Drain stops routing to the member and waits (bounded by DrainTimeout)
-// until its accepted jobs have finished. The member stays in the fleet,
-// unroutable, until Removed.
-func (m *Manager) Drain(dna fpga.DNA) error {
-	if err := m.sch.Drain(dna, m.cfg.DrainTimeout); err != nil {
+// Drain stops routing to the member and waits, bounded by timeout (<= 0
+// waits forever), until its accepted jobs have finished. The member stays
+// in the fleet, unroutable, until removed.
+func (m *Manager) Drain(dna fpga.DNA, timeout time.Duration) error {
+	if err := m.sch.DrainRP(dna, sched.AllRPs, timeout); err != nil {
 		mDrainFails.Inc()
 		return err
 	}
@@ -591,38 +566,35 @@ func (m *Manager) Drain(dna fpga.DNA) error {
 	return nil
 }
 
-// CanRemove reports the refusal Remove would give now for dropping below
-// MinDevices, so a caller can refuse before it drains anything.
-func (m *Manager) CanRemove() error {
+// Remove decommissions the member. It refuses, draining nothing, when the
+// fleet would drop below MinDevices; otherwise the board leaves the fleet
+// at once and sched.RemoveRP runs every partition's accepted jobs to
+// resolution and reclaims its system. Remove returns with the board
+// reclaimed, or with sched.ErrDrainTimeout once timeout (<= 0: never) has
+// passed, and then the board, already out of the pool, is reclaimed when
+// its leftover jobs have resolved.
+func (m *Manager) Remove(dna fpga.DNA, timeout time.Duration) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	if _, ok := m.members[dna]; !ok {
+		m.mu.Unlock()
+		return fmt.Errorf("%w: %s", sched.ErrUnknownDevice, dna)
+	}
 	if m.cfg.MinDevices > 0 && len(m.members) <= m.cfg.MinDevices {
+		m.mu.Unlock()
 		return fmt.Errorf("fleet: removal would drop below %d devices", m.cfg.MinDevices)
 	}
-	return nil
-}
-
-// Remove drains and decommissions the member. A drain timeout does not
-// abort the removal (the leftover jobs still resolve — see sched.Remove);
-// dropping below MinDevices does.
-func (m *Manager) Remove(dna fpga.DNA) (*core.System, error) {
-	if err := m.CanRemove(); err != nil {
-		return nil, err
-	}
-	sys, err := m.sch.Remove(dna, m.cfg.DrainTimeout)
-	if sys == nil {
-		return nil, err
-	}
-	m.mu.Lock()
+	// A departing board is no hand-off donor from here on.
 	delete(m.members, dna)
 	m.mu.Unlock()
 	mMembers.Add(-1)
 	mRemoves.Inc()
-	return sys, err
+	return m.sch.RemoveRP(dna, sched.AllRPs, timeout)
 }
 
-// Replace hot-adds a fresh board and then decommissions dna — add-first, so
+// Replace hot-adds a fresh board and then removes dna — add-first, so
 // serving capacity never dips (transiently exceeding MaxDevices by one).
+// The drain is bounded by DefaultDrainTimeout; the returned DNA is set once
+// the fresh board has joined.
 func (m *Manager) Replace(dna fpga.DNA) (fpga.DNA, error) {
 	m.mu.Lock()
 	_, known := m.members[dna]
@@ -630,21 +602,20 @@ func (m *Manager) Replace(dna fpga.DNA) (fpga.DNA, error) {
 	if !known {
 		return "", fmt.Errorf("%w: %s", sched.ErrUnknownDevice, dna)
 	}
-	newDNA, err := m.add(true)
+	newDNA, err := m.add(true, m.Key())
 	if err != nil {
 		return "", err
 	}
-	if sys, err := m.sch.Remove(dna, m.cfg.DrainTimeout); sys == nil {
-		return newDNA, err
+	err = m.Remove(dna, DefaultDrainTimeout)
+	if left(err) {
+		mReplaces.Inc()
 	}
-	m.mu.Lock()
-	delete(m.members, dna)
-	m.mu.Unlock()
-	mMembers.Add(-1)
-	mRemoves.Inc()
-	mReplaces.Inc()
-	return newDNA, nil
+	return newDNA, err
 }
+
+// left reports whether a removal that returned err took its board out of
+// the fleet: a drain timeout does, and only delays the reclaim.
+func left(err error) bool { return err == nil || errors.Is(err, sched.ErrDrainTimeout) }
 
 // AutoReplaceOnce scans for permanently quarantined members and replaces
 // each, returning the old→new mapping. Errors don't stop the sweep; the
@@ -661,10 +632,10 @@ func (m *Manager) AutoReplaceOnce() (map[fpga.DNA]fpga.DNA, error) {
 			continue
 		}
 		newDNA, err := m.Replace(ds.DNA)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if newDNA == "" || !left(err) {
 			continue
 		}
 		replaced[ds.DNA] = newDNA

@@ -391,7 +391,7 @@ func TestCapacityBounds(t *testing.T) {
 	if _, err := m.Add(); err == nil {
 		t.Error("Add beyond MaxDevices succeeded")
 	}
-	if _, err := m.Remove("CAP-00"); err == nil {
+	if err := m.Remove("CAP-00", time.Second); err == nil {
 		t.Error("Remove below MinDevices succeeded")
 	}
 	if got := len(m.Members()); got != 2 {
@@ -416,20 +416,20 @@ func TestDrainThenRemoveMember(t *testing.T) {
 	if err := m.BootFleet(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Drain("RM-01"); err != nil {
+	if err := m.Drain("RM-01", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := m.Remove("RM-01")
-	if err != nil {
+	sys := m.System("RM-01")
+	if err := m.Remove("RM-01", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if sys == nil || sys.Device.DNA() != "RM-01" {
-		t.Error("Remove returned the wrong system")
+	if !sys.Reclaimed() {
+		t.Error("Remove left the board's system unreclaimed")
 	}
 	if len(m.Members()) != 2 {
 		t.Error("membership not updated after Remove")
 	}
-	if _, err := m.Remove("RM-01"); !errors.Is(err, sched.ErrUnknownDevice) {
+	if err := m.Remove("RM-01", time.Second); !errors.Is(err, sched.ErrUnknownDevice) {
 		t.Errorf("double remove: err = %v, want ErrUnknownDevice", err)
 	}
 	if _, err := m.Replace("RM-01"); !errors.Is(err, sched.ErrUnknownDevice) {
@@ -485,7 +485,7 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 	runJob(t, m, 42)
 
 	// Remove decommissions the whole board: both RPs leave the scheduler.
-	if _, err := m.Remove("SPAT-01"); err != nil {
+	if err := m.Remove("SPAT-01", time.Second); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
 	if got := len(m.Members()); got != 2 {

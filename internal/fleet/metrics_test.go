@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"testing"
+	"time"
 
 	"salus/internal/metrics"
 )
@@ -30,10 +31,10 @@ func TestFleetMetricsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Drain(dna); err != nil {
+	if err := m.Drain(dna, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Remove(dna); err != nil {
+	if err := m.Remove(dna, time.Second); err != nil {
 		t.Fatal(err)
 	}
 

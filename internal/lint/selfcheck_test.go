@@ -93,13 +93,6 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// testOnlyAllowed are the exports the scan below may find unreached, each
-// with the reason it stays.
-var testOnlyAllowed = map[string]string{
-	"salus/internal/core.System.Reclaim":   "ROADMAP item 12 wires this into every removal",
-	"salus/internal/core.System.Reclaimed": "ROADMAP item 12 wires this into every removal",
-}
-
 // TestNoTestOnlyExports fails on an exported function or method under
 // internal/ that only its own package's tests reach: such a name is either
 // a call the served path is missing or dead code kept alive by its test.
@@ -203,7 +196,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 
 	var found []string
-	allowed := map[string]bool{}
 	for _, e := range exports {
 		users := funcUsers[e.key]
 		if e.method {
@@ -218,22 +210,13 @@ func TestNoTestOnlyExports(t *testing.T) {
 				reached = true
 			}
 		}
-		switch {
-		case reached:
-		case testOnlyAllowed[e.name] != "":
-			allowed[e.name] = true
-		default:
+		if !reached {
 			found = append(found, fmt.Sprintf("%s: %s", e.pos, e.name))
 		}
 	}
 	sort.Strings(found)
 	for _, f := range found {
 		t.Errorf("%s is exported but only its own package's tests reach it: call it, delete it, or move it into a _test.go file", f)
-	}
-	for name := range testOnlyAllowed {
-		if !allowed[name] {
-			t.Errorf("%s is no longer a test-only export: drop its exception", name)
-		}
 	}
 }
 

@@ -47,24 +47,7 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		}
 	}
 	for k, c := range counts {
-		snap := HistogramSnapshot{Sum: sums[k]}
-		last := -1
-		for i, n := range c {
-			snap.Count += n
-			if n > 0 {
-				last = i
-			}
-		}
-		if last >= 0 {
-			snap.Buckets = make([]Bucket, last+1)
-			for i := 0; i <= last; i++ {
-				snap.Buckets[i] = Bucket{UpperBound: BucketBound(i), Count: c[i]}
-			}
-		}
-		snap.P50 = quantile(c[:], snap.Count, 0.50)
-		snap.P95 = quantile(c[:], snap.Count, 0.95)
-		snap.P99 = quantile(c[:], snap.Count, 0.99)
-		out.Histograms[k] = snap
+		out.Histograms[k] = snapshotOf(c, sums[k])
 	}
 	return out
 }

@@ -133,10 +133,7 @@ func (r *Registry) Reset() {
 		g.v.Store(0)
 	}
 	for _, h := range r.histograms {
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
+		h.Reset()
 	}
 }
 
@@ -285,20 +282,45 @@ func (s HistogramSnapshot) Mean() time.Duration {
 // Snapshot captures the histogram's current state. Safe concurrently with
 // Observe; see Observe for the Sum/Count ordering guarantee. Zero-count
 // trailing buckets are trimmed.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{Sum: time.Duration(h.sum.Load())}
+func (h *Histogram) Snapshot() HistogramSnapshot { return Merge(h) }
+
+// Merge snapshots several histograms as one: buckets add index for index
+// and the quantiles are recomputed over the sum, as MergeSnapshots does
+// across processes. A sliding window merges its ring of sub-histograms so.
+func Merge(hs ...*Histogram) HistogramSnapshot {
 	var counts [numBuckets]uint64
-	last := -1
+	var sum time.Duration
+	for _, h := range hs {
+		sum += time.Duration(h.sum.Load())
+		for i := range h.buckets {
+			counts[i] += h.buckets[i].Load()
+		}
+	}
+	return snapshotOf(&counts, sum)
+}
+
+// Reset zeroes the histogram in place; its handle keeps recording.
+func (h *Histogram) Reset() {
+	h.sum.Store(0)
 	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		snap.Count += counts[i]
-		if counts[i] > 0 {
+		h.buckets[i].Store(0)
+	}
+}
+
+// snapshotOf is the snapshot of a histogram with these bucket counts and
+// sum.
+func snapshotOf(counts *[numBuckets]uint64, sum time.Duration) HistogramSnapshot {
+	snap := HistogramSnapshot{Sum: sum}
+	last := -1
+	for i, n := range counts {
+		snap.Count += n
+		if n > 0 {
 			last = i
 		}
 	}
 	if last >= 0 {
 		snap.Buckets = make([]Bucket, last+1)
-		for i := 0; i <= last; i++ {
+		for i := range snap.Buckets {
 			snap.Buckets[i] = Bucket{UpperBound: BucketBound(i), Count: counts[i]}
 		}
 	}

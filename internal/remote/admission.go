@@ -2,7 +2,9 @@ package remote
 
 import (
 	"errors"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"salus/internal/metrics"
@@ -21,8 +23,8 @@ var (
 var (
 	// ErrRateLimited means the tenant exhausted its token bucket.
 	ErrRateLimited = errors.New("remote: tenant rate limit exceeded")
-	// ErrGatewayOverloaded means the pool's live p99 job latency is past
-	// the configured ceiling and non-critical work is being shed.
+	// ErrGatewayOverloaded means the gateway's recent p99 job latency is
+	// past the configured ceiling and non-critical work is being shed.
 	ErrGatewayOverloaded = errors.New("remote: gateway overloaded")
 )
 
@@ -37,26 +39,39 @@ type AdmissionConfig struct {
 	// TenantBurst is the token-bucket depth (instantaneous burst);
 	// defaults to TenantRate when zero.
 	TenantBurst float64
-	// MaxP99 is the live p99 end-to-end job latency above which
-	// non-critical work is shed with ErrGatewayOverloaded; zero or
-	// negative disables the cost-aware screen. ClassCritical is exempt —
-	// the top band is the one whose latency the shed exists to protect.
+	// MaxP99 is the p99 end-to-end latency, over the last latencyWindow of
+	// the gateway's own jobs, above which non-critical work is shed with
+	// ErrGatewayOverloaded; zero or negative disables the cost-aware
+	// screen. ClassCritical is exempt — the top band is the one whose
+	// latency the shed exists to protect.
 	MaxP99 time.Duration
 }
 
-// p99CacheTTL bounds how often Admit re-reads the latency histogram; the
-// snapshot walks 27 buckets, which is cheap but not per-request cheap.
+// p99CacheTTL bounds how often Admit re-reads the latency window; merging
+// its sub-histograms is cheap but not per-request cheap.
 const p99CacheTTL = 250 * time.Millisecond
 
+// The latency window is latencySlots sub-histograms of latencySlot each:
+// the p99 screen sees between latencySlots-1 and latencySlots slots of the
+// most recent jobs, so a burst of slow ones stops shedding within one
+// latencyWindow of its end.
+const (
+	latencySlots  = 4
+	latencySlot   = time.Second
+	latencyWindow = latencySlots * latencySlot
+)
+
 // Admission screens gateway job requests with per-tenant token buckets
-// and a cost-aware overload shed driven by the metrics registry's live
-// p99 job latency. Safe for concurrent use by the RPC handler goroutines.
+// and a cost-aware overload shed driven by the p99 latency of the jobs its
+// gateway served recently. Safe for concurrent use by the RPC handler
+// goroutines.
 type Admission struct {
 	cfg AdmissionConfig
-	// p99 and now are seams for tests; NewAdmission wires them to the
-	// process registry and wall clock.
-	p99 func() time.Duration
+	// now is the clock seam for tests; the latency window rotates on it.
 	now func() time.Time
+	// window is the gateway's recent job latency; nil until Serve binds
+	// the admission, and an unbound admission never sheds on p99.
+	window *latencyRing
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
@@ -70,18 +85,36 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// NewAdmission builds an admission screen reading the live
-// salus_sched_job_seconds p99 from the default metrics registry.
+// NewAdmission builds an admission screen. Its p99 shed reads the job
+// latency of the gateway that Serve binds it to.
 func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.TenantBurst <= 0 {
 		cfg.TenantBurst = cfg.TenantRate
 	}
-	h := metrics.Default().Histogram("salus_sched_job_seconds")
 	return &Admission{
 		cfg:     cfg,
-		p99:     func() time.Duration { return h.Snapshot().P99 },
 		now:     time.Now,
 		buckets: make(map[string]*tokenBucket),
+	}
+}
+
+// bind gives a p99-screening admission its latency window; Serve calls it
+// before the gateway takes its first job.
+func (a *Admission) bind() {
+	if a != nil && a.cfg.MaxP99 > 0 && a.window == nil {
+		a.window = newLatencyRing(a.now())
+	}
+}
+
+// observe records n jobs of a bound admission's gateway that took d from
+// submission to resolution.
+func (a *Admission) observe(d time.Duration, n int) {
+	if a == nil || a.window == nil {
+		return
+	}
+	h := a.window.slots[a.window.cur.Load()]
+	for range n {
+		h.Observe(d)
 	}
 }
 
@@ -119,9 +152,9 @@ func (a *Admission) Admit(tenant string, class sched.Class, cost int) error {
 		b.tokens -= float64(cost)
 	}
 	overloaded := false
-	if a.cfg.MaxP99 > 0 && class < sched.ClassCritical {
+	if a.window != nil && class < sched.ClassCritical {
 		if now.Sub(a.readAt) > p99CacheTTL {
-			a.cached = a.p99()
+			a.cached = a.window.p99(now)
 			a.readAt = now
 		}
 		overloaded = a.cached > a.cfg.MaxP99
@@ -149,6 +182,39 @@ func (a *Admission) sweep(now time.Time) {
 		}
 	}
 	a.swept = len(a.buckets)
+}
+
+// latencyRing is a ring of sub-histograms, each covering one latencySlot
+// of the admission's clock. Jobs record into the current slot without a
+// lock; p99, under the admission's lock, first rotates past every slot the
+// clock has left, clearing each, and then merges the ring.
+type latencyRing struct {
+	slots [latencySlots]*metrics.Histogram
+	cur   atomic.Int64 // the slot jobs record into
+	epoch int64        // the clock's slot count at the last rotation
+}
+
+func newLatencyRing(now time.Time) *latencyRing {
+	w := &latencyRing{epoch: now.UnixNano() / int64(latencySlot)}
+	reg := metrics.NewRegistry()
+	for i := range w.slots {
+		w.slots[i] = reg.Histogram(strconv.Itoa(i))
+	}
+	return w
+}
+
+// p99 is the window's p99 job latency at now. Caller holds Admission.mu.
+func (w *latencyRing) p99(now time.Time) time.Duration {
+	if epoch := now.UnixNano() / int64(latencySlot); epoch > w.epoch {
+		cur := w.cur.Load()
+		for range min(epoch-w.epoch, latencySlots) {
+			cur = (cur + 1) % latencySlots
+			w.slots[cur].Reset()
+		}
+		w.cur.Store(cur)
+		w.epoch = epoch
+	}
+	return metrics.Merge(w.slots[:]...).P99
 }
 
 // GatewayOption configures Serve.

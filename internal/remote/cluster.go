@@ -3,9 +3,7 @@ package remote
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -173,8 +171,9 @@ type ScaleResponse struct {
 	Devices []sched.DeviceStats `json:"devices"`
 }
 
-// DrainDeviceRequest drains one board; with Remove set it is also
-// decommissioned once (bounded) draining finishes.
+// DrainDeviceRequest drains one board, bounded by TimeoutMillis (zero
+// waits indefinitely); with Remove set the board is decommissioned
+// instead, and reclaimed once its accepted jobs have resolved.
 type DrainDeviceRequest struct {
 	DNA           fpga.DNA `json:"dna"`
 	TimeoutMillis int64    `json:"timeout_millis"`
@@ -249,6 +248,7 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		opt(&o)
 	}
 	adm := o.admission
+	adm.bind()
 	srv := rpc.NewServer()
 
 	// Handshake state. RPC handlers run concurrently (up to one per handler
@@ -325,11 +325,13 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 			return nil, err
 		}
 		job := sched.Job{Kernel: in.Kernel, Params: in.Params, Input: in.SealedInput, Sealed: true}
+		start := time.Now()
 		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, []sched.Job{job}, opt)
 		if err != nil {
 			return nil, err
 		}
 		out, err := futs[0].Wait()
+		adm.observe(time.Since(start), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -350,6 +352,7 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		for i, j := range in.Jobs {
 			jobs[i] = sched.Job{Kernel: in.Kernel, Params: j.Params, Input: j.SealedInput, Sealed: true}
 		}
+		start := time.Now()
 		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, jobs, opt)
 		if err != nil {
 			return BatchResponse{}, err
@@ -364,6 +367,7 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 				resp.Results[i].SealedOutput = out
 			}
 		}
+		adm.observe(time.Since(start), len(futs))
 		return resp, nil
 	}))
 	srv.Handle("Cluster.Stats", rpc.Typed(func(struct{}) (ClusterStatsResponse, error) {
@@ -380,45 +384,16 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 	// enclave on the same platform with an identical measurement. The host
 	// brokers ciphertext; it can deny growth, never mint a rogue member.
 	srv.Handle("Cluster.Scale", rpc.Typed(func(in ScaleRequest) (ScaleResponse, error) {
-		var resp ScaleResponse
-		switch {
-		case in.Delta > 0:
-			for i := 0; i < in.Delta; i++ {
-				dna, err := root.Add()
-				if err != nil {
-					resp.Devices = root.Stats()
-					return resp, fmt.Errorf("grew by %d of %d: %w", i, in.Delta, err)
-				}
-				resp.Added = append(resp.Added, dna)
-			}
-		case in.Delta < 0:
-			for i, dna := range shrinkOrder(root.Stats(), -in.Delta) {
-				if _, err := root.Remove(dna); err != nil {
-					resp.Devices = root.Stats()
-					return resp, fmt.Errorf("shrank by %d of %d: %w", i, -in.Delta, err)
-				}
-				resp.Removed = append(resp.Removed, dna)
-			}
-		}
-		resp.Devices = root.Stats()
-		return resp, nil
+		added, removed, err := root.Scale(in.Delta)
+		return ScaleResponse{Added: added, Removed: removed, Devices: root.Stats()}, err
 	}))
 	srv.Handle("Cluster.Drain", rpc.Typed(func(in DrainDeviceRequest) (ClusterStatsResponse, error) {
-		// A drained board is unroutable until re-registered, so a removal
-		// the manager would refuse is refused before anything drains.
+		timeout := time.Duration(in.TimeoutMillis) * time.Millisecond
+		var err error
 		if in.Remove {
-			if err := root.CanRemove(); err != nil {
-				return ClusterStatsResponse{Devices: root.Stats()}, err
-			}
-		}
-		err := root.Scheduler().Drain(in.DNA, time.Duration(in.TimeoutMillis)*time.Millisecond)
-		// A drain timeout does not block decommissioning (matching
-		// fleet.Remove's semantics); anything else does.
-		if err == nil || (in.Remove && errors.Is(err, sched.ErrDrainTimeout)) {
-			err = nil
-			if in.Remove {
-				_, err = root.Remove(in.DNA)
-			}
+			err = root.Remove(in.DNA, timeout)
+		} else {
+			err = root.Drain(in.DNA, timeout)
 		}
 		return ClusterStatsResponse{Devices: root.Stats()}, err
 	}))
@@ -452,57 +427,6 @@ func placed(fed *federation.Federation, shard string, spilled bool) (string, boo
 		return "", false
 	}
 	return shard, spilled
-}
-
-// shrinkOrder picks n decommission victims: permanently quarantined boards
-// first, then quarantined, then the least-loaded healthy boards. Stats
-// arrive one row per reconfigurable partition; a board's health is its
-// sickest RP, its load the sum over its RPs, and each board is named once
-// no matter how many partitions it serves.
-func shrinkOrder(stats []sched.DeviceStats, n int) []fpga.DNA {
-	type board struct {
-		dna    fpga.DNA
-		rank   int
-		queued int64
-	}
-	rank := func(ds sched.DeviceStats) int {
-		switch {
-		case ds.Permanent:
-			return 0
-		case ds.Quarantined:
-			return 1
-		default:
-			return 2
-		}
-	}
-	byDNA := make(map[fpga.DNA]*board)
-	var boards []*board
-	for _, ds := range stats {
-		b := byDNA[ds.DNA]
-		if b == nil {
-			b = &board{dna: ds.DNA, rank: rank(ds)}
-			byDNA[ds.DNA] = b
-			boards = append(boards, b)
-		}
-		if r := rank(ds); r < b.rank {
-			b.rank = r
-		}
-		b.queued += ds.Queued
-	}
-	sort.SliceStable(boards, func(i, j int) bool {
-		if boards[i].rank != boards[j].rank {
-			return boards[i].rank < boards[j].rank
-		}
-		return boards[i].queued < boards[j].queued
-	})
-	if n > len(boards) {
-		n = len(boards)
-	}
-	out := make([]fpga.DNA, n)
-	for i := 0; i < n; i++ {
-		out[i] = boards[i].dna
-	}
-	return out
 }
 
 // admit screens one request costing cost jobs and maps its wire QoS fields

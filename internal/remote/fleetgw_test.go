@@ -9,10 +9,8 @@ import (
 	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/fleet"
-	"salus/internal/fpga"
 	"salus/internal/manufacturer"
 	"salus/internal/rpc"
-	"salus/internal/sched"
 )
 
 // fleetDeployment wires the elastic stack: one RPC manufacturer shared by
@@ -24,7 +22,7 @@ type fleetDeployment struct {
 	addr    string
 }
 
-func newFleetDeployment(t testing.TB, k int) *fleetDeployment {
+func newFleetDeployment(t testing.TB, k int, timing core.Timing) *fleetDeployment {
 	t.Helper()
 	mfr, err := manufacturer.New()
 	if err != nil {
@@ -46,7 +44,7 @@ func newFleetDeployment(t testing.TB, k int) *fleetDeployment {
 		DNAPrefix:    "ELFL",
 		Manufacturer: mfr,
 		KeyService:   kc,
-		DrainTimeout: 10 * time.Second,
+		Timing:       timing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,7 @@ func runFleetJob(t testing.TB, sess *ClusterSession, seed int64) {
 // without any further owner round (sibling hand-off inside the host),
 // shrinks back, and checks jobs flow correctly throughout.
 func TestFleetGatewayScaleUpAndDown(t *testing.T) {
-	d := newFleetDeployment(t, 2)
+	d := newFleetDeployment(t, 2, core.Timing{})
 	sess := d.session(t)
 	runFleetJob(t, sess, 1)
 
@@ -148,7 +146,7 @@ func TestFleetGatewayScaleUpAndDown(t *testing.T) {
 // TestFleetGatewayDrainRemove decommissions one named board through the
 // RPC plane and checks membership and serving survive.
 func TestFleetGatewayDrainRemove(t *testing.T) {
-	d := newFleetDeployment(t, 3)
+	d := newFleetDeployment(t, 3, core.Timing{})
 	sess := d.session(t)
 	target := d.systems[1].Device.DNA()
 
@@ -177,7 +175,7 @@ func TestFleetGatewayDrainRemove(t *testing.T) {
 // TestFleetGatewayScaleBeforeAttestFails: growth needs a booted donor, so a
 // fleet that was never attested/provisioned must refuse to scale.
 func TestFleetGatewayScaleBeforeAttestFails(t *testing.T) {
-	d := newFleetDeployment(t, 2)
+	d := newFleetDeployment(t, 2, core.Timing{})
 	sess, err := DialCluster(d.addr, d.expectations())
 	if err != nil {
 		t.Fatal(err)
@@ -185,24 +183,5 @@ func TestFleetGatewayScaleBeforeAttestFails(t *testing.T) {
 	defer sess.Close()
 	if _, err := sess.Scale(1); err == nil {
 		t.Fatal("scale of an unattested fleet succeeded")
-	}
-}
-
-func TestShrinkOrderPrefersDeadBoards(t *testing.T) {
-	stats := []sched.DeviceStats{
-		{DNA: "A", Queued: 0},
-		{DNA: "B", Quarantined: true},
-		{DNA: "C", Queued: 5},
-		{DNA: "D", Quarantined: true, Permanent: true},
-	}
-	got := shrinkOrder(stats, 3)
-	want := []fpga.DNA{"D", "B", "A"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shrink order = %v, want %v", got, want)
-		}
-	}
-	if n := len(shrinkOrder(stats, 10)); n != 4 {
-		t.Errorf("over-asked shrink returned %d victims, want 4", n)
 	}
 }

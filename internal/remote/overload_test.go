@@ -219,22 +219,19 @@ func TestAdmissionBucketsBounded(t *testing.T) {
 	}
 }
 
-// TestAdmissionP99Shed: when the live p99 exceeds the ceiling the
+// TestAdmissionP99Shed: when the recent p99 exceeds the ceiling the
 // gateway sheds standard and batch work but keeps admitting critical.
 func TestAdmissionP99Shed(t *testing.T) {
 	adm := NewAdmission(AdmissionConfig{MaxP99: 50 * time.Millisecond})
-	p99 := 10 * time.Millisecond
-	var mu sync.Mutex
-	adm.p99 = func() time.Duration { mu.Lock(); defer mu.Unlock(); return p99 }
 	clock := time.Unix(2000, 0)
 	adm.now = func() time.Time { return clock }
+	adm.bind()
 
+	adm.observe(10*time.Millisecond, 100)
 	if err := adm.Admit("t", sched.ClassStandard, 1); err != nil {
 		t.Fatalf("healthy p99: %v", err)
 	}
-	mu.Lock()
-	p99 = 200 * time.Millisecond
-	mu.Unlock()
+	adm.observe(200*time.Millisecond, 100)
 	clock = clock.Add(time.Second) // expire the p99 cache
 	if err := adm.Admit("t", sched.ClassStandard, 1); !errors.Is(err, ErrGatewayOverloaded) {
 		t.Fatalf("standard under overload: got %v, want ErrGatewayOverloaded", err)
@@ -244,6 +241,117 @@ func TestAdmissionP99Shed(t *testing.T) {
 	}
 	if err := adm.Admit("t", sched.ClassCritical, 1); err != nil {
 		t.Fatalf("critical is exempt from the p99 shed: %v", err)
+	}
+}
+
+// TestAdmissionP99ShedRecovers replays the overload that used to latch the
+// shed: 1,000 jobs at 50 ms against a 10 ms ceiling, then 6,000 at 1 ms.
+// The slow jobs shed work while they are in the window and stop shedding
+// within one latencyWindow of their last sample; an hour later the screen
+// admits too.
+func TestAdmissionP99ShedRecovers(t *testing.T) {
+	adm := NewAdmission(AdmissionConfig{MaxP99: 10 * time.Millisecond})
+	clock := time.Unix(2000, 0)
+	adm.now = func() time.Time { return clock }
+	adm.bind()
+
+	adm.observe(50*time.Millisecond, 1000)
+	if err := adm.Admit("t", sched.ClassStandard, 1); !errors.Is(err, ErrGatewayOverloaded) {
+		t.Fatalf("with slow jobs in the window: got %v, want ErrGatewayOverloaded", err)
+	}
+	clock = clock.Add(latencySlot)
+	if err := adm.Admit("t", sched.ClassStandard, 1); !errors.Is(err, ErrGatewayOverloaded) {
+		t.Fatalf("one slot on, the slow jobs are still in the window: got %v", err)
+	}
+	adm.observe(time.Millisecond, 6000)
+	clock = clock.Add(latencyWindow - latencySlot)
+	if err := adm.Admit("t", sched.ClassStandard, 1); err != nil {
+		t.Fatalf("one window after the slow jobs: %v", err)
+	}
+	clock = clock.Add(time.Hour)
+	if err := adm.Admit("t", sched.ClassStandard, 1); err != nil {
+		t.Fatalf("an hour later: %v", err)
+	}
+
+	// An admission no gateway bound has no latency to read, so it never
+	// sheds on p99.
+	unbound := NewAdmission(AdmissionConfig{MaxP99: time.Nanosecond})
+	unbound.observe(time.Second, 10)
+	if err := unbound.Admit("t", sched.ClassBatch, 1); err != nil {
+		t.Fatalf("unbound admission shed: %v", err)
+	}
+}
+
+// TestAdmissionWindowUnderConcurrentJobs: handler goroutines record into
+// the latency ring while Admit rotates and merges it on a moving clock.
+func TestAdmissionWindowUnderConcurrentJobs(t *testing.T) {
+	adm := NewAdmission(AdmissionConfig{MaxP99: time.Second})
+	var mu sync.Mutex
+	clock := time.Unix(2000, 0)
+	adm.now = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		clock = clock.Add(100 * time.Millisecond)
+		return clock
+	}
+	adm.bind()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := adm.Admit("t", sched.ClassStandard, 1); err != nil {
+					t.Errorf("admit under fast jobs: %v", err)
+					return
+				}
+				adm.observe(time.Millisecond, 2)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAdmissionSeesOnlyItsGateway: two gateways in one process, one serving
+// slow jobs and one fast ones, each with its own p99 ceiling. Only the slow
+// gateway sheds; the fast one never sees its neighbour's latency.
+func TestAdmissionSeesOnlyItsGateway(t *testing.T) {
+	clock := time.Unix(2000, 0)
+	var mu sync.Mutex
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+	gateway := func(latency time.Duration) *ClusterSession {
+		adm := NewAdmission(AdmissionConfig{MaxP99: 20 * time.Millisecond})
+		adm.now = now
+		timing := core.FastTiming()
+		timing.RealJobLatency = latency
+		d := newClusterDeploymentTiming(t, 1, accel.Conv{}, timing, WithAdmission(adm))
+		sess, err := DialCluster(d.addr, d.expectations())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sess.Close() })
+		if err := sess.Attest(); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	slow, fast := gateway(40*time.Millisecond), gateway(0)
+	w := accel.GenConv(4, 4, 1, 1)
+	for i := 0; i < 3; i++ {
+		for _, sess := range []*ClusterSession{slow, fast} {
+			if _, err := sess.RunJob(w.Kernel.Name(), w.Params, w.Input); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mu.Lock()
+	clock = clock.Add(2 * p99CacheTTL)
+	mu.Unlock()
+	if _, err := fast.RunJob(w.Kernel.Name(), w.Params, w.Input); err != nil {
+		t.Errorf("the fast gateway shed on its neighbour's latency: %v", err)
+	}
+	if _, err := slow.RunJob(w.Kernel.Name(), w.Params, w.Input); err == nil || !strings.Contains(err.Error(), ErrGatewayOverloaded.Error()) {
+		t.Errorf("the slow gateway: err = %v, want %v", err, ErrGatewayOverloaded)
 	}
 }
 

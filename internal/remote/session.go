@@ -351,7 +351,8 @@ func (s *Session) Scale(delta int) (ScaleResponse, error) {
 
 // Drain stops routing to one root-shard board and waits (bounded by
 // timeout; zero waits indefinitely) for its accepted jobs; with remove set
-// the board is then decommissioned, which a fixed pool refuses.
+// the board is decommissioned instead, which a fixed pool refuses, and the
+// call reports the drain timeout if its jobs outlast it.
 func (s *Session) Drain(dna fpga.DNA, timeout time.Duration, remove bool) ([]sched.DeviceStats, error) {
 	var resp ClusterStatsResponse
 	req := DrainDeviceRequest{DNA: dna, TimeoutMillis: timeout.Milliseconds(), Remove: remove}

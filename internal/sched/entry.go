@@ -239,9 +239,13 @@ type device struct {
 	shed      atomic.Uint64 // expired jobs dropped at pickup
 
 	// draining stops routing to this device while its queue runs dry
-	// (Drain/Remove). The queue checks it under its own lock, so no push
-	// can land behind a drain barrier.
+	// (DrainRP). The queue checks it under its own lock, so no push can
+	// land behind a drain barrier.
 	draining atomic.Bool
+
+	// removed is made by RemoveRP before it closes the queue: once the
+	// queue has run dry the worker reclaims the system and closes it.
+	removed chan struct{}
 
 	// Health / circuit breaker.
 	hmu         sync.Mutex
@@ -292,12 +296,18 @@ func (d *device) shedExpired(e *entry) {
 }
 
 // run is the device's worker: pop, execute, hand the verdicts to finish.
+// Once its closed queue has run dry it reclaims a removed partition's
+// system, whose last accepted job has then resolved, and exits.
 func (d *device) run(s *Scheduler) {
 	defer s.wg.Done()
 	var lone [1]core.BatchResult
 	for {
 		e := d.q.pop()
 		if e == nil {
+			if d.removed != nil {
+				d.sys.Reclaim()
+				close(d.removed)
+			}
 			return
 		}
 		if e.barrier {

@@ -183,7 +183,7 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	}
 
 	// RP-granular churn: drain and remove rp1, keep rp0 serving.
-	if _, err := s.RemoveRP("RPGAUGE-00", 1, 5*time.Second); err != nil {
+	if err := s.RemoveRP("RPGAUGE-00", 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := submitWOpts(s, w, SubmitOptions{Tenant: "b"}).Wait(); err != nil {

@@ -137,7 +137,7 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	}()
 
 	<-halfway // drain lands mid-stream, deterministically
-	if err := s.Drain(target, 10*time.Second); err != nil {
+	if err := s.DrainRP(target, AllRPs, 10*time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	ds := findStats(t, s, target)
@@ -156,15 +156,14 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	}
 
 	// Decommission and check membership without a restart.
-	sys, err := s.Remove(target, time.Second)
-	if err != nil {
+	if err := s.RemoveRP(target, AllRPs, time.Second); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
-	if sys != systems[0] {
-		t.Error("Remove returned the wrong system")
+	if !systems[0].Reclaimed() {
+		t.Error("the removed board was not reclaimed")
 	}
 	if got := len(s.Stats()); got != 2 {
-		t.Errorf("pool has %d members after Remove, want 2", got)
+		t.Errorf("pool has %d members after RemoveRP, want 2", got)
 	}
 	// The drained board rejects nothing it accepted, and new work still
 	// flows to the survivors.
@@ -176,37 +175,36 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 func TestDrainAndRemoveUnknownDevice(t *testing.T) {
 	systems, _ := newPool(t, 1, accel.Conv{})
 	s := newScheduler(t, systems)
-	if err := s.Drain("NO-SUCH-DNA", time.Second); !errors.Is(err, ErrUnknownDevice) {
-		t.Errorf("Drain err = %v, want ErrUnknownDevice", err)
+	if err := s.DrainRP("NO-SUCH-DNA", AllRPs, time.Second); !errors.Is(err, ErrUnknownDevice) {
+		t.Errorf("DrainRP err = %v, want ErrUnknownDevice", err)
 	}
-	if _, err := s.Remove("NO-SUCH-DNA", time.Second); !errors.Is(err, ErrUnknownDevice) {
-		t.Errorf("Remove err = %v, want ErrUnknownDevice", err)
+	if err := s.RemoveRP("NO-SUCH-DNA", AllRPs, time.Second); !errors.Is(err, ErrUnknownDevice) {
+		t.Errorf("RemoveRP err = %v, want ErrUnknownDevice", err)
 	}
 }
 
-// TestBoardVerbsAreTheAllRPsCase: on a 2-RP board, Drain/Remove are
-// DrainRP/RemoveRP with AllRPs, the RP-scoped verbs leave the co-resident
-// partition serving, and unknown boards or partitions are refused.
+// TestBoardVerbsAreTheAllRPsCase: on a 2-RP board, a board is DrainRP or
+// RemoveRP with AllRPs, the RP-scoped verbs leave the co-resident partition
+// serving, a removal reclaims exactly the partitions it removed, and
+// unknown boards or partitions are refused.
 func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
 	const dna, wait = fpga.DNA("BOARD-2RP"), 5 * time.Second
 	cases := []struct {
-		name     string
-		op       func(*Scheduler) (*core.System, error)
-		wantErr  error
-		draining [2]bool // per RP, afterwards (removed RPs aside)
-		left     int     // registered partitions afterwards
-		gotRP    int     // partition of the returned system; -1 for none
+		name      string
+		op        func(*Scheduler) error
+		wantErr   error
+		draining  [2]bool // per RP, afterwards (removed RPs aside)
+		left      int     // registered partitions afterwards
+		reclaimed [2]bool // per RP, when the verb returns
 	}{
-		{"Drain", func(s *Scheduler) (*core.System, error) { return nil, s.Drain(dna, wait) }, nil, [2]bool{true, true}, 2, -1},
-		{"DrainRP AllRPs", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, AllRPs, wait) }, nil, [2]bool{true, true}, 2, -1},
-		{"DrainRP rp1", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, 1, wait) }, nil, [2]bool{false, true}, 2, -1},
-		{"Remove", func(s *Scheduler) (*core.System, error) { return s.Remove(dna, wait) }, nil, [2]bool{}, 0, 0},
-		{"RemoveRP AllRPs", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, AllRPs, wait) }, nil, [2]bool{}, 0, 0},
-		{"RemoveRP rp1", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, 1, wait) }, nil, [2]bool{}, 1, 1},
-		{"Drain unknown DNA", func(s *Scheduler) (*core.System, error) { return nil, s.Drain("NOPE", wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
-		{"DrainRP unknown RP", func(s *Scheduler) (*core.System, error) { return nil, s.DrainRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
-		{"Remove unknown DNA", func(s *Scheduler) (*core.System, error) { return s.Remove("NOPE", wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
-		{"RemoveRP unknown RP", func(s *Scheduler) (*core.System, error) { return s.RemoveRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, -1},
+		{"DrainRP AllRPs", func(s *Scheduler) error { return s.DrainRP(dna, AllRPs, wait) }, nil, [2]bool{true, true}, 2, [2]bool{}},
+		{"DrainRP rp1", func(s *Scheduler) error { return s.DrainRP(dna, 1, wait) }, nil, [2]bool{false, true}, 2, [2]bool{}},
+		{"RemoveRP AllRPs", func(s *Scheduler) error { return s.RemoveRP(dna, AllRPs, wait) }, nil, [2]bool{}, 0, [2]bool{true, true}},
+		{"RemoveRP rp1", func(s *Scheduler) error { return s.RemoveRP(dna, 1, wait) }, nil, [2]bool{}, 1, [2]bool{false, true}},
+		{"Drain unknown DNA", func(s *Scheduler) error { return s.DrainRP("NOPE", AllRPs, wait) }, ErrUnknownDevice, [2]bool{}, 2, [2]bool{}},
+		{"DrainRP unknown RP", func(s *Scheduler) error { return s.DrainRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, [2]bool{}},
+		{"Remove unknown DNA", func(s *Scheduler) error { return s.RemoveRP("NOPE", AllRPs, wait) }, ErrUnknownDevice, [2]bool{}, 2, [2]bool{}},
+		{"RemoveRP unknown RP", func(s *Scheduler) error { return s.RemoveRP(dna, 7, wait) }, ErrUnknownDevice, [2]bool{}, 2, [2]bool{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,16 +221,13 @@ func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sys, err := tc.op(s)
-			if !errors.Is(err, tc.wantErr) {
+			if err := tc.op(s); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
-			gotRP := -1
-			if sys != nil {
-				gotRP = sys.Partition()
-			}
-			if gotRP != tc.gotRP {
-				t.Errorf("returned partition %d, want %d (-1: no system)", gotRP, tc.gotRP)
+			for _, sys := range systems {
+				if got := sys.Reclaimed(); got != tc.reclaimed[sys.Partition()] {
+					t.Errorf("rp%d reclaimed = %v, want %v", sys.Partition(), got, tc.reclaimed[sys.Partition()])
+				}
 			}
 			stats := s.Stats()
 			if len(stats) != tc.left {

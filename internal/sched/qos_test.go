@@ -386,7 +386,7 @@ func TestQueueDepthGaugeReturnsToZeroAfterChurn(t *testing.T) {
 	}
 
 	// Drain + remove churn on pool A, then shut both pools down.
-	if _, err := sa.Remove(systemsA[2].Device.DNA(), 5*time.Second); err != nil {
+	if err := sa.RemoveRP(systemsA[2].Device.DNA(), AllRPs, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sa.Close()

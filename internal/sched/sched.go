@@ -148,11 +148,13 @@ var (
 	// ErrWaitTimeout is returned by Future.WaitTimeout when the deadline
 	// expires first. The job is still running; the future remains valid.
 	ErrWaitTimeout = errors.New("sched: wait timed out")
-	// ErrUnknownDevice is returned by Drain/Remove for a DNA that is not
-	// (or no longer) registered.
+	// ErrUnknownDevice is returned by DrainRP/RemoveRP for a partition that
+	// is not (or no longer) registered.
 	ErrUnknownDevice = errors.New("sched: unknown device")
 	// ErrDrainTimeout is returned when a drain deadline expires with jobs
-	// still queued. The device stays unroutable; the jobs keep running.
+	// still queued. The jobs keep running: after DrainRP the device stays
+	// unroutable, after RemoveRP it has left the pool and is reclaimed
+	// once they have resolved.
 	ErrDrainTimeout = errors.New("sched: drain deadline exceeded")
 	// ErrOverloaded is the fast-reject verdict for ClassBatch work when
 	// every routable queue for its kernel is full. The caller may retry
@@ -176,7 +178,7 @@ func Retryable(err error) bool {
 // Lock discipline: routing holds mu.RLock only long enough to pick a
 // device; the queue push happens outside the scheduler lock under the
 // queue's own mutex, which also arbitrates closure — a push racing Close
-// or Remove observes a closed queue and re-routes, so nothing is ever
+// or RemoveRP observes a closed queue and re-routes, so nothing is ever
 // lost or sent into the void. A blocked admission holds no locks at all.
 type Scheduler struct {
 	mu      sync.RWMutex
@@ -342,30 +344,22 @@ func (s *Scheduler) DrainRP(dna fpga.DNA, rp int, timeout time.Duration) error {
 	return nil
 }
 
-// Drain is DrainRP over the whole board.
-func (s *Scheduler) Drain(dna fpga.DNA, timeout time.Duration) error {
-	return s.DrainRP(dna, AllRPs, timeout)
-}
-
-// RemoveRP drains (bounded by timeout) and decommissions partition rp of
-// the board — every partition for AllRPs: unregisters them from the pool,
-// closes their queues, and returns the lowest-numbered removed partition's
-// system so the caller can recycle it. The system is reclaim-ready: the
-// caller zeroizes its key material (core.System.Reclaim) before the fabric
-// is re-placed for another tenant. A drain timeout does NOT abort the
-// removal — the partitions leave the pool immediately and their workers
-// keep resolving the leftover queues before exiting, so no accepted job is
-// ever lost; the ErrDrainTimeout is returned alongside the system to
-// report that shutdown outlived the deadline.
-func (s *Scheduler) RemoveRP(dna fpga.DNA, rp int, timeout time.Duration) (*core.System, error) {
-	drainErr := s.DrainRP(dna, rp, timeout)
-	if drainErr != nil && !errors.Is(drainErr, ErrDrainTimeout) {
-		return nil, drainErr
-	}
+// RemoveRP decommissions partition rp of the board — every partition for
+// AllRPs — and is the scheduler's only removal: it unregisters them from
+// the pool and closes their queues at once, so no new work reaches them,
+// and each one's worker runs its accepted jobs to resolution, then
+// reclaims the partition's system (core.System.Reclaim zeroizes its key
+// material) as it exits. No accepted job is ever lost and no key outlives
+// the partition's tenancy. RemoveRP waits for those workers, bounded by
+// timeout (<= 0 waits forever): on success every removed system is
+// reclaimed when it returns; past the deadline it returns ErrDrainTimeout
+// then and there, and the workers reclaim once their leftover jobs have
+// resolved.
+func (s *Scheduler) RemoveRP(dna fpga.DNA, rp int, timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrSchedulerClosed
+		return ErrSchedulerClosed
 	}
 	removed := s.find(dna, rp)
 	kept := s.devices[:0]
@@ -375,30 +369,36 @@ func (s *Scheduler) RemoveRP(dna fpga.DNA, rp int, timeout time.Duration) (*core
 		}
 	}
 	s.devices = kept
+	for _, d := range removed {
+		d.removed = make(chan struct{})
+		d.q.close()
+	}
 	s.mu.Unlock()
 	if len(removed) == 0 {
-		// A concurrent remove got here first.
-		return nil, unknown(dna, rp)
+		return unknown(dna, rp)
 	}
-	first := removed[0]
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		deadline = t.C
+	}
 	for _, d := range removed {
-		d.q.close()
-		if d.rp < first.rp {
-			first = d
+		select {
+		case <-d.removed:
+		case <-deadline:
+			return fmt.Errorf("%w: %s", ErrDrainTimeout, dna)
 		}
 	}
-	return first.sys, drainErr
-}
-
-// Remove is RemoveRP over the whole board.
-func (s *Scheduler) Remove(dna fpga.DNA, timeout time.Duration) (*core.System, error) {
-	return s.RemoveRP(dna, AllRPs, timeout)
+	return nil
 }
 
 // Close stops accepting jobs, drains every queue, and waits for the
-// workers. Already-queued jobs still run; their futures resolve. A job
-// that faults during shutdown resolves with its error instead of
-// retrying; blocked admissions resolve with ErrSchedulerClosed.
+// workers, those of removed partitions included. Already-queued jobs still
+// run; their futures resolve. A job that faults during shutdown resolves
+// with its error instead of retrying; blocked admissions resolve with
+// ErrSchedulerClosed. Close reclaims nothing: the systems stay booted, so a
+// gateway that is served again can reuse them.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
