@@ -2,11 +2,13 @@ GO ?= go
 
 # Packages whose statement coverage is gated in CI (the observability layer,
 # the subsystems its health signals come from, the job engine, the federation
-# tier, the runtime channel, the Table 1 baselines, the kernel models and the
-# SM application's secure boot), and the floor they must clear.
+# tier, the runtime channel, the Table 1 baselines, the kernel models, the
+# SM application's secure boot, and the serving transport: the rpc framing
+# and the buffer pool it recycles frames through), and the floor they must
+# clear.
 COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote \
 	salus/internal/core salus/internal/federation salus/internal/channel salus/internal/compare salus/internal/accel \
-	salus/internal/smapp
+	salus/internal/smapp salus/internal/rpc salus/internal/bufpool
 COVER_FLOOR = 75
 
 .PHONY: all build test vet lint race tier1 fuzz-smoke ci cover cover-check fmt-check loc ab bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant bench-json clean

@@ -91,7 +91,7 @@ func loadExpectations(path string) ([]client.Expectations, error) {
 }
 
 // runFleet is the elastic-operations subcommand: scale the pool up or
-// down, drain or decommission a named board, and inspect membership — all
+// down, decommission a named board, and inspect membership — all
 // without re-attesting. Growth is safe without an owner round because new
 // boards receive the data key only through the sibling enclave hand-off;
 // the printed stats are the owner's membership audit.
@@ -100,9 +100,8 @@ func runFleet(args []string) {
 	instAddr := fs.String("inst", "127.0.0.1:7002", "fleet gateway address")
 	expPath := fs.String("exp", "salus-expectations.json", "expectations file from salus-server")
 	scale := fs.Int("scale", 0, "grow (>0) or shrink (<0) the fleet by this many boards")
-	drain := fs.String("drain", "", "DNA of a board to drain")
-	remove := fs.Bool("remove", false, "with -drain: decommission the board after draining")
-	timeout := fs.Duration("timeout", 30*time.Second, "with -drain: bound on waiting for in-flight jobs")
+	remove := fs.String("remove", "", "DNA of a board to decommission")
+	timeout := fs.Duration("timeout", 30*time.Second, "with -remove: bound on waiting for in-flight jobs")
 	fs.Parse(args)
 
 	exps, err := loadExpectations(*expPath)
@@ -127,15 +126,11 @@ func runFleet(args []string) {
 			fmt.Println("removed:", dna)
 		}
 	}
-	if *drain != "" {
-		if _, err := sess.Drain(fpga.DNA(*drain), *timeout, *remove); err != nil {
-			log.Fatalf("drain: %v", err)
+	if *remove != "" {
+		if _, err := sess.Remove(fpga.DNA(*remove), *timeout); err != nil {
+			log.Fatalf("remove: %v", err)
 		}
-		if *remove {
-			fmt.Println("decommissioned:", *drain)
-		} else {
-			fmt.Println("drained:", *drain)
-		}
+		fmt.Println("decommissioned:", *remove)
 	}
 
 	stats, err := sess.DeviceStats()
@@ -150,8 +145,6 @@ func runFleet(args []string) {
 			state = "WRITTEN OFF"
 		case ds.Quarantined:
 			state = "QUARANTINED"
-		case ds.Draining:
-			state = "draining"
 		}
 		fmt.Printf("  %-16s %-10s completed=%-4d failed=%-3d retried=%-3d queued=%-3d %s%s\n",
 			rpLabel(ds), ds.Kernel, ds.Completed, ds.Failed, ds.Retried, ds.Queued, state, tenantTag(ds))

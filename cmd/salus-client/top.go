@@ -83,7 +83,7 @@ func renderTop(stats []sched.DeviceStats, snap metrics.Snapshot) string {
 	now := time.Now().Format(time.TimeOnly)
 
 	var queued int64
-	quarantined, permanent, draining := 0, 0, 0
+	quarantined, permanent := 0, 0
 	for _, ds := range stats {
 		queued += ds.Queued
 		if ds.Permanent {
@@ -91,16 +91,13 @@ func renderTop(stats []sched.DeviceStats, snap metrics.Snapshot) string {
 		} else if ds.Quarantined {
 			quarantined++
 		}
-		if ds.Draining {
-			draining++
-		}
 	}
 
 	fmt.Fprintf(&b, "salus top — %s — %d boards / %d RPs\n", now, boardCount(stats), len(stats))
 	fmt.Fprintf(&b, "  queue depth   %d queued (gauge %d)\n",
 		queued, snap.Gauges["salus_sched_queue_depth"])
-	fmt.Fprintf(&b, "  health        %d quarantined, %d written off, %d draining (%d quarantine events, %d readmissions)\n",
-		quarantined, permanent, draining,
+	fmt.Fprintf(&b, "  health        %d quarantined, %d written off (%d quarantine events, %d readmissions)\n",
+		quarantined, permanent,
 		snap.Counters["salus_sched_quarantine_total"], snap.Counters["salus_sched_readmit_total"])
 	fmt.Fprintf(&b, "  jobs          %d submitted, %d completed, %d failed, %d re-dispatched\n",
 		snap.Counters["salus_sched_submitted_total"], snap.Counters["salus_sched_completed_total"],
@@ -128,8 +125,6 @@ func renderTop(stats []sched.DeviceStats, snap metrics.Snapshot) string {
 			state = "WRITTEN OFF"
 		case ds.Quarantined:
 			state = "QUARANTINED"
-		case ds.Draining:
-			state = "draining"
 		}
 		fmt.Fprintf(&b, "  %-16s %-10s queued=%-3d completed=%-4d failed=%-3d %s%s\n",
 			rpLabel(ds), ds.Kernel, ds.Queued, ds.Completed, ds.Failed, state, tenantTag(ds))

@@ -5,7 +5,7 @@
 // fetching its device key over TCP — the deployment topology of §6.1. One
 // board is a pool of one. The data owner attests every device, provisions
 // one shared data key, and sealed jobs fan out to the least-loaded board.
-// The pool is elastic at runtime: Cluster.Scale / Cluster.Drain RPCs grow
+// The pool is elastic at runtime: Cluster.Scale / Cluster.Remove RPCs grow
 // and shrink it between -min-devices and -max-devices, and with
 // -auto-replace the fleet manager swaps out permanently quarantined boards
 // on its own.
@@ -16,7 +16,7 @@
 // least-loaded sibling when their home shard saturates, and brokering the
 // enclave-to-enclave data-key hand-off. The data owner attests ONLY the
 // root shard; every other shard is keyed lazily the first time the ring
-// routes it work, and Scale/Drain act on the root shard. The region shares
+// routes it work, and Scale/Remove act on the root shard. The region shares
 // one in-process manufacturer and boot caches, so -mfr, -rps-per-device and
 // the elastic flags do not apply.
 //

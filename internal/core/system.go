@@ -629,12 +629,12 @@ func (s *System) Booted() bool { return s.booted }
 func (s *System) Reclaim() {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
-	zeroBytes(s.sessKey)
-	zeroBytes(s.sessIV)
+	clear(s.sessKey)
+	clear(s.sessIV)
 	s.invalidateSession()
-	zeroBytes(s.dataKey)
+	clear(s.dataKey)
 	s.dataKey = nil
-	zeroBytes(s.plain[:cap(s.plain)])
+	clear(s.plain[:cap(s.plain)])
 	clear(s.batchTxns[:cap(s.batchTxns)])
 	clear(s.batchRes[:cap(s.batchRes)])
 	s.batchTxns, s.batchRes, s.burst, s.regFrame, s.plain = nil, nil, nil, nil, nil
@@ -650,13 +650,6 @@ func (s *System) Reclaimed() bool {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
 	return s.reclaimed
-}
-
-// zeroBytes overwrites key material in place before the slice is dropped.
-func zeroBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // poison fills a scratch frame the shell has given back with 0xA5 under

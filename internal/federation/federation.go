@@ -242,8 +242,10 @@ func (f *Federation) AddSiblingShard(id string, mgr *fleet.Manager, addr string,
 }
 
 // RemoveShard takes a shard off the ring: its segment re-routes to the
-// clockwise successors and no new work reaches it (in-flight jobs still
-// resolve on its scheduler). The last keyed shard cannot leave while
+// clockwise successors and no new work reaches it. It then closes the
+// shard's manager, which waits until every job the shard accepted has
+// resolved, and reclaims every partition the shard served, so no key
+// outlives the shard's membership. The last keyed shard cannot leave while
 // unkeyed shards remain — it is the only possible hand-off donor.
 func (f *Federation) RemoveShard(id string) error {
 	f.mu.Lock()
@@ -293,6 +295,12 @@ func (f *Federation) RemoveShard(id string) error {
 		return err
 	}
 	mShardsNow.Add(-1)
+	sh.mgr.Close()
+	for _, dna := range sh.mgr.Members() {
+		for _, sys := range sh.mgr.Systems(dna) {
+			sys.Reclaim()
+		}
+	}
 	return nil
 }
 

@@ -1,5 +1,5 @@
 // Package fleet manages the device lifecycle of a Salus pool: hot add, hot
-// remove/drain, parallel secure boot, and replacement of permanently
+// remove, parallel secure boot, and replacement of permanently
 // quarantined boards — the elastic layer between "N simulated boards" and a
 // production-scale serving deployment.
 //
@@ -60,14 +60,12 @@ const DefaultDrainTimeout = 30 * time.Second
 // each adopted member's trace, so the aggregate metrics and the merged
 // Figure-9 boot trace agree sample for sample.
 var (
-	mMembers    = metrics.Default().Gauge("salus_fleet_members")
-	mAdds       = metrics.Default().Counter("salus_fleet_add_total")
-	mAddFails   = metrics.Default().Counter("salus_fleet_add_fail_total")
-	mRemoves    = metrics.Default().Counter("salus_fleet_remove_total")
-	mDrains     = metrics.Default().Counter("salus_fleet_drain_total")
-	mDrainFails = metrics.Default().Counter("salus_fleet_drain_fail_total")
-	mReplaces   = metrics.Default().Counter("salus_fleet_replace_total")
-	mBoot       = metrics.Default().Histogram("salus_fleet_boot_seconds")
+	mMembers  = metrics.Default().Gauge("salus_fleet_members")
+	mAdds     = metrics.Default().Counter("salus_fleet_add_total")
+	mAddFails = metrics.Default().Counter("salus_fleet_add_fail_total")
+	mRemoves  = metrics.Default().Counter("salus_fleet_remove_total")
+	mReplaces = metrics.Default().Counter("salus_fleet_replace_total")
+	mBoot     = metrics.Default().Histogram("salus_fleet_boot_seconds")
 )
 
 // bootPhasePrefix names the per-phase boot histograms fed at Adopt.
@@ -460,7 +458,7 @@ func (m *Manager) BootFleet(k int) error {
 func (m *Manager) Donor() *core.System { return m.pickDonor() }
 
 // pickDonor returns a booted member for the sibling hand-off, preferring
-// healthy boards over quarantined or draining ones.
+// healthy boards over quarantined ones.
 func (m *Manager) pickDonor() *core.System {
 	// bad marks individual partitions, not whole boards: a quarantined RP's
 	// healthy co-resident sibling is still a fine donor.
@@ -470,7 +468,7 @@ func (m *Manager) pickDonor() *core.System {
 	}
 	bad := make(map[rpKey]bool)
 	for _, ds := range m.sch.Stats() {
-		if ds.Permanent || ds.Draining || ds.Quarantined {
+		if ds.Permanent || ds.Quarantined {
 			bad[rpKey{ds.DNA, ds.RP}] = true
 		}
 	}
@@ -553,18 +551,6 @@ func (m *Manager) Add() (fpga.DNA, error) { return m.add(false, m.Key()) }
 // AddSibling hot-adds one board via the sibling enclave hand-off even when
 // the manager holds the key (e.g. to exercise the no-owner-roundtrip path).
 func (m *Manager) AddSibling() (fpga.DNA, error) { return m.add(false, nil) }
-
-// Drain stops routing to the member and waits, bounded by timeout (<= 0
-// waits forever), until its accepted jobs have finished. The member stays
-// in the fleet, unroutable, until removed.
-func (m *Manager) Drain(dna fpga.DNA, timeout time.Duration) error {
-	if err := m.sch.DrainRP(dna, sched.AllRPs, timeout); err != nil {
-		mDrainFails.Inc()
-		return err
-	}
-	mDrains.Inc()
-	return nil
-}
 
 // Remove decommissions the member. It refuses, draining nothing, when the
 // fleet would drop below MinDevices; otherwise the board leaves the fleet

@@ -410,13 +410,11 @@ func TestCapacityBounds(t *testing.T) {
 	runJob(t, m, 5)
 }
 
-// TestDrainThenRemoveMember covers the manager-level decommission path.
+// TestDrainThenRemoveMember covers the manager-level decommission path:
+// Remove runs the member's queue dry, then reclaims it.
 func TestDrainThenRemoveMember(t *testing.T) {
 	m := newManager(t, Config{DNAPrefix: "RM"})
 	if err := m.BootFleet(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drain("RM-01", time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sys := m.System("RM-01")

@@ -7,7 +7,7 @@ import (
 	"salus/internal/metrics"
 )
 
-// TestFleetMetricsLifecycle walks boot -> add -> drain -> remove and checks
+// TestFleetMetricsLifecycle walks boot -> add -> remove and checks
 // the fleet-level metrics move in lockstep: the members gauge mirrors the
 // membership map, lifecycle counters tick, and the per-phase boot
 // histograms fed from each adopted member's trace agree with the merged
@@ -31,9 +31,6 @@ func TestFleetMetricsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Drain(dna, time.Second); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.Remove(dna, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func TestFleetMetricsLifecycle(t *testing.T) {
 	if d := after.Gauges["salus_fleet_members"] - before.Gauges["salus_fleet_members"]; d != 2 {
 		t.Errorf("members gauge delta after add+remove = %d, want 2", d)
 	}
-	for _, c := range []string{"salus_fleet_add_total", "salus_fleet_drain_total", "salus_fleet_remove_total"} {
+	for _, c := range []string{"salus_fleet_add_total", "salus_fleet_remove_total"} {
 		if after.Counters[c] <= before.Counters[c] {
 			t.Errorf("%s did not advance", c)
 		}

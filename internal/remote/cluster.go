@@ -28,7 +28,7 @@ import (
 // between boards — then provisions one shared data key to all of them
 // (Cluster.Boot, Cluster.Provision), after which a sealed job
 // (Cluster.RunJob, Cluster.RunBatch) runs wherever the ring places it.
-// Cluster.Scale / Cluster.Drain change the root shard's membership;
+// Cluster.Scale / Cluster.Remove change the root shard's membership;
 // Cluster.Route / Cluster.Handoff answer routing and sibling key requests.
 //
 // The gateway is untrusted plumbing (it runs outside the enclaves, like the
@@ -171,13 +171,12 @@ type ScaleResponse struct {
 	Devices []sched.DeviceStats `json:"devices"`
 }
 
-// DrainDeviceRequest drains one board, bounded by TimeoutMillis (zero
-// waits indefinitely); with Remove set the board is decommissioned
-// instead, and reclaimed once its accepted jobs have resolved.
-type DrainDeviceRequest struct {
+// RemoveRequest decommissions one board: it leaves the pool at once and is
+// reclaimed once its accepted jobs have resolved, which the call awaits
+// for up to TimeoutMillis (zero waits indefinitely).
+type RemoveRequest struct {
 	DNA           fpga.DNA `json:"dna"`
 	TimeoutMillis int64    `json:"timeout_millis"`
-	Remove        bool     `json:"remove"`
 }
 
 // RouteRequest asks where a session lives.
@@ -222,7 +221,7 @@ type HandoffGrant struct {
 // then adopted into the root shard's manager, and every other shard is
 // keyed enclave to enclave (Cluster.Handoff, or the in-process hand-off on
 // first routing) with no further owner round trip. Jobs go through the
-// ring. Scale and Drain act on the root shard's manager, so a fixed pool
+// ring. Scale and Remove act on the root shard's manager, so a fixed pool
 // (fleet.Fixed) refuses them through its own device bounds.
 //
 // Boot and Provision are retry-safe: a client whose connection broke
@@ -387,14 +386,8 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		added, removed, err := root.Scale(in.Delta)
 		return ScaleResponse{Added: added, Removed: removed, Devices: root.Stats()}, err
 	}))
-	srv.Handle("Cluster.Drain", rpc.Typed(func(in DrainDeviceRequest) (ClusterStatsResponse, error) {
-		timeout := time.Duration(in.TimeoutMillis) * time.Millisecond
-		var err error
-		if in.Remove {
-			err = root.Remove(in.DNA, timeout)
-		} else {
-			err = root.Drain(in.DNA, timeout)
-		}
+	srv.Handle("Cluster.Remove", rpc.Typed(func(in RemoveRequest) (ClusterStatsResponse, error) {
+		err := root.Remove(in.DNA, time.Duration(in.TimeoutMillis)*time.Millisecond)
 		return ClusterStatsResponse{Devices: root.Stats()}, err
 	}))
 	srv.Handle("Cluster.Route", rpc.Typed(func(in RouteRequest) (RouteResponse, error) {

@@ -150,9 +150,9 @@ func TestFleetGatewayDrainRemove(t *testing.T) {
 	sess := d.session(t)
 	target := d.systems[1].Device.DNA()
 
-	devices, err := sess.Drain(target, 5*time.Second, true)
+	devices, err := sess.Remove(target, 5*time.Second)
 	if err != nil {
-		t.Fatalf("drain+remove: %v", err)
+		t.Fatalf("remove: %v", err)
 	}
 	if len(devices) != 2 {
 		t.Fatalf("fleet has %d devices after remove, want 2", len(devices))
@@ -167,8 +167,8 @@ func TestFleetGatewayDrainRemove(t *testing.T) {
 	}
 	runFleetJob(t, sess, 9)
 
-	if _, err := sess.Drain("NO-SUCH-DNA", time.Second, false); err == nil {
-		t.Error("drain of unknown device succeeded")
+	if _, err := sess.Remove("NO-SUCH-DNA", time.Second); err == nil {
+		t.Error("removal of an unknown device succeeded")
 	}
 }
 

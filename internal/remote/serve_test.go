@@ -90,7 +90,7 @@ func TestOneShardJobResponsesCarryNoPlacement(t *testing.T) {
 type n1Topology struct {
 	name   string
 	shards int
-	fixed  bool // a fixed pool: Scale and Drain{Remove} are refused
+	fixed  bool // a fixed pool: Scale and Remove are refused
 	owner  []*core.System
 	serve  func(addr string) (*rpc.Server, string, error)
 }
@@ -145,8 +145,8 @@ func threeShardRegion(t *testing.T) n1Topology {
 // TestOneSessionEveryTopology runs one Session through every verb against
 // each topology: one handshake of two calls, placement only where there is
 // more than one shard, Route naming the lone shard at N = 1, and a fixed
-// pool refusing Scale and Drain{Remove} — cleanly, before and after a
-// gateway restart — while still draining.
+// pool refusing Scale and Remove — cleanly, before and after a gateway
+// restart.
 func TestOneSessionEveryTopology(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 3)
 	want, err := w.Kernel.Compute(w.Params, w.Input)
@@ -215,7 +215,7 @@ func TestOneSessionEveryTopology(t *testing.T) {
 					if _, err := sess.Scale(-1); err == nil {
 						t.Error("a fixed pool shrank")
 					}
-					if _, err := sess.Drain(top.owner[0].Device.DNA(), time.Second, true); err == nil {
+					if _, err := sess.Remove(top.owner[0].Device.DNA(), time.Second); err == nil {
 						t.Error("a fixed pool decommissioned a board")
 					}
 					return
@@ -223,8 +223,8 @@ func TestOneSessionEveryTopology(t *testing.T) {
 				if err != nil || len(grown.Added) != 1 {
 					t.Fatalf("Scale(1): added %v, err %v", grown.Added, err)
 				}
-				if _, err := sess.Drain(grown.Added[0], time.Second, true); err != nil {
-					t.Fatalf("Drain{Remove} of the added board: %v", err)
+				if _, err := sess.Remove(grown.Added[0], time.Second); err != nil {
+					t.Fatalf("Remove of the added board: %v", err)
 				}
 			}
 			elastic()
@@ -235,9 +235,6 @@ func TestOneSessionEveryTopology(t *testing.T) {
 			}
 			run("after-restart")
 			elastic()
-			if _, err := sess.Drain(top.owner[1].Device.DNA(), time.Second, false); err != nil {
-				t.Errorf("plain Drain: %v", err)
-			}
 			if got := sess.HandshakeCalls(); got != 2 {
 				t.Errorf("owner handshake calls = %d, want 2", got)
 			}
@@ -245,11 +242,9 @@ func TestOneSessionEveryTopology(t *testing.T) {
 	}
 }
 
-// TestRefusedRemoveDrainsNothing: Drain{Remove} on a pool that may not lose
-// a board, a fixed pool or a fleet at its MinDevices floor, is refused
-// before anything drains. A drained partition is unroutable until it is
-// re-registered, so draining first would have taken the board out of
-// service for a call that failed.
+// TestRefusedRemoveDrainsNothing: Remove on a pool that may not lose a
+// board, a fixed pool or a fleet at its MinDevices floor, is refused before
+// anything drains: the board stays registered and keeps serving.
 func TestRefusedRemoveDrainsNothing(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 3)
 	want, err := w.Kernel.Compute(w.Params, w.Input)
@@ -297,17 +292,11 @@ func TestRefusedRemoveDrainsNothing(t *testing.T) {
 			if err := sess.Attest(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sess.Drain(owner[0].Device.DNA(), time.Second, true); err == nil || !strings.Contains(err.Error(), "would drop below 1 devices") {
-				t.Fatalf("Drain{Remove} of the only board: err = %v, want the manager's floor refusal", err)
+			if _, err := sess.Remove(owner[0].Device.DNA(), time.Second); err == nil || !strings.Contains(err.Error(), "would drop below 1 devices") {
+				t.Fatalf("Remove of the only board: err = %v, want the manager's floor refusal", err)
 			}
-			devs, err := sess.DeviceStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ds := range devs {
-				if ds.Draining {
-					t.Fatalf("the refused removal left %s drained", ds.DNA)
-				}
+			if devs, err := sess.DeviceStats(); err != nil || len(devs) != 1 {
+				t.Fatalf("after the refused removal: %d devices registered, err %v; want 1", len(devs), err)
 			}
 			if out, _, err := sess.RunJob("", "Conv", w.Params, w.Input); err != nil || !bytes.Equal(out, want) {
 				t.Errorf("the board after a refused removal: %v", err)

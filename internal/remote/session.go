@@ -349,14 +349,14 @@ func (s *Session) Scale(delta int) (ScaleResponse, error) {
 	return resp, err
 }
 
-// Drain stops routing to one root-shard board and waits (bounded by
-// timeout; zero waits indefinitely) for its accepted jobs; with remove set
-// the board is decommissioned instead, which a fixed pool refuses, and the
-// call reports the drain timeout if its jobs outlast it.
-func (s *Session) Drain(dna fpga.DNA, timeout time.Duration, remove bool) ([]sched.DeviceStats, error) {
+// Remove decommissions one root-shard board, which a fixed pool refuses:
+// the board leaves the pool at once and is reclaimed once its accepted jobs
+// have resolved. The call waits for that (bounded by timeout; zero waits
+// indefinitely) and reports the drain timeout if the jobs outlast it.
+func (s *Session) Remove(dna fpga.DNA, timeout time.Duration) ([]sched.DeviceStats, error) {
 	var resp ClusterStatsResponse
-	req := DrainDeviceRequest{DNA: dna, TimeoutMillis: timeout.Milliseconds(), Remove: remove}
-	err := s.conn.call("Cluster.Drain", req, &resp)
+	req := RemoveRequest{DNA: dna, TimeoutMillis: timeout.Milliseconds()}
+	err := s.conn.call("Cluster.Remove", req, &resp)
 	return resp.Devices, err
 }
 

@@ -115,8 +115,7 @@ func (s *Scheduler) admit(e *entry) error {
 			if d.enqueue(e, e.class == ClassCritical) {
 				return nil
 			}
-			// Lost a race (filled, started draining, or closed under us):
-			// pick again.
+			// Lost a race (filled or closed under us): pick again.
 			continue
 		}
 		if e.class == ClassBatch {
@@ -154,9 +153,8 @@ func (s *Scheduler) redispatch(e *entry, from *device, cause error) {
 		if d.enqueue(e, true) {
 			return
 		}
-		// The chosen queue closed or began draining underneath us; routing
-		// no longer returns it, so the next round picks someone else (or
-		// dead-ends).
+		// The chosen queue closed underneath us; routing no longer returns
+		// it, so the next round picks someone else (or dead-ends).
 	}
 }
 

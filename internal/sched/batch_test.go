@@ -274,8 +274,8 @@ func TestSubmitAfterCloseIsDeterministic(t *testing.T) {
 	if err := s.Register(systems[0]); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Register after Close: got %v, want ErrSchedulerClosed", err)
 	}
-	if err := s.DrainRP(systems[0].Device.DNA(), AllRPs, 0); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("DrainRP after Close: got %v, want ErrSchedulerClosed", err)
+	if err := s.RemoveRP(systems[0].Device.DNA(), AllRPs, 0); !errors.Is(err, ErrSchedulerClosed) {
+		t.Fatalf("RemoveRP after Close: got %v, want ErrSchedulerClosed", err)
 	}
 }
 

@@ -3,12 +3,9 @@ package sched
 import "time"
 
 // routable reports whether routing should consider this device at all —
-// draining and permanently quarantined devices are invisible even as a
-// fallback (work parked on them would never be served deliberately).
+// permanently quarantined devices are invisible even as a fallback (work
+// parked on them would never be served deliberately).
 func (d *device) routable() bool {
-	if d.draining.Load() {
-		return false
-	}
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
 	return !d.permanent

@@ -84,35 +84,6 @@ func (f *Future) wake() chan struct{} {
 	return f.done
 }
 
-// WaitTimeout blocks until the job completes or d elapses, whichever comes
-// first; on timeout it returns ErrWaitTimeout and the future stays live —
-// Wait or a later WaitTimeout still observes the eventual result. A
-// non-positive d polls: it returns immediately with the result or
-// ErrWaitTimeout. Fleet drains use this so one wedged job cannot block a
-// decommission forever.
-func (f *Future) WaitTimeout(d time.Duration) ([]byte, error) {
-	done := f.wake()
-	if done == nil {
-		return f.out, f.err
-	}
-	if d <= 0 {
-		select {
-		case <-done:
-			return f.out, f.err
-		default:
-			return nil, ErrWaitTimeout
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-done:
-		return f.out, f.err
-	case <-t.C:
-		return nil, ErrWaitTimeout
-	}
-}
-
 // resolve publishes the result and wakes every waiter; it runs once per
 // future.
 func (f *Future) resolve(out []byte, err error) {
@@ -156,12 +127,6 @@ type entry struct {
 	// time is enqueue->worker-pickup, job time is submit->resolution.
 	submitAt  time.Time
 	enqueueAt time.Time
-
-	// barrier marks a drain sentinel: the worker resolves its one future
-	// without touching the device. Barriers sort below every band, so
-	// their resolution proves every job accepted before the drain began
-	// has finished.
-	barrier bool
 }
 
 // newEntry returns an empty entry under opt's QoS contract with room for n
@@ -195,7 +160,7 @@ func (e *entry) single(i int) *entry {
 	sub := &entry{
 		kernel: e.kernel, sealed: e.sealed, attempts: e.attempts + 1,
 		class: e.class, tenant: e.tenant, deadline: e.deadline, deadlineNs: e.deadlineNs, seq: e.seq,
-		submitAt: e.submitAt, enqueueAt: e.enqueueAt, barrier: e.barrier,
+		submitAt: e.submitAt, enqueueAt: e.enqueueAt,
 	}
 	sub.jobs, sub.futs = append(sub.job1[:0], e.jobs[i]), append(sub.fut1[:0], e.futs[i])
 	return sub
@@ -237,11 +202,6 @@ type device struct {
 	failed    atomic.Uint64
 	retried   atomic.Uint64 // jobs this device faulted that were re-dispatched
 	shed      atomic.Uint64 // expired jobs dropped at pickup
-
-	// draining stops routing to this device while its queue runs dry
-	// (DrainRP). The queue checks it under its own lock, so no push can
-	// land behind a drain barrier.
-	draining atomic.Bool
 
 	// removed is made by RemoveRP before it closes the queue: once the
 	// queue has run dry the worker reclaims the system and closes it.
@@ -309,10 +269,6 @@ func (d *device) run(s *Scheduler) {
 				close(d.removed)
 			}
 			return
-		}
-		if e.barrier {
-			e.futs[0].resolve(nil, nil)
-			continue
 		}
 		if e.expired(time.Now()) {
 			d.shedExpired(e)

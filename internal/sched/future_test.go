@@ -2,7 +2,6 @@ package sched
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,8 +12,8 @@ import (
 	"salus/internal/cryptoutil"
 )
 
-// TestFutureWaitersRace drives many goroutines through Wait, Done and
-// WaitTimeout on a lone entry's future and on a vector entry's block of
+// TestFutureWaitersRace drives many goroutines through Wait and Done (alone
+// and in a select against a timer) on a lone entry's future and on a vector entry's block of
 // futures, some before resolution and some after: every waiter sees the one
 // result its future resolved with, and Done is closed once it has resolved.
 // It is meant for -race.
@@ -37,14 +36,16 @@ func TestFutureWaitersRace(t *testing.T) {
 	wait := func(i int, f *Future) {
 		wg.Add(3)
 		go func() { defer wg.Done(); out, err := f.Wait(); check(i, out, err) }()
-		go func() { defer wg.Done(); <-f.Done(); out, err := f.WaitTimeout(0); check(i, out, err) }()
+		go func() { defer wg.Done(); <-f.Done(); out, err := f.Wait(); check(i, out, err) }()
 		go func() {
 			defer wg.Done()
 			for {
-				out, err := f.WaitTimeout(time.Millisecond)
-				if !errors.Is(err, ErrWaitTimeout) {
+				select {
+				case <-f.Done():
+					out, err := f.Wait()
 					check(i, out, err)
 					return
+				case <-time.After(time.Millisecond):
 				}
 			}
 		}()

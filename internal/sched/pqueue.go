@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Class is a workload's quality-of-service band. Scheduling is strict
@@ -160,12 +159,8 @@ func (b *tband) pop() *entry {
 }
 
 // pqueue is one device's bounded priority queue: numClasses tenant-aware
-// EDF bands popped highest band first, plus a FIFO of drain barriers that
-// only pop when every band is empty — the worker is sequential, so a
-// barrier's resolution proves every job accepted before the drain began
-// has finished. Capacity counts queue entries (a batch is one entry,
-// matching the old channel's semantics); barriers are exempt so a drain
-// can always park its sentinel.
+// EDF bands popped highest band first. Capacity counts queue entries (a
+// batch is one entry, matching the old channel's semantics).
 //
 // The queue has exactly one consumer (the device worker). notEmpty and
 // space are capacity-1 wakeup tokens, not item counts: a consumer or an
@@ -174,21 +169,16 @@ func (b *tband) pop() *entry {
 type pqueue struct {
 	mu       sync.Mutex
 	bands    [numClasses]tband
-	barriers []*entry
 	entries  int
 	capacity int
 	closed   bool
-	// draining aliases the owning device's flag: checked under mu so a
-	// push serialized after Drain's barrier can never land behind it.
-	draining *atomic.Bool
 	notEmpty chan struct{}
 	space    chan struct{}
 }
 
-func newPQueue(capacity int, draining *atomic.Bool, weights map[string]int) *pqueue {
+func newPQueue(capacity int, weights map[string]int) *pqueue {
 	q := &pqueue{
 		capacity: capacity,
-		draining: draining,
 		notEmpty: make(chan struct{}, 1),
 		space:    make(chan struct{}, 1),
 	}
@@ -206,11 +196,11 @@ func signal(ch chan struct{}) {
 }
 
 // push offers an entry and reports whether the queue took it: not when
-// closed or draining, nor — unless force, used by redispatch, whose retry
-// budget is already bounded — when at capacity.
+// closed, nor — unless force, used by redispatch, whose retry budget is
+// already bounded — when at capacity.
 func (q *pqueue) push(e *entry, force bool) bool {
 	q.mu.Lock()
-	if q.closed || q.draining.Load() || (!force && q.entries >= q.capacity) {
+	if q.closed || (!force && q.entries >= q.capacity) {
 		q.mu.Unlock()
 		return false
 	}
@@ -221,25 +211,9 @@ func (q *pqueue) push(e *entry, force bool) bool {
 	return true
 }
 
-// pushBarrier parks a drain sentinel below every band. It ignores both
-// capacity and the draining flag (Drain itself sets the flag first) and
-// reports false only on a closed queue — which means the worker has
-// already drained everything and exited.
-func (q *pqueue) pushBarrier(j *entry) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.barriers = append(q.barriers, j)
-	q.mu.Unlock()
-	signal(q.notEmpty)
-	return true
-}
-
 // pop blocks until work is available and returns the highest-priority
-// job (EDF within its band), a barrier if every band is empty, or nil
-// once the queue is closed and fully drained.
+// job (EDF within its band), or nil once the queue is closed and fully
+// drained.
 func (q *pqueue) pop() *entry {
 	for {
 		q.mu.Lock()
@@ -250,12 +224,6 @@ func (q *pqueue) pop() *entry {
 				signal(q.space)
 				return j
 			}
-		}
-		if len(q.barriers) > 0 {
-			j := q.barriers[0]
-			q.barriers = q.barriers[1:]
-			q.mu.Unlock()
-			return j
 		}
 		if q.closed {
 			q.mu.Unlock()
@@ -271,7 +239,7 @@ func (q *pqueue) pop() *entry {
 func (q *pqueue) hasSpace() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return !q.closed && !q.draining.Load() && q.entries < q.capacity
+	return !q.closed && q.entries < q.capacity
 }
 
 // close stops admission; the worker drains the remaining entries and

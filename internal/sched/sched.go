@@ -69,7 +69,7 @@ import (
 // exactly once when a job is enqueued and decremented exactly once when
 // the job leaves its device — completion, terminal failure, deadline
 // shed, or hand-off to redispatch (which re-increments at the new
-// device). Drain barriers are not counted. The three latency histograms
+// device). The three latency histograms
 // split a job's life into time-in-queue, time-on-device, and end-to-end.
 var (
 	mQueueDepth   = metrics.Default().Gauge("salus_sched_queue_depth")
@@ -145,16 +145,12 @@ var (
 	// Submit racing or following Close resolves its futures with this
 	// error instead of ever touching a device queue. It is not retryable.
 	ErrSchedulerClosed = errors.New("sched: scheduler closed")
-	// ErrWaitTimeout is returned by Future.WaitTimeout when the deadline
-	// expires first. The job is still running; the future remains valid.
-	ErrWaitTimeout = errors.New("sched: wait timed out")
-	// ErrUnknownDevice is returned by DrainRP/RemoveRP for a partition that
-	// is not (or no longer) registered.
+	// ErrUnknownDevice is returned by RemoveRP for a partition that is not
+	// (or no longer) registered.
 	ErrUnknownDevice = errors.New("sched: unknown device")
-	// ErrDrainTimeout is returned when a drain deadline expires with jobs
-	// still queued. The jobs keep running: after DrainRP the device stays
-	// unroutable, after RemoveRP it has left the pool and is reclaimed
-	// once they have resolved.
+	// ErrDrainTimeout is returned when RemoveRP's deadline expires with
+	// jobs still queued. The jobs keep running: the partition has left the
+	// pool and is reclaimed once they have resolved.
 	ErrDrainTimeout = errors.New("sched: drain deadline exceeded")
 	// ErrOverloaded is the fast-reject verdict for ClassBatch work when
 	// every routable queue for its kernel is full. The caller may retry
@@ -213,7 +209,7 @@ func New(cfg Config) *Scheduler {
 	return &Scheduler{done: make(chan struct{}), cfg: cfg}
 }
 
-// AllRPs, passed as the rp argument of DrainRP and RemoveRP, selects every
+// AllRPs, passed as the rp argument of RemoveRP, selects every
 // registered partition of the board: a board is all of its RPs.
 const AllRPs = -1
 
@@ -251,7 +247,7 @@ func (s *Scheduler) RegisterTenant(sys *core.System, tenant string) error {
 		tenant:  tenant,
 		rpGauge: metrics.Default().Gauge(fmt.Sprintf("salus_sched_rp_queue_depth_%s_rp%d", sys.Device.DNA(), rp)),
 	}
-	d.q = newPQueue(s.cfg.QueueDepth, &d.draining, s.cfg.TenantWeights)
+	d.q = newPQueue(s.cfg.QueueDepth, s.cfg.TenantWeights)
 	s.devices = append(s.devices, d)
 	s.wg.Add(1)
 	go d.run(s)
@@ -288,60 +284,6 @@ func unknown(dna fpga.DNA, rp int) error {
 		return fmt.Errorf("%w: %s", ErrUnknownDevice, dna)
 	}
 	return fmt.Errorf("%w: %s/rp%d", ErrUnknownDevice, dna, rp)
-}
-
-// DrainRP stops routing new work to partition rp of the board — every
-// partition for AllRPs — and waits, bounded by timeout, where <= 0 means
-// wait forever, until every job they had already accepted has finished.
-// Each RP flips its routing flag (the queue checks it under its own lock,
-// so no submission can slip in afterwards) and parks a barrier sentinel
-// below every priority band: a barrier pops only once its queue is empty,
-// so the last barrier's resolution proves the selection ran dry.
-// Co-resident RPs outside the selection keep serving — the spatial-sharing
-// reclaim path, where one tenant's partition is vacated for re-placement
-// without evicting its neighbours. On ErrDrainTimeout the selection stays
-// unroutable and its remaining jobs keep running (their futures still
-// resolve); a drained partition can be decommissioned with RemoveRP or
-// handed back to routing only by a future Register of its system.
-func (s *Scheduler) DrainRP(dna fpga.DNA, rp int, timeout time.Duration) error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrSchedulerClosed
-	}
-	ds := s.find(dna, rp)
-	for _, d := range ds {
-		d.draining.Store(true)
-	}
-	s.mu.RUnlock()
-	if len(ds) == 0 {
-		return unknown(dna, rp)
-	}
-	// Park one barrier per draining device and wait for all of them under
-	// one shared deadline.
-	start := time.Now()
-	var futs []*Future
-	for _, d := range ds {
-		e := newEntry(1, SubmitOptions{})
-		e.add(core.SealedJob{})
-		e.barrier = true
-		if d.q.pushBarrier(e) {
-			futs = append(futs, e.futs[0])
-		}
-		// A closed queue means that worker already drained everything and
-		// exited — exactly the post-condition a drain wants.
-	}
-	for _, f := range futs {
-		if timeout <= 0 {
-			_, _ = f.Wait()
-			continue
-		}
-		remaining := timeout - time.Since(start)
-		if _, err := f.WaitTimeout(remaining); err != nil {
-			return fmt.Errorf("%w: %s", ErrDrainTimeout, dna)
-		}
-	}
-	return nil
 }
 
 // RemoveRP decommissions partition rp of the board — every partition for
@@ -438,11 +380,9 @@ type DeviceStats struct {
 	Quarantined       bool
 	ConsecutiveFaults int
 	// Backoff is the current quarantine window; Permanent reports a
-	// latched breaker (the device will never be probed again); Draining
-	// reports a device running its queue dry ahead of decommission.
+	// latched breaker (the device will never be probed again).
 	Backoff   time.Duration
 	Permanent bool
-	Draining  bool
 }
 
 // QueuedTotal sums the pending-entry count across every device — the raw
@@ -460,7 +400,7 @@ func (s *Scheduler) QueuedTotal() int64 {
 }
 
 // DeviceCount reports the registered device count (including quarantined
-// and draining members).
+// members).
 func (s *Scheduler) DeviceCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -491,7 +431,6 @@ func (s *Scheduler) Stats() []DeviceStats {
 			ConsecutiveFaults: faults,
 			Backoff:           backoff,
 			Permanent:         permanent,
-			Draining:          d.draining.Load(),
 		})
 	}
 	return out

@@ -211,9 +211,7 @@ func (a *SMApp) Zeroize() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, b := range [][]byte{a.laKey, a.deviceKey, a.keyAttest, a.keySession} {
-		for i := range b {
-			b[i] = 0
-		}
+		clear(b)
 	}
 	a.laKey, a.deviceKey, a.keyAttest, a.keySession = nil, nil, nil, nil
 	a.sealer = nil

@@ -315,14 +315,10 @@ func (u *UserApp) DataAEAD() (cipher.AEAD, error) {
 // offers no way to), so it is dropped: this was its only reference. The
 // enclave cannot serve afterwards.
 func (u *UserApp) Zeroize() {
-	for i := range u.dataKey {
-		u.dataKey[i] = 0
-	}
+	clear(u.dataKey)
 	u.dataKey = nil
 	u.dataAEAD = nil
-	for i := range u.laKey {
-		u.laKey[i] = 0
-	}
+	clear(u.laKey)
 	u.laKey = nil
 	u.dataPriv = nil
 	u.handoffPriv = nil
