@@ -118,9 +118,10 @@ bench:
 bench-json:
 	$(GO) run -C bench . -seed 1 -out $(CURDIR)/BENCH.json
 
-# Paired runs of one benchmark workload, the committed tree at BASE against
-# the working tree, alternating which runs first (see scripts/ab.sh):
-#   make ab BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]
+# Paired runs of one benchmark workload, or of every one in turn with
+# WORKLOAD=all, the committed tree at BASE against the working tree,
+# alternating which runs first (see scripts/ab.sh):
+#   make ab BASE=<rev> WORKLOAD=<name|all> [PAIRS=10] [SEED=1]
 PAIRS ?= 10
 SEED ?= 1
 ab:

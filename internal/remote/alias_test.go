@@ -213,10 +213,11 @@ func TestRecycledOutputsUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	aead, err := sess.aead()
+	st, err := sess.attested()
 	if err != nil {
 		t.Fatal(err)
 	}
+	aead := st.aead
 	jobs := make([]sched.Job, 3)
 	for i := range jobs {
 		w := small[i].w

@@ -95,22 +95,7 @@ func TestClusterSessionSurvivesGatewayRestart(t *testing.T) {
 		t.Fatalf("job before restart: %v", err)
 	}
 
-	d.srv.Close()
-	// Rebind the same address; retry briefly while the OS releases the port.
-	var srv2 *rpc.Server
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		srv2, _, err = ServeCluster(d.systems, d.sch, d.addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebind %s: %v", d.addr, err)
-		}
-		//lint:allow test-sleep poll interval inside a deadline-bounded rebind loop; the sleep only paces redial attempts
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer srv2.Close()
+	restartGateway(t, d)
 
 	out, err := sess.RunJob("Conv", w.Params, w.Input)
 	if err != nil {
@@ -121,6 +106,27 @@ func TestClusterSessionSurvivesGatewayRestart(t *testing.T) {
 	}
 	if sess.Redials() < 1 {
 		t.Errorf("Redials() = %d, want >= 1 after a gateway restart", sess.Redials())
+	}
+}
+
+// restartGateway closes d's gateway and serves the same pool again on the
+// same address (a rolling deploy), until the test ends.
+func restartGateway(t *testing.T, d *clusterDeployment) {
+	t.Helper()
+	d.srv.Close()
+	// Rebind the same address; retry briefly while the OS releases the port.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		srv, _, err := ServeCluster(d.systems, d.sch, d.addr)
+		if err == nil {
+			t.Cleanup(func() { srv.Close() })
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind %s: %v", d.addr, err)
+		}
+		//lint:allow test-sleep poll interval inside a deadline-bounded rebind loop; the sleep only paces redial attempts
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

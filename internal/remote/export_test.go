@@ -1,28 +1,25 @@
 package remote
 
-// Redials reports how many times the session re-dialed the gateway after a
-// broken transport.
+// Redials reports how many times the session re-dialed a connection of its
+// stripe after a broken transport, summed over the stripe: a gateway
+// restart costs at most one redial per connection the session calls on
+// afterwards.
 func (s *Session) Redials() int { return s.conn.redialCount() }
 
 // HandshakeCalls reports the owner's total attestation-path round trips —
-// Boot plus Provision. The region-scoped attestation acceptance check:
-// this stays at 2 while shards join, spill, and get keyed.
-func (s *Session) HandshakeCalls() int { return s.conn.count("Cluster.Boot", "Cluster.Provision") }
+// Boot plus Provision, counted by Attest. The region-scoped attestation
+// acceptance check: this stays at 2 while shards join, spill, and get keyed.
+func (s *Session) HandshakeCalls() int { return int(s.handshakes.Load()) }
 
-// count reports how many logical calls were made to each named method.
-func (k *conn) count(methods ...string) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
+// redialCount reports how many times the stripe's connections were
+// re-dialed, summed over its slots.
+func (k *conn) redialCount() int {
 	n := 0
-	for _, m := range methods {
-		n += k.calls[m]
+	for i := range k.slots {
+		s := &k.slots[i]
+		s.mu.Lock()
+		n += s.redials
+		s.mu.Unlock()
 	}
 	return n
-}
-
-// redialCount reports how many times the connection was re-dialed.
-func (k *conn) redialCount() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.redials
 }

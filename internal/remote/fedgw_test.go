@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func userappGrant(g HandoffGrant) userapp.KeyGrant {
 
 // dialFederationDeployment builds a local federation with the remote
 // handshake pending, serves it, and returns an attested owner session.
-func dialFederationDeployment(t *testing.T, spec federation.LocalSpec) (*federation.LocalDeployment, *FederationSession, string) {
+func dialFederationDeployment(t *testing.T, spec federation.LocalSpec) (*federation.LocalDeployment, *FederationSession, *wireTap) {
 	t.Helper()
 	if spec.Kernel == nil {
 		spec.Kernel = accel.Conv{}
@@ -43,7 +44,8 @@ func dialFederationDeployment(t *testing.T, spec federation.LocalSpec) (*federat
 	for i, sys := range d.RootSystems {
 		exps[i] = sys.Expectations()
 	}
-	sess, err := DialFederation(addr, exps)
+	tap := newWireTap(t, addr)
+	sess, err := DialFederation(tap.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func dialFederationDeployment(t *testing.T, spec federation.LocalSpec) (*federat
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}
-	return d, sess, addr
+	return d, sess, tap
 }
 
 // TestFederationGatewayEndToEnd drives the whole remote story: the owner
@@ -127,7 +129,7 @@ func TestFederationGatewayEndToEnd(t *testing.T) {
 // re-provisioning, no hand-off participation. Sessions migrate across
 // shards without an owner round trip.
 func TestFederationSpillOverZeroOwnerRPCs(t *testing.T) {
-	_, sess, _ := dialFederationDeployment(t, federation.LocalSpec{
+	_, sess, tap := dialFederationDeployment(t, federation.LocalSpec{
 		Shards: 3, DevicesPerShard: 1,
 		Timing:     core.Timing{RealJobLatency: 10 * time.Millisecond},
 		Scheduler:  sched.Config{QueueDepth: 256},
@@ -191,8 +193,8 @@ func TestFederationSpillOverZeroOwnerRPCs(t *testing.T) {
 	if got := sess.HandshakeCalls(); got != base {
 		t.Errorf("owner handshake calls grew %d -> %d during spill-over", base, got)
 	}
-	if got := sess.conn.count("Cluster.Handoff"); got != 0 {
-		t.Errorf("owner participated in %d hand-offs", got)
+	if got := tap.calls("Cluster.Handoff"); slices.ContainsFunc(got, func(n int) bool { return n != 0 }) {
+		t.Errorf("owner participated in hand-offs, per connection: %v", got)
 	}
 }
 
@@ -200,7 +202,7 @@ func TestFederationSpillOverZeroOwnerRPCs(t *testing.T) {
 // over the Cluster.Handoff RPC — the path a peer shard gateway uses —
 // and proves the adopted board serves sealed jobs under the owner's key.
 func TestFederationWireHandoff(t *testing.T) {
-	d, sess, addr := dialFederationDeployment(t, federation.LocalSpec{
+	d, sess, tap := dialFederationDeployment(t, federation.LocalSpec{
 		Shards: 2, DevicesPerShard: 1,
 		Federation: federation.Config{SpillHighWater: 1e9},
 	})
@@ -228,7 +230,7 @@ func TestFederationWireHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rpc.Dial(addr)
+	c, err := rpc.Dial(tap.target)
 	if err != nil {
 		t.Fatal(err)
 	}

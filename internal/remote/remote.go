@@ -8,7 +8,9 @@
 // over a federation: a fixed pool (fleet.Fixed) or an elastic fleet is a
 // region of one shard (federation.Single), a region is N. Dial opens the
 // one Session, which attests the root shard once and then addresses sealed
-// jobs by session key, whatever the topology behind the gateway.
+// jobs by session key, whatever the topology behind the gateway. A session
+// (like the SM enclave's key client) spreads its calls over a stripe of
+// connections, one per processor, each redialed on its own (see conn).
 //
 // The transports are untrusted, exactly as in the paper: every sensitive
 // payload that crosses them is independently protected (signed quotes,

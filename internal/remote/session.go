@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"salus/internal/bufpool"
 	"salus/internal/client"
 	"salus/internal/cryptoutil"
 	"salus/internal/federation"
@@ -54,28 +56,35 @@ type Placement struct {
 // devices it holds expectations for, provisions one shared data key, and
 // then addresses sealed jobs by session key: the ring places them,
 // spill-over moves them, and the hand-off keys new shards, all without the
-// session's involvement. It rides a redialing connection (see conn): the
-// data key and the QoS contract live here, not in the connection, so both
-// survive a reconnect. Calls and HandshakeCalls let tests and benchmarks
-// assert from the owner's chair that the owner made exactly one Boot and
-// one Provision, ever, however many shards end up serving the key.
+// session's involvement. It rides a redialing connection stripe (see conn):
+// the data key and the QoS contract live here, not in the connection, so
+// both survive a reconnect. The session counts its Boot and Provision round
+// trips, so tests and benchmarks can assert from the owner's chair that the
+// owner made exactly one of each, ever, however many shards end up serving
+// the key.
 type Session struct {
 	conn *conn
 	exps []client.Expectations
 
+	// job is what every RunJob and RunBatch reads, with one atomic load and
+	// no lock; Attest and SetQoS publish a fresh one under mu.
+	job        atomic.Pointer[jobState]
+	handshakes atomic.Int32 // Boot and Provision round trips
+
 	mu      sync.Mutex
 	nonce   []byte
 	dataKey []byte
-	// dataAEAD is dataKey expanded once, at provisioning, for sealing every
-	// job input and opening every job output of the session.
-	dataAEAD cipher.AEAD
-	qos      QoS
-	qosSet   bool
-	// sealBufs are the free buffers job inputs are sealed into. Each call
-	// takes one and gives it back once conn.call has written its frame, so
-	// a session keeps as many as it has calls in flight. They only ever
-	// hold ciphertext.
-	sealBufs [][]byte
+}
+
+// jobState is the part of a session every job request carries: the data
+// key's AEAD (nil before Attest), expanded once at provisioning for sealing
+// every job input and opening every job output, and the QoS contract as the
+// wire renders it (all zero before SetQoS, which makes the gateway apply its
+// defaults).
+type jobState struct {
+	aead           cipher.AEAD
+	tenant, class  string
+	deadlineMillis int64
 }
 
 // Dial opens a session toward a gateway, pinning the expectations the
@@ -92,65 +101,42 @@ func Dial(addr string, exps []client.Expectations) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{conn: c, exps: exps}, nil
+	s := &Session{conn: c, exps: exps}
+	s.job.Store(new(jobState))
+	return s, nil
+}
+
+// publish replaces the session's job state with a copy that set edited.
+func (s *Session) publish(set func(*jobState)) {
+	s.mu.Lock()
+	st := *s.job.Load()
+	set(&st)
+	s.job.Store(&st)
+	s.mu.Unlock()
 }
 
 // SetQoS attaches a QoS contract to every subsequent RunJob/RunBatch.
 // Sessions that never call it send no QoS fields and the gateway applies
-// its defaults (ClassStandard, no deadline, anonymous tenant).
+// its defaults (ClassStandard, no deadline, anonymous tenant). The wire
+// carries whole milliseconds with 0 meaning "no deadline", so a positive
+// deadline is rounded up to at least 1 ms rather than truncated into "none".
 func (s *Session) SetQoS(q QoS) {
-	s.mu.Lock()
-	s.qos, s.qosSet = q, true
-	s.mu.Unlock()
-}
-
-// qosFields renders the session's QoS for a wire request. The wire carries
-// whole milliseconds with 0 meaning "no deadline", so a positive deadline
-// is rounded up to at least 1 ms rather than truncated into "none".
-func (s *Session) qosFields() (tenant, class string, deadlineMillis int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.qosSet {
-		return "", "", 0
-	}
-	deadlineMillis = s.qos.Deadline.Milliseconds()
-	if s.qos.Deadline > 0 && deadlineMillis == 0 {
+	deadlineMillis := q.Deadline.Milliseconds()
+	if q.Deadline > 0 && deadlineMillis == 0 {
 		deadlineMillis = 1
 	}
-	return s.qos.Tenant, s.qos.Class.String(), deadlineMillis
+	s.publish(func(st *jobState) {
+		st.tenant, st.class, st.deadlineMillis = q.Tenant, q.Class.String(), deadlineMillis
+	})
 }
 
-// aead returns the provisioned data key's expanded AEAD, or an error
-// before Attest.
-func (s *Session) aead() (cipher.AEAD, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dataAEAD == nil {
+// attested returns the job state, or an error before Attest.
+func (s *Session) attested() (*jobState, error) {
+	st := s.job.Load()
+	if st.aead == nil {
 		return nil, fmt.Errorf("remote: session not attested")
 	}
-	return s.dataAEAD, nil
-}
-
-// takeSealBuf returns an empty buffer with room for n bytes of sealed
-// input, reusing a free one when it is large enough.
-func (s *Session) takeSealBuf(n int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k := len(s.sealBufs) - 1; k >= 0 {
-		b := s.sealBufs[k]
-		s.sealBufs = s.sealBufs[:k]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// giveSealBuf returns a buffer from takeSealBuf once nothing reads it.
-func (s *Session) giveSealBuf(b []byte) {
-	s.mu.Lock()
-	s.sealBufs = append(s.sealBufs, b[:0])
-	s.mu.Unlock()
+	return st, nil
 }
 
 // Attest attests every device the session holds expectations for with one
@@ -172,6 +158,7 @@ func (s *Session) Attest() error {
 	s.mu.Unlock()
 
 	var boot ClusterBootResponse
+	s.handshakes.Add(1)
 	if err := s.conn.call("Cluster.Boot", ClusterBootRequest{Nonce: nonce}, &boot); err != nil {
 		return fmt.Errorf("remote: boot: %w", err)
 	}
@@ -195,11 +182,13 @@ func (s *Session) Attest() error {
 		}
 		req.Provisions[i] = ProvisionRequest{SenderPub: senderPub, Sealed: sealed}
 	}
+	s.handshakes.Add(1)
 	if err := s.conn.call("Cluster.Provision", req, nil); err != nil {
 		return fmt.Errorf("remote: provision: %w", err)
 	}
+	s.publish(func(st *jobState) { st.aead = aead })
 	s.mu.Lock()
-	s.dataKey, s.dataAEAD = key, aead
+	s.dataKey = key
 	s.mu.Unlock()
 	return nil
 }
@@ -211,27 +200,28 @@ var (
 	jobOutputAD = []byte("job-output")
 )
 
-// RunJob seals the input under the shared data key into a seal buffer (see
-// takeSealBuf), submits it under the session key in a pooled request
+// RunJob seals the input under the shared data key into a pooled seal
+// buffer, submits it under the session key in a pooled request
 // envelope, and opens the sealed result; it also returns the placement the
 // gateway reported. Which device ran the job is irrelevant to its safety,
 // since every device that can hold the key was attested — by the owner, or
 // enclave to enclave — before the key reached it. Sealed jobs are pure and idempotent, so a job lost to a
 // broken connection is safely re-submitted over a fresh one.
 func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]byte, Placement, error) {
-	aead, err := s.aead()
+	st, err := s.attested()
 	if err != nil {
 		return nil, Placement{}, err
 	}
-	buf := s.takeSealBuf(len(input) + cryptoutil.SealOverhead)
-	tenant, class, deadlineMillis := s.qosFields()
+	// The seal buffer only ever holds ciphertext, and nothing reads it once
+	// conn.call has returned.
+	buf := bufpool.Get(len(input) + cryptoutil.SealOverhead)[:0]
 	req, resp := jobRequests.Get().(*JobRequest), jobResponses.Get().(*JobResponse)
 	*req = JobRequest{
-		Kernel: kernel, Params: params, SealedInput: cryptoutil.AppendSealWith(buf, aead, input, jobInputAD),
-		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
+		Kernel: kernel, Params: params, SealedInput: cryptoutil.AppendSealWith(buf, st.aead, input, jobInputAD),
+		Tenant: st.tenant, Class: st.class, DeadlineMillis: st.deadlineMillis, Key: key,
 	}
 	err = s.conn.call("Cluster.RunJob", req, resp)
-	s.giveSealBuf(buf)
+	bufpool.Put(buf)
 	sealed, placement := resp.SealedOutput, Placement{Shard: resp.Shard, Spilled: resp.Spilled}
 	*req, *resp = JobRequest{}, JobResponse{}
 	jobRequests.Put(req)
@@ -241,7 +231,7 @@ func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]
 	}
 	// The sealed output sits in the client's own exact-size response frame,
 	// which nothing else holds: open it in place.
-	out, err := cryptoutil.OpenInPlaceWith(aead, sealed, jobOutputAD)
+	out, err := cryptoutil.OpenInPlaceWith(st.aead, sealed, jobOutputAD)
 	if err != nil {
 		return nil, Placement{}, fmt.Errorf("remote: sealed output rejected: %w", err)
 	}
@@ -253,7 +243,7 @@ func (s *Session) RunJob(key, kernel string, params [4]uint64, input []byte) ([]
 // the rpc call.
 var jobRequests = sync.Pool{New: func() any { return new(JobRequest) }}
 
-// RunBatch seals every input, side by side in one seal buffer, and submits
+// RunBatch seals every input, side by side in one pooled seal buffer, and submits
 // the whole batch in one RPC frame under one session key — one routing
 // decision, one placement returned; the gateway runs it through the
 // scheduler's batched path (one sealed register program per chunk on the
@@ -263,32 +253,31 @@ var jobRequests = sync.Pool{New: func() any { return new(JobRequest) }}
 // Like RunJob, a batch lost to a broken connection is safely re-submitted,
 // and every output is opened in place in the response frame.
 func (s *Session) RunBatch(key, kernel string, jobs []BatchInput) ([]BatchResult, Placement, error) {
-	aead, err := s.aead()
+	st, err := s.attested()
 	if err != nil {
 		return nil, Placement{}, err
 	}
 	if len(jobs) == 0 {
 		return nil, Placement{}, nil
 	}
-	tenant, class, deadlineMillis := s.qosFields()
 	req := BatchRequest{
 		Kernel: kernel, Jobs: make([]BatchJob, len(jobs)),
-		Tenant: tenant, Class: class, DeadlineMillis: deadlineMillis, Key: key,
+		Tenant: st.tenant, Class: st.class, DeadlineMillis: st.deadlineMillis, Key: key,
 	}
 	n := 0
 	for _, j := range jobs {
 		n += len(j.Input) + cryptoutil.SealOverhead
 	}
-	buf := s.takeSealBuf(n)
+	buf := bufpool.Get(n)[:0]
 	for i, j := range jobs {
 		// buf has room for every input, so each seal lands in place.
 		start := len(buf)
-		buf = cryptoutil.AppendSealWith(buf, aead, j.Input, jobInputAD)
+		buf = cryptoutil.AppendSealWith(buf, st.aead, j.Input, jobInputAD)
 		req.Jobs[i] = BatchJob{Params: j.Params, SealedInput: buf[start:]}
 	}
 	var resp BatchResponse
 	err = s.conn.call("Cluster.RunBatch", req, &resp)
-	s.giveSealBuf(buf)
+	bufpool.Put(buf)
 	if err != nil {
 		return nil, Placement{}, err
 	}
@@ -301,7 +290,7 @@ func (s *Session) RunBatch(key, kernel string, jobs []BatchInput) ([]BatchResult
 			results[i].Err = errors.New(r.Error)
 			continue
 		}
-		out, err := cryptoutil.OpenInPlaceWith(aead, r.SealedOutput, jobOutputAD)
+		out, err := cryptoutil.OpenInPlaceWith(st.aead, r.SealedOutput, jobOutputAD)
 		if err != nil {
 			results[i].Err = fmt.Errorf("remote: sealed output rejected: %w", err)
 			continue
@@ -333,9 +322,8 @@ func (s *Session) Stats() (federation.Stats, error) {
 
 // Route asks the gateway where a session key lives right now.
 func (s *Session) Route(key string) (RouteResponse, error) {
-	tenant, _, _ := s.qosFields()
 	var resp RouteResponse
-	err := s.conn.call("Cluster.Route", RouteRequest{Tenant: tenant, Key: key}, &resp)
+	err := s.conn.call("Cluster.Route", RouteRequest{Tenant: s.job.Load().tenant, Key: key}, &resp)
 	return resp, err
 }
 

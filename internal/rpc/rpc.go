@@ -14,7 +14,10 @@
 // through an ID → pending-call map, so any number of concurrent Calls share
 // one connection without head-of-line blocking — a long-running job RPC
 // does not delay a stats poll on the same socket. A call has no timeout: it
-// ends with its reply or with its connection.
+// ends with its reply or with its connection. One connection still has one
+// read loop at each end, which caps it at about one processor's worth of
+// work; a client that needs more opens several (internal/remote stripes an
+// owner session over one per processor).
 //
 // Security posture matches the paper's: RPC transports are *untrusted*.
 // Everything sensitive that crosses them is independently protected —
