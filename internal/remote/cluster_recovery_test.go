@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,15 +18,23 @@ import (
 func TestClusterStatsNotBlockedByInFlightJob(t *testing.T) {
 	// Acceptance for the concurrent serving path: a Cluster.Stats call must
 	// complete while a Cluster.RunJob with real device latency is still in
-	// flight on the SAME connection. Under the old serial transport the
-	// Stats reply would queue behind the job's.
+	// flight on the same connection. The session is dialed as a stripe of
+	// one, so both calls ride one rpc connection: the job's caller holds
+	// the client's read role and must route the Stats reply to its caller.
+	// Under the old serial transport the Stats reply would queue behind the
+	// job's.
 	const jobLatency = 300 * time.Millisecond
 	d := newClusterDeploymentTiming(t, 2, accel.Conv{}, core.Timing{RealJobLatency: jobLatency})
+	prev := runtime.GOMAXPROCS(1)
 	sess, err := DialCluster(d.addr, d.expectations())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	if n := len(sess.conn.slots); n != 1 {
+		t.Fatalf("stripe of %d connections, want 1", n)
+	}
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}

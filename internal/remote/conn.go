@@ -36,8 +36,9 @@ var errConnClosed = errors.New("remote: connection closed")
 // conn is a stripe of rpc connections to one address that survives
 // transport failures. It holds runtime.GOMAXPROCS(0) multiplexed clients,
 // counted once at dial, and each call takes the next one round-robin: one
-// connection has one read loop at each end, and those two loops cap
-// whatever rides it at about one processor's worth of work.
+// connection has one reader at a time at each end — the server's read
+// loop, the client caller holding the read role — and those two readers
+// cap whatever rides it at about one processor's worth of work.
 //
 // When a slot's client is poisoned with rpc.ErrBroken, the next call on
 // that slot re-dials it with capped exponential backoff and retries; the

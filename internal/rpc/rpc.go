@@ -6,16 +6,18 @@
 // payloads as raw byte sections; the rare control messages are JSON inside
 // the same envelope.
 //
-// Both ends are fully concurrent. Each server connection serves its
-// requests on handler workers it starts on demand, at most
+// Both ends are fully concurrent. Each server connection has one read loop
+// that serves its requests on handler workers it starts on demand, at most
 // maxInFlightPerConn of them, each running one handler at a time
 // (responses are serialised by a per-connection write lock, so a slow
-// handler never blocks a fast one). The client matches responses to calls
-// through an ID → pending-call map, so any number of concurrent Calls share
-// one connection without head-of-line blocking — a long-running job RPC
-// does not delay a stats poll on the same socket. A call has no timeout: it
-// ends with its reply or with its connection. One connection still has one
-// read loop at each end, which caps it at about one processor's worth of
+// handler never blocks a fast one). The client has no goroutine: its
+// waiting callers take turns reading the connection, and match responses
+// to calls through an ID → pending-call map, so any number of concurrent
+// Calls share one connection without head-of-line blocking — a
+// long-running job RPC does not delay a stats poll on the same socket —
+// and a lone call reads its own reply. A call has no timeout: it ends with
+// its reply or with its connection. One connection still has one reader at
+// each end at a time, which caps it at about one processor's worth of
 // work; a client that needs more opens several (internal/remote stripes an
 // owner session over one per processor).
 //
@@ -488,10 +490,17 @@ func (s *Server) Close() error {
 }
 
 // Client is a multiplexing connection to a Server. Safe for concurrent
-// use: every Call registers in an ID → pending-call map and a single
-// reader goroutine routes each response frame to its caller, so
-// concurrent Calls overlap on the wire instead of queueing behind each
-// other.
+// use: every Call registers in an ID → pending-call map, so concurrent
+// Calls overlap on the wire instead of queueing behind each other.
+//
+// The client has no goroutine of its own. The read role belongs to one
+// waiting caller at a time: a caller whose request is on the wire and that
+// finds no reader reads frames itself, routing every other caller's reply
+// to it by ID, until its own arrives; it then hands the role to a caller
+// whose request is on the wire too, if there is one, and else gives it
+// up. A caller still writing never gets the role, so a write that blocks
+// on a full socket never stops replies being read. A lone call therefore
+// reads its own reply, with no goroutine hand-off on its path.
 //
 // A call waits for its reply or for the client to die; there is no
 // per-call timeout. Stream desync — a read failure, an undecodable frame,
@@ -500,19 +509,30 @@ func (s *Server) Close() error {
 // caller re-dials.
 type Client struct {
 	conn net.Conn
+	br   *bufio.Reader // read only by the caller holding the read role
 
 	wmu sync.Mutex // serialises request frames
 
 	mu      sync.Mutex
-	pending map[uint64]chan frame
+	pending map[uint64]call
+	reading bool // some caller holds the read role
 	next    uint64
 	err     error // sticky: first fatal error (ErrBroken... or ErrClosed)
 	closed  bool
 }
 
+// call is a pending call: the channel its reply or the read role is
+// delivered on, and whether its request is on the wire (and so whether the
+// read role may be handed to it).
+type call struct {
+	ch      chan frame
+	written bool
+}
+
 // replyChans recycles the one-slot channels a call's reply is delivered
-// on. A channel is either sent to once, by the read loop, or closed, by
-// fatal; only one that carried its reply comes back here.
+// on. A channel gets at most one value, a reply routed by the reader or
+// the read role (a frame of kind 0), or it is closed by fatal; only one
+// whose value was received comes back here.
 var replyChans = sync.Pool{New: func() any { return make(chan frame, 1) }}
 
 // Dial connects to a server.
@@ -521,47 +541,14 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		pending: make(map[uint64]chan frame),
-	}
-	go c.readLoop()
-	return c, nil
+	return newClient(conn), nil
 }
 
-// readLoop is the client's single response reader: it routes every frame
-// to its pending call by ID and breaks the client on anything it cannot
-// account for. It reads every frame into a buffer of its own that is never
-// recycled, because a wire-decoded result aliases its frame and outlives
-// the Call that returned it.
-func (c *Client) readLoop() {
-	br := bufio.NewReader(c.conn)
-	for {
-		body, _, err := readFrame(br, false)
-		if err != nil {
-			c.fatal(fmt.Errorf("%w: read: %w", ErrBroken, err))
-			return
-		}
-		mCliRxBytes.Add(uint64(4 + len(body)))
-		resp, err := parseFrame(body)
-		if err == nil && resp.kind != kindResult && resp.kind != kindError {
-			err = fmt.Errorf("frame kind %d", resp.kind)
-		}
-		if err != nil {
-			// The frame cannot be attributed to any call; its owner would
-			// hang forever if we dropped it silently.
-			c.fatal(fmt.Errorf("%w: decode response: %w", ErrBroken, err))
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.id]
-		delete(c.pending, resp.id)
-		c.mu.Unlock()
-		if !ok {
-			c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.id))
-			return
-		}
-		ch <- resp // buffered: never blocks
+func newClient(conn net.Conn) *Client {
+	return &Client{
+		conn:    conn,
+		br:      bufio.NewReader(conn),
+		pending: make(map[uint64]call),
 	}
 }
 
@@ -575,9 +562,9 @@ func (c *Client) fatal(err error) {
 			mCliBroken.Inc()
 		}
 	}
-	for id, ch := range c.pending {
+	for id, p := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		close(p.ch)
 	}
 	c.mu.Unlock()
 	c.conn.Close()
@@ -612,7 +599,7 @@ func (c *Client) Call(method string, params any, result any) error {
 	c.next++
 	id := c.next
 	ch := replyChans.Get().(chan frame)
-	c.pending[id] = ch
+	c.pending[id] = call{ch: ch}
 	c.mu.Unlock()
 
 	binary.BigEndian.PutUint64(req.buf[5:], id) // after the length and kind
@@ -627,12 +614,97 @@ func (c *Client) Call(method string, params any, result any) error {
 	}
 	mCliTxBytes.Add(uint64(nw))
 
-	in, ok := <-ch
-	if !ok {
-		return c.lastErr()
+	// Take the read role if nobody holds it and the reply has not already
+	// been routed here: a reader may have read it, and then left with
+	// nobody pending, between the write and this check. Otherwise wait,
+	// marked as on the wire so that the reader may hand the role over.
+	c.mu.Lock()
+	p, waiting := c.pending[id]
+	lead := waiting && !c.reading
+	if lead {
+		c.reading = true
+	} else if waiting {
+		p.written = true
+		c.pending[id] = p
+	}
+	c.mu.Unlock()
+	if !lead {
+		in, ok := <-ch
+		if !ok {
+			return c.lastErr()
+		}
+		if in.kind != 0 {
+			replyChans.Put(ch)
+			return decodeResult(in, result)
+		}
+		// The read role, handed over by the previous reader.
+	}
+	in, err := c.lead(id)
+	if err != nil {
+		return err
 	}
 	replyChans.Put(ch)
 	return decodeResult(in, result)
+}
+
+// lead reads frames as the holder of the read role until the reply to id
+// arrives, routing every other reply to its pending call and breaking the
+// client on anything it cannot account for, then hands the role to a call
+// still pending. Every frame is read into a buffer of its own that is never
+// recycled, because a wire-decoded result aliases its frame and outlives
+// the Call that returned it.
+func (c *Client) lead(id uint64) (frame, error) {
+	for {
+		body, _, err := readFrame(c.br, false)
+		if err != nil {
+			c.fatal(fmt.Errorf("%w: read: %w", ErrBroken, err))
+			return frame{}, c.lastErr()
+		}
+		mCliRxBytes.Add(uint64(4 + len(body)))
+		resp, err := parseFrame(body)
+		if err == nil && resp.kind != kindResult && resp.kind != kindError {
+			err = fmt.Errorf("frame kind %d", resp.kind)
+		}
+		if err != nil {
+			// The frame cannot be attributed to any call; its owner would
+			// hang forever if we dropped it silently.
+			c.fatal(fmt.Errorf("%w: decode response: %w", ErrBroken, err))
+			return frame{}, c.lastErr()
+		}
+		c.mu.Lock()
+		p, ok := c.pending[resp.id]
+		delete(c.pending, resp.id)
+		if resp.id == id {
+			next := c.handOff()
+			c.mu.Unlock()
+			if next != nil {
+				next <- frame{} // buffered and empty: never blocks
+			}
+			return resp, nil
+		}
+		c.mu.Unlock()
+		if !ok {
+			c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.id))
+			return frame{}, c.lastErr()
+		}
+		p.ch <- resp // buffered: never blocks
+	}
+}
+
+// handOff gives the read role to a pending call whose request is on the
+// wire, returning the channel to tell it on, or gives the role up when
+// there is none: a call still writing takes the role itself once written.
+// The new reader leaves the pending map, so no reply is routed to its
+// channel and fatal never closes it. Callers hold c.mu.
+func (c *Client) handOff() chan frame {
+	for id, p := range c.pending {
+		if p.written {
+			delete(c.pending, id)
+			return p.ch
+		}
+	}
+	c.reading = false
+	return nil
 }
 
 // decodeResult turns a response frame into Call's return.

@@ -186,7 +186,8 @@ type SubmitOptions struct {
 // see BootSharedParallel — to route by load instead of by identity. An admission
 // failure (closed scheduler, no device for the kernel, overload, expired
 // deadline) resolves the entry's futures with the error, deterministically,
-// without touching a device queue.
+// without touching a device queue. Submit never runs a job on its caller;
+// Wait may (see Future.Wait).
 func (s *Scheduler) Submit(jobs []Job, opt SubmitOptions) []*Future {
 	var futs []*Future // the one entry's own, unless the submission is mixed
 	for i, first := range jobs {

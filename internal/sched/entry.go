@@ -39,11 +39,11 @@ func PlainJob(w accel.Workload) Job {
 // channel is made only when a waiter finds it unresolved, so a job that is
 // done before anyone waits costs no channel at all.
 type Future struct {
-	mu       sync.Mutex
-	done     chan struct{} // nil until a waiter needs it, closed on resolution
-	resolved bool
-	out      []byte
-	err      error
+	mu   sync.Mutex
+	done chan struct{} // nil until a waiter needs it, closed on resolution
+	e    *entry        // the entry carrying the job; nil once resolved
+	out  []byte
+	err  error
 }
 
 // closedDone is what Done returns for a future that resolved before anyone
@@ -54,15 +54,22 @@ var closedDone = func() chan struct{} {
 	return c
 }()
 
-// Wait blocks until the job completes and returns its result.
+// Wait blocks until the job completes and returns its result. A lone job
+// that is the only entry queued on an idle partition runs on the waiting
+// goroutine instead of the partition's worker (see pqueue.claim), so it
+// resolves before its wake-up channel is ever made.
 func (f *Future) Wait() ([]byte, error) {
+	for f.runIdle() {
+		// A retryable fault redispatched the job: it may be idle-queued again.
+	}
 	if done := f.wake(); done != nil {
 		<-done
 	}
 	return f.out, f.err
 }
 
-// Done is closed when the result is available; use with select.
+// Done is closed when the result is available; use with select. Unlike
+// Wait it never runs the job.
 func (f *Future) Done() <-chan struct{} {
 	if done := f.wake(); done != nil {
 		return done
@@ -75,7 +82,7 @@ func (f *Future) Done() <-chan struct{} {
 func (f *Future) wake() chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.resolved {
+	if f.e == nil {
 		return nil
 	}
 	if f.done == nil {
@@ -88,7 +95,7 @@ func (f *Future) wake() chan struct{} {
 // future.
 func (f *Future) resolve(out []byte, err error) {
 	f.mu.Lock()
-	f.out, f.err, f.resolved = out, err, true
+	f.out, f.err, f.e = out, err, nil
 	done := f.done
 	f.mu.Unlock()
 	if done != nil {
@@ -124,9 +131,12 @@ type entry struct {
 	seq        uint64
 
 	// submitAt stamps Submit; enqueueAt restamps every (re)dispatch. Wait
-	// time is enqueue->worker-pickup, job time is submit->resolution.
+	// time is enqueue->pickup, job time is submit->resolution.
 	submitAt  time.Time
 	enqueueAt time.Time
+
+	// dev is the device the entry was last queued on, for a waiter's claim.
+	dev atomic.Pointer[device]
 }
 
 // newEntry returns an empty entry under opt's QoS contract with room for n
@@ -149,6 +159,7 @@ func (e *entry) add(j core.SealedJob) {
 	if e.block != nil {
 		f = &e.block[len(e.jobs)]
 	}
+	f.e = e
 	e.jobs = append(e.jobs, j)
 	e.futs = append(e.futs, f)
 }
@@ -203,6 +214,8 @@ type device struct {
 	retried   atomic.Uint64 // jobs this device faulted that were re-dispatched
 	shed      atomic.Uint64 // expired jobs dropped at pickup
 
+	s *Scheduler // the pool it serves
+
 	// removed is made by RemoveRP before it closes the queue: once the
 	// queue has run dry the worker reclaims the system and closes it.
 	removed chan struct{}
@@ -222,6 +235,7 @@ type device struct {
 // the accounting increments that the dequeue paths pair with.
 func (d *device) enqueue(e *entry, force bool) bool {
 	e.enqueueAt = time.Now()
+	e.dev.Store(d)
 	ok := d.q.push(e, force)
 	if ok {
 		n := e.size()
@@ -255,11 +269,12 @@ func (d *device) shedExpired(e *entry) {
 	e.fail(ErrDeadlineExceeded)
 }
 
-// run is the device's worker: pop, execute, hand the verdicts to finish.
-// Once its closed queue has run dry it reclaims a removed partition's
-// system, whose last accepted job has then resolved, and exits.
-func (d *device) run(s *Scheduler) {
-	defer s.wg.Done()
+// run is the device's worker: it serves what its queue pops. Once its
+// closed queue has run dry, and no waiter still runs a claimed entry, it
+// reclaims a removed partition's system, whose last accepted job has then
+// resolved, and exits.
+func (d *device) run() {
+	defer d.s.wg.Done()
 	var lone [1]core.BatchResult
 	for {
 		e := d.q.pop()
@@ -270,17 +285,45 @@ func (d *device) run(s *Scheduler) {
 			}
 			return
 		}
-		if e.expired(time.Now()) {
-			d.shedExpired(e)
-			continue
-		}
-		serviceStart := time.Now()
-		mWait.Observe(serviceStart.Sub(e.enqueueAt))
-		results, err := d.execute(e, lone[:0])
-		d.depart(e)
-		mService.Since(serviceStart)
-		d.finish(s, e, results, err)
+		d.serve(e, lone[:0])
 	}
+}
+
+// runIdle runs the future's job on the calling goroutine if it is a lone
+// job whose device's queue lets a waiter claim it, and reports whether it
+// did. A job of a vector entry is never run by its waiter.
+func (f *Future) runIdle() bool {
+	f.mu.Lock()
+	e := f.e
+	f.mu.Unlock()
+	if e == nil || e.block != nil {
+		return false
+	}
+	d := e.dev.Load()
+	if d == nil || !d.q.claim(e) {
+		return false
+	}
+	var lone [1]core.BatchResult
+	d.serve(e, lone[:0])
+	return true
+}
+
+// serve is the one way an entry the queue handed out — to the worker's pop
+// or a waiter's claim — runs: shed if its deadline passed while it waited,
+// else execute, then hand the verdicts to finish. It frees the partition
+// for the next entry once every future is resolved or redispatched.
+func (d *device) serve(e *entry, buf []core.BatchResult) {
+	defer d.q.done()
+	now := time.Now()
+	if e.expired(now) {
+		d.shedExpired(e)
+		return
+	}
+	mWait.Observe(now.Sub(e.enqueueAt))
+	results, err := d.execute(e, buf)
+	d.depart(e)
+	mService.Since(now)
+	d.finish(d.s, e, results, err)
 }
 
 // execute runs the entry on the device and is the only code that looks at

@@ -162,16 +162,19 @@ func (b *tband) pop() *entry {
 // EDF bands popped highest band first. Capacity counts queue entries (a
 // batch is one entry, matching the old channel's semantics).
 //
-// The queue has exactly one consumer (the device worker). notEmpty and
-// space are capacity-1 wakeup tokens, not item counts: a consumer or an
-// admission waiter that blocks is guaranteed a token from the next
-// push/pop, and stale tokens only cost a spurious rescan.
+// The queue also decides who executes, one entry at a time: the device
+// worker through pop, or a waiter through claim, each marking the device
+// running until it calls done. notEmpty and space are capacity-1 wakeup
+// tokens, not item counts: a worker or an admission waiter that blocks is
+// guaranteed a token from the next push, pop, claim or done that could
+// unblock it, and stale tokens only cost a spurious rescan.
 type pqueue struct {
 	mu       sync.Mutex
 	bands    [numClasses]tband
 	entries  int
 	capacity int
 	closed   bool
+	running  bool // an entry taken by pop or claim has not called done
 	notEmpty chan struct{}
 	space    chan struct{}
 }
@@ -211,26 +214,63 @@ func (q *pqueue) push(e *entry, force bool) bool {
 	return true
 }
 
-// pop blocks until work is available and returns the highest-priority
-// job (EDF within its band), or nil once the queue is closed and fully
-// drained.
+// pop blocks until the device is idle and work is available and returns
+// the highest-priority entry (EDF within its band), marking the device
+// running; or nil once the queue is closed, fully drained and idle.
 func (q *pqueue) pop() *entry {
 	for {
 		q.mu.Lock()
-		for c := numClasses - 1; c >= 0; c-- {
-			if j := q.bands[c].pop(); j != nil {
-				q.entries--
-				q.mu.Unlock()
-				signal(q.space)
-				return j
+		if !q.running {
+			for c := numClasses - 1; c >= 0; c-- {
+				if j := q.bands[c].pop(); j != nil {
+					q.entries--
+					q.running = true
+					q.mu.Unlock()
+					signal(q.space)
+					return j
+				}
 			}
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil
+			if q.closed {
+				q.mu.Unlock()
+				return nil
+			}
 		}
 		q.mu.Unlock()
 		<-q.notEmpty
+	}
+}
+
+// claim takes e for its waiter to execute, marking the device running as
+// pop does, when the device is idle and e is the only entry queued: a
+// claim never jumps a queued entry, and a busy device's queue stays its
+// worker's.
+func (q *pqueue) claim(e *entry) bool {
+	q.mu.Lock()
+	b := &q.bands[e.class.clamp()]
+	h := b.subs[e.tenant]
+	ok := !q.running && q.entries == 1 && h != nil && h.Len() == 1 && (*h)[0] == e
+	if ok {
+		b.pop()
+		q.entries--
+		q.running = true
+	}
+	q.mu.Unlock()
+	if ok {
+		signal(q.space)
+	}
+	return ok
+}
+
+// done marks the device idle again once the entry pop or claim handed out
+// has resolved or moved on, and wakes the worker if it has work or must
+// exit.
+func (q *pqueue) done() {
+	q.mu.Lock()
+	q.running = false
+	wake := q.entries > 0 || q.closed
+	q.mu.Unlock()
+	if wake {
+		signal(q.notEmpty)
 	}
 }
 
@@ -243,7 +283,7 @@ func (q *pqueue) hasSpace() bool {
 }
 
 // close stops admission; the worker drains the remaining entries and
-// exits. Idempotent.
+// exits once no claimed entry is running. Idempotent.
 func (q *pqueue) close() {
 	q.mu.Lock()
 	if q.closed {

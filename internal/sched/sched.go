@@ -6,10 +6,13 @@
 // resource — gets one worker goroutine and a bounded priority queue, and
 // the scheduler routes every submitted workload to the least-loaded
 // healthy device whose deployed CL matches the workload's kernel (ties
-// broken round-robin). Session reuse (core.System's cached data-key
-// epoch) means a device that stays busy pays the 4-write secure key/IV
-// exchange once per rekey epoch instead of once per job; only the single
-// secure start command remains on the per-job hot path.
+// broken round-robin). The worker runs what its device's queue holds one
+// entry at a time, except that a waiter whose lone job is the only entry
+// queued on an idle device runs that job itself (Future.Wait), sparing it
+// a hand-off to the worker and back. Session reuse (core.System's cached
+// data-key epoch) means a device that stays busy pays the 4-write secure
+// key/IV exchange once per rekey epoch instead of once per job; only the
+// single secure start command remains on the per-job hot path.
 //
 // # Failure awareness
 //
@@ -242,6 +245,7 @@ func (s *Scheduler) RegisterTenant(sys *core.System, tenant string) error {
 		return fmt.Errorf("sched: partition %s/rp%d already registered", sys.Device.DNA(), rp)
 	}
 	d := &device{
+		s:       s,
 		sys:     sys,
 		rp:      rp,
 		tenant:  tenant,
@@ -250,7 +254,7 @@ func (s *Scheduler) RegisterTenant(sys *core.System, tenant string) error {
 	d.q = newPQueue(s.cfg.QueueDepth, s.cfg.TenantWeights)
 	s.devices = append(s.devices, d)
 	s.wg.Add(1)
-	go d.run(s)
+	go d.run()
 	return nil
 }
 
