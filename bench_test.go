@@ -21,8 +21,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"os"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,9 +33,7 @@ import (
 
 	"salus/internal/core"
 	"salus/internal/cryptoutil"
-	"salus/internal/fleet"
 	"salus/internal/fpga"
-	"salus/internal/metrics"
 	"salus/internal/netlist"
 	"salus/internal/perfmodel"
 	"salus/internal/sched"
@@ -465,24 +461,27 @@ func BenchmarkTable4SizeInvariance(b *testing.B) {
 	}
 }
 
-// --- Scheduler: multi-device aggregate throughput -----------------------------
+// --- Batched data path --------------------------------------------------------
 
-// benchPool boots n Conv systems sharing one data key.
-// submitW submits one plaintext workload under opt: a batch of one.
-func submitW(s *sched.Scheduler, w accel.Workload, opt sched.SubmitOptions) *sched.Future {
-	return s.Submit([]sched.Job{sched.PlainJob(w)}, opt)[0]
-}
-
-// submitWs submits plaintext workloads as one ClassStandard submission.
-func submitWs(s *sched.Scheduler, ws []accel.Workload) []*sched.Future {
-	jobs := make([]sched.Job, len(ws))
-	for i, w := range ws {
-		jobs[i] = sched.PlainJob(w)
+// sealJob seals w's input under a pool's shared data key, as the pool's
+// data owner does before submitting it.
+func sealJob(t testing.TB, key []byte, w accel.Workload) core.SealedJob {
+	t.Helper()
+	sealed, err := cryptoutil.Seal(key, w.Input, []byte("job-input"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s.Submit(jobs, sched.SubmitOptions{Class: sched.ClassStandard})
+	return core.SealedJob{Params: w.Params, Input: sealed}
 }
 
-func benchPool(b *testing.B, n int) []*core.System {
+// submit submits one sealed Conv job under opt: a batch of one.
+func submit(s *sched.Scheduler, job core.SealedJob, opt sched.SubmitOptions) *sched.Future {
+	return s.Submit("Conv", []core.SealedJob{job}, opt)[0]
+}
+
+// benchPool boots n Conv systems sharing one data key and returns them
+// with the key.
+func benchPool(b *testing.B, n int) ([]*core.System, []byte) {
 	b.Helper()
 	// A physical U200 keeps the host idle-blocked ~2 ms per Conv job
 	// (DMA + fabric run); that idle time is what the scheduler overlaps
@@ -502,148 +501,12 @@ func benchPool(b *testing.B, n int) []*core.System {
 		}
 		systems[i] = sys
 	}
-	if _, err := sched.BootSharedParallel(systems); err != nil {
+	key, err := sched.BootSharedParallel(systems)
+	if err != nil {
 		b.Fatal(err)
 	}
-	return systems
+	return systems, key
 }
-
-// BenchmarkSchedulerThroughput measures aggregate jobs/sec of the sched
-// pool against a serial RunJob loop on one device (serial-baseline). The
-// workload is large enough that per-job compute — kernel + AES-CTR —
-// dominates dispatch, as on a real multi-board host. Jobs/op is 1, so
-// ns/op is the per-job latency at full pipeline occupancy; compare
-// serial-baseline ns/op to devices-N ns/op for the speedup.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	w := accel.GenConv(32, 32, 4, 1)
-
-	b.Run("serial-baseline", func(b *testing.B) {
-		sys := benchPool(b, 1)[0]
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.RunJob(w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	runPool := func(b *testing.B, n int) {
-		s := sched.New(sched.Config{})
-		for _, sys := range benchPool(b, n) {
-			if err := s.Register(sys); err != nil {
-				b.Fatal(err)
-			}
-		}
-		defer s.Close()
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		futs := make([]*sched.Future, b.N)
-		for i := range futs {
-			futs[i] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
-		}
-		for i, f := range futs {
-			if _, err := f.Wait(); err != nil {
-				b.Fatalf("job %d: %v", i, err)
-			}
-		}
-	}
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("devices-%d", n), func(b *testing.B) { runPool(b, n) })
-	}
-	// The observability acceptance gate: the same pool with the metrics
-	// registry disabled. Compare devices-2 against this to price the
-	// instrumentation on the job hot path (<3% is the budget).
-	b.Run("devices-2-metrics-disabled", func(b *testing.B) {
-		metrics.Default().SetEnabled(false)
-		defer metrics.Default().SetEnabled(true)
-		runPool(b, 2)
-	})
-}
-
-// benchInjector is a switchable broken shell for the degraded-pool bench:
-// once broken it corrupts every direct-channel frame, so jobs on its device
-// fail with core.ErrDeviceFault while the secure register channel stays in
-// sync (the device boots cleanly before the fault is switched on).
-type benchInjector struct{ broken atomic.Bool }
-
-func (f *benchInjector) OnLoad(data []byte) []byte  { return data }
-func (f *benchInjector) OnResponse(b []byte) []byte { return b }
-func (f *benchInjector) OnRequest(req []byte) []byte {
-	if !f.broken.Load() {
-		return req
-	}
-	switch channel.MsgType(req) {
-	case channel.MsgDirectReg, channel.MsgMemWrite, channel.MsgMemRead:
-		return []byte{0xFF}
-	}
-	return req
-}
-
-// BenchmarkSchedulerDegradedPool measures aggregate throughput of a pool
-// with one permanently faulted device against the healthy pool one board
-// smaller. The circuit breaker is what keeps the two close: without
-// quarantine, least-loaded routing funnels jobs into the fast-failing
-// board and every one of them burns a retry. Compare degraded-3 ns/op to
-// healthy-2 ns/op — the gap is the cost of fault detection + re-dispatch.
-func BenchmarkSchedulerDegradedPool(b *testing.B) {
-	w := accel.GenConv(32, 32, 4, 1)
-
-	run := func(b *testing.B, systems []*core.System) {
-		s := sched.New(sched.Config{QuarantineAfter: 2})
-		for _, sys := range systems {
-			if err := s.Register(sys); err != nil {
-				b.Fatal(err)
-			}
-		}
-		defer s.Close()
-		b.SetBytes(int64(len(w.Input)))
-		b.ResetTimer()
-		futs := make([]*sched.Future, b.N)
-		for i := range futs {
-			futs[i] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
-		}
-		for i, f := range futs {
-			if _, err := f.Wait(); err != nil {
-				b.Fatalf("job %d: %v", i, err)
-			}
-		}
-	}
-
-	b.Run("healthy-2", func(b *testing.B) {
-		run(b, benchPool(b, 2))
-	})
-
-	b.Run("degraded-3-one-broken", func(b *testing.B) {
-		inj := &benchInjector{}
-		timing := core.FastTiming()
-		timing.RealJobLatency = 2 * time.Millisecond
-		systems := make([]*core.System, 3)
-		for i := range systems {
-			cfg := core.SystemConfig{
-				Kernel: accel.Conv{},
-				Seed:   int64(950 + i),
-				DNA:    fpga.DNA(fmt.Sprintf("DEGR-%02d", i)),
-				Timing: timing,
-			}
-			if i == 0 {
-				cfg.Interceptor = inj
-			}
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			systems[i] = sys
-		}
-		if _, err := sched.BootSharedParallel(systems); err != nil {
-			b.Fatal(err)
-		}
-		inj.broken.Store(true) // boots clean, then the board dies for good
-		run(b, systems)
-	})
-}
-
-// --- Batched data path --------------------------------------------------------
 
 // batchedBenchJobs is the batch size one benchmark op carries: large enough
 // to amortise the per-frame costs the batch exists to amortise, small
@@ -651,25 +514,25 @@ func BenchmarkSchedulerDegradedPool(b *testing.B) {
 // bounded at any benchtime.
 const batchedBenchJobs = 64
 
-// benchBatchedDevice runs one 64-job batch per op through one Submit on
-// an n-device pool; MB/s is plaintext input bytes.
-func benchBatchedDevice(b *testing.B, n int) {
+// benchBatchedSingleDevice is the gate's subject: one 64-job sealed batch
+// per op through one Submit on the same single-device pool the 6.5 MB/s
+// unbatched baseline was measured on; MB/s is plaintext input bytes.
+func benchBatchedSingleDevice(b *testing.B) {
 	w := accel.GenConv(32, 32, 4, 1)
+	systems, key := benchPool(b, 1)
 	s := sched.New(sched.Config{})
-	for _, sys := range benchPool(b, n) {
-		if err := s.Register(sys); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Register(systems[0]); err != nil {
+		b.Fatal(err)
 	}
 	defer s.Close()
-	ws := make([]accel.Workload, batchedBenchJobs)
-	for i := range ws {
-		ws[i] = w
+	jobs := make([]core.SealedJob, batchedBenchJobs)
+	for i := range jobs {
+		jobs[i] = sealJob(b, key, w)
 	}
 	b.SetBytes(int64(batchedBenchJobs * len(w.Input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, f := range submitWs(s, ws) {
+		for j, f := range s.Submit("Conv", jobs, sched.SubmitOptions{Class: sched.ClassStandard}) {
 			if _, err := f.Wait(); err != nil {
 				b.Fatalf("job %d: %v", j, err)
 			}
@@ -677,44 +540,7 @@ func benchBatchedDevice(b *testing.B, n int) {
 	}
 }
 
-// benchBatchedSingleDevice is the gate's subject: the batched path on the
-// same single-device pool the 6.5 MB/s unbatched baseline was measured on.
-func benchBatchedSingleDevice(b *testing.B) { benchBatchedDevice(b, 1) }
-
-// BenchmarkBatchedThroughput is the batched-vs-unbatched comparison on
-// identical pools and workloads: each op moves the same 64 jobs, once as 64
-// Submit round trips (64 sealed register frames per job program, one DMA
-// write and read per job) and once as one Submit of 64 (one sealed frame per
-// chunk, pipelined DMA). ns/op and MB/s are directly comparable across the
-// sub-benchmarks.
-func BenchmarkBatchedThroughput(b *testing.B) {
-	w := accel.GenConv(32, 32, 4, 1)
-
-	b.Run("unbatched-1dev", func(b *testing.B) {
-		s := sched.New(sched.Config{})
-		if err := s.Register(benchPool(b, 1)[0]); err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.SetBytes(int64(batchedBenchJobs * len(w.Input)))
-		b.ResetTimer()
-		futs := make([]*sched.Future, batchedBenchJobs)
-		for i := 0; i < b.N; i++ {
-			for j := range futs {
-				futs[j] = submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
-			}
-			for j, f := range futs {
-				if _, err := f.Wait(); err != nil {
-					b.Fatalf("job %d: %v", j, err)
-				}
-			}
-		}
-	})
-	b.Run("batched-1dev", func(b *testing.B) { benchBatchedDevice(b, 1) })
-	b.Run("batched-2dev", func(b *testing.B) { benchBatchedDevice(b, 2) })
-}
-
-// TestBatchedThroughputGate is the bench-sched acceptance gate: with
+// TestBatchedThroughputGate is the bench-sched-gate acceptance gate: with
 // SALUS_BENCH_SMOKE=1 it measures the batched single-device path and fails
 // unless it clears 5x the 6.5 MB/s unbatched single-device baseline
 // (DESIGN.md), and unless the pooled batch seal/open hot path runs
@@ -722,7 +548,7 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 // not belong in `go test ./...`.
 func TestBatchedThroughputGate(t *testing.T) {
 	if os.Getenv("SALUS_BENCH_SMOKE") == "" {
-		t.Skip("set SALUS_BENCH_SMOKE=1 (make bench-sched) to run the batched throughput gate")
+		t.Skip("set SALUS_BENCH_SMOKE=1 (make bench-sched-gate) to run the batched throughput gate")
 	}
 
 	const baselineMBs = 6.5
@@ -786,143 +612,5 @@ func TestBatchedThroughputGate(t *testing.T) {
 	single()
 	if allocs := testing.AllocsPerRun(100, single); allocs != 0 {
 		t.Fatalf("single-frame seal/open allocates %.0f objects/op, want 0", allocs)
-	}
-}
-
-// --- Elastic fleet -----------------------------------------------------------
-
-// newBenchFleet assembles a fleet manager for the boot benchmarks.
-func newBenchFleet(b *testing.B, timing core.Timing) *fleet.Manager {
-	b.Helper()
-	m, err := fleet.New(fleet.Config{
-		Kernel:    accel.Conv{},
-		DNAPrefix: "BFLT",
-		Timing:    timing,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// BenchmarkFleetBoot compares booting 8 boards serially (eight one-board
-// boots, one after another), in parallel
-// without the shared caches, and through the fleet manager (parallel boot
-// plus the prepared-bitstream cache and quote pool). RealBootLatency
-// models the ~10 ms the host spends idle-blocked on the ICAP per board —
-// the time parallel boot overlaps. The fleet variant also reports
-// manipulations per 8-board boot: 1 means the toolchain ran once and the
-// other seven boards hit the cache.
-func BenchmarkFleetBoot(b *testing.B) {
-	const k = 8
-	timing := core.FastTiming()
-	timing.RealBootLatency = 10 * time.Millisecond
-
-	freshSystems := func(b *testing.B, gen int) []*core.System {
-		systems := make([]*core.System, k)
-		for i := range systems {
-			sys, err := core.NewSystem(core.SystemConfig{
-				Kernel: accel.Conv{},
-				Seed:   1000,
-				DNA:    fpga.DNA(fmt.Sprintf("BOOT-%03d-%02d", gen, i)),
-				Timing: timing,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			systems[i] = sys
-		}
-		return systems
-	}
-
-	b.Run("serial-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			systems := freshSystems(b, i)
-			b.StartTimer()
-			for _, sys := range systems {
-				if _, err := sched.BootSharedParallel([]*core.System{sys}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("parallel-8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			systems := freshSystems(b, i)
-			b.StartTimer()
-			if _, err := sched.BootSharedParallel(systems); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fleet-parallel-cached-8", func(b *testing.B) {
-		manips := 0
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			m := newBenchFleet(b, timing)
-			b.StartTimer()
-			if err := m.BootFleet(k); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			manips += m.PreparedStats().Manipulations
-			m.Close()
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(manips)/float64(b.N), "manips/boot")
-	})
-}
-
-// BenchmarkFleetHotAdd measures one grow-then-shrink cycle against a pool
-// that is busy serving the whole time: every Scale(1) boots through the warm
-// prepared cache while jobs keep flowing, and every Scale(-1) drains its
-// victim without losing a job and reclaims it.
-func BenchmarkFleetHotAdd(b *testing.B) {
-	timing := core.FastTiming()
-	timing.RealJobLatency = time.Millisecond
-	m := newBenchFleet(b, timing)
-	defer m.Close()
-	if err := m.BootFleet(2); err != nil {
-		b.Fatal(err)
-	}
-
-	w := accel.GenConv(32, 32, 4, 1)
-	stop := make(chan struct{})
-	var pumpErrs atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := submitW(m.Scheduler(), w, sched.SubmitOptions{Class: sched.ClassStandard}).Wait(); err != nil {
-					pumpErrs.Add(1)
-					return
-				}
-			}
-		}()
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Scale(1); err != nil {
-			b.Fatal(err)
-		}
-		if _, removed, err := m.Scale(-1); err != nil || len(removed) != 1 {
-			b.Fatalf("shrink removed %v: %v", removed, err)
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	if n := pumpErrs.Load(); n > 0 {
-		b.Fatalf("%d background jobs failed during scaling", n)
 	}
 }

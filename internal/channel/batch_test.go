@@ -268,7 +268,7 @@ func TestBatchSealerOpenDoesNotMutateFrame(t *testing.T) {
 
 // TestBatchSealOpenZeroAllocs is the pooled-path allocation budget: once a
 // Sealer and destination slices are warm, sealing and opening a batch in
-// both directions allocates nothing. The CI gate (make bench-sched) holds
+// both directions allocates nothing. The CI gate (make bench-sched-gate) holds
 // the same line via BenchmarkBatchSealOpen.
 func TestBatchSealOpenZeroAllocs(t *testing.T) {
 	key := key16()

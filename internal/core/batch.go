@@ -77,29 +77,6 @@ type loneScratch struct {
 	job   [1]batchJob
 }
 
-// RunJobBatch executes a batch of workloads as a first-class unit: per
-// chunk, every job's register program rides ONE sealed MsgSecureRegBatch
-// frame (one counter tick for the whole vector), a fresh session epoch's
-// 4-write key/IV exchange is coalesced into the front of the same frame,
-// and the host waits out the fabric exactly once per chunk instead of
-// once per job. Inputs of chunk N+1 are DMA-written into the idle half of
-// the double-buffered device memory window while chunk N runs and reads
-// back. Per-job IVs are the contiguous accel.JobIV range starting at the
-// session counter, so sealing stays per-job-unique exactly as for a lone
-// job.
-func (s *System) RunJobBatch(ws []accel.Workload) ([]BatchResult, error) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	start := time.Now()
-	defer mCoreBatch.Since(start)
-	mCoreBatchJobs.Add(uint64(len(ws)))
-	results := make([]BatchResult, len(ws))
-	if err := s.runJobBatchLocked(ws, results, nil, nil, make([]batchJob, 0, len(ws))); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // SealedJob is one entry of a sealed batch: parameters in the clear (they
 // are register values, not data), input sealed under the data key.
 type SealedJob struct {
@@ -114,6 +91,16 @@ type SealedJob struct {
 // readOutput). A job whose input fails authentication is rejected
 // individually; its siblings still run. A fault covering the whole call
 // drops the outputs its earlier chunks already sealed.
+//
+// The batch runs as a first-class unit: per chunk, every job's register
+// program rides ONE sealed MsgSecureRegBatch frame (one counter tick for
+// the whole vector), a fresh session epoch's 4-write key/IV exchange is
+// coalesced into the front of the same frame, and the host waits out the
+// fabric exactly once per chunk instead of once per job. Inputs of chunk
+// N+1 are DMA-written into the idle half of the double-buffered device
+// memory window while chunk N runs and reads back. Per-job IVs are the
+// contiguous accel.JobIV range starting at the session counter, so sealing
+// stays per-job-unique exactly as for a lone job.
 func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]BatchResult, error) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()

@@ -10,13 +10,27 @@ import (
 	"salus/internal/cryptoutil"
 )
 
-func bootedSystem(t testing.TB, opts ...func(*SystemConfig)) *System {
+// runBatch seals ws under the rig's data key, runs them through
+// RunJobSealedBatch as one batch of the Conv kernel, and opens every
+// output, so each result reads as the plaintext its kernel computed.
+func (r sealedRig) runBatch(t testing.TB, ws []accel.Workload) ([]BatchResult, error) {
 	t.Helper()
-	s := newTestSystem(t, opts...)
-	if _, err := s.SecureBoot(); err != nil {
-		t.Fatal(err)
+	jobs := make([]SealedJob, len(ws))
+	for i, w := range ws {
+		jobs[i] = SealedJob{Params: w.Params, Input: r.seal(t, w.Input)}
 	}
-	return s
+	results, err := r.RunJobSealedBatch("Conv", jobs)
+	for i, res := range results {
+		if res.Err != nil {
+			continue
+		}
+		out, openErr := cryptoutil.Open(r.key, res.Output, []byte("job-output"))
+		if openErr != nil {
+			t.Fatalf("job %d output does not open: %v", i, openErr)
+		}
+		results[i].Output = out
+	}
+	return results, err
 }
 
 func convBatch(n int) []accel.Workload {
@@ -31,9 +45,9 @@ func convBatch(n int) []accel.Workload {
 // the output the kernel computes directly — across differently shaped
 // workloads sharing the chunk's sealed frame and IV range.
 func TestRunJobBatchMatchesReference(t *testing.T) {
-	s := bootedSystem(t)
+	s := newSealedRig(t)
 	ws := convBatch(12)
-	results, err := s.RunJobBatch(ws)
+	results, err := s.runBatch(t, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +73,9 @@ func TestRunJobBatchMatchesReference(t *testing.T) {
 // exchange at the front of its chunk's frame — and every job still
 // decrypts correctly. This is the host/device IV-schedule lockstep test.
 func TestRunJobBatchCrossesEpochBoundaries(t *testing.T) {
-	s := bootedSystem(t, func(c *SystemConfig) { c.SessionRekeyEvery = 3 })
+	s := newSealedRig(t, func(c *SystemConfig) { c.SessionRekeyEvery = 3 })
 	ws := convBatch(10)
-	results, err := s.RunJobBatch(ws)
+	results, err := s.runBatch(t, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +95,12 @@ func TestRunJobBatchCrossesEpochBoundaries(t *testing.T) {
 // single job after the batch still runs — both directions of the
 // single/batched interleaving.
 func TestRunJobBatchContinuesLiveSession(t *testing.T) {
-	s := bootedSystem(t)
+	s := newSealedRig(t)
 	w, _ := accel.TestWorkload("Conv", 3)
 	if _, err := s.RunJob(w); err != nil {
 		t.Fatal(err)
 	}
-	results, err := s.RunJobBatch(convBatch(5))
+	results, err := s.runBatch(t, convBatch(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +125,11 @@ func TestRunJobBatchContinuesLiveSession(t *testing.T) {
 // to completion — and the same job does run as a single job, which gets the
 // whole device memory window.
 func TestRunJobBatchRejectsOversizeJobIndividually(t *testing.T) {
-	s := bootedSystem(t)
+	s := newSealedRig(t)
 	// 2,880,000 B in + 5,740,816 B out: over the 8 MiB half, inside 16 MiB.
 	huge := accel.GenConv(1200, 1200, 1, 3)
 	ws := []accel.Workload{accel.GenConv(4, 4, 1, 1), huge, accel.GenConv(4, 4, 1, 2)}
-	results, err := s.RunJobBatch(ws)
+	results, err := s.runBatch(t, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,31 +156,42 @@ func TestRunJobBatchRejectsOversizeJobIndividually(t *testing.T) {
 }
 
 // TestRunJobBatchRejectsWrongKernelIndividually mirrors the single-job
-// path's kernel check, per job.
+// path's kernel check, per job: a batch naming a kernel the deployed CL
+// does not run is refused job by job, not as a fault covering the call, and
+// the board's session still serves the next batch.
 func TestRunJobBatchRejectsWrongKernelIndividually(t *testing.T) {
-	s := bootedSystem(t)
+	s := newSealedRig(t)
 	wrong, _ := accel.TestWorkload("Affine", 1)
-	ws := []accel.Workload{accel.GenConv(4, 4, 1, 1), wrong}
-	results, err := s.RunJobBatch(ws)
+	results, err := s.RunJobSealedBatch("Affine", []SealedJob{
+		{Params: wrong.Params, Input: s.seal(t, wrong.Input)},
+		{Params: wrong.Params, Input: s.seal(t, wrong.Input)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[1].Err == nil {
-		t.Fatal("wrong-kernel job accepted into a Conv batch")
+	for i, r := range results {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "deployed CL is Conv") {
+			t.Fatalf("job %d of an Affine batch on a Conv board: err = %v, want a per-job kernel rejection", i, r.Err)
+		}
 	}
-	if results[0].Err != nil {
-		t.Fatalf("sibling job failed: %v", results[0].Err)
+	if results, err = s.runBatch(t, convBatch(2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("Conv job %d after a wrong-kernel batch: %v", i, r.Err)
+		}
 	}
 }
 
 // TestRunJobBatchRequiresBoot and the empty batch degenerate case.
 func TestRunJobBatchRequiresBoot(t *testing.T) {
 	s := newTestSystem(t)
-	if _, err := s.RunJobBatch(convBatch(2)); err == nil {
+	if _, err := s.RunJobSealedBatch("Conv", []SealedJob{{Input: make([]byte, 64)}}); err == nil {
 		t.Fatal("batch ran on an unbooted system")
 	}
-	booted := bootedSystem(t)
-	results, err := booted.RunJobBatch(nil)
+	booted := newSealedRig(t)
+	results, err := booted.RunJobSealedBatch("Conv", nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(results))
 	}
@@ -177,7 +202,7 @@ func TestRunJobBatchRequiresBoot(t *testing.T) {
 // runs, and checks nothing corrupts across the double-buffered halves.
 func TestRunJobBatchLargeEnoughToPipeline(t *testing.T) {
 	opt, bus := recorded()
-	s := bootedSystem(t, opt)
+	s := newSealedRig(t, opt)
 	// 1.5 MiB inputs and 1,040,400 B outputs: a slot is ~2.5 MiB, so three
 	// jobs fill an 8 MiB half and the fourth opens a second chunk in the
 	// other half, written while the first chunk runs.
@@ -185,7 +210,7 @@ func TestRunJobBatchLargeEnoughToPipeline(t *testing.T) {
 	for i := range ws {
 		ws[i] = accel.GenConv(512, 512, 3, int64(i))
 	}
-	results, err := s.RunJobBatch(ws)
+	results, err := s.runBatch(t, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +235,8 @@ func TestRunJobBatchLargeEnoughToPipeline(t *testing.T) {
 }
 
 // TestEveryKernelEveryEntryPoint runs each kernel's test workload through
-// all four entry points — RunJob, RunJobSealed, a 3-job RunJobBatch and a
-// 3-job RunJobSealedBatch — and checks every output byte for byte against
+// all three entry points — RunJob, RunJobSealed and a 3-job
+// RunJobSealedBatch — and checks every output byte for byte against
 // Compute. Every job's output must land in a slot of its own, whatever the
 // kernel's output size (Rendering writes a 64 KiB frame for any input).
 func TestEveryKernelEveryEntryPoint(t *testing.T) {
@@ -253,14 +278,7 @@ func TestEveryKernelEveryEntryPoint(t *testing.T) {
 			}
 			check("RunJobSealed", 0, sealedOut, err)
 
-			results, err := r.RunJobBatch(ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, br := range results {
-				check("RunJobBatch", i, br.Output, br.Err)
-			}
-			results, err = r.RunJobSealedBatch(k.Name(), sealed)
+			results, err := r.RunJobSealedBatch(k.Name(), sealed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -504,10 +504,10 @@ func (f *Federation) place(tenant, key string, payloadBytes, n int) (target *sha
 	return target, spilled, nil
 }
 
-// SubmitBatch routes a submission of sealed jobs as one unit (one routing
-// and spill decision, one modelled transfer of the summed payload) and
-// hands it to the target shard's scheduler; see sched.Scheduler.Submit.
-func (f *Federation) SubmitBatch(tenant, key string, jobs []sched.Job, opt sched.SubmitOptions) ([]*sched.Future, string, bool, error) {
+// SubmitBatch routes one kernel's sealed jobs as one unit (one routing and
+// spill decision, one modelled transfer of the summed payload) and hands
+// them to the target shard's scheduler; see sched.Scheduler.Submit.
+func (f *Federation) SubmitBatch(tenant, key, kernel string, jobs []core.SealedJob, opt sched.SubmitOptions) ([]*sched.Future, string, bool, error) {
 	var payload int
 	for _, j := range jobs {
 		payload += len(j.Input)
@@ -516,12 +516,12 @@ func (f *Federation) SubmitBatch(tenant, key string, jobs []sched.Job, opt sched
 	if err != nil {
 		return nil, "", false, err
 	}
-	return target.mgr.Scheduler().Submit(jobs, opt), target.id, spilled, nil
+	return target.mgr.Scheduler().Submit(kernel, jobs, opt), target.id, spilled, nil
 }
 
 // Submit is SubmitBatch for one sealed job.
 func (f *Federation) Submit(tenant, key, kernel string, params [4]uint64, sealed []byte, opt sched.SubmitOptions) (SubmitResult, error) {
-	futs, shard, spilled, err := f.SubmitBatch(tenant, key, []sched.Job{{Kernel: kernel, Params: params, Input: sealed, Sealed: true}}, opt)
+	futs, shard, spilled, err := f.SubmitBatch(tenant, key, kernel, []core.SealedJob{{Params: params, Input: sealed}}, opt)
 	if err != nil {
 		return SubmitResult{}, err
 	}

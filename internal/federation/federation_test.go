@@ -276,16 +276,16 @@ func TestOneShardSubmitAllocatesLikeScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []sched.Job{{Kernel: "Conv", Params: w.Params, Input: sealed, Sealed: true}}
+	jobs := []core.SealedJob{{Params: w.Params, Input: sealed}}
 	opt := sched.SubmitOptions{Class: sched.ClassStandard}
 	sch := d.Managers[0].Scheduler()
 	viaSched := func() {
-		if _, err := sch.Submit(jobs, opt)[0].Wait(); err != nil {
+		if _, err := sch.Submit("Conv", jobs, opt)[0].Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	viaFed := func() {
-		futs, _, _, err := d.Fed.SubmitBatch("tenant-a", "dataset-7", jobs, opt)
+		futs, _, _, err := d.Fed.SubmitBatch("tenant-a", "dataset-7", "Conv", jobs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func TestAutoscaleTickGrowsAndShrinksWithinBounds(t *testing.T) {
 	// Backlog: 30 jobs on 2 devices at 30 ms each — pressure ~15.
 	futs := make([]*sched.Future, 30)
 	for i := range futs {
-		futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
 	}
 
 	if got := m.autoscaleTick(&cfg, &up, &down); got != 0 {
@@ -125,7 +125,7 @@ func TestAutoscaleStreakResetsOnMixedSignal(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		futs := make([]*sched.Future, 6)
 		for i := range futs {
-			futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(round*10+i)))
+			futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(round*10+i)))
 		}
 		if got := m.autoscaleTick(&cfg, &up, &down); got != 0 {
 			t.Fatalf("round %d: acted (%+d) on a single high reading", round, got)
@@ -163,7 +163,7 @@ func TestStartAutoscaleBackgroundLoop(t *testing.T) {
 
 	futs := make([]*sched.Future, 80)
 	for i := range futs {
-		futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(m.Members()) < 3 {

@@ -12,6 +12,7 @@ import (
 	"salus/internal/accel"
 	"salus/internal/channel"
 	"salus/internal/core"
+	"salus/internal/cryptoutil"
 	"salus/internal/fpga"
 	"salus/internal/sched"
 	"salus/internal/shell"
@@ -31,16 +32,28 @@ func newManager(t testing.TB, cfg Config) *Manager {
 	return m
 }
 
-// submitW submits one plaintext workload to the fleet's scheduler.
-func submitW(m *Manager, w accel.Workload) *sched.Future {
-	return m.Scheduler().Submit([]sched.Job{sched.PlainJob(w)}, sched.SubmitOptions{Class: sched.ClassStandard})[0]
+// submitW seals one workload under key and submits it to the fleet's
+// scheduler.
+func submitW(m *Manager, key []byte, w accel.Workload) *sched.Future {
+	sealed, err := cryptoutil.Seal(key, w.Input, []byte("job-input"))
+	if err != nil {
+		panic(err)
+	}
+	return m.Scheduler().Submit(w.Kernel.Name(), []core.SealedJob{{Params: w.Params, Input: sealed}}, sched.SubmitOptions{Class: sched.ClassStandard})[0]
 }
 
-func runJob(t testing.TB, m *Manager, seed int64) {
+// runJob runs one job on a fleet that booted itself, under its shared key,
+// and checks the opened output against the kernel.
+func runJob(t testing.TB, m *Manager, seed int64) { runJobUnder(t, m, m.Key(), seed) }
+
+func runJobUnder(t testing.TB, m *Manager, key []byte, seed int64) {
 	t.Helper()
 	w := accel.GenConv(4, 4, 1, seed)
 	ref, _ := w.Kernel.Compute(w.Params, w.Input)
-	out, err := submitW(m, w).Wait()
+	out, err := submitW(m, key, w).Wait()
+	if err == nil {
+		out, err = cryptoutil.Open(key, out, []byte("job-output"))
+	}
 	if err != nil {
 		t.Fatalf("job: %v", err)
 	}
@@ -131,7 +144,7 @@ func TestHotAddWhileServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := range futs {
-			futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(i)))
+			futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
 			if i == jobs/2 {
 				close(halfway)
 			}
@@ -211,7 +224,8 @@ func TestSiblingOnlyFleetAdoptsExternallyBootedMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.BootSharedParallel(systems); err != nil {
+	key, err := sched.BootSharedParallel(systems)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sys := range systems {
@@ -228,7 +242,7 @@ func TestSiblingOnlyFleetAdoptsExternallyBootedMembers(t *testing.T) {
 	if got := len(m.Members()); got != 3 {
 		t.Fatalf("fleet has %d members, want 3", got)
 	}
-	runJob(t, m, 7)
+	runJobUnder(t, m, key, 7)
 }
 
 // breaker is the switchable broken shell from the scheduler tests: once

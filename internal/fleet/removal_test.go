@@ -85,7 +85,7 @@ func TestEveryRemovalReclaims(t *testing.T) {
 		{"Remove past its deadline", Config{Timing: slow}, 1, func(t *testing.T, m *Manager) {
 			futs := make([]*sched.Future, 8)
 			for i := range futs {
-				futs[i] = submitW(m, accel.GenConv(4, 4, 1, int64(i)))
+				futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
 			}
 			const timeout = 20 * time.Millisecond
 			start := time.Now()

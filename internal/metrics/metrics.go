@@ -28,13 +28,6 @@
 //
 // Counters count events and never decrease; gauges track a current level;
 // histogram names end in _seconds and record durations.
-//
-// # Enable/disable
-//
-// A process that wants zero observability cost can SetEnabled(false) on a
-// registry: every Record/Add/Observe through handles of that registry
-// becomes a single atomic load and an early return. The default registry
-// starts enabled.
 package metrics
 
 import (
@@ -50,23 +43,19 @@ import (
 // NewRegistry, or the process-wide Default registry that the Salus serving
 // stack records into.
 type Registry struct {
-	enabled atomic.Bool
-
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
-	r.enabled.Store(true)
-	return r
 }
 
 // defaultRegistry is the process-wide registry; see Default.
@@ -77,11 +66,6 @@ var defaultRegistry = NewRegistry()
 // export.
 func Default() *Registry { return defaultRegistry }
 
-// SetEnabled flips recording for every metric of the registry. Disabled
-// metrics cost one atomic load per record call. Handles stay valid either
-// way; snapshots of a disabled registry simply stop moving.
-func (r *Registry) SetEnabled(v bool) { r.enabled.Store(v) }
-
 // Counter returns the named counter, creating it on first use. Call once
 // and cache the handle; the map lookup is mutex-guarded.
 func (r *Registry) Counter(name string) *Counter {
@@ -89,7 +73,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{reg: r}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -101,7 +85,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{reg: r}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -113,7 +97,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = &Histogram{reg: r}
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h
@@ -137,20 +121,14 @@ func (r *Registry) Reset() {
 	}
 }
 
-// Counter is a monotonically increasing event count. The zero value is NOT
-// usable — obtain counters from a Registry.
+// Counter is a monotonically increasing event count. Obtain counters from
+// a Registry.
 type Counter struct {
-	reg *Registry
-	v   atomic.Uint64
+	v atomic.Uint64
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if !c.reg.enabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -161,25 +139,14 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is a current-level value that can move both ways (queue depth,
 // in-flight requests, fleet size). Obtain gauges from a Registry.
 type Gauge struct {
-	reg *Registry
-	v   atomic.Int64
+	v atomic.Int64
 }
 
 // Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if !g.reg.enabled.Load() {
-		return
-	}
-	g.v.Add(delta)
-}
+func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Set forces the gauge to v.
-func (g *Gauge) Set(v int64) {
-	if !g.reg.enabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -225,7 +192,6 @@ func bucketIndex(d time.Duration) int {
 // histograms from a Registry. Recording is one atomic add per bucket plus
 // one for the running sum; there is no lock and no allocation.
 type Histogram struct {
-	reg     *Registry
 	buckets [numBuckets]atomic.Uint64
 	sum     atomic.Int64 // nanoseconds
 }
@@ -238,9 +204,6 @@ type Histogram struct {
 // in flight — Sum is a momentary floor — but never a Sum that counts an
 // observation the buckets do not.
 func (h *Histogram) Observe(d time.Duration) {
-	if !h.reg.enabled.Load() {
-		return
-	}
 	h.buckets[bucketIndex(d)].Add(1)
 	if d > 0 {
 		h.sum.Add(int64(d))
@@ -248,8 +211,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Since records the elapsed wall time from start — the common
-// instrumentation shape `defer h.Since(time.Now())` costs nothing when the
-// registry is disabled beyond the time.Now at the call site.
+// instrumentation shape `defer h.Since(time.Now())`.
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
 // Bucket is one histogram bucket in a snapshot: the count of observations

@@ -30,29 +30,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestDisabledRegistryRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
-	r.SetEnabled(false)
-	if r.Enabled() {
-		t.Fatal("registry still enabled")
-	}
-	c.Inc()
-	g.Set(9)
-	g.Add(1)
-	h.Observe(time.Millisecond)
-	h.Since(time.Now().Add(-time.Second))
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
-		t.Fatalf("disabled registry recorded: counter=%d gauge=%d hist=%d",
-			c.Value(), g.Value(), h.Snapshot().Count)
-	}
-	r.SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("re-enabled counter did not record")
-	}
-}
-
 func TestBucketIndexBounds(t *testing.T) {
 	cases := []struct {
 		d    time.Duration
@@ -239,8 +216,5 @@ func TestSanitizeName(t *testing.T) {
 func TestDefaultRegistryIsProcessWide(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default() is not stable")
-	}
-	if !Default().Enabled() {
-		t.Fatal("default registry must start enabled")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"salus/internal/accel"
 	"salus/internal/bufpool"
+	"salus/internal/core"
 	"salus/internal/cryptoutil"
 	"salus/internal/sched"
 )
@@ -218,13 +219,13 @@ func TestRecycledOutputsUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	aead := st.aead
-	jobs := make([]sched.Job, 3)
+	jobs := make([]core.SealedJob, 3)
 	for i := range jobs {
 		w := small[i].w
-		jobs[i] = sched.Job{Kernel: "Conv", Params: w.Params, Input: cryptoutil.AppendSealWith(nil, aead, w.Input, jobInputAD), Sealed: true}
+		jobs[i] = core.SealedJob{Params: w.Params, Input: cryptoutil.AppendSealWith(nil, aead, w.Input, jobInputAD)}
 	}
-	lone := d.sch.Submit(jobs[:1], sched.SubmitOptions{})
-	batched := d.sch.Submit(jobs[1:], sched.SubmitOptions{})
+	lone := d.sch.Submit("Conv", jobs[:1], sched.SubmitOptions{})
+	batched := d.sch.Submit("Conv", jobs[1:], sched.SubmitOptions{})
 	var job JobResponse
 	var resp BatchResponse
 	if job.SealedOutput, err = lone[0].Wait(); err != nil {

@@ -323,9 +323,8 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		if err != nil {
 			return nil, err
 		}
-		job := sched.Job{Kernel: in.Kernel, Params: in.Params, Input: in.SealedInput, Sealed: true}
 		start := time.Now()
-		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, []sched.Job{job}, opt)
+		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, []core.SealedJob{{Params: in.Params, Input: in.SealedInput}}, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -347,12 +346,12 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		if err != nil {
 			return BatchResponse{}, err
 		}
-		jobs := make([]sched.Job, len(in.Jobs))
+		jobs := make([]core.SealedJob, len(in.Jobs))
 		for i, j := range in.Jobs {
-			jobs[i] = sched.Job{Kernel: in.Kernel, Params: j.Params, Input: j.SealedInput, Sealed: true}
+			jobs[i] = core.SealedJob{Params: j.Params, Input: j.SealedInput}
 		}
 		start := time.Now()
-		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, jobs, opt)
+		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, jobs, opt)
 		if err != nil {
 			return BatchResponse{}, err
 		}

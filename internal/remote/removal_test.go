@@ -13,6 +13,7 @@ import (
 	"salus/internal/accel"
 	"salus/internal/channel"
 	"salus/internal/core"
+	"salus/internal/cryptoutil"
 	"salus/internal/federation"
 	"salus/internal/fleet"
 	"salus/internal/fpga"
@@ -113,6 +114,18 @@ func newRemovalRig(t *testing.T) *removalRig {
 	return r
 }
 
+// submit seals w under the owner's data key, which every board of either
+// shard holds, and submits it straight to mgr's scheduler.
+func (r *removalRig) submit(t *testing.T, mgr *fleet.Manager, w accel.Workload) *sched.Future {
+	t.Helper()
+	st, err := r.sess.attested()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := core.SealedJob{Params: w.Params, Input: cryptoutil.AppendSealWith(nil, st.aead, w.Input, jobInputAD)}
+	return mgr.Scheduler().Submit(w.Kernel.Name(), []core.SealedJob{job}, sched.SubmitOptions{Class: sched.ClassStandard})[0]
+}
+
 // systems lists every partition either shard has adopted so far.
 func (r *removalRig) systems() []*core.System {
 	var out []*core.System
@@ -162,7 +175,7 @@ func TestGatewayRemovalReclaims(t *testing.T) {
 					t.Fatal("breaker never latched permanently")
 				}
 				w := accel.GenConv(4, 4, 1, 1)
-				if _, err := r.root.Scheduler().Submit([]sched.Job{sched.PlainJob(w)}, sched.SubmitOptions{Class: sched.ClassStandard})[0].Wait(); err != nil {
+				if _, err := r.submit(t, r.root, w).Wait(); err != nil {
 					t.Fatalf("job lost while RC-01 degrades: %v", err)
 				}
 			}
@@ -191,7 +204,7 @@ func TestGatewayRemovalReclaims(t *testing.T) {
 			for _, mgr := range r.managers {
 				for i := 0; i < 4; i++ {
 					w := accel.GenConv(4, 4, 1, int64(i))
-					accepted = append(accepted, mgr.Scheduler().Submit([]sched.Job{sched.PlainJob(w)}, sched.SubmitOptions{Class: sched.ClassStandard})...)
+					accepted = append(accepted, r.submit(t, mgr, w))
 				}
 			}
 			systems := r.systems()

@@ -177,54 +177,37 @@ type SubmitOptions struct {
 	Tenant string
 }
 
-// Submit queues jobs under one QoS contract and returns their futures,
-// index-aligned with jobs; each resolves exactly once. A job is a batch of
-// one: jobs sharing a kernel and sealedness ride to one device as one queue
-// entry (a mixed submission splits into one entry per group), so several
-// pay one sealed register frame and one fabric wait per chunk instead of
-// per-job round trips. Sealed jobs need a pool that shares one data key —
-// see BootSharedParallel — to route by load instead of by identity. An admission
-// failure (closed scheduler, no device for the kernel, overload, expired
-// deadline) resolves the entry's futures with the error, deterministically,
-// without touching a device queue. Submit never runs a job on its caller;
-// Wait may (see Future.Wait).
-func (s *Scheduler) Submit(jobs []Job, opt SubmitOptions) []*Future {
-	var futs []*Future // the one entry's own, unless the submission is mixed
-	for i, first := range jobs {
-		if futs != nil && futs[i] != nil {
-			continue // grouped behind an earlier job
-		}
-		e := newEntry(len(jobs)-i, opt)
-		e.kernel, e.sealed = first.Kernel, first.Sealed
-		for p := i; p < len(jobs); p++ {
-			j := jobs[p]
-			if j.Kernel != e.kernel || j.Sealed != e.sealed {
-				if futs == nil {
-					futs = make([]*Future, len(jobs))
-					copy(futs[i:], e.futs)
-				}
-				continue
-			}
-			e.add(core.SealedJob{Params: j.Params, Input: j.Input})
-			if futs != nil {
-				futs[p] = e.futs[len(e.futs)-1]
-			}
-		}
-		if futs == nil {
-			futs = e.futs
-		}
-		e.submitAt = time.Now()
-		e.seq = s.seq.Add(1)
-		n := uint64(e.size())
-		mSubmitted.Add(n)
-		if err := s.admit(e); err != nil {
-			mFailed.Add(n)
-			for _, f := range e.futs {
-				f.resolve(nil, err)
-			}
+// Submit queues one kernel's sealed jobs under one QoS contract as one
+// queue entry and returns their futures, index-aligned with jobs; each
+// resolves exactly once. Every input is the AES-GCM blob a data owner sealed
+// under the pool's shared data key (see BootSharedParallel), so the entry
+// routes by load instead of by identity, and every output returns sealed
+// the same way. The jobs ride to one device together: several pay one
+// sealed register frame and one fabric wait per chunk instead of per-job
+// round trips. An admission failure (closed scheduler, no device for the
+// kernel, overload, expired deadline) resolves the entry's futures with the
+// error, deterministically, without touching a device queue. Submit never
+// runs a job on its caller; Wait may (see Future.Wait).
+func (s *Scheduler) Submit(kernel string, jobs []core.SealedJob, opt SubmitOptions) []*Future {
+	if len(jobs) == 0 {
+		return nil
+	}
+	e := newEntry(len(jobs), opt)
+	e.kernel = kernel
+	for _, j := range jobs {
+		e.add(j)
+	}
+	e.submitAt = time.Now()
+	e.seq = s.seq.Add(1)
+	n := uint64(e.size())
+	mSubmitted.Add(n)
+	if err := s.admit(e); err != nil {
+		mFailed.Add(n)
+		for _, f := range e.futs {
+			f.resolve(nil, err)
 		}
 	}
-	return futs
+	return e.futs
 }
 
 // The three adapters below are imported by bench/; fold into Submit in the
@@ -237,14 +220,10 @@ func (s *Scheduler) SubmitSealed(kernelName string, params [4]uint64, sealedInpu
 
 // SubmitSealedOpts is Submit for one sealed job.
 func (s *Scheduler) SubmitSealedOpts(kernelName string, params [4]uint64, sealedInput []byte, opt SubmitOptions) *Future {
-	return s.Submit([]Job{{Kernel: kernelName, Params: params, Input: sealedInput, Sealed: true}}, opt)[0]
+	return s.Submit(kernelName, []core.SealedJob{{Params: params, Input: sealedInput}}, opt)[0]
 }
 
-// SubmitSealedBatchOpts is Submit for sealed jobs of one kernel.
+// SubmitSealedBatchOpts is Submit.
 func (s *Scheduler) SubmitSealedBatchOpts(kernelName string, jobs []core.SealedJob, opt SubmitOptions) []*Future {
-	js := make([]Job, len(jobs))
-	for i, j := range jobs {
-		js[i] = Job{Kernel: kernelName, Params: j.Params, Input: j.Input, Sealed: true}
-	}
-	return s.Submit(js, opt)
+	return s.Submit(kernelName, jobs, opt)
 }

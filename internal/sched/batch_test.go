@@ -9,55 +9,30 @@ import (
 	"time"
 
 	"salus/internal/accel"
+	"salus/internal/channel"
+	"salus/internal/core"
 	"salus/internal/cryptoutil"
 	"salus/internal/metrics"
+	"salus/internal/shell"
 )
 
 // TestSubmitBatchMatchesReference: a batch rides to one device as a unit
 // and every future resolves with the kernel's reference output, in input
 // order.
 func TestSubmitBatchMatchesReference(t *testing.T) {
-	systems, _ := newPool(t, 2, accel.Conv{})
+	systems, key := newPool(t, 2, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	ws := make([]accel.Workload, 17)
 	for i := range ws {
 		ws[i] = accel.GenConv(4+i%4, 4, 1, int64(500+i))
 	}
-	futs := submitWs(s, ws, std)
+	futs := submitWs(s, key, ws, std)
 	if len(futs) != len(ws) {
 		t.Fatalf("%d futures for %d workloads", len(futs), len(ws))
 	}
 	for i, f := range futs {
-		out, err := f.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		want, _ := ws[i].Kernel.Compute(ws[i].Params, ws[i].Input)
-		if !bytes.Equal(out, want) {
-			t.Errorf("job %d output diverges", i)
-		}
-	}
-}
-
-// TestSubmitBatchGroupsByKernel: a mixed-kernel batch splits into one
-// batch per kernel, each routed to a device deploying it; a nil-kernel
-// entry fails alone.
-func TestSubmitBatchGroupsByKernel(t *testing.T) {
-	convs, _ := newPool(t, 1, accel.Conv{})
-	affines, _ := newPool(t, 1, accel.Affine{})
-	s := newScheduler(t, append(convs, affines...))
-
-	wConv := accel.GenConv(4, 4, 1, 1)
-	wAffine, _ := accel.TestWorkload("Affine", 2)
-	ws := []accel.Workload{wConv, {Kernel: nil}, wAffine, wConv}
-	futs := submitWs(s, ws, std)
-
-	if _, err := futs[1].Wait(); err == nil {
-		t.Error("nil-kernel entry did not fail")
-	}
-	for _, i := range []int{0, 2, 3} {
-		out, err := futs[i].Wait()
+		out, err := waitOpen(key, f)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -75,18 +50,14 @@ func TestSubmitSealedBatchRoundTrip(t *testing.T) {
 	s := newScheduler(t, systems)
 
 	const n = 9
-	jobs := make([]Job, n)
+	jobs := make([]core.SealedJob, n)
 	want := make([][]byte, n)
 	for i := range jobs {
 		w := accel.GenConv(4, 4, 1, int64(60+i))
 		want[i], _ = w.Kernel.Compute(w.Params, w.Input)
-		sealed, err := cryptoutil.Seal(key, w.Input, []byte("job-input"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = Job{Kernel: "Conv", Params: w.Params, Input: sealed, Sealed: true}
+		jobs[i] = sealJob(key, w)
 	}
-	futs := s.Submit(jobs, std)
+	futs := s.Submit("Conv", jobs, std)
 	for i, f := range futs {
 		sealedOut, err := f.Wait()
 		if err != nil {
@@ -105,7 +76,7 @@ func TestSubmitSealedBatchRoundTrip(t *testing.T) {
 // TestSubmitBatchRedispatchesOnDeviceFault: a batch landing on a broken
 // device is retried intact on a healthy one; every job still succeeds.
 func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	s := newScheduler(t, systems)
 	inj.Break()
 
@@ -113,9 +84,9 @@ func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
 	for i := range ws {
 		ws[i] = accel.GenConv(4, 4, 1, int64(i))
 	}
-	futs := submitWs(s, ws, std)
+	futs := submitWs(s, key, ws, std)
 	for i, f := range futs {
-		out, err := f.Wait()
+		out, err := waitOpen(key, f)
 		if err != nil {
 			t.Fatalf("job %d did not survive the faulty device: %v", i, err)
 		}
@@ -133,14 +104,14 @@ func TestSubmitBatchRedispatchesOnDeviceFault(t *testing.T) {
 // jobs in one Submit to a one-board pool must complete as a batch: nothing
 // failed, nothing retried, no fault streak.
 func TestRenderingBatchIsNotADeviceFault(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Rendering{})
+	systems, key := newPool(t, 1, accel.Rendering{})
 	s := newScheduler(t, systems)
 	ws := make([]accel.Workload, 3)
 	for i := range ws {
 		ws[i], _ = accel.TestWorkload("Rendering", int64(70+i))
 	}
-	for i, f := range submitWs(s, ws, std) {
-		out, err := f.Wait()
+	for i, f := range submitWs(s, key, ws, std) {
+		out, err := waitOpen(key, f)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -167,19 +138,19 @@ func TestOneByOneAndAsOneSubmissionAgree(t *testing.T) {
 	}
 	type delta struct{ submitted, completed, jobSeconds uint64 }
 	run := func(asOne bool) delta {
-		systems, _ := newPool(t, 2, accel.Conv{})
+		systems, key := newPool(t, 2, accel.Conv{})
 		s := newScheduler(t, systems)
 		before := metrics.Default().Snapshot()
 		var futs []*Future
 		if asOne {
-			futs = submitWs(s, ws, std)
+			futs = submitWs(s, key, ws, std)
 		} else {
 			for _, w := range ws {
-				futs = append(futs, submitW(s, w))
+				futs = append(futs, submitW(s, key, w))
 			}
 		}
 		for i, f := range futs {
-			out, err := f.Wait()
+			out, err := waitOpen(key, f)
 			if err != nil {
 				t.Fatalf("asOne=%v job %d: %v", asOne, i, err)
 			}
@@ -216,7 +187,7 @@ func TestOneByOneAndAsOneSubmissionAgree(t *testing.T) {
 // count as a device fault so the breaker quarantines the board instead of
 // routing it batch after batch.
 func TestBatchPerJobFaultsTripBreaker(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	s := New(Config{QuarantineAfter: 2, QuarantineBase: time.Minute})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -231,8 +202,8 @@ func TestBatchPerJobFaultsTripBreaker(t *testing.T) {
 		for i := range ws {
 			ws[i] = accel.GenConv(4, 4, 1, int64(round*4+i))
 		}
-		for i, f := range submitWs(s, ws, std) {
-			out, err := f.Wait()
+		for i, f := range submitWs(s, key, ws, std) {
+			out, err := waitOpen(key, f)
 			if err != nil {
 				t.Fatalf("round %d job %d did not survive the sick board: %v", round, i, err)
 			}
@@ -256,17 +227,17 @@ func TestBatchPerJobFaultsTripBreaker(t *testing.T) {
 // future with the ErrSchedulerClosed sentinel — deterministically, not a
 // hang, not a panic, not a generic string.
 func TestSubmitAfterCloseIsDeterministic(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	if err := s.Register(systems[0]); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
-	if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); !errors.Is(err, ErrSchedulerClosed) {
+	if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 1)).Wait(); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("Submit after Close: got %v, want ErrSchedulerClosed", err)
 	}
-	for i, f := range submitWs(s, convWorkloads(3), std) {
+	for i, f := range submitWs(s, key, convWorkloads(3), std) {
 		if _, err := f.Wait(); !errors.Is(err, ErrSchedulerClosed) {
 			t.Fatalf("batched job %d after Close: got %v, want ErrSchedulerClosed", i, err)
 		}
@@ -294,7 +265,7 @@ func convWorkloads(n int) []accel.Workload {
 // ErrSchedulerClosed, never silence.
 func TestCloseSubmitRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		systems, _ := newPool(t, 2, accel.Conv{})
+		systems, key := newPool(t, 2, accel.Conv{})
 		s := New(Config{})
 		for _, sys := range systems {
 			if err := s.Register(sys); err != nil {
@@ -311,8 +282,8 @@ func TestCloseSubmitRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 4; i++ {
-					futs <- submitW(s, accel.GenConv(4, 4, 1, int64(g*10+i)))
-					for _, f := range submitWs(s, convWorkloads(3), std) {
+					futs <- submitW(s, key, accel.GenConv(4, 4, 1, int64(g*10+i)))
+					for _, f := range submitWs(s, key, convWorkloads(3), std) {
 						futs <- f
 					}
 				}
@@ -335,5 +306,51 @@ func TestCloseSubmitRace(t *testing.T) {
 				t.Fatalf("round %d: future resolved with unexpected error: %v", round, err)
 			}
 		}
+	}
+}
+
+// TestExecuteRunsEntryByShape: a lone job's register program goes out one
+// transaction at a time, with no batch frame on the bus, and a vector entry
+// runs as one batch: its chunk's programs ride one sealed batch frame and
+// every one of its jobs resolves.
+func TestExecuteRunsEntryByShape(t *testing.T) {
+	rec := &shell.Recorder{}
+	sys, err := core.NewSystem(core.SystemConfig{
+		Kernel: accel.Conv{}, Seed: 330, DNA: "SHAPE-00", Timing: core.FastTiming(), Interceptor: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := BootSharedParallel([]*core.System{sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newScheduler(t, []*core.System{sys})
+	batchFrames := func() int {
+		n := 0
+		for _, f := range rec.Frames() {
+			if channel.MsgType(f) == channel.MsgSecureRegBatch {
+				n++
+			}
+		}
+		return n
+	}
+
+	before := batchFrames()
+	w := accel.GenConv(4, 4, 1, 1)
+	out, err := waitFor(t, submitW(s, key, w))
+	checkConv(t, key, w, out, err)
+	if n := batchFrames() - before; n != 0 {
+		t.Errorf("a lone job put %d batch frames on the bus, want 0", n)
+	}
+
+	before = batchFrames()
+	ws := convWorkloads(3)
+	for i, f := range submitWs(s, key, ws, std) {
+		out, err := waitFor(t, f)
+		checkConv(t, key, ws[i], out, err)
+	}
+	if n := batchFrames() - before; n != 1 {
+		t.Errorf("a 3-job entry put %d batch frames on the bus, want 1", n)
 	}
 }

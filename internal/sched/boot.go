@@ -13,7 +13,7 @@ import (
 // BootSharedParallel boots every system in the slice with one freshly
 // generated shared data key and returns that key. A pool provisioned this
 // way runs sealed jobs interchangeably: input sealed under the key opens on
-// any device, which is what lets SubmitSealed route by load instead of by
+// any device, which is what lets Submit route by load instead of by
 // identity.
 //
 // Key distribution is atomic in two phases: first every device runs the

@@ -8,6 +8,7 @@ import (
 
 	"salus/internal/accel"
 	"salus/internal/core"
+	"salus/internal/cryptoutil"
 	"salus/internal/metrics"
 )
 
@@ -63,11 +64,16 @@ func resolved(f *Future) bool {
 	return f.e == nil
 }
 
-func checkConv(t *testing.T, w accel.Workload, out []byte, err error) {
+// checkConv opens a job's sealed output under key and checks it against
+// the kernel's reference.
+func checkConv(t *testing.T, key []byte, w accel.Workload, out []byte, err error) {
 	t.Helper()
 	want, werr := w.Kernel.Compute(w.Params, w.Input)
 	if werr != nil {
 		t.Fatal(werr)
+	}
+	if err == nil {
+		out, err = cryptoutil.Open(key, out, []byte("job-output"))
 	}
 	if err != nil || !bytes.Equal(out, want) {
 		t.Fatalf("job: %v, output matches reference: %v", err, bytes.Equal(out, want))
@@ -78,14 +84,14 @@ func checkConv(t *testing.T, w accel.Workload, out []byte, err error) {
 // entry on an idle partition runs on the waiter — here there is no worker
 // to run it at all — and resolves without ever making its wake-up channel.
 func TestWaitRunsLoneJobOnIdlePartition(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	w := accel.GenConv(8, 8, 2, 1)
-	f := submitW(s, w)
+	f := submitW(s, key, w)
 	out, err := waitFor(t, f)
-	checkConv(t, w, out, err)
+	checkConv(t, key, w, out, err)
 	if f.channel() != nil {
 		t.Error("the waiter-run job made a wake-up channel")
 	}
@@ -126,38 +132,38 @@ func parkedWait(t *testing.T, f *Future, why string) <-chan result {
 // TestClaimNeverJumpsQueuedEntry: a waiter whose job sits behind another
 // entry does not claim it; the worker runs the earlier critical entry first.
 func TestClaimNeverJumpsQueuedEntry(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	wc, ws := accel.GenConv(8, 8, 2, 1), accel.GenConv(8, 8, 2, 2)
-	crit := submitWOpts(s, wc, SubmitOptions{Class: ClassCritical})
-	waited := parkedWait(t, submitW(s, ws), "its job past a queued critical entry")
+	crit := submitWOpts(s, key, wc, SubmitOptions{Class: ClassCritical})
+	waited := parkedWait(t, submitW(s, key, ws), "its job past a queued critical entry")
 	d.startWorker()
 	r := <-waited
-	checkConv(t, ws, r.out, r.err)
+	checkConv(t, key, ws, r.out, r.err)
 	if !resolved(crit) {
 		t.Error("the standard job resolved before the critical entry queued ahead of it")
 	}
 	out, err := crit.Wait()
-	checkConv(t, wc, out, err)
+	checkConv(t, key, wc, out, err)
 }
 
 // TestVectorEntryIsNeverClaimed: waiting on a job of a vector entry, even
 // the only entry on an idle partition, leaves the vector to the worker.
 func TestVectorEntryIsNeverClaimed(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	ws := []accel.Workload{accel.GenConv(8, 8, 2, 6), accel.GenConv(8, 8, 2, 7)}
-	futs := submitWs(s, ws, std)
+	futs := submitWs(s, key, ws, std)
 	waited := parkedWait(t, futs[0], "one job of a vector entry")
 	d.startWorker()
 	r := <-waited
-	checkConv(t, ws[0], r.out, r.err)
+	checkConv(t, key, ws[0], r.out, r.err)
 	out, err := futs[1].Wait()
-	checkConv(t, ws[1], out, err)
+	checkConv(t, key, ws[1], out, err)
 }
 
 // TestClaimedRunHoldsOffWorkerExit: a worker whose queue is closed and
@@ -197,12 +203,12 @@ func TestClaimedRunHoldsOffWorkerExit(t *testing.T) {
 // returns, and reclaims the board, only once that job has resolved with
 // its result.
 func TestRemoveRPWaitsForWaiterRun(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 20*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 20*time.Millisecond)
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	w := accel.GenConv(8, 8, 2, 3)
-	f := submitW(s, w)
+	f := submitW(s, key, w)
 	waited := make(chan result, 1)
 	go func() {
 		out, err := f.Wait()
@@ -230,25 +236,25 @@ func TestRemoveRPWaitsForWaiterRun(t *testing.T) {
 		t.Error("the removed board was not reclaimed")
 	}
 	r := <-waited
-	checkConv(t, w, r.out, r.err)
+	checkConv(t, key, w, r.out, r.err)
 }
 
 // TestWaiterRunFaultRedispatches: a retryable fault in a job its waiter
 // ran sends it to another partition, and Wait returns its result from
 // there.
 func TestWaiterRunFaultRedispatches(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	inj.Break()
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	sick := workerless(s, systems[0])
 	w := accel.GenConv(8, 8, 2, 4)
-	f := submitW(s, w) // the sick board is the only one yet
+	f := submitW(s, key, w) // the sick board is the only one yet
 	if err := s.Register(systems[1]); err != nil {
 		t.Fatal(err)
 	}
 	out, err := waitFor(t, f)
-	checkConv(t, w, out, err)
+	checkConv(t, key, w, out, err)
 	if n := sick.retried.Load(); n != 1 {
 		t.Errorf("sick board retried %d jobs, want 1", n)
 	}
@@ -260,12 +266,12 @@ func TestWaiterRunFaultRedispatches(t *testing.T) {
 // TestDoneNeverClaims: Done hands out the channel and leaves the job
 // queued; only Wait runs it.
 func TestDoneNeverClaims(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	w := accel.GenConv(8, 8, 2, 5)
-	f := submitW(s, w)
+	f := submitW(s, key, w)
 	done := f.Done()
 	select {
 	case <-done:
@@ -279,7 +285,7 @@ func TestDoneNeverClaims(t *testing.T) {
 		t.Fatalf("after Done: %d entries queued, %d jobs completed; want the job still queued", queued, d.completed.Load())
 	}
 	out, err := waitFor(t, f)
-	checkConv(t, w, out, err)
+	checkConv(t, key, w, out, err)
 	select {
 	case <-done:
 	default:

@@ -1,37 +1,14 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"salus/internal/accel"
 	"salus/internal/core"
 	"salus/internal/metrics"
 )
-
-// Job is one unit of work for Submit. Input is plaintext (the local
-// data-owner path, like core.System.RunJob) unless Sealed is set, in which
-// case it is the AES-GCM blob a remote data owner sealed under the pool's
-// shared data key (like core.System.RunJobSealed) and the result returns
-// sealed the same way.
-type Job struct {
-	Kernel string
-	Params [4]uint64
-	Input  []byte
-	Sealed bool
-}
-
-// PlainJob is the plaintext Job for a workload.
-func PlainJob(w accel.Workload) Job {
-	j := Job{Params: w.Params, Input: w.Input}
-	if w.Kernel != nil {
-		j.Kernel = w.Kernel.Name()
-	}
-	return j
-}
 
 // Future is the handle returned by Submit: it resolves when the job
 // finishes on some device. It lives inside its queue entry (a lone job's
@@ -103,16 +80,15 @@ func (f *Future) resolve(out []byte, err error) {
 	}
 }
 
-// entry is one queue entry: a vector of n >= 1 jobs of one kernel, all
-// sealed or all plaintext, riding to one device under one QoS contract. A
-// lone job is a vector of one: its job and its future live in the entry
-// itself, so it costs one allocation. A vector's futures are one block.
+// entry is one queue entry: one submission, a vector of n >= 1 sealed jobs
+// of one kernel riding to one device under one QoS contract. A lone job is
+// a vector of one: its job and its future live in the entry itself, so it
+// costs one allocation. A vector's futures are one block.
 type entry struct {
 	kernel   string
-	sealed   bool
 	attempts int // re-dispatches so far
 
-	// jobs[i] resolves futs[i]; Input is sealed or plaintext per sealed.
+	// jobs[i] resolves futs[i].
 	jobs  []core.SealedJob
 	futs  []*Future
 	job1  [1]core.SealedJob
@@ -169,7 +145,7 @@ func (e *entry) add(j core.SealedJob) {
 // keeps the future its submitter holds.
 func (e *entry) single(i int) *entry {
 	sub := &entry{
-		kernel: e.kernel, sealed: e.sealed, attempts: e.attempts + 1,
+		kernel: e.kernel, attempts: e.attempts + 1,
 		class: e.class, tenant: e.tenant, deadline: e.deadline, deadlineNs: e.deadlineNs, seq: e.seq,
 		submitAt: e.submitAt, enqueueAt: e.enqueueAt,
 	}
@@ -327,34 +303,18 @@ func (d *device) serve(e *entry, buf []core.BatchResult) {
 }
 
 // execute runs the entry on the device and is the only code that looks at
-// its shape. Every core entry point runs one job engine; a lone job goes
-// through RunJob/RunJobSealed, which send its register program one
-// transaction at a time over all of device memory and allocate no result
-// vector, and a vector through the batch calls (one sealed register frame
-// and one fabric wait per chunk). A returned error covers the whole entry;
-// a lone job's result is appended to buf.
+// its shape. Both core entry points run one job engine: a lone job goes
+// through RunJobSealed, which sends its register program one transaction
+// at a time over all of device memory and allocates no result vector, and
+// a vector through RunJobSealedBatch (one sealed register frame and one
+// fabric wait per chunk). A returned error covers the whole entry; a lone
+// job's result is appended to buf.
 func (d *device) execute(e *entry, buf []core.BatchResult) ([]core.BatchResult, error) {
-	lone := len(e.jobs) == 1
-	if e.sealed {
-		if !lone {
-			return d.sys.RunJobSealedBatch(e.kernel, e.jobs)
-		}
-		out, err := d.sys.RunJobSealed(e.kernel, e.jobs[0].Params, e.jobs[0].Input)
-		return append(buf, core.BatchResult{Output: out}), err
+	if len(e.jobs) > 1 {
+		return d.sys.RunJobSealedBatch(e.kernel, e.jobs)
 	}
-	k, ok := accel.KernelByName(e.kernel)
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown kernel %q", e.kernel)
-	}
-	if lone {
-		out, err := d.sys.RunJob(accel.Workload{Kernel: k, Params: e.jobs[0].Params, Input: e.jobs[0].Input})
-		return append(buf, core.BatchResult{Output: out}), err
-	}
-	ws := make([]accel.Workload, len(e.jobs))
-	for i, j := range e.jobs {
-		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: j.Input}
-	}
-	return d.sys.RunJobBatch(ws)
+	out, err := d.sys.RunJobSealed(e.kernel, e.jobs[0].Params, e.jobs[0].Input)
+	return append(buf, core.BatchResult{Output: out}), err
 }
 
 // finish is the one result handler. err is a fault covering the whole

@@ -15,18 +15,18 @@ import (
 // cannot starve another tenant's ClassStandard job, whose wait is bounded
 // by the one job already executing.
 func TestFloodingTenantBatchCannotStarveStandard(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 30*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 30*time.Millisecond)
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 21)
 	order := make(chan string, 12)
-	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "blocker", submitW(s, key, w))
 	for i := 0; i < 10; i++ {
 		watchOrder(order, fmt.Sprintf("flood-%d", i),
-			submitWOpts(s, w, SubmitOptions{Class: ClassBatch, Tenant: "flooder"}))
+			submitWOpts(s, key, w, SubmitOptions{Class: ClassBatch, Tenant: "flooder"}))
 	}
 	watchOrder(order, "victim",
-		submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
+		submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
 
 	seq := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {
@@ -43,18 +43,18 @@ func TestFloodingTenantBatchCannotStarveStandard(t *testing.T) {
 // job), not by the flooder's backlog — pure EDF would run the victim
 // last.
 func TestFairShareBoundedWaitWithinBand(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 30*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 30*time.Millisecond)
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 22)
 	order := make(chan string, 14)
-	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "blocker", submitW(s, key, w))
 	for i := 0; i < 12; i++ {
 		watchOrder(order, fmt.Sprintf("flood-%d", i),
-			submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "flooder"}))
+			submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "flooder"}))
 	}
 	watchOrder(order, "victim",
-		submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
+		submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "victim"}))
 
 	seq := make([]string, 0, 14)
 	for i := 0; i < 14; i++ {
@@ -71,7 +71,7 @@ func TestFairShareBoundedWaitWithinBand(t *testing.T) {
 // completion prefix serves gold at least as often as bronze, and the
 // first WRR round is 3 gold to 1 bronze.
 func TestTenantWeightsShapeServiceRatio(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 20*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 20*time.Millisecond)
 	s := New(Config{TenantWeights: map[string]int{"gold": 3, "bronze": 1}})
 	if err := s.Register(systems[0]); err != nil {
 		t.Fatal(err)
@@ -80,12 +80,12 @@ func TestTenantWeightsShapeServiceRatio(t *testing.T) {
 
 	w := accel.GenConv(4, 4, 1, 23)
 	order := make(chan string, 13)
-	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "blocker", submitW(s, key, w))
 	for i := 0; i < 6; i++ {
-		watchOrder(order, "gold", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "gold"}))
+		watchOrder(order, "gold", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "gold"}))
 	}
 	for i := 0; i < 6; i++ {
-		watchOrder(order, "bronze", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "bronze"}))
+		watchOrder(order, "bronze", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "bronze"}))
 	}
 
 	seq := make([]string, 0, 13)
@@ -120,7 +120,7 @@ func TestTenantWeightsShapeServiceRatio(t *testing.T) {
 // tenant A never runs tenant B's work; B's submission dead-ends with a
 // routing error naming the tenant rather than silently sharing A's RP.
 func TestDedicatedPartitionServesOnlyItsTenant(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	if err := s.RegisterTenant(systems[0], "tenant-a"); err != nil {
 		t.Fatal(err)
@@ -128,13 +128,13 @@ func TestDedicatedPartitionServesOnlyItsTenant(t *testing.T) {
 	defer s.Close()
 
 	w := accel.GenConv(4, 4, 1, 24)
-	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-a"}).Wait(); err != nil {
+	if _, err := submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-a"}).Wait(); err != nil {
 		t.Fatalf("owning tenant rejected from its own partition: %v", err)
 	}
-	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-b"}).Wait(); err == nil {
+	if _, err := submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "tenant-b"}).Wait(); err == nil {
 		t.Fatal("foreign tenant's job ran on a dedicated partition")
 	}
-	if _, err := submitW(s, w).Wait(); err == nil {
+	if _, err := submitW(s, key, w).Wait(); err == nil {
 		t.Fatal("unlabelled job ran on a dedicated partition")
 	}
 }
@@ -154,7 +154,8 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BootSharedParallel(systems); err != nil {
+	key, err := BootSharedParallel(systems)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,10 +175,10 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 25)
 	var futs []*Future
 	for i := 0; i < 8; i++ {
-		futs = append(futs, submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Tenant: "a"}))
-		futs = append(futs, submitWOpts(s, w, SubmitOptions{Class: ClassBatch, Tenant: "b"}))
+		futs = append(futs, submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Tenant: "a"}))
+		futs = append(futs, submitWOpts(s, key, w, SubmitOptions{Class: ClassBatch, Tenant: "b"}))
 	}
-	futs = append(futs, submitWOpts(s, w, SubmitOptions{Tenant: "a", Deadline: time.Now().Add(-time.Second)}))
+	futs = append(futs, submitWOpts(s, key, w, SubmitOptions{Tenant: "a", Deadline: time.Now().Add(-time.Second)}))
 	for _, f := range futs {
 		_, _ = f.Wait() // the expired job resolves with a shed error
 	}
@@ -186,7 +187,7 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	if err := s.RemoveRP("RPGAUGE-00", 1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submitWOpts(s, w, SubmitOptions{Tenant: "b"}).Wait(); err != nil {
+	if _, err := submitWOpts(s, key, w, SubmitOptions{Tenant: "b"}).Wait(); err != nil {
 		t.Fatalf("surviving RP after sibling removal: %v", err)
 	}
 	s.Close()

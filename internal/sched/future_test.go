@@ -99,12 +99,9 @@ func TestSubmitAllocCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 64
-	lone := []Job{{Kernel: "Conv", Params: w.Params, Input: sealed, Sealed: true}}
-	batch := make([]Job, n)
-	direct := make([]core.SealedJob, n)
+	batch := make([]core.SealedJob, n)
 	for i := range batch {
-		batch[i] = lone[0]
-		direct[i] = core.SealedJob{Params: w.Params, Input: sealed}
+		batch[i] = core.SealedJob{Params: w.Params, Input: sealed}
 	}
 	must := func(_ []byte, err error) {
 		if err != nil {
@@ -112,9 +109,9 @@ func TestSubmitAllocCount(t *testing.T) {
 		}
 	}
 	board := func() { must(systems[0].RunJobSealed("Conv", w.Params, sealed)) }
-	submit := func() { must(s.Submit(lone, std)[0].Wait()) }
+	submit := func() { must(s.Submit("Conv", batch[:1], std)[0].Wait()) }
 	boardBatch := func() {
-		res, err := systems[0].RunJobSealedBatch("Conv", direct)
+		res, err := systems[0].RunJobSealedBatch("Conv", batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +120,7 @@ func TestSubmitAllocCount(t *testing.T) {
 		}
 	}
 	submitBatch := func() {
-		for _, f := range s.Submit(batch, std) {
+		for _, f := range s.Submit("Conv", batch, std) {
 			must(f.Wait())
 		}
 	}

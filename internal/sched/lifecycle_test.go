@@ -75,13 +75,14 @@ func TestBootSharedParallelPoolServesJobs(t *testing.T) {
 		}
 		systems[i] = sys
 	}
-	if _, err := BootSharedParallel(systems); err != nil {
+	key, err := BootSharedParallel(systems)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := newScheduler(t, systems)
 	w := accel.GenConv(4, 4, 1, 7)
 	ref, _ := w.Kernel.Compute(w.Params, w.Input)
-	out, err := submitW(s, w).Wait()
+	out, err := waitOpen(key, submitW(s, key, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBootSharedParallelPoolServesJobs(t *testing.T) {
 // never a lost future — while the pool keeps serving, and that the removed
 // board is reclaimed once its last job has resolved.
 func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 3, 2*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 3, 2*time.Millisecond)
 	s := newScheduler(t, systems)
 	target := systems[0].Device.DNA()
 
@@ -108,7 +109,7 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < jobs; i++ {
-			f := submitW(s, accel.GenConv(4, 4, 1, int64(i)))
+			f := submitW(s, key, accel.GenConv(4, 4, 1, int64(i)))
 			mu.Lock()
 			futs = append(futs, f)
 			mu.Unlock()
@@ -137,7 +138,7 @@ func TestDrainUnderLoadLosesNoJobs(t *testing.T) {
 	}
 	// The removed board lost nothing it accepted, and new work still flows
 	// to the survivors.
-	if _, err := submitW(s, accel.GenConv(4, 4, 1, 99)).Wait(); err != nil {
+	if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 99)).Wait(); err != nil {
 		t.Errorf("post-remove submission failed: %v", err)
 	}
 }
@@ -175,11 +176,12 @@ func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := BootSharedParallel(systems); err != nil {
+			key, err := BootSharedParallel(systems)
+			if err != nil {
 				t.Fatal(err)
 			}
 			s := newScheduler(t, systems)
-			if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
+			if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -195,7 +197,7 @@ func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
 				t.Fatalf("%d partitions registered afterwards, want %d", got, tc.left)
 			}
 			// Whatever the verb left registered keeps serving; nothing else does.
-			if _, err := submitW(s, accel.GenConv(4, 4, 1, 2)).Wait(); (err == nil) != (tc.left > 0) {
+			if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 2)).Wait(); (err == nil) != (tc.left > 0) {
 				t.Errorf("with %d partitions registered, submission err = %v", tc.left, err)
 			}
 		})
@@ -206,7 +208,7 @@ func TestBoardVerbsAreTheAllRPsCase(t *testing.T) {
 // guard: Close racing active redispatch must leave no future unresolved and
 // no goroutine stuck.
 func TestCloseDuringRedispatchResolvesAllFutures(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 3, time.Millisecond)
+	systems, key, inj := newFaultyPool(t, 3, time.Millisecond)
 	s := New(Config{QueueDepth: 8})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -218,7 +220,7 @@ func TestCloseDuringRedispatchResolvesAllFutures(t *testing.T) {
 	const jobs = 40
 	futs := make([]*Future, jobs)
 	for i := range futs {
-		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(s, key, accel.GenConv(4, 4, 1, int64(i)))
 	}
 	// Wait until the broken device has actually faulted and re-dispatched
 	// something, so Close really races in-flight retries; bounded so a
@@ -255,7 +257,7 @@ func TestCloseDuringRedispatchResolvesAllFutures(t *testing.T) {
 // TestPermanentQuarantineLatches drives a dead board through its probe
 // ladder until the breaker latches, then checks it is never routed again.
 func TestPermanentQuarantineLatches(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	s := New(Config{
 		QuarantineAfter: 1,
 		QuarantineBase:  time.Millisecond,
@@ -276,7 +278,7 @@ func TestPermanentQuarantineLatches(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never latched permanently")
 		}
-		if _, err := submitW(s, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
+		if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 1)).Wait(); err != nil {
 			t.Fatalf("job lost while the pool degrades: %v", err)
 		}
 		//lint:allow test-sleep poll interval inside a deadline-bounded loop; the breaker's probe window needs real elapsed time to expire
@@ -288,7 +290,7 @@ func TestPermanentQuarantineLatches(t *testing.T) {
 	inj.Heal()
 	before := findStats(t, s, sick)
 	for i := 0; i < 10; i++ {
-		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, key, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,13 +13,13 @@ import (
 // have recorded before us.
 
 func TestSchedulerMetricsHappyPath(t *testing.T) {
-	systems, _ := newPool(t, 2, accel.Conv{})
+	systems, key := newPool(t, 2, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	before := metrics.Default().Snapshot()
 	const jobs = 6
 	for i := 0; i < jobs; i++ {
-		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, key, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestSchedulerMetricsHappyPath(t *testing.T) {
 }
 
 func TestSchedulerMetricsQuarantineEvents(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	s := New(Config{QuarantineAfter: 1, QuarantineBase: 5 * time.Millisecond, QuarantineMax: 10 * time.Millisecond})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -63,7 +63,7 @@ func TestSchedulerMetricsQuarantineEvents(t *testing.T) {
 	inj.Break()
 	w := accel.GenConv(4, 4, 1, 3)
 	for i := 0; i < 8 && !findStats(t, s, sick).Quarantined; i++ {
-		if _, err := submitW(s, w).Wait(); err != nil {
+		if _, err := submitW(s, key, w).Wait(); err != nil {
 			t.Fatalf("job during breakage: %v", err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestSchedulerMetricsQuarantineEvents(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("device never readmitted")
 		}
-		if _, err := submitW(s, w).Wait(); err != nil {
+		if _, err := submitW(s, key, w).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		//lint:allow test-sleep poll interval inside a deadline-bounded readmission loop; the sleep only paces probes

@@ -60,16 +60,16 @@ func indexOf(seq []string, name string) int {
 func TestStrictPriorityAcrossBands(t *testing.T) {
 	// The blocker must outlast the submissions behind it: 40 ms was seen to
 	// lose that race on a loaded 2-CPU runner.
-	systems, _, _ := newFaultyPool(t, 1, 120*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 120*time.Millisecond)
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 7)
 	order := make(chan string, 4)
-	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "blocker", submitW(s, key, w))
 	waitInService(t, s)
-	watchOrder(order, "batch", submitWOpts(s, w, SubmitOptions{Class: ClassBatch}))
-	watchOrder(order, "standard", submitWOpts(s, w, SubmitOptions{Class: ClassStandard}))
-	watchOrder(order, "critical", submitWOpts(s, w, SubmitOptions{Class: ClassCritical}))
+	watchOrder(order, "batch", submitWOpts(s, key, w, SubmitOptions{Class: ClassBatch}))
+	watchOrder(order, "standard", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard}))
+	watchOrder(order, "critical", submitWOpts(s, key, w, SubmitOptions{Class: ClassCritical}))
 
 	seq := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
@@ -84,20 +84,20 @@ func TestStrictPriorityAcrossBands(t *testing.T) {
 // TestEDFOrderWithinBand: inside one band the earliest deadline runs
 // first, and deadline-free jobs run last in submission order.
 func TestEDFOrderWithinBand(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 120*time.Millisecond) // see TestStrictPriorityAcrossBands
+	systems, key, _ := newFaultyPool(t, 1, 120*time.Millisecond) // see TestStrictPriorityAcrossBands
 	s := newScheduler(t, systems)
 
 	w := accel.GenConv(4, 4, 1, 9)
 	now := time.Now()
 	order := make(chan string, 5)
-	watchOrder(order, "blocker", submitW(s, w))
+	watchOrder(order, "blocker", submitW(s, key, w))
 	waitInService(t, s)
 	// Submitted deliberately out of deadline order; all far enough out to
 	// never expire during the test.
-	watchOrder(order, "d8s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(8 * time.Second)}))
-	watchOrder(order, "d2s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(2 * time.Second)}))
-	watchOrder(order, "none", submitW(s, w))
-	watchOrder(order, "d5s", submitWOpts(s, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(5 * time.Second)}))
+	watchOrder(order, "d8s", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(8 * time.Second)}))
+	watchOrder(order, "d2s", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(2 * time.Second)}))
+	watchOrder(order, "none", submitW(s, key, w))
+	watchOrder(order, "d5s", submitWOpts(s, key, w, SubmitOptions{Class: ClassStandard, Deadline: now.Add(5 * time.Second)}))
 
 	seq := make([]string, 0, 5)
 	for i := 0; i < 5; i++ {
@@ -121,7 +121,7 @@ func TestEDFOrderWithinBand(t *testing.T) {
 // ClassBatch work resolves with ErrOverloaded immediately instead of
 // blocking for a slot.
 func TestBatchClassFastRejectWhenFull(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 150*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 150*time.Millisecond)
 	s := New(Config{QueueDepth: 1})
 	if err := s.Register(systems[0]); err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestBatchClassFastRejectWhenFull(t *testing.T) {
 	defer s.Close()
 
 	w := accel.GenConv(4, 4, 1, 3)
-	blocker := submitW(s, w)
-	filler := submitW(s, w)
+	blocker := submitW(s, key, w)
+	filler := submitW(s, key, w)
 	deadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, systems[0].Device.DNA()).Queued < 2 {
 		if time.Now().After(deadline) {
@@ -141,10 +141,10 @@ func TestBatchClassFastRejectWhenFull(t *testing.T) {
 	}
 
 	start := time.Now()
-	if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassBatch}).Wait(); !errors.Is(err, ErrOverloaded) {
+	if _, err := submitWOpts(s, key, w, SubmitOptions{Class: ClassBatch}).Wait(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch-class submit on full pool: got %v, want ErrOverloaded", err)
 	}
-	for i, f := range submitWs(s, convWorkloads(3), SubmitOptions{Class: ClassBatch}) {
+	for i, f := range submitWs(s, key, convWorkloads(3), SubmitOptions{Class: ClassBatch}) {
 		if _, err := f.Wait(); !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("batched job %d on full pool: got %v, want ErrOverloaded", i, err)
 		}
@@ -163,14 +163,14 @@ func TestBatchClassFastRejectWhenFull(t *testing.T) {
 // with ErrDeadlineExceeded without ever running — whether it expired
 // before admission or while waiting in a queue.
 func TestExpiredJobNeverExecutes(t *testing.T) {
-	systems, _, _ := newFaultyPool(t, 1, 60*time.Millisecond)
+	systems, key, _ := newFaultyPool(t, 1, 60*time.Millisecond)
 	s := newScheduler(t, systems)
 	dna := systems[0].Device.DNA()
 	w := accel.GenConv(4, 4, 1, 4)
 
 	// Already expired at submission: shed before routing.
 	start := time.Now()
-	if _, err := submitWOpts(s, w, SubmitOptions{Deadline: start.Add(-time.Millisecond)}).Wait(); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := submitWOpts(s, key, w, SubmitOptions{Deadline: start.Add(-time.Millisecond)}).Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("pre-expired submit: got %v, want ErrDeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
@@ -182,10 +182,10 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 
 	// Expires while queued behind a 60 ms job: the worker sheds it at
 	// pickup instead of running it.
-	blocker := submitW(s, w)
+	blocker := submitW(s, key, w)
 	//lint:allow test-sleep generous margin for the worker to dequeue the blocker; failure mode is a weaker assertion, not a flake
 	time.Sleep(10 * time.Millisecond) // let the worker pick the blocker up
-	doomed := submitWOpts(s, w, SubmitOptions{Deadline: time.Now().Add(20 * time.Millisecond)})
+	doomed := submitWOpts(s, key, w, SubmitOptions{Deadline: time.Now().Add(20 * time.Millisecond)})
 	if _, err := doomed.Wait(); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("queue-expired job: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -209,7 +209,7 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 // under that and far above uncontended jitter.
 func TestLowClassFloodDoesNotStarveCritical(t *testing.T) {
 	const service = 2 * time.Millisecond
-	systems, _, _ := newFaultyPool(t, 2, service)
+	systems, key, _ := newFaultyPool(t, 2, service)
 	s := New(Config{QueueDepth: 64})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -231,7 +231,7 @@ func TestLowClassFloodDoesNotStarveCritical(t *testing.T) {
 					return
 				default:
 				}
-				f := submitWOpts(s, w, SubmitOptions{Class: ClassBatch})
+				f := submitWOpts(s, key, w, SubmitOptions{Class: ClassBatch})
 				select {
 				case <-f.Done():
 				default:
@@ -248,7 +248,7 @@ func TestLowClassFloodDoesNotStarveCritical(t *testing.T) {
 	var worst time.Duration
 	for i := 0; i < 20; i++ {
 		start := time.Now()
-		if _, err := submitWOpts(s, w, SubmitOptions{Class: ClassCritical}).Wait(); err != nil {
+		if _, err := submitWOpts(s, key, w, SubmitOptions{Class: ClassCritical}).Wait(); err != nil {
 			t.Fatalf("critical job %d under flood: %v", i, err)
 		}
 		if d := time.Since(start); d > worst {
@@ -289,7 +289,8 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BootSharedParallel([]*core.System{slow, fast}); err != nil {
+	key, err := BootSharedParallel([]*core.System{slow, fast})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,8 +303,8 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	// Wedge the only device: one job executing for 1.2 s, one filling its
 	// single queue slot.
 	w := accel.GenConv(4, 4, 1, 6)
-	submitW(s, w)
-	submitW(s, w)
+	submitW(s, key, w)
+	submitW(s, key, w)
 	deadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, slow.Device.DNA()).Queued < 2 {
 		if time.Now().After(deadline) {
@@ -318,7 +319,7 @@ func TestSubmitDoesNotHangOnWedgedDeviceWithHealthySibling(t *testing.T) {
 	}
 	futs := make(chan *Future, 16)
 	for i := 0; i < 16; i++ {
-		go func() { futs <- submitW(s, w) }()
+		go func() { futs <- submitW(s, key, w) }()
 	}
 	// Every flood job must finish long before the wedged device frees a
 	// slot — the old code parked submitters on its full queue forever.
@@ -345,7 +346,7 @@ func TestQueueDepthGaugeReturnsToZeroAfterChurn(t *testing.T) {
 
 	// Pool A: one faulty device among three — faults redispatch and
 	// succeed elsewhere.
-	systemsA, _, injA := newFaultyPool(t, 3, 0)
+	systemsA, keyA, injA := newFaultyPool(t, 3, 0)
 	sa := New(Config{QuarantineAfter: 2})
 	for _, sys := range systemsA {
 		if err := sa.Register(sys); err != nil {
@@ -355,34 +356,34 @@ func TestQueueDepthGaugeReturnsToZeroAfterChurn(t *testing.T) {
 	var futs []*Future
 	w := accel.GenConv(4, 4, 1, 13)
 	for i := 0; i < 12; i++ {
-		futs = append(futs, submitW(sa, w))
+		futs = append(futs, submitW(sa, keyA, w))
 	}
 	injA.Break()
 	for i := 0; i < 12; i++ {
-		futs = append(futs, submitW(sa, w))
+		futs = append(futs, submitW(sa, keyA, w))
 	}
-	futs = append(futs, submitWs(sa, convWorkloads(8), std)...)
+	futs = append(futs, submitWs(sa, keyA, convWorkloads(8), std)...)
 	injA.Heal()
 	for i := 0; i < 6; i++ {
-		futs = append(futs, submitW(sa, w))
+		futs = append(futs, submitW(sa, keyA, w))
 	}
 	// Deadline sheds at admission.
 	for i := 0; i < 3; i++ {
-		futs = append(futs, submitWOpts(sa, w, SubmitOptions{Deadline: time.Now().Add(-time.Second)}))
+		futs = append(futs, submitWOpts(sa, keyA, w, SubmitOptions{Deadline: time.Now().Add(-time.Second)}))
 	}
 
 	// Pool B: every device faulty — retries exhaust into terminal
 	// failures and whole-batch dead ends.
-	systemsB, _, injB := newFaultyPool(t, 1, 0)
+	systemsB, keyB, injB := newFaultyPool(t, 1, 0)
 	sb := New(Config{MaxRetries: 1})
 	if err := sb.Register(systemsB[0]); err != nil {
 		t.Fatal(err)
 	}
 	injB.Break()
 	for i := 0; i < 4; i++ {
-		futs = append(futs, submitW(sb, w))
+		futs = append(futs, submitW(sb, keyB, w))
 	}
-	futs = append(futs, submitWs(sb, convWorkloads(6), std)...)
+	futs = append(futs, submitWs(sb, keyB, convWorkloads(6), std)...)
 
 	for _, f := range futs {
 		_, _ = f.Wait() // errors expected for the fault/shed cohorts

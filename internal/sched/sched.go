@@ -4,12 +4,16 @@
 // process; this package reproduces that shape in the simulation. Each
 // booted *core.System — its register file and DMA windows a single shared
 // resource — gets one worker goroutine and a bounded priority queue, and
-// the scheduler routes every submitted workload to the least-loaded
-// healthy device whose deployed CL matches the workload's kernel (ties
-// broken round-robin). The worker runs what its device's queue holds one
-// entry at a time, except that a waiter whose lone job is the only entry
-// queued on an idle device runs that job itself (Future.Wait), sparing it
-// a hand-off to the worker and back. Session reuse (core.System's cached
+// the scheduler routes every submission to the least-loaded healthy device
+// whose deployed CL matches its kernel (ties broken round-robin). A
+// submission is one kernel's jobs sealed by the data owner under the
+// pool's shared data key (cascaded attestation ends at the owner, so owner
+// data reaches a board only sealed; local plaintext offload is
+// core.System.RunJob, outside the scheduler). Each submission is one queue
+// entry. The worker runs what its device's queue holds one entry at a
+// time, except that a waiter whose lone job is the only entry queued on an
+// idle device runs that job itself (Future.Wait), sparing it a hand-off to
+// the worker and back. Session reuse (core.System's cached
 // data-key epoch) means a device that stays busy pays the 4-write secure
 // key/IV exchange once per rekey epoch instead of once per job; only the
 // single secure start command remains on the per-job hot path.

@@ -54,24 +54,44 @@ func newScheduler(t testing.TB, systems []*core.System) *Scheduler {
 // std is the contract the migrated option-less call sites submit under.
 var std = SubmitOptions{Class: ClassStandard}
 
-// submitWs submits plaintext workloads as one Submit call.
-func submitWs(s *Scheduler, ws []accel.Workload, opt SubmitOptions) []*Future {
-	jobs := make([]Job, len(ws))
-	for i, w := range ws {
-		jobs[i] = PlainJob(w)
+// sealJob seals a workload's input under the pool's data key, as its data
+// owner does before submitting it.
+func sealJob(key []byte, w accel.Workload) core.SealedJob {
+	sealed, err := cryptoutil.Seal(key, w.Input, []byte("job-input"))
+	if err != nil {
+		panic(err)
 	}
-	return s.Submit(jobs, opt)
+	return core.SealedJob{Params: w.Params, Input: sealed}
 }
 
-// submitWOpts submits one plaintext workload: a batch of one.
-func submitWOpts(s *Scheduler, w accel.Workload, opt SubmitOptions) *Future {
-	return submitWs(s, []accel.Workload{w}, opt)[0]
+// submitWs seals workloads of one kernel under key and submits them as one
+// Submit call.
+func submitWs(s *Scheduler, key []byte, ws []accel.Workload, opt SubmitOptions) []*Future {
+	jobs := make([]core.SealedJob, len(ws))
+	for i, w := range ws {
+		jobs[i] = sealJob(key, w)
+	}
+	return s.Submit(ws[0].Kernel.Name(), jobs, opt)
 }
 
-func submitW(s *Scheduler, w accel.Workload) *Future { return submitWOpts(s, w, std) }
+// submitWOpts seals and submits one workload: a batch of one.
+func submitWOpts(s *Scheduler, key []byte, w accel.Workload, opt SubmitOptions) *Future {
+	return submitWs(s, key, []accel.Workload{w}, opt)[0]
+}
+
+func submitW(s *Scheduler, key []byte, w accel.Workload) *Future { return submitWOpts(s, key, w, std) }
+
+// waitOpen waits for f and opens its sealed output under key.
+func waitOpen(key []byte, f *Future) ([]byte, error) {
+	out, err := f.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return cryptoutil.Open(key, out, []byte("job-output"))
+}
 
 func TestSubmitFansOutAndResultsMatchReference(t *testing.T) {
-	systems, _ := newPool(t, 3, accel.Conv{})
+	systems, key := newPool(t, 3, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	const jobs = 12
@@ -84,10 +104,10 @@ func TestSubmitFansOutAndResultsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = ref
-		futs[i] = submitW(s, w)
+		futs[i] = submitW(s, key, w)
 	}
 	for i, f := range futs {
-		out, err := f.Wait()
+		out, err := waitOpen(key, f)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -109,17 +129,17 @@ func TestSubmitFansOutAndResultsMatchReference(t *testing.T) {
 }
 
 func TestSubmitRoutesByKernel(t *testing.T) {
-	conv, _ := newPool(t, 1, accel.Conv{})
-	affine, _ := newPool(t, 1, accel.Affine{})
+	conv, convKey := newPool(t, 1, accel.Conv{})
+	affine, affineKey := newPool(t, 1, accel.Affine{})
 	s := newScheduler(t, append(conv, affine...))
 
 	wc := accel.GenConv(4, 4, 1, 1)
 	wa := accel.GenAffine(16, 16, 2)
-	oc, err := submitW(s, wc).Wait()
+	oc, err := waitOpen(convKey, submitW(s, convKey, wc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oa, err := submitW(s, wa).Wait()
+	oa, err := waitOpen(affineKey, submitW(s, affineKey, wa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,15 +156,15 @@ func TestSubmitRoutesByKernel(t *testing.T) {
 }
 
 func TestSubmitUnknownKernelFailsFast(t *testing.T) {
-	systems, _ := newPool(t, 1, accel.Conv{})
+	systems, key := newPool(t, 1, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	w := accel.GenAffine(8, 8, 1) // no Affine device registered
-	if _, err := submitW(s, w).Wait(); err == nil || !strings.Contains(err.Error(), "no registered device") {
+	if _, err := submitW(s, key, w).Wait(); err == nil || !strings.Contains(err.Error(), "no registered device") {
 		t.Errorf("err = %v, want no-registered-device", err)
 	}
-	if _, err := submitW(s, accel.Workload{}).Wait(); err == nil {
-		t.Error("workload without kernel accepted")
+	if _, err := s.Submit("", []core.SealedJob{{}}, std)[0].Wait(); err == nil {
+		t.Error("submission naming no kernel accepted")
 	}
 }
 
@@ -218,6 +238,7 @@ func TestRegisterRequiresBoot(t *testing.T) {
 func TestPipelineStagesRegister(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
+	key := cryptoutil.RandomKey(16)
 	for i, k := range []accel.Kernel{accel.Rendering{}, accel.Affine{}} {
 		sys, err := core.NewSystem(core.SystemConfig{
 			Kernel: k, Seed: int64(100 + i), DNA: fpga.DNA(fmt.Sprintf("PIPE-%02d", i)), Timing: core.FastTiming(),
@@ -225,7 +246,7 @@ func TestPipelineStagesRegister(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.SecureBoot(); err != nil {
+		if _, err := sys.SecureBootWithKey(key); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Register(sys); err != nil {
@@ -237,13 +258,13 @@ func TestPipelineStagesRegister(t *testing.T) {
 	}
 	// Each stage kernel is individually schedulable.
 	w := accel.GenRendering(32, 5)
-	if _, err := submitW(s, w).Wait(); err != nil {
+	if _, err := submitW(s, key, w).Wait(); err != nil {
 		t.Errorf("pipeline-stage device rejected job: %v", err)
 	}
 }
 
 func TestCloseDrainsQueuedJobs(t *testing.T) {
-	systems, _ := newPool(t, 2, accel.Conv{})
+	systems, key := newPool(t, 2, accel.Conv{})
 	s := New(Config{QueueDepth: 8})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -252,7 +273,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	}
 	futs := make([]*Future, 8)
 	for i := range futs {
-		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(s, key, accel.GenConv(4, 4, 1, int64(i)))
 	}
 	s.Close()
 	for i, f := range futs {
@@ -260,14 +281,14 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 			t.Errorf("queued job %d dropped at close: %v", i, err)
 		}
 	}
-	if _, err := submitW(s, accel.GenConv(4, 4, 1, 99)).Wait(); err == nil {
+	if _, err := submitW(s, key, accel.GenConv(4, 4, 1, 99)).Wait(); err == nil {
 		t.Error("submit after close accepted")
 	}
 	s.Close() // idempotent
 }
 
 func TestConcurrentSubmitters(t *testing.T) {
-	systems, _ := newPool(t, 2, accel.Conv{})
+	systems, key := newPool(t, 2, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	var wg sync.WaitGroup
@@ -279,7 +300,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				w := accel.GenConv(4, 4, 1, int64(g*100+i))
 				ref, _ := w.Kernel.Compute(w.Params, w.Input)
-				out, err := submitW(s, w).Wait()
+				out, err := waitOpen(key, submitW(s, key, w))
 				if err != nil {
 					errs <- fmt.Errorf("submitter %d job %d: %w", g, i, err)
 					return
@@ -379,7 +400,7 @@ func findStats(t *testing.T, s *Scheduler, dna fpga.DNA) DeviceStats {
 }
 
 func TestDeviceBrokenMidRunIsQuarantinedAndJobsRedispatch(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 3, 2*time.Millisecond)
+	systems, key, inj := newFaultyPool(t, 3, 2*time.Millisecond)
 	s := New(Config{QueueDepth: 4, QuarantineAfter: 2, QuarantineBase: time.Minute})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -391,7 +412,7 @@ func TestDeviceBrokenMidRunIsQuarantinedAndJobsRedispatch(t *testing.T) {
 
 	// Warm phase: the soon-to-fail device completes real work first.
 	for i := 0; i < 6; i++ {
-		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, key, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatalf("warm job %d: %v", i, err)
 		}
 	}
@@ -401,7 +422,7 @@ func TestDeviceBrokenMidRunIsQuarantinedAndJobsRedispatch(t *testing.T) {
 	const jobs = 24
 	futs := make([]*Future, jobs)
 	for i := range futs {
-		futs[i] = submitW(s, accel.GenConv(4, 4, 1, int64(100+i)))
+		futs[i] = submitW(s, key, accel.GenConv(4, 4, 1, int64(100+i)))
 		if i == 2 {
 			inj.Break()
 		}
@@ -434,7 +455,7 @@ func TestThroughputWithOneDeadDeviceWithinQuarterOfHealthyBaseline(t *testing.T)
 	// with every submitted future resolving.
 	const jobs = 48
 	run := func(n int, breakOne bool) time.Duration {
-		systems, _, inj := newFaultyPool(t, n, 4*time.Millisecond)
+		systems, key, inj := newFaultyPool(t, n, 4*time.Millisecond)
 		s := New(Config{QueueDepth: 8, QuarantineAfter: 2, QuarantineBase: time.Minute})
 		for _, sys := range systems {
 			if err := s.Register(sys); err != nil {
@@ -449,7 +470,7 @@ func TestThroughputWithOneDeadDeviceWithinQuarterOfHealthyBaseline(t *testing.T)
 		start := time.Now()
 		futs := make([]*Future, jobs)
 		for i := range futs {
-			futs[i] = submitW(s, w)
+			futs[i] = submitW(s, key, w)
 		}
 		for i, f := range futs {
 			if _, err := f.Wait(); err != nil {
@@ -468,7 +489,7 @@ func TestThroughputWithOneDeadDeviceWithinQuarterOfHealthyBaseline(t *testing.T)
 }
 
 func TestQuarantinedDeviceIsProbedAndReadmitted(t *testing.T) {
-	systems, _, inj := newFaultyPool(t, 2, 0)
+	systems, key, inj := newFaultyPool(t, 2, 0)
 	s := New(Config{QuarantineAfter: 1, QuarantineBase: 20 * time.Millisecond, QuarantineMax: 50 * time.Millisecond})
 	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
@@ -481,7 +502,7 @@ func TestQuarantinedDeviceIsProbedAndReadmitted(t *testing.T) {
 	inj.Break()
 	w := accel.GenConv(4, 4, 1, 3)
 	for i := 0; i < 8 && !findStats(t, s, sick).Quarantined; i++ {
-		if _, err := submitW(s, w).Wait(); err != nil {
+		if _, err := submitW(s, key, w).Wait(); err != nil {
 			t.Fatalf("job during breakage should have failed over: %v", err)
 		}
 	}
@@ -495,7 +516,7 @@ func TestQuarantinedDeviceIsProbedAndReadmitted(t *testing.T) {
 	inj.Heal()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := submitW(s, w).Wait(); err != nil {
+		if _, err := submitW(s, key, w).Wait(); err != nil {
 			t.Fatalf("job after heal: %v", err)
 		}
 		ds := findStats(t, s, sick)
@@ -543,14 +564,14 @@ func TestTerminalRejectionsAreNotRetriedOrQuarantined(t *testing.T) {
 }
 
 func TestPickSpreadsTiesRoundRobin(t *testing.T) {
-	systems, _ := newPool(t, 3, accel.Conv{})
+	systems, key := newPool(t, 3, accel.Conv{})
 	s := newScheduler(t, systems)
 
 	// Strictly sequential jobs on an idle pool: every queue is empty at
 	// pick time, so only the tie-break decides. Least-loaded alone would
 	// send all six to one device.
 	for i := 0; i < 6; i++ {
-		if _, err := submitW(s, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
+		if _, err := submitW(s, key, accel.GenConv(4, 4, 1, int64(i))).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -563,7 +584,7 @@ func TestPickSpreadsTiesRoundRobin(t *testing.T) {
 
 func TestBackpressuredSubmitDoesNotBlockRegister(t *testing.T) {
 	const jobLatency = 400 * time.Millisecond
-	systems, _, _ := newFaultyPool(t, 2, jobLatency)
+	systems, key, _ := newFaultyPool(t, 2, jobLatency)
 	s := New(Config{QueueDepth: 1})
 	if err := s.Register(systems[0]); err != nil {
 		t.Fatal(err)
@@ -576,7 +597,7 @@ func TestBackpressuredSubmitDoesNotBlockRegister(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 5)
 	futs := make(chan *Future, 3)
 	for i := 0; i < 3; i++ {
-		go func() { futs <- submitW(s, w) }()
+		go func() { futs <- submitW(s, key, w) }()
 	}
 	reserveDeadline := time.Now().Add(5 * time.Second)
 	for findStats(t, s, systems[0].Device.DNA()).Queued < 2 {

@@ -52,7 +52,7 @@ func buildSpatialFleet(t *testing.T, boards, rps int) *fleet.Manager {
 // (admission bounded by inflight) and returns the window's goodput.
 func driveTenantMix(t *testing.T, m *fleet.Manager, n, tenants, inflight int) float64 {
 	t.Helper()
-	w := accel.GenConv(4, 4, 1, 42)
+	job := sealJob(t, m.Key(), accel.GenConv(4, 4, 1, 42))
 	sem := make(chan struct{}, inflight)
 	var wg sync.WaitGroup
 	var failed atomic.Uint64
@@ -63,7 +63,7 @@ func driveTenantMix(t *testing.T, m *fleet.Manager, n, tenants, inflight int) fl
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fut := submitW(m.Scheduler(), w, sched.SubmitOptions{
+			fut := submit(m.Scheduler(), job, sched.SubmitOptions{
 				Tenant: fmt.Sprintf("tenant-%d", i%tenants),
 				Class:  sched.ClassStandard,
 			})

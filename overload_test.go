@@ -24,8 +24,9 @@ import (
 )
 
 // overloadPool boots n devices with a 2 ms per-job device latency — the
-// U200-scale idle-block the scheduler overlaps — behind one scheduler.
-func overloadPool(t *testing.T, n int) *sched.Scheduler {
+// U200-scale idle-block the scheduler overlaps — behind one scheduler, and
+// returns it with the pool's shared data key.
+func overloadPool(t *testing.T, n int) (*sched.Scheduler, []byte) {
 	t.Helper()
 	timing := core.FastTiming()
 	timing.RealJobLatency = 2 * time.Millisecond
@@ -42,7 +43,8 @@ func overloadPool(t *testing.T, n int) *sched.Scheduler {
 		}
 		systems[i] = sys
 	}
-	if _, err := sched.BootSharedParallel(systems); err != nil {
+	key, err := sched.BootSharedParallel(systems)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(sched.Config{QueueDepth: 16})
@@ -52,7 +54,7 @@ func overloadPool(t *testing.T, n int) *sched.Scheduler {
 			t.Fatal(err)
 		}
 	}
-	return s
+	return s, key
 }
 
 func p99(samples []time.Duration) time.Duration {
@@ -92,8 +94,8 @@ func TestOverloadGate(t *testing.T) {
 		t.Skip("set SALUS_BENCH_SMOKE=1 (make bench-overload) to run the overload gate")
 	}
 	const service = 2 * time.Millisecond
-	s := overloadPool(t, 2)
-	w := accel.GenConv(8, 8, 1, 42)
+	s, key := overloadPool(t, 2)
+	job := sealJob(t, key, accel.GenConv(8, 8, 1, 42))
 
 	// Phase 1a: capacity, by closed-loop saturation — 8 workers keep both
 	// device queues full for 700 ms.
@@ -106,7 +108,7 @@ func TestOverloadGate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard}).Wait() //nolint:errcheck
+				submit(s, job, sched.SubmitOptions{Class: sched.ClassStandard}).Wait() //nolint:errcheck
 			}
 		}()
 	}
@@ -125,7 +127,7 @@ func TestOverloadGate(t *testing.T) {
 	var uncontended []time.Duration
 	for i := 0; i < 150; i++ {
 		start := time.Now()
-		if _, err := submitW(s, w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
+		if _, err := submit(s, job, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
 			t.Fatalf("uncontended critical job: %v", err)
 		}
 		uncontended = append(uncontended, time.Since(start))
@@ -154,7 +156,7 @@ func TestOverloadGate(t *testing.T) {
 					// ClassBatch either enqueues or fast-rejects; either
 					// way the future resolves on its own and stats track
 					// completions.
-					_ = submitW(s, w, sched.SubmitOptions{Class: sched.ClassBatch})
+					_ = submit(s, job, sched.SubmitOptions{Class: sched.ClassBatch})
 				}
 				//lint:allow test-sleep paces the offered-load generator to a known rate; the gate asserts on ratios, not on this interval
 				time.Sleep(time.Millisecond)
@@ -165,7 +167,7 @@ func TestOverloadGate(t *testing.T) {
 	probeDeadline := ovStart.Add(window)
 	for time.Now().Before(probeDeadline) {
 		start := time.Now()
-		if _, err := submitW(s, w, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
+		if _, err := submit(s, job, sched.SubmitOptions{Class: sched.ClassCritical}).Wait(); err != nil {
 			t.Fatalf("critical job under overload: %v", err)
 		}
 		contended = append(contended, time.Since(start))
@@ -211,7 +213,8 @@ func TestOverloadGateSmokeReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sched.BootSharedParallel([]*core.System{sys}); err != nil {
+	key, err := sched.BootSharedParallel([]*core.System{sys})
+	if err != nil {
 		t.Fatal(err)
 	}
 	s := sched.New(sched.Config{QueueDepth: 1})
@@ -219,12 +222,12 @@ func TestOverloadGateSmokeReject(t *testing.T) {
 	if err := s.Register(sys); err != nil {
 		t.Fatal(err)
 	}
-	w := accel.GenConv(4, 4, 1, 43)
-	f1 := submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
-	f2 := submitW(s, w, sched.SubmitOptions{Class: sched.ClassStandard})
+	job := sealJob(t, key, accel.GenConv(4, 4, 1, 43))
+	f1 := submit(s, job, sched.SubmitOptions{Class: sched.ClassStandard})
+	f2 := submit(s, job, sched.SubmitOptions{Class: sched.ClassStandard})
 	rejected := false
 	for i := 0; i < 50; i++ {
-		f := submitW(s, w, sched.SubmitOptions{Class: sched.ClassBatch})
+		f := submit(s, job, sched.SubmitOptions{Class: sched.ClassBatch})
 		if _, err := f.Wait(); errors.Is(err, sched.ErrOverloaded) {
 			rejected = true
 			break
