@@ -51,7 +51,7 @@ tier1:
 	$(GO) vet -C bench ./...
 	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/bufpool ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
 	$(GO) test -race -count=20 -run '^(TestReadRoleChangesHands|TestReadRoleSkipsCallerStillWriting|TestIdleClientHoldsNoGoroutine|TestReplyRoutedBeforeCallerLeads)$$' ./internal/rpc
-	$(GO) test -race -count=20 -run '^(TestWaitRunsLoneJobOnIdlePartition|TestClaimNeverJumpsQueuedEntry|TestVectorEntryIsNeverClaimed|TestClaimedRunHoldsOffWorkerExit|TestRemoveRPWaitsForWaiterRun|TestWaiterRunFaultRedispatches|TestDoneNeverClaims)$$' ./internal/sched
+	$(GO) test -race -count=20 -run '^(TestWaitRunsLoneJobOnIdlePartition|TestClaimNeverJumpsQueuedEntry|TestVectorEntryIsClaimedWhenAlone|TestClaimedRunHoldsOffWorkerExit|TestRemoveRPWaitsForWaiterRun|TestWaiterRunFaultRedispatches|TestDoneNeverClaims)$$' ./internal/sched
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
 # (whose images borrow their input), for the kernels' output bounds (which

@@ -76,7 +76,12 @@ func main() {
 	if _, err := sys.SecureBoot(); err != nil {
 		log.Fatal(err)
 	}
+	// The shell records the first job's sealed register frame and replays
+	// it in place of the second job's.
 	w, _ := salus.TestWorkload("Conv", 9)
+	if _, err := sys.RunJob(w); err != nil {
+		log.Fatal(err)
+	}
 	if _, err := sys.RunJob(w); err != nil {
 		fmt.Println("blocked:", err)
 	} else {

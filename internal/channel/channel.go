@@ -601,13 +601,7 @@ func OpenRekeyResponse(key []byte, wantCtr uint64, frame []byte) error {
 
 // EncodeDirectReg frames a plaintext register transaction.
 func EncodeDirectReg(txn RegTxn) []byte {
-	return AppendDirectReg(make([]byte, 0, 1+regTxnSize), txn)
-}
-
-// AppendDirectReg appends a plaintext register transaction frame to dst, so
-// a caller that issues many builds each in one reused buffer.
-func AppendDirectReg(dst []byte, txn RegTxn) []byte {
-	return appendRegTxn(append(dst, MsgDirectReg), txn)
+	return appendRegTxn(append(make([]byte, 0, 1+regTxnSize), MsgDirectReg), txn)
 }
 
 // DecodeDirectReg parses a plaintext register transaction.

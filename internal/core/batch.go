@@ -9,15 +9,6 @@ import (
 	"salus/internal/accel"
 	"salus/internal/channel"
 	"salus/internal/cryptoutil"
-	"salus/internal/metrics"
-)
-
-// Batch-path metrics: whole-batch on-board latency plus the job count, so
-// the amortisation factor (jobs per secure frame / per fabric wait) is
-// directly observable.
-var (
-	mCoreBatch     = metrics.Default().Histogram("salus_core_batch_seconds")
-	mCoreBatchJobs = metrics.Default().Counter("salus_core_batch_jobs_total")
 )
 
 // batchTxnsPerJob is the secure register program of one job inside a
@@ -68,15 +59,6 @@ type batchChunk struct {
 	baseIV   []byte
 }
 
-// loneScratch is the one-element plan, workload and result a lone job runs
-// through (see RunJob and loneScratch.take).
-type loneScratch struct {
-	w     [1]accel.Workload
-	res   [1]BatchResult
-	chunk [1]batchChunk
-	job   [1]batchJob
-}
-
 // SealedJob is one entry of a sealed batch: parameters in the clear (they
 // are register values, not data), input sealed under the data key.
 type SealedJob struct {
@@ -84,49 +66,70 @@ type SealedJob struct {
 	Input  []byte
 }
 
-// RunJobSealedBatch is the remote-data-owner batch path: every input
-// arrives sealed under the provisioned data key, is opened inside the
-// user enclave, offloaded through the batched data path, and every result
-// returns sealed the same way (read back and sealed in place, see
-// readOutput). A job whose input fails authentication is rejected
-// individually; its siblings still run. A fault covering the whole call
-// drops the outputs its earlier chunks already sealed.
+// RunSealed is the remote-data-owner job path for any number of jobs:
+// every input arrives sealed under the provisioned data key, is opened
+// inside the user enclave, offloaded, and its result returns sealed the
+// same way (see readOutput); the plaintext never exists outside enclave or
+// CL. results[i] receives job i's outcome; the caller owns results, which
+// must hold one entry per job and is overwritten. A job whose input fails
+// authentication is rejected alone. A non-nil return is a fault covering
+// the whole call: outputs already sealed are dropped, results left zero.
 //
-// The batch runs as a first-class unit: per chunk, every job's register
-// program rides ONE sealed MsgSecureRegBatch frame (one counter tick for
-// the whole vector), a fresh session epoch's 4-write key/IV exchange is
-// coalesced into the front of the same frame, and the host waits out the
-// fabric exactly once per chunk instead of once per job. Inputs of chunk
-// N+1 are DMA-written into the idle half of the double-buffered device
-// memory window while chunk N runs and reads back. Per-job IVs are the
-// contiguous accel.JobIV range starting at the session counter, so sealing
-// stays per-job-unique exactly as for a lone job.
-func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]BatchResult, error) {
+// Per chunk, every job's register program rides ONE sealed
+// MsgSecureRegBatch frame (one counter tick), a fresh epoch's 4-write
+// key/IV exchange rides its front, and the host waits out the fabric once.
+// Inputs of chunk N+1 are DMA-written into the idle half of device memory
+// while chunk N runs; a lone job gets all of it (see planBatch). Per-job
+// IVs are the contiguous accel.JobIV range from the session counter.
+func (s *System) RunSealed(kernelName string, jobs []SealedJob, results []BatchResult) error {
+	if len(results) != len(jobs) {
+		return fmt.Errorf("core: %d results for %d sealed jobs", len(results), len(jobs))
+	}
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
 	start := time.Now()
-	defer mCoreBatch.Since(start)
-	mCoreBatchJobs.Add(uint64(len(jobs)))
-	results := make([]BatchResult, len(jobs))
-	if err := s.runSealedLocked(kernelName, jobs, make([]accel.Workload, len(jobs)), results, nil, make([]batchJob, 0, len(jobs))); err != nil {
+	defer mCoreSealedJob.Since(start)
+	clear(results)
+	err := s.runSealedLocked(kernelName, jobs, results)
+	s.clearScratch()
+	if err != nil {
 		for _, r := range results {
 			dropOutput(r.Output)
 		}
+		clear(results)
+	}
+	return err
+}
+
+// RunJobSealed is RunSealed for one job.
+func (s *System) RunJobSealed(kernelName string, params [4]uint64, sealedInput []byte) ([]byte, error) {
+	var res [1]BatchResult
+	if err := s.RunSealed(kernelName, []SealedJob{{params, sealedInput}}, res[:]); err != nil {
+		return nil, err
+	}
+	return res[0].Output, res[0].Err
+}
+
+// RunJobSealedBatch is RunSealed into a results slice of its own.
+func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]BatchResult, error) {
+	results := make([]BatchResult, len(jobs))
+	if err := s.RunSealed(kernelName, jobs, results); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// runSealedLocked opens every sealed input inside the user enclave into ws
-// and runs ws through the job engine, each output sealed under the data
-// key. A job whose input fails authentication is rejected alone in
-// results. Callers hold jobMu.
+// runSealedLocked opens every sealed input inside the user enclave into
+// the System's workload scratch and runs it through the job engine, each
+// output sealed under the data key. A job whose input fails authentication
+// is rejected alone in results. Callers hold jobMu and clear the scratch
+// afterwards (clearScratch).
 //
 // The inputs are opened side by side into s.plain, the System's plaintext
 // scratch, which is zeroed before the call returns. A call whose inputs
 // outgrow device memory opens into a one-off buffer the System does not
 // keep (zeroed all the same).
-func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel.Workload, results []BatchResult, chunks []batchChunk, plan []batchJob) error {
+func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, results []BatchResult) error {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted")
 	}
@@ -151,6 +154,7 @@ func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel
 	}
 	used := 0
 	defer func() { clear(plain[:used]) }()
+	ws := s.workloads(len(jobs))
 	for i, j := range jobs {
 		input, err := cryptoutil.AppendOpenWith(plain[used:used], aead, j.Input, jobInputAD)
 		if err != nil {
@@ -160,18 +164,39 @@ func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, ws []accel
 		used += len(input)
 		ws[i] = accel.Workload{Kernel: k, Params: j.Params, Input: input}
 	}
-	return s.runJobBatchLocked(ws, results, aead, chunks, plan)
+	return s.runJobBatchLocked(ws, results, aead)
+}
+
+// workloads returns the System's workload scratch sized for a call of n
+// jobs, the plan scratch grown with it. Callers hold jobMu.
+func (s *System) workloads(n int) []accel.Workload {
+	if cap(s.ws) < n {
+		s.ws, s.plan = make([]accel.Workload, n), make([]batchJob, n)
+	}
+	s.ws = s.ws[:n]
+	return s.ws
+}
+
+// clearScratch zeroes what the call in flight used of the job scratch: its
+// workloads (each Input is a job's plaintext), planned jobs and chunks (a
+// chunk holds its epoch's data key and key schedule), so no call's data
+// outlives it. Callers hold jobMu.
+func (s *System) clearScratch() {
+	clear(s.ws)
+	clear(s.plan[:len(s.ws)])
+	clear(s.chunks)
+	s.ws, s.chunks = s.ws[:0], s.chunks[:0]
 }
 
 // runJobBatchLocked is the one job engine behind every entry point: it
 // plans, pipelines and executes ws; callers hold jobMu. Entries of results
 // whose Err is already set are skipped (the sealed path uses this for
 // inputs that failed authentication). Outputs are plaintext with a nil
-// seal and sealed under it otherwise; chunks and jobs back the plan. A
-// non-nil return is a transport/session fault covering the whole call;
-// the session is invalidated and the caller must discard results. Only the
-// encoding (issueTxns) and the memory window (planBatch) depend on len(ws).
-func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD, chunks []batchChunk, jobs []batchJob) (err error) {
+// seal and sealed under it otherwise. The plan lives in the System's chunk
+// and job scratch. A non-nil return is a transport/session fault covering
+// the whole call; the session is invalidated and the caller must discard
+// results. Only the memory window (planBatch) depends on len(ws).
+func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD) (err error) {
 	if !s.booted {
 		return fmt.Errorf("core: system not booted; run SecureBoot first")
 	}
@@ -184,7 +209,8 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		}
 	}()
 
-	chunks, err = s.planBatch(ws, results, chunks, jobs)
+	chunks, err := s.planBatch(ws, results, s.chunks[:0], s.plan[:0])
+	s.chunks = chunks
 	if err != nil {
 		return err
 	}
@@ -207,7 +233,7 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		}
 
 		s.buildChunkTxns(ws, chunk)
-		if err := s.issueTxns(len(ws) == 1); err != nil {
+		if err := s.issueTxns(); err != nil {
 			return deviceFault(err)
 		}
 		// The device has installed the epoch and consumed one IV slot per
@@ -253,10 +279,12 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 // planBatch assigns every runnable job an IV-schedule slot and a device
 // memory slot, splitting the batch into chunks at epoch, memory-window and
 // transaction-cap boundaries; chunks and jobs are appended to the given
-// backing store. A job's slot holds its input and the most output its
-// kernel can produce (accel.Kernel.OutputCap). It pre-generates fresh
-// epoch key material so chunk inputs can be encrypted (and DMA-written)
-// ahead of the frame that installs the epoch on the device.
+// backing store (jobs must have room for len(ws)), and the chunks are
+// returned even with an error, so the caller can clear their keys. A job's
+// slot holds its input and the most output its kernel can produce
+// (accel.Kernel.OutputCap). It pre-generates fresh epoch key material so
+// chunk inputs can be encrypted (and DMA-written) ahead of the frame that
+// installs the epoch on the device.
 func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []batchChunk, jobs []batchJob) ([]batchChunk, error) {
 	maxJobsPerFrame := (channel.MaxBatchTxns - epochTxnCount) / batchTxnsPerJob
 	window := uint64(batchHalf)
@@ -316,7 +344,7 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []
 			cursor+slot > cur.base+window
 		if needNew {
 			if err := openChunk(); err != nil {
-				return nil, err
+				return chunks, err
 			}
 		}
 		jobs = append(jobs, batchJob{
@@ -363,35 +391,14 @@ func (s *System) buildChunkTxns(ws []accel.Workload, chunk *batchChunk) {
 	}
 }
 
-// issueTxns sends the register program in s.batchTxns, one result per
-// transaction into s.batchRes: as one sealed MsgSecureRegBatch frame for a
-// batch, one transaction at a time for a lone job — key, IV and start over
-// the secure register channel, the rest over the direct one, and a
-// rejected write ends the call before a start runs on a half-programmed
-// register file.
-func (s *System) issueTxns(lone bool) (err error) {
-	if !lone {
-		if s.batchRes, err = s.User.SecureRegBatch(s.batchTxns, s.batchRes[:0]); err != nil {
-			return fmt.Errorf("core: secure batch: %w", err)
-		}
-		return nil
-	}
-	s.batchRes = s.batchRes[:0]
-	for _, txn := range s.batchTxns {
-		var res channel.RegResult
-		switch txn.Addr {
-		case accel.RegKey0, accel.RegKey1, accel.RegIV0, accel.RegIV1, accel.RegCtrl:
-			res, err = s.User.SecureReg(txn)
-		default:
-			res, err = s.directReg(txn)
-		}
-		if err != nil {
-			return fmt.Errorf("core: register %#x: %w", txn.Addr, err)
-		}
-		if txn.Write && !res.OK {
-			return fmt.Errorf("core: write to register %#x rejected", txn.Addr)
-		}
-		s.batchRes = append(s.batchRes, res)
+// issueTxns sends the register program in s.batchTxns as one sealed
+// MsgSecureRegBatch frame, one result per transaction into s.batchRes,
+// whatever the number of jobs: addresses, lengths and kernel parameters
+// are MAC'd with the key, IV and start they come with, so the shell can
+// neither read nor rewrite any of them.
+func (s *System) issueTxns() (err error) {
+	if s.batchRes, err = s.User.SecureRegBatch(s.batchTxns, s.batchRes[:0]); err != nil {
+		return fmt.Errorf("core: secure batch: %w", err)
 	}
 	return nil
 }

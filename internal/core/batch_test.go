@@ -291,3 +291,17 @@ func TestEveryKernelEveryEntryPoint(t *testing.T) {
 		})
 	}
 }
+
+// TestRunSealedWantsOneResultPerJob: the caller's results slice must hold
+// exactly one entry per job; any other length is refused before anything
+// runs.
+func TestRunSealedWantsOneResultPerJob(t *testing.T) {
+	r := newSealedRig(t)
+	w := accel.GenConv(8, 8, 1, 1)
+	jobs := []SealedJob{{w.Params, r.seal(t, w.Input)}, {w.Params, r.seal(t, w.Input)}}
+	for _, n := range []int{0, 1, 3} {
+		if err := r.RunSealed("Conv", jobs, make([]BatchResult, n)); err == nil {
+			t.Errorf("%d results for 2 jobs accepted", n)
+		}
+	}
+}

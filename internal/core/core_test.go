@@ -310,8 +310,9 @@ func TestAttackSpoofDNA(t *testing.T) {
 
 func TestAttackReplayRuntimeChannel(t *testing.T) {
 	// Attack 3 on runtime transactions: the boot survives (its single
-	// attestation exchange is not a secure-reg frame), but the replayed
-	// session frame during the job is rejected by the counter.
+	// attestation exchange is not a secure-reg frame) and the first job's
+	// sealed frame is recorded, but replayed in place of the second job's
+	// it is rejected by the counter.
 	s := newTestSystem(t, func(c *SystemConfig) {
 		c.Interceptor = &shell.ReplayRequests{}
 	})
@@ -319,6 +320,9 @@ func TestAttackReplayRuntimeChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := accel.TestWorkload("Conv", 3)
+	if _, err := s.RunJob(w); err != nil {
+		t.Fatalf("first job, whose frame the shell only records: %v", err)
+	}
 	if _, err := s.RunJob(w); err == nil {
 		t.Error("job succeeded despite replayed secure frames")
 	}
@@ -606,16 +610,16 @@ func TestBootTranscriptShape(t *testing.T) {
 		t.Errorf("frame 2 type %#x, want attestation response", channel.MsgType(tr[2]))
 	}
 
-	// The first job adds: 4 secure reg pairs (key/IV exchange), DMA
-	// write(s), direct reg writes/reads, the secure start command, and the
-	// DMA read — every frame one of the known types.
+	// The first job adds: one sealed register batch and its response (the
+	// key/IV exchange and the job's whole register program), DMA write(s)
+	// and the DMA read — every frame one of the known types, and no
+	// register transaction in the clear.
 	w, _ := accel.TestWorkload("Conv", 1)
 	if _, err := s.RunJob(w); err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[byte]bool{
-		channel.MsgSecureReg: true, channel.MsgSecureRegResp: true,
-		channel.MsgDirectReg: true, channel.MsgDirectResp: true,
+		channel.MsgSecureRegBatch: true, channel.MsgSecureRegBatchResp: true,
 		channel.MsgMemWrite: true, channel.MsgMemRead: true, channel.MsgMemData: true,
 	}
 	for i, f := range bus.Frames()[3:] {
@@ -623,65 +627,46 @@ func TestBootTranscriptShape(t *testing.T) {
 			t.Errorf("job frame %d has unexpected type %#x", i, channel.MsgType(f))
 		}
 	}
-	countSecure := func() int {
-		n := 0
-		for _, f := range bus.Frames() {
-			if channel.MsgType(f) == channel.MsgSecureReg {
-				n++
-			}
-		}
-		return n
-	}
-	if got := countSecure(); got != 5 {
-		t.Errorf("%d secure register frames, want exactly 5 (key/IV exchange + start)", got)
+	if got := len(programFrames(bus.Frames())); got != 1 {
+		t.Errorf("%d sealed register frames, want exactly 1 (key/IV exchange + program)", got)
 	}
 
-	// A second job reuses the cached session: exactly one more secure
-	// frame (the start command), no repeated key exchange.
+	// A second job reuses the cached session: exactly one more sealed
+	// frame, shorter than the first by the key/IV exchange it no longer
+	// carries.
 	if _, err := s.RunJob(w); err != nil {
 		t.Fatal(err)
 	}
-	if got := countSecure(); got != 6 {
-		t.Errorf("%d secure register frames after second job, want 6 (session reuse)", got)
+	if got := programFrames(bus.Frames()); len(got) != 2 {
+		t.Errorf("%d sealed register frames after second job, want 2 (session reuse)", len(got))
+	} else if len(got[1]) >= len(got[0]) {
+		t.Errorf("second job's frame is %d bytes, the first's %d: the key exchange ran again", len(got[1]), len(got[0]))
 	}
 }
 
-// forgeOutLen rewrites the response to a direct RegOutLen read with an
-// attacker-chosen 64-bit value whose low 32 bits look plausible — the
-// truncation lure a hostile shell could use against a host that narrows
-// the register to uint32.
-type forgeOutLen struct {
-	shell.PassThrough
-	value   uint64
-	pending bool
-}
-
-func (a *forgeOutLen) OnRequest(r []byte) []byte {
-	if txn, err := channel.DecodeDirectReg(r); err == nil && !txn.Write && txn.Addr == accel.RegOutLen {
-		a.pending = true
+// programFrames returns the sealed register program frames among frames,
+// in order: one per chunk, whatever the number of jobs.
+func programFrames(frames [][]byte) [][]byte {
+	var out [][]byte
+	for _, f := range frames {
+		if channel.MsgType(f) == channel.MsgSecureRegBatch {
+			out = append(out, f)
+		}
 	}
-	return r
+	return out
 }
 
-func (a *forgeOutLen) OnResponse(r []byte) []byte {
-	if !a.pending || channel.MsgType(r) != channel.MsgDirectResp {
-		return r
-	}
-	a.pending = false
-	return channel.AppendDirectResp(nil, channel.RegResult{Data: a.value, OK: true})
-}
-
+// TestRunJobRejectsImplausibleOutLen: a CL reporting an output length of
+// 1<<40 | 64, which truncates to a plausible 64 under uint32(), is caught:
+// the host validates the full 64-bit register against the job's slot. (The
+// register rides the sealed response, so only the CL can lie about it.)
 func TestRunJobRejectsImplausibleOutLen(t *testing.T) {
-	// 1<<40 | 64 truncates to a plausible 64 under uint32() — the host
-	// must validate the full 64-bit register instead.
-	s := newTestSystem(t, func(c *SystemConfig) {
-		c.Interceptor = &forgeOutLen{value: 1<<40 | 64}
-	})
-	if _, err := s.SecureBoot(); err != nil {
-		t.Fatal(err)
-	}
+	s := newTestSystem(t)
 	w, _ := accel.TestWorkload("Conv", 9)
-	_, err := s.RunJob(w)
+	ok := channel.RegResult{OK: true}
+	r := []channel.RegResult{ok, ok, ok, ok, ok, ok, ok, ok,
+		{OK: true, Data: accel.StatusDone}, {OK: true, Data: 1<<40 | 64}}
+	_, err := s.readOneJob(w, &batchChunk{}, batchJob{outAddr: 4096, outCap: 1024}, r, nil)
 	if err == nil || !strings.Contains(err.Error(), "implausible output length") {
 		t.Errorf("err = %v, want implausible-output-length rejection", err)
 	}
@@ -707,20 +692,28 @@ func TestSessionRekeyEveryNJobs(t *testing.T) {
 			t.Fatalf("job %d: wrong result", i)
 		}
 	}
-	// Five jobs at rekey-every-2: epochs start at jobs 0, 2, 4 — three
-	// 4-write exchanges plus five secure start commands — and the second
-	// and third epoch each rotate the register-channel key first.
-	secure, rekeys := 0, 0
+	// Five jobs at rekey-every-2: epochs start at jobs 0, 2, 4 — five
+	// sealed program frames, of which the three that open an epoch carry
+	// the 4-write exchange and are longer — and the second and third epoch
+	// each rotate the register-channel key first.
+	rekeys := 0
 	for _, f := range bus.Frames() {
-		switch channel.MsgType(f) {
-		case channel.MsgSecureReg:
-			secure++
-		case channel.MsgRekey:
+		if channel.MsgType(f) == channel.MsgRekey {
 			rekeys++
 		}
 	}
-	if secure != 3*4+5 {
-		t.Errorf("secure frames = %d, want %d", secure, 3*4+5)
+	programs := programFrames(bus.Frames())
+	longest, exchanges := 0, 0
+	for _, f := range programs {
+		longest = max(longest, len(f))
+	}
+	for _, f := range programs {
+		if len(f) == longest {
+			exchanges++
+		}
+	}
+	if len(programs) != 5 || exchanges != 3 {
+		t.Errorf("%d program frames, %d with a key exchange; want 5 and 3", len(programs), exchanges)
 	}
 	if rekeys != 2 {
 		t.Errorf("rekey frames = %d, want 2", rekeys)
@@ -746,13 +739,8 @@ func TestSessionSurvivesExplicitRekey(t *testing.T) {
 	if _, err := s.RunJob(w); err != nil {
 		t.Fatalf("job after rekey: %v", err)
 	}
-	exchanges := 0
-	for _, f := range bus.Frames() {
-		if channel.MsgType(f) == channel.MsgSecureReg {
-			exchanges++
-		}
-	}
-	if exchanges != 4+2 {
-		t.Errorf("secure frames = %d, want 6 (one exchange, two starts)", exchanges)
+	programs := programFrames(bus.Frames())
+	if len(programs) != 2 || len(programs[1]) >= len(programs[0]) {
+		t.Errorf("%d program frames; want 2, the second without a key exchange", len(programs))
 	}
 }

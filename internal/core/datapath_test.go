@@ -107,13 +107,13 @@ func memWrites(frames [][]byte) [][]byte {
 }
 
 // scratchFrames returns the frames among frames that the host builds in a
-// reused scratch buffer: DMA bursts, direct register requests and DMA read
+// reused scratch buffer: DMA bursts, sealed register programs and DMA read
 // requests.
 func scratchFrames(frames [][]byte) [][]byte {
 	var out [][]byte
 	for _, f := range frames {
 		switch channel.MsgType(f) {
-		case channel.MsgMemWrite, channel.MsgDirectReg, channel.MsgMemRead:
+		case channel.MsgMemWrite, channel.MsgSecureRegBatch, channel.MsgMemRead:
 			out = append(out, f)
 		}
 	}
@@ -121,10 +121,12 @@ func scratchFrames(frames [][]byte) [][]byte {
 }
 
 // TestRecorderFramesSurviveBurstReuse: the shell borrows every DMA burst
-// frame and every direct register or DMA read request for one transaction
+// frame, sealed register program and DMA read request for one transaction
 // only; the host rebuilds the next one in the same scratch (and under
-// -race poisons it with 0xA5 as soon as the transaction returns). What a
-// Recorder captured must not move.
+// -race poisons the DMA frames with 0xA5 as soon as the transaction
+// returns). What a Recorder captured must not move. A job's registers all
+// ride the sealed program: its DMA stays direct, but no register
+// transaction crosses the bus in the clear.
 func TestRecorderFramesSurviveBurstReuse(t *testing.T) {
 	opt, bus := recorded()
 	r := newSealedRig(t, opt)
@@ -133,11 +135,14 @@ func TestRecorderFramesSurviveBurstReuse(t *testing.T) {
 	r.run(t, w, sealed)
 	first := scratchFrames(bus.Frames())
 	counts := map[byte]int{}
-	for _, f := range first {
+	for _, f := range bus.Frames() {
 		counts[channel.MsgType(f)]++
 	}
-	if counts[channel.MsgMemWrite] == 0 || counts[channel.MsgDirectReg] == 0 || counts[channel.MsgMemRead] == 0 {
-		t.Fatalf("recorded frames by type %v: want DMA writes, direct register requests and DMA reads", counts)
+	if counts[channel.MsgMemWrite] == 0 || counts[channel.MsgSecureRegBatch] != 1 || counts[channel.MsgMemRead] == 0 {
+		t.Fatalf("recorded frames by type %v: want DMA writes, one sealed register program and DMA reads", counts)
+	}
+	if counts[channel.MsgDirectReg] != 0 || counts[channel.MsgSecureReg] != 0 {
+		t.Fatalf("recorded frames by type %v: a register transaction went out on its own", counts)
 	}
 	snapshot := make([][]byte, len(first))
 	for i, f := range first {
@@ -533,6 +538,52 @@ func TestSealedPlaintextScratchZeroed(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("a 3-job RunJobSealedBatch", 3*len(w.Input))
+}
+
+// TestJobScratchClearedAfterEveryCall: the workloads, chunks and planned
+// jobs a call runs through are System-owned and reused, but nothing of the
+// call stays in them once it returns — no workload's plaintext Input, no
+// chunk's epoch key or key schedule — after RunJob, after a lone RunSealed
+// and after a 3-job RunSealed.
+func TestJobScratchClearedAfterEveryCall(t *testing.T) {
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1)
+	sealed := r.seal(t, w.Input)
+	check := func(after string) {
+		t.Helper()
+		if cap(r.ws) == 0 || cap(r.chunks) == 0 || cap(r.plan) == 0 {
+			t.Fatalf("after %s: the call ran through no System-owned scratch", after)
+		}
+		for i, v := range r.ws[:cap(r.ws)] {
+			if v.Input != nil || v.Kernel != nil {
+				t.Errorf("after %s: workload scratch %d still holds a job", after, i)
+			}
+		}
+		for i, c := range r.chunks[:cap(r.chunks)] {
+			if c.key != nil || c.block != nil || c.baseIV != nil || c.jobs != nil {
+				t.Errorf("after %s: chunk scratch %d still holds its epoch", after, i)
+			}
+		}
+		for i, j := range r.plan[:cap(r.plan)] {
+			if j != (batchJob{}) {
+				t.Errorf("after %s: planned job %d is still set", after, i)
+			}
+		}
+	}
+	if _, err := r.RunJob(w); err != nil {
+		t.Fatal(err)
+	}
+	check("RunJob")
+	var one [1]BatchResult
+	if err := r.RunSealed("Conv", []SealedJob{{w.Params, sealed}}, one[:]); err != nil || one[0].Err != nil {
+		t.Fatal(err, one[0].Err)
+	}
+	check("a lone RunSealed")
+	three := make([]BatchResult, 3)
+	if err := r.RunSealed("Conv", []SealedJob{{w.Params, sealed}, {w.Params, sealed}, {w.Params, sealed}}, three); err != nil {
+		t.Fatal(err)
+	}
+	check("a 3-job RunSealed")
 }
 
 // readForger is a shell that, once armed, answers the host's DMA reads

@@ -16,9 +16,9 @@ import (
 )
 
 // Device-level job metrics: on-board latency (secure start through result
-// readback) for the plaintext and sealed paths, plus how often the 4-write
-// secure key/IV exchange actually runs — the counter that proves session
-// reuse is amortising it.
+// readback) of a plaintext RunJob and of a sealed RunSealed call, plus how
+// often the 4-write secure key/IV exchange actually runs — the counter that
+// proves session reuse is amortising it.
 var (
 	mCoreJob          = metrics.Default().Histogram("salus_core_job_seconds")
 	mCoreSealedJob    = metrics.Default().Histogram("salus_core_sealed_job_seconds")
@@ -60,13 +60,17 @@ func deviceFault(err error) error {
 // epoch performs the 4 secure key/IV writes, and every subsequent job
 // derives a fresh per-job IV from the session counter (accel.JobIV) that
 // the crypto engine advances in lockstep. Each job still crosses the
-// protected path once — the start command is issued over the secure
-// register channel — so a runtime CL substitution or a desynced session
-// is caught on the very next job, exactly as with per-job key exchange.
+// protected path once — its whole register program, start command
+// included, rides the secure register channel — so a runtime CL
+// substitution or a desynced session is caught on the very next job,
+// exactly as with per-job key exchange.
 //
-// A lone job is a batch of one: it runs through the job engine (see
-// runJobBatchLocked), which sends its register program one transaction at
-// a time and gives it the whole device memory window.
+// RunJob is the plaintext facade over the one job engine the sealed path
+// runs (see RunSealed and runJobBatchLocked): a lone job is a batch of one,
+// whose register program rides one sealed MsgSecureRegBatch frame and which
+// gets the whole device memory window. The workload passes through the
+// System's job scratch, which is cleared before RunJob returns, so the
+// System keeps no reference to the job's plaintext or the epoch's key.
 func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	// One job at a time: the accelerator's register file and DMA windows
 	// are a single shared resource, exactly as on the physical board.
@@ -74,21 +78,15 @@ func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 	defer s.jobMu.Unlock()
 	start := time.Now()
 	defer mCoreJob.Since(start)
-	l := &s.lone
-	l.w[0] = w
-	return l.take(s.runJobBatchLocked(l.w[:], l.res[:], nil, l.chunk[:0], l.job[:0]))
-}
-
-// take returns a lone job's outcome — err, a fault covering the call, or
-// else the job's own verdict — and clears the scratch, so the System keeps
-// no reference to the job's plaintext or the epoch's key material.
-func (l *loneScratch) take(err error) ([]byte, error) {
-	out, jobErr := l.res[0].Output, l.res[0].Err
-	*l = loneScratch{}
+	var res [1]BatchResult
+	ws := s.workloads(1)
+	ws[0] = w
+	err := s.runJobBatchLocked(ws, res[:], nil)
+	s.clearScratch()
 	if err != nil {
 		return nil, err
 	}
-	return out, jobErr
+	return res[0].Output, res[0].Err
 }
 
 // newEpochSecrets draws the secrets of a fresh session epoch: the enclave's
@@ -115,21 +113,6 @@ func (s *System) newEpochSecrets() (key []byte, block cipher.Block, baseIV []byt
 // re-exchanges. Callers hold jobMu.
 func (s *System) invalidateSession() {
 	s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = nil, nil, nil, 0
-}
-
-// RunJobSealed is the remote-data-owner job path: the input arrives sealed
-// under the provisioned data key (AES-GCM, "job" domain), is opened inside
-// the user enclave, offloaded, and the result returns sealed the same way.
-// The plaintext never exists outside enclave or CL. The unseal/reseal runs
-// under the same serialisation as the job itself, so it can never race
-// SecureBoot or RekeySession.
-func (s *System) RunJobSealed(kernelName string, params [4]uint64, sealedInput []byte) ([]byte, error) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	start := time.Now()
-	defer mCoreSealedJob.Since(start)
-	l := &s.lone
-	return l.take(s.runSealedLocked(kernelName, []SealedJob{{params, sealedInput}}, l.w[:], l.res[:], l.chunk[:0], l.job[:0]))
 }
 
 // Additional data binding sealed job payloads to their direction.
@@ -223,10 +206,11 @@ func dropOutput(buf []byte) {
 
 // dmaRead fills dst from device memory at addr in bursts, symmetric with
 // writeInput — an unbounded single MemRead would let one response frame
-// pin the whole result in flight. Each read request is built in the
-// register-frame scratch (see directReg). Each response is the SM logic's
-// reused read frame, lent until its next DMA read; under -race it is
-// poisoned once its data is copied out, like the request scratches.
+// pin the whole result in flight. Each read request is built in
+// s.regFrame, the System's one request scratch, which the shell borrows
+// for the transaction only. Each response is the SM logic's reused read
+// frame, lent until its next DMA read; under -race it is poisoned once its
+// data is copied out, like the request scratches.
 func (s *System) dmaRead(addr uint64, dst []byte) error {
 	for off := 0; off < len(dst); off += channel.DMABurst {
 		want := min(len(dst)-off, channel.DMABurst)
@@ -251,24 +235,6 @@ func (s *System) dmaRead(addr uint64, dst []byte) error {
 		poison(resp)
 	}
 	return nil
-}
-
-// directReg issues one plaintext register transaction. The request is
-// built in s.regFrame, the System's one register-frame scratch, which the
-// shell borrows for the transaction only (and which is poisoned once it
-// returns under -race, like the DMA burst scratch). Callers hold jobMu.
-func (s *System) directReg(txn channel.RegTxn) (channel.RegResult, error) {
-	s.regFrame = channel.AppendDirectReg(s.regFrame[:0], txn)
-	//lint:allow sealed-boundary direct register path is the paper's unprotected channel; secure register writes go through smapp's sealed path instead
-	resp, err := s.User.Direct(s.regFrame)
-	poison(s.regFrame)
-	if err != nil {
-		return channel.RegResult{}, err
-	}
-	if msg, isErr := channel.DecodeError(resp); isErr {
-		return channel.RegResult{}, fmt.Errorf("core: direct register: %s", msg)
-	}
-	return channel.DecodeDirectResp(resp)
 }
 
 // RekeySession rotates the register channel's session secrets (see

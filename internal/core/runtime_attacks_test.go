@@ -60,7 +60,7 @@ func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
 	}
 	w, _ := accel.TestWorkload("Conv", 2)
 	if _, err := s.RunJob(w); err != nil {
-		t.Fatal(err) // advances the session counter by 4 secure writes
+		t.Fatal(err) // advances the session counter by one sealed frame
 	}
 
 	// The shell recorded the encrypted bitstream at deployment (frame 0 of
@@ -106,7 +106,7 @@ func TestRuntimeReplayOfOriginalBitstreamDesyncs(t *testing.T) {
 func findFirstSecureFrame(t *testing.T, frames [][]byte) []byte {
 	t.Helper()
 	for _, f := range frames {
-		if channel.MsgType(f) == channel.MsgSecureReg {
+		if t := channel.MsgType(f); t == channel.MsgSecureReg || t == channel.MsgSecureRegBatch {
 			return f
 		}
 	}

@@ -119,18 +119,20 @@ type System struct {
 	sessJobs   uint32
 	rekeyEvery int
 
-	// Batched-path scratch (guarded by jobMu): the register program and
-	// result vectors are reused across batches so the steady-state framing
-	// path allocates nothing.
+	// Job-path scratch (guarded by jobMu), reused by every call so the
+	// steady-state path allocates nothing: the register program and result
+	// vectors, and the workloads, chunks and planned jobs of the call in
+	// flight, which clearScratch zeroes before the call returns.
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
-	lone      loneScratch
+	ws        []accel.Workload
+	chunks    []batchChunk
+	plan      []batchJob
 
 	// burst is the DMA burst scratch every input frame is built in (see
-	// writeInput), regFrame the scratch every direct register request and
-	// DMA read request is built in (see directReg), and plain the scratch
-	// sealed inputs are opened into (see runSealedLocked); all guarded by
-	// jobMu.
+	// writeInput), regFrame the scratch every DMA read request is built in
+	// (see dmaRead), and plain the scratch sealed inputs are opened into
+	// (see runSealedLocked); all guarded by jobMu.
 	burst    []byte
 	regFrame []byte
 	plain    []byte
@@ -637,7 +639,9 @@ func (s *System) Reclaim() {
 	clear(s.plain[:cap(s.plain)])
 	clear(s.batchTxns[:cap(s.batchTxns)])
 	clear(s.batchRes[:cap(s.batchRes)])
+	s.clearScratch()
 	s.batchTxns, s.batchRes, s.burst, s.regFrame, s.plain = nil, nil, nil, nil, nil
+	s.ws, s.chunks, s.plan = nil, nil, nil
 	s.User.Zeroize()
 	s.SM.Zeroize()
 	s.booted = false

@@ -126,6 +126,12 @@ type BatchResponse struct {
 // boxes no response of its own into the rpc layer's result.
 var jobResponses = sync.Pool{New: func() any { return new(JobResponse) }}
 
+// jobVectors recycles the job vector the gateway's RunBatch handler hands
+// to Submit, which copies it into the queue entry that owns the jobs, so a
+// batch call allocates its job vector once. A vector goes back cleared:
+// its inputs alias the request frame, which rpc recycles.
+var jobVectors = sync.Pool{New: func() any { return new([]core.SealedJob) }}
+
 // Release hands the sealed output back to bufpool and the response itself
 // back to its pool; rpc calls it once the gateway's response is written
 // (rpc.Handler's release rule). Only the gateway's server path releases: a
@@ -346,12 +352,16 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		if err != nil {
 			return BatchResponse{}, err
 		}
-		jobs := make([]core.SealedJob, len(in.Jobs))
-		for i, j := range in.Jobs {
-			jobs[i] = core.SealedJob{Params: j.Params, Input: j.SealedInput}
+		vec := jobVectors.Get().(*[]core.SealedJob)
+		jobs := (*vec)[:0]
+		for _, j := range in.Jobs {
+			jobs = append(jobs, core.SealedJob{Params: j.Params, Input: j.SealedInput})
 		}
 		start := time.Now()
 		futs, shard, spilled, err := fed.SubmitBatch(in.Tenant, in.Key, in.Kernel, jobs, opt)
+		clear(jobs)
+		*vec = jobs[:0]
+		jobVectors.Put(vec)
 		if err != nil {
 			return BatchResponse{}, err
 		}

@@ -188,6 +188,11 @@ type SubmitOptions struct {
 // kernel, overload, expired deadline) resolves the entry's futures with the
 // error, deterministically, without touching a device queue. Submit never
 // runs a job on its caller; Wait may (see Future.Wait).
+//
+// The entry keeps its own copy of jobs, so the caller may reuse the slice
+// as soon as Submit returns (the gateway recycles its vector). Keeping the
+// caller's slice instead would move every one-job caller's slice literal to
+// the heap: one more allocation a lone job.
 func (s *Scheduler) Submit(kernel string, jobs []core.SealedJob, opt SubmitOptions) []*Future {
 	if len(jobs) == 0 {
 		return nil

@@ -309,11 +309,11 @@ func TestCloseSubmitRace(t *testing.T) {
 	}
 }
 
-// TestExecuteRunsEntryByShape: a lone job's register program goes out one
-// transaction at a time, with no batch frame on the bus, and a vector entry
-// runs as one batch: its chunk's programs ride one sealed batch frame and
-// every one of its jobs resolves.
-func TestExecuteRunsEntryByShape(t *testing.T) {
+// TestEveryEntryPutsOneBatchFramePerChunk: every entry runs as one batch,
+// whatever its length: a lone job's register program and a 3-job vector's
+// programs each ride one sealed batch frame (the chunk's), no register
+// transaction goes out on its own, and every job resolves.
+func TestEveryEntryPutsOneBatchFramePerChunk(t *testing.T) {
 	rec := &shell.Recorder{}
 	sys, err := core.NewSystem(core.SystemConfig{
 		Kernel: accel.Conv{}, Seed: 330, DNA: "SHAPE-00", Timing: core.FastTiming(), Interceptor: rec,
@@ -329,8 +329,11 @@ func TestExecuteRunsEntryByShape(t *testing.T) {
 	batchFrames := func() int {
 		n := 0
 		for _, f := range rec.Frames() {
-			if channel.MsgType(f) == channel.MsgSecureRegBatch {
+			switch channel.MsgType(f) {
+			case channel.MsgSecureRegBatch:
 				n++
+			case channel.MsgSecureReg, channel.MsgDirectReg:
+				t.Fatalf("a register transaction went out on its own (frame type %#x)", channel.MsgType(f))
 			}
 		}
 		return n
@@ -340,8 +343,8 @@ func TestExecuteRunsEntryByShape(t *testing.T) {
 	w := accel.GenConv(4, 4, 1, 1)
 	out, err := waitFor(t, submitW(s, key, w))
 	checkConv(t, key, w, out, err)
-	if n := batchFrames() - before; n != 0 {
-		t.Errorf("a lone job put %d batch frames on the bus, want 0", n)
+	if n := batchFrames() - before; n != 1 {
+		t.Errorf("a lone job put %d batch frames on the bus, want 1", n)
 	}
 
 	before = batchFrames()

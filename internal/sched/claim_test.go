@@ -149,21 +149,35 @@ func TestClaimNeverJumpsQueuedEntry(t *testing.T) {
 	checkConv(t, key, wc, out, err)
 }
 
-// TestVectorEntryIsNeverClaimed: waiting on a job of a vector entry, even
-// the only entry on an idle partition, leaves the vector to the worker.
-func TestVectorEntryIsNeverClaimed(t *testing.T) {
+// TestVectorEntryIsClaimedWhenAlone: a vector entry alone on an idle
+// partition is claimed by its waiter, like a lone job — here there is no
+// worker to run it at all. Waiting on one of its jobs runs them all, and
+// its siblings resolve without ever making a wake-up channel.
+func TestVectorEntryIsClaimedWhenAlone(t *testing.T) {
 	systems, key := newPool(t, 1, accel.Conv{})
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	d := workerless(s, systems[0])
 	ws := []accel.Workload{accel.GenConv(8, 8, 2, 6), accel.GenConv(8, 8, 2, 7)}
 	futs := submitWs(s, key, ws, std)
-	waited := parkedWait(t, futs[0], "one job of a vector entry")
-	d.startWorker()
-	r := <-waited
-	checkConv(t, key, ws[0], r.out, r.err)
-	out, err := futs[1].Wait()
+	out, err := waitFor(t, futs[0])
+	checkConv(t, key, ws[0], out, err)
+	if !resolved(futs[1]) {
+		t.Fatal("the waiter ran one job of its vector entry, not the entry")
+	}
+	out, err = futs[1].Wait()
 	checkConv(t, key, ws[1], out, err)
+	for i, f := range futs {
+		if f.channel() != nil {
+			t.Errorf("job %d of the waiter-run vector made a wake-up channel", i)
+		}
+	}
+	if n := d.completed.Load(); n != 2 {
+		t.Errorf("device completed %d jobs, want 2", n)
+	}
+	if n := d.queued.Load(); n != 0 {
+		t.Errorf("device still counts %d queued jobs", n)
+	}
 }
 
 // TestClaimedRunHoldsOffWorkerExit: a worker whose queue is closed and

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,11 @@ var closedDone = func() chan struct{} {
 	return c
 }()
 
-// Wait blocks until the job completes and returns its result. A lone job
-// that is the only entry queued on an idle partition runs on the waiting
-// goroutine instead of the partition's worker (see pqueue.claim), so it
-// resolves before its wake-up channel is ever made.
+// Wait blocks until the job completes and returns its result. An entry
+// that is the only one queued on an idle partition, a lone job or a whole
+// vector, runs on the waiting goroutine instead of the partition's worker
+// (see pqueue.claim), so its futures resolve before any wake-up channel is
+// made.
 func (f *Future) Wait() ([]byte, error) {
 	for f.runIdle() {
 		// A retryable fault redispatched the job: it may be idle-queued again.
@@ -265,14 +267,15 @@ func (d *device) run() {
 	}
 }
 
-// runIdle runs the future's job on the calling goroutine if it is a lone
-// job whose device's queue lets a waiter claim it, and reports whether it
-// did. A job of a vector entry is never run by its waiter.
+// runIdle runs the future's entry on the calling goroutine if its device's
+// queue lets a waiter claim it, and reports whether it did: any entry, a
+// lone job or a vector, alone on an idle partition runs on the first of
+// its waiters to get there (see pqueue.claim).
 func (f *Future) runIdle() bool {
 	f.mu.Lock()
 	e := f.e
 	f.mu.Unlock()
-	if e == nil || e.block != nil {
+	if e == nil {
 		return false
 	}
 	d := e.dev.Load()
@@ -302,19 +305,14 @@ func (d *device) serve(e *entry, buf []core.BatchResult) {
 	d.finish(d.s, e, results, err)
 }
 
-// execute runs the entry on the device and is the only code that looks at
-// its shape. Both core entry points run one job engine: a lone job goes
-// through RunJobSealed, which sends its register program one transaction
-// at a time over all of device memory and allocates no result vector, and
-// a vector through RunJobSealedBatch (one sealed register frame and one
-// fabric wait per chunk). A returned error covers the whole entry; a lone
-// job's result is appended to buf.
+// execute runs the entry on the device: one RunSealed call for any number
+// of jobs, whose register programs ride one sealed register frame and one
+// fabric wait per chunk. The results land in buf, which the worker and a
+// claiming waiter back with one element, so a lone job allocates no result
+// vector; a returned error covers the whole entry.
 func (d *device) execute(e *entry, buf []core.BatchResult) ([]core.BatchResult, error) {
-	if len(e.jobs) > 1 {
-		return d.sys.RunJobSealedBatch(e.kernel, e.jobs)
-	}
-	out, err := d.sys.RunJobSealed(e.kernel, e.jobs[0].Params, e.jobs[0].Input)
-	return append(buf, core.BatchResult{Output: out}), err
+	results := slices.Grow(buf[:0], len(e.jobs))[:len(e.jobs)]
+	return results, d.sys.RunSealed(e.kernel, e.jobs, results)
 }
 
 // finish is the one result handler. err is a fault covering the whole

@@ -11,12 +11,12 @@
 // data reaches a board only sealed; local plaintext offload is
 // core.System.RunJob, outside the scheduler). Each submission is one queue
 // entry. The worker runs what its device's queue holds one entry at a
-// time, except that a waiter whose lone job is the only entry queued on an
-// idle device runs that job itself (Future.Wait), sparing it a hand-off to
-// the worker and back. Session reuse (core.System's cached
-// data-key epoch) means a device that stays busy pays the 4-write secure
-// key/IV exchange once per rekey epoch instead of once per job; only the
-// single secure start command remains on the per-job hot path.
+// time, except that a waiter whose entry is the only one queued on an idle
+// device runs that entry itself (Future.Wait), sparing it a hand-off to
+// the worker and back. Session reuse (core.System's cached data-key epoch)
+// means a device that stays busy pays the 4-write secure key/IV exchange
+// once per rekey epoch instead of once per job; it rides the front of the
+// epoch's first sealed register frame.
 //
 // # Failure awareness
 //

@@ -112,9 +112,9 @@ func (TamperResponses) OnResponse(r []byte) []byte {
 	return out
 }
 
-// ReplayRequests records the first secure-register frame it sees and
-// substitutes it for every later secure-register frame — the bus replay
-// attack (freshness).
+// ReplayRequests records the first secure-register frame it sees, a lone
+// transaction or a job's whole register program, and substitutes it for
+// every later one — the bus replay attack (freshness).
 type ReplayRequests struct {
 	PassThrough
 	recorded []byte
@@ -122,7 +122,7 @@ type ReplayRequests struct {
 
 // OnRequest implements Interceptor.
 func (a *ReplayRequests) OnRequest(r []byte) []byte {
-	if channel.MsgType(r) != channel.MsgSecureReg {
+	if t := channel.MsgType(r); t != channel.MsgSecureReg && t != channel.MsgSecureRegBatch {
 		return r
 	}
 	if a.recorded == nil {
