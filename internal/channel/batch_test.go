@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -391,5 +392,55 @@ func TestEncodeErrorClampsOversizeMessage(t *testing.T) {
 	}
 	if len(msg) != 1<<16-1 || msg != long[:1<<16-1] {
 		t.Fatalf("clamped message wrong: %d bytes", len(msg))
+	}
+}
+
+// TestRekeyLeavesNoOldEpoch: Rekey keeps the Sealer's buffers but nothing of
+// the old epoch in them — the key bytes hold the new key, both frame
+// buffers are zero at their old capacity (the open buffer held the rekey
+// request's plaintext, the new key), and frames sealed afterwards open
+// under the new key only.
+func TestRekeyLeavesNoOldEpoch(t *testing.T) {
+	oldKey, newKey := key16(), key16()
+	host, dev := newTestSealer(t, oldKey), newTestSealer(t, oldKey)
+	frame, err := host.SealRegBatchRequest(1, testTxns(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.OpenRegBatchRequest(1, frame, nil); err != nil {
+		t.Fatal(err)
+	}
+	frame, err = host.SealRekeyRequest(2, newKey, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := dev.OpenRekeyRequest(2, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyBuf, sealBuf, openBuf := dev.key, dev.sealBuf[:cap(dev.sealBuf)], dev.openBuf[:cap(dev.openBuf)]
+	if err := dev.Rekey(got); err != nil { // got aliases the open buffer
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dev.key, newKey) || &dev.key[0] != &keyBuf[0] {
+		t.Error("Rekey did not copy the new key over the old key's bytes")
+	}
+	for name, b := range map[string][]byte{"seal": sealBuf, "open": openBuf} {
+		if !bytes.Equal(b, make([]byte, len(b))) {
+			t.Errorf("the %s buffer keeps old-epoch bytes after Rekey", name)
+		}
+	}
+	if cap(dev.sealBuf) != len(sealBuf) || cap(dev.openBuf) != len(openBuf) {
+		t.Error("Rekey dropped a frame buffer's capacity")
+	}
+	frame, err = dev.SealRegResponse(100, RegResult{Data: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenRegResponse(newKey, 100, frame); err != nil {
+		t.Errorf("frame after Rekey does not open under the new key: %v", err)
+	}
+	if _, err := OpenRegResponse(oldKey, 100, frame); err == nil {
+		t.Error("frame after Rekey opens under the old key")
 	}
 }

@@ -265,8 +265,8 @@ const rekeyPayloadSize = 16 + 8
 // session key with zero steady-state allocations: the AES block cipher is
 // expanded once per key, counter and keystream blocks live in the struct,
 // and frame buffers are grown once and reused. Each end of the channel
-// holds one Sealer per Key_session epoch and replaces it when the epoch
-// rotates. A Sealer is NOT safe for concurrent use — callers
+// holds one Sealer and Rekeys it when the Key_session epoch rotates. A
+// Sealer is NOT safe for concurrent use — callers
 // (smapp.SMApp, smlogic.Logic) already serialise the secure channel, which
 // is single-lane by construction (one strictly increasing counter).
 //
@@ -293,6 +293,23 @@ func NewSealer(key []byte) (*Sealer, error) {
 		return nil, fmt.Errorf("channel: sealer: %w", err)
 	}
 	return &Sealer{key: append([]byte(nil), key...), block: block}, nil
+}
+
+// Rekey switches the Sealer to a new 16-byte key: it copies key over its
+// own key bytes, expands the new block and zeroes both frame buffers,
+// keeping their capacity, so nothing of the old epoch — its key or a frame
+// opened under it — stays behind and the next epoch grows no buffer. key
+// may alias the open buffer (OpenRekeyRequest's newKey).
+func (s *Sealer) Rekey(key []byte) error {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return fmt.Errorf("channel: sealer: %w", err)
+	}
+	s.key = append(s.key[:0], key...)
+	s.block = block
+	clear(s.sealBuf[:cap(s.sealBuf)])
+	clear(s.openBuf[:cap(s.openBuf)])
+	return nil
 }
 
 // xorCTR applies the session keystream at (ctr, dir) to buf in place; the

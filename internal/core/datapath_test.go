@@ -447,6 +447,38 @@ func TestSealedJobAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRekeyRoundAllocBytes pins what one explicit rotation plus one 2 KiB
+// sealed job allocates. Both ends rekey their one Sealer in place, so an
+// epoch regrows no frame buffer: a round measured 3,918 B when each
+// rotation dropped both Sealers, and measures 3,112 B now.
+func TestRekeyRoundAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := newSealedRig(t)
+	w := accel.GenConv(16, 16, 4, 1)
+	sealed := r.seal(t, w.Input)
+	round := func() {
+		if err := r.RekeySession(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunJobSealed("Conv", w.Params, sealed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm
+	const rounds, budget = 100, 3400
+	perRound := allocKiB(func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	}) * 1024 / rounds
+	t.Logf("rekey + 2 KiB sealed job: %.0f B a round (budget < %d)", perRound, budget)
+	if perRound >= budget {
+		t.Errorf("rekey + 2 KiB sealed job allocated %.0f B a round, want < %d", perRound, budget)
+	}
+}
+
 // warmAllocsPerJob runs a job through one session epoch, then returns its
 // allocations a call averaged over four epochs, so the per-epoch rotation
 // and key exchange are paid in proportion.

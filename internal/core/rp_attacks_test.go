@@ -178,9 +178,9 @@ func TestPerRPCountersIndependent(t *testing.T) {
 }
 
 // Reclaiming a drained RP zeroizes every copy of the tenant's key material
-// in place — host-side session cache, host-side data key, enclave keys —
-// before the partition is re-placed, and the successor tenant boots a fresh
-// System on the same (device, partition) pair with nothing to inherit.
+// in place — host-side session cache, enclave keys — before the partition
+// is re-placed, and the successor tenant boots a fresh System on the same
+// (device, partition) pair with nothing to inherit.
 func TestReclaimZeroizesBeforeReplacement(t *testing.T) {
 	mfr, err := manufacturer.New()
 	if err != nil {
@@ -210,15 +210,14 @@ func TestReclaimZeroizesBeforeReplacement(t *testing.T) {
 	// a sloppy reclaim would hand to the next occupant.
 	leakedSess := a.sessKey
 	leakedIV := a.sessIV
-	leakedData := a.dataKey
-	if len(leakedSess) == 0 || len(leakedIV) == 0 || len(leakedData) == 0 {
+	if len(leakedSess) == 0 || len(leakedIV) == 0 {
 		t.Fatal("no live session to reclaim")
 	}
 
 	a.Reclaim()
 
 	for name, leaked := range map[string][]byte{
-		"session key": leakedSess, "session IV": leakedIV, "data key": leakedData,
+		"session key": leakedSess, "session IV": leakedIV,
 	} {
 		for _, by := range leaked {
 			if by != 0 {
@@ -227,7 +226,7 @@ func TestReclaimZeroizesBeforeReplacement(t *testing.T) {
 			}
 		}
 	}
-	if a.sessKey != nil || a.sessIV != nil || a.dataKey != nil {
+	if a.sessKey != nil || a.sessIV != nil {
 		t.Error("reclaimed system still references key material")
 	}
 	if !a.Reclaimed() {

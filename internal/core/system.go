@@ -102,7 +102,6 @@ type System struct {
 	Timing Timing
 
 	jobMu     sync.Mutex
-	dataKey   []byte // the data owner's copy; the enclave holds its own
 	booted    bool
 	reclaimed bool
 	partition int
@@ -373,22 +372,12 @@ type BootReport struct {
 //	   provisions the data key.
 //
 // An attack anywhere in the chain surfaces as an error from the step whose
-// guarantees it violates, and no data key is ever provisioned.
+// guarantees it violates, and no data key is ever provisioned. The data key
+// is drawn fresh and lives only in the user enclave (User.DataKey); an
+// owner that keys several systems alike uses sched.BootSharedParallel.
 func (s *System) SecureBoot() (*BootReport, error) {
-	return s.SecureBootWithKey(nil)
-}
-
-// SecureBootWithKey runs SecureBoot but provisions the caller-supplied
-// 16-byte data key instead of generating a fresh one. A data owner who
-// attests a fleet of devices and provisions the same key to each can then
-// submit one sealed job to any of them (see internal/sched). Nil means
-// generate randomly, exactly like SecureBoot.
-func (s *System) SecureBootWithKey(dataKey []byte) (*BootReport, error) {
 	if s.booted {
 		return nil, fmt.Errorf("core: system already booted")
-	}
-	if dataKey != nil && len(dataKey) != 16 {
-		return nil, fmt.Errorf("core: data key must be 16 bytes, got %d", len(dataKey))
 	}
 	span := s.Clock.StartSpan()
 	ver := client.New(s.Expectations())
@@ -406,10 +395,10 @@ func (s *System) SecureBootWithKey(dataKey []byte) (*BootReport, error) {
 	}
 
 	// The platform is attested end to end: provision the data key.
-	if dataKey == nil {
-		dataKey = cryptoutil.RandomKey(16)
-	}
-	if err := s.ProvisionKey(dataPub, dataKey); err != nil {
+	dataKey := cryptoutil.RandomKey(16)
+	err = s.ProvisionKey(dataPub, dataKey)
+	clear(dataKey)
+	if err != nil {
 		return nil, err
 	}
 
@@ -498,7 +487,7 @@ func (s *System) FinishProvision(senderPub, sealed []byte) error {
 // VerifyQuote runs the data owner's verification of the deferred quote,
 // charging the WAN round trip and the client's DCAP verification to this
 // system's clock, and returns the enclave key the data key must be sealed
-// to. Split out of SecureBootWithKey so a fleet booter can run the
+// to. Split out of SecureBoot so a fleet booter can run the
 // instance side of many boots first and only provision once every chain
 // verified (sched.BootSharedParallel's atomicity).
 func (s *System) VerifyQuote(ver *client.Verifier, nonce []byte, quote sgx.Quote) ([]byte, error) {
@@ -514,9 +503,9 @@ func (s *System) VerifyQuote(ver *client.Verifier, nonce []byte, quote sgx.Quote
 
 // ProvisionKey seals the 16-byte data key to the enclave key from a
 // verified RA response and delivers it, completing the boot. It is the
-// owner-side tail of SecureBootWithKey, split out so a fleet manager that
-// verified the quote itself (internal/fleet) can provision without
-// re-running the whole flow.
+// owner-side tail of SecureBoot, split out so an owner that verified the
+// quotes itself (sched.BootSharedParallel) can provision one key to many
+// systems. The system keeps no copy: only the user enclave holds the key.
 func (s *System) ProvisionKey(dataPub, dataKey []byte) error {
 	if len(dataKey) != 16 {
 		return fmt.Errorf("core: data key must be 16 bytes, got %d", len(dataKey))
@@ -526,11 +515,7 @@ func (s *System) ProvisionKey(dataPub, dataKey []byte) error {
 		return err
 	}
 	s.chargeWAN(func() { s.Timing.WAN.Send(s.Clock, len(sealed)) })
-	if err := s.FinishProvision(senderPub, sealed); err != nil {
-		return err
-	}
-	s.dataKey = append([]byte(nil), dataKey...)
-	return nil
+	return s.FinishProvision(senderPub, sealed)
 }
 
 // AdoptDataKeyFrom completes a hot-added system's boot by transferring the
@@ -538,9 +523,8 @@ func (s *System) ProvisionKey(dataPub, dataKey []byte) error {
 // attestation hand-off (userapp/share.go) instead of a client round trip.
 // The recipient must have finished its instance-side boot (BootAndQuote) so
 // its CL chain is attested; the donor enclave refuses unless the recipient
-// runs the identical user program on the same platform. The host-side key
-// copy stays empty — in this mode only enclaves ever hold the key, so jobs
-// must arrive pre-sealed (RunJobSealed / the scheduler path).
+// runs the identical user program on the same platform. As with
+// ProvisionKey, only the enclaves ever hold the key.
 func (s *System) AdoptDataKeyFrom(donor *System) error {
 	if donor == nil {
 		return errNotDonor
@@ -600,8 +584,7 @@ func (s *System) BeginAdoptDataKey(donor sgx.Measurement) (userapp.KeyRequest, e
 
 // FinishAdoptDataKey is the recipient-side second half: it accepts the
 // donor's sealed grant into the user enclave and completes the boot. The
-// host never sees the key — only enclaves hold it in this mode, so jobs
-// must arrive pre-sealed.
+// host never sees the key.
 func (s *System) FinishAdoptDataKey(grant userapp.KeyGrant) error {
 	if s.booted {
 		return fmt.Errorf("core: system already booted")
@@ -618,8 +601,8 @@ func (s *System) FinishAdoptDataKey(grant userapp.KeyGrant) error {
 func (s *System) Booted() bool { return s.booted }
 
 // Reclaim decommissions the system's tenancy: it zeroizes every copy of
-// key material the deployment holds — the host-side data key and cached
-// session key/IV, the user enclave's data key and attestation secrets, and
+// key material the deployment holds — the host's cached session key/IV,
+// the user enclave's data key and attestation secrets, and
 // the SM enclave's device/attestation/session keys — drops every job
 // scratch the System owns (zeroing first the plaintext scratch and the
 // register program and results, which carry an epoch's key words), and
@@ -634,8 +617,6 @@ func (s *System) Reclaim() {
 	clear(s.sessKey)
 	clear(s.sessIV)
 	s.invalidateSession()
-	clear(s.dataKey)
-	s.dataKey = nil
 	clear(s.plain[:cap(s.plain)])
 	clear(s.batchTxns[:cap(s.batchTxns)])
 	clear(s.batchRes[:cap(s.batchRes)])

@@ -22,9 +22,7 @@ func TestAutoscaleTickGrowsAndShrinksWithinBounds(t *testing.T) {
 		MaxDevices: 4,
 		Scheduler:  sched.Config{QueueDepth: 64},
 	})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 
 	cfg := AutoscaleConfig{HighWater: 2, LowWater: 0.5, SustainUp: 2, SustainDown: 2}
 	var up, down int
@@ -32,7 +30,7 @@ func TestAutoscaleTickGrowsAndShrinksWithinBounds(t *testing.T) {
 	// Backlog: 30 jobs on 2 devices at 30 ms each — pressure ~15.
 	futs := make([]*sched.Future, 30)
 	for i := range futs {
-		futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(m, key, accel.GenConv(4, 4, 1, int64(i)))
 	}
 
 	if got := m.autoscaleTick(&cfg, &up, &down); got != 0 {
@@ -103,7 +101,7 @@ func TestAutoscaleTickGrowsAndShrinksWithinBounds(t *testing.T) {
 	if n := len(m.Members()); n != 2 {
 		t.Fatalf("members dropped below MinDevices: %d", n)
 	}
-	runJob(t, m, 777) // the shrunk fleet still serves correctly
+	runJob(t, m, key, 777) // the shrunk fleet still serves correctly
 }
 
 // TestAutoscaleStreakResetsOnMixedSignal: alternating pressure readings
@@ -116,16 +114,14 @@ func TestAutoscaleStreakResetsOnMixedSignal(t *testing.T) {
 		Timing:    timing,
 		Scheduler: sched.Config{QueueDepth: 64},
 	})
-	if err := m.BootFleet(1); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 1)
 	cfg := AutoscaleConfig{HighWater: 2, LowWater: 0.5, SustainUp: 2, SustainDown: 2}
 	var up, down int
 
 	for round := 0; round < 3; round++ {
 		futs := make([]*sched.Future, 6)
 		for i := range futs {
-			futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(round*10+i)))
+			futs[i] = submitW(m, key, accel.GenConv(4, 4, 1, int64(round*10+i)))
 		}
 		if got := m.autoscaleTick(&cfg, &up, &down); got != 0 {
 			t.Fatalf("round %d: acted (%+d) on a single high reading", round, got)
@@ -152,9 +148,7 @@ func TestStartAutoscaleBackgroundLoop(t *testing.T) {
 		MaxDevices: 3,
 		Scheduler:  sched.Config{QueueDepth: 64},
 	})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 	m.StartAutoscale(AutoscaleConfig{
 		Interval:  10 * time.Millisecond,
 		HighWater: 2, LowWater: 0.25,
@@ -163,7 +157,7 @@ func TestStartAutoscaleBackgroundLoop(t *testing.T) {
 
 	futs := make([]*sched.Future, 80)
 	for i := range futs {
-		futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
+		futs[i] = submitW(m, key, accel.GenConv(4, 4, 1, int64(i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(m.Members()) < 3 {

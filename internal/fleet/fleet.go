@@ -17,15 +17,16 @@
 // all boards share one CL digest and the prepared-bitstream cache hits on
 // every boot after the first.
 //
-// # Key modes
+// # Keying
 //
-// A fleet booted locally by the data owner (BootFleet) holds the shared
-// data key, and a hot-added board boots with SecureBootWithKey — the owner
-// path. A fleet booted through the remote gateway never sees the key (the
-// client provisions it straight into the enclaves); there a hot-added
-// board's user enclave receives the key from an already-attested sibling
-// enclave via local attestation (core.AdoptDataKeyFrom), so elasticity
-// never requires the owner to reveal the key to the host.
+// The manager never holds the data key. The data owner attests the first
+// boards and provisions its key straight into their enclaves (over the
+// remote gateway, or in process through sched.BootSharedParallel), and the
+// manager Adopts them. Every later board — Add, Replace, Scale, the
+// autoscaler — boots without the key: its user enclave receives it from an
+// already-attested sibling enclave via local attestation
+// (core.AdoptDataKeyFrom), so elasticity never requires the owner to reveal
+// the key to the host.
 package fleet
 
 import (
@@ -144,7 +145,6 @@ type Manager struct {
 
 	mu      sync.Mutex
 	members map[fpga.DNA][]*core.System // every adopted RP of each board
-	key     []byte                      // shared data key (owner mode); nil in sibling mode
 	seq     int
 	pending int // boards spawned but not yet adopted
 	closed  bool
@@ -154,8 +154,9 @@ type Manager struct {
 	wg       sync.WaitGroup
 }
 
-// New assembles an empty fleet; boot members with BootFleet or the
-// SpawnN/Adopt pair (remote gateway path), then grow and shrink at will.
+// New assembles an empty fleet. The data owner boots its first members
+// through SpawnN and Adopt; from then on the fleet grows and shrinks at
+// will.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Kernel == nil {
 		return nil, fmt.Errorf("fleet: no kernel configured")
@@ -254,13 +255,6 @@ func (m *Manager) Scheduler() *sched.Scheduler { return m.sch }
 // PreparedStats and QuoteStats snapshot the shared boot caches.
 func (m *Manager) PreparedStats() smapp.PreparedStats { return m.prepared.Stats() }
 func (m *Manager) QuoteStats() smapp.QuoteStats       { return m.quotes.Stats() }
-
-// Key returns the shared data key in owner mode, nil in sibling mode.
-func (m *Manager) Key() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.key
-}
 
 // Members lists current member DNAs (order unspecified).
 func (m *Manager) Members() []fpga.DNA {
@@ -420,37 +414,6 @@ func (m *Manager) Adopt(sys *core.System) error {
 	return nil
 }
 
-// BootFleet spawns and securely boots k boards — k×RPsPerDevice partition
-// systems — in parallel with one shared data key (owner mode),
-// registering all of them. Atomic like sched.BootSharedParallel: a single
-// partition failing mid-boot fails the whole call and nothing holds the
-// key.
-func (m *Manager) BootFleet(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("fleet: boot of %d devices", k)
-	}
-	systems, err := m.SpawnN(k)
-	if err != nil {
-		return err
-	}
-	key, err := sched.BootSharedParallel(systems)
-	if err != nil {
-		for i := 0; i < k; i++ {
-			m.unspawn()
-		}
-		return err
-	}
-	m.mu.Lock()
-	m.key = key
-	m.mu.Unlock()
-	for _, sys := range systems {
-		if err := m.Adopt(sys); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Donor returns a booted member suitable as the giving side of a sibling
 // data-key hand-off, or nil if none exists. A federation uses this to pick
 // the donor enclave on an attested shard when keying a sibling shard's
@@ -511,9 +474,9 @@ func (m *Manager) bootSibling(sys *core.System) error {
 	return sys.AdoptDataKeyFrom(donor)
 }
 
-// add hot-adds one board booted under key, or through the sibling
-// hand-off when key is nil; ignoreCap lets Replace exceed MaxDevices.
-func (m *Manager) add(ignoreCap bool, key []byte) (fpga.DNA, error) {
+// add hot-adds one board through the sibling hand-off; ignoreCap lets
+// Replace exceed MaxDevices.
+func (m *Manager) add(ignoreCap bool) (fpga.DNA, error) {
 	systems, err := m.spawn(ignoreCap)
 	if err != nil {
 		mAddFails.Inc()
@@ -521,12 +484,7 @@ func (m *Manager) add(ignoreCap bool, key []byte) (fpga.DNA, error) {
 	}
 	dna := systems[0].Device.DNA()
 	for _, sys := range systems {
-		if key != nil {
-			_, err = sys.SecureBootWithKey(key)
-		} else {
-			err = m.bootSibling(sys)
-		}
-		if err != nil {
+		if err := m.bootSibling(sys); err != nil {
 			m.unspawn()
 			mAddFails.Inc()
 			return "", fmt.Errorf("fleet: hot add %s/rp%d: %w", dna, sys.Partition(), err)
@@ -542,15 +500,13 @@ func (m *Manager) add(ignoreCap bool, key []byte) (fpga.DNA, error) {
 	return dna, nil
 }
 
-// Add hot-adds one board: manufacture, secure boot (owner mode when the
-// manager holds the shared key, sibling hand-off otherwise), register. The
-// scheduler keeps serving throughout; the new board takes work from the
-// moment Add returns.
-func (m *Manager) Add() (fpga.DNA, error) { return m.add(false, m.Key()) }
+// Add hot-adds one board: manufacture, secure boot, take the data key from
+// a sibling enclave, register. The scheduler keeps serving throughout; the
+// new board takes work from the moment Add returns.
+func (m *Manager) Add() (fpga.DNA, error) { return m.add(false) }
 
-// AddSibling hot-adds one board via the sibling enclave hand-off even when
-// the manager holds the key (e.g. to exercise the no-owner-roundtrip path).
-func (m *Manager) AddSibling() (fpga.DNA, error) { return m.add(false, nil) }
+// AddSibling is Add under its older name, which the benchmark module calls.
+func (m *Manager) AddSibling() (fpga.DNA, error) { return m.Add() }
 
 // Remove decommissions the member. It refuses, draining nothing, when the
 // fleet would drop below MinDevices; otherwise the board leaves the fleet
@@ -588,7 +544,7 @@ func (m *Manager) Replace(dna fpga.DNA) (fpga.DNA, error) {
 	if !known {
 		return "", fmt.Errorf("%w: %s", sched.ErrUnknownDevice, dna)
 	}
-	newDNA, err := m.add(true, m.Key())
+	newDNA, err := m.add(true)
 	if err != nil {
 		return "", err
 	}

@@ -42,11 +42,32 @@ func submitW(m *Manager, key []byte, w accel.Workload) *sched.Future {
 	return m.Scheduler().Submit(w.Kernel.Name(), []core.SealedJob{{Params: w.Params, Input: sealed}}, sched.SubmitOptions{Class: sched.ClassStandard})[0]
 }
 
-// runJob runs one job on a fleet that booted itself, under its shared key,
-// and checks the opened output against the kernel.
-func runJob(t testing.TB, m *Manager, seed int64) { runJobUnder(t, m, m.Key(), seed) }
+// boot is the data owner's in-process boot of k boards, the path
+// federation.BuildLocal takes: spawn them, attest every chain and provision
+// one fresh key into the enclaves (sched.BootSharedParallel), then Adopt.
+// It returns the key, which the test holds as the owner; the manager never
+// sees it.
+func boot(t testing.TB, m *Manager, k int) []byte {
+	t.Helper()
+	systems, err := m.SpawnN(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := sched.BootSharedParallel(systems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range systems {
+		if err := m.Adopt(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return key
+}
 
-func runJobUnder(t testing.TB, m *Manager, key []byte, seed int64) {
+// runJob runs one job sealed under the owner's key and checks the opened
+// output against the kernel.
+func runJob(t testing.TB, m *Manager, key []byte, seed int64) {
 	t.Helper()
 	w := accel.GenConv(4, 4, 1, seed)
 	ref, _ := w.Kernel.Compute(w.Params, w.Input)
@@ -62,18 +83,16 @@ func runJobUnder(t testing.TB, m *Manager, key []byte, seed int64) {
 	}
 }
 
-// TestBootFleetSharesOneManipulationAndQuote is the cache acceptance test:
+// TestFleetBootSharesOneManipulationAndQuote is the cache acceptance test:
 // across a K-device parallel boot the manipulation toolchain and the SM
 // quote exchange run exactly once, while the per-device encryption — the
 // only genuinely per-board step — runs K times.
-func TestBootFleetSharesOneManipulationAndQuote(t *testing.T) {
+func TestFleetBootSharesOneManipulationAndQuote(t *testing.T) {
 	// A singleton fleet provides the per-boot baseline sample counts (a
 	// phase may record several samples per boot — synthetic DCAP charge
 	// plus measured in-enclave work).
 	solo := newManager(t, Config{DNAPrefix: "SOLO"})
-	if err := solo.BootFleet(1); err != nil {
-		t.Fatal(err)
-	}
+	boot(t, solo, 1)
 	soloQuoteGen := solo.BootTrace().Count(trace.PhaseSMQuoteGen)
 	soloManip := solo.BootTrace().Count(trace.PhaseBitManipulation)
 	soloDeploy := solo.BootTrace().Count(trace.PhaseCLDeployment)
@@ -84,14 +103,9 @@ func TestBootFleetSharesOneManipulationAndQuote(t *testing.T) {
 
 	const k = 4
 	m := newManager(t, Config{})
-	if err := m.BootFleet(k); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, k)
 	if got := len(m.Members()); got != k {
 		t.Fatalf("fleet has %d members, want %d", got, k)
-	}
-	if m.Key() == nil {
-		t.Fatal("owner-mode fleet holds no shared key")
 	}
 
 	ps := m.PreparedStats()
@@ -121,7 +135,7 @@ func TestBootFleetSharesOneManipulationAndQuote(t *testing.T) {
 	}
 
 	for i := 0; i < 2*k; i++ {
-		runJob(t, m, int64(i))
+		runJob(t, m, key, int64(i))
 	}
 }
 
@@ -132,9 +146,7 @@ func TestHotAddWhileServing(t *testing.T) {
 	timing := core.FastTiming()
 	timing.RealJobLatency = time.Millisecond
 	m := newManager(t, Config{Timing: timing})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 
 	const jobs = 40
 	futs := make([]*sched.Future, jobs)
@@ -144,7 +156,7 @@ func TestHotAddWhileServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := range futs {
-			futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
+			futs[i] = submitW(m, key, accel.GenConv(4, 4, 1, int64(i)))
 			if i == jobs/2 {
 				close(halfway)
 			}
@@ -183,7 +195,7 @@ func TestHotAddWhileServing(t *testing.T) {
 	if !found {
 		t.Error("hot-added board missing from scheduler stats")
 	}
-	runJob(t, m, 99)
+	runJob(t, m, key, 99)
 }
 
 // TestAddSiblingHandsKeyOverLocally exercises the no-owner-roundtrip grow
@@ -192,10 +204,8 @@ func TestHotAddWhileServing(t *testing.T) {
 // computes correct results on sealed inputs.
 func TestAddSiblingHandsKeyOverLocally(t *testing.T) {
 	m := newManager(t, Config{})
-	if err := m.BootFleet(1); err != nil {
-		t.Fatal(err)
-	}
-	dna, err := m.AddSibling()
+	key := boot(t, m, 1)
+	dna, err := m.Add()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestAddSiblingHandsKeyOverLocally(t *testing.T) {
 	// The hand-off is enclave-to-enclave: the host never learned the key
 	// for the sibling, yet jobs routed anywhere in the fleet succeed.
 	for i := 0; i < 4; i++ {
-		runJob(t, m, int64(i))
+		runJob(t, m, key, int64(i))
 	}
 	if got := m.BootTrace().Count(trace.PhaseLocalAttest); got == 0 {
 		t.Error("sibling hand-off recorded no local-attestation charge")
@@ -214,35 +224,20 @@ func TestAddSiblingHandsKeyOverLocally(t *testing.T) {
 }
 
 // TestSiblingOnlyFleetAdoptsExternallyBootedMembers drives the gateway
-// shape: systems are spawned unbooted, booted/provisioned externally (here
-// via BootSharedParallel standing in for the remote data owner), adopted,
-// and later growth uses the sibling hand-off because the manager never
-// holds the key.
+// shape: systems are spawned unbooted, booted and provisioned by the data
+// owner (here in process, see boot), adopted, and later growth uses the
+// sibling hand-off because the manager never holds the key
+// (TestNoHostObjectKeepsTheOwnersKey walks it).
 func TestSiblingOnlyFleetAdoptsExternallyBootedMembers(t *testing.T) {
 	m := newManager(t, Config{})
-	systems, err := m.SpawnN(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := sched.BootSharedParallel(systems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sys := range systems {
-		if err := m.Adopt(sys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Key() != nil {
-		t.Fatal("gateway-mode manager learned the data key")
-	}
+	key := boot(t, m, 2)
 	if _, err := m.Add(); err != nil {
-		t.Fatalf("sibling-mode hot add: %v", err)
+		t.Fatalf("hot add: %v", err)
 	}
 	if got := len(m.Members()); got != 3 {
 		t.Fatalf("fleet has %d members, want 3", got)
 	}
-	runJobUnder(t, m, key, 7)
+	runJob(t, m, key, 7)
 }
 
 // breaker is the switchable broken shell from the scheduler tests: once
@@ -293,9 +288,7 @@ func TestAutoReplacePermanentlyQuarantinedBoard(t *testing.T) {
 			replaceMu.Unlock()
 		},
 	})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 
 	inj.Break()
 	deadline := time.Now().Add(10 * time.Second)
@@ -312,7 +305,7 @@ func TestAutoReplacePermanentlyQuarantinedBoard(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never latched permanently")
 		}
-		runJob(t, m, 1) // redispatch keeps every job alive while ELAS-00 dies
+		runJob(t, m, key, 1) // redispatch keeps every job alive while ELAS-00 dies
 		//lint:allow test-sleep poll interval inside a deadline-bounded breaker-latch loop; the sleep only paces probe jobs
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -353,7 +346,7 @@ func TestAutoReplacePermanentlyQuarantinedBoard(t *testing.T) {
 		t.Errorf("idle sweep replaced %v (err %v)", again, err)
 	}
 	for i := 0; i < 6; i++ {
-		runJob(t, m, int64(i))
+		runJob(t, m, key, int64(i))
 	}
 }
 
@@ -375,9 +368,7 @@ func TestStartAutoReplaceBackgroundLoop(t *testing.T) {
 			return nil
 		},
 	})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 	m.StartAutoReplace(2 * time.Millisecond)
 
 	inj.Break()
@@ -386,7 +377,7 @@ func TestStartAutoReplaceBackgroundLoop(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("background loop never replaced the dead board")
 		}
-		runJob(t, m, 1)
+		runJob(t, m, key, 1)
 		//lint:allow test-sleep poll interval inside a deadline-bounded replacement loop; the sleep only paces probe jobs
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -399,9 +390,7 @@ func TestStartAutoReplaceBackgroundLoop(t *testing.T) {
 // shrink, and Replace is exempt from the ceiling (add-first swap).
 func TestCapacityBounds(t *testing.T) {
 	m := newManager(t, Config{MinDevices: 2, MaxDevices: 2, DNAPrefix: "CAP"})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 	if _, err := m.Add(); err == nil {
 		t.Error("Add beyond MaxDevices succeeded")
 	}
@@ -421,16 +410,14 @@ func TestCapacityBounds(t *testing.T) {
 	if m.System(newDNA) == nil || m.System("CAP-00") != nil {
 		t.Error("replace membership swap incomplete")
 	}
-	runJob(t, m, 5)
+	runJob(t, m, key, 5)
 }
 
 // TestDrainThenRemoveMember covers the manager-level decommission path:
 // Remove runs the member's queue dry, then reclaims it.
 func TestDrainThenRemoveMember(t *testing.T) {
 	m := newManager(t, Config{DNAPrefix: "RM"})
-	if err := m.BootFleet(3); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 3)
 	sys := m.System("RM-01")
 	if err := m.Remove("RM-01", time.Second); err != nil {
 		t.Fatal(err)
@@ -447,12 +434,12 @@ func TestDrainThenRemoveMember(t *testing.T) {
 	if _, err := m.Replace("RM-01"); !errors.Is(err, sched.ErrUnknownDevice) {
 		t.Errorf("replace of removed device: err = %v, want ErrUnknownDevice", err)
 	}
-	runJob(t, m, 11)
+	runJob(t, m, key, 11)
 }
 
 // TestMultiRPFleetLifecycle carves each board into two reconfigurable
 // partitions and walks the whole lifecycle at board granularity: boot,
-// serve, hot add (both key modes boot every RP), and remove — asserting
+// serve, hot add (the sibling hand-off keys every RP), and remove — asserting
 // throughout that the scheduler sees K×R partitions while membership,
 // capacity bounds, and Min/MaxDevices keep counting boards.
 func TestMultiRPFleetLifecycle(t *testing.T) {
@@ -460,9 +447,7 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 	if m.RPsPerDevice() != 2 {
 		t.Fatalf("RPsPerDevice = %d, want 2", m.RPsPerDevice())
 	}
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 2)
 	if got := len(m.Members()); got != 2 {
 		t.Fatalf("fleet has %d boards, want 2", got)
 	}
@@ -476,11 +461,11 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 		t.Fatal("System should return the board's partition 0")
 	}
 	for i := 0; i < 8; i++ {
-		runJob(t, m, int64(i))
+		runJob(t, m, key, int64(i))
 	}
 
-	// Hot add boots BOTH partitions of the new board (owner mode: each via
-	// SecureBootWithKey); capacity counts the board once.
+	// Hot add boots BOTH partitions of the new board, each keyed by a
+	// sibling enclave; capacity counts the board once.
 	dna, err := m.Add()
 	if err != nil {
 		t.Fatalf("hot add: %v", err)
@@ -494,7 +479,7 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 	if _, err := m.Add(); err == nil {
 		t.Error("Add beyond MaxDevices boards succeeded")
 	}
-	runJob(t, m, 42)
+	runJob(t, m, key, 42)
 
 	// Remove decommissions the whole board: both RPs leave the scheduler.
 	if err := m.Remove("SPAT-01", time.Second); err != nil {
@@ -511,7 +496,7 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 	if got := len(m.Stats()); got != 4 {
 		t.Fatalf("scheduler serves %d partitions after remove, want 4", got)
 	}
-	runJob(t, m, 43)
+	runJob(t, m, key, 43)
 }
 
 // TestMultiRPSiblingHandoffKeysEveryPartition drives the no-owner grow path
@@ -519,10 +504,8 @@ func TestMultiRPFleetLifecycle(t *testing.T) {
 // the data key from an attested sibling enclave, never from the host.
 func TestMultiRPSiblingHandoffKeysEveryPartition(t *testing.T) {
 	m := newManager(t, Config{DNAPrefix: "SIB", RPsPerDevice: 2})
-	if err := m.BootFleet(1); err != nil {
-		t.Fatal(err)
-	}
-	dna, err := m.AddSibling()
+	key := boot(t, m, 1)
+	dna, err := m.Add()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +519,49 @@ func TestMultiRPSiblingHandoffKeysEveryPartition(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		runJob(t, m, int64(i))
+		runJob(t, m, key, int64(i))
 	}
+}
+
+// TestReplaceKeysFromAQuarantinedDonor: when every member is sick, the
+// replacement still takes the data key from one of them. The hand-off runs
+// enclave to enclave, past the broken shell, so pickDonor falls back to a
+// quarantined donor rather than leave the fleet unable to heal.
+func TestReplaceKeysFromAQuarantinedDonor(t *testing.T) {
+	inj := &breaker{}
+	m := newManager(t, Config{
+		DNAPrefix: "LONE",
+		Scheduler: sched.Config{
+			QuarantineAfter: 1,
+			QuarantineBase:  time.Millisecond,
+			QuarantineMax:   time.Millisecond,
+			PermanentAfter:  2,
+		},
+		Intercept: func(dna fpga.DNA) shell.Interceptor {
+			if dna == "LONE-00" {
+				return inj
+			}
+			return nil
+		},
+	})
+	key := boot(t, m, 1)
+	inj.Break()
+	deadline := time.Now().Add(10 * time.Second)
+	for !m.Stats()[0].Permanent {
+		if time.Now().After(deadline) {
+			t.Fatal("breaker never latched permanently")
+		}
+		submitW(m, key, accel.GenConv(4, 4, 1, 1)).Wait() //nolint:errcheck // the only board is dying
+	}
+	replaced, err := m.AutoReplaceOnce()
+	if err != nil {
+		t.Fatalf("auto replace with only a quarantined donor: %v", err)
+	}
+	newDNA := replaced["LONE-00"]
+	if newDNA == "" || m.System(newDNA) == nil || m.System("LONE-00") != nil {
+		t.Fatalf("lone sick board not replaced: %v", replaced)
+	}
+	runJob(t, m, key, 3)
 }
 
 // TestManagerValidation covers constructor and close-state errors.
@@ -549,8 +573,8 @@ func TestManagerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.BootFleet(0); err == nil {
-		t.Error("BootFleet(0) succeeded")
+	if _, err := m.Add(); err == nil {
+		t.Error("Add without a booted donor succeeded")
 	}
 	m.Close()
 	if _, err := m.SpawnN(1); err == nil {
@@ -570,9 +594,7 @@ func TestFleetPartitionCostsWhatItTouches(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	m := newManager(t, Config{DNAPrefix: "COST", RPsPerDevice: rps})
-	if err := m.BootFleet(boards); err != nil {
-		t.Fatal(err)
-	}
+	boot(t, m, boards)
 	runtime.ReadMemStats(&m1)
 	perRP := float64(m1.TotalAlloc-m0.TotalAlloc) / (boards * rps) / (1 << 20)
 	t.Logf("%d-board × %d-RP fleet: %.2f MiB allocated per partition", boards, rps, perRP)
@@ -580,7 +602,7 @@ func TestFleetPartitionCostsWhatItTouches(t *testing.T) {
 		t.Errorf("booting a %d-board × %d-RP fleet allocated %.2f MiB per partition, want < 4", boards, rps, perRP)
 	}
 
-	if _, err := m.AddSibling(); err != nil {
+	if _, err := m.Add(); err != nil {
 		t.Fatal(err)
 	}
 	pkgs := map[*core.CLPackage]bool{}

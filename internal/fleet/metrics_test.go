@@ -15,13 +15,11 @@ import (
 func TestFleetMetricsLifecycle(t *testing.T) {
 	before := metrics.Default().Snapshot()
 	m := newManager(t, Config{})
-	if err := m.BootFleet(2); err != nil {
-		t.Fatal(err)
-	}
+	boot(t, m, 2)
 
 	mid := metrics.Default().Snapshot()
 	if d := mid.Gauges["salus_fleet_members"] - before.Gauges["salus_fleet_members"]; d != 2 {
-		t.Errorf("members gauge delta after BootFleet(2) = %d, want 2", d)
+		t.Errorf("members gauge delta after booting 2 boards = %d, want 2", d)
 	}
 	if d := mid.Histograms["salus_fleet_boot_seconds"].Count - before.Histograms["salus_fleet_boot_seconds"].Count; d != 2 {
 		t.Errorf("boot histogram delta = %d, want 2", d)

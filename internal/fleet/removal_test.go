@@ -26,6 +26,7 @@ func TestEveryRemovalReclaims(t *testing.T) {
 	slow := core.FastTiming()
 	slow.RealJobLatency = 50 * time.Millisecond
 	sick := &breaker{}
+	var key []byte // the owner's key for the case running (cases run in turn)
 	cases := []struct {
 		name string
 		cfg  Config
@@ -70,7 +71,7 @@ func TestEveryRemovalReclaims(t *testing.T) {
 				if time.Now().After(deadline) {
 					t.Fatal("breaker never latched permanently")
 				}
-				runJob(t, m, 1)
+				runJob(t, m, key, 1)
 			}
 			if replaced, err := m.AutoReplaceOnce(); err != nil || replaced["RC-01"] == "" {
 				t.Fatalf("auto replace: %v, %v", replaced, err)
@@ -85,7 +86,7 @@ func TestEveryRemovalReclaims(t *testing.T) {
 		{"Remove past its deadline", Config{Timing: slow}, 1, func(t *testing.T, m *Manager) {
 			futs := make([]*sched.Future, 8)
 			for i := range futs {
-				futs[i] = submitW(m, m.Key(), accel.GenConv(4, 4, 1, int64(i)))
+				futs[i] = submitW(m, key, accel.GenConv(4, 4, 1, int64(i)))
 			}
 			const timeout = 20 * time.Millisecond
 			start := time.Now()
@@ -107,9 +108,7 @@ func TestEveryRemovalReclaims(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.DNAPrefix = "RC"
 			m := newManager(t, tc.cfg)
-			if err := m.BootFleet(2); err != nil {
-				t.Fatal(err)
-			}
+			key = boot(t, m, 2)
 			var systems []*core.System
 			for _, dna := range m.Members() {
 				systems = append(systems, m.Systems(dna)...)
@@ -195,16 +194,14 @@ func TestScaleVictimOrder(t *testing.T) {
 // its reclaim or refuses; nothing reads a key the reclaim is zeroizing.
 func TestSiblingAddRacesRemoval(t *testing.T) {
 	m := newManager(t, Config{DNAPrefix: "RACE"})
-	if err := m.BootFleet(3); err != nil {
-		t.Fatal(err)
-	}
+	key := boot(t, m, 3)
 	leaving := []*core.System{m.System("RACE-00"), m.System("RACE-01")}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := m.AddSibling(); err != nil && !strings.Contains(err.Error(), "donor system is not booted") {
+			if _, err := m.Add(); err != nil && !strings.Contains(err.Error(), "donor system is not booted") {
 				t.Errorf("sibling add: %v", err)
 			}
 		}
@@ -230,5 +227,5 @@ func TestSiblingAddRacesRemoval(t *testing.T) {
 			}
 		}
 	}
-	runJob(t, m, 5)
+	runJob(t, m, key, 5)
 }

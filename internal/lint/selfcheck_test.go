@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -218,6 +220,62 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, f := range found {
 		t.Errorf("%s is exported but only its own package's tests reach it: call it, delete it, or move it into a _test.go file", f)
 	}
+}
+
+// TestMakefileRunListsNameDeclaredTests fails when a test named in one of
+// the Makefile's `-run '^(A|B)$$' ./internal/<pkg>` lists (tier1's
+// twenty-fold race sweeps) is not declared as func Name(t *testing.T) in
+// that package's test files. go test runs a pattern that matches nothing
+// without complaint, so a renamed test would leave its sweep silently.
+func TestMakefileRunListsNameDeclaredTests(t *testing.T) {
+	root := moduleRoot(t)
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := regexp.MustCompile(`-run '\^\(([^)]*)\)\$\$' \./(internal/[\w/]+)`).FindAllStringSubmatch(string(mk), -1)
+	if len(lists) == 0 {
+		t.Fatal("the Makefile has no -run '^(...)$$' list: the parse is blind")
+	}
+	for _, l := range lists {
+		declared := testFuncs(t, filepath.Join(root, l[2]))
+		for _, name := range strings.Split(l[1], "|") {
+			if !declared[name] {
+				t.Errorf("the Makefile runs %s in ./%s, whose test files declare no func %s(t *testing.T)", name, l[2], name)
+			}
+		}
+	}
+}
+
+// testFuncs returns the names of the func Name(t *testing.T) declarations
+// in dir's test files.
+func testFuncs(t *testing.T, dir string) map[string]bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test files in %s (%v)", dir, err)
+	}
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || len(fd.Type.Params.List) != 1 {
+				continue
+			}
+			if star, ok := fd.Type.Params.List[0].Type.(*ast.StarExpr); ok {
+				if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "T" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "testing" {
+						declared[fd.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return declared
 }
 
 // recvType names a method receiver's type: "T" for T, *T and T[P].

@@ -14,7 +14,8 @@ import (
 // generated shared data key and returns that key. A pool provisioned this
 // way runs sealed jobs interchangeably: input sealed under the key opens on
 // any device, which is what lets Submit route by load instead of by
-// identity.
+// identity. It plays the data owner in process: the key is the caller's,
+// and no system keeps a host-side copy of it.
 //
 // Key distribution is atomic in two phases: first every device runs the
 // instance side of the boot and has its cascaded quote verified — one

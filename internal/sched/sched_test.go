@@ -238,7 +238,7 @@ func TestRegisterRequiresBoot(t *testing.T) {
 func TestPipelineStagesRegister(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	key := cryptoutil.RandomKey(16)
+	var systems []*core.System
 	for i, k := range []accel.Kernel{accel.Rendering{}, accel.Affine{}} {
 		sys, err := core.NewSystem(core.SystemConfig{
 			Kernel: k, Seed: int64(100 + i), DNA: fpga.DNA(fmt.Sprintf("PIPE-%02d", i)), Timing: core.FastTiming(),
@@ -246,9 +246,13 @@ func TestPipelineStagesRegister(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.SecureBootWithKey(key); err != nil {
-			t.Fatal(err)
-		}
+		systems = append(systems, sys)
+	}
+	key, err := BootSharedParallel(systems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range systems {
 		if err := s.Register(sys); err != nil {
 			t.Fatal(err)
 		}

@@ -713,9 +713,9 @@ func (a *SMApp) SecureRegBatch(txns []channel.RegTxn, dst []channel.RegResult) (
 // a fresh key and counter epoch, installed through the authenticated
 // channel itself. Rotation invalidates every frame an observer recorded
 // under the old epoch — the antidote to the bitstream-replay residue the
-// runtime-attack tests document. The old epoch's Sealer framed the
-// rotation and is dropped with its key; the new epoch's is expanded on its
-// first frame.
+// runtime-attack tests document. The epoch's Sealer framed the rotation
+// and is rekeyed in place, and the old Key_session is zeroed: nothing of
+// the old epoch stays behind.
 func (a *SMApp) RekeySession() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -746,9 +746,12 @@ func (a *SMApp) RekeySession() error {
 	if err := sealer.OpenRekeyResponse(a.ctr, respBytes); err != nil {
 		return fmt.Errorf("smapp: rekey ack rejected: %w", err)
 	}
+	if err := sealer.Rekey(newKey); err != nil {
+		return err
+	}
+	clear(a.keySession)
 	a.keySession = newKey
 	a.ctr = newCtr
-	a.sealer = nil
 	mRekeys.Inc()
 	return nil
 }

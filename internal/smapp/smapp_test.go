@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"salus/internal/accel"
@@ -357,6 +358,31 @@ func TestRekeySession(t *testing.T) {
 	}
 }
 
+// TestRekeyZeroesTheOldSessionKey: a rotation leaves no copy of the old
+// Key_session in the SM enclave — the bytes it held are zero, not merely
+// unreferenced.
+func TestRekeyZeroesTheOldSessionKey(t *testing.T) {
+	h, _ := fullBoot(t)
+	if err := h.app.AttestCL(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		held := h.app.keySession
+		if len(held) == 0 || !slices.ContainsFunc(held, func(b byte) bool { return b != 0 }) {
+			t.Fatal("no live Key_session to rotate")
+		}
+		if err := h.app.RekeySession(); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(held, func(b byte) bool { return b != 0 }) {
+			t.Fatalf("rotation %d left the old Key_session's bytes in memory", round)
+		}
+		if _, err := h.app.SecureReg(channelRegTxn()); err != nil {
+			t.Fatalf("txn after rotation %d: %v", round, err)
+		}
+	}
+}
+
 func TestDeployRefusesPreInitialisedRoTCell(t *testing.T) {
 	h := newHarness(t)
 	h.establishLA(t, h.appPlatform())
@@ -388,10 +414,10 @@ func TestDeployRefusesPreInitialisedRoTCell(t *testing.T) {
 }
 
 // TestRekeyRetiresTheOldSealer: the SM enclave frames every secure message
-// of an epoch with that epoch's Sealer. After RekeySession — the same call
-// the batch path makes when it rotates an epoch — every single and batched
-// frame on the bus is sealed under the new key and none under the old, and
-// the old epoch's Sealer is gone.
+// with one Sealer. After RekeySession — the same call the batch path makes
+// when it rotates an epoch — that Sealer is rekeyed in place, not replaced,
+// and every single and batched frame on the bus is sealed under the new key
+// and none under the old.
 func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	bus := &shell.Recorder{}
 	h := newHarness(t, func(c *Config) { c.Shell = shell.New(c.Shell.Device(), shell.WithInterceptor(bus)) })
@@ -417,13 +443,13 @@ func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	if err := h.app.RekeySession(); err != nil {
 		t.Fatal(err)
 	}
-	if h.app.sealer == oldSealer {
-		t.Fatal("the old epoch's Sealer survived the rotation")
+	if h.app.sealer != oldSealer {
+		t.Fatal("the rotation replaced the epoch's Sealer instead of rekeying it")
 	}
 	from := len(bus.Frames())
 	traffic()
-	if h.app.sealer == nil || h.app.sealer == oldSealer {
-		t.Fatal("the new epoch is not framed by a Sealer of its own")
+	if h.app.sealer != oldSealer {
+		t.Fatal("the new epoch is not framed by the rekeyed Sealer")
 	}
 
 	// opens reports whether frame verifies and decrypts under key.

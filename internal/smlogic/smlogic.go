@@ -141,8 +141,9 @@ type Logic struct {
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
 
-	// directResp is the buffer every direct register response is built in
-	// (guarded by mu), lent to the shell until the next transaction.
+	// directResp is the buffer every direct register response and rekey
+	// acknowledgement is built in (guarded by mu), lent to the shell until
+	// the next transaction.
 	directResp []byte
 	// readFrame is the buffer every DMA read response of at most
 	// channel.DMABurst bytes is built in (guarded by mu), lent until the
@@ -275,7 +276,9 @@ func (l *Logic) sessionSealer() (*channel.Sealer, error) {
 // handleRekey rotates Key_session and Ctr_session on the SM enclave's
 // authenticated request: verify under the current key, acknowledge under
 // the current key, then switch — a fresh session epoch that also invalidates
-// every previously recorded frame. The old epoch's Sealer goes with its key.
+// every previously recorded frame. The new key is copied over the old one
+// and the epoch's Sealer is rekeyed in place, which zeroes its buffers, so
+// the acknowledgement is lent from directResp instead.
 func (l *Logic) handleRekey(req []byte) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -291,11 +294,14 @@ func (l *Logic) handleRekey(req []byte) []byte {
 	if err != nil {
 		return channel.EncodeError("smlogic: rekey ack failed")
 	}
-	// newKey borrows the old sealer's scratch: copy it over the old key.
+	l.directResp = append(l.directResp[:0], resp...)
+	// newKey borrows the sealer's open buffer, which Rekey zeroes.
 	l.keySession = append(l.keySession[:0], newKey...)
+	if err := sealer.Rekey(l.keySession); err != nil {
+		return channel.EncodeError("smlogic: rekey: " + err.Error())
+	}
 	l.nextCtr = newCtr
-	l.sealer = nil
-	return resp
+	return l.directResp
 }
 
 // handleDirectReg is the direct, unprotected register path. The key and IV

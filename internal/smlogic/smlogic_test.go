@@ -487,9 +487,9 @@ func TestPropertyAttestationProtocol(t *testing.T) {
 }
 
 // TestRekeyRetiresTheOldSealer is the CL end of the rotation: after the SM
-// logic acknowledges a rekey, its old epoch's Sealer is gone, every
-// response it seals is under the new key and none under the old, and a
-// request still sealed under the old key is refused.
+// logic acknowledges a rekey, its Sealer is rekeyed in place rather than
+// replaced, every response it seals is under the new key and none under the
+// old, and a request still sealed under the old key is refused.
 func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	oldKey, newKey := cryptoutil.RandomKey(16), cryptoutil.RandomKey(16)
 	cl := loadedCL(t, cryptoutil.RandomKey(16), oldKey, 40)
@@ -528,8 +528,8 @@ func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	if err := channel.OpenRekeyResponse(oldKey, 41, ack); err != nil {
 		t.Fatalf("rekey ack: %v", err)
 	}
-	if l.sealer == oldSealer {
-		t.Fatal("the old epoch's Sealer survived the rotation")
+	if l.sealer != oldSealer {
+		t.Fatal("the rotation replaced the epoch's Sealer instead of rekeying it")
 	}
 	if !bytes.Equal(l.keySession, newKey) {
 		t.Fatal("Key_session not rotated")
@@ -549,8 +549,8 @@ func TestRekeyRetiresTheOldSealer(t *testing.T) {
 	if _, err := channel.OpenRegBatchResponse(oldKey, 901, vec); err == nil {
 		t.Error("batch response after rotation opens under the old key")
 	}
-	if l.sealer == nil || l.sealer == oldSealer {
-		t.Fatal("the new epoch is not framed by a Sealer of its own")
+	if l.sealer != oldSealer {
+		t.Fatal("the new epoch is not framed by the rekeyed Sealer")
 	}
 	isError(t, roundTrip(oldKey, 902), "rejected")
 }

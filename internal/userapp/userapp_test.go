@@ -179,7 +179,21 @@ func TestRAResponseAndDataKey(t *testing.T) {
 		t.Error("quote report data is not the chain binding")
 	}
 
-	// Provision a data key against the carried public key.
+	dataKey := cryptoutil.RandomKey(16)
+	provision(t, r, q, dataKey)
+	got, err := r.user.DataKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, dataKey) {
+		t.Error("provisioned data key mismatch")
+	}
+}
+
+// provision seals dataKey to the enclave key q carries, as the data owner
+// does, and delivers it.
+func provision(t *testing.T, r *rig, q sgx.Quote, dataKey []byte) {
+	t.Helper()
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +206,6 @@ func TestRAResponseAndDataKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataKey := cryptoutil.RandomKey(16)
 	sealed, err := cryptoutil.Seal(cryptoutil.DeriveKey(shared, "salus/data-key", 32), dataKey, []byte("data-key"))
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +213,32 @@ func TestRAResponseAndDataKey(t *testing.T) {
 	if err := r.user.ReceiveDataKey(priv.PublicKey().Bytes(), sealed); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.user.DataKey()
+}
+
+// TestZeroizeClearsTheDataKey: Zeroize wipes the raw data-key bytes the
+// enclave held, not only its reference to them, and the enclave stops
+// serving the key.
+func TestZeroizeClearsTheDataKey(t *testing.T) {
+	r := newRig(t)
+	r.bootThroughCL(t)
+	q, err := r.user.GenerateRAResponse([]byte("n"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, dataKey) {
-		t.Error("provisioned data key mismatch")
+	provision(t, r, q, cryptoutil.RandomKey(16))
+	if _, err := r.user.DataAEAD(); err != nil {
+		t.Fatal(err)
+	}
+	held := r.user.dataKey
+	if len(held) != 16 || bytes.Equal(held, make([]byte, 16)) {
+		t.Fatal("no live data key to zeroize")
+	}
+	r.user.Zeroize()
+	if !bytes.Equal(held, make([]byte, 16)) {
+		t.Error("the data key's bytes survived Zeroize")
+	}
+	if _, err := r.user.DataKey(); err == nil {
+		t.Error("the enclave still serves the data key after Zeroize")
 	}
 }
 

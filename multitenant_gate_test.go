@@ -26,8 +26,10 @@ import (
 
 // buildSpatialFleet boots K boards carved into R partitions each, with a
 // 200µs device latency so capacity is device-bound — the regime where
-// more schedulable partitions must mean more goodput.
-func buildSpatialFleet(t *testing.T, boards, rps int) *fleet.Manager {
+// more schedulable partitions must mean more goodput. The test is the data
+// owner: it provisions the boards (sched.BootSharedParallel) and gets back
+// the key it seals under.
+func buildSpatialFleet(t *testing.T, boards, rps int) (*fleet.Manager, []byte) {
 	t.Helper()
 	timing := core.FastTiming()
 	timing.RealJobLatency = 200 * time.Microsecond
@@ -42,17 +44,27 @@ func buildSpatialFleet(t *testing.T, boards, rps int) *fleet.Manager {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	if err := m.BootFleet(boards); err != nil {
+	systems, err := m.SpawnN(boards)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	key, err := sched.BootSharedParallel(systems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range systems {
+		if err := m.Adopt(sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, key
 }
 
 // driveTenantMix submits n jobs spread across a population of tenants
 // (admission bounded by inflight) and returns the window's goodput.
-func driveTenantMix(t *testing.T, m *fleet.Manager, n, tenants, inflight int) float64 {
+func driveTenantMix(t *testing.T, m *fleet.Manager, key []byte, n, tenants, inflight int) float64 {
 	t.Helper()
-	job := sealJob(t, m.Key(), accel.GenConv(4, 4, 1, 42))
+	job := sealJob(t, key, accel.GenConv(4, 4, 1, 42))
 	sem := make(chan struct{}, inflight)
 	var wg sync.WaitGroup
 	var failed atomic.Uint64
@@ -95,16 +107,16 @@ func TestMultiTenantGate(t *testing.T) {
 
 	// Baseline: the same boards, board-granular — one schedulable unit per
 	// die, the pre-§4.7 shape.
-	board := buildSpatialFleet(t, boards, 1)
-	baseRate := driveTenantMix(t, board, jobs, tenants, inflight)
+	board, boardKey := buildSpatialFleet(t, boards, 1)
+	baseRate := driveTenantMix(t, board, boardKey, jobs, tenants, inflight)
 
 	// Spatial sharing: identical hardware, R partitions per die, each an
 	// independent serving unit with its own sealed channel and key epoch.
-	spatial := buildSpatialFleet(t, boards, rps)
+	spatial, spatialKey := buildSpatialFleet(t, boards, rps)
 	if got := len(spatial.Stats()); got != boards*rps {
 		t.Fatalf("spatial fleet serves %d partitions, want %d", got, boards*rps)
 	}
-	spatialRate := driveTenantMix(t, spatial, jobs, tenants, inflight)
+	spatialRate := driveTenantMix(t, spatial, spatialKey, jobs, tenants, inflight)
 
 	t.Logf("multi-tenant goodput: board-granular %.0f jobs/s, %d RPs/board %.0f jobs/s (%.2fx)",
 		baseRate, rps, spatialRate, spatialRate/baseRate)
