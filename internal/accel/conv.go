@@ -3,6 +3,7 @@ package accel
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"salus/internal/netlist"
 )
@@ -58,11 +59,19 @@ func ConvWeight(c, ky, kx int) int32 {
 const convLaneTaps = 511
 
 // Compute keeps the weights of up to 16 channels and a packed-row ring of
-// up to 256 values on its stack; larger shapes take them from the heap.
+// up to 256 values on its stack; a larger shape takes both from one buffer
+// of convScratch, as the fabric's Conv keeps its line buffer in BRAM
+// rather than building one per job.
 const (
 	convStackWeights = 9 * 16
 	convStackRing    = 256
 )
+
+// convScratch recycles the weight-and-ring buffers (*[]int64) of shapes too
+// large for the stack. A buffer holds decoded plaintext pixels and the pool
+// is shared by every RP and tenant in the process, so releaseScratch clears
+// what a job wrote before the buffer goes back.
+var convScratch = sync.Pool{New: func() any { return new([]int64) }}
 
 // Compute implements Kernel.
 func (k Conv) Compute(params [4]uint64, input []byte) ([]byte, error) {
@@ -97,9 +106,21 @@ func (Conv) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, e
 	// are a contiguous [kx][ch] span of a packed row. wt interleaves the
 	// three kernel rows' weights: wt[3j+ky] is tap j of row ky's span.
 	span, rowLen := 3*c, w*c
+	nw, nr := 3*span, 3*rowLen
 	var wbuf [convStackWeights]int64
 	var rbuf [convStackRing]int64
-	wt := stackOrHeap(wbuf[:], 3*span)
+	var wt, ring []int64
+	if nw <= len(wbuf) && nr <= len(rbuf) {
+		wt, ring = wbuf[:nw], rbuf[:nr]
+	} else {
+		box := convScratch.Get().(*[]int64)
+		if cap(*box) < nw+nr {
+			*box = make([]int64, nw+nr)
+		}
+		buf := (*box)[:nw+nr]
+		defer releaseScratch(box, buf)
+		wt, ring = buf[:nw:nw], buf[nw:]
+	}
 	for ky := 0; ky < 3; ky++ {
 		for kx := 0; kx < 3; kx++ {
 			for ch := 0; ch < c; ch++ {
@@ -107,7 +128,6 @@ func (Conv) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, e
 			}
 		}
 	}
-	ring := stackOrHeap(rbuf[:], 3*rowLen)
 	slot := func(y int) []int64 { return ring[y%3*rowLen : y%3*rowLen+rowLen] }
 	packRow(slot(0), input[:2*rowLen], c)
 	packRow(slot(1), input[2*rowLen:4*rowLen], c)
@@ -121,13 +141,11 @@ func (Conv) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, e
 	return dst, nil
 }
 
-// stackOrHeap returns the first n values of buf, or a heap slice of n
-// values when buf is too short.
-func stackOrHeap(buf []int64, n int) []int64 {
-	if n <= len(buf) {
-		return buf[:n]
-	}
-	return make([]int64, n)
+// releaseScratch zeroes the values a job used of a convScratch buffer and
+// gives the buffer back.
+func releaseScratch(box *[]int64, used []int64) {
+	clear(used)
+	convScratch.Put(box)
 }
 
 // convRow computes one row of outputs from the three packed input rows

@@ -147,7 +147,8 @@ func TestConvGoldenDigest(t *testing.T) {
 // TestConvComputeAllocs pins the kernel's allocations on the small bench
 // shape: Compute's result is the only one, and AppendCompute into a buffer
 // with room for the output makes none; weights and packed rows stay on the
-// stack.
+// stack. On the bulk shape, whose 48 KiB ring does not fit the stack, a
+// warm AppendCompute makes none either: the ring comes from convScratch.
 func TestConvComputeAllocs(t *testing.T) {
 	w := GenConv(16, 16, 4, 1)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -168,4 +169,47 @@ func TestConvComputeAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a warm Conv.AppendCompute on 16x16x4 makes %.0f allocations, want 0", allocs)
 	}
+
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	bulk := GenConv(256, 256, 8, 1)
+	dst = nil
+	allocs = testing.AllocsPerRun(20, func() {
+		var err error
+		if dst, err = bulk.Kernel.AppendCompute(dst[:0], bulk.Params, bulk.Input); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Conv.AppendCompute on 256x256x8 makes %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestConvScratchReturnsCleared: the pooled ring holds decoded plaintext
+// pixels and the pool is shared by every RP and tenant in the process, so
+// a buffer taken back out of convScratch after a 256x256x8 job is all
+// zeros. The pool may drop what it is given (always possible, and on
+// purpose under -race), so the test retries until it gets a job's buffer.
+func TestConvScratchReturnsCleared(t *testing.T) {
+	w := GenConv(256, 256, 8, 1)
+	need := 9*8 + 3*256*8 // weights and three packed rows
+	for try := 0; try < 20; try++ {
+		if _, err := w.Kernel.Compute(w.Params, w.Input); err != nil {
+			t.Fatal(err)
+		}
+		box := convScratch.Get().(*[]int64)
+		buf := (*box)[:cap(*box)]
+		if len(buf) < need {
+			continue // a fresh buffer: the job's was dropped
+		}
+		for i, v := range buf {
+			if v != 0 {
+				t.Fatalf("pooled Conv scratch holds %#x at %d of %d after a job: it was not cleared", v, i, len(buf))
+			}
+		}
+		convScratch.Put(box)
+		return
+	}
+	t.Fatal("convScratch never gave back a job's buffer in 20 tries")
 }

@@ -444,3 +444,32 @@ func TestRekeyLeavesNoOldEpoch(t *testing.T) {
 		t.Error("frame after Rekey opens under the old key")
 	}
 }
+
+// TestRekeyDefersTheKeySchedule: Rekey refuses a key AES cannot take, and
+// otherwise leaves the new epoch's block unexpanded, so an epoch that seals
+// nothing costs no key schedule; the first seal of the epoch expands it.
+func TestRekeyDefersTheKeySchedule(t *testing.T) {
+	s := newTestSealer(t, key16())
+	if err := s.Rekey(make([]byte, 15)); err == nil {
+		t.Fatal("Rekey accepted a 15-byte key")
+	}
+	newKey := key16()
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Rekey(newKey); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || s.block != nil {
+		t.Fatalf("Rekey makes %.0f allocations and leaves block %v, want 0 and nil", allocs, s.block)
+	}
+	frame, err := s.SealRegResponse(1, RegResult{Data: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.block == nil {
+		t.Fatal("the epoch's first seal did not expand its block")
+	}
+	if _, err := OpenRegResponse(newKey, 1, frame); err != nil {
+		t.Fatalf("first frame of the epoch does not open under its key: %v", err)
+	}
+}

@@ -263,10 +263,10 @@ const rekeyPayloadSize = 16 + 8
 // Sealer seals and opens secure-channel frames — single register
 // transactions, batched register programs and session rotations — for one
 // session key with zero steady-state allocations: the AES block cipher is
-// expanded once per key, counter and keystream blocks live in the struct,
-// and frame buffers are grown once and reused. Each end of the channel
-// holds one Sealer and Rekeys it when the Key_session epoch rotates. A
-// Sealer is NOT safe for concurrent use — callers
+// expanded once per key, at the key's first seal or open, counter and
+// keystream blocks live in the struct, and frame buffers are grown once and
+// reused. Each end of the channel holds one Sealer and Rekeys it when the
+// Key_session epoch rotates. A Sealer is NOT safe for concurrent use — callers
 // (smapp.SMApp, smlogic.Logic) already serialise the secure channel, which
 // is single-lane by construction (one strictly increasing counter).
 //
@@ -276,7 +276,7 @@ const rekeyPayloadSize = 16 + 8
 // into the caller's frame.
 type Sealer struct {
 	key   []byte
-	block cipher.Block
+	block cipher.Block // key's expanded schedule; nil until xorCTR first needs it
 
 	// Scratch state. ctrBlk/ks live here rather than on the stack so the
 	// interface call into cipher.Block cannot force a per-call escape.
@@ -286,27 +286,31 @@ type Sealer struct {
 	openBuf []byte
 }
 
-// NewSealer expands key (16 bytes, Key_session) into a reusable sealer.
+// NewSealer returns a reusable sealer for key (16 bytes, Key_session).
 func NewSealer(key []byte) (*Sealer, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("channel: sealer: %w", err)
+	s := new(Sealer)
+	if err := s.Rekey(key); err != nil {
+		return nil, err
 	}
-	return &Sealer{key: append([]byte(nil), key...), block: block}, nil
+	return s, nil
 }
 
-// Rekey switches the Sealer to a new 16-byte key: it copies key over its
-// own key bytes, expands the new block and zeroes both frame buffers,
-// keeping their capacity, so nothing of the old epoch — its key or a frame
-// opened under it — stays behind and the next epoch grows no buffer. key
-// may alias the open buffer (OpenRekeyRequest's newKey).
+// Rekey switches the Sealer to a new 16-byte key: it checks the key's
+// length, copies key over its own key bytes, drops the old block and zeroes
+// both frame buffers, keeping their capacity, so nothing of the old epoch —
+// its key, its schedule or a frame opened under it — stays behind and the
+// next epoch grows no buffer. The new block is expanded at the epoch's
+// first seal or open, so an epoch that is never used (a boot's post-attest
+// rotation, say) costs no key schedule. key may alias the open buffer
+// (OpenRekeyRequest's newKey).
 func (s *Sealer) Rekey(key []byte) error {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return fmt.Errorf("channel: sealer: %w", err)
+	switch len(key) {
+	case 16, 24, 32:
+	default:
+		return fmt.Errorf("channel: sealer: %w", aes.KeySizeError(len(key)))
 	}
 	s.key = append(s.key[:0], key...)
-	s.block = block
+	s.block = nil
 	clear(s.sealBuf[:cap(s.sealBuf)])
 	clear(s.openBuf[:cap(s.openBuf)])
 	return nil
@@ -317,6 +321,9 @@ func (s *Sealer) Rekey(key []byte) error {
 // counter value seals at most one frame per direction, so streams never
 // repeat.
 func (s *Sealer) xorCTR(ctr uint64, dir byte, buf []byte) {
+	if s.block == nil {
+		s.block, _ = aes.NewCipher(s.key) // Rekey checked the length
+	}
 	for i := range s.ctrBlk {
 		s.ctrBlk[i] = 0
 	}

@@ -506,7 +506,9 @@ func (f *Federation) place(tenant, key string, payloadBytes, n int) (target *sha
 
 // SubmitBatch routes one kernel's sealed jobs as one unit (one routing and
 // spill decision, one modelled transfer of the summed payload) and hands
-// them to the target shard's scheduler; see sched.Scheduler.Submit.
+// them to the target shard's scheduler; see sched.Scheduler.Submit. key is
+// only hashed (Ring.Route) and never kept, so it may alias a request frame
+// the caller recycles once the call returns (remote.JobRequest.Key).
 func (f *Federation) SubmitBatch(tenant, key, kernel string, jobs []core.SealedJob, opt sched.SubmitOptions) ([]*sched.Future, string, bool, error) {
 	var payload int
 	for _, j := range jobs {

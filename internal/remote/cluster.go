@@ -72,7 +72,10 @@ type JobRequest struct {
 	Class          string `json:"class,omitempty"`
 	DeadlineMillis int64  `json:"deadline_ms,omitempty"`
 	// Key names the session: the gateway hashes tenant + key to a home
-	// shard, which on a one-shard region is always the same one.
+	// shard, which on a one-shard region is always the same one. Decoded
+	// from the binary wire it aliases the request frame (rpc.Decoder.View),
+	// so it is valid only until the handler returns: the gateway hashes it
+	// to route and keeps nothing of it.
 	Key string `json:"key,omitempty"`
 }
 
@@ -98,8 +101,8 @@ type BatchJob struct {
 type BatchRequest struct {
 	Kernel string     `json:"kernel"`
 	Jobs   []BatchJob `json:"jobs"`
-	// QoS and routing fields; see JobRequest. One contract and one
-	// placement cover the whole batch.
+	// QoS and routing fields; see JobRequest, also for how long Key is
+	// valid. One contract and one placement cover the whole batch.
 	Tenant         string `json:"tenant,omitempty"`
 	Class          string `json:"class,omitempty"`
 	DeadlineMillis int64  `json:"deadline_ms,omitempty"`

@@ -12,8 +12,9 @@ import "salus/internal/rpc"
 //	placement = u8 Spilled | string Shard
 //
 // with a request routing + job(s), a response placement + output(s), a batch
-// counted by a u32. A decoded section aliases the frame it arrived in (see
-// rpc.Handler); nil and empty are one value on this wire. Each decoder
+// counted by a u32. A decoded section, and a request's Key, alias the frame
+// they arrived in (see rpc.Handler); every other string is an interned copy
+// (rpc.Decoder.String). nil and empty are one value on this wire. Each decoder
 // builds its value in composite literals whose fields are written, and so
 // evaluated, in wire order.
 
@@ -60,7 +61,7 @@ func (r JobRequest) EncodeWire(e *rpc.Encoder) {
 // DecodeWire implements rpc.WireDecoder.
 func (r *JobRequest) DecodeWire(body []byte) error {
 	d := rpc.NewDecoder(body)
-	*r = JobRequest{DeadlineMillis: int64(d.Uint64()), Kernel: d.String(), Tenant: d.String(), Class: d.String(), Key: d.String()}
+	*r = JobRequest{DeadlineMillis: int64(d.Uint64()), Kernel: d.String(), Tenant: d.String(), Class: d.String(), Key: d.View()}
 	j := decodeJob(&d)
 	r.Params, r.SealedInput = j.Params, j.SealedInput
 	return d.Done()
@@ -91,7 +92,7 @@ func (r BatchRequest) EncodeWire(e *rpc.Encoder) {
 // DecodeWire implements rpc.WireDecoder.
 func (r *BatchRequest) DecodeWire(body []byte) error {
 	d := rpc.NewDecoder(body)
-	*r = BatchRequest{DeadlineMillis: int64(d.Uint64()), Kernel: d.String(), Tenant: d.String(), Class: d.String(), Key: d.String(),
+	*r = BatchRequest{DeadlineMillis: int64(d.Uint64()), Kernel: d.String(), Tenant: d.String(), Class: d.String(), Key: d.View(),
 		Jobs: make([]BatchJob, d.Count(minJobWire))}
 	for i := range r.Jobs {
 		r.Jobs[i] = decodeJob(&d)

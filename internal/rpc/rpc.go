@@ -236,11 +236,14 @@ func readFrame(br *bufio.Reader, pooled bool) (body, buf []byte, err error) {
 
 // Handler serves one method: decode params, do work, return a result.
 //
-// Aliasing rule: params, and every byte section a WireDecoder decodes from
-// it, points into a frame buffer that is recycled once the handler has
-// returned and its response is on the wire. The result may therefore alias
-// the request, but a handler must not leave params, or anything decoded from
-// it, where something can reach it after it returns.
+// Aliasing rule: params, and every byte section (Decoder.Section) and view
+// string (Decoder.View) a WireDecoder decodes from it, points into a frame
+// buffer that is recycled once the handler has returned and its response is
+// on the wire. The result may therefore alias the request, but a handler
+// must not leave params, or anything decoded from it, where something can
+// reach it after it returns: a view string it keeps (a map key, a field, a
+// log line written later) must be copied first, or it will read the next
+// frame's bytes.
 //
 // Release rule: a result with a Release method gives back what it holds
 // through it. The server calls Release exactly once, after the result's

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net"
+	"sync/atomic"
+	"unsafe"
 )
 
 // WireEncoder is implemented by a message type that writes its own binary
@@ -132,8 +135,21 @@ func (d *Decoder) Byte() byte { return byte(d.uint(1)) }
 // Uint64 reads a fixed-width integer.
 func (d *Decoder) Uint64() uint64 { return d.uint(8) }
 
-// String reads a u16-prefixed string (a copy).
-func (d *Decoder) String() string { return string(d.take(int(d.uint(2)))) }
+// String reads a u16-prefixed string that owns its bytes. A short one is
+// interned (see intern), so a name that repeats from frame to frame, such
+// as a kernel, tenant, class or shard, costs no allocation once seen.
+func (d *Decoder) String() string { return intern(d.take(int(d.uint(2)))) }
+
+// View reads a u16-prefixed string that aliases the body, as Section does:
+// it is valid only as long as the body is (for a handler's params, until
+// the handler returns; see Handler), and whoever keeps it longer must copy
+// it with strings.Clone. It suits a field that is used once and dropped,
+// such as a routing key that is hashed and forgotten, where interning would
+// only churn the table.
+func (d *Decoder) View() string {
+	b := d.take(int(d.uint(2)))
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // Section reads a u32-prefixed byte section, aliasing the body.
 func (d *Decoder) Section() []byte { return d.take(int(d.uint(4))) }
@@ -156,6 +172,37 @@ func (d *Decoder) Done() error {
 		return fmt.Errorf("rpc: %d bytes after payload", len(d.b))
 	}
 	return d.err
+}
+
+// The intern table: internSlots slots, each holding the last string stored
+// for the byte strings that hash to it. It is fixed and process-wide, so it
+// never grows, and a name longer than internMaxLen is never stored in it.
+const (
+	internSlots  = 256
+	internMaxLen = 64
+)
+
+var (
+	internSeed  = maphash.MakeSeed()
+	internTable [internSlots]atomic.Pointer[string]
+)
+
+// intern returns b as a string. When b's slot already holds an equal string
+// it returns that one without allocating; otherwise it copies b and, when b
+// is short enough, makes the copy the slot's string. Concurrent callers
+// whose names share a slot evict each other and copy more often, but every
+// one gets a string equal to its own bytes.
+func intern(b []byte) string {
+	if len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	slot := &internTable[maphash.Bytes(internSeed, b)%internSlots]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	slot.Store(&s)
+	return s
 }
 
 // Payload is the encoded params of a request or result of a response, still

@@ -141,10 +141,11 @@ type Logic struct {
 	batchTxns []channel.RegTxn
 	batchRes  []channel.RegResult
 
-	// directResp is the buffer every direct register response and rekey
-	// acknowledgement is built in (guarded by mu), lent to the shell until
-	// the next transaction.
-	directResp []byte
+	// directResp is where every direct register response (10 bytes) and
+	// rekey acknowledgement (18 bytes) is built (guarded by mu), lent to the
+	// shell until the next transaction. It is part of the Logic, so neither
+	// ever allocates, a boot's one rekey included.
+	directResp [32]byte
 	// readFrame is the buffer every DMA read response of at most
 	// channel.DMABurst bytes is built in (guarded by mu), lent until the
 	// next DMA read; a larger read, which only a hostile shell asks for,
@@ -294,14 +295,14 @@ func (l *Logic) handleRekey(req []byte) []byte {
 	if err != nil {
 		return channel.EncodeError("smlogic: rekey ack failed")
 	}
-	l.directResp = append(l.directResp[:0], resp...)
+	ack := append(l.directResp[:0], resp...)
 	// newKey borrows the sealer's open buffer, which Rekey zeroes.
 	l.keySession = append(l.keySession[:0], newKey...)
 	if err := sealer.Rekey(l.keySession); err != nil {
 		return channel.EncodeError("smlogic: rekey: " + err.Error())
 	}
 	l.nextCtr = newCtr
-	return l.directResp
+	return ack
 }
 
 // handleDirectReg is the direct, unprotected register path. The key and IV
@@ -320,8 +321,7 @@ func (l *Logic) handleDirectReg(req []byte) []byte {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.directResp = channel.AppendDirectResp(l.directResp[:0], l.execReg(txn))
-	return l.directResp
+	return channel.AppendDirectResp(l.directResp[:0], l.execReg(txn))
 }
 
 func isProtectedReg(addr uint32) bool {

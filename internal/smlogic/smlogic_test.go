@@ -3,6 +3,7 @@ package smlogic
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -553,6 +554,51 @@ func TestRekeyRetiresTheOldSealer(t *testing.T) {
 		t.Fatal("the new epoch is not framed by the rekeyed Sealer")
 	}
 	isError(t, roundTrip(oldKey, 902), "rejected")
+}
+
+// TestDirectResponsesLiveInTheLogic: a rekey acknowledgement and a direct
+// register response are both built in the Logic's own directResp, and the
+// rekey leaves the new epoch's key unexpanded, so a board's post-attest
+// rotation allocates nothing once a register program has sized the
+// Sealer's frame buffers: it made 2 allocations when the new key was
+// expanded at once and the acknowledgement grew a buffer of its own.
+func TestDirectResponsesLiveInTheLogic(t *testing.T) {
+	key := cryptoutil.RandomKey(16)
+	cl := loadedCL(t, cryptoutil.RandomKey(16), key, 7)
+	l := cl.(*Logic)
+	txn := channel.RegTxn{Write: true, Addr: accel.RegInLen, Data: 9}
+	frame, err := channel.SealRegBatchRequest(key, 7, []channel.RegTxn{txn, txn})
+	if _, err := cl.HandleTransaction(mustEnc(t, frame, err)); err != nil {
+		t.Fatal(err)
+	}
+	rekey, err := channel.SealRekeyRequest(key, 8, cryptoutil.RandomKey(16), 100)
+	rekey = mustEnc(t, rekey, err)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ack, err := cl.HandleTransaction(rekey)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the post-attest rekey made %d allocations, want 0", n)
+	}
+	if err := channel.OpenRekeyResponse(key, 8, ack); err != nil {
+		t.Fatalf("rekey ack: %v", err)
+	}
+	if &ack[0] != &l.directResp[0] {
+		t.Error("the rekey acknowledgement was not built in the Logic's directResp")
+	}
+	resp, err := cl.HandleTransaction(channel.EncodeDirectReg(channel.RegTxn{Write: true, Addr: accel.RegParam0, Data: 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := channel.DecodeDirectResp(resp); err != nil || !res.OK {
+		t.Fatalf("direct write failed: %+v %v", res, err)
+	}
+	if &resp[0] != &l.directResp[0] {
+		t.Error("the direct register response was not built in the Logic's directResp")
+	}
 }
 
 // TestHostileReadKeepsNoBigFrame: the Logic reuses one frame for DMA reads
