@@ -44,15 +44,16 @@ race:
 # reused DMA read frame only bite with the race build's poisoning. The nested bench module
 # is vetted too: it is the only caller of remote's compatibility wrappers,
 # and ./... never reaches it. The rpc client's read-role hand-over, its
-# intern table's shared slots and the scheduler's waiter claim are races one
-# run proves little about, so their tests run twenty times more under the
-# detector.
+# intern table's shared slots, the scheduler's waiter claim and a
+# partition's phase read against its reclaim are races one run proves
+# little about, so their tests run twenty times more under the detector.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) vet -C bench ./...
 	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/bufpool ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
 	$(GO) test -race -count=20 -run '^(TestReadRoleChangesHands|TestReadRoleSkipsCallerStillWriting|TestIdleClientHoldsNoGoroutine|TestReplyRoutedBeforeCallerLeads|TestInternSharedSlotUnderConcurrency)$$' ./internal/rpc
 	$(GO) test -race -count=20 -run '^(TestWaitRunsLoneJobOnIdlePartition|TestClaimNeverJumpsQueuedEntry|TestVectorEntryIsClaimedWhenAlone|TestClaimedRunHoldsOffWorkerExit|TestRemoveRPWaitsForWaiterRun|TestWaiterRunFaultRedispatches|TestDoneNeverClaims)$$' ./internal/sched
+	$(GO) test -race -count=20 -run '^(TestPhaseReadsRaceReclaimAndShare)$$' ./internal/core
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
 # (whose images borrow their input), for the kernels' output bounds (which

@@ -130,8 +130,8 @@ func (s *System) RunJobSealedBatch(kernelName string, jobs []SealedJob) ([]Batch
 // outgrow device memory opens into a one-off buffer the System does not
 // keep (zeroed all the same).
 func (s *System) runSealedLocked(kernelName string, jobs []SealedJob, results []BatchResult) error {
-	if !s.booted {
-		return fmt.Errorf("core: system not booted")
+	if _, err := s.phase.Next(EventServe); err != nil {
+		return err
 	}
 	k, ok := accel.KernelByName(kernelName)
 	if !ok {
@@ -197,8 +197,8 @@ func (s *System) clearScratch() {
 // the whole call; the session is invalidated and the caller must discard
 // results. Only the memory window (planBatch) depends on len(ws).
 func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, seal cipher.AEAD) (err error) {
-	if !s.booted {
-		return fmt.Errorf("core: system not booted; run SecureBoot first")
+	if _, err := s.phase.Next(EventServe); err != nil {
+		return err
 	}
 	// Any failure leaves host and engine potentially disagreeing about the
 	// IV schedule position — drop the cached session so the next call

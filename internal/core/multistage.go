@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"salus/internal/smapp"
 )
 
 // MultiStageOutcome records the timeline of the SGX-FPGA-style multi-stage
@@ -26,8 +24,8 @@ func (o MultiStageOutcome) Window() time.Duration { return o.CLAttestedAt - o.Re
 // CL are attested afterwards, and their results never reach the customer's
 // report. Used by the ablation study; SecureBoot is the Salus flow.
 func (s *System) MultiStageBoot() (*MultiStageOutcome, error) {
-	if s.booted {
-		return nil, fmt.Errorf("core: system already booted")
+	if err := s.check(EventAttest); err != nil {
+		return nil, err
 	}
 
 	// Stage 1: user enclave remote attestation — the customer receives
@@ -43,19 +41,7 @@ func (s *System) MultiStageBoot() (*MultiStageOutcome, error) {
 
 	// Stage 2: SM enclave attestation and CL deployment happen after the
 	// customer already trusts the platform.
-	if err := s.User.LocalAttestSM(); err != nil {
-		return nil, err
-	}
-	if err := s.User.ForwardMetadata(smapp.Metadata{Digest: s.Package.Digest, Loc: s.Package.Loc}); err != nil {
-		return nil, err
-	}
-	if err := s.SM.FetchDeviceKey(); err != nil {
-		return nil, err
-	}
-	if err := s.SM.DeployCL(s.Package.Encoded); err != nil {
-		return nil, err
-	}
-	if err := s.SM.AttestCL(); err != nil {
+	if err := s.attestCL(); err != nil {
 		return nil, err
 	}
 	return &MultiStageOutcome{ReportAt: reportAt, CLAttestedAt: s.Clock.Elapsed()}, nil

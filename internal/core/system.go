@@ -102,8 +102,7 @@ type System struct {
 	Timing Timing
 
 	jobMu     sync.Mutex
-	booted    bool
-	reclaimed bool
+	phase     Phase // the trust phase (see Phase); guarded by jobMu
 	partition int
 
 	// Cached per-session job state (guarded by jobMu): once the data key
@@ -265,6 +264,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Trace:        tr,
 		Timing:       cfg.Timing,
 		rekeyEvery:   rekeyEvery,
+		phase:        PhaseSpawned,
 		partition:    cfg.Partition,
 	}, nil
 }
@@ -376,9 +376,6 @@ type BootReport struct {
 // is drawn fresh and lives only in the user enclave (User.DataKey); an
 // owner that keys several systems alike uses sched.BootSharedParallel.
 func (s *System) SecureBoot() (*BootReport, error) {
-	if s.booted {
-		return nil, fmt.Errorf("core: system already booted")
-	}
 	span := s.Clock.StartSpan()
 	ver := client.New(s.Expectations())
 	nonce := ver.NewNonce()
@@ -418,37 +415,71 @@ func (s *System) SecureBoot() (*BootReport, error) {
 // BootAndQuote is the instance side of the boot: it runs Figure 3 ②–⑧ up
 // to and including the deferred quote bound to the data owner's nonce, but
 // performs no client-side verification — a *remote* data owner does that
-// themselves (see internal/remote) and then calls FinishProvision.
+// themselves (see internal/remote) and then calls FinishProvision. A failed
+// step leaves the system spawned, so the boot can be run again.
 func (s *System) BootAndQuote(nonce []byte) (sgx.Quote, error) {
-	if s.booted {
-		return sgx.Quote{}, fmt.Errorf("core: system already booted")
+	var quote sgx.Quote
+	err := s.attest(func() (err error) {
+		// ② RA request + metadata travel over the WAN.
+		s.chargeWAN(func() { s.Timing.WAN.Send(s.Clock, 256+len(s.Package.Loc.Path)) })
+		if err := s.attestCL(); err != nil {
+			return err
+		}
+		// ⑧ Deferred RA response.
+		if quote, err = s.User.GenerateRAResponse(nonce, s.Timing.UserQuoteGen); err != nil {
+			return fmt.Errorf("core: step ⑧ (RA response): %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return sgx.Quote{}, err
 	}
-	if s.reclaimed {
-		return sgx.Quote{}, fmt.Errorf("core: system reclaimed; re-placement needs a fresh System")
+	return quote, nil
+}
+
+// BootSibling is the instance side of a board that takes the data key from
+// a sibling enclave instead of the owner: Figure 3 ③–⑦, with no RA request
+// to receive and no quote or provisioning key to mint, since no owner reads
+// them. The hand-off (AdoptDataKeyFrom, or BeginAdoptDataKey across a wire)
+// completes the boot.
+func (s *System) BootSibling() error { return s.attest(s.attestCL) }
+
+// attest runs a spawned system's boot steps and moves it to attested; a
+// failed step leaves it spawned.
+func (s *System) attest(steps func() error) error {
+	if err := s.check(EventAttest); err != nil {
+		return err
 	}
+	if err := steps(); err != nil {
+		return err
+	}
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	return s.moveLocked(EventAttest)
+}
 
-	// ② RA request + metadata travel over the WAN.
-	md := smapp.Metadata{Digest: s.Package.Digest, Loc: s.Package.Loc}
-	s.chargeWAN(func() { s.Timing.WAN.Send(s.Clock, 256+len(md.Loc.Path)) })
-
+// attestCL runs Figure 3 ③–⑦: local attestation, key distribution, the
+// CL's deployment and its attestation, whose result the user enclave
+// collects.
+func (s *System) attestCL() error {
 	// ③ Local attestation and metadata forwarding.
 	if err := s.User.LocalAttestSM(); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ③ (local attestation): %w", err)
+		return fmt.Errorf("core: step ③ (local attestation): %w", err)
 	}
-	if err := s.User.ForwardMetadata(md); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ③ (metadata): %w", err)
+	if err := s.User.ForwardMetadata(smapp.Metadata{Digest: s.Package.Digest, Loc: s.Package.Loc}); err != nil {
+		return fmt.Errorf("core: step ③ (metadata): %w", err)
 	}
 
 	// ④ Device key distribution.
 	if err := s.SM.FetchDeviceKey(); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ④ (key distribution): %w", err)
+		return fmt.Errorf("core: step ④ (key distribution): %w", err)
 	}
 
 	// ⑤⑥ Verify, inject RoT, encrypt, deploy. The CSP's storage serves the
 	// developer-published bitstream; a hostile CSP may serve anything — the
 	// digest check catches it.
 	if err := s.SM.DeployCL(s.Package.Encoded); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ⑤⑥ (deployment): %w", err)
+		return fmt.Errorf("core: step ⑤⑥ (deployment): %w", err)
 	}
 	// On a physical board the host now blocks until the ICAP finishes
 	// programming the partition; model that idle wait for real so parallel
@@ -459,29 +490,39 @@ func (s *System) BootAndQuote(nonce []byte) (sgx.Quote, error) {
 
 	// ⑦ CL attestation.
 	if err := s.SM.AttestCL(); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ⑦ (CL attestation): %w", err)
+		return fmt.Errorf("core: step ⑦ (CL attestation): %w", err)
 	}
 	if err := s.User.CollectCLResult(); err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ⑦ (result collection): %w", err)
+		return fmt.Errorf("core: step ⑦ (result collection): %w", err)
 	}
-
-	// ⑧ Deferred RA response.
-	quote, err := s.User.GenerateRAResponse(nonce, s.Timing.UserQuoteGen)
-	if err != nil {
-		return sgx.Quote{}, fmt.Errorf("core: step ⑧ (RA response): %w", err)
-	}
-	return quote, nil
+	return nil
 }
 
 // FinishProvision delivers the data owner's sealed data key to the user
 // enclave, completing the boot. Only possible after BootAndQuote — the
 // enclave's provisioning key exists only once the chain is attested.
 func (s *System) FinishProvision(senderPub, sealed []byte) error {
-	if err := s.User.ReceiveDataKey(senderPub, sealed); err != nil {
-		return fmt.Errorf("core: data key provisioning: %w", err)
+	return s.takeKey("data key provisioning", func() error { return s.User.ReceiveDataKey(senderPub, sealed) })
+}
+
+// takeKey runs take, the user enclave's acceptance of the data key, and
+// moves the system to keyed, all under jobMu; what names take's failure.
+func (s *System) takeKey(what string, take func() error) error {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	// A boot walked one enclave call at a time, as the benchmark's per-step
+	// timing walks it, arrives here without BootAndQuote: the enclave's
+	// attested CL result is the ⑦ the host did not see.
+	if res, err := s.User.CLResult(); s.phase == PhaseSpawned && err == nil && res.Attested {
+		s.phase = PhaseAttested
 	}
-	s.booted = true
-	return nil
+	if _, err := s.phase.Next(EventKey); err != nil {
+		return err
+	}
+	if err := take(); err != nil {
+		return fmt.Errorf("core: %s: %w", what, err)
+	}
+	return s.moveLocked(EventKey)
 }
 
 // VerifyQuote runs the data owner's verification of the deferred quote,
@@ -521,10 +562,11 @@ func (s *System) ProvisionKey(dataPub, dataKey []byte) error {
 // AdoptDataKeyFrom completes a hot-added system's boot by transferring the
 // data key from an already-provisioned sibling via the user enclaves' local
 // attestation hand-off (userapp/share.go) instead of a client round trip.
-// The recipient must have finished its instance-side boot (BootAndQuote) so
+// The recipient must have finished its instance-side boot (BootSibling) so
 // its CL chain is attested; the donor enclave refuses unless the recipient
-// runs the identical user program on the same platform. As with
-// ProvisionKey, only the enclaves ever hold the key.
+// runs the identical user program on the same platform and attested the
+// CL digest the donor attested. As with ProvisionKey, only the enclaves
+// ever hold the key.
 func (s *System) AdoptDataKeyFrom(donor *System) error {
 	if donor == nil {
 		return errNotDonor
@@ -550,30 +592,23 @@ var errNotDonor = fmt.Errorf("core: donor system is not booted")
 func (s *System) ShareDataKey(req userapp.KeyRequest) (userapp.KeyGrant, error) {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
-	if !s.booted {
-		return userapp.KeyGrant{}, errNotDonor
+	if _, err := s.phase.Next(EventServe); err != nil {
+		return userapp.KeyGrant{}, fmt.Errorf("%w: %w", errNotDonor, err)
 	}
 	return s.User.ShareDataKey(req)
 }
 
 // BeginAdoptDataKey is the recipient-side first half of AdoptDataKeyFrom,
 // split out so the donor may live behind a wire boundary (the federation
-// gateway's Federation.Handoff RPC): it checks the recipient finished its
-// instance-side boot with an attested CL chain and emits the local-
-// attestation key request to relay to the donor. donor is the measurement
+// gateway's Federation.Handoff RPC): it emits the local-attestation key
+// request to relay to the donor, which the user enclave binds to the CL
+// digest it attested and refuses to make without one. donor is the measurement
 // the request pins; a recipient that cannot see the donor enclave passes
 // its own measurement, since the hand-off requires identical user programs
 // anyway.
 func (s *System) BeginAdoptDataKey(donor sgx.Measurement) (userapp.KeyRequest, error) {
-	if s.booted {
-		return userapp.KeyRequest{}, fmt.Errorf("core: system already booted")
-	}
-	res, err := s.User.CLResult()
-	if err != nil {
-		return userapp.KeyRequest{}, fmt.Errorf("core: adopt data key: recipient CL not attested: %w", err)
-	}
-	if !res.Attested {
-		return userapp.KeyRequest{}, fmt.Errorf("core: adopt data key: recipient CL attestation failed")
+	if err := s.check(EventKey); err != nil {
+		return userapp.KeyRequest{}, err
 	}
 	req, err := s.User.RequestDataKey(donor)
 	if err != nil {
@@ -586,19 +621,34 @@ func (s *System) BeginAdoptDataKey(donor sgx.Measurement) (userapp.KeyRequest, e
 // donor's sealed grant into the user enclave and completes the boot. The
 // host never sees the key.
 func (s *System) FinishAdoptDataKey(grant userapp.KeyGrant) error {
-	if s.booted {
-		return fmt.Errorf("core: system already booted")
-	}
-	if err := s.User.AcceptDataKey(grant); err != nil {
-		return fmt.Errorf("core: adopt data key: %w", err)
-	}
-	s.booted = true
-	return nil
+	return s.takeKey("adopt data key", func() error { return s.User.AcceptDataKey(grant) })
+}
+
+// Phase reports the system's trust phase.
+func (s *System) Phase() Phase {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	return s.phase
 }
 
 // Booted reports whether the boot (including data-key provisioning)
 // completed.
-func (s *System) Booted() bool { return s.booted }
+func (s *System) Booted() bool { return s.Phase() == PhaseKeyed }
+
+// check reports whether e is a legal move from the trust phase now.
+func (s *System) check(e Event) error {
+	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
+	_, err := s.phase.Next(e)
+	return err
+}
+
+// moveLocked applies e to the trust phase; a refused move leaves it where
+// it was. Callers hold jobMu.
+func (s *System) moveLocked(e Event) (err error) {
+	s.phase, err = s.phase.Next(e)
+	return err
+}
 
 // Reclaim decommissions the system's tenancy: it zeroizes every copy of
 // key material the deployment holds — the host's cached session key/IV,
@@ -614,6 +664,9 @@ func (s *System) Booted() bool { return s.booted }
 func (s *System) Reclaim() {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
+	if s.moveLocked(EventReclaim) != nil {
+		return // reclaimed already
+	}
 	clear(s.sessKey)
 	clear(s.sessIV)
 	s.invalidateSession()
@@ -625,17 +678,11 @@ func (s *System) Reclaim() {
 	s.ws, s.chunks, s.plan = nil, nil, nil
 	s.User.Zeroize()
 	s.SM.Zeroize()
-	s.booted = false
-	s.reclaimed = true
 }
 
 // Reclaimed reports whether Reclaim ran; a reclaimed system never serves
 // again — re-placement builds a fresh System on the same partition.
-func (s *System) Reclaimed() bool {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	return s.reclaimed
-}
+func (s *System) Reclaimed() bool { return s.Phase() == PhaseReclaimed }
 
 // poison fills a scratch frame the shell has given back with 0xA5 under
 // -race, so an interceptor that kept a borrowed frame instead of copying it

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/fleet"
 	"salus/internal/metrics"
@@ -187,8 +186,8 @@ func (f *Federation) AddRootShard(id string, mgr *fleet.Manager, addr string, k 
 }
 
 // AddSiblingShard registers a member gateway and boots k boards through
-// the instance side only: manufacture, deploy, CL attestation, locally
-// verified chain — but no data key and no owner round trip. The boards
+// the instance side only: manufacture, deploy, CL attestation — but no
+// quote, no data key and no owner round trip. The boards
 // join the shard's scheduler lazily, the first time the router sends the
 // shard work, via the sibling data-key hand-off from an already-keyed
 // shard (see ensureKeyed).
@@ -211,18 +210,7 @@ func (f *Federation) AddSiblingShard(id string, mgr *fleet.Manager, addr string,
 		wg.Add(1)
 		go func(i int, sys *core.System) {
 			defer wg.Done()
-			ver := client.New(sys.Expectations())
-			nonce := ver.NewNonce()
-			quote, err := sys.BootAndQuote(nonce)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Defence in depth, exactly like the fleet's sibling boot: the
-			// enclave-level checks inside the hand-off are the real gate.
-			if _, err := sys.VerifyQuote(ver, nonce, quote); err != nil {
-				errs[i] = err
-			}
+			errs[i] = sys.BootSibling()
 		}(i, sys)
 	}
 	wg.Wait()
@@ -376,7 +364,7 @@ func (f *Federation) donor() *core.System {
 	}
 	f.mu.RUnlock()
 	for _, sh := range ordered {
-		if d := sh.mgr.Donor(); d != nil {
+		if d := sh.mgr.Scheduler().Donor(); d != nil {
 			return d
 		}
 	}

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"salus/internal/accel"
-	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/fpga"
 	"salus/internal/manufacturer"
@@ -414,61 +413,16 @@ func (m *Manager) Adopt(sys *core.System) error {
 	return nil
 }
 
-// Donor returns a booted member suitable as the giving side of a sibling
-// data-key hand-off, or nil if none exists. A federation uses this to pick
-// the donor enclave on an attested shard when keying a sibling shard's
-// boards — the cross-gateway analogue of the in-fleet hand-off.
-func (m *Manager) Donor() *core.System { return m.pickDonor() }
-
-// pickDonor returns a booted member for the sibling hand-off, preferring
-// healthy boards over quarantined ones.
-func (m *Manager) pickDonor() *core.System {
-	// bad marks individual partitions, not whole boards: a quarantined RP's
-	// healthy co-resident sibling is still a fine donor.
-	type rpKey struct {
-		dna fpga.DNA
-		rp  int
-	}
-	bad := make(map[rpKey]bool)
-	for _, ds := range m.sch.Stats() {
-		if ds.Permanent || ds.Quarantined {
-			bad[rpKey{ds.DNA, ds.RP}] = true
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var fallback *core.System
-	for dna, systems := range m.members {
-		for _, sys := range systems {
-			if !sys.Booted() {
-				continue
-			}
-			if bad[rpKey{dna, sys.Partition()}] {
-				fallback = sys
-				continue
-			}
-			return sys
-		}
-	}
-	return fallback
-}
-
-// bootSibling boots sys without the data key: run the instance-side boot,
-// verify the cascaded chain locally (defence in depth — the enclave-level
-// checks in the hand-off are the real gate), and have a sibling enclave
-// hand the key over via local attestation.
+// bootSibling boots sys without the data key: run the instance-side boot
+// up to the CL's attestation (⑦) and have a sibling enclave hand the key
+// over via local attestation. The enclaves are the gate: the donor grants
+// the key only to a recipient bound to the CL digest the donor attested.
 func (m *Manager) bootSibling(sys *core.System) error {
-	donor := m.pickDonor()
+	donor := m.sch.Donor()
 	if donor == nil {
 		return fmt.Errorf("fleet: sibling hand-off needs a booted donor")
 	}
-	ver := client.New(sys.Expectations())
-	nonce := ver.NewNonce()
-	quote, err := sys.BootAndQuote(nonce)
-	if err != nil {
-		return err
-	}
-	if _, err := sys.VerifyQuote(ver, nonce, quote); err != nil {
+	if err := sys.BootSibling(); err != nil {
 		return err
 	}
 	return sys.AdoptDataKeyFrom(donor)
@@ -525,7 +479,6 @@ func (m *Manager) Remove(dna fpga.DNA, timeout time.Duration) error {
 		m.mu.Unlock()
 		return fmt.Errorf("fleet: removal would drop below %d devices", m.cfg.MinDevices)
 	}
-	// A departing board is no hand-off donor from here on.
 	delete(m.members, dna)
 	m.mu.Unlock()
 	mMembers.Add(-1)

@@ -525,8 +525,8 @@ func TestMultiRPSiblingHandoffKeysEveryPartition(t *testing.T) {
 
 // TestReplaceKeysFromAQuarantinedDonor: when every member is sick, the
 // replacement still takes the data key from one of them. The hand-off runs
-// enclave to enclave, past the broken shell, so pickDonor falls back to a
-// quarantined donor rather than leave the fleet unable to heal.
+// enclave to enclave, past the broken shell, so the scheduler's Donor falls
+// back to a quarantined donor rather than leave the fleet unable to heal.
 func TestReplaceKeysFromAQuarantinedDonor(t *testing.T) {
 	inj := &breaker{}
 	m := newManager(t, Config{

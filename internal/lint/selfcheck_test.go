@@ -278,6 +278,89 @@ func testFuncs(t *testing.T, dir string) map[string]bool {
 	return declared
 }
 
+// TestDocsCiteDeclaredNames fails when DESIGN.md, README.md or
+// EXPERIMENTS.md cites a Test*, Benchmark*, Fuzz* or Example* name that no
+// Go file in the tree declares, so the paper index cannot point at a test
+// that was renamed away. A trailing * or a go test -run/-bench argument
+// matches a prefix, and any top-level declaration resolves a name, helpers
+// such as accel.TestWorkload and netlist.TestDevice included.
+func TestDocsCiteDeclaredNames(t *testing.T) {
+	root := moduleRoot(t)
+	declared := topLevelNames(t, root)
+	resolves := func(name string, prefix bool) bool {
+		if declared[name] {
+			return true
+		}
+		for d := range declared {
+			if prefix && strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
+	cite := regexp.MustCompile(`(-(?:bench|run)[ =]['"^]*)?\b((?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*)(\*?)`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range cite.FindAllStringSubmatch(line, -1) {
+				if !resolves(m[2], m[1] != "" || m[3] != "") {
+					t.Errorf("%s:%d cites %s, which no Go file in the tree declares", doc, i+1, m[2]+m[3])
+				}
+			}
+		}
+	}
+}
+
+// topLevelNames returns every package-level function, type, variable and
+// constant name declared in the Go files under root (testdata excluded).
+func topLevelNames(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					names[decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // recvType names a method receiver's type: "T" for T, *T and T[P].
 func recvType(x ast.Expr) string {
 	for {

@@ -206,7 +206,8 @@ type RouteResponse struct {
 // HandoffRequest is a recipient enclave's local-attestation key request
 // relayed to this region (core.System.BeginAdoptDataKey wire form). The
 // report pins the recipient's measurement and binds its ephemeral public
-// key into the report data, so the relaying hosts cannot swap either.
+// key and attested CL digest into the report data, so the relaying hosts
+// can swap none of them.
 type HandoffRequest struct {
 	Report       sgx.Report `json:"report"`
 	RecipientPub []byte     `json:"recipient_pub"`
@@ -234,12 +235,13 @@ type HandoffGrant struct {
 // (fleet.Fixed) refuses them through its own device bounds.
 //
 // Boot and Provision are retry-safe: a client whose connection broke
-// mid-handshake can re-dial and resend the same request. A replayed Boot
-// under the original nonce returns the cached quotes (re-signing the same
-// deterministic response leaks nothing); a partially applied Boot or
-// Provision resumes from the first unfinished device; a replayed Provision
-// returns success without adopting anything twice. Only *conflicting*
-// replays — a different nonce, a different key material — are refused.
+// mid-handshake can re-dial and resend the same request. Both resume from
+// each owner system's phase (core.Phase): Boot boots the systems still
+// spawned, and Provision keys the attested ones. A replayed Boot under the
+// original nonce returns the cached quotes (re-signing the same
+// deterministic response leaks nothing); a replayed Provision returns
+// success without adopting anything twice. Only *conflicting* replays — a
+// different nonce, a different key material — are refused.
 func Serve(fed *federation.Federation, owner []*core.System, addr string, opts ...GatewayOption) (*rpc.Server, string, error) {
 	if fed == nil {
 		return nil, "", fmt.Errorf("remote: nil federation")
@@ -260,15 +262,14 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 	srv := rpc.NewServer()
 
 	// Handshake state. RPC handlers run concurrently (up to one per handler
-	// worker), so every mutation of the pool is serialised here.
+	// worker), so every mutation of the pool is serialised here. The owner
+	// systems boot in order, so the first one's phase says whether a nonce
+	// (and a key material) is pinned.
 	var (
 		mu         sync.Mutex
 		bootNonce  []byte
 		bootQuotes []sgx.Quote
-		booted     int // devices through BootAndQuote
 		provFP     []byte
-		provided   int // devices through FinishProvision
-		adopted    int // devices adopted into the root shard
 	)
 	srv.Handle("Cluster.Boot", rpc.Typed(func(in ClusterBootRequest) (ClusterBootResponse, error) {
 		mu.Lock()
@@ -276,19 +277,20 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		// The nonce arrives over RPC from an unauthenticated caller: a
 		// short-circuiting compare would let an attacker probe the real
 		// owner's challenge byte by byte through response timing.
-		if booted > 0 && !cryptoutil.ConstantTimeEqual(in.Nonce, bootNonce) {
+		if owner[0].Phase() == core.PhaseSpawned {
+			bootNonce, bootQuotes = append([]byte(nil), in.Nonce...), make([]sgx.Quote, len(owner))
+		} else if !cryptoutil.ConstantTimeEqual(in.Nonce, bootNonce) {
 			return ClusterBootResponse{}, fmt.Errorf("cluster already booted under a different nonce")
 		}
-		if booted == 0 {
-			bootNonce = append([]byte(nil), in.Nonce...)
-			bootQuotes = make([]sgx.Quote, len(owner))
-		}
-		for ; booted < len(owner); booted++ {
-			q, err := owner[booted].BootAndQuote(in.Nonce)
-			if err != nil {
-				return ClusterBootResponse{}, fmt.Errorf("device %d (%s): %w", booted, owner[booted].Device.DNA(), err)
+		for i, sys := range owner {
+			if sys.Phase() != core.PhaseSpawned {
+				continue
 			}
-			bootQuotes[booted] = q
+			q, err := sys.BootAndQuote(in.Nonce)
+			if err != nil {
+				return ClusterBootResponse{}, fmt.Errorf("device %d (%s): %w", i, sys.Device.DNA(), err)
+			}
+			bootQuotes[i] = q
 		}
 		return ClusterBootResponse{Quotes: bootQuotes}, nil
 	}))
@@ -306,22 +308,31 @@ func Serve(fed *federation.Federation, owner []*core.System, addr string, opts .
 		// Provision payloads carry sealed key material; the replay
 		// fingerprint check must not leak prefix-match length to a caller
 		// replaying candidate payloads.
-		if provided > 0 && !cryptoutil.ConstantTimeEqual(fp[:], provFP) {
+		if owner[0].Phase() >= core.PhaseKeyed && !cryptoutil.ConstantTimeEqual(fp[:], provFP) {
 			return struct{}{}, fmt.Errorf("cluster already provisioned with different key material")
 		}
 		provFP = fp[:]
-		for ; provided < len(owner); provided++ {
-			p := in.Provisions[provided]
-			if err := owner[provided].FinishProvision(p.SenderPub, p.Sealed); err != nil {
-				return struct{}{}, fmt.Errorf("device %d: %w", provided, err)
+		fresh := false
+		for i, sys := range owner {
+			if sys.Phase() >= core.PhaseKeyed {
+				continue // keyed by an earlier call, and maybe reclaimed since
 			}
+			p := in.Provisions[i]
+			if err := sys.FinishProvision(p.SenderPub, p.Sealed); err != nil {
+				return struct{}{}, fmt.Errorf("device %d: %w", i, err)
+			}
+			fresh = true
+		}
+		if !fresh {
+			return struct{}{}, nil // a replay of the call that adopted the pool
 		}
 		// Only a fully provisioned pool starts serving: a device that
-		// failed provisioning never sees a job, and a replayed Provision
-		// never adopts a device twice.
-		for ; adopted < len(owner); adopted++ {
-			if err := root.Adopt(owner[adopted]); err != nil {
-				return struct{}{}, fmt.Errorf("device %d: %w", adopted, err)
+		// failed provisioning never sees a job, and only the call that
+		// provisions the last device adopts, so a replayed Provision never
+		// adopts a device twice.
+		for i, sys := range owner {
+			if err := root.Adopt(sys); err != nil {
+				return struct{}{}, fmt.Errorf("device %d: %w", i, err)
 			}
 		}
 		return struct{}{}, nil

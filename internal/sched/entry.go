@@ -198,15 +198,14 @@ type device struct {
 	// queue has run dry the worker reclaims the system and closes it.
 	removed chan struct{}
 
-	// Health / circuit breaker.
+	// Health / circuit breaker: the service phase (core.PhaseServing,
+	// quarantined, probing or written off) and the data of the quarantine.
 	hmu         sync.Mutex
+	phase       core.Phase
 	consecFault int
-	quarantined bool
-	probing     bool // the single half-open probe entry is in flight
 	probeAt     time.Time
 	backoff     time.Duration
-	maxedProbes int  // failed probes at the backoff ceiling
-	permanent   bool // breaker latched open; never probed again
+	maxedProbes int // failed probes at the backoff ceiling
 }
 
 // enqueue offers the entry to the device's queue and, on acceptance, takes

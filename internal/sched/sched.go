@@ -253,6 +253,7 @@ func (s *Scheduler) RegisterTenant(sys *core.System, tenant string) error {
 		sys:     sys,
 		rp:      rp,
 		tenant:  tenant,
+		phase:   core.PhaseServing,
 		rpGauge: metrics.Default().Gauge(fmt.Sprintf("salus_sched_rp_queue_depth_%s_rp%d", sys.Device.DNA(), rp)),
 	}
 	d.q = newPQueue(s.cfg.QueueDepth, s.cfg.TenantWeights)
@@ -365,6 +366,29 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
+// Donor returns a registered partition's system to give the data key in a
+// sibling hand-off, preferring a serving partition to a quarantined or
+// written-off one (its enclave still holds the key), or nil for an empty
+// pool. A partition leaves the pool before it is reclaimed, so every
+// registered system is keyed; one reclaimed mid hand-off refuses it.
+func (s *Scheduler) Donor() *core.System {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var fallback *core.System
+	for _, d := range s.devices {
+		d.hmu.Lock()
+		serving := d.phase == core.PhaseServing
+		d.hmu.Unlock()
+		if serving {
+			return d.sys
+		}
+		if fallback == nil {
+			fallback = d.sys
+		}
+	}
+	return fallback
+}
+
 // DeviceStats is one device's lifetime counters and health snapshot.
 type DeviceStats struct {
 	DNA fpga.DNA
@@ -422,8 +446,7 @@ func (s *Scheduler) Stats() []DeviceStats {
 	out := make([]DeviceStats, 0, len(s.devices))
 	for _, d := range s.devices {
 		d.hmu.Lock()
-		quarantined, faults := d.quarantined, d.consecFault
-		backoff, permanent := d.backoff, d.permanent
+		phase, faults, backoff := d.phase, d.consecFault, d.backoff
 		d.hmu.Unlock()
 		out = append(out, DeviceStats{
 			DNA:               d.sys.Device.DNA(),
@@ -435,10 +458,10 @@ func (s *Scheduler) Stats() []DeviceStats {
 			Failed:            d.failed.Load(),
 			Retried:           d.retried.Load(),
 			Shed:              d.shed.Load(),
-			Quarantined:       quarantined,
+			Quarantined:       phase != core.PhaseServing,
 			ConsecutiveFaults: faults,
 			Backoff:           backoff,
-			Permanent:         permanent,
+			Permanent:         phase == core.PhaseWrittenOff,
 		})
 	}
 	return out

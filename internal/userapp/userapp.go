@@ -211,11 +211,8 @@ func ChainBinding(nonce []byte, sm sgx.Measurement, res smapp.CLResult, dataPub 
 // ECDH public key for data-key provisioning. quoteGen models the DCAP
 // quoting round trip.
 func (u *UserApp) GenerateRAResponse(nonce []byte, quoteGen time.Duration) (sgx.Quote, error) {
-	if u.result == nil {
-		return sgx.Quote{}, ErrNoCLResult
-	}
-	if !u.result.Attested {
-		return sgx.Quote{}, ErrCLFailed
+	if _, err := u.attestedDigest(); err != nil {
+		return sgx.Quote{}, err
 	}
 	u.cfg.Clock.Advance(quoteGen)
 	u.cfg.Trace.Record(trace.PhaseUserQuoteGen, quoteGen)
