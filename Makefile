@@ -44,32 +44,37 @@ race:
 # reused DMA read frame only bite with the race build's poisoning. The nested bench module
 # is vetted too: it is the only caller of remote's compatibility wrappers,
 # and ./... never reaches it. The rpc client's read-role hand-over, its
-# intern table's shared slots, the scheduler's waiter claim and a
-# partition's phase read against its reclaim are races one run proves
-# little about, so their tests run twenty times more under the detector.
+# intern table's shared slots, the scheduler's waiter claim, a
+# partition's phase read against its reclaim and the pipelined batch's
+# two goroutines sealing and opening under one data-plane AEAD are races
+# one run proves little about, so their tests run twenty times more under
+# the detector.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) vet -C bench ./...
 	$(GO) test -race ./internal/sched ./internal/core ./internal/shell ./internal/accel ./internal/smlogic ./internal/fleet ./internal/bufpool ./internal/rpc ./internal/remote ./internal/federation ./internal/bitstream ./internal/smapp ./internal/fpga
 	$(GO) test -race -count=20 -run '^(TestReadRoleChangesHands|TestReadRoleSkipsCallerStillWriting|TestIdleClientHoldsNoGoroutine|TestReplyRoutedBeforeCallerLeads|TestInternSharedSlotUnderConcurrency)$$' ./internal/rpc
 	$(GO) test -race -count=20 -run '^(TestWaitRunsLoneJobOnIdlePartition|TestClaimNeverJumpsQueuedEntry|TestVectorEntryIsClaimedWhenAlone|TestClaimedRunHoldsOffWorkerExit|TestRemoveRPWaitsForWaiterRun|TestWaiterRunFaultRedispatches|TestDoneNeverClaims)$$' ./internal/sched
-	$(GO) test -race -count=20 -run '^(TestPhaseReadsRaceReclaimAndShare)$$' ./internal/core
+	$(GO) test -race -count=20 -run '^(TestPhaseReadsRaceReclaimAndShare|TestPipelinedBatchSharesDataPlaneAEAD)$$' ./internal/core
 
 # Five seconds of real fuzzing per wire decoder, for the bitstream decoder
-# (whose images borrow their input), for the kernels' output bounds (which
-# size every job's device-memory slot), for the kernels' AppendCompute into a
-# reused stale buffer (the fabric's output buffer) and for the packed Conv
-# kernel against its plain reference loop; without this the corpora only
-# ever run as seed unit tests. (-fuzz takes one target and one package per
-# run.)
+# (whose images borrow their input) and its encrypted container, for the
+# kernels' output bounds (which size every job's device-memory slot), for
+# the kernels' AppendCompute into a reused stale buffer (the fabric's output
+# buffer), for the packed Conv kernel against its plain reference loop and
+# for the fabric's data-plane check of a sealed input and its registers;
+# without this the corpora only ever run as seed unit tests. (-fuzz takes
+# one target and one package per run.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzJobWireDecode$$' -fuzztime 5s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 5s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz '^FuzzDecrypt$$' -fuzztime 5s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelOutputCap$$' -fuzztime 5s ./internal/accel
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelAppendCompute$$' -fuzztime 5s ./internal/accel
 	$(GO) test -run '^$$' -fuzz '^FuzzConvMatchesReference$$' -fuzztime 5s ./internal/accel
+	$(GO) test -run '^$$' -fuzz '^FuzzDataPlaneOpen$$' -fuzztime 5s ./internal/accel
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

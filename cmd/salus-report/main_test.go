@@ -38,8 +38,8 @@ func TestRenderReport(t *testing.T) {
 			t.Fatal("no Table 3 block")
 		}
 		rows := strings.Split(strings.TrimSpace(parts[1]), "\n")[1:]
-		if len(rows) != 10 {
-			t.Fatalf("%d attack rows, want 10:\n%s", len(rows), parts[1])
+		if len(rows) != 13 {
+			t.Fatalf("%d attack rows, want 13:\n%s", len(rows), parts[1])
 		}
 		for _, r := range rows {
 			// Result is the third column, after two 36-rune ones.

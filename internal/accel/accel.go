@@ -2,13 +2,14 @@
 // (Table 4) as functional models: each kernel really computes its result in
 // Go, and the surrounding Core models the accelerator's hardware shell —
 // an AXI4-Lite register file, CL-attached device memory reached by DMA, and
-// the AES-CTR streaming encryption/decryption logic the paper adds at the
-// memory interface for TEE operation (§6.4).
+// the streaming crypto engine the paper adds at the memory interface for
+// TEE operation (§6.4), here AES-GCM rather than the paper's AES-CTR so the
+// job data is authenticated as well as encrypted (see dataplane.go).
 //
 // Following Table 4, every kernel decrypts its inbound traffic when a data
 // key has been provisioned; only Affine and Rendering also encrypt their
 // outbound traffic (for the ML-style kernels the paper leaves weights and
-// outputs in plaintext).
+// outputs in plaintext), and every output carries a tag.
 package accel
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 
+	"salus/internal/channel"
 	"salus/internal/merkle"
 	"salus/internal/netlist"
 )
@@ -31,8 +33,8 @@ const (
 	RegStatus  uint32 = 0x08 // see Status* values
 	RegKey0    uint32 = 0x10 // data key bits [63:0]
 	RegKey1    uint32 = 0x18 // data key bits [127:64]
-	RegIV0     uint32 = 0x20 // CTR IV bits [63:0]
-	RegIV1     uint32 = 0x28 // CTR IV bits [127:64]
+	RegIV0     uint32 = 0x20 // base IV bits [63:0]
+	RegIV1     uint32 = 0x28 // base IV bits [127:64]
 	RegInAddr  uint32 = 0x30
 	RegInLen   uint32 = 0x38
 	RegOutAddr uint32 = 0x40
@@ -43,11 +45,13 @@ const (
 	RegParam3  uint32 = 0x68
 )
 
-// Status register values.
+// Status register values. StatusIntegrity is a keyed run whose input
+// failed the data plane's authentication: the kernel did not run.
 const (
-	StatusIdle  uint64 = 0
-	StatusDone  uint64 = 1
-	StatusError uint64 = 2
+	StatusIdle      uint64 = 0
+	StatusDone      uint64 = 1
+	StatusError     uint64 = 2
+	StatusIntegrity uint64 = 3
 )
 
 // CtrlStart triggers a run when written to RegCtrl.
@@ -160,13 +164,16 @@ type Core struct {
 	runs   int
 	jobCtr uint32 // keyed runs since the last IV install (per-job IV schedule)
 
-	// The memory-interface engine's loaded key: block is the schedule of
-	// the key the key registers held when it was expanded (blockKey), so it
-	// is re-expanded only when they change. iv is the current run's CTR IV;
-	// it lives here because the CTR stream needs a heap-resident IV.
-	block    cipher.Block
-	blockKey [2]uint64
-	iv       [16]byte
+	// The memory-interface engine's loaded key: aead is the AES-GCM of the
+	// key the key registers held when it was expanded (aeadKey), so it is
+	// re-expanded only when they change. job is the current run as the data
+	// plane binds it, inTag its last input burst's tag, and plane the
+	// engine's nonce and additional-data scratch (see DataPlane).
+	aead    cipher.AEAD
+	aeadKey [2]uint64
+	job     DataJob
+	inTag   [TagSize]byte
+	plane   DataPlane
 }
 
 // IntegrityBlock is the protection granularity of the memory integrity
@@ -348,12 +355,12 @@ func (c *Core) ReadMem(addr uint64, dst []byte) error {
 	return nil
 }
 
-// keyBlock returns the AES schedule of the key the key registers hold,
-// expanding it only when they changed since it was last expanded; the key
-// bytes are assembled on the stack. Callers hold c.mu.
-func (c *Core) keyBlock() (cipher.Block, error) {
+// keyAEAD returns the data plane's AES-GCM under the key the key registers
+// hold, expanding it only when they changed since it was last expanded;
+// the key bytes are assembled on the stack. Callers hold c.mu.
+func (c *Core) keyAEAD() (cipher.AEAD, error) {
 	k := [2]uint64{c.regs[RegKey1], c.regs[RegKey0]}
-	if c.block == nil || k != c.blockKey {
+	if c.aead == nil || k != c.aeadKey {
 		var key [16]byte
 		binary.BigEndian.PutUint64(key[0:], k[0])
 		binary.BigEndian.PutUint64(key[8:], k[1])
@@ -361,19 +368,23 @@ func (c *Core) keyBlock() (cipher.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.block, c.blockKey = block, k
+		aead, err := cipher.NewGCM(block)
+		if err != nil {
+			return nil, err
+		}
+		c.aead, c.aeadKey = aead, k
 	}
-	return c.block, nil
+	return c.aead, nil
 }
 
-// JobIV derives the CTR IV for the n-th run under an installed base IV: the
-// job index is XOR-folded into bytes [8:12], leaving bytes [12:16] as the
-// block counter. The crypto engine and the host driver share this schedule,
-// so a session needs only one secure IV exchange — subsequent jobs advance
-// the counter on both sides without touching the protected registers. Run 0
-// uses the base IV verbatim. Hosts that reuse a session must install a base
-// IV whose block-counter field is zero, so per-job keystreams (at most 2^32
-// blocks apart) can never collide.
+// JobIV derives the IV of the n-th run under an installed base IV: the job
+// index is XOR-folded into bytes [8:12]. The crypto engine and the host
+// driver share this schedule, so a session needs only one secure IV
+// exchange — subsequent jobs advance the index on both sides without
+// touching the protected registers. Run 0 uses the base IV verbatim. The
+// data plane's nonces are derived from it (see DataPlane): bytes [0:12],
+// with a direction bit and an input burst's index folded into bits the job
+// index does not use, so no two nonces of one epoch coincide.
 func JobIV(base []byte, n uint32) [16]byte {
 	var iv [16]byte
 	copy(iv[:], base)
@@ -404,63 +415,87 @@ func (c *Core) run() {
 	if inAddr > MemBytes || inLen > MemBytes-inAddr {
 		return
 	}
-	if err := c.checkBlocks(inAddr, int(inLen)); err != nil {
-		return
-	}
-	// The kernel's one input buffer, reused across runs. Inline stream
-	// decryption at the memory interface (Table 4: inbound traffic is always
-	// encrypted in TEE mode) fills it straight from device memory, which
-	// keeps the ciphertext; input past the high-water mark is zeros.
-	if uint64(cap(c.input)) < inLen {
-		c.input = make([]byte, inLen)
-	}
-	input := c.input[:inLen]
-	src := c.backed(inAddr, inLen)
-	var block cipher.Block
+	span := inLen
 	if c.keySet {
-		var err error
-		if block, err = c.keyBlock(); err != nil {
+		if span = SealedInLen(inLen); span > MemBytes-inAddr {
 			return
 		}
-		binary.BigEndian.PutUint64(c.iv[0:], c.regs[RegIV1])
-		binary.BigEndian.PutUint64(c.iv[8:], c.regs[RegIV0])
-		foldJobIndex(c.iv[:], jobIdx)
-		ctr := cipher.NewCTR(block, c.iv[:])
-		ctr.XORKeyStream(input, src)
-		rest := input[len(src):]
-		clear(rest)
-		ctr.XORKeyStream(rest, rest)
+	}
+	if err := c.checkBlocks(inAddr, int(span)); err != nil {
+		return
+	}
+	params := [4]uint64{c.regs[RegParam0], c.regs[RegParam1], c.regs[RegParam2], c.regs[RegParam3]}
+	var aead cipher.AEAD
+	if c.keySet {
+		// Inline decryption at the memory interface (Table 4: inbound
+		// traffic is always encrypted in TEE mode) checks every burst's
+		// tag before the kernel sees a byte of it.
+		var err error
+		if aead, err = c.keyAEAD(); err != nil {
+			return
+		}
+		c.job = DataJob{Index: jobIdx, Params: params, InLen: inLen, OutAddr: outAddr,
+			OutCap: uint64(c.kernel.OutputCap(params, int(inLen)))}
+		binary.BigEndian.PutUint64(c.job.IV[0:], c.regs[RegIV1])
+		binary.BigEndian.PutUint64(c.job.IV[8:], c.regs[RegIV0])
+		foldJobIndex(c.job.IV[:], jobIdx)
+		if !c.openInput(aead, inAddr) {
+			c.status = StatusIntegrity
+			return
+		}
 	} else {
-		clear(input[copy(input, src):])
+		// The kernel's one input buffer, reused across runs, filled
+		// straight from device memory; input past the high-water mark is
+		// zeros.
+		if uint64(cap(c.input)) < inLen {
+			c.input = make([]byte, inLen)
+		}
+		clear(c.input[copy(c.input[:inLen], c.backed(inAddr, inLen)):inLen])
 	}
 
-	params := [4]uint64{c.regs[RegParam0], c.regs[RegParam1], c.regs[RegParam2], c.regs[RegParam3]}
-	out, err := c.kernel.AppendCompute(c.output[:0], params, input)
+	out, err := c.kernel.AppendCompute(c.output[:0], params, c.input[:inLen])
 	if err != nil {
 		return
 	}
-	c.output = out
-
-	if block != nil && c.kernel.EncryptOutput() {
-		// Outbound traffic uses a disjoint counter block: flip the top bit
-		// so input and output keystreams never overlap.
-		c.iv[0] ^= 0x80
-		cipher.NewCTR(block, c.iv[:]).XORKeyStream(out, out)
+	n := uint64(len(out))
+	if aead != nil {
+		out = c.plane.SealOutput(aead, &c.job, c.inTag[:], out, c.kernel.EncryptOutput())
 	}
+	c.output = out
 
 	if outAddr > MemBytes || uint64(len(out)) > MemBytes-outAddr {
 		return
 	}
 	c.store(outAddr, out)
-	c.outLen = uint64(len(out))
+	c.outLen = n
 	c.status = StatusDone
 }
 
-// DecryptOutput is the host-side helper undoing the accelerator's outbound
-// encryption (same key/IV schedule as the memory engine) in place: data
-// becomes the plaintext. block is the data key's expanded schedule and iv
-// the run's JobIV; the outbound counter block is derived in this copy.
-func DecryptOutput(block cipher.Block, iv [16]byte, data []byte) {
-	iv[0] ^= 0x80
-	cipher.NewCTR(block, iv[:]).XORKeyStream(data, data)
+// openInput checks and decrypts the run's sealed input (c.job) burst by
+// burst, straight from device memory into c.input, the kernel's one input
+// buffer, reused across runs; a burst partly past the high-water mark is
+// first copied into that buffer with zeros past the mark. It keeps the
+// last burst's tag in c.inTag and reports false on any tag that does not
+// verify. Callers hold c.mu and have range-checked the sealed span.
+func (c *Core) openInput(aead cipher.AEAD, inAddr uint64) bool {
+	inLen := c.job.InLen
+	if uint64(cap(c.input)) < inLen+TagSize {
+		c.input = make([]byte, inLen+TagSize)
+	}
+	off := uint64(0)
+	for b := uint64(0); b < InputBursts(inLen); b++ {
+		n := min(channel.DMABurst, inLen-off)
+		src := c.backed(inAddr+b*SealedBurst, n+TagSize)
+		if uint64(len(src)) < n+TagSize {
+			buf := c.input[off : off+n+TagSize]
+			clear(buf[copy(buf, src):])
+			src = buf
+		}
+		copy(c.inTag[:], src[n:])
+		if _, err := c.plane.OpenBurst(c.input[off:off], aead, &c.job, uint32(b), src); err != nil {
+			return false
+		}
+		off += n
+	}
+	return true
 }

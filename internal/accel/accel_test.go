@@ -2,7 +2,7 @@ package accel
 
 import (
 	"bytes"
-	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -258,16 +258,23 @@ func TestPropertyNNSearchOptimal(t *testing.T) {
 }
 
 // runJob drives a Core through the register/memory protocol like a host
-// driver would, optionally with data-key encryption.
+// driver would, optionally with the data plane under a data key: the input
+// sealed with SealInput, the output checked with DataPlane.OpenOutput.
 func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 	t.Helper()
 	input := w.Input
+	outAddr := uint64(len(input) + 64)
+	var aead cipher.AEAD
+	var job DataJob
 	if key != nil {
-		enc, err := cryptoutil.XORKeyStreamCTR(key, iv, w.Input)
-		if err != nil {
+		var err error
+		if aead, err = cryptoutil.NewAEAD(key); err != nil {
 			t.Fatal(err)
 		}
-		input = enc
+		outAddr = SealedInLen(uint64(len(input))) + 64
+		job = DataJob{IV: JobIV(iv, 0), Params: w.Params, InLen: uint64(len(w.Input)), OutAddr: outAddr,
+			OutCap: uint64(w.Kernel.OutputCap(w.Params, len(w.Input)))}
+		input = SealInput(aead, &job, w.Input)
 		must := func(err error) {
 			if err != nil {
 				t.Fatal(err)
@@ -281,9 +288,8 @@ func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 	if err := core.WriteMem(0, input); err != nil {
 		t.Fatal(err)
 	}
-	outAddr := uint64(len(input) + 64)
 	for reg, v := range map[uint32]uint64{
-		RegInAddr: 0, RegInLen: uint64(len(input)), RegOutAddr: outAddr,
+		RegInAddr: 0, RegInLen: uint64(len(w.Input)), RegOutAddr: outAddr,
 		RegParam0: w.Params[0], RegParam1: w.Params[1],
 		RegParam2: w.Params[2], RegParam3: w.Params[3],
 	} {
@@ -305,16 +311,21 @@ func runJob(t *testing.T, core *Core, w Workload, key, iv []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]byte, n)
-	if err := core.ReadMem(outAddr, out); err != nil {
-		t.Fatal(err)
-	}
-	if key != nil && w.Kernel.EncryptOutput() {
-		block, err := aes.NewCipher(key)
-		if err != nil {
+	if key == nil {
+		out := make([]byte, n)
+		if err := core.ReadMem(outAddr, out); err != nil {
 			t.Fatal(err)
 		}
-		DecryptOutput(block, [16]byte(iv), out)
+		return out
+	}
+	sealed := make([]byte, n+TagSize, n+OutputSlack)
+	if err := core.ReadMem(outAddr, sealed); err != nil {
+		t.Fatal(err)
+	}
+	var d DataPlane
+	out, err := d.OpenOutput(aead, &job, input[len(input)-TagSize:], sealed, w.Kernel.EncryptOutput())
+	if err != nil {
+		t.Fatalf("output: %v", err)
 	}
 	return out
 }
@@ -484,8 +495,8 @@ func TestRenderZInterpolation(t *testing.T) {
 	}
 }
 
-// echoKernel returns its (decrypted) input unchanged, so a run exposes
-// exactly the keystream the memory-interface engine applied.
+// echoKernel returns its (decrypted) input unchanged, so a run's output is
+// exactly the input the memory-interface engine accepted.
 type echoKernel struct{}
 
 func (echoKernel) Name() string               { return "echo" }
@@ -502,8 +513,8 @@ func (echoKernel) OutputCap(_ [4]uint64, inLen int) int { return min(inLen, MemB
 // TestKeyRewriteMidSessionUsesNewKey: the engine's expanded key is cached
 // per key-register value, not per session. Rewriting the key registers
 // between runs, without a new IV, must switch the very next run to the new
-// key: its output is the XORKeyStreamCTR reference under the new key at
-// the run's place in the IV schedule.
+// key: it accepts only the input sealed under the new key at the run's
+// place in the IV schedule, and its output is that input.
 func TestKeyRewriteMidSessionUsesNewKey(t *testing.T) {
 	core := NewCore(echoKernel{})
 	base := cryptoutil.RandomKey(16)
@@ -517,7 +528,6 @@ func TestKeyRewriteMidSessionUsesNewKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(core.WriteMem(0, mem))
 	for reg, v := range map[uint32]uint64{
 		RegIV1: binary.BigEndian.Uint64(base[0:8]), RegIV0: binary.BigEndian.Uint64(base[8:16]),
 		RegInAddr: 0, RegInLen: uint64(len(mem)), RegOutAddr: 4096,
@@ -536,19 +546,24 @@ func TestKeyRewriteMidSessionUsesNewKey(t *testing.T) {
 		{"low half rewritten", keyC},
 		{"back to the first key", keyA},
 	} {
+		aead, err := cryptoutil.NewAEAD(step.key)
+		must(err)
+		job := DataJob{IV: JobIV(base, uint32(run)), Index: uint32(run), InLen: uint64(len(mem)), OutAddr: 4096,
+			OutCap: uint64(len(mem))}
+		sealed := SealInput(aead, &job, mem)
+		must(core.WriteMem(0, sealed))
 		must(core.WriteReg(RegKey1, binary.BigEndian.Uint64(step.key[0:8])))
 		must(core.WriteReg(RegKey0, binary.BigEndian.Uint64(step.key[8:16])))
 		must(core.WriteReg(RegCtrl, CtrlStart))
 		if st, _ := core.ReadReg(RegStatus); st != StatusDone {
-			t.Fatalf("%s: status %d", step.name, st)
+			t.Fatalf("run %d (%s): status %d: the input sealed under the key the registers hold was refused", run, step.name, st)
 		}
-		got := make([]byte, len(mem))
+		got := make([]byte, len(mem)+TagSize, len(mem)+OutputSlack)
 		must(core.ReadMem(4096, got))
-		iv := JobIV(base, uint32(run))
-		want, err := cryptoutil.XORKeyStreamCTR(step.key, iv[:], mem)
-		must(err)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("run %d (%s): output is not the CTR stream under the key the registers hold", run, step.name)
+		var d DataPlane
+		out, err := d.OpenOutput(aead, &job, sealed[len(sealed)-TagSize:], got, false)
+		if err != nil || !bytes.Equal(out, mem) {
+			t.Fatalf("run %d (%s): output is not the input under the key the registers hold (%v)", run, step.name, err)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package accel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"salus/internal/cryptoutil"
 )
 
 // FuzzKernelOutputCap: for any parameters and input, every kernel's output
@@ -74,6 +77,127 @@ func FuzzKernelAppendCompute(f *testing.F) {
 					t.Fatalf("%s: AppendCompute behind %d held bytes, room for %d of %d, differs from Compute (err %v)", k.Name(), prefix, room, len(want), err)
 				}
 			}
+		}
+	})
+}
+
+// countingKernel counts the runs that reached its kernel.
+type countingKernel struct {
+	Kernel
+	calls int
+}
+
+func (k *countingKernel) AppendCompute(dst []byte, params [4]uint64, input []byte) ([]byte, error) {
+	k.calls++
+	return k.Kernel.AppendCompute(dst, params, input)
+}
+
+// FuzzDataPlaneOpen: the fabric runs a keyed job only on exactly the input
+// the host sealed for it. Starting from an honest sealed input and its
+// registers, the fuzzer XORs a mask into one view of everything the data
+// plane binds — the sealed bytes (ciphertext and tag), the four
+// parameters, the input length, the output address, and the job index the
+// input was sealed for. Any change ends in StatusIntegrity with the kernel
+// not run; the unchanged case is Kernel.Compute's output, its tag checked
+// as the host checks it.
+func FuzzDataPlaneOpen(f *testing.F) {
+	key := []byte("0123456789abcdef")
+	base := []byte("fedcba9876540000")
+	base[12], base[13], base[14], base[15] = 0, 0, 0, 0
+	aead, err := cryptoutil.NewAEAD(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w := GenConv(6, 6, 2, 1)
+	want, err := w.Kernel.Compute(w.Params, w.Input)
+	if err != nil {
+		f.Fatal(err)
+	}
+	honest := DataJob{IV: JobIV(base, 0), Params: w.Params, InLen: uint64(len(w.Input)), OutAddr: 4096,
+		OutCap: uint64(w.Kernel.OutputCap(w.Params, len(w.Input)))}
+	sealed := SealInput(aead, &honest, w.Input)
+
+	// The view: sealed bytes, then params (32 B), the input length's low
+	// 2 bytes, the output address's low 3 bytes and the job index (4 B),
+	// all big-endian. Masks on the lengths stay in range, so only the data
+	// plane can refuse them.
+	n := len(sealed)
+	view := append([]byte(nil), sealed...)
+	for _, p := range w.Params {
+		view = binary.BigEndian.AppendUint64(view, p)
+	}
+	view = binary.BigEndian.AppendUint16(view, uint16(honest.InLen))
+	view = append(view, byte(honest.OutAddr>>16), byte(honest.OutAddr>>8), byte(honest.OutAddr))
+	view = binary.BigEndian.AppendUint32(view, honest.Index)
+
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(3), []byte{0x01})                      // ciphertext
+	f.Add(uint32(n-1), []byte{0x80})                    // tag
+	f.Add(uint32(n+7), []byte{0x01})                    // a parameter
+	f.Add(uint32(n+32), []byte{0x00, 0x10})             // the input length
+	f.Add(uint32(n+34), []byte{0x00, 0x00, 0x40})       // the output address
+	f.Add(uint32(n+37), []byte{0x00, 0x00, 0x00, 0x01}) // the job index
+	f.Fuzz(func(t *testing.T, at uint32, mask []byte) {
+		v := append([]byte(nil), view...)
+		for i, m := range mask {
+			v[(int(at%uint32(len(v)))+i)%len(v)] ^= m
+		}
+		changed := !bytes.Equal(v, view)
+		regs := v[n:]
+		var params [4]uint64
+		for i := range params {
+			params[i] = binary.BigEndian.Uint64(regs[8*i:])
+		}
+		inLen := honest.InLen&^0xFFFF | uint64(binary.BigEndian.Uint16(regs[32:]))
+		outAddr := honest.OutAddr&^0xFFFFFF | uint64(regs[34])<<16 | uint64(regs[35])<<8 | uint64(regs[36])
+		mem := sealed
+		if idx := binary.BigEndian.Uint32(regs[37:]); idx != honest.Index {
+			other := honest
+			other.IV, other.Index = JobIV(base, idx), idx
+			mem = SealInput(aead, &other, w.Input)
+		}
+		mem = append([]byte(nil), mem...)
+		for i := range mem {
+			mem[i] ^= v[i] ^ view[i]
+		}
+
+		k := &countingKernel{Kernel: w.Kernel}
+		c := NewCore(k)
+		for reg, val := range map[uint32]uint64{
+			RegKey1: binary.BigEndian.Uint64(key[0:]), RegKey0: binary.BigEndian.Uint64(key[8:]),
+			RegIV1: binary.BigEndian.Uint64(base[0:]), RegIV0: binary.BigEndian.Uint64(base[8:]),
+			RegInAddr: 0, RegInLen: inLen, RegOutAddr: outAddr,
+			RegParam0: params[0], RegParam1: params[1], RegParam2: params[2], RegParam3: params[3],
+		} {
+			if err := c.WriteReg(reg, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WriteMem(0, mem); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteReg(RegCtrl, CtrlStart); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := c.ReadReg(RegStatus)
+		if changed {
+			if st != StatusIntegrity || k.calls != 0 {
+				t.Fatalf("changed view: status %d after %d kernel runs, want %d after none", st, k.calls, StatusIntegrity)
+			}
+			return
+		}
+		outLen, _ := c.ReadReg(RegOutLen)
+		if st != StatusDone || k.calls != 1 {
+			t.Fatalf("honest job: status %d after %d kernel runs", st, k.calls)
+		}
+		got := make([]byte, outLen+TagSize, outLen+OutputSlack)
+		if err := c.ReadMem(outAddr, got); err != nil {
+			t.Fatal(err)
+		}
+		var d DataPlane
+		out, err := d.OpenOutput(aead, &honest, sealed[n-TagSize:], got, w.Kernel.EncryptOutput())
+		if err != nil || !bytes.Equal(out, want) {
+			t.Fatalf("honest job: output differs from Compute (%v)", err)
 		}
 	})
 }

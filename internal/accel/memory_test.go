@@ -126,45 +126,75 @@ func TestCorruptUntouchedMemory(t *testing.T) {
 // mark sees zeros there — not what an earlier run left in the fabric's
 // reused input buffer — in plain and in keyed mode.
 func TestKernelRunPastHighWaterMark(t *testing.T) {
-	for _, keyed := range []bool{false, true} {
-		c := NewCore(echoKernel{})
-		must := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		key, base := make([]byte, 16), make([]byte, 16)
-		if keyed {
-			key, base = cryptoutil.RandomKey(16), cryptoutil.RandomKey(16)
-			base[12], base[13], base[14], base[15] = 0, 0, 0, 0
-			must(c.WriteReg(RegKey1, binary.BigEndian.Uint64(key[0:8])))
-			must(c.WriteReg(RegKey0, binary.BigEndian.Uint64(key[8:16])))
-			must(c.WriteReg(RegIV1, binary.BigEndian.Uint64(base[0:8])))
-			must(c.WriteReg(RegIV0, binary.BigEndian.Uint64(base[8:16])))
+	}
+	run := func(c *Core, inAddr, inLen uint64) uint64 {
+		t.Helper()
+		for reg, v := range map[uint32]uint64{RegInAddr: inAddr, RegInLen: inLen, RegOutAddr: 0} {
+			must(c.WriteReg(reg, v))
 		}
-		must(c.WriteMem(4096, bytes.Repeat([]byte{0xEE}, 8))) // mark at 4104
-		for run, inAddr := range []uint64{4096, 4100} {
-			for reg, v := range map[uint32]uint64{RegInAddr: inAddr, RegInLen: 8, RegOutAddr: 0} {
-				must(c.WriteReg(reg, v))
-			}
-			must(c.WriteReg(RegCtrl, CtrlStart))
-			if st, _ := c.ReadReg(RegStatus); st != StatusDone {
-				t.Fatalf("keyed=%v run %d: status %d", keyed, run, st)
-			}
-			got := make([]byte, 8)
-			must(c.ReadMem(0, got))
-			want := make([]byte, 8)
-			copy(want, bytes.Repeat([]byte{0xEE}, int(4104-inAddr)))
-			if keyed {
-				iv := JobIV(base, uint32(run))
-				var err error
-				want, err = cryptoutil.XORKeyStreamCTR(key, iv[:], want)
-				must(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("keyed=%v run %d: kernel saw %x, want %x", keyed, run, got, want)
-			}
+		must(c.WriteReg(RegCtrl, CtrlStart))
+		st, _ := c.ReadReg(RegStatus)
+		return st
+	}
+
+	c := NewCore(echoKernel{})
+	must(c.WriteMem(4096, bytes.Repeat([]byte{0xEE}, 8))) // mark at 4104
+	for r, inAddr := range []uint64{4096, 4100} {
+		if st := run(c, inAddr, 8); st != StatusDone {
+			t.Fatalf("plain run %d: status %d", r, st)
 		}
+		got := make([]byte, 8)
+		must(c.ReadMem(0, got))
+		want := make([]byte, 8)
+		copy(want, bytes.Repeat([]byte{0xEE}, int(4104-inAddr)))
+		if !bytes.Equal(got, want) {
+			t.Errorf("plain run %d: kernel saw %x, want %x", r, got, want)
+		}
+	}
+
+	// Keyed: run 0 leaves 32 bytes of 0xEE in the fabric's input buffer.
+	// Run 1's sealed 8-byte input is written but for its last byte, which
+	// its plaintext is chosen to make zero, so it is past the mark: its tag
+	// verifies only if that byte reads as zero, not as the 0xEE run 0 left
+	// where the fabric assembles the burst.
+	c = NewCore(echoKernel{})
+	key, base := cryptoutil.RandomKey(16), cryptoutil.RandomKey(16)
+	base[12], base[13], base[14], base[15] = 0, 0, 0, 0
+	aead, err := cryptoutil.NewAEAD(key)
+	must(err)
+	must(c.WriteReg(RegKey1, binary.BigEndian.Uint64(key[0:8])))
+	must(c.WriteReg(RegKey0, binary.BigEndian.Uint64(key[8:16])))
+	must(c.WriteReg(RegIV1, binary.BigEndian.Uint64(base[0:8])))
+	must(c.WriteReg(RegIV0, binary.BigEndian.Uint64(base[8:16])))
+	job0 := DataJob{IV: JobIV(base, 0), InLen: 32, OutCap: 32}
+	must(c.WriteMem(4096, SealInput(aead, &job0, bytes.Repeat([]byte{0xEE}, 32))))
+	if st := run(c, 4096, 32); st != StatusDone {
+		t.Fatalf("keyed run 0: status %d", st)
+	}
+	job1 := DataJob{IV: JobIV(base, 1), Index: 1, InLen: 8, OutCap: 8}
+	plain := make([]byte, 8)
+	var sealed []byte
+	for i := uint64(0); ; i++ {
+		if i == 1<<16 {
+			t.Fatal("no plaintext seals to a zero last byte")
+		}
+		binary.BigEndian.PutUint64(plain, i)
+		if sealed = SealInput(aead, &job1, plain); sealed[len(sealed)-1] == 0 {
+			break
+		}
+	}
+	must(c.WriteMem(8192, sealed[:len(sealed)-1])) // the mark falls one byte short
+	if st := run(c, 8192, 8); st != StatusDone {
+		t.Fatalf("keyed run 1: status %d: the byte past the mark did not read as zero", st)
+	}
+	got := make([]byte, 8)
+	must(c.ReadMem(0, got))
+	if !bytes.Equal(got, plain) {
+		t.Errorf("keyed run 1: kernel saw %x, want %x", got, plain)
 	}
 }

@@ -35,15 +35,24 @@ type BatchResult struct {
 	Err    error
 }
 
-// batchJob is one planned job: its IV (its slot in the epoch's schedule,
-// derived once for both directions) and its device-memory slot inside the
-// chunk's buffer half.
+// batchJob is one planned job: its IV and index (its slot in the epoch's
+// schedule, derived once for both directions), its device-memory slot
+// inside the chunk's buffer half, and the tag of its last input burst,
+// which its output binds (set when its input is written).
 type batchJob struct {
 	idx     int // index into ws/results
 	iv      [16]byte
+	index   uint32
 	inAddr  uint64
 	outAddr uint64
 	outCap  uint64
+	inTag   [accel.TagSize]byte
+}
+
+// dataJob is j as the data plane binds it (see accel.DataJob).
+func (j *batchJob) dataJob(w accel.Workload) accel.DataJob {
+	return accel.DataJob{IV: j.iv, Index: j.index, Params: w.Params, InLen: uint64(len(w.Input)),
+		OutAddr: j.outAddr, OutCap: j.outCap}
 }
 
 // batchChunk is one secure frame's worth of jobs: bounded by the session
@@ -53,9 +62,9 @@ type batchChunk struct {
 	jobs     []batchJob
 	base     uint64 // buffer half base address
 	newEpoch bool
-	rotate   bool         // rekey the register channel before this chunk's frame
-	key      []byte       // the new epoch's data key; set only with newEpoch
-	block    cipher.Block // the epoch's data-key schedule, shared by its chunks
+	rotate   bool        // rekey the register channel before this chunk's frame
+	key      []byte      // the new epoch's data key; set only with newEpoch
+	aead     cipher.AEAD // the data plane's AEAD, the user enclave's data-key AEAD
 	baseIV   []byte
 }
 
@@ -80,7 +89,10 @@ type SealedJob struct {
 // key/IV exchange rides its front, and the host waits out the fabric once.
 // Inputs of chunk N+1 are DMA-written into the idle half of device memory
 // while chunk N runs; a lone job gets all of it (see planBatch). Per-job
-// IVs are the contiguous accel.JobIV range from the session counter.
+// IVs are the contiguous accel.JobIV range from the session counter. Job
+// data crosses the shell under the data plane's AES-GCM (accel.DataPlane):
+// a job whose input the fabric refuses or whose output fails its tag fails
+// alone with ErrIntegrity, and nothing of it is sealed for the owner.
 func (s *System) RunSealed(kernelName string, jobs []SealedJob, results []BatchResult) error {
 	if len(results) != len(jobs) {
 		return fmt.Errorf("core: %d results for %d sealed jobs", len(results), len(jobs))
@@ -209,7 +221,11 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		}
 	}()
 
-	chunks, err := s.planBatch(ws, results, s.chunks[:0], s.plan[:0])
+	aead, err := s.User.DataAEAD()
+	if err != nil {
+		return err
+	}
+	chunks, err := s.planBatch(ws, results, aead, s.chunks[:0], s.plan[:0])
 	s.chunks = chunks
 	if err != nil {
 		return err
@@ -218,8 +234,8 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 		return nil
 	}
 
-	// Encrypt + DMA-write the first chunk up front; every later chunk's
-	// write overlaps its predecessor's fabric wait and read-back.
+	// Seal + DMA-write the first chunk up front; every later chunk's write
+	// overlaps its predecessor's fabric wait and read-back.
 	if err := s.writeChunkInputs(ws, &chunks[0]); err != nil {
 		return deviceFault(err)
 	}
@@ -245,13 +261,15 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 					return deviceFault(fmt.Errorf("core: secure key exchange write %d rejected", i))
 				}
 			}
-			s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = chunk.key, chunk.block, chunk.baseIV, 0
+			s.sessKey, s.sessIV, s.sessJobs = chunk.key, chunk.baseIV, 0
 			mSessionExchanges.Inc()
 		}
 		s.sessJobs += uint32(len(chunk.jobs))
 
 		// Overlap the next chunk's DMA writes with this chunk's fabric
-		// wait and read-back: the idle buffer half is untouched by either.
+		// wait and read-back: the idle buffer half is untouched by either,
+		// and the two goroutines share only the data plane's AEAD, which is
+		// safe for concurrent use, each with its own accel.DataPlane.
 		var pending chan error
 		if ci+1 < len(chunks) {
 			done, next := make(chan error, 1), &chunks[ci+1]
@@ -282,35 +300,35 @@ func (s *System) runJobBatchLocked(ws []accel.Workload, results []BatchResult, s
 // backing store (jobs must have room for len(ws)), and the chunks are
 // returned even with an error, so the caller can clear their keys. A job's
 // slot holds its input and the most output its kernel can produce
-// (accel.Kernel.OutputCap). It pre-generates fresh epoch key material so
-// chunk inputs can be encrypted (and DMA-written) ahead of the frame that
-// installs the epoch on the device.
-func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []batchChunk, jobs []batchJob) ([]batchChunk, error) {
+// (accel.Kernel.OutputCap), each sealed with its tags. It pre-generates
+// fresh epoch key material so chunk inputs can be sealed (and DMA-written)
+// ahead of the frame that installs the epoch on the device.
+func (s *System) planBatch(ws []accel.Workload, results []BatchResult, aead cipher.AEAD, chunks []batchChunk, jobs []batchJob) ([]batchChunk, error) {
 	maxJobsPerFrame := (channel.MaxBatchTxns - epochTxnCount) / batchTxnsPerJob
 	window := uint64(batchHalf)
 	if len(ws) == 1 {
 		window = accel.MemBytes
 	}
 
-	sessBlock, sessIV, sessJobs := s.sessBlock, s.sessIV, int(s.sessJobs)
-	hadSession := sessBlock != nil
+	sessIV, sessJobs := s.sessIV, int(s.sessJobs)
+	hadSession := sessIV != nil
 	var cur *batchChunk
 	var cursor uint64
 
 	openChunk := func() error {
-		c := batchChunk{base: uint64(len(chunks)%2) * batchHalf}
-		if sessBlock == nil || sessJobs >= s.rekeyEvery {
-			key, block, baseIV, err := s.newEpochSecrets()
+		c := batchChunk{base: uint64(len(chunks)%2) * batchHalf, aead: aead}
+		if sessIV == nil || sessJobs >= s.rekeyEvery {
+			key, baseIV, err := s.newEpochSecrets()
 			if err != nil {
 				return err
 			}
-			c.newEpoch, c.key, c.block, c.baseIV = true, key, block, baseIV
+			c.newEpoch, c.key, c.baseIV = true, key, baseIV
 			c.rotate = hadSession
 			hadSession = true
-			sessBlock, sessIV, sessJobs = block, baseIV, 0
+			sessIV, sessJobs = baseIV, 0
 		} else {
-			// Continue the live epoch: encrypt under the cached secrets.
-			c.block, c.baseIV = sessBlock, sessIV
+			// Continue the live epoch: seal under its base IV.
+			c.baseIV = sessIV
 		}
 		chunks = append(chunks, c)
 		cur = &chunks[len(chunks)-1]
@@ -330,9 +348,9 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []
 			results[i].Err = fmt.Errorf("core: workload targets %s, deployed CL is %s", w.Kernel.Name(), s.Package.KernelName)
 			continue
 		}
-		inLen := uint64(len(w.Input))
+		inLen := accel.SealedInLen(uint64(len(w.Input)))
 		outCap := uint64(w.Kernel.OutputCap(w.Params, len(w.Input)))
-		slot := alignUp(inLen) + alignUp(outCap)
+		slot := alignUp(inLen) + alignUp(outCap+accel.TagSize)
 		if slot > window {
 			results[i].Err = fmt.Errorf("core: job %d needs a %d-byte slot for its input and output, more than the %d-byte window; a single job gets all %d bytes of device memory",
 				i, slot, window, accel.MemBytes)
@@ -350,6 +368,7 @@ func (s *System) planBatch(ws []accel.Workload, results []BatchResult, chunks []
 		jobs = append(jobs, batchJob{
 			idx:     i,
 			iv:      accel.JobIV(cur.baseIV, uint32(sessJobs)),
+			index:   uint32(sessJobs),
 			inAddr:  cursor,
 			outAddr: cursor + alignUp(inLen),
 			outCap:  outCap,
@@ -403,16 +422,15 @@ func (s *System) issueTxns() (err error) {
 	return nil
 }
 
-// writeChunkInputs encrypts every job input under its planned per-job IV
-// and DMA-writes it into the chunk's buffer half over the direct channel.
-// The chunk carries its own epoch secrets, so this can run ahead of the
-// frame that installs them on the device (the pipelined overlap).
+// writeChunkInputs seals every job input under its planned per-job IV and
+// DMA-writes it into the chunk's buffer half over the direct channel. The
+// chunk carries its own epoch secrets, so this can run ahead of the frame
+// that installs them on the device (the pipelined overlap).
 func (s *System) writeChunkInputs(ws []accel.Workload, chunk *batchChunk) error {
 	for i := range chunk.jobs {
-		// By index: cipher.NewCTR leaks its IV, so slicing a loop copy's
-		// iv would move the copy to the heap on every iteration.
+		// By index: writeInput records the job's input tag in its slot.
 		j := &chunk.jobs[i]
-		if err := s.writeInput(j.inAddr, chunk.block, j.iv[:], ws[j.idx].Input); err != nil {
+		if err := s.writeInput(chunk.aead, j, ws[j.idx]); err != nil {
 			return err
 		}
 	}
@@ -446,6 +464,9 @@ func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r [
 	if !status.OK || !outLen.OK {
 		return nil, deviceFault(fmt.Errorf("core: status read-back rejected"))
 	}
+	if status.Data == accel.StatusIntegrity {
+		return nil, fmt.Errorf("%w: the fabric refused job input at %#x", ErrIntegrity, j.inAddr)
+	}
 	if status.Data != accel.StatusDone {
 		return nil, deviceFault(fmt.Errorf("core: accelerator finished with status %d", status.Data))
 	}
@@ -453,7 +474,7 @@ func (s *System) readOneJob(w accel.Workload, chunk *batchChunk, j batchJob, r [
 		return nil, deviceFault(fmt.Errorf("core: CL reports implausible output length %d at %#x (slot capacity is %d bytes)",
 			outLen.Data, j.outAddr, j.outCap))
 	}
-	return s.readOutput(j.outAddr, int(outLen.Data), w.Kernel.EncryptOutput(), chunk.block, j.iv, seal)
+	return s.readOutput(chunk.aead, &j, w, int(outLen.Data), seal)
 }
 
 // alignUp rounds a device-memory slot length up to the DMA burst

@@ -96,8 +96,8 @@ func keySchedules(root any) []string {
 }
 
 // TestReclaimDropsEveryKeySchedule: a key expanded once lives exactly as
-// long as its key. After jobs have warmed every cache — the host's
-// per-epoch CTR block, the user enclave's data-key AEAD, the SM enclave's
+// long as its key. After jobs have warmed every cache — the user enclave's
+// data-key AEAD, which the data plane runs under too, and the SM enclave's
 // channel Sealer — Reclaim leaves none of them reachable from the System,
 // its user enclave or its SM enclave, and the next sealed job fails.
 func TestReclaimDropsEveryKeySchedule(t *testing.T) {
@@ -110,7 +110,7 @@ func TestReclaimDropsEveryKeySchedule(t *testing.T) {
 	}
 
 	warm := keySchedules(r.System)
-	for _, owner := range []string{"System.sessBlock", "System.User.", "System.SM."} {
+	for _, owner := range []string{"System.User.dataAEAD", "System.User.", "System.SM."} {
 		hit := false
 		for _, p := range warm {
 			hit = hit || strings.HasPrefix(p, owner)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"errors"
@@ -40,6 +39,13 @@ const DefaultSessionRekeyEvery = 64
 // and on nothing else.
 var ErrDeviceFault = errors.New("core: device/session fault")
 
+// ErrIntegrity marks a job whose data failed the data plane's
+// authentication: the fabric refused an input burst and did not run the
+// kernel, or the enclave refused the output's tag and sealed nothing for
+// the owner. It is the shell flipping, replaying or dropping job data on
+// the bus (attack 3 of §3.1), not a fault: the job is not re-dispatched.
+var ErrIntegrity = errors.New("core: job data failed authentication")
+
 // deviceFault tags err as a transport/session failure (see ErrDeviceFault)
 // while keeping the underlying chain inspectable.
 func deviceFault(err error) error {
@@ -53,8 +59,9 @@ func deviceFault(err error) error {
 // interface pattern the paper prescribes: the symmetric data key is
 // exchanged over the secure register channel (through the SM enclave and
 // SM logic), while the bulk ciphertext flows over the direct, unprotected
-// memory channel — the accelerator's inline AES-CTR engine decrypts at the
-// memory interface. The returned bytes are the plaintext result.
+// memory channel — the accelerator's inline AES-GCM engine checks and
+// decrypts at the memory interface (accel.DataPlane). The returned bytes
+// are the plaintext result.
 //
 // The key exchange is amortised across jobs: the first job of a session
 // epoch performs the 4 secure key/IV writes, and every subsequent job
@@ -90,29 +97,25 @@ func (s *System) RunJob(w accel.Workload) ([]byte, error) {
 }
 
 // newEpochSecrets draws the secrets of a fresh session epoch: the enclave's
-// data key, expanded once for the epoch's CTR streams, and a random base
-// IV. It is the one place that zeroes the IV's block-counter field, the
-// invariant that keeps per-job keystreams, 2^32 CTR blocks apart under
-// accel.JobIV, from ever colliding.
-func (s *System) newEpochSecrets() (key []byte, block cipher.Block, baseIV []byte, err error) {
+// data key, for the key registers, and a random base IV, whose first 12
+// bytes seed every data-plane nonce of the epoch (see accel.DataPlane); the
+// last 4 stay zero, as the IV registers have always been installed.
+func (s *System) newEpochSecrets() (key, baseIV []byte, err error) {
 	key, err = s.User.DataKey()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if block, err = aes.NewCipher(key); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	baseIV = cryptoutil.RandomKey(16)
 	for i := 12; i < 16; i++ {
 		baseIV[i] = 0
 	}
-	return key, block, baseIV, nil
+	return key, baseIV, nil
 }
 
 // invalidateSession drops the cached data-key session; the next job
 // re-exchanges. Callers hold jobMu.
 func (s *System) invalidateSession() {
-	s.sessKey, s.sessBlock, s.sessIV, s.sessJobs = nil, nil, nil, 0
+	s.sessKey, s.sessIV, s.sessJobs = nil, nil, 0
 }
 
 // Additional data binding sealed job payloads to their direction.
@@ -125,29 +128,38 @@ var (
 // u64 device address and the u32 payload length (channel.EncodeMemWrite).
 const memWriteHdr = 1 + 8 + 4
 
-// writeInput is the enclave's half of the inbound data path: it
-// CTR-encrypts a job's plaintext under (block, iv) straight into DMA burst
-// frames and streams them to device memory at addr over the direct
-// channel. The plaintext never leaves enclave memory and no whole-payload
-// ciphertext exists on the host: each burst frame is built in s.burst, the
-// one scratch buffer a System owns, grown on first use and reused by every
-// later burst. The shell borrows a frame only for its transaction (see
+// writeInput is the enclave's half of the inbound data path: it seals job
+// j's plaintext input under the data plane's aead straight into DMA burst
+// frames, each burst's ciphertext followed by its tag, streams them to the
+// job's input slot over the direct channel, and keeps the last burst's tag
+// in j for the output to bind. The plaintext never leaves enclave memory
+// and no whole-payload ciphertext exists on the host: each burst frame is
+// built in s.burst, the one scratch buffer a System owns, grown on first
+// use and reused by every later burst, with s.inPlane's nonce and
+// additional data. The shell borrows a frame only for its transaction (see
 // shell.Interceptor); under -race the scratch is poisoned once each
 // transaction returns, so anything that kept it reads garbage. Callers
 // hold jobMu, and at most one writeInput runs at a time.
-func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byte) error {
-	ctr := cipher.NewCTR(block, iv)
-	for off := 0; off < len(plaintext); off += channel.DMABurst {
-		chunk := plaintext[off:min(off+channel.DMABurst, len(plaintext))]
-		if cap(s.burst) < memWriteHdr+len(chunk) {
-			s.burst = make([]byte, memWriteHdr+len(chunk))
+func (s *System) writeInput(aead cipher.AEAD, j *batchJob, w accel.Workload) error {
+	dj := j.dataJob(w)
+	plaintext := w.Input
+	n := uint64(len(plaintext))
+	bursts := accel.InputBursts(n)
+	for b := uint64(0); b < bursts; b++ {
+		chunk := plaintext[b*channel.DMABurst : min((b+1)*channel.DMABurst, n)]
+		size := memWriteHdr + len(chunk) + accel.TagSize
+		if cap(s.burst) < size {
+			s.burst = make([]byte, size)
 		}
-		frame := s.burst[:memWriteHdr+len(chunk)]
+		frame := s.burst[:memWriteHdr]
 		frame[0] = channel.MsgMemWrite
-		binary.BigEndian.PutUint64(frame[1:], addr+uint64(off))
-		binary.BigEndian.PutUint32(frame[9:], uint32(len(chunk)))
-		ctr.XORKeyStream(frame[memWriteHdr:], chunk)
-		//lint:allow sealed-boundary direct channel is plaintext-by-design (§4.5): the payload was CTR-encrypted into the frame above, and the frame header is public
+		binary.BigEndian.PutUint64(frame[1:], j.inAddr+b*accel.SealedBurst)
+		binary.BigEndian.PutUint32(frame[9:], uint32(len(chunk)+accel.TagSize))
+		frame = s.inPlane.SealBurst(frame, aead, &dj, uint32(b), chunk)
+		if b == bursts-1 {
+			copy(j.inTag[:], frame[len(frame)-accel.TagSize:])
+		}
+		//lint:allow sealed-boundary direct channel is plaintext-by-design (§4.5): the payload was sealed into the frame above under the data key, and the frame header is public
 		resp, err := s.User.Direct(frame)
 		poison(frame)
 		if err != nil {
@@ -160,30 +172,37 @@ func (s *System) writeInput(addr uint64, block cipher.Block, iv, plaintext []byt
 	return nil
 }
 
-// readOutput is the enclave's half of the outbound data path: it reads a
-// job's n-byte result from device memory at addr into the one buffer the
-// job returns. For a plaintext job (nil seal) that buffer is exactly n
-// bytes, and the caller keeps it. For a sealed job it is n+SealOverhead
-// bytes from bufpool, the result is read into its middle, and the kernel's
-// output CTR (when it encrypts output, under the epoch's block) and the GCM
-// seal under seal both run in place, so the buffer ends up holding exactly
-// cryptoutil.Seal's output, which its last holder may hand back to bufpool
-// once it is sent. Until the seal it may hold plaintext, so a failure on
-// the way drops it through dropOutput.
-func (s *System) readOutput(addr uint64, n int, encrypted bool, block cipher.Block, iv [16]byte, seal cipher.AEAD) ([]byte, error) {
+// readOutput is the enclave's half of the outbound data path: it reads job
+// j's n-byte result and its tag from device memory into the one buffer
+// the job returns, checks the tag under the data plane's aead with
+// s.outPlane (decrypting in place when the kernel encrypts its output),
+// and only then seals it for the owner. For a plaintext job (nil seal) the
+// caller keeps the buffer's first n bytes. For a sealed job the buffer is
+// n+SealOverhead bytes from bufpool, the result is read into its middle,
+// and the check and the GCM seal under seal both run in place, so the
+// buffer ends up holding exactly cryptoutil.Seal's output, which its last
+// holder may hand back to bufpool once it is sent. Either buffer has
+// accel.OutputSlack bytes of capacity past the result, for the check.
+// Until the seal it may hold plaintext, so a failure on the way drops it
+// through dropOutput; a tag that does not verify is ErrIntegrity.
+func (s *System) readOutput(aead cipher.AEAD, j *batchJob, w accel.Workload, n int, seal cipher.AEAD) ([]byte, error) {
 	buf, lo := []byte(nil), 0
 	if seal == nil {
-		buf = make([]byte, n)
+		buf = make([]byte, n+accel.TagSize, n+accel.OutputSlack)
 	} else {
-		buf, lo = bufpool.Get(n+cryptoutil.SealOverhead), cryptoutil.NonceSize
+		buf = bufpool.Get(n + cryptoutil.NonceSize + accel.OutputSlack)[:n+cryptoutil.SealOverhead]
+		lo = cryptoutil.NonceSize
 	}
-	out := buf[lo : lo+n]
-	if err := s.dmaRead(addr, out); err != nil {
+	wire := buf[lo : lo+n+accel.TagSize]
+	if err := s.dmaRead(j.outAddr, wire); err != nil {
 		dropOutput(buf)
 		return nil, deviceFault(err)
 	}
-	if encrypted {
-		accel.DecryptOutput(block, iv, out)
+	dj := j.dataJob(w)
+	out, err := s.outPlane.OpenOutput(aead, &dj, j.inTag[:], wire, w.Kernel.EncryptOutput())
+	if err != nil {
+		dropOutput(buf)
+		return nil, fmt.Errorf("%w: the output at %#x failed its tag", ErrIntegrity, j.outAddr)
 	}
 	if seal == nil {
 		return out, nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/cipher"
 	"fmt"
 	"sync"
 	"time"
@@ -108,11 +107,10 @@ type System struct {
 	// Cached per-session job state (guarded by jobMu): once the data key
 	// and a base IV are exchanged over the secure register channel, repeat
 	// jobs derive per-job IVs from sessJobs instead of re-running the
-	// 4-write exchange. sessBlock is sessKey's AES schedule, expanded once
-	// per epoch for every CTR stream the host runs in it. rekeyEvery bounds
-	// the epoch length.
+	// 4-write exchange. The data plane runs under the user enclave's
+	// data-key AEAD, expanded once per key, not per epoch. rekeyEvery
+	// bounds the epoch length.
 	sessKey    []byte
-	sessBlock  cipher.Block
 	sessIV     []byte
 	sessJobs   uint32
 	rekeyEvery int
@@ -130,10 +128,15 @@ type System struct {
 	// burst is the DMA burst scratch every input frame is built in (see
 	// writeInput), regFrame the scratch every DMA read request is built in
 	// (see dmaRead), and plain the scratch sealed inputs are opened into
-	// (see runSealedLocked); all guarded by jobMu.
+	// (see runSealedLocked); all guarded by jobMu. inPlane and outPlane are
+	// the data plane's nonce and additional-data scratch of writeInput and
+	// readOutput, one each, since the pipelined batch path runs the two on
+	// different goroutines.
 	burst    []byte
 	regFrame []byte
 	plain    []byte
+	inPlane  accel.DataPlane
+	outPlane accel.DataPlane
 }
 
 // NewSystem manufactures the device, provisions the TEE host, develops the

@@ -43,6 +43,12 @@ func RunTable3() []Table3Row {
 			shell.SpoofDNA{Claim: "B00000000"}, nil, wantFailsAt(smapp.ErrCLAttestation, "⑦")),
 		runScenario("replay on runtime channel", "session freshness (attack 3)",
 			&shell.ReplayRequests{}, nil, wantRuntimeReplayBlocked(kernel)),
+		runScenario("bit-flip on DMA input (MsgMemWrite)", "job data integrity (attack 3)",
+			&shell.TamperDMA{}, nil, wantDataPlaneBlocked(kernel)),
+		runScenario("bit-flip on DMA output (MsgMemData)", "job result integrity (attack 3)",
+			&shell.TamperDMA{Output: true}, nil, wantDataPlaneBlocked(kernel)),
+		runScenario("dropped DMA write", "job data integrity (attack 3)",
+			&shell.TamperDMA{Drop: true}, nil, wantDataPlaneBlocked(kernel)),
 		busSnoop(),
 		runScenario("ICAP readback scan", "loaded CL confidentiality",
 			nil, nil, wantReadbackBlocked),
@@ -125,6 +131,29 @@ func wantRuntimeReplayBlocked(k accel.Kernel) checker {
 			}
 		}
 		return "NOT DETECTED: job ran on replayed frames", false
+	}
+}
+
+// wantDataPlaneBlocked runs one job under a shell that tampers with its
+// DMA traffic: the data plane's tags must refuse it with ErrIntegrity,
+// where an encryption-only data plane computes on what the shell wrote.
+func wantDataPlaneBlocked(k accel.Kernel) checker {
+	return func(s *System) (string, bool) {
+		if _, err := s.SecureBoot(); err != nil {
+			return "boot failed before the runtime attack: " + err.Error(), false
+		}
+		w, _ := accel.TestWorkload(k.Name(), 3)
+		out, err := s.RunJob(w)
+		switch {
+		case errors.Is(err, ErrIntegrity):
+			return "job refused: " + rootCause(err), true
+		case err != nil:
+			return "failed elsewhere: " + err.Error(), false
+		}
+		if want, _ := k.Compute(w.Params, w.Input); !bytes.Equal(out, want) {
+			return "NOT DETECTED: wrong output returned with a nil error", false
+		}
+		return "NOT DETECTED: job ran on tampered traffic", false
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 func TestRunTable3AllProtected(t *testing.T) {
 	rows := RunTable3()
-	if len(rows) != 10 {
-		t.Fatalf("%d rows, want 10", len(rows))
+	if len(rows) != 13 {
+		t.Fatalf("%d rows, want 13", len(rows))
 	}
 	for _, r := range rows {
 		if !r.Protected {
@@ -16,7 +16,7 @@ func TestRunTable3AllProtected(t *testing.T) {
 		}
 	}
 	out := FormatTable3(rows)
-	for _, want := range []string{"BLOCKED", "OK", "CL substitution", "readback", "replay"} {
+	for _, want := range []string{"BLOCKED", "OK", "CL substitution", "readback", "replay", "MsgMemWrite", "MsgMemData", "dropped DMA write"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}

@@ -1,7 +1,8 @@
 // Package cryptoutil provides the cryptographic building blocks shared by
 // the Salus components: AES-CMAC (used by the simulated SGX EREPORT
-// instruction), AES-GCM sealing (bitstream encryption), AES-CTR streaming
-// (memory traffic encryption), and an HMAC-based key-derivation helper.
+// instruction), AES-GCM sealing (bitstream and job data), the AES-CTR
+// reference of the paper's memory-traffic engine, and an HMAC-based
+// key-derivation helper.
 //
 // Everything here is built from the Go standard library; the package exists
 // so that protocol code reads at the level of the paper ("MAC over N+1",

@@ -145,10 +145,11 @@ func OpenInPlaceWith(aead cipher.AEAD, ciphertext, additional []byte) ([]byte, e
 
 // XORKeyStreamCTR encrypts (or decrypts — CTR is symmetric) src in one call
 // under key and a 16-byte IV, expanding key for this call only. It is the
-// reference model of the streaming encryption/decryption engine the
-// benchmark accelerators attach at their memory interfaces (§6.4); the job
-// path itself keeps each key's schedule (cipher.NewCTR over a cached
-// block).
+// reference model of the AES-CTR streaming engine the paper's benchmark
+// accelerators attach at their memory interfaces (§6.4), which the
+// performance model still charges. The job path no longer runs it: job
+// data crosses the shell under AES-GCM (accel.DataPlane). The benchmark's
+// core.ctr_us times it as the paper's engine.
 func XORKeyStreamCTR(key, iv, src []byte) ([]byte, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {

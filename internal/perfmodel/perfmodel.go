@@ -12,9 +12,9 @@
 // paper's own measurements (Table 6 cites Rosetta's U200 numbers for two of
 // them); Affine and NNSearch baselines are chosen to land inside the
 // paper's reported 1.17x–15.64x speedup band. EXPERIMENTS.md records
-// modelled vs paper values. The Go kernels themselves, with real AES-CTR
-// traffic encryption, are timed by the root package's
-// BenchmarkFigure10Kernels.
+// modelled vs paper values. The Go kernels themselves, with real
+// data-plane traffic (AES-GCM, an extension of the paper's AES-CTR engine),
+// are timed by the root package's BenchmarkFigure10Kernels.
 package perfmodel
 
 import (

@@ -222,6 +222,47 @@ func TestBatchPerJobFaultsTripBreaker(t *testing.T) {
 	}
 }
 
+// TestIntegrityFailureIsNotRedispatched: a job whose DMA input the shell
+// flipped fails with core.ErrIntegrity, which is the shell's doing, not
+// the board's: the scheduler neither re-dispatches it nor counts a device
+// fault, and the job's siblings in the entry complete.
+func TestIntegrityFailureIsNotRedispatched(t *testing.T) {
+	sys, err := core.NewSystem(core.SystemConfig{
+		Kernel:      accel.Conv{},
+		Seed:        310,
+		DNA:         "TAMPER-00",
+		Timing:      core.FastTiming(),
+		Interceptor: &shell.TamperDMA{Nth: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := BootSharedParallel([]*core.System{sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newScheduler(t, []*core.System{sys})
+	ws := convWorkloads(4)
+	for i, f := range submitWs(s, key, ws, std) {
+		out, err := waitOpen(key, f)
+		if i == 1 {
+			if !errors.Is(err, core.ErrIntegrity) || Retryable(err) {
+				t.Errorf("tampered job: %v, want a non-retryable core.ErrIntegrity", err)
+			}
+			continue
+		}
+		want, _ := ws[i].Kernel.Compute(ws[i].Params, ws[i].Input)
+		if err != nil || !bytes.Equal(out, want) {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+	ds := findStats(t, s, sys.Device.DNA())
+	if ds.Completed != 3 || ds.Failed != 1 || ds.Retried != 0 || ds.ConsecutiveFaults != 0 {
+		t.Errorf("board after a tampered job: Completed %d, Failed %d, Retried %d, ConsecutiveFaults %d; want 3, 1, 0, 0",
+			ds.Completed, ds.Failed, ds.Retried, ds.ConsecutiveFaults)
+	}
+}
+
 // TestSubmitAfterCloseIsDeterministic is the regression test for the
 // close/submit race: Submit on a closed scheduler must resolve every
 // future with the ErrSchedulerClosed sentinel — deterministically, not a

@@ -2,6 +2,7 @@ package shell
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"salus/internal/channel"
 	"salus/internal/siphash"
@@ -108,6 +109,77 @@ func (TamperResponses) OnResponse(r []byte) []byte {
 	out := append([]byte(nil), r...)
 	if len(out) > 2 {
 		out[len(out)/2] ^= 0x10
+	}
+	return out
+}
+
+// TamperDMA attacks the job data plane alone (attack 3 on the bulk
+// channel): it flips one payload byte of DMA writes (MsgMemWrite) or, with
+// Output, of DMA read data (MsgMemData carrying bytes), or with Drop it
+// drops DMA writes, forwarding an empty write to the same address so the
+// CL acknowledges a write that landed nothing. Register and attestation
+// frames pass untouched, so the attack reaches the data instead of
+// tripping the register channel's MAC first. Offset picks the byte, modulo
+// the payload; a negative Offset counts from the end (-1 is the tag's last
+// byte). Nth > 0 tampers only the Nth such frame, counting from one;
+// zero tampers every one. Safe for concurrent use.
+type TamperDMA struct {
+	PassThrough
+	Output, Drop bool
+	Offset, Nth  int
+	seen         atomic.Int64
+}
+
+// OnRequest implements Interceptor.
+func (a *TamperDMA) OnRequest(r []byte) []byte {
+	if a.Output || channel.MsgType(r) != channel.MsgMemWrite || !a.hit() {
+		return r
+	}
+	m, err := channel.DecodeMemWrite(r)
+	if err != nil {
+		return r
+	}
+	if a.Drop {
+		m.Data = nil
+	} else {
+		m.Data = a.flip(m.Data)
+	}
+	out, err := channel.EncodeMemWrite(m)
+	if err != nil {
+		return r
+	}
+	return out
+}
+
+// OnResponse implements Interceptor.
+func (a *TamperDMA) OnResponse(r []byte) []byte {
+	if !a.Output || a.Drop || channel.MsgType(r) != channel.MsgMemData {
+		return r
+	}
+	data, err := channel.DecodeMemData(r)
+	if err != nil || len(data) == 0 || !a.hit() {
+		return r
+	}
+	out, payload := channel.AppendMemData(nil, uint32(len(data)))
+	copy(payload, a.flip(data))
+	return out
+}
+
+// hit counts one data frame and reports whether to tamper with it.
+func (a *TamperDMA) hit() bool {
+	n := a.seen.Add(1)
+	return a.Nth <= 0 || n == int64(a.Nth)
+}
+
+// flip returns a copy of data with the chosen byte flipped.
+func (a *TamperDMA) flip(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) > 0 {
+		i := a.Offset % len(out)
+		if i < 0 {
+			i += len(out)
+		}
+		out[i] ^= 0x01
 	}
 	return out
 }

@@ -150,24 +150,21 @@ func TestBatchedFullJobThroughLogic(t *testing.T) {
 	w, _ := accel.TestWorkload("Conv", 5)
 	dataKey := cryptoutil.RandomKey(16)
 	iv := cryptoutil.RandomKey(16)
-	encIn, err := cryptoutil.XORKeyStreamCTR(dataKey, iv, w.Input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outAddr := accel.SealedInLen(uint64(len(w.Input))) + 128
+	encIn, openOut := dataPlaneJob(t, dataKey, iv, w, outAddr)
 
 	memw, memErr := channel.EncodeMemWrite(channel.MemWrite{Addr: 0, Data: encIn})
 	if _, err := cl.HandleTransaction(mustEnc(t, memw, memErr)); err != nil {
 		t.Fatal(err)
 	}
 
-	outAddr := uint64(len(encIn) + 128)
 	txns := []channel.RegTxn{
 		{Write: true, Addr: accel.RegKey1, Data: binary.BigEndian.Uint64(dataKey[0:8])},
 		{Write: true, Addr: accel.RegKey0, Data: binary.BigEndian.Uint64(dataKey[8:16])},
 		{Write: true, Addr: accel.RegIV1, Data: binary.BigEndian.Uint64(iv[0:8])},
 		{Write: true, Addr: accel.RegIV0, Data: binary.BigEndian.Uint64(iv[8:16])},
 		{Write: true, Addr: accel.RegInAddr, Data: 0},
-		{Write: true, Addr: accel.RegInLen, Data: uint64(len(encIn))},
+		{Write: true, Addr: accel.RegInLen, Data: uint64(len(w.Input))},
 		{Write: true, Addr: accel.RegOutAddr, Data: outAddr},
 		{Write: true, Addr: accel.RegParam0, Data: w.Params[0]},
 		{Write: true, Addr: accel.RegParam1, Data: w.Params[1]},
@@ -199,14 +196,15 @@ func TestBatchedFullJobThroughLogic(t *testing.T) {
 	}
 	n := res[13].Data
 
-	resp, err = cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: outAddr, N: uint32(n)}))
+	resp, err = cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: outAddr, N: uint32(n) + accel.TagSize}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := channel.DecodeMemData(resp)
+	sealedOut, err := channel.DecodeMemData(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := openOut(sealedOut)
 	want, err := w.Kernel.Compute(w.Params, w.Input)
 	if err != nil {
 		t.Fatal(err)

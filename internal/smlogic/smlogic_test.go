@@ -57,6 +57,31 @@ func mustEnc(t testing.TB, b []byte, err error) []byte {
 	return b
 }
 
+// dataPlaneJob seals w's input as the host's data plane does for the first
+// run under (dataKey, iv) with its output at outAddr, and returns the
+// sealed input and a check that takes the output and tag read back and
+// returns the output.
+func dataPlaneJob(t *testing.T, dataKey, iv []byte, w accel.Workload, outAddr uint64) (sealedIn []byte, openOut func([]byte) []byte) {
+	t.Helper()
+	aead, err := cryptoutil.NewAEAD(dataKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := accel.DataJob{IV: accel.JobIV(iv, 0), Params: w.Params, InLen: uint64(len(w.Input)), OutAddr: outAddr,
+		OutCap: uint64(w.Kernel.OutputCap(w.Params, len(w.Input)))}
+	sealedIn = accel.SealInput(aead, &job, w.Input)
+	return sealedIn, func(sealedOut []byte) []byte {
+		t.Helper()
+		var d accel.DataPlane
+		buf := append(make([]byte, 0, len(sealedOut)+accel.OutputSlack), sealedOut...)
+		out, err := d.OpenOutput(aead, &job, sealedIn[len(sealedIn)-accel.TagSize:], buf, w.Kernel.EncryptOutput())
+		if err != nil {
+			t.Fatalf("job output: %v", err)
+		}
+		return out
+	}
+}
+
 func isError(t *testing.T, resp []byte, wantSubstr string) {
 	t.Helper()
 	msg, ok := channel.DecodeError(resp)
@@ -351,10 +376,8 @@ func TestFullJobThroughLogic(t *testing.T) {
 	w, _ := accel.TestWorkload("Conv", 5)
 	dataKey := cryptoutil.RandomKey(16)
 	iv := cryptoutil.RandomKey(16)
-	encIn, err := cryptoutil.XORKeyStreamCTR(dataKey, iv, w.Input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outAddr := accel.SealedInLen(uint64(len(w.Input))) + 128
+	encIn, openOut := dataPlaneJob(t, dataKey, iv, w, outAddr)
 
 	ctr := uint64(0)
 	secureWrite := func(addr uint32, val uint64) {
@@ -395,9 +418,8 @@ func TestFullJobThroughLogic(t *testing.T) {
 	if _, err := cl.HandleTransaction(mustEnc(t, inEnc, inErr)); err != nil {
 		t.Fatal(err)
 	}
-	outAddr := uint64(len(encIn) + 128)
 	directWrite(accel.RegInAddr, 0)
-	directWrite(accel.RegInLen, uint64(len(encIn)))
+	directWrite(accel.RegInLen, uint64(len(w.Input)))
 	directWrite(accel.RegOutAddr, outAddr)
 	directWrite(accel.RegParam0, w.Params[0])
 	directWrite(accel.RegParam1, w.Params[1])
@@ -422,14 +444,15 @@ func TestFullJobThroughLogic(t *testing.T) {
 		t.Fatalf("status = %d", s)
 	}
 	n := readReg(accel.RegOutLen)
-	resp, err := cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: outAddr, N: uint32(n)}))
+	resp, err := cl.HandleTransaction(channel.EncodeMemRead(channel.MemRead{Addr: outAddr, N: uint32(n) + accel.TagSize}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := channel.DecodeMemData(resp)
+	sealedOut, err := channel.DecodeMemData(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := openOut(sealedOut)
 	want, err := w.Kernel.Compute(w.Params, w.Input)
 	if err != nil {
 		t.Fatal(err)
